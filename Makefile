@@ -7,7 +7,7 @@ GO ?= go
 # like.
 BENCH_COMPARE_TOLERANCE ?= 0.5
 
-.PHONY: ci fmt vet lint lint-fix build test test-parallel bench bench-smoke bench-shards bench-compare prof-smoke
+.PHONY: ci fmt vet lint lint-fix build test test-parallel perfbench-check bench bench-smoke bench-shards bench-compare prof-smoke
 
 # lint runtime budget: the interprocedural analysis (module load, summary
 # fixpoint, rules) must finish inside this wall-clock bound or the target
@@ -16,9 +16,10 @@ LINT_BUDGET ?= 10s
 
 # Full gate: formatting, go vet, build, hpnlint determinism/invariant rules,
 # tests under the race detector (serial and parallel-allocator passes), the
-# bench/forensics smoke run, the self-profiler smoke run, and the perf
-# comparison against the last committed snapshot.
-ci: fmt vet build lint test test-parallel bench-smoke prof-smoke bench-shards bench-compare
+# perfbench module's vet and tests, the bench/forensics smoke run, the
+# self-profiler smoke run, and the perf comparison against the last
+# committed snapshot.
+ci: fmt vet build lint test test-parallel perfbench-check bench-smoke prof-smoke bench-shards bench-compare
 
 fmt:
 	@out="$$(gofmt -l .)"; \
@@ -58,6 +59,13 @@ test:
 test-parallel:
 	GOMAXPROCS=4 $(GO) test -race -count=1 ./internal/netsim/...
 	GOMAXPROCS=4 $(GO) test -race -count=1 -run TestGoldenDeterminism .
+
+# perfbench is its own Go module, so the root `go vet ./...` and
+# `go test ./...` never compile it: an internal API change it depends on
+# (memo.RecorderOf, health.MonitorOf, Sim.AttachProfiler, ...) would
+# otherwise break it silently.
+perfbench-check:
+	cd perfbench && $(GO) vet ./... && $(GO) test ./...
 
 bench:
 	$(GO) test -run=^$$ -bench=Telemetry -benchmem .

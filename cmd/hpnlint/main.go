@@ -4,7 +4,7 @@
 // fixpoint, and enforces the simulator's reproducibility contract — no
 // wall-clock reads, no global math/rand, no map-order leaks into ordered
 // output (directly or through any call chain), no exact float equality,
-// nil-guarded telemetry/observer emission, order-stable goroutine merges,
+// nil-guarded telemetry emission, order-stable goroutine merges,
 // order-stable float reduction, engine-cursor record stamping, and no
 // stale allow directives.
 //

@@ -14,17 +14,13 @@ import (
 // contract covers. Every domain (global + each pod) contributes its own
 // flow log, trace, in-band telemetry, incidents and flight ring under a
 // "g/" or "podN/" key.
-func shardedGoldenNames(pods int, withFlight bool) []string {
-	base := []string{"flowlog.tsv", "trace.json", "inband.tsv", "inband.json", "incidents.tsv", "incidents.json"}
-	if withFlight {
-		base = append(base, "flight.tsv")
-	}
+func shardedGoldenNames(pods int) []string {
 	var names []string
-	for _, n := range base {
+	for _, n := range goldenArtifactNames {
 		names = append(names, "g/"+n)
 	}
 	for p := 0; p < pods; p++ {
-		for _, n := range base {
+		for _, n := range goldenArtifactNames {
 			names = append(names, fmt.Sprintf("pod%d/%s", p, n))
 		}
 	}
@@ -173,7 +169,7 @@ func TestGoldenDeterminismSharded(t *testing.T) {
 		t.Fatal("pod0 incidents TSV has no rows; the injected flap was not detected")
 	}
 
-	for _, name := range shardedGoldenNames(2, true) {
+	for _, name := range shardedGoldenNames(2) {
 		if line, a, b := firstDivergence(serial[name], par[name]); line != 0 {
 			t.Errorf("%s diverges between workers=1 and workers=%d at line %d:\n  serial:   %s\n  parallel: %s",
 				name, runtime.NumCPU(), line, a, b)
@@ -184,9 +180,9 @@ func TestGoldenDeterminismSharded(t *testing.T) {
 // TestGoldenDeterminismShardedMemo crosses the sharded gate with iteration
 // memoization: pod-local windows recorded and replayed under the gate-mode
 // edge (IterGate) must leave every artifact byte-identical between worker
-// counts, and the memo-on run must match the memo-off run on the artifact
-// set replay covers (flight stays out: replay re-feeds observers, not the
-// netsim emission sites that note into the flight ring).
+// counts, and the memo-on run must match the memo-off run on every
+// artifact: replay re-delivers the recorded fabric events to the flow log,
+// in-band collector, health monitor and flight recorder alike.
 func TestGoldenDeterminismShardedMemo(t *testing.T) {
 	const iters = 8
 	off, _ := shardedArtifacts(t, 1, iters, false, false)
@@ -201,13 +197,13 @@ func TestGoldenDeterminismShardedMemo(t *testing.T) {
 		t.Errorf("replay count depends on workers: %d at workers=1, %d at workers=N",
 			stats1.Replayed, statsN.Replayed)
 	}
-	for _, name := range shardedGoldenNames(2, true) {
+	for _, name := range shardedGoldenNames(2) {
 		if line, a, b := firstDivergence(on1[name], onN[name]); line != 0 {
 			t.Errorf("%s diverges between memo-on workers=1 and workers=N at line %d:\n  w1: %s\n  wN: %s",
 				name, line, a, b)
 		}
 	}
-	for _, name := range shardedGoldenNames(2, false) {
+	for _, name := range shardedGoldenNames(2) {
 		if name == "metrics.json" {
 			// The memo-on registry adds memo_* counters the off run never
 			// registers; the byte comparison only holds between same-config
@@ -229,7 +225,7 @@ func TestGoldenDeterminismShardedMemo(t *testing.T) {
 func TestShardedSchedulingPermutations(t *testing.T) {
 	const iters = 3
 	ref, _ := shardedArtifacts(t, 1, iters, false, false)
-	names := shardedGoldenNames(2, true)
+	names := shardedGoldenNames(2)
 	for _, procs := range []int{1, 2, 8} {
 		for _, workers := range []int{2, 8} {
 			t.Run(fmt.Sprintf("procs=%d/workers=%d", procs, workers), func(t *testing.T) {

@@ -13,21 +13,16 @@ import (
 // in comparison order.
 var goldenArtifactNames = []string{
 	"flowlog.tsv", "trace.json", "inband.tsv", "inband.json",
-	"incidents.tsv", "incidents.json",
+	"incidents.tsv", "incidents.json", "flight.tsv",
 }
-
-// goldenWithFlight adds the flight recorder dump for the same-config gates.
-// The memo differential gates keep the base set: replay re-feeds observers,
-// not the netsim emission sites that note into the flight ring, so memo-on
-// vs memo-off flight contents legitimately differ.
-var goldenWithFlight = append(append([]string{}, goldenArtifactNames...), "flight.tsv")
 
 // goldenArtifacts runs one fully instrumented training simulation — small
 // HPN cluster, telemetry hub attached, flow log, in-band path telemetry
 // and the online health monitor on, a cable failure injected mid-run — and
 // returns the serialized artifacts whose bytes the determinism contract
 // covers: the flow-log TSV, the Chrome trace JSON, the in-band per-hop
-// TSV/JSON, and the health monitor's incidents TSV/JSON. Everything that
+// TSV/JSON, the health monitor's incidents TSV/JSON and the flight
+// recorder's TSV. Everything that
 // could perturb the output (placement, collective schedules, retransmits
 // after the failure, telemetry emission order, path-epoch flushes on
 // reroute, detector sweeps) is exercised on purpose.
@@ -153,7 +148,7 @@ func TestGoldenDeterminism(t *testing.T) {
 		t.Fatal("flight TSV has no rows; the recorder captured no events around the incident")
 	}
 
-	for _, name := range goldenWithFlight {
+	for _, name := range goldenArtifactNames {
 		if line, a, b := firstDivergence(run1[name], run2[name]); line != 0 {
 			t.Errorf("%s diverges between identical runs at line %d:\n  run1: %s\n  run2: %s",
 				name, line, a, b)
@@ -173,7 +168,7 @@ func TestGoldenDeterminismParallelFill(t *testing.T) {
 		c.Net.ParallelFillMinFlows = 1
 	})
 
-	for _, name := range goldenWithFlight {
+	for _, name := range goldenArtifactNames {
 		if line, a, b := firstDivergence(serial[name], par[name]); line != 0 {
 			t.Errorf("%s diverges between serial and parallel fill at line %d:\n  serial:   %s\n  parallel: %s",
 				name, line, a, b)
@@ -196,9 +191,8 @@ func memoArtifacts(t *testing.T, memoOn bool, iters int, tune ...func(c *Cluster
 	opt.SampleInterval = 0
 	opt.Memo = memoOn
 	// Profiling stays on through the memo gates too: phase timing must not
-	// perturb recorded windows or replay. flight.tsv is NOT captured here —
-	// replay does not re-run the netsim emission sites, so its contents
-	// differ between memo-on and memo-off by design.
+	// perturb recorded windows or replay, and replay re-delivers the fabric
+	// events the flight recorder notes, so flight.tsv must match as well.
 	opt.Prof = true
 	hub := NewTelemetryHub(opt)
 	c, err := NewHPN(SmallHPN(1, 8, 8))
@@ -256,6 +250,7 @@ func memoArtifacts(t *testing.T, memoOn bool, iters int, tune ...func(c *Cluster
 	capture("inband.json", c.Net.Inband().WriteJSON)
 	capture("incidents.tsv", m.WriteTSV)
 	capture("incidents.json", m.WriteJSON)
+	capture("flight.tsv", hub.Flight.WriteTSV)
 	return out, stats
 }
 

@@ -41,22 +41,20 @@ func (c *Cluster) EnableTelemetry(h *telemetry.Hub) {
 	c.Net.AttachTelemetry(tr, h.Registry, prefix)
 	c.Net.R.Tracer = tr
 	// Profiler before memo.Attach: the recorder reads Sim.Prof for its own
-	// phases when it attaches.
+	// phases when it attaches. Stream subscribers (in-band collector,
+	// health monitor, memo recorder) attach in any order.
 	if h.Prof != nil {
 		c.Eng.SetProfiler(h.Prof)
 		c.Net.AttachProfiler(h.Prof, h.Flight)
+	}
+	if h.Opt.Memo {
+		memo.Attach(c.Net)
 	}
 	if h.Opt.Inband {
 		c.Net.EnableInband(h.Opt.InbandMax)
 	}
 	if h.Opt.Health {
 		health.Attach(c.Net, health.DefaultConfig())
-	}
-	// The recorder must attach after every other observer so it wraps the
-	// chain outermost: it has to see invalidating fabric events first and
-	// capture exactly the callbacks replay must re-feed.
-	if h.Opt.Memo {
-		memo.Attach(c.Net)
 	}
 	if smp == nil {
 		return

@@ -131,7 +131,7 @@ type groupState struct {
 // floor. now is the caller-observed routing time: during memo replay the
 // engine clock is not yet advanced, so the passed time — not Eng.Now() —
 // must stamp any incident opened here.
-func (m *Monitor) notePath(now sim.Time, f *netsim.Flow, hops []route.HopDecision) {
+func (m *Monitor) notePath(now sim.Time, f netsim.FlowState, hops []route.HopDecision) {
 	for i := range hops {
 		h := &hops[i]
 		// Per-port Core hashing is deliberately tuple-independent; its
@@ -156,7 +156,7 @@ func (m *Monitor) notePath(now sim.Time, f *netsim.Flow, hops []route.HopDecisio
 			})
 		}
 		gs := m.groupList[gi]
-		w := f.Tuple.Word()
+		w := f.Tuple
 		if _, dup := gs.seen[w]; dup {
 			continue
 		}
@@ -220,8 +220,8 @@ type classState struct {
 	last    sim.Time
 }
 
-func (m *Monitor) noteCompletion(now sim.Time, f *netsim.Flow) {
-	d := (f.DoneAt - f.StartedAt).Seconds()
+func (m *Monitor) noteCompletion(now sim.Time, f netsim.FlowState) {
+	d := (now - f.StartedAt).Seconds()
 	if d <= 0 || f.Bits <= 0 {
 		return
 	}

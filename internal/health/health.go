@@ -1,5 +1,5 @@
 // Package health is an online fabric health monitor: it subscribes to the
-// simulator's streaming fabric events (netsim.Observer) and runs a set of
+// simulator's fabric event stream (netsim.Subscriber) and runs a set of
 // incremental detectors while the run executes, with no artifact dump or
 // post-run parsing required. The detectors mirror HPN's operational pain
 // points — link flap storms (Fig. 18), stuck flows, ECMP hash polarization
@@ -12,14 +12,13 @@
 // iterates in first-seen order (never Go map order), timestamps are virtual
 // time, and the incidents.tsv / incidents.json artifacts are byte-identical
 // across same-seed runs. With the monitor not attached, the simulator pays
-// one nil check per emission point (see netsim.Observer).
+// one mask check per emission point (see netsim.Subscriber).
 package health
 
 import (
 	"fmt"
 
 	"hpn/internal/netsim"
-	"hpn/internal/route"
 	"hpn/internal/sim"
 	"hpn/internal/telemetry"
 	"hpn/internal/topo"
@@ -159,7 +158,7 @@ type Incident struct {
 // incKey identifies the at-most-one open incident per (kind, subject).
 type incKey struct{ kind, subject string }
 
-// Monitor implements netsim.Observer: it consumes the event stream, keeps
+// Monitor is a netsim.Subscriber: it consumes the event stream, keeps
 // per-detector state, and accumulates the incident + iteration timeline.
 type Monitor struct {
 	Net *netsim.Sim
@@ -203,8 +202,8 @@ type Monitor struct {
 	ctrIncidents *telemetry.Counter
 }
 
-// Attach builds a monitor over the simulator, installs it as the fabric
-// observer, and (when the simulator carries a registry) registers the
+// Attach builds a monitor over the simulator, subscribes it to the fabric
+// event stream, and (when the simulator carries a registry) registers the
 // "incidents.tsv"/"incidents.json" artifact exporters plus health metrics
 // under the simulator's prefix. The periodic sweep is demand-armed: the
 // first fabric event (transition, reroute, stalled or degraded flow)
@@ -219,7 +218,7 @@ func Attach(net *netsim.Sim, cfg Config) *Monitor {
 		groupIdx: map[groupKey]int{},
 		classIdx: map[int]int{},
 	}
-	net.SetObserver(m)
+	net.Subscribe(m)
 	if net.Reg != nil {
 		p := net.MetricsPrefix
 		m.ctrIncidents = net.Reg.Counter(p+"health_incidents_total", "fabric incidents opened by the health monitor")
@@ -271,20 +270,12 @@ func (m *Monitor) needsTick() bool {
 	return false
 }
 
-// MonitorOf returns the monitor attached to the simulator, or nil if the
-// fabric observer is absent or something else. Wrapping observers (the
-// memo recorder) are unwrapped through their Inner chain.
+// MonitorOf returns the monitor subscribed to the simulator, or nil.
 func MonitorOf(net *netsim.Sim) *Monitor {
-	o := net.Observer()
-	for o != nil {
-		if m, ok := o.(*Monitor); ok {
+	for _, sub := range net.Subscribers() {
+		if m, ok := sub.(*Monitor); ok {
 			return m
 		}
-		u, ok := o.(interface{ Inner() netsim.Observer })
-		if !ok {
-			return nil
-		}
-		o = u.Inner()
 	}
 	return nil
 }
@@ -320,12 +311,10 @@ func (m *Monitor) openIncident(kind, subject string, start sim.Time, detail stri
 	})
 	m.openIdx[k] = len(m.incidents) - 1
 	m.ctrIncidents.Inc()
-	if m.Net.Flight != nil {
-		// Freeze the flight recorder's evidence window at the instant the
-		// detector fired: flight.tsv then carries the raw event context
-		// behind each incident, not just this detector summary.
-		m.Net.Flight.Mark(int64(start), kind+":"+subject)
-	}
+	// Freeze the flight recorder's evidence window at the instant the
+	// detector fired: flight.tsv then carries the raw event context behind
+	// each incident, not just this detector summary. Mark is nil-safe.
+	m.Net.Flight.Mark(int64(start), kind+":"+subject)
 	return &m.incidents[len(m.incidents)-1]
 }
 
@@ -357,51 +346,45 @@ func (m *Monitor) linkSubject(l topo.LinkID) string {
 	return m.Net.Top.Node(lk.From).Name + "<->" + m.Net.Top.Node(lk.To).Name
 }
 
-// netsim.Observer implementation. Each callback runs inside event dispatch
-// and must stay cheap and deterministic.
-
-// LinkEvent feeds the flap detector.
-func (m *Monitor) LinkEvent(now sim.Time, l topo.LinkID, up bool) {
-	m.noteTransition(now, m.linkSubject(l), up)
-	m.armTick()
+// Kinds selects the events the detectors consume.
+func (m *Monitor) Kinds() netsim.EventKind {
+	return netsim.EvTopology | netsim.EvFlowRouted | netsim.EvFlowDone
 }
 
-// NodeEvent feeds node transitions into the same flap detector, keyed by
-// switch name.
-func (m *Monitor) NodeEvent(now sim.Time, n topo.NodeID, up bool) {
-	m.noteTransition(now, m.Net.Top.Node(n).Name, up)
-	m.armTick()
-}
-
-// RerouteDone counts passes for attribution; stall recovery itself is
-// observed by the sweep (armed here, since a reroute either resolves a
-// stall or leaves one to keep watching).
-func (m *Monitor) RerouteDone(now sim.Time, repathed, stillStalled int) {
-	m.reroutes++
-	m.armTick()
-}
-
-// FlowRouted feeds the polarization detector with the path's hash
-// decisions. A flow routed into a blackhole arms the sweep so the stall
-// detector starts its clock even when no transition was observed.
-func (m *Monitor) FlowRouted(now sim.Time, f *netsim.Flow, hops []route.HopDecision) {
-	m.notePath(now, f, hops)
-	if f.Stalled {
+// FabricEvent runs inside event dispatch and must stay cheap and
+// deterministic. Transitions feed the flap detector (cables and switches
+// alike, keyed by subject name); reroute passes are counted for
+// attribution, with stall recovery itself observed by the sweep (armed
+// here, since a reroute either resolves a stall or leaves one to keep
+// watching); routed paths feed the polarization detector, and a flow
+// routed into a blackhole arms the sweep so the stall detector starts its
+// clock even when no transition was observed; completions feed the
+// degraded-throughput detector.
+func (m *Monitor) FabricEvent(e netsim.Event) {
+	switch e.Kind {
+	case netsim.EvLinkDown, netsim.EvLinkUp:
+		m.noteTransition(e.At, m.linkSubject(e.Link), e.Kind == netsim.EvLinkUp)
 		m.armTick()
+	case netsim.EvNodeDown, netsim.EvNodeUp:
+		m.noteTransition(e.At, m.Net.Top.Node(e.Node).Name, e.Kind == netsim.EvNodeUp)
+		m.armTick()
+	case netsim.EvReroute, netsim.EvRerouteRetry:
+		m.reroutes++
+		m.armTick()
+	case netsim.EvFlowRouted:
+		m.notePath(e.At, e.Flow, e.Hops)
+		if e.Flow.Stalled {
+			m.armTick()
+		}
+	case netsim.EvFlowDone:
+		m.noteCompletion(e.At, e.Flow)
 	}
 }
 
-// FlowDone feeds the degraded-throughput detector.
-func (m *Monitor) FlowDone(now sim.Time, f *netsim.Flow) {
-	m.noteCompletion(now, f)
-}
-
-var _ netsim.Observer = (*Monitor)(nil)
-
-// LiveMetricNames names the registry counters this observer increments
-// from inside its callbacks. The memo recorder excludes them from a
-// recorded window's metrics delta: replay re-feeds the callbacks, so the
-// increments happen live and would otherwise be double-counted.
+// LiveMetricNames names the registry counters this subscriber increments
+// while handling events. The memo recorder excludes them from a recorded
+// window's metrics delta: replay re-delivers the events, so the increments
+// happen live and would otherwise be double-counted.
 func (m *Monitor) LiveMetricNames() []string {
 	if m.Net.Reg == nil {
 		return nil

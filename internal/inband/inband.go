@@ -7,8 +7,10 @@
 // flow sat behind at every hop.
 //
 // The stream is produced by netsim (one Record per traversed link per path
-// generation of every flow) into a Collector, and exported as deterministic
-// TSV and JSON artifacts through the telemetry registry. cmd/hpnview
+// generation of every flow): each closed generation reaches the Collector
+// through FlushFlow as one event of netsim's fabric stream, live or memo
+// replayed alike. The records are exported as deterministic TSV and JSON
+// artifacts through the telemetry registry. cmd/hpnview
 // consumes the TSV offline for fabric forensics: utilization heatmaps,
 // contended-link attribution, observed-path ECMP imbalance, and hash
 // polarization detection (see analyze.go).
@@ -21,7 +23,6 @@ import (
 	"strings"
 
 	"hpn/internal/route"
-	"hpn/internal/telemetry"
 	"hpn/internal/topo"
 )
 
@@ -75,6 +76,14 @@ type Record struct {
 	Tuple uint64
 }
 
+// HopStat is what one hop of a path generation accumulated: the flow's
+// time-weighted bits through it (Record.Bits) and the queue byte-seconds
+// it sat behind (Record.QueueByteS).
+type HopStat struct {
+	Bits       float64
+	QueueByteS float64
+}
+
 // Collector accumulates in-band records for one simulation.
 type Collector struct {
 	top *topo.Topology
@@ -84,9 +93,6 @@ type Collector struct {
 	max     int
 	recs    []Record
 	dropped int
-
-	// trace, when set, receives one instant event per flushed generation.
-	trace *telemetry.Tracer
 }
 
 // NewCollector returns a collector over top retaining at most max records
@@ -95,35 +101,18 @@ func NewCollector(top *topo.Topology, max int) *Collector {
 	return &Collector{top: top, max: max, recs: make([]Record, 0, 1024)}
 }
 
-// AttachTracer mirrors generation flushes into the trace as instants.
-func (c *Collector) AttachTracer(t *telemetry.Tracer) { c.trace = t }
-
 // Records returns the retained records in emission order.
 func (c *Collector) Records() []Record { return c.recs }
 
 // Dropped returns how many records were discarded past the cap.
 func (c *Collector) Dropped() int { return c.dropped }
 
-// AppendReplayed appends pre-shifted records from a memoized window,
-// honoring the retention cap exactly as live flushes do. No trace instant
-// is emitted here: the replayed trace stream already carries the original
-// path_flush events.
-func (c *Collector) AppendReplayed(recs []Record) {
-	for i := range recs {
-		if c.max > 0 && len(c.recs) >= c.max {
-			c.dropped += len(recs) - i
-			return
-		}
-		c.recs = append(c.recs, recs[i])
-	}
-}
-
 // FlushFlow closes one path generation of a flow: it appends one Record
 // per hop, labeling each link from the topology and copying the per-hop
-// accumulators. hops, bits and queueBS are parallel to the path walked;
-// bits/queueBS may be shorter (e.g. a partial path), in which case missing
-// entries read as zero.
-func (c *Collector) FlushFlow(flowID int64, epoch int, tuple uint64, enterNS, exitNS int64, hops []route.HopDecision, bits, queueBS []float64) {
+// accumulators. hops and stats are parallel to the path walked; stats may
+// be shorter (e.g. a partial path), in which case missing entries read as
+// zero.
+func (c *Collector) FlushFlow(flowID int64, epoch int, tuple uint64, enterNS, exitNS int64, hops []route.HopDecision, stats []HopStat) {
 	for i, h := range hops {
 		if c.max > 0 && len(c.recs) >= c.max {
 			c.dropped += len(hops) - i
@@ -144,19 +133,11 @@ func (c *Collector) FlushFlow(flowID int64, epoch int, tuple uint64, enterNS, ex
 		if h.Hashed {
 			r.Node = c.top.Node(h.Node).Name
 		}
-		if i < len(bits) {
-			r.Bits = bits[i]
-		}
-		if i < len(queueBS) {
-			r.QueueByteS = queueBS[i]
+		if i < len(stats) {
+			r.Bits = stats[i].Bits
+			r.QueueByteS = stats[i].QueueByteS
 		}
 		c.recs = append(c.recs, r)
-	}
-	if c.trace != nil {
-		c.trace.Instant(exitNS, "inband", "path_flush", telemetry.TidInband,
-			telemetry.Arg{K: "flow", V: flowID},
-			telemetry.Arg{K: "epoch", V: epoch},
-			telemetry.Arg{K: "hops", V: len(hops)})
 	}
 }
 

@@ -68,9 +68,8 @@ func TestPathObservedDecisions(t *testing.T) {
 func TestCollectorFlushAndTSVRoundTrip(t *testing.T) {
 	top, hops := observedPath(t, 1000)
 	c := NewCollector(top, 0)
-	bits := []float64{1.5e9, 1.5e9, 1.5e9, 1.5e9}
-	qbs := []float64{0, 12.25, 0.5, 0}
-	c.FlushFlow(7, 1, 0xfeed, 1000, 9000, hops, bits, qbs)
+	stats := []HopStat{{1.5e9, 0}, {1.5e9, 12.25}, {1.5e9, 0.5}, {1.5e9, 0}}
+	c.FlushFlow(7, 1, 0xfeed, 1000, 9000, hops, stats)
 
 	recs := c.Records()
 	if len(recs) != len(hops) {
@@ -80,7 +79,7 @@ func TestCollectorFlushAndTSVRoundTrip(t *testing.T) {
 		if r.Flow != 7 || r.Epoch != 1 || r.Seq != i || r.Tuple != 0xfeed || r.EnterNS != 1000 || r.ExitNS != 9000 {
 			t.Fatalf("record %d identity fields wrong: %+v", i, r)
 		}
-		if r.Bits != bits[i] || r.QueueByteS != qbs[i] {
+		if r.Bits != stats[i].Bits || r.QueueByteS != stats[i].QueueByteS {
 			t.Fatalf("record %d accumulators wrong: %+v", i, r)
 		}
 		if r.Name == "" || !strings.Contains(r.Name, ">") || !strings.Contains(r.Tier, "-") {
@@ -107,9 +106,9 @@ func TestCollectorFlushAndTSVRoundTrip(t *testing.T) {
 func TestCollectorShortAccumulators(t *testing.T) {
 	top, hops := observedPath(t, 1001)
 	c := NewCollector(top, 0)
-	// bits/queueBS shorter than the path (partial integration): missing
-	// entries read as zero rather than panicking.
-	c.FlushFlow(1, 0, 1, 0, 10, hops, []float64{5}, nil)
+	// stats shorter than the path (partial integration): missing entries
+	// read as zero rather than panicking.
+	c.FlushFlow(1, 0, 1, 0, 10, hops, []HopStat{{Bits: 5}})
 	recs := c.Records()
 	if recs[0].Bits != 5 || recs[1].Bits != 0 || recs[0].QueueByteS != 0 {
 		t.Fatalf("short accumulators misapplied: %+v", recs[:2])
@@ -119,8 +118,8 @@ func TestCollectorShortAccumulators(t *testing.T) {
 func TestCollectorCapDrops(t *testing.T) {
 	top, hops := observedPath(t, 1002)
 	c := NewCollector(top, len(hops)+1)
-	c.FlushFlow(1, 0, 1, 0, 10, hops, nil, nil)
-	c.FlushFlow(2, 0, 2, 0, 10, hops, nil, nil)
+	c.FlushFlow(1, 0, 1, 0, 10, hops, nil)
+	c.FlushFlow(2, 0, 2, 0, 10, hops, nil)
 	if len(c.Records()) != len(hops)+1 {
 		t.Fatalf("cap not enforced: %d records retained", len(c.Records()))
 	}
@@ -151,7 +150,7 @@ func TestWriteTSVEmpty(t *testing.T) {
 func TestWriteJSONIsValidJSON(t *testing.T) {
 	top, hops := observedPath(t, 1003)
 	c := NewCollector(top, 0)
-	c.FlushFlow(3, 0, 3, 0, 10, hops, nil, nil)
+	c.FlushFlow(3, 0, 3, 0, 10, hops, nil)
 	var buf bytes.Buffer
 	if err := c.WriteJSON(&buf); err != nil {
 		t.Fatal(err)

@@ -92,8 +92,7 @@ type fnFacts struct {
 	calls      []callRec
 	paramSink  map[int][]seed // parameter reaches an ordered sink directly
 	paramFlows []paramFlow
-	paramEmit  map[int]seed   // unguarded emission with the parameter as receiver
-	paramRule  map[int]string // "tracenil" or "obsnil" for paramEmit
+	paramEmit  map[int]seed // unguarded tracer emission with the parameter as receiver
 
 	builders        []objSeed // local slices/strings built in map-iteration order
 	assignsFromCall []assignFromCall

@@ -28,11 +28,6 @@
 //   - tracenil:   telemetry emission sites must sit behind a nil-tracer
 //     guard — including call sites that pass a possibly-nil tracer to a
 //     helper that emits on it unguarded.
-//   - obsnil:     netsim.Observer callback sites must sit behind a
-//     nil-observer guard, with the same interprocedural obligation.
-//   - profnil:    prof.Flight recorder emission sites (Note/Mark) must sit
-//     behind a nil-recorder guard, with the same interprocedural
-//     obligation.
 //   - goorder:    goroutine results must be merged index-addressed or
 //     sorted, never by channel-receive order or shared-slice append.
 //   - floatacc:   no float accumulation whose reduction order depends on
@@ -61,8 +56,6 @@ import (
 const (
 	telemetryPath = "hpn/internal/telemetry"
 	simPath       = "hpn/internal/sim"
-	netsimPath    = "hpn/internal/netsim"
-	profPath      = "hpn/internal/prof"
 )
 
 // ChainFrame is one link of an interprocedural taint chain, from the
@@ -116,8 +109,6 @@ func AllRules() []Rule {
 		maporderRule{},
 		floateqRule{},
 		tracenilRule{},
-		obsnilRule{},
-		profnilRule{},
 		goorderRule{},
 		floataccRule{},
 		seqsourceRule{},

@@ -148,8 +148,6 @@ func TestFixtureGlobalrand(t *testing.T) { checkFixture(t, "globalrand", AllRule
 func TestFixtureMaporder(t *testing.T)   { checkFixture(t, "maporder", AllRules()) }
 func TestFixtureFloateq(t *testing.T)    { checkFixture(t, "floateq", AllRules()) }
 func TestFixtureTracenil(t *testing.T)   { checkFixture(t, "tracenil", AllRules()) }
-func TestFixtureObsnil(t *testing.T)     { checkFixture(t, "obsnil", AllRules()) }
-func TestFixtureProfnil(t *testing.T)    { checkFixture(t, "profnil", AllRules()) }
 func TestFixtureGoorder(t *testing.T)    { checkFixture(t, "goorder", AllRules()) }
 func TestFixtureFloatacc(t *testing.T)   { checkFixture(t, "floatacc", AllRules()) }
 func TestFixtureSeqsource(t *testing.T)  { checkFixture(t, "seqsource", AllRules()) }

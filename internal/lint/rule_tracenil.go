@@ -52,12 +52,12 @@ func (tracenilRule) Check(p *Pass) {
 			}
 			sel, ok := call.Fun.(*ast.SelectorExpr)
 			if !ok {
-				checkParamEmitCall(p, call, stack, "tracenil", "tracer")
+				checkParamEmitCall(p, call, stack)
 				return true
 			}
 			fn, ok := p.Info.Uses[sel.Sel].(*types.Func)
 			if !ok || funcPkgPath(fn) != telemetryPath || !tracerEmitMethods[fn.Name()] {
-				checkParamEmitCall(p, call, stack, "tracenil", "tracer")
+				checkParamEmitCall(p, call, stack)
 				return true
 			}
 			if !isTracerMethod(fn) {
@@ -75,11 +75,11 @@ func (tracenilRule) Check(p *Pass) {
 	}
 }
 
-// checkParamEmitCall is the interprocedural half shared by tracenil and
-// obsnil: a call passing a possibly-nil tracer/observer expression into a
-// parameter whose summary says it is emitted on unguarded. Known-non-nil
-// arguments (calls, composite literals, addresses) are exempt.
-func checkParamEmitCall(p *Pass, call *ast.CallExpr, stack []ast.Node, rule, what string) {
+// checkParamEmitCall is the interprocedural half of the rule: a call
+// passing a possibly-nil tracer expression into a parameter whose summary
+// says it is emitted on unguarded. Known-non-nil arguments (calls,
+// composite literals, addresses) are exempt.
+func checkParamEmitCall(p *Pass, call *ast.CallExpr, stack []ast.Node) {
 	fi := p.Prog.FuncOf(calleeFunc(p.Info, call))
 	if fi == nil || len(fi.sum.ParamEmit) == 0 {
 		return
@@ -94,7 +94,7 @@ func checkParamEmitCall(p *Pass, call *ast.CallExpr, stack []ast.Node, rule, wha
 			target = sig.Params().Len() - 1
 		}
 		emit := fi.sum.ParamEmit[target]
-		if emit == nil || emit.rule != rule {
+		if emit == nil {
 			continue
 		}
 		switch ast.Unparen(arg).(type) {
@@ -105,10 +105,17 @@ func checkParamEmitCall(p *Pass, call *ast.CallExpr, stack []ast.Node, rule, wha
 		if expr == "nil" || guardedNotNil(stack, call, expr) {
 			continue
 		}
-		p.ReportChain(arg.Pos(), rule,
-			"passes possibly-nil "+what+" "+expr+" to "+fi.Name()+", which emits on it without a nil guard (interprocedural); guard the call or the emission",
+		p.ReportChain(arg.Pos(), "tracenil",
+			"passes possibly-nil tracer "+expr+" to "+fi.Name()+", which emits on it without a nil guard (interprocedural); guard the call or the emission",
 			p.Prog.chain(emit, factParamEmit))
 	}
+}
+
+// isTracerEmit reports whether fn is a per-event Tracer emission method
+// called from outside the telemetry package (which owns the nil-safety).
+func isTracerEmit(pkg *Package, fn *types.Func) bool {
+	return funcPkgPath(fn) == telemetryPath && pkg.ImportPath != telemetryPath &&
+		tracerEmitMethods[fn.Name()] && isTracerMethod(fn)
 }
 
 // isTracerMethod reports whether fn is a method whose receiver is

@@ -21,7 +21,6 @@ type prov struct {
 	desc      string
 	next      *FuncInfo // nil at a seed
 	nextParam int       // parameter index in next, for parameter facts
-	rule      string    // owning rule for paramEmit ("tracenil"/"obsnil")
 }
 
 // Summary is the interprocedural fact set of one function, each fact
@@ -49,8 +48,7 @@ type Summary struct {
 	// event scheduling, fingerprint hasher, surviving append).
 	ParamSink map[int]*prov
 	// ParamEmit: parameter i is used as the receiver of an unguarded
-	// telemetry/observer emission, so the nil-guard obligation escapes to
-	// callers. prov.rule names the owning rule.
+	// tracer emission, so the nil-guard obligation escapes to callers.
 	ParamEmit map[int]*prov
 }
 
@@ -159,7 +157,7 @@ func (prog *Program) transfer(fi *FuncInfo) {
 	}
 	for idx, s := range fc.paramEmit {
 		if sum.ParamEmit[idx] == nil {
-			sum.ParamEmit[idx] = &prov{pos: s.pos, desc: s.desc, rule: fc.paramRule[idx]}
+			sum.ParamEmit[idx] = &prov{pos: s.pos, desc: s.desc}
 		}
 	}
 	for _, pf := range fc.paramFlows {
@@ -176,11 +174,11 @@ func (prog *Program) transfer(fi *FuncInfo) {
 			}
 		}
 		if sum.ParamEmit[pf.param] == nil && !pf.guarded {
-			if p := callee.sum.ParamEmit[pf.arg]; p != nil && !prog.allowedAt(fi.Pkg, pf.pos, p.rule) {
+			if p := callee.sum.ParamEmit[pf.arg]; p != nil && !prog.allowedAt(fi.Pkg, pf.pos, "tracenil") {
 				sum.ParamEmit[pf.param] = &prov{pos: pf.pos,
 					desc: fmt.Sprintf("passes parameter %s unguarded to %s, which emits on its parameter %s",
 						paramName(fi, pf.param), callee.Name(), paramName(callee, pf.arg)),
-					next: callee, nextParam: pf.arg, rule: p.rule}
+					next: callee, nextParam: pf.arg}
 			}
 		}
 	}

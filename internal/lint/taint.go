@@ -23,7 +23,6 @@ func (prog *Program) collectFacts(fi *FuncInfo) {
 	fc := &fi.facts
 	fc.paramSink = map[int][]seed{}
 	fc.paramEmit = map[int]seed{}
-	fc.paramRule = map[int]string{}
 	fc.sorted = map[types.Object]bool{}
 
 	params, _ := paramObjs(info, fi.Decl)
@@ -108,25 +107,14 @@ func (prog *Program) collectCallFacts(fi *FuncInfo, call *ast.CallExpr, stack []
 		}
 	}
 
-	// Unguarded emission with a parameter as receiver: the cost/panic
-	// contract escapes to the callers (tracenil/obsnil interprocedural).
-	if sel, ok := call.Fun.(*ast.SelectorExpr); ok {
+	// Unguarded tracer emission with a parameter as receiver: the cost
+	// contract escapes to the callers (tracenil interprocedural).
+	if sel, ok := call.Fun.(*ast.SelectorExpr); ok && isTracerEmit(fi.Pkg, fn) {
 		if recvID, ok := ast.Unparen(sel.X).(*ast.Ident); ok {
-			if idx, isParam := params[info.ObjectOf(recvID)]; isParam {
-				rule := ""
-				if isTracerMethod(fn) && tracerEmitMethods[fn.Name()] && funcPkgPath(fn) == telemetryPath && fi.Pkg.ImportPath != telemetryPath {
-					rule = "tracenil"
-				} else if isObserverMethod(fn) {
-					rule = "obsnil"
-				} else if isFlightEmitMethod(fn) && fi.Pkg.ImportPath != profPath {
-					rule = "profnil"
-				}
-				if rule != "" && !guardedNotNil(stack, call, recvID.Name) &&
-					!prog.allowedAt(fi.Pkg, call.Pos(), rule) {
-					if _, dup := fc.paramEmit[idx]; !dup {
-						fc.paramEmit[idx] = seed{call.Pos(), "emits on parameter " + recvID.Name + " without a nil guard here"}
-						fc.paramRule[idx] = rule
-					}
+			if idx, isParam := params[info.ObjectOf(recvID)]; isParam &&
+				!guardedNotNil(stack, call, recvID.Name) && !prog.allowedAt(fi.Pkg, call.Pos(), "tracenil") {
+				if _, dup := fc.paramEmit[idx]; !dup {
+					fc.paramEmit[idx] = seed{call.Pos(), "emits on parameter " + recvID.Name + " without a nil guard here"}
 				}
 			}
 		}

@@ -9,12 +9,14 @@
 // flow allocations, completions and telemetry, just shifted in time. The
 // recorder exploits that: it fingerprints the simulator state at each
 // iteration boundary, records the full effect of one window of simulation
-// (trace events, flow-log and in-band records, observer callbacks, metric
-// movement, engine clock/sequence consumption), and on a fingerprint hit
-// replays that recorded window — re-stamped to the current time, flow-ID
-// and sequence cursors — instead of simulating it, then fast-forwards the
-// engine clock past it. A replayed run's artifacts are byte-identical to a
-// re-simulated run's.
+// (netsim's fabric event stream, the trace buffer, metric movement, engine
+// clock/sequence consumption), and on a fingerprint hit replays that
+// recorded window — re-stamped to the current time, flow-ID and sequence
+// cursors — instead of simulating it, then fast-forwards the engine clock
+// past it. Replayed events reach the other stream subscribers (flow log,
+// in-band collector, flight recorder, health monitor) exactly as live ones
+// do, so a replayed run's artifacts are byte-identical to a re-simulated
+// run's.
 //
 // Safety comes from three layers:
 //
@@ -27,7 +29,7 @@
 //     that replay could not reproduce: an engine event armed or fired
 //     mid-window, the sport cursor moving, flows still active at either
 //     boundary.
-//   - The recorder sits on the fabric observer chain; any link or node
+//   - The recorder subscribes to the fabric event stream; any link or node
 //     transition or reroute — anything that changes fabric behavior —
 //     drops the whole cache and aborts any recording in progress. The
 //     next iteration re-simulates and re-warms.
@@ -39,14 +41,13 @@
 package memo
 
 import (
-	"hpn/internal/hashing"
-	"hpn/internal/inband"
+	"slices"
+
 	"hpn/internal/netsim"
 	"hpn/internal/prof"
 	"hpn/internal/route"
 	"hpn/internal/sim"
 	"hpn/internal/telemetry"
-	"hpn/internal/topo"
 )
 
 // maxWindows caps the fingerprint cache. Steady-state training needs one
@@ -78,9 +79,9 @@ func (h *Hasher) MixString(s string) {
 // Sum returns the current hash value.
 func (h *Hasher) Sum() uint64 { return h.h }
 
-// LiveMetricsOwner is implemented by observers (health.Monitor) that
-// increment registry counters from inside their fabric callbacks. Replay
-// re-feeds those callbacks, so the increments happen live; the recorder
+// LiveMetricsOwner is implemented by stream subscribers (health.Monitor)
+// that increment registry counters while handling fabric events. Replay
+// re-delivers those events, so the increments happen live; the recorder
 // excludes the named counters from the recorded metrics delta to avoid
 // double-counting them.
 type LiveMetricsOwner interface {
@@ -96,29 +97,6 @@ type traceEvent struct {
 	cat, name string
 	tid       int
 	args      []telemetry.Arg
-}
-
-// flowSnap is the part of a completed flow's state the observer chain
-// reads, captured by value so replay can re-feed callbacks without the
-// original *netsim.Flow. Path is not captured (no observer reads it after
-// routing; the hop decisions are recorded separately).
-type flowSnap struct {
-	id       int64
-	src, dst route.Endpoint
-	tuple    hashing.FiveTuple
-	bits     float64
-	port     int
-	stalled  bool
-	started  sim.Time
-	done     sim.Time
-}
-
-// obsEvent is one captured observer callback (FlowRouted or FlowDone).
-type obsEvent struct {
-	done bool
-	at   sim.Time
-	flow flowSnap
-	hops []route.HopDecision
 }
 
 // Window is one recorded iteration: everything needed to reproduce its
@@ -139,13 +117,11 @@ type Window struct {
 	seqDelta, procDelta uint64
 	idDelta             int64
 
-	// part1/obs1/flows1/ib1 cover [window start, live section); the *2
-	// halves cover (live section, window end]. The live section itself is
-	// excluded — replay re-executes it and it re-emits its own output.
-	part1, part2   []traceEvent
-	obs1, obs2     []obsEvent
-	flows1, flows2 []netsim.FlowRecord
-	ib1, ib2       []inband.Record
+	// part1/ev1 cover [window start, live section); the *2 halves cover
+	// (live section, window end]. The live section itself is excluded —
+	// replay re-executes it and it re-emits its own output.
+	part1, part2 []traceEvent
+	ev1, ev2     []netsim.Event
 
 	statFlows                   int64
 	statBits, statAgg, statCore float64
@@ -172,9 +148,6 @@ type recording struct {
 	beginNextAt  sim.Time
 	beginNextOK  bool
 
-	flowMarkA, flowMarkB1, flowMarkB2 int
-	ibMarkA, ibMarkB1, ibMarkB2       int
-
 	statFlows                   int64
 	statBits, statAgg, statCore float64
 
@@ -186,27 +159,22 @@ type recording struct {
 	comm     float64
 
 	part1, part2 []traceEvent
-	obs1, obs2   []obsEvent
+	ev1, ev2     []netsim.Event
+	hops         map[uint64][]route.HopDecision // see internHops
 }
 
-// Recorder is the memoization engine: a wrapping fabric observer plus a
-// trace-capture hook, attached outermost on a netsim.Sim. The workload
-// drives it through BeginRecord/BeginLive/EndLive/FinalizeRecord around
-// each iteration and Lookup/Replay at iteration boundaries.
+// Recorder is the memoization engine: a fabric-stream subscriber plus a
+// trace-capture hook on a netsim.Sim. The workload drives it through
+// BeginRecord/BeginLive/EndLive/FinalizeRecord around each iteration and
+// Lookup/Replay at iteration boundaries.
 type Recorder struct {
-	net   *netsim.Sim
-	eng   *sim.Engine
-	inner netsim.Observer
+	net *netsim.Sim
+	eng *sim.Engine
 
 	cache map[uint64]*Window
 
 	rec       *recording
 	suspended bool
-
-	// DebugTrace emits one memo-track instant per replayed window. Off by
-	// default: the instants are diagnostic and would (deliberately) break
-	// the byte-identity of memo-on vs memo-off trace artifacts.
-	DebugTrace bool
 
 	hits, misses, blocked, invalidations, replayed int64
 
@@ -228,19 +196,19 @@ type Stats struct {
 	Cached        int
 }
 
-// Attach wraps the simulator's current observer with a recorder, installs
-// the trace-capture hook, and registers memo counters when the simulator
-// carries a registry. Call after every other observer (health monitoring)
-// is attached: the recorder must sit outermost to see invalidating events
-// first and to capture exactly what replay must re-feed.
+// Attach subscribes a recorder to the simulator's fabric event stream,
+// installs the trace-capture hook, and registers memo counters when the
+// simulator carries a registry. Other subscribers may attach before or
+// after it, as long as all do so before the first flow starts. Call after
+// AttachTelemetry and AttachProfiler: the hook, counters and phases bind
+// to the tracer, registry and profiler present now.
 func Attach(s *netsim.Sim) *Recorder {
 	r := &Recorder{
 		net:   s,
 		eng:   s.Eng,
-		inner: s.Observer(),
 		cache: map[uint64]*Window{},
 	}
-	s.SetObserver(r)
+	s.Subscribe(r)
 	if s.Trace != nil {
 		s.Trace.SetHook(r.capture)
 	}
@@ -264,21 +232,20 @@ func Attach(s *netsim.Sim) *Recorder {
 			func() float64 { return float64(r.Stats().Invalidations) })
 	}
 	r.phLookup = s.Prof.Phase("memo/lookup", "fingerprint cache lookups (hit, miss or blocked)")
-	r.phReplay = s.Prof.PhaseAlloc("memo/replay", "window replays: observer re-feed, trace re-emit, fast-forward")
+	r.phReplay = s.Prof.PhaseAlloc("memo/replay", "window replays: event re-delivery, trace re-emit, fast-forward")
 	r.phFF = s.Prof.Phase("memo/fast_forward", "engine fast-forward jumps (count-only)")
 	return r
 }
 
-// RecorderOf returns the recorder installed on the simulator, or nil. The
-// recorder is always the outermost observer, so no unwrapping is needed.
+// RecorderOf returns the recorder subscribed to the simulator, or nil.
 func RecorderOf(s *netsim.Sim) *Recorder {
-	r, _ := s.Observer().(*Recorder)
-	return r
+	for _, sub := range s.Subscribers() {
+		if r, ok := sub.(*Recorder); ok {
+			return r
+		}
+	}
+	return nil
 }
-
-// Inner returns the wrapped observer, letting helpers like
-// health.MonitorOf unwrap through the recorder.
-func (r *Recorder) Inner() netsim.Observer { return r.inner }
 
 // Stats returns the recorder's activity counters.
 func (r *Recorder) Stats() Stats {
@@ -292,68 +259,59 @@ func (r *Recorder) Stats() Stats {
 	}
 }
 
-// --- Observer chain: invalidation + callback capture -------------------
+// --- Fabric stream: invalidation + event capture -----------------------
 
-// LinkEvent invalidates the cache (fabric behavior changed) and forwards.
-func (r *Recorder) LinkEvent(now sim.Time, l topo.LinkID, up bool) {
-	r.invalidate()
-	if r.inner != nil {
-		r.inner.LinkEvent(now, l, up)
+// Kinds is the invalidating transitions plus whatever the other
+// subscribers consume: those are the events replay must re-deliver, and
+// nothing else is worth recording.
+func (r *Recorder) Kinds() netsim.EventKind {
+	kinds := netsim.EvTopology
+	for _, sub := range r.net.Subscribers() {
+		if _, self := sub.(*Recorder); !self {
+			kinds |= sub.Kinds()
+		}
 	}
+	return kinds
 }
 
-// NodeEvent invalidates the cache and forwards.
-func (r *Recorder) NodeEvent(now sim.Time, n topo.NodeID, up bool) {
-	r.invalidate()
-	if r.inner != nil {
-		r.inner.NodeEvent(now, n, up)
+// FabricEvent drops the cache on a transition (fabric behavior changed)
+// and otherwise captures the event while recording, copying the slices
+// that alias simulator scratch.
+func (r *Recorder) FabricEvent(e netsim.Event) {
+	if e.Kind&netsim.EvTopology != 0 {
+		r.invalidate()
+		return
 	}
-}
-
-// RerouteDone invalidates the cache (paths moved) and forwards.
-func (r *Recorder) RerouteDone(now sim.Time, repathed, stillStalled int) {
-	r.invalidate()
-	if r.inner != nil {
-		r.inner.RerouteDone(now, repathed, stillStalled)
+	if r.rec == nil || r.suspended {
+		return
 	}
-}
-
-// FlowRouted captures the callback while recording, then forwards.
-func (r *Recorder) FlowRouted(now sim.Time, f *netsim.Flow, hops []route.HopDecision) {
-	if r.rec != nil && !r.suspended {
-		r.recObs(obsEvent{at: now, flow: snapFlow(f), hops: append([]route.HopDecision(nil), hops...)})
-	}
-	if r.inner != nil {
-		r.inner.FlowRouted(now, f, hops)
-	}
-}
-
-// FlowDone captures the callback while recording, then forwards.
-func (r *Recorder) FlowDone(now sim.Time, f *netsim.Flow) {
-	if r.rec != nil && !r.suspended {
-		r.recObs(obsEvent{done: true, at: now, flow: snapFlow(f)})
-	}
-	if r.inner != nil {
-		r.inner.FlowDone(now, f)
-	}
-}
-
-var _ netsim.Observer = (*Recorder)(nil)
-
-func snapFlow(f *netsim.Flow) flowSnap {
-	return flowSnap{
-		id: f.ID, src: f.Src, dst: f.Dst, tuple: f.Tuple,
-		bits: f.Bits, port: f.Port, stalled: f.Stalled,
-		started: f.StartedAt, done: f.DoneAt,
-	}
-}
-
-func (r *Recorder) recObs(e obsEvent) {
+	e.Hops = r.rec.internHops(e.Flow.Tuple, e.Hops)
+	e.HopStats = slices.Clone(e.HopStats)
 	if r.rec.liveSeen {
-		r.rec.obs2 = append(r.rec.obs2, e)
+		r.rec.ev2 = append(r.rec.ev2, e)
 	} else {
-		r.rec.obs1 = append(r.rec.obs1, e)
+		r.rec.ev1 = append(r.rec.ev1, e)
 	}
+}
+
+// internHops returns a retained copy of hops, shared with the previous
+// event of the same flow tuple when the decisions match. A connection's
+// flows repeat the same path many times per iteration, and replay only
+// reads the slices, so one copy per (tuple, path) keeps a cached window
+// from holding a hop slice per routed flow.
+func (rec *recording) internHops(tuple uint64, hops []route.HopDecision) []route.HopDecision {
+	if len(hops) == 0 {
+		return nil
+	}
+	if prev, ok := rec.hops[tuple]; ok && slices.Equal(prev, hops) {
+		return prev
+	}
+	if rec.hops == nil {
+		rec.hops = map[uint64][]route.HopDecision{}
+	}
+	c := slices.Clone(hops)
+	rec.hops[tuple] = c
+	return c
 }
 
 // invalidate drops every cached window and aborts any recording: the
@@ -412,8 +370,6 @@ func (r *Recorder) BeginRecord(fp uint64) {
 		beginPending: r.eng.Pending(),
 		beginNextAt:  nextAt,
 		beginNextOK:  nextOK,
-		flowMarkA:    r.net.FlowLogSize(),
-		ibMarkA:      r.ibSize(),
 		statFlows:    r.net.CompletedFlows,
 		statBits:     r.net.CompletedBits,
 		statAgg:      r.net.AggBits,
@@ -433,8 +389,6 @@ func (r *Recorder) BeginLive(now sim.Time, comm float64) {
 	r.suspended = true
 	r.rec.liveAt = now - r.rec.baseT
 	r.rec.comm = comm
-	r.rec.flowMarkB1 = r.net.FlowLogSize()
-	r.rec.ibMarkB1 = r.ibSize()
 	r.rec.snapB1 = r.net.Reg.SnapshotMetrics()
 }
 
@@ -447,8 +401,6 @@ func (r *Recorder) EndLive() {
 	r.rec.liveSeen = true
 	r.rec.d1 = r.rec.snapB1.DeltaSince(r.rec.snapA)
 	r.rec.snapB2 = r.net.Reg.SnapshotMetrics()
-	r.rec.flowMarkB2 = r.net.FlowLogSize()
-	r.rec.ibMarkB2 = r.ibSize()
 }
 
 // FinalizeRecord closes the window begun by BeginRecord and caches it if
@@ -476,6 +428,8 @@ func (r *Recorder) FinalizeRecord() {
 	snapC := r.net.Reg.SnapshotMetrics()
 	metrics := telemetry.MergeDeltas(rec.d1, snapC.DeltaSince(rec.snapB2))
 	metrics.Exclude(r.liveMetricNames())
+	// The event halves are copied to exact size: a cached window outlives
+	// the recording, and append's spare capacity would stay live with it.
 	w := &Window{
 		fp:            rec.fp,
 		baseT:         rec.baseT,
@@ -489,12 +443,8 @@ func (r *Recorder) FinalizeRecord() {
 		idDelta:       r.net.NextFlowID() - rec.baseID,
 		part1:         rec.part1,
 		part2:         rec.part2,
-		obs1:          rec.obs1,
-		obs2:          rec.obs2,
-		flows1:        r.net.FlowLogRange(rec.flowMarkA, rec.flowMarkB1),
-		flows2:        r.net.FlowLogRange(rec.flowMarkB2, r.net.FlowLogSize()),
-		ib1:           r.ibRange(rec.ibMarkA, rec.ibMarkB1),
-		ib2:           r.ibRange(rec.ibMarkB2, r.ibSize()),
+		ev1:           slices.Clone(rec.ev1),
+		ev2:           slices.Clone(rec.ev2),
 		statFlows:     r.net.CompletedFlows - rec.statFlows,
 		statBits:      r.net.CompletedBits - rec.statBits,
 		statAgg:       r.net.AggBits - rec.statAgg,
@@ -506,37 +456,16 @@ func (r *Recorder) FinalizeRecord() {
 	r.cache[rec.fp] = w
 }
 
-// liveMetricNames collects the observer-owned counter names down the
-// wrapped chain (see LiveMetricsOwner).
+// liveMetricNames collects the subscriber-owned counter names (see
+// LiveMetricsOwner).
 func (r *Recorder) liveMetricNames() []string {
 	var names []string
-	o := r.inner
-	for o != nil {
-		if lm, ok := o.(LiveMetricsOwner); ok {
+	for _, sub := range r.net.Subscribers() {
+		if lm, ok := sub.(LiveMetricsOwner); ok {
 			names = append(names, lm.LiveMetricNames()...)
 		}
-		u, ok := o.(interface{ Inner() netsim.Observer })
-		if !ok {
-			break
-		}
-		o = u.Inner()
 	}
 	return names
-}
-
-func (r *Recorder) ibSize() int {
-	if c := r.net.Inband(); c != nil {
-		return len(c.Records())
-	}
-	return 0
-}
-
-func (r *Recorder) ibRange(from, to int) []inband.Record {
-	c := r.net.Inband()
-	if c == nil || from >= to {
-		return nil
-	}
-	return append([]inband.Record(nil), c.Records()[from:to]...)
 }
 
 // --- Replay ------------------------------------------------------------
@@ -571,14 +500,14 @@ func (r *Recorder) Lookup(fp uint64) *Window {
 	return w
 }
 
-// Replay applies the recorded window at the current instant: it re-feeds
-// the captured observer callbacks, re-emits the captured trace events and
-// appends the flow-log/in-band records — all shifted to the current time,
+// Replay applies the recorded window at the current instant: it
+// re-delivers the captured fabric events to the other subscribers and
+// re-emits the captured trace events — all shifted to the current time,
 // flow-ID and sequence cursors — runs liveFn for the live section, then
 // fast-forwards the engine past the window and restores the simulator's
 // exit-state (stats, metrics, in-band residual, integration cursor). The
-// first half of the feed precedes liveFn so observers are current when
-// the live section reads them.
+// first half precedes liveFn so subscribers are current when the live
+// section reads them.
 func (r *Recorder) Replay(w *Window, liveFn func(now sim.Time, comm float64)) {
 	defer r.phReplay.End(r.phReplay.Begin())
 	t0 := r.eng.Now()
@@ -587,26 +516,13 @@ func (r *Recorder) Replay(w *Window, liveFn func(now sim.Time, comm float64)) {
 	dseq := r.eng.Seq() - w.baseSeq
 	r.replayed++
 	r.ctrReplayed.Inc()
-	if r.DebugTrace && r.net.Trace != nil {
-		r.net.Trace.Instant(int64(t0), "memo", "replay", telemetry.TidMemo,
-			telemetry.Arg{K: "fp", V: w.fp},
-			telemetry.Arg{K: "dur_ns", V: int64(w.dur)})
-	}
-	r.feedObs(w.obs1, dt, did)
+	r.replayEvents(w.ev1, dt, did)
 	r.emitTrace(w.part1, dt, did, dseq)
-	r.net.AppendReplayedFlows(shiftFlows(w.flows1, dt, did))
-	if c := r.net.Inband(); c != nil {
-		c.AppendReplayed(shiftIB(w.ib1, dt, did))
-	}
 	if liveFn != nil {
 		liveFn(t0+w.liveAt, w.comm)
 	}
-	r.feedObs(w.obs2, dt, did)
+	r.replayEvents(w.ev2, dt, did)
 	r.emitTrace(w.part2, dt, did, dseq)
-	r.net.AppendReplayedFlows(shiftFlows(w.flows2, dt, did))
-	if c := r.net.Inband(); c != nil {
-		c.AppendReplayed(shiftIB(w.ib2, dt, did))
-	}
 	r.phFF.Add(1)
 	r.eng.FastForward(t0+w.dur, w.seqDelta, w.procDelta)
 	r.net.AdvanceFlowIDs(w.idDelta)
@@ -616,26 +532,23 @@ func (r *Recorder) Replay(w *Window, liveFn func(now sim.Time, comm float64)) {
 	r.net.RestoreLastAdvance(t0 + w.lastAdvOffset)
 }
 
-// feedObs re-feeds captured observer callbacks with shifted timestamps
-// and flow snapshots. The recorder itself is not recording during replay,
-// so these land directly on the wrapped chain.
-func (r *Recorder) feedObs(evs []obsEvent, dt sim.Time, did int64) {
-	if r.inner == nil {
-		return
-	}
+// replayEvents re-delivers captured fabric events, re-stamped, to every
+// other subscriber in recorded order.
+func (r *Recorder) replayEvents(evs []netsim.Event, dt sim.Time, did int64) {
 	for i := range evs {
-		e := &evs[i]
-		f := &netsim.Flow{
-			ID: e.flow.id + did, Src: e.flow.src, Dst: e.flow.dst, Tuple: e.flow.tuple,
-			Bits: e.flow.bits, Port: e.flow.port, Stalled: e.flow.stalled,
-			StartedAt: e.flow.started + dt, DoneAt: e.flow.done + dt,
-		}
-		if e.done {
-			r.inner.FlowDone(e.at+dt, f)
-		} else {
-			r.inner.FlowRouted(e.at+dt, f, e.hops)
-		}
+		r.net.ReplayEvent(restamp(evs[i], dt, did), r)
 	}
+}
+
+// restamp shifts a recorded event to a replay position: every timestamp by
+// dt and the flow ID by did. Durations (Slowest) and per-hop values carry
+// over verbatim.
+func restamp(e netsim.Event, dt sim.Time, did int64) netsim.Event {
+	e.At += dt
+	e.Since += dt
+	e.Flow.ID += did
+	e.Flow.StartedAt += dt
+	return e
 }
 
 // emitTrace re-emits captured trace events through the hook-bypassing
@@ -667,32 +580,4 @@ func (r *Recorder) emitTrace(evs []traceEvent, dt sim.Time, did int64, dseq uint
 		}
 		tr.Emit(e.ph, e.ts+int64(dt), e.dur, e.cat, e.name, e.tid, args)
 	}
-}
-
-func shiftFlows(recs []netsim.FlowRecord, dt sim.Time, did int64) []netsim.FlowRecord {
-	if len(recs) == 0 {
-		return nil
-	}
-	out := make([]netsim.FlowRecord, len(recs))
-	copy(out, recs)
-	for i := range out {
-		out[i].ID += did
-		out[i].Start += dt
-		out[i].End += dt
-	}
-	return out
-}
-
-func shiftIB(recs []inband.Record, dt sim.Time, did int64) []inband.Record {
-	if len(recs) == 0 {
-		return nil
-	}
-	out := make([]inband.Record, len(recs))
-	copy(out, recs)
-	for i := range out {
-		out[i].Flow += did
-		out[i].EnterNS += int64(dt)
-		out[i].ExitNS += int64(dt)
-	}
-	return out
 }

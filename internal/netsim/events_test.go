@@ -1,0 +1,136 @@
+package netsim
+
+import (
+	"reflect"
+	"slices"
+	"strings"
+	"testing"
+
+	"hpn/internal/prof"
+	"hpn/internal/route"
+	"hpn/internal/sim"
+)
+
+// streamRecorder keeps every event it is offered, copying the slices that
+// alias simulator scratch as the Subscriber contract requires.
+type streamRecorder struct {
+	kinds EventKind
+	evs   []Event
+}
+
+func (r *streamRecorder) Kinds() EventKind { return r.kinds }
+
+func (r *streamRecorder) FabricEvent(e Event) {
+	e.Hops = slices.Clone(e.Hops)
+	e.HopStats = slices.Clone(e.HopStats)
+	r.evs = append(r.evs, e)
+}
+
+// failRerouteRecover runs one long flow through fail -> reroute -> recover
+// -> complete on a dual-ToR fabric: its access cable fails at 100ms, the
+// reroute pass a convergence delay later moves it to the other port, the
+// cable recovers at 2s (a second, empty reroute pass follows), and the flow
+// completes seconds later.
+func failRerouteRecover(t *testing.T, s *Sim, eng *sim.Engine) *Flow {
+	t.Helper()
+	f, err := s.StartFlow(route.Endpoint{Host: 0, NIC: 0}, route.Endpoint{Host: 4, NIC: 0}, 1<<37, FlowOpts{SrcPort: 0})
+	if err != nil {
+		t.Fatal(err)
+	}
+	access := f.Path[0]
+	eng.ScheduleAt(100*sim.Millisecond, func() { s.FailCable(access) })
+	eng.ScheduleAt(2*sim.Second, func() { s.RecoverCable(access) })
+	eng.Run()
+	if !f.Done() {
+		t.Fatal("flow did not complete")
+	}
+	return f
+}
+
+func TestEventStreamContract(t *testing.T) {
+	eng, _, s := newSim(t, 2, 4, 4)
+	rec := &streamRecorder{kinds: ^EventKind(0)}
+	s.Subscribe(rec)
+	f := failRerouteRecover(t, s, eng)
+
+	want := []EventKind{EvFlowRouted, EvLinkDown, EvFlowRouted, EvReroute, EvLinkUp, EvReroute, EvFlowDone, EvFlowsDone}
+	var got []EventKind
+	for _, e := range rec.evs {
+		got = append(got, e.Kind)
+	}
+	if !slices.Equal(got, want) {
+		t.Fatalf("event kinds %v, want %v", got, want)
+	}
+	routed, repathed, done := rec.evs[0], rec.evs[2], rec.evs[6]
+	if len(routed.Hops) == 0 || len(repathed.Hops) == 0 {
+		t.Fatal("EvFlowRouted carries no hop decisions although a subscriber wants it")
+	}
+	if routed.Flow.Port != 0 || repathed.Flow.Port != 1 || f.Port != 1 {
+		t.Fatalf("ports routed/repathed/final = %d/%d/%d, want 0/1/1", routed.Flow.Port, repathed.Flow.Port, f.Port)
+	}
+	if r := rec.evs[3]; r.Count != 1 || r.StillStalled != 0 {
+		t.Fatalf("failover reroute pass counts %d/%d, want 1 re-pathed / 0 stalled", r.Count, r.StillStalled)
+	}
+	if done.Flow.ID != f.ID || done.At != f.DoneAt || done.Flow.PathLen != len(f.Path) || !done.Flow.CrossedAgg {
+		t.Fatalf("EvFlowDone state %+v does not match the completed flow", done.Flow)
+	}
+	if b := rec.evs[7]; b.Count != 1 || b.Slowest != f.DoneAt-f.StartedAt {
+		t.Fatalf("harvest event %+v, want one flow with the flow's FCT", b)
+	}
+
+	// Events hold values, not the flow: mutating it afterwards changes
+	// nothing recorded.
+	before := make([]Event, len(rec.evs))
+	copy(before, rec.evs)
+	f.ID, f.Bits, f.Port, f.Stalled, f.Path = -1, 0, 7, true, nil
+	f.Tuple.SrcPort++
+	f.StartedAt, f.DoneAt = 0, 0
+	if !reflect.DeepEqual(before, rec.evs) {
+		t.Fatal("recorded events changed when the flow was mutated")
+	}
+
+	// The subscriber list is fixed once traffic starts.
+	defer func() {
+		if recover() == nil {
+			t.Fatal("Subscribe after the first StartFlow did not panic")
+		}
+	}()
+	s.Subscribe(&streamRecorder{kinds: EvFlowDone})
+}
+
+// AttachProfiler points the one flight subscriber at the recorder; calling
+// it again (the shard profiler re-attach) must not add a second one.
+func TestAttachProfilerTwiceNotesOnce(t *testing.T) {
+	eng, _, s := newSim(t, 2, 4, 4)
+	fl := prof.NewFlight(0)
+	s.AttachProfiler(prof.New(), fl)
+	s.AttachProfiler(prof.New(), fl)
+	failRerouteRecover(t, s, eng)
+
+	var b strings.Builder
+	if err := fl.WriteTSV(&b); err != nil {
+		t.Fatal(err)
+	}
+	var kinds []string
+	for _, line := range strings.Split(strings.TrimSpace(b.String()), "\n")[1:] {
+		kinds = append(kinds, strings.Split(line, "\t")[2])
+	}
+	want := []string{"link_down", "reroute", "link_up", "reroute", "flows_done"}
+	if !slices.Equal(kinds, want) {
+		t.Fatalf("flight rows %v, want one per event %v", kinds, want)
+	}
+}
+
+// A flow-log-only run consumes EvFlowDone alone, so routing must stay on
+// the plain path lookup without collecting hash decisions.
+func TestFlowLogOnlyCollectsNoHops(t *testing.T) {
+	eng, _, s := newSim(t, 2, 4, 4)
+	s.EnableFlowLog(0)
+	failRerouteRecover(t, s, eng)
+	if len(s.FlowLog()) != 1 {
+		t.Fatalf("flow log holds %d records, want 1", len(s.FlowLog()))
+	}
+	if s.want&EvFlowRouted != 0 || s.routeHops != nil {
+		t.Fatal("hop decisions collected with no EvFlowRouted subscriber")
+	}
+}

@@ -18,12 +18,7 @@ func (s *Sim) FailCable(l topo.LinkID) {
 	s.R.NoteLinkFailed(l, now)
 	s.ctrLinkEvents.Inc()
 	s.instant("link_down", telemetry.Arg{K: "link", V: int(l)})
-	if s.obs != nil {
-		s.obs.LinkEvent(now, l, false)
-	}
-	if s.Flight != nil {
-		s.Flight.Note(int64(now), "link_down", s.flightLinkSubject(l), int64(l), 0)
-	}
+	s.publish(Event{Kind: EvLinkDown, At: now, Link: l})
 	rev := s.Top.Link(l).Reverse
 	for _, f := range s.active {
 		if pathHasLink(f.Path, l) || pathHasLink(f.Path, rev) {
@@ -45,12 +40,7 @@ func (s *Sim) RecoverCable(l topo.LinkID) {
 	s.R.NoteLinkRecovered(l)
 	s.ctrLinkEvents.Inc()
 	s.instant("link_up", telemetry.Arg{K: "link", V: int(l)})
-	if s.obs != nil {
-		s.obs.LinkEvent(s.Eng.Now(), l, true)
-	}
-	if s.Flight != nil {
-		s.Flight.Note(int64(s.Eng.Now()), "link_up", s.flightLinkSubject(l), int64(l), 0)
-	}
+	s.publish(Event{Kind: EvLinkUp, At: s.Eng.Now(), Link: l})
 	s.scheduleReroute(200 * sim.Millisecond)
 }
 
@@ -64,12 +54,7 @@ func (s *Sim) FailNode(n topo.NodeID) {
 	s.ctrLinkEvents.Inc()
 	s.instant("node_down", telemetry.Arg{K: "node", V: int(n)},
 		telemetry.Arg{K: "name", V: s.Top.Node(n).Name})
-	if s.obs != nil {
-		s.obs.NodeEvent(now, n, false)
-	}
-	if s.Flight != nil {
-		s.Flight.Note(int64(now), "node_down", s.Top.Node(n).Name, int64(n), 0)
-	}
+	s.publish(Event{Kind: EvNodeDown, At: now, Node: n})
 	for _, f := range s.active {
 		for _, lk := range f.Path {
 			link := s.Top.Link(lk)
@@ -92,12 +77,7 @@ func (s *Sim) RecoverNode(n topo.NodeID) {
 	s.ctrLinkEvents.Inc()
 	s.instant("node_up", telemetry.Arg{K: "node", V: int(n)},
 		telemetry.Arg{K: "name", V: s.Top.Node(n).Name})
-	if s.obs != nil {
-		s.obs.NodeEvent(s.Eng.Now(), n, true)
-	}
-	if s.Flight != nil {
-		s.Flight.Note(int64(s.Eng.Now()), "node_up", s.Top.Node(n).Name, int64(n), 0)
-	}
+	s.publish(Event{Kind: EvNodeUp, At: s.Eng.Now(), Node: n})
 	s.scheduleReroute(200 * sim.Millisecond)
 }
 
@@ -134,12 +114,7 @@ func (s *Sim) reroutePass() {
 	s.instant("reroute",
 		telemetry.Arg{K: "repathed", V: moved},
 		telemetry.Arg{K: "still_stalled", V: still > 0})
-	if s.obs != nil {
-		s.obs.RerouteDone(s.Eng.Now(), moved, still)
-	}
-	if s.Flight != nil {
-		s.Flight.Note(int64(s.Eng.Now()), "reroute", "", int64(moved), int64(still))
-	}
+	s.publish(Event{Kind: EvReroute, At: s.Eng.Now(), Count: int32(moved), StillStalled: int32(still)})
 	// If flows are still stuck and the fabric is still reconverging (e.g. a
 	// second failure landed during the pass), try once more afterwards.
 	if still > 0 {
@@ -180,19 +155,6 @@ func (s *Sim) retryReroute() {
 		s.beginMutate()
 		defer s.endMutate()
 		moved, still := s.repathStalled()
-		if s.obs != nil {
-			s.obs.RerouteDone(s.Eng.Now(), moved, still)
-		}
-		if s.Flight != nil {
-			s.Flight.Note(int64(s.Eng.Now()), "reroute_retry", "", int64(moved), int64(still))
-		}
+		s.publish(Event{Kind: EvRerouteRetry, At: s.Eng.Now(), Count: int32(moved), StillStalled: int32(still)})
 	})
-}
-
-// flightLinkSubject names a cable for flight-recorder rows. Only called
-// from guarded emission sites on (rare) topology transitions, so the
-// string concatenation never touches a hot path.
-func (s *Sim) flightLinkSubject(l topo.LinkID) string {
-	lk := s.Top.Link(l)
-	return s.Top.Node(lk.From).Name + "->" + s.Top.Node(lk.To).Name
 }

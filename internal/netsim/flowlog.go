@@ -6,7 +6,6 @@ import (
 	"strings"
 
 	"hpn/internal/sim"
-	"hpn/internal/topo"
 )
 
 // FlowRecord is the completed-flow log entry: what a production flow
@@ -37,55 +36,63 @@ func (r FlowRecord) Gbps() float64 {
 	return r.Bytes * 8 / d / 1e9
 }
 
-// EnableFlowLog starts recording completed flows, bounded to cap entries;
-// cap = 0 means unbounded. Call before injecting traffic. If telemetry is
-// attached, the log is also exposed as the "flowlog.tsv" artifact exporter.
-func (s *Sim) EnableFlowLog(cap int) {
-	pre := 1024
-	if cap > 0 && cap < pre {
-		pre = cap
-	}
-	s.flowLog = make([]FlowRecord, 0, pre)
-	s.flowLogCap = cap
-	s.registerFlowLogExporter()
+// flowLog is the completed-flow log: an EvFlowDone subscriber appending one
+// record per completion, bounded to cap entries (0 = unbounded).
+type flowLog struct {
+	recs []FlowRecord
+	cap  int
 }
 
-// FlowLog returns the recorded completions.
-func (s *Sim) FlowLog() []FlowRecord { return s.flowLog }
+func (*flowLog) Kinds() EventKind { return EvFlowDone }
 
-// logFlow appends a completion record if logging is on.
-func (s *Sim) logFlow(f *Flow) {
-	if s.flowLog == nil {
+func (l *flowLog) FabricEvent(e Event) {
+	if l.cap > 0 && len(l.recs) >= l.cap {
 		return
 	}
-	if s.flowLogCap > 0 && len(s.flowLog) >= s.flowLogCap {
-		return
-	}
-	rec := FlowRecord{
+	f := &e.Flow
+	l.recs = append(l.recs, FlowRecord{
 		ID:      f.ID,
 		SrcHost: f.Src.Host, SrcNIC: f.Src.NIC,
 		DstHost: f.Dst.Host, DstNIC: f.Dst.NIC,
 		Port:  f.Port,
 		Bytes: f.Bits / 8,
-		Start: f.StartedAt, End: f.DoneAt,
-		Hops: len(f.Path),
+		Start: f.StartedAt, End: e.At,
+		Hops:       f.PathLen,
+		CrossedAgg: f.CrossedAgg, CrossedCor: f.CrossedCore,
+	})
+}
+
+// EnableFlowLog starts recording completed flows, bounded to cap entries;
+// cap = 0 means unbounded. Call before the first flow starts. If telemetry
+// is attached, the log is also exposed as the "flowlog.tsv" artifact
+// exporter.
+func (s *Sim) EnableFlowLog(cap int) {
+	if s.flowLog == nil {
+		s.flowLog = &flowLog{}
+		s.Subscribe(s.flowLog)
 	}
-	for _, lk := range f.Path {
-		switch s.Top.Node(s.Top.Link(lk).To).Kind {
-		case topo.KindAgg:
-			rec.CrossedAgg = true
-		case topo.KindCore:
-			rec.CrossedCor = true
-		}
+	pre := 1024
+	if cap > 0 && cap < pre {
+		pre = cap
 	}
-	s.flowLog = append(s.flowLog, rec)
+	s.flowLog.recs = make([]FlowRecord, 0, pre)
+	s.flowLog.cap = cap
+	s.registerFlowLogExporter()
+}
+
+// FlowLog returns the recorded completions.
+func (s *Sim) FlowLog() []FlowRecord {
+	if s.flowLog == nil {
+		return nil
+	}
+	return s.flowLog.recs
 }
 
 // WriteFlowLog dumps the log as a TSV for offline analysis.
 func (s *Sim) WriteFlowLog(w io.Writer) error {
 	var b strings.Builder
 	b.WriteString("id\tsrc\tdst\tport\tbytes\tstart_s\tend_s\tgbps\thops\tagg\tcore\n")
-	for _, r := range s.flowLog {
+	for _, r := range s.FlowLog() {
 		fmt.Fprintf(&b, "%d\t%d:%d\t%d:%d\t%d\t%.0f\t%.6f\t%.6f\t%.2f\t%d\t%v\t%v\n",
 			r.ID, r.SrcHost, r.SrcNIC, r.DstHost, r.DstNIC, r.Port, r.Bytes,
 			r.Start.Seconds(), r.End.Seconds(), r.Gbps(), r.Hops, r.CrossedAgg, r.CrossedCor)

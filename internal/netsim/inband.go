@@ -2,25 +2,25 @@ package netsim
 
 import (
 	"hpn/internal/inband"
+	"hpn/internal/telemetry"
 	"hpn/internal/topo"
 )
 
 // EnableInband starts in-band path telemetry: every flow's path is walked
 // with hash-decision observation, per-hop bandwidth and queue-residency
 // accumulators are integrated alongside the fluid model, and each path
-// generation (initial route, then one per reroute) is flushed into the
-// returned collector on reroute, completion or abort. max bounds the
-// retained record count (0 = unbounded). Call before injecting traffic;
-// flows routed earlier carry no hop state and are not recorded. If
-// telemetry is attached the collector is also exposed as the "inband.tsv"
-// and "inband.json" artifact exporters. Idempotent: repeated calls return
-// the same collector.
+// generation (initial route, then one per reroute) is published as an
+// EvPathFlush on reroute, completion or abort. The returned collector
+// subscribes to those events; max bounds its retained record count (0 =
+// unbounded). Call before the first flow starts. If telemetry is attached
+// the collector is also exposed as the "inband.tsv" and "inband.json"
+// artifact exporters. Idempotent: repeated calls return the same collector.
 func (s *Sim) EnableInband(max int) *inband.Collector {
 	if s.inband != nil {
 		return s.inband
 	}
 	s.inband = inband.NewCollector(s.Top, max)
-	s.inband.AttachTracer(s.Trace)
+	s.Subscribe(inbandRecords{s.inband})
 	s.ibDemand = make([]float64, len(s.Top.Links))
 	s.ibCap = make([]float64, len(s.Top.Links))
 	s.ibQueue = make([]float64, len(s.Top.Links))
@@ -57,21 +57,38 @@ func (f *Flow) inbandState() *flowInband {
 	return f.ib
 }
 
+// inbandRecords subscribes an in-band collector to the stream: each
+// EvPathFlush becomes one record per hop.
+type inbandRecords struct{ c *inband.Collector }
+
+func (inbandRecords) Kinds() EventKind { return EvPathFlush }
+
+func (r inbandRecords) FabricEvent(e Event) {
+	r.c.FlushFlow(e.Flow.ID, int(e.Epoch), e.Flow.Tuple, int64(e.Since), int64(e.At), e.Hops, e.HopStats)
+}
+
 // inbandFlush closes the flow's current path generation: accumulated
-// per-hop attribution is emitted as records and the generation counter
-// advances. No-op when in-band telemetry is off or the flow has no hops
-// (e.g. it never obtained a path).
+// per-hop attribution is published as an EvPathFlush (mirrored into the
+// trace as a path_flush instant) and the generation counter advances.
+// No-op when in-band telemetry is off or the flow has no hops (e.g. it
+// never obtained a path).
 func (s *Sim) inbandFlush(f *Flow) {
 	if s.inband == nil || f.ib == nil || len(f.ib.hops) == 0 {
 		return
 	}
 	ib := f.ib
-	s.inband.FlushFlow(f.ID, ib.epoch, f.Tuple.Word(), int64(ib.since), int64(s.Eng.Now()),
-		ib.hops, ib.hopBits, ib.hopQBS)
+	now := s.Eng.Now()
+	s.publish(Event{Kind: EvPathFlush, At: now, Flow: f.state(), Epoch: int32(ib.epoch), Since: ib.since,
+		Hops: ib.hops, HopStats: ib.stats})
+	if s.Trace != nil {
+		s.Trace.Instant(int64(now), "inband", "path_flush", telemetry.TidInband,
+			telemetry.Arg{K: "flow", V: f.ID},
+			telemetry.Arg{K: "epoch", V: ib.epoch},
+			telemetry.Arg{K: "hops", V: len(ib.hops)})
+	}
 	ib.epoch++
 	ib.hops = ib.hops[:0]
-	ib.hopBits = ib.hopBits[:0]
-	ib.hopQBS = ib.hopQBS[:0]
+	ib.stats = ib.stats[:0]
 }
 
 // inbandOpen starts a new path generation for a freshly (re)routed flow:
@@ -83,8 +100,7 @@ func (s *Sim) inbandOpen(f *Flow) {
 	}
 	ib := f.inbandState()
 	ib.since = s.Eng.Now()
-	ib.hopBits = append(ib.hopBits[:0], make([]float64, len(f.Path))...)
-	ib.hopQBS = append(ib.hopQBS[:0], make([]float64, len(f.Path))...)
+	ib.stats = append(ib.stats[:0], make([]inband.HopStat, len(f.Path))...)
 }
 
 // inbandRefresh snapshots the allocator's per-link offered demand and
@@ -140,14 +156,15 @@ func (s *Sim) inbandIntegrate(dt float64) {
 		s.ibQStep[lk] = (q0 + q1) / 2 * dt
 	}
 	for _, f := range s.active {
-		if f.Rate <= 0 || f.ib == nil || len(f.ib.hopBits) != len(f.Path) {
+		if f.Rate <= 0 || f.ib == nil || len(f.ib.stats) != len(f.Path) {
 			continue
 		}
 		ib := f.ib
 		for i, lk := range f.Path {
-			ib.hopBits[i] += f.Rate * dt
+			st := &ib.stats[i]
+			st.Bits += f.Rate * dt
 			if s.ibLiveSet[lk] {
-				ib.hopQBS[i] += s.ibQStep[lk]
+				st.QueueByteS += s.ibQStep[lk]
 			}
 		}
 	}

@@ -13,6 +13,16 @@
 // where a flow's offered demand is its fair share at its access link. RoCE
 // PFC dynamics are not packet-simulated; the proxy preserves the relative
 // queue buildups the paper's Figures 14 and 15c compare (see DESIGN.md).
+//
+// Everything the fabric does that a consumer may care about — link and
+// node transitions, reroute passes, flow routing and completion, in-band
+// path generations — leaves the simulator as one ordered stream of typed,
+// by-value Events (events.go). The flow log, the in-band collector, the
+// flight recorder, the health monitor and the memo recorder are all
+// Subscribers, fixed before the first flow starts. With nothing
+// subscribed, each emission site costs one mask check. The tracer and the
+// metrics registry stay direct (AttachTelemetry): the trace interleaves
+// netsim's events with every other layer's in one buffer.
 package netsim
 
 import (
@@ -79,11 +89,10 @@ type Flow struct {
 // accumulators parallel to Path, and the generation bookkeeping (epoch
 // counts reroutes, since stamps the generation's start).
 type flowInband struct {
-	hops    []route.HopDecision
-	hopBits []float64
-	hopQBS  []float64
-	since   sim.Time
-	epoch   int
+	hops  []route.HopDecision
+	stats []inband.HopStat
+	since sim.Time
+	epoch int
 }
 
 // Done reports whether the flow has completed.
@@ -154,14 +163,17 @@ type Sim struct {
 
 	rerouteScheduled bool
 
-	// obs receives streaming fabric events (nil = disabled; see
-	// observer.go). obsHops is routing scratch for FlowRouted when in-band
-	// telemetry is off.
-	obs     Observer
-	obsHops []route.HopDecision
+	// The fabric event stream (see events.go): subscribers in delivery
+	// order, their interest masks, and the union the emission sites check.
+	// started freezes the list at the first StartFlow. routeHops is routing
+	// scratch for EvFlowRouted when in-band telemetry is off.
+	subs      []Subscriber
+	subKinds  []EventKind
+	want      EventKind
+	started   bool
+	routeHops []route.HopDecision
 
-	flowLog    []FlowRecord
-	flowLogCap int
+	flowLog *flowLog
 
 	// In-band path telemetry (nil = disabled; see EnableInband). The ib*
 	// arrays mirror the allocator scratch: per-link offered demand,
@@ -188,9 +200,8 @@ type Sim struct {
 
 	// Engine self-observability (nil = disabled; see AttachProfiler). Prof
 	// and Flight are exported so memo and health reach the shared instances
-	// through the Sim they already hold. Flight.Note sites follow the
-	// tracenil/obsnil guard discipline: arguments are built at the call
-	// site, so the site sits behind `if s.Flight != nil`.
+	// through the Sim they already hold. Flight is fed by the flightNotes
+	// subscriber.
 	Prof        *prof.Profiler
 	Flight      *prof.Flight
 	phRecompute *prof.Phase
@@ -228,6 +239,7 @@ func New(eng *sim.Engine, top *topo.Topology) *Sim {
 		ufParent:        make([]int32, len(top.Links)),
 		compOf:          make([]int32, len(top.Links)),
 	}
+	s.Subscribe(flightNotes{s})
 	return s
 }
 
@@ -246,7 +258,7 @@ func (s *Sim) RestrictShard(sh *topo.Sharding, shard int) {
 	if shard < 1 || shard > sh.N {
 		panic(fmt.Sprintf("netsim: shard %d outside 1..%d", shard, sh.N))
 	}
-	if len(s.active) > 0 || s.CompletedFlows > 0 {
+	if s.started {
 		panic("netsim: RestrictShard after flows started")
 	}
 	s.sharding = sh
@@ -294,6 +306,7 @@ func (s *Sim) StartFlow(src, dst route.Endpoint, bytes float64, opt FlowOpts) (*
 			return nil, fmt.Errorf("netsim: dst host %d is in shard %d, not this simulator's shard %d; cross-shard flows must run on the global domain", dst.Host, got, s.shard)
 		}
 	}
+	s.started = true
 	s.beginMutate()
 	defer s.endMutate()
 
@@ -367,12 +380,12 @@ func (s *Sim) routeFlow(f *Flow) error {
 			ib.hops = ib.hops[:0]
 			path, blackholed, err = s.R.PathObserved(f.Src, f.Dst, port, f.Tuple, now,
 				func(d route.HopDecision) { ib.hops = append(ib.hops, d) })
-		case s.obs != nil:
+		case s.want&EvFlowRouted != 0:
 			// No in-band state to piggyback on: collect the hash decisions
-			// into Sim scratch for the FlowRouted emission alone.
-			s.obsHops = s.obsHops[:0]
+			// into Sim scratch for the EvFlowRouted event alone.
+			s.routeHops = s.routeHops[:0]
 			path, blackholed, err = s.R.PathObserved(f.Src, f.Dst, port, f.Tuple, now,
-				func(d route.HopDecision) { s.obsHops = append(s.obsHops, d) })
+				func(d route.HopDecision) { s.routeHops = append(s.routeHops, d) })
 		default:
 			path, blackholed, err = s.R.Path(f.Src, f.Dst, port, f.Tuple, now)
 		}
@@ -390,7 +403,7 @@ func (s *Sim) routeFlow(f *Flow) error {
 	if p := f.PinnedPort; p >= 0 &&
 		s.Top.LinkUsable(s.Top.AccessLink(f.Src.Host, f.Src.NIC, p)) && tryPort(p) {
 		s.inbandOpen(f)
-		s.observeRouted(f)
+		s.publishRouted(f)
 		return nil
 	}
 	p, err := s.R.PickAccessPort(f.Src, f.Dst, f.Tuple, now)
@@ -401,14 +414,14 @@ func (s *Sim) routeFlow(f *Flow) error {
 		if f.ib != nil {
 			f.ib.hops = f.ib.hops[:0]
 		}
-		s.obsHops = s.obsHops[:0]
+		s.routeHops = s.routeHops[:0]
 		s.inbandOpen(f)
-		s.observeRouted(f)
+		s.publishRouted(f)
 		return nil // flow exists but cannot move; not a caller error
 	}
 	tryPort(p)
 	s.inbandOpen(f)
-	s.observeRouted(f)
+	s.publishRouted(f)
 	return nil
 }
 
@@ -491,8 +504,7 @@ func (s *Sim) completionEvent() {
 	for _, f := range done {
 		s.CompletedFlows++
 		s.CompletedBits += f.Bits
-		s.countTiers(f)
-		s.logFlow(f)
+		agg, core := s.countTiers(f)
 		s.inbandFlush(f)
 		s.ctrFlows.Inc()
 		s.histFCT.Observe((f.DoneAt - f.StartedAt).Seconds())
@@ -506,13 +518,13 @@ func (s *Sim) completionEvent() {
 				telemetry.Arg{K: "port", V: f.Port},
 				telemetry.Arg{K: "hops", V: len(f.Path)})
 		}
-		if s.obs != nil {
-			s.obs.FlowDone(now, f)
+		if s.want&EvFlowDone != 0 {
+			st := f.state()
+			st.CrossedAgg, st.CrossedCore = agg, core
+			s.publish(Event{Kind: EvFlowDone, At: now, Flow: st})
 		}
-		if s.Flight != nil {
-			if d := f.DoneAt - f.StartedAt; d > slowest {
-				slowest = d
-			}
+		if d := f.DoneAt - f.StartedAt; d > slowest {
+			slowest = d
 		}
 		if f.OnComplete != nil {
 			f.OnComplete(now, f)
@@ -521,14 +533,14 @@ func (s *Sim) completionEvent() {
 			f.After(now)
 		}
 	}
-	if s.Flight != nil && len(done) > 0 {
-		// One note per harvest batch, not per flow: completions arrive at
-		// millions per second, so a per-flow note would both tax the hot
-		// path (~7% wall on fig13 quick, measured) and scroll the bounded
-		// ring so fast that a marked window held sub-millisecond context.
-		// Batch size and the slowest completion are the incident-relevant
-		// signals; per-flow truth lives in the flow log.
-		s.Flight.Note(int64(now), "flows_done", "", int64(len(done)), int64(slowest))
+	if s.want&EvFlowsDone != 0 && len(done) > 0 {
+		// One event per harvest batch, not per flow: completions arrive at
+		// millions per second, so a per-flow flight note would both tax the
+		// hot path (~7% wall on fig13 quick, measured) and scroll the
+		// bounded ring so fast that a marked window held sub-millisecond
+		// context. Batch size and the slowest completion are the
+		// incident-relevant signals; per-flow truth lives in EvFlowDone.
+		s.publish(Event{Kind: EvFlowsDone, At: now, Count: int32(len(done)), Slowest: slowest})
 	}
 	// Drop the harvested references before the next event so completed
 	// flows do not outlive their callbacks through the scratch slice.
@@ -562,10 +574,9 @@ func (s *Sim) AbortFlow(f *Flow) {
 	f.Rate = 0
 }
 
-// countTiers attributes a completed flow's bits to the highest tier its
-// path visited.
-func (s *Sim) countTiers(f *Flow) {
-	agg, core := false, false
+// countTiers attributes a completed flow's bits to the tiers its path
+// visited and reports which.
+func (s *Sim) countTiers(f *Flow) (agg, core bool) {
 	for _, lk := range f.Path {
 		switch s.Top.Node(s.Top.Link(lk).To).Kind {
 		case topo.KindAgg:
@@ -580,6 +591,7 @@ func (s *Sim) countTiers(f *Flow) {
 	if core {
 		s.CoreBits += f.Bits
 	}
+	return agg, core
 }
 
 // ActiveFlows returns the number of in-flight flows (including stalled).

@@ -10,9 +10,9 @@ import (
 // This file is netsim's side of iteration memoization (internal/memo): the
 // state fingerprint a recorder keys cached windows on, and the mutators it
 // uses to apply a recorded window's effects without re-simulating it. The
-// recorder shifts flow IDs and timestamps itself; everything here either
-// exposes private state read-only or appends/overwrites it with the same
-// cap discipline as the live paths.
+// recorder captures and re-stamps the fabric event stream itself (see
+// Sim.ReplayEvent); everything here either exposes private state read-only
+// or overwrites the fluid model's exit state.
 
 // StateHash64 folds the simulator state that must match for a recorded
 // window to replay correctly into an FNV-1a style 64-bit hash: per-link
@@ -77,9 +77,8 @@ func (s *Sim) StateHash64() uint64 {
 func (s *Sim) NextFlowID() int64 { return s.nextID }
 
 // AdvanceFlowIDs skips n flow IDs, as if n flows had been started. The
-// memo replay path calls this after appending shifted flow records so live
-// flows started after a replayed window get the same IDs a re-simulated
-// run would assign.
+// memo replay path calls this after replaying a window's events so live
+// flows started after it get the same IDs a re-simulated run would assign.
 func (s *Sim) AdvanceFlowIDs(n int64) { s.nextID += n }
 
 // SportCursor returns the auto-assign transport source-port cursor. A
@@ -94,28 +93,6 @@ func (s *Sim) LastAdvance() sim.Time { return s.lastAdvance }
 // the memo replay path calls this, to re-create the partial-interval state
 // a re-simulated window would have left behind.
 func (s *Sim) RestoreLastAdvance(t sim.Time) { s.lastAdvance = t }
-
-// FlowLogSize returns the number of retained flow-log records.
-func (s *Sim) FlowLogSize() int { return len(s.flowLog) }
-
-// FlowLogRange copies the retained records in [from, to).
-func (s *Sim) FlowLogRange(from, to int) []FlowRecord {
-	return append([]FlowRecord(nil), s.flowLog[from:to]...)
-}
-
-// AppendReplayedFlows appends pre-shifted completion records, honoring the
-// same cap as live logging. No-op while flow logging is off.
-func (s *Sim) AppendReplayedFlows(recs []FlowRecord) {
-	if s.flowLog == nil {
-		return
-	}
-	for _, r := range recs {
-		if s.flowLogCap > 0 && len(s.flowLog) >= s.flowLogCap {
-			return
-		}
-		s.flowLog = append(s.flowLog, r)
-	}
-}
 
 // AddReplayedStats credits a recorded window's completed-flow tallies.
 func (s *Sim) AddReplayedStats(flows int64, bits, aggBits, coreBits float64) {

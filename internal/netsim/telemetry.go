@@ -37,21 +37,20 @@ func (s *Sim) AttachTelemetry(tr *telemetry.Tracer, reg *telemetry.Registry, pre
 	if s.flowLog != nil {
 		s.registerFlowLogExporter()
 	}
-	if s.inband != nil {
-		s.inband.AttachTracer(tr)
-		s.registerInbandExporters()
-	}
+	s.registerInbandExporters()
 }
 
 // AttachProfiler wires the allocator's phases into the engine profiler and
-// installs the flight recorder fed by the fabric-event emission sites.
-// Phase names are cluster-independent on purpose: several clusters
-// attached to one hub accumulate into the same phases, giving the process
-// view hpnprof reports (per-cluster attribution would need per-cluster
-// profiles, which nothing yet consumes). Pass nils to disable either half.
+// points the stream's flight-recorder subscriber at fl, replacing any
+// earlier recorder. Phase names are cluster-independent on purpose: several
+// clusters attached to one hub accumulate into the same phases, giving the
+// process view hpnprof reports (per-cluster attribution would need
+// per-cluster profiles, which nothing yet consumes). Pass nils to disable
+// either half. Call before the first flow starts.
 func (s *Sim) AttachProfiler(p *prof.Profiler, fl *prof.Flight) {
 	s.Prof = p
 	s.Flight = fl
+	s.refreshKinds()
 	s.phRecompute = p.Phase("netsim/recompute", "max-min allocation rounds, end to end")
 	s.phDecompose = p.Phase("netsim/decompose", "union-find component decomposition within recompute")
 	s.phFill = p.Phase("netsim/fill", "progressive-filling section (serial or parallel)")

@@ -38,13 +38,11 @@ type window struct {
 	events []Event
 }
 
-// Flight is a bounded ring of recent engine/observer events plus up to
-// maxFlightWindows marked captures. health marks it when an incident
-// opens, freezing the evidence the detector acted on; hpndoctor then gets
-// real event context instead of only detector summaries. All methods are
-// nil-safe so emission sites stay behind plain `if x != nil` guards (the
-// tracenil/obsnil discipline — arguments are constructed at the call site,
-// so the guard must be there, not only in here).
+// Flight is a bounded ring of recent fabric events plus up to
+// maxFlightWindows marked captures. netsim's fabric event stream feeds the
+// ring; health marks it when an incident opens, freezing the evidence the
+// detector acted on, so hpndoctor gets real event context instead of only
+// detector summaries. All methods are nil-safe.
 type Flight struct {
 	mu      sync.Mutex
 	ring    []Event

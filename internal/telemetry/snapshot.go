@@ -150,9 +150,10 @@ func MergeDeltas(deltas ...*MetricsDelta) *MetricsDelta {
 }
 
 // Exclude drops the named counters from the delta in place. The memo
-// recorder uses it for metrics an observer owns and re-increments while
-// its callbacks are replayed (see memo's LiveMetricsOwner): leaving them
-// in the delta would double-count every replayed window.
+// recorder uses it for metrics a fabric-stream subscriber owns and
+// re-increments while replayed events are re-delivered (see memo's
+// LiveMetricsOwner): leaving them in the delta would double-count every
+// replayed window.
 func (d *MetricsDelta) Exclude(names []string) {
 	if d == nil || len(names) == 0 {
 		return

@@ -30,7 +30,6 @@ const (
 	TidWorkload       = 4
 	TidFailure        = 5
 	TidInband         = 6
-	TidMemo           = 7
 	TidCollectiveBase = 16
 )
 
