@@ -15,7 +15,7 @@ BENCH_COMPARE_TOLERANCE ?= 0.5
 LINT_BUDGET ?= 10s
 
 # Full gate: formatting, go vet, build, hpnlint determinism/invariant rules,
-# tests under the race detector (serial and parallel-allocator passes), the
+# tests under the race detector (a default pass and a GOMAXPROCS=4 pass), the
 # perfbench module's vet and tests, the bench/forensics smoke run, the
 # self-profiler smoke run, and the perf comparison against the last
 # committed snapshot.
@@ -52,10 +52,11 @@ build:
 test:
 	$(GO) test -race ./...
 
-# Parallel-allocator gate: the netsim suite (differential + property tests)
-# under the race detector with real parallelism available, plus the golden
-# determinism tests — which include the serial-vs-parallel-fill byte
-# comparison — so a scheduling-dependent allocation can never land green.
+# Parallel gate: the netsim suite (differential + property tests) under the
+# race detector with real parallelism available, plus the golden
+# determinism tests — which include the sharded engine's serial-vs-parallel
+# window byte comparison — so a scheduling-dependent result can never land
+# green.
 test-parallel:
 	GOMAXPROCS=4 $(GO) test -race -count=1 ./internal/netsim/...
 	GOMAXPROCS=4 $(GO) test -race -count=1 -run TestGoldenDeterminism .
@@ -99,7 +100,7 @@ prof-smoke:
 	$(GO) run ./cmd/hpnbench -exp fig13 -scale quick -prof $$tmp/artifacts >/dev/null; \
 	ls $$tmp/artifacts/prof.tsv $$tmp/artifacts/prof.json $$tmp/artifacts/flight.tsv >/dev/null; \
 	awk -F'\t' 'NR>1 { seen[$$1]=1; if ($$2+0 <= 0) { print "prof-smoke: zero-count phase " $$1; bad=1 } } \
-		END { n=split("sim/run sim/dispatch netsim/recompute netsim/decompose netsim/fill netsim/heap_ops", req, " "); \
+		END { n=split("sim/run sim/dispatch netsim/recompute netsim/decompose netsim/fill netsim/fill_reused netsim/heap_ops", req, " "); \
 		for (i=1; i<=n; i++) if (!seen[req[i]]) { print "prof-smoke: phase " req[i] " missing from prof.tsv"; bad=1 } exit bad }' \
 		$$tmp/artifacts/prof.tsv; \
 	$(GO) run ./cmd/hpnprof $$tmp/artifacts/prof.json >/dev/null; \

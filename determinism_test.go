@@ -26,7 +26,7 @@ var goldenArtifactNames = []string{
 // could perturb the output (placement, collective schedules, retransmits
 // after the failure, telemetry emission order, path-epoch flushes on
 // reroute, detector sweeps) is exercised on purpose.
-func goldenArtifacts(t *testing.T, tune ...func(c *Cluster)) map[string][]byte {
+func goldenArtifacts(t *testing.T) map[string][]byte {
 	t.Helper()
 	opt := DefaultTelemetryOptions()
 	opt.Inband = true
@@ -39,9 +39,6 @@ func goldenArtifacts(t *testing.T, tune ...func(c *Cluster)) map[string][]byte {
 	c, err := NewHPN(SmallHPN(1, 8, 8))
 	if err != nil {
 		t.Fatal(err)
-	}
-	for _, fn := range tune {
-		fn(c)
 	}
 	c.EnableTelemetry(hub)
 	c.Net.EnableFlowLog(0)
@@ -156,26 +153,6 @@ func TestGoldenDeterminism(t *testing.T) {
 	}
 }
 
-// TestGoldenDeterminismParallelFill extends the gate across the allocator's
-// parallel mode: the same instrumented run with component filling forced
-// onto multiple goroutines (threshold dropped so even tiny recomputes
-// parallelize) must produce the same bytes as the serial run. Component
-// fills are schedule-independent by construction (alloc.go); this pins it.
-func TestGoldenDeterminismParallelFill(t *testing.T) {
-	serial := goldenArtifacts(t)
-	par := goldenArtifacts(t, func(c *Cluster) {
-		c.Net.ParallelFill = 4
-		c.Net.ParallelFillMinFlows = 1
-	})
-
-	for _, name := range goldenArtifactNames {
-		if line, a, b := firstDivergence(serial[name], par[name]); line != 0 {
-			t.Errorf("%s diverges between serial and parallel fill at line %d:\n  serial:   %s\n  parallel: %s",
-				name, line, a, b)
-		}
-	}
-}
-
 // memoArtifacts runs a steady-state training simulation with full
 // instrumentation (flow log, trace, in-band, health) and iteration
 // memoization on or off, returning the golden artifact set plus the memo
@@ -272,30 +249,6 @@ func TestGoldenDeterminismMemo(t *testing.T) {
 	for _, name := range goldenArtifactNames {
 		if line, a, b := firstDivergence(off[name], on[name]); line != 0 {
 			t.Errorf("%s diverges between memo-off and memo-on at line %d:\n  off: %s\n  on:  %s",
-				name, line, a, b)
-		}
-	}
-}
-
-// TestGoldenDeterminismMemoParallelFill crosses the memo gate with the
-// allocator's parallel mode: replayed windows recorded under parallel
-// component filling must still match the serial memo-off bytes.
-func TestGoldenDeterminismMemoParallelFill(t *testing.T) {
-	const iters = 8
-	parallel := func(c *Cluster) {
-		c.Net.ParallelFill = 4
-		c.Net.ParallelFillMinFlows = 1
-	}
-	off, _ := memoArtifacts(t, false, iters)
-	on, stats := memoArtifacts(t, true, iters, parallel)
-
-	if stats.Replayed < iters-3 {
-		t.Errorf("replayed %d of %d iterations under parallel fill, want at least %d",
-			stats.Replayed, iters, iters-3)
-	}
-	for _, name := range goldenArtifactNames {
-		if line, a, b := firstDivergence(off[name], on[name]); line != 0 {
-			t.Errorf("%s diverges between serial memo-off and parallel memo-on at line %d:\n  off: %s\n  on:  %s",
 				name, line, a, b)
 		}
 	}

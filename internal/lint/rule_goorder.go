@@ -5,9 +5,10 @@ import (
 	"go/types"
 )
 
-// goorderRule enforces the parallel exact-merge discipline ParallelFill
-// proved out: goroutine results must land in index-addressed slots (or be
-// sorted before use), never merged by whichever goroutine got there first.
+// goorderRule enforces the parallel exact-merge discipline of sim.Sharded's
+// per-domain outboxes: goroutine results must land in index-addressed slots
+// (or be sorted before use), never merged by whichever goroutine got there
+// first.
 // Two shapes break that discipline and are flagged:
 //
 //   - shared-slice append: a go-launched function literal appending to a

@@ -94,7 +94,8 @@ func sortedMapSum(m map[string]float64) float64 {
 }
 
 // Per-partition accumulators merged by index are the blessed parallel
-// shape (ParallelFill): clean.
+// shape (sim.Sharded's per-domain outboxes, drained in domain order):
+// clean.
 func partitioned(vals []float64) float64 {
 	parts := make([]float64, 2)
 	var wg sync.WaitGroup

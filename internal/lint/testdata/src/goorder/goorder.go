@@ -47,7 +47,8 @@ func rangeMerge(ch chan string) []string {
 	return got
 }
 
-// Index-addressed slots are the blessed ParallelFill discipline: clean.
+// Index-addressed slots are the blessed discipline (sim.Sharded's
+// per-domain outboxes): clean.
 func indexed(items []int) []int {
 	out := make([]int, len(items))
 	var wg sync.WaitGroup

@@ -1,10 +1,6 @@
 package netsim
 
 import (
-	"runtime"
-	"sync"
-	"sync/atomic"
-
 	"hpn/internal/sim"
 	"hpn/internal/topo"
 )
@@ -21,19 +17,29 @@ import (
 //     of O(rounds * F * P).
 //   - The active flow set is decomposed into connected components of the
 //     flow-link contention graph (union-find over path links). Components
-//     share no links, so their fills are independent; they run serially or,
-//     past a size threshold, in parallel across goroutines gated by
-//     GOMAXPROCS. Each component touches only its own flows and links, and
-//     the only cross-component result — the earliest projected completion —
-//     is merged after the workers join, in component order (components are
-//     created in deterministic active-flow order, keyed by their
-//     smallest-indexed flow). The merge is an exact float min, so the
-//     allocation and every artifact derived from it are byte-identical
-//     whether filling ran on one goroutine or eight.
+//     share no links, so their fills are independent. A component none of
+//     whose links is dirty is clean: its fill is skipped and its flows keep
+//     the rates of the previous recompute (see below). The only
+//     cross-component result, the earliest projected completion, is an
+//     exact float min over components in creation order.
 //   - The next-completion scan is gone: the minimum Remaining/Rate is
 //     tracked incrementally while flows freeze, and the single completion
 //     Event is re-armed in place (Engine.Reschedule) instead of
 //     cancel+reallocate.
+//
+// Why a clean component keeps bit-identical rates. Within a component,
+// every flow frozen at one bottleneck subtracts the same share (clamped at
+// 0) from each link on its path, so the link state after a pop does not
+// depend on the order the flows are visited in; and pops follow the total
+// order (share, link ID), which does not depend on heap layout. The fill is
+// therefore a function of the component's flows, paths and link capacities
+// alone, independent of the order of flows in s.active. A link turns dirty
+// whenever its flow set or capacity may have changed: routeFlow marks a
+// flow's old path and the first link of its new one, removeActive the
+// removed flow's path, and the four Fail*/Recover* entry points mark every
+// link. A component with no dirty link therefore holds exactly the flows,
+// paths and capacities it held at the previous recompute, and a fill would
+// reproduce the rates its flows already carry.
 //
 // The original flows-x-hops implementation is preserved verbatim (with its
 // defensive branch fixed) in alloc_reference.go and pinned against this one
@@ -41,12 +47,11 @@ import (
 
 // allocComp is one connected component of the flow-link contention graph:
 // the indices (into the unfrozen scratch) of its flows, the touched links
-// they cross, and the component's earliest projected completion in seconds
-// (-1 when none of its flows received a positive rate).
+// they cross, and whether any of those links is dirty.
 type allocComp struct {
 	flows []int32
 	links []topo.LinkID
-	minT  float64
+	dirty bool
 }
 
 // heapEnt is one candidate bottleneck: a link and the fair share it offered
@@ -109,11 +114,6 @@ func (h *linkHeap) popDiscard() {
 	*h = s
 	s.siftDown(0)
 }
-
-// defaultParallelMinFlows is the runnable-flow count below which component
-// filling always stays on the calling goroutine: under it, spawn cost
-// exceeds the fill work.
-const defaultParallelMinFlows = 192
 
 // recompute performs the max-min fair bandwidth allocation over all running
 // flows, refreshes probe accumulators, and (re-)arms the next completion
@@ -181,52 +181,42 @@ func (s *Sim) recompute() {
 		c := &s.comps[ci]
 		c.flows = append(c.flows, int32(i))
 	}
+	// The same pass consumes the dirty marks of touched links. A mark left
+	// on an untouched link is harmless: any flow that crosses that link
+	// later arrives through routeFlow, whose own mark already makes its
+	// component dirty.
 	for _, lk := range s.touched {
 		c := &s.comps[s.compOf[s.find(int32(lk))]]
 		c.links = append(c.links, lk)
+		if s.dirty[lk] {
+			c.dirty = true
+			s.dirty[lk] = false
+		}
 	}
 	s.phDecompose.End(dtk)
 
-	// Fill each component independently — in parallel when the flow set is
-	// big enough and more than one worker is available.
+	// Fill each dirty component; a clean one keeps its rates and only
+	// re-derives its earliest completion. The merge is an exact float min
+	// over components in creation order.
 	ftk := s.phFill.Begin()
-	if workers := s.fillWorkers(); workers > 1 {
-		s.ensureHeaps(workers)
-		var next atomic.Int64
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			h := &s.heaps[w]
-			shard := w
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for {
-					i := int(next.Add(1)) - 1
-					if i >= len(s.comps) {
-						return
-					}
-					s.comps[i].minT = s.fillComponent(&s.comps[i], h, shard)
-				}
-			}()
-		}
-		wtk := s.phMergeWait.Begin()
-		wg.Wait()
-		s.phMergeWait.End(wtk)
-	} else {
-		s.ensureHeaps(1)
-		for i := range s.comps {
-			s.comps[i].minT = s.fillComponent(&s.comps[i], &s.heaps[0], 0)
-		}
-	}
-	s.phFill.End(ftk)
-	// Deterministic merge: exact float min over components in creation
-	// order. The result does not depend on which worker filled what.
 	best := -1.0
+	reused := int64(0)
 	for i := range s.comps {
-		if t := s.comps[i].minT; t >= 0 && (best < 0 || t < best) {
+		c := &s.comps[i]
+		var t float64
+		if c.dirty || s.allDirty {
+			t = s.fillComponent(c)
+		} else {
+			t = s.reusedMinT(c)
+			reused++
+		}
+		if t >= 0 && (best < 0 || t < best) {
 			best = t
 		}
 	}
+	s.phFill.End(ftk)
+	s.phFillReused.Add(reused)
+	s.allDirty = false
 
 	// Refresh probe accumulators from the new allocation. Iteration goes
 	// through the registration-ordered probeList, never a map, so
@@ -256,49 +246,36 @@ func (s *Sim) recompute() {
 	s.phRecompute.End(rtk)
 }
 
-// fillWorkers decides the fill parallelism for this recompute: 1 unless
-// there are at least two components and enough runnable flows to amortize
-// goroutine startup. ParallelFill pins the worker count (1 forces serial);
-// 0 defers to GOMAXPROCS.
-func (s *Sim) fillWorkers() int {
-	if len(s.comps) < 2 {
-		return 1
+// markDirty records that a flow left path: every component still crossing
+// it is refilled at the next recompute. All links are marked because the
+// component the flow held together may split.
+func (s *Sim) markDirty(path []topo.LinkID) {
+	for _, lk := range path {
+		s.dirty[lk] = true
 	}
-	minFlows := s.ParallelFillMinFlows
-	if minFlows <= 0 {
-		minFlows = defaultParallelMinFlows
-	}
-	if len(s.unfrozen) < minFlows {
-		return 1
-	}
-	w := s.ParallelFill
-	if w <= 0 {
-		w = runtime.GOMAXPROCS(0)
-	}
-	if w > len(s.comps) {
-		w = len(s.comps)
-	}
-	if w < 1 {
-		w = 1
-	}
-	return w
 }
 
-// ensureHeaps grows the per-worker heap scratch to n entries.
-func (s *Sim) ensureHeaps(n int) {
-	for len(s.heaps) < n {
-		s.heaps = append(s.heaps, nil)
+// reusedMinT returns a clean component's earliest projected completion in
+// seconds (-1 if none) from the rates its flows already hold: the same
+// Remaining/Rate division fillComponent performs, and an exact min.
+func (s *Sim) reusedMinT(c *allocComp) float64 {
+	minT := -1.0
+	for _, fi := range c.flows {
+		f := s.unfrozen[fi]
+		if f.Rate > 0 {
+			if t := f.Remaining / f.Rate; minT < 0 || t < minT {
+				minT = t
+			}
+		}
 	}
+	return minT
 }
 
 // fillComponent runs progressive filling over one component and returns its
 // earliest projected completion in seconds (-1 if none). It reads and
-// writes only the component's own flows and links (plus the worker-private
-// heap), which is what makes parallel component fills race-free and
-// schedule-independent. shard is the caller's worker index: heap operations
-// are tallied locally and flushed once into that profiler shard, so the hot
-// loop costs nothing extra and concurrent workers never share a counter
-// cache line.
+// writes only the component's own flows and links plus the heap scratch.
+// Heap operations are tallied locally and flushed once into the profiler,
+// so the hot loop costs nothing extra.
 //
 // Invariant behind the lazy heap: freezing a flow at the current bottleneck
 // share can only raise the share of every link it crosses, so a popped
@@ -306,16 +283,17 @@ func (s *Sim) ensureHeaps(n int) {
 // is re-pushed at its current value; a fresh pop is the exact component-wide
 // minimum (every other link's current share is at least its heap key). The
 // tie tolerance matches the reference implementation's freeze threshold.
-func (s *Sim) fillComponent(c *allocComp, h *linkHeap, shard int) float64 {
+func (s *Sim) fillComponent(c *allocComp) float64 {
 	heapOps := int64(0)
-	hs := (*h)[:0]
+	hs := s.heap[:0]
 	for _, lk := range c.links {
 		if n := s.nShare[lk]; n > 0 {
 			hs = append(hs, heapEnt{share: s.capRem[lk] / float64(n), link: lk})
 		}
 	}
 	hs.heapify()
-	*h = hs
+	s.heap = hs
+	h := &s.heap
 	minT := -1.0
 	// live counts the component's still-unfrozen flows: once it hits zero
 	// the remaining heap entries can only be drained or stale links, so the
@@ -381,7 +359,7 @@ func (s *Sim) fillComponent(c *allocComp, h *linkHeap, shard int) float64 {
 			s.nShare[l2]--
 		}
 	}
-	s.phHeapOps.AddShard(heapOps, shard)
+	s.phHeapOps.Add(heapOps)
 	return minT
 }
 
@@ -442,7 +420,7 @@ func (s *Sim) addComp() int {
 	c := &s.comps[n]
 	c.flows = c.flows[:0]
 	c.links = c.links[:0]
-	c.minT = -1
+	c.dirty = false
 	return n
 }
 

@@ -1,10 +1,12 @@
 package netsim
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
 
+	"hpn/internal/prof"
 	"hpn/internal/route"
 	"hpn/internal/sim"
 	"hpn/internal/topo"
@@ -59,12 +61,37 @@ func checkMaxMinCertificate(t *testing.T, top *topo.Topology, flows []*Flow, rat
 	}
 }
 
+// startRandomFlows starts n flows between random hosts and NICs in one
+// batch.
+func startRandomFlows(t *testing.T, s *Sim, rng *rand.Rand, nHosts, n int) {
+	t.Helper()
+	s.Batch(func() {
+		for i := 0; i < n; i++ {
+			src := rng.Intn(nHosts)
+			dst := rng.Intn(nHosts)
+			if src == dst {
+				dst = (dst + 1) % nHosts
+			}
+			nic := rng.Intn(8)
+			size := float64(1+rng.Intn(64)) * (1 << 20)
+			if _, err := s.StartFlow(
+				route.Endpoint{Host: src, NIC: nic},
+				route.Endpoint{Host: dst, NIC: nic},
+				size, FlowOpts{SrcPort: -1}); err != nil {
+				t.Fatal(err)
+			}
+		}
+	})
+}
+
 // TestAllocDifferential pins the link-centric allocator in alloc.go against
 // the original flows-x-hops implementation (alloc_reference.go) on seeded
-// randomized topologies and flow sets, with failed links and forced
-// parallel filling mixed in. Every live rate must match the reference
-// within 1e-6 relative, and both rate vectors must carry a max-min
-// certificate.
+// randomized topologies and flow sets, with failed links mixed in. Every
+// live rate must match the reference within 1e-6 relative, and both rate
+// vectors must carry a max-min certificate. Half the trials then run a
+// randomized mutation sequence and hold the incremental allocation, which
+// keeps the rates of clean components, bit for bit against a from-scratch
+// refill after every mutation.
 func TestAllocDifferential(t *testing.T) {
 	shapes := []struct {
 		segments, hosts, aggs int
@@ -73,6 +100,7 @@ func TestAllocDifferential(t *testing.T) {
 		{2, 8, 4},
 		{2, 6, 8},
 	}
+	p := prof.New()
 	rng := rand.New(rand.NewSource(0x4a11c))
 	for trial := 0; trial < 30; trial++ {
 		shape := shapes[trial%len(shapes)]
@@ -82,31 +110,9 @@ func TestAllocDifferential(t *testing.T) {
 		}
 		eng := sim.New()
 		s := New(eng, top)
-		if trial%2 == 1 {
-			// Exercise the parallel fill path on half the trials; the rates
-			// must not depend on it.
-			s.ParallelFill = 4
-			s.ParallelFillMinFlows = 1
-		}
+		s.AttachProfiler(p, nil)
 		nHosts := shape.segments * shape.hosts
-		nFlows := 1 + rng.Intn(80)
-		s.Batch(func() {
-			for i := 0; i < nFlows; i++ {
-				src := rng.Intn(nHosts)
-				dst := rng.Intn(nHosts)
-				if src == dst {
-					dst = (dst + 1) % nHosts
-				}
-				nic := rng.Intn(8)
-				size := float64(1+rng.Intn(64)) * (1 << 20)
-				if _, err := s.StartFlow(
-					route.Endpoint{Host: src, NIC: nic},
-					route.Endpoint{Host: dst, NIC: nic},
-					size, FlowOpts{SrcPort: -1}); err != nil {
-					t.Fatal(err)
-				}
-			}
-		})
+		startRandomFlows(t, s, rng, nHosts, 1+rng.Intn(80))
 		if trial%3 == 2 {
 			// Fail a random access cable: dead links must allocate zero
 			// in both implementations.
@@ -137,6 +143,128 @@ func TestAllocDifferential(t *testing.T) {
 		}
 		checkMaxMinCertificate(t, top, s.active, live, "live")
 		checkMaxMinCertificate(t, top, s.active, ref, "reference")
+		if trial%2 == 1 {
+			mutateIncremental(t, s, rng, nHosts, fmt.Sprintf("trial %d", trial))
+		}
+	}
+	// Guard against a vacuous pass: the mutation sequences must have kept
+	// some components' rates, or the comparison checked nothing.
+	reused := int64(0)
+	for _, st := range p.Snapshot() {
+		if st.Name == "netsim/fill_reused" {
+			reused = st.Count
+		}
+	}
+	if reused == 0 {
+		t.Fatal("no component was ever reused; the incremental path went unexercised")
+	}
+}
+
+// mutateIncremental drives a randomized sequence of every mutation that can
+// change a component — batched starts, completion harvests, aborts, cable
+// and node failures and recoveries, reroute passes, and a running flow
+// re-pathed onto another port — and after each one checks the incremental
+// allocation against a from-scratch refill.
+func mutateIncremental(t *testing.T, s *Sim, rng *rand.Rand, nHosts int, tag string) {
+	t.Helper()
+	top := s.Top
+	var switches []topo.NodeID
+	for _, n := range top.Nodes {
+		if n.Kind != topo.KindHost {
+			switches = append(switches, n.ID)
+		}
+	}
+	var downCables []topo.LinkID
+	var downNodes []topo.NodeID
+	for step := 0; step < 60; step++ {
+		var what string
+		switch rng.Intn(8) {
+		case 0:
+			what = "start"
+			startRandomFlows(t, s, rng, nHosts, 1+rng.Intn(12))
+		case 1, 2:
+			what = "harvest"
+			if at, ok := s.Eng.NextAt(); ok {
+				s.Eng.RunUntil(at)
+			}
+		case 3:
+			what = "abort"
+			if len(s.active) > 0 {
+				s.AbortFlow(s.active[rng.Intn(len(s.active))])
+			}
+		case 4:
+			if n := len(downCables); n > 0 && rng.Intn(2) == 0 {
+				what = "recover cable"
+				s.RecoverCable(downCables[n-1])
+				downCables = downCables[:n-1]
+			} else {
+				what = "fail cable"
+				l := topo.LinkID(rng.Intn(len(top.Links)))
+				downCables = append(downCables, l)
+				s.FailCable(l)
+			}
+		case 5:
+			if n := len(downNodes); n > 0 && rng.Intn(2) == 0 {
+				what = "recover node"
+				s.RecoverNode(downNodes[n-1])
+				downNodes = downNodes[:n-1]
+			} else {
+				what = "fail node"
+				sw := switches[rng.Intn(len(switches))]
+				downNodes = append(downNodes, sw)
+				s.FailNode(sw)
+			}
+		case 6:
+			what = "reroute"
+			s.reroutePass()
+		case 7:
+			what = "repath"
+			if len(s.active) == 0 {
+				break
+			}
+			f := s.active[rng.Intn(len(s.active))]
+			if f.Stalled || len(f.Path) == 0 {
+				break
+			}
+			// A running flow moved to its NIC's next port: the component it
+			// leaves loses a flow without any other mark.
+			ports := len(top.Hosts[f.Src.Host].NICs[f.Src.NIC].Ports)
+			s.Batch(func() {
+				f.PinnedPort = (f.Port + 1) % ports
+				if err := s.routeFlow(f); err != nil {
+					t.Fatal(err)
+				}
+			})
+		}
+		checkIncremental(t, s, fmt.Sprintf("%s step %d (%s)", tag, step, what))
+	}
+}
+
+// checkIncremental asserts that the allocation the last recompute left —
+// every flow's rate and the armed completion time — is bit-identical to a
+// recompute that refills every component.
+func checkIncremental(t *testing.T, s *Sim, tag string) {
+	t.Helper()
+	completionAt := func() sim.Time {
+		if s.completionEv == nil {
+			return -1
+		}
+		return s.completionEv.At()
+	}
+	rates := make([]uint64, len(s.active))
+	for i, f := range s.active {
+		rates[i] = math.Float64bits(f.Rate)
+	}
+	at := completionAt()
+	s.recomputeFromScratch()
+	for i, f := range s.active {
+		if got := math.Float64bits(f.Rate); got != rates[i] {
+			t.Fatalf("%s: flow %d kept rate %v, a full refill gives %v",
+				tag, f.ID, math.Float64frombits(rates[i]), f.Rate)
+		}
+	}
+	if got := completionAt(); got != at {
+		t.Fatalf("%s: completion armed at %v, a full refill arms it at %v", tag, at, got)
 	}
 }
 
@@ -219,8 +347,7 @@ func TestFillComponentDefensiveSweep(t *testing.T) {
 	s.frozen = []bool{false}
 
 	c := allocComp{flows: []int32{0}, links: nil} // link list deliberately broken
-	s.ensureHeaps(1)
-	minT := s.fillComponent(&c, &s.heaps[0], 0)
+	minT := s.fillComponent(&c)
 
 	if f.Rate != 0 {
 		t.Fatalf("swept flow kept stale rate %v, want 0", f.Rate)

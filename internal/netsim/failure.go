@@ -13,6 +13,7 @@ import (
 func (s *Sim) FailCable(l topo.LinkID) {
 	s.beginMutate()
 	defer s.endMutate()
+	s.allDirty = true // capacities and flow sets change: refill everything
 	now := s.Eng.Now()
 	s.Top.SetCableState(l, false)
 	s.R.NoteLinkFailed(l, now)
@@ -36,6 +37,10 @@ func (s *Sim) FailCable(l topo.LinkID) {
 func (s *Sim) RecoverCable(l topo.LinkID) {
 	s.beginMutate()
 	defer s.endMutate()
+	// No runnable flow crosses a down link (routing stalls it instead), so
+	// a recovery changes no filled component's capacity today; marking
+	// keeps clean-component reuse exact without relying on that.
+	s.allDirty = true
 	s.Top.SetCableState(l, true)
 	s.R.NoteLinkRecovered(l)
 	s.ctrLinkEvents.Inc()
@@ -48,6 +53,7 @@ func (s *Sim) RecoverCable(l topo.LinkID) {
 func (s *Sim) FailNode(n topo.NodeID) {
 	s.beginMutate()
 	defer s.endMutate()
+	s.allDirty = true
 	now := s.Eng.Now()
 	s.Top.SetNodeState(n, false)
 	s.R.NoteNodeFailed(n, now)
@@ -72,6 +78,7 @@ func (s *Sim) FailNode(n topo.NodeID) {
 func (s *Sim) RecoverNode(n topo.NodeID) {
 	s.beginMutate()
 	defer s.endMutate()
+	s.allDirty = true // see RecoverCable
 	s.Top.SetNodeState(n, true)
 	s.R.NoteNodeRecovered(n)
 	s.ctrLinkEvents.Inc()

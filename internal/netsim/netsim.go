@@ -133,16 +133,6 @@ type Sim struct {
 	probeByLink []*LinkProbe
 	probeList   []*LinkProbe
 
-	// ParallelFill caps the goroutines used to fill independent contention
-	// components during a rate recomputation: 0 (the default) defers to
-	// GOMAXPROCS, 1 forces serial filling. Component fills are
-	// schedule-independent, so the allocation — and every derived artifact
-	// — is byte-identical at any setting; see alloc.go.
-	ParallelFill int
-	// ParallelFillMinFlows is the runnable-flow count below which filling
-	// stays serial regardless of ParallelFill (0 = a built-in default).
-	ParallelFillMinFlows int
-
 	// scratch arrays for the allocator, epoch-stamped to avoid O(links)
 	// clearing on every recompute; see alloc.go for the roles of the
 	// per-link incidence, union-find and component scratch.
@@ -158,8 +148,15 @@ type Sim struct {
 	unfrozen []*Flow
 	frozen   []bool
 	comps    []allocComp
-	heaps    []linkHeap
+	heap     linkHeap
 	done     []*Flow // completionEvent harvest scratch
+
+	// dirty marks the links whose flow set changed since the last
+	// recompute; allDirty stands for every link after a topology
+	// transition. A component with no dirty link keeps its rates (see
+	// alloc.go).
+	dirty    []bool
+	allDirty bool
 
 	rerouteScheduled bool
 
@@ -202,13 +199,13 @@ type Sim struct {
 	// and Flight are exported so memo and health reach the shared instances
 	// through the Sim they already hold. Flight is fed by the flightNotes
 	// subscriber.
-	Prof        *prof.Profiler
-	Flight      *prof.Flight
-	phRecompute *prof.Phase
-	phDecompose *prof.Phase
-	phFill      *prof.Phase
-	phMergeWait *prof.Phase
-	phHeapOps   *prof.Phase
+	Prof         *prof.Profiler
+	Flight       *prof.Flight
+	phRecompute  *prof.Phase
+	phDecompose  *prof.Phase
+	phFill       *prof.Phase
+	phFillReused *prof.Phase
+	phHeapOps    *prof.Phase
 
 	// Stats
 	CompletedFlows int64
@@ -238,6 +235,7 @@ func New(eng *sim.Engine, top *topo.Topology) *Sim {
 		inc:             make([][]int32, len(top.Links)),
 		ufParent:        make([]int32, len(top.Links)),
 		compOf:          make([]int32, len(top.Links)),
+		dirty:           make([]bool, len(top.Links)),
 	}
 	s.Subscribe(flightNotes{s})
 	return s
@@ -370,6 +368,7 @@ func (s *Sim) StartFlow(src, dst route.Endpoint, bytes float64, opt FlowOpts) (*
 func (s *Sim) routeFlow(f *Flow) error {
 	now := s.Eng.Now()
 	s.inbandFlush(f)
+	s.markDirty(f.Path) // the old path loses the flow
 	tryPort := func(port int) bool {
 		var path []topo.LinkID
 		var blackholed bool
@@ -391,6 +390,11 @@ func (s *Sim) routeFlow(f *Flow) error {
 		}
 		f.Port = port
 		f.Path = path
+		if len(path) > 0 {
+			// The whole path joins one component (gather unions it with
+			// its first link), so marking that link flags the component.
+			s.dirty[path[0]] = true
+		}
 		f.Stalled = blackholed || err != nil
 		if f.Stalled {
 			f.Rate = 0
@@ -552,6 +556,7 @@ func (s *Sim) completionEvent() {
 }
 
 func (s *Sim) removeActive(f *Flow) {
+	s.markDirty(f.Path)
 	i := f.index
 	last := len(s.active) - 1
 	s.active[i] = s.active[last]

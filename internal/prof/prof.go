@@ -5,7 +5,7 @@
 // links, incidents), prof observes the *simulator*: how much host wall
 // time and how many heap allocations each engine phase consumed — event
 // dispatch, allocator recompute, heap maintenance, component
-// decomposition, parallel-fill merge wait, memo lookup/replay, artifact
+// decomposition, clean-component reuse, memo lookup/replay, artifact
 // flushing. That breakdown is what sharding and fidelity-granularity
 // decisions need before any partitioning is defensible.
 //
@@ -22,10 +22,10 @@
 //
 // Cost contract: every method is safe on a nil receiver, so the disabled
 // path costs one nil check per instrumentation point — the same bargain
-// telemetry.Counter strikes. Accumulation is lock-free: each Phase keeps a
-// small fixed array of cache-line-padded atomic slots; parallel fill
-// workers add into their own shard and the merge at export time is an
-// integer sum, which is order-independent and therefore deterministic.
+// telemetry.Counter strikes. Accumulation is lock-free: each Phase keeps
+// atomic accumulators, because the pod simulators of a sharded run share
+// one profiler and end phases from concurrent windows. Integer addition is
+// order-independent, so the counts stay deterministic.
 package prof
 
 import (
@@ -44,26 +44,14 @@ import (
 // through PhaseAlloc.
 const allocMetric = "/gc/heap/allocs:objects"
 
-// shardCount is the number of independent accumulator slots per phase.
-// Parallel fill workers index by worker ID (masked), so concurrent End
-// calls almost never contend on one cache line. Power of two.
-const shardCount = 8
-
-// slot is one shard's accumulators, padded to a cache line so two workers
-// ending phases concurrently do not false-share.
-type slot struct {
-	count int64
-	wall  int64 // nanoseconds
-	alloc int64 // heap objects
-	_     [40]byte
-}
-
 // Phase is one named cost bucket. All methods are nil-safe; a nil Phase
 // (profiling disabled) costs one branch per call.
 type Phase struct {
 	name, help string
 	trackAlloc bool
-	slots      [shardCount]slot
+	count      atomic.Int64
+	wall       atomic.Int64 // nanoseconds
+	alloc      atomic.Int64 // heap objects
 }
 
 // Token carries one Begin's start measurements to the matching End.
@@ -85,38 +73,27 @@ func (ph *Phase) Begin() Token {
 	return tk
 }
 
-// End closes a Begin, accumulating into shard 0. Nil-safe; a zero Token
-// (from a Begin on a then-nil phase) is ignored.
-func (ph *Phase) End(tk Token) { ph.EndShard(tk, 0) }
-
-// EndShard closes a Begin into the given shard. Parallel workers pass
-// their worker index so concurrent phase ends do not contend.
-func (ph *Phase) EndShard(tk Token, shard int) {
+// End closes a Begin. Nil-safe; a zero Token (from a Begin on a then-nil
+// phase) is ignored.
+func (ph *Phase) End(tk Token) {
 	if ph == nil || tk.t0.IsZero() {
 		return
 	}
 	wall := time.Since(tk.t0).Nanoseconds() //hpnlint:allow wallclock -- host-cost profiling; wall values are segregated into prof artifacts and gauges, never simulator state
-	var alloc int64
+	ph.count.Add(1)
+	ph.wall.Add(wall)
 	if ph.trackAlloc {
-		alloc = int64(readAllocs() - tk.a0)
+		ph.alloc.Add(int64(readAllocs() - tk.a0))
 	}
-	s := &ph.slots[shard&(shardCount-1)]
-	atomic.AddInt64(&s.count, 1)
-	atomic.AddInt64(&s.wall, wall)
-	atomic.AddInt64(&s.alloc, alloc)
 }
 
 // Add accumulates n count-only occurrences (bulk dispatch counts, heap
-// operations tallied locally in a hot loop) into shard 0. Nil-safe.
-func (ph *Phase) Add(n int64) { ph.AddShard(n, 0) }
-
-// AddShard accumulates n count-only occurrences into the given shard.
-// Nil-safe.
-func (ph *Phase) AddShard(n int64, shard int) {
+// operations tallied locally in a hot loop). Nil-safe.
+func (ph *Phase) Add(n int64) {
 	if ph == nil || n == 0 {
 		return
 	}
-	atomic.AddInt64(&ph.slots[shard&(shardCount-1)].count, n)
+	ph.count.Add(n)
 }
 
 // Name returns the phase name ("" on nil).
@@ -127,18 +104,10 @@ func (ph *Phase) Name() string {
 	return ph.name
 }
 
-// stat merges the shards. The merge is an integer sum in fixed shard
-// order: order-independent, so the counts are deterministic no matter
-// which worker filled which shard.
+// stat reads the accumulators.
 func (ph *Phase) stat() PhaseStat {
-	st := PhaseStat{Name: ph.name, Help: ph.help}
-	for i := range ph.slots {
-		s := &ph.slots[i]
-		st.Count += atomic.LoadInt64(&s.count)
-		st.WallNS += atomic.LoadInt64(&s.wall)
-		st.Allocs += atomic.LoadInt64(&s.alloc)
-	}
-	return st
+	return PhaseStat{Name: ph.name, Help: ph.help,
+		Count: ph.count.Load(), WallNS: ph.wall.Load(), Allocs: ph.alloc.Load()}
 }
 
 // readAllocs reads the process-lifetime heap allocation count (objects).
@@ -250,10 +219,10 @@ func sanitizePhase(name string) string {
 	return string(b)
 }
 
-// Snapshot returns the merged stats of every phase with a nonzero count,
+// Snapshot returns the stats of every phase with a nonzero count,
 // sorted by name. Zero-count phases are omitted: a registered-but-unhit
-// phase (e.g. the parallel-fill merge on a run that never crossed the
-// parallel threshold) is configuration, not cost. Nil-safe (returns nil).
+// phase (e.g. memo replay on a run that never hit its cache) is
+// configuration, not cost. Nil-safe (returns nil).
 func (p *Profiler) Snapshot() []PhaseStat {
 	if p == nil {
 		return nil

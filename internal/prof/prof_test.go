@@ -16,7 +16,6 @@ func TestNilSafety(t *testing.T) {
 	tk := ph.Begin()
 	ph.End(tk)
 	ph.Add(5)
-	ph.AddShard(5, 3)
 	if got := ph.Name(); got != "" {
 		t.Fatalf("nil phase Name = %q", got)
 	}
@@ -50,7 +49,7 @@ func TestPhaseAccumulation(t *testing.T) {
 	time.Sleep(time.Millisecond)
 	ph.End(tk)
 	ph.Add(41)
-	ph.AddShard(0, 2) // zero adds are dropped
+	ph.Add(0) // zero adds are dropped
 
 	snap := p.Snapshot()
 	if len(snap) != 1 {
@@ -86,22 +85,26 @@ func TestSnapshotSortedAndZeroSkipped(t *testing.T) {
 	}
 }
 
+// TestShardedCountsDeterministic: the pod simulators of a sharded run add
+// into one profiler from concurrent windows, through both Add and End, and
+// no occurrence may be lost.
 func TestShardedCountsDeterministic(t *testing.T) {
 	p := New()
 	ph := p.Phase("netsim/heap_ops", "")
 	var wg sync.WaitGroup
 	for w := 0; w < 4; w++ {
 		wg.Add(1)
-		go func(w int) {
+		go func() {
 			defer wg.Done()
 			for i := 0; i < 1000; i++ {
-				ph.AddShard(3, w)
+				ph.Add(3)
+				ph.End(ph.Begin())
 			}
-		}(w)
+		}()
 	}
 	wg.Wait()
-	if got := p.Snapshot()[0].Count; got != 12000 {
-		t.Fatalf("sharded count = %d, want 12000", got)
+	if got := p.Snapshot()[0].Count; got != 16000 {
+		t.Fatalf("concurrent count = %d, want 16000", got)
 	}
 }
 

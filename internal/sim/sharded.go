@@ -21,10 +21,12 @@
 // inside the receiver's future.
 //
 // Cross-domain interaction goes through per-sender mailboxes drained at
-// window barriers in (sender domain ID, send sequence) order — the same
-// exact-merge discipline netsim's ParallelFill established: worker count
-// changes the goroutine schedule, never the merged order, so artifacts
-// stay byte-identical between workers=1 and workers=N.
+// window barriers in (sender domain ID, send sequence) order. This is the
+// repo's exact-merge discipline for parallel work (hpnlint's goorder rule
+// checks for it): each goroutine writes only its own index-addressed slot,
+// and the merge walks the slots in index order. Worker count changes the
+// goroutine schedule, never the merged order, so artifacts stay
+// byte-identical between workers=1 and workers=N.
 package sim
 
 import (

@@ -11,16 +11,16 @@ import (
 // the race detector: counters, a gauge-backing value and a histogram are
 // hammered from writer goroutines while exporters snapshot concurrently
 // (Prometheus text, JSON, and the counter/histogram metrics snapshot).
-// The profiler publishes its phases as gauges through this same surface
-// from parallel fill workers, so this contract must hold before prof adds
-// more writers.
+// The profiler publishes its phases as gauges through this same surface,
+// and a sharded run's pods update them from concurrent windows, so this
+// contract must hold before prof adds more writers.
 func TestRegistryConcurrentUse(t *testing.T) {
 	r := NewRegistry()
 	ctr := r.Counter("hammer_total", "concurrent counter")
 	hist := r.Histogram("hammer_seconds", "concurrent histogram", LogBuckets(1e-6, 10, 6))
 	// Gauge callbacks run outside the registry lock at snapshot time, so
 	// the backing value must be safe to read concurrently — atomics here,
-	// exactly what prof's shard accumulators do.
+	// exactly what prof's phase accumulators do.
 	var gaugeVal atomic.Int64
 	r.Gauge("hammer_gauge", "concurrent gauge", func() float64 {
 		return float64(gaugeVal.Load())
