@@ -7,7 +7,7 @@ GO ?= go
 # like.
 BENCH_COMPARE_TOLERANCE ?= 0.5
 
-.PHONY: ci fmt vet lint lint-fix build test test-parallel perfbench-check bench bench-smoke bench-shards bench-compare prof-smoke
+.PHONY: ci fmt vet lint lint-fix build test test-parallel fuzz-smoke perfbench-check bench bench-smoke bench-shards bench-compare prof-smoke
 
 # lint runtime budget: the interprocedural analysis (module load, summary
 # fixpoint, rules) must finish inside this wall-clock bound or the target
@@ -15,11 +15,11 @@ BENCH_COMPARE_TOLERANCE ?= 0.5
 LINT_BUDGET ?= 10s
 
 # Full gate: formatting, go vet, build, hpnlint determinism/invariant rules,
-# tests under the race detector (a default pass and a GOMAXPROCS=4 pass), the
-# perfbench module's vet and tests, the bench/forensics smoke run, the
-# self-profiler smoke run, and the perf comparison against the last
-# committed snapshot.
-ci: fmt vet build lint test test-parallel perfbench-check bench-smoke prof-smoke bench-shards bench-compare
+# tests under the race detector (a default pass and a GOMAXPROCS=4 pass), a
+# short fuzz of the artifact parsers, the perfbench module's vet and tests,
+# the bench/forensics smoke run, the self-profiler smoke run, and the perf
+# comparison against the last committed snapshot.
+ci: fmt vet build lint test test-parallel fuzz-smoke perfbench-check bench-smoke prof-smoke bench-shards bench-compare
 
 fmt:
 	@out="$$(gofmt -l .)"; \
@@ -61,6 +61,15 @@ test-parallel:
 	GOMAXPROCS=4 $(GO) test -race -count=1 ./internal/netsim/...
 	GOMAXPROCS=4 $(GO) test -race -count=1 -run TestGoldenDeterminism .
 
+# Fuzz smoke: ~10s of native fuzzing for each artifact parser whose writer
+# streams rows (inband and health ParseTSV), seeded from the run artifacts
+# in their testdata/. A failing input is saved under testdata/fuzz/ to be
+# committed as a regression seed. Minimization is capped so a new
+# interesting input does not eat the budget.
+fuzz-smoke:
+	$(GO) test -run='^$$' -fuzz='^FuzzParseTSV$$' -fuzztime=10s -fuzzminimizetime=100x -parallel=2 ./internal/inband
+	$(GO) test -run='^$$' -fuzz='^FuzzParseTSV$$' -fuzztime=10s -fuzzminimizetime=100x -parallel=2 ./internal/health
+
 # perfbench is its own Go module, so the root `go vet ./...` and
 # `go test ./...` never compile it: an internal API change it depends on
 # (memo.RecorderOf, health.MonitorOf, Sim.AttachProfiler, ...) would
@@ -93,14 +102,16 @@ bench-smoke:
 # (every emitted prof.tsv row must carry a nonzero count — zero-count
 # phases are omitted by contract, so a zero here means the export path
 # broke), and the hpnprof report/compare pipeline round-trips: a profile
-# compared against itself must exit 0.
+# compared against itself must exit 0. The in-band artifacts go to a
+# directory of their own, written before the profile's, so prof.tsv
+# carries their per-exporter artifact/<name> phases.
 prof-smoke:
 	@tmp=$$(mktemp -d); \
 	set -e; \
-	$(GO) run ./cmd/hpnbench -exp fig13 -scale quick -prof $$tmp/artifacts >/dev/null; \
+	$(GO) run ./cmd/hpnbench -exp fig13 -scale quick -inband $$tmp/inband -prof $$tmp/artifacts >/dev/null; \
 	ls $$tmp/artifacts/prof.tsv $$tmp/artifacts/prof.json $$tmp/artifacts/flight.tsv >/dev/null; \
 	awk -F'\t' 'NR>1 { seen[$$1]=1; if ($$2+0 <= 0) { print "prof-smoke: zero-count phase " $$1; bad=1 } } \
-		END { n=split("sim/run sim/dispatch netsim/recompute netsim/decompose netsim/fill netsim/fill_reused netsim/heap_ops", req, " "); \
+		END { n=split("sim/run sim/dispatch netsim/recompute netsim/decompose netsim/fill netsim/fill_reused netsim/heap_ops artifact/inband.tsv artifact/inband.json", req, " "); \
 		for (i=1; i<=n; i++) if (!seen[req[i]]) { print "prof-smoke: phase " req[i] " missing from prof.tsv"; bad=1 } exit bad }' \
 		$$tmp/artifacts/prof.tsv; \
 	$(GO) run ./cmd/hpnprof $$tmp/artifacts/prof.json >/dev/null; \

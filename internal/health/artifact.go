@@ -8,6 +8,7 @@ import (
 	"strconv"
 	"strings"
 
+	"hpn/internal/artifact"
 	"hpn/internal/sim"
 )
 
@@ -53,31 +54,70 @@ func mergeTimeline(incs []Incident, iters []IterationReport) []timelineRow {
 	return rows
 }
 
-// WriteTSV renders the merged incident + iteration timeline. Deterministic:
-// same-seed runs produce byte-identical output.
+// WriteTSV streams the merged incident + iteration timeline.
+// Deterministic: same-seed runs produce byte-identical output.
 func (m *Monitor) WriteTSV(w io.Writer) error {
-	var b strings.Builder
-	b.WriteString(tsvHeader)
-	b.WriteByte('\n')
-	g := func(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }
+	bw := artifact.NewWriter(w)
+	bw.WriteString(tsvHeader)
+	bw.WriteByte('\n')
+	var b []byte
 	for _, row := range m.timeline() {
-		if inc := row.inc; inc != nil {
-			end := int64(inc.End)
-			if inc.Open {
-				end = -1
-			}
-			fmt.Fprintf(&b, "incident\t%d\t%s\t%s\t%d\t%d\t%t\t%d\t%s\t%s\t-1\t0\t0\t0\tfalse\t-1\t-\n",
-				inc.ID, inc.Kind, inc.Subject, int64(inc.Start), end, inc.Open,
-				inc.Events, g(inc.Peak), inc.Detail)
-			continue
+		if row.inc != nil {
+			b = appendIncidentTSV(b[:0], row.inc)
+		} else {
+			b = appendIterationTSV(b[:0], row.iter)
 		}
-		it := row.iter
-		fmt.Fprintf(&b, "iteration\t-1\t-\t-\t%d\t%d\tfalse\t-1\t0\t-\t%d\t%s\t%s\t%s\t%t\t%d\t%s\n",
-			int64(it.Start), int64(it.End), it.Iter, g(it.CommS), g(it.BaselineS),
-			g(it.DeltaFrac), it.Regressed, it.Reroutes, causesString(it.Causes))
+		bw.Write(b)
 	}
-	_, err := io.WriteString(w, b.String())
-	return err
+	return bw.Flush()
+}
+
+func appendIncidentTSV(b []byte, inc *Incident) []byte {
+	end := int64(inc.End)
+	if inc.Open {
+		end = -1
+	}
+	b = append(b, "incident\t"...)
+	b = strconv.AppendInt(b, int64(inc.ID), 10)
+	b = append(b, '\t')
+	b = append(b, inc.Kind...)
+	b = append(b, '\t')
+	b = append(b, inc.Subject...)
+	b = append(b, '\t')
+	b = strconv.AppendInt(b, int64(inc.Start), 10)
+	b = append(b, '\t')
+	b = strconv.AppendInt(b, end, 10)
+	b = append(b, '\t')
+	b = strconv.AppendBool(b, inc.Open)
+	b = append(b, '\t')
+	b = strconv.AppendInt(b, int64(inc.Events), 10)
+	b = append(b, '\t')
+	b = artifact.AppendFloat(b, inc.Peak)
+	b = append(b, '\t')
+	b = append(b, inc.Detail...)
+	return append(b, "\t-1\t0\t0\t0\tfalse\t-1\t-\n"...)
+}
+
+func appendIterationTSV(b []byte, it *IterationReport) []byte {
+	b = append(b, "iteration\t-1\t-\t-\t"...)
+	b = strconv.AppendInt(b, int64(it.Start), 10)
+	b = append(b, '\t')
+	b = strconv.AppendInt(b, int64(it.End), 10)
+	b = append(b, "\tfalse\t-1\t0\t-\t"...)
+	b = strconv.AppendInt(b, int64(it.Iter), 10)
+	b = append(b, '\t')
+	b = artifact.AppendFloat(b, it.CommS)
+	b = append(b, '\t')
+	b = artifact.AppendFloat(b, it.BaselineS)
+	b = append(b, '\t')
+	b = artifact.AppendFloat(b, it.DeltaFrac)
+	b = append(b, '\t')
+	b = strconv.AppendBool(b, it.Regressed)
+	b = append(b, '\t')
+	b = strconv.AppendInt(b, int64(it.Reroutes), 10)
+	b = append(b, '\t')
+	b = appendCauses(b, it.Causes)
+	return append(b, '\n')
 }
 
 // ParseTSV reads a timeline written by WriteTSV back into incidents (by ID
@@ -183,65 +223,95 @@ func (m *Monitor) WriteJSON(w io.Writer) error {
 }
 
 func writeJSON(w io.Writer, incs []Incident, iters []IterationReport) error {
-	var b strings.Builder
-	g := func(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }
-	b.WriteString("{\n\"incidents\": [")
+	bw := artifact.NewWriter(w)
+	bw.WriteString("{\n\"incidents\": [")
+	var b []byte
 	for i := range incs {
-		inc := &incs[i]
+		b = b[:0]
 		if i > 0 {
-			b.WriteByte(',')
+			b = append(b, ',')
 		}
-		end := int64(inc.End)
-		if inc.Open {
-			end = -1
-		}
-		fmt.Fprintf(&b, "\n{\"id\": %d, \"kind\": %s, \"subject\": %s, \"start_ns\": %d, \"end_ns\": %d, \"open\": %t, \"events\": %d, \"peak\": %s, \"detail\": %s}",
-			inc.ID, jsonString(inc.Kind), jsonString(inc.Subject), int64(inc.Start), end,
-			inc.Open, inc.Events, g(inc.Peak), jsonString(inc.Detail))
+		b = appendIncidentJSON(b, &incs[i])
+		bw.Write(b)
 	}
-	b.WriteString("\n],\n\"iterations\": [")
+	bw.WriteString("\n],\n\"iterations\": [")
 	for i := range iters {
-		it := &iters[i]
+		b = b[:0]
 		if i > 0 {
-			b.WriteByte(',')
+			b = append(b, ',')
 		}
-		fmt.Fprintf(&b, "\n{\"iter\": %d, \"start_ns\": %d, \"end_ns\": %d, \"comm_s\": %s, \"baseline_s\": %s, \"delta_frac\": %s, \"regressed\": %t, \"reroutes\": %d, \"causes\": [",
-			it.Iter, int64(it.Start), int64(it.End), g(it.CommS), g(it.BaselineS),
-			g(it.DeltaFrac), it.Regressed, it.Reroutes)
-		for j, id := range it.Causes {
-			if j > 0 {
-				b.WriteString(", ")
-			}
-			b.WriteString(strconv.Itoa(id))
-		}
-		b.WriteString("]}")
+		b = appendIterationJSON(b, &iters[i])
+		bw.Write(b)
 	}
 	s := Summarize(incs, iters)
-	fmt.Fprintf(&b, "\n],\n\"summary\": {\"incidents\": %d, \"open\": %d, \"flap_storm\": %d, \"stall\": %d, \"polarization\": %d, \"degraded_throughput\": %d, \"iterations\": %d, \"regressed\": %d, \"attributed\": %d}\n}\n",
-		s.Incidents, s.Open, s.Flap, s.Stall, s.Polarization, s.Throughput,
-		s.Iterations, s.Regressed, s.Attributed)
-	_, err := io.WriteString(w, b.String())
-	return err
+	b = append(b[:0], "\n],\n\"summary\": {"...)
+	for i, v := range [...]int{s.Incidents, s.Open, s.Flap, s.Stall, s.Polarization, s.Throughput, s.Iterations, s.Regressed, s.Attributed} {
+		if i > 0 {
+			b = append(b, ", "...)
+		}
+		b = append(b, '"')
+		b = append(b, summaryKeys[i]...)
+		b = append(b, "\": "...)
+		b = strconv.AppendInt(b, int64(v), 10)
+	}
+	bw.Write(append(b, "}\n}\n"...))
+	return bw.Flush()
 }
 
-// jsonString quotes s as a JSON string (ASCII-safe escaping).
-func jsonString(s string) string {
-	var b strings.Builder
-	b.WriteByte('"')
-	for i := 0; i < len(s); i++ {
-		c := s[i]
-		switch {
-		case c == '"' || c == '\\':
-			b.WriteByte('\\')
-			b.WriteByte(c)
-		case c < 0x20:
-			fmt.Fprintf(&b, "\\u%04x", c)
-		default:
-			b.WriteByte(c)
-		}
+// summaryKeys name the JSON summary block's fields, in order.
+var summaryKeys = [...]string{"incidents", "open", "flap_storm", "stall", "polarization", "degraded_throughput", "iterations", "regressed", "attributed"}
+
+func appendIncidentJSON(b []byte, inc *Incident) []byte {
+	end := int64(inc.End)
+	if inc.Open {
+		end = -1
 	}
-	b.WriteByte('"')
-	return b.String()
+	b = append(b, "\n{\"id\": "...)
+	b = strconv.AppendInt(b, int64(inc.ID), 10)
+	b = append(b, ", \"kind\": "...)
+	b = artifact.AppendJSONString(b, inc.Kind)
+	b = append(b, ", \"subject\": "...)
+	b = artifact.AppendJSONString(b, inc.Subject)
+	b = append(b, ", \"start_ns\": "...)
+	b = strconv.AppendInt(b, int64(inc.Start), 10)
+	b = append(b, ", \"end_ns\": "...)
+	b = strconv.AppendInt(b, end, 10)
+	b = append(b, ", \"open\": "...)
+	b = strconv.AppendBool(b, inc.Open)
+	b = append(b, ", \"events\": "...)
+	b = strconv.AppendInt(b, int64(inc.Events), 10)
+	b = append(b, ", \"peak\": "...)
+	b = artifact.AppendFloat(b, inc.Peak)
+	b = append(b, ", \"detail\": "...)
+	b = artifact.AppendJSONString(b, inc.Detail)
+	return append(b, '}')
+}
+
+func appendIterationJSON(b []byte, it *IterationReport) []byte {
+	b = append(b, "\n{\"iter\": "...)
+	b = strconv.AppendInt(b, int64(it.Iter), 10)
+	b = append(b, ", \"start_ns\": "...)
+	b = strconv.AppendInt(b, int64(it.Start), 10)
+	b = append(b, ", \"end_ns\": "...)
+	b = strconv.AppendInt(b, int64(it.End), 10)
+	b = append(b, ", \"comm_s\": "...)
+	b = artifact.AppendFloat(b, it.CommS)
+	b = append(b, ", \"baseline_s\": "...)
+	b = artifact.AppendFloat(b, it.BaselineS)
+	b = append(b, ", \"delta_frac\": "...)
+	b = artifact.AppendFloat(b, it.DeltaFrac)
+	b = append(b, ", \"regressed\": "...)
+	b = strconv.AppendBool(b, it.Regressed)
+	b = append(b, ", \"reroutes\": "...)
+	b = strconv.AppendInt(b, int64(it.Reroutes), 10)
+	b = append(b, ", \"causes\": ["...)
+	for j, id := range it.Causes {
+		if j > 0 {
+			b = append(b, ", "...)
+		}
+		b = strconv.AppendInt(b, int64(id), 10)
+	}
+	return append(b, "]}"...)
 }
 
 // Summary aggregates a timeline into the verdict hpndoctor prints and

@@ -115,19 +115,22 @@ func (r *IterationReport) Verdict(incs []Incident) string {
 	return b.String()
 }
 
-// causesString joins cause IDs as "1+3" ("-" when empty) for the TSV.
-func causesString(causes []int) string {
+// appendCauses appends cause IDs joined as "1+3" ("-" when empty), the
+// TSV's causes column.
+func appendCauses(b []byte, causes []int) []byte {
 	if len(causes) == 0 {
-		return "-"
+		return append(b, '-')
 	}
-	parts := make([]string, len(causes))
 	for i, id := range causes {
-		parts[i] = strconv.Itoa(id)
+		if i > 0 {
+			b = append(b, '+')
+		}
+		b = strconv.AppendInt(b, int64(id), 10)
 	}
-	return strings.Join(parts, "+")
+	return b
 }
 
-// parseCauses inverts causesString.
+// parseCauses inverts appendCauses.
 func parseCauses(s string) ([]int, error) {
 	if s == "-" || s == "" {
 		return nil, nil

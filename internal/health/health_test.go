@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"reflect"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -356,9 +357,9 @@ func TestTimelineMergeOrder(t *testing.T) {
 	order := make([]string, len(rows))
 	for i, r := range rows {
 		if r.inc != nil {
-			order[i] = "inc" + causesString([]int{r.inc.ID})
+			order[i] = "inc" + strconv.Itoa(r.inc.ID)
 		} else {
-			order[i] = "iter" + causesString([]int{r.iter.Iter})
+			order[i] = "iter" + strconv.Itoa(r.iter.Iter)
 		}
 	}
 	want := []string{"iter1", "inc2", "iter2", "inc1"}

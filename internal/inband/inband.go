@@ -22,6 +22,7 @@ import (
 	"strconv"
 	"strings"
 
+	"hpn/internal/artifact"
 	"hpn/internal/route"
 	"hpn/internal/topo"
 )
@@ -93,7 +94,13 @@ type Collector struct {
 	max     int
 	recs    []Record
 	dropped int
+
+	// labels holds each link's Name and Tier, built the first time the
+	// link is flushed, so every later record shares those two strings.
+	labels []linkLabel
 }
+
+type linkLabel struct{ name, tier string }
 
 // NewCollector returns a collector over top retaining at most max records
 // (0 = unbounded).
@@ -118,13 +125,12 @@ func (c *Collector) FlushFlow(flowID int64, epoch int, tuple uint64, enterNS, ex
 			c.dropped += len(hops) - i
 			break
 		}
-		l := c.top.Link(h.Link)
-		from, to := c.top.Node(l.From), c.top.Node(l.To)
+		lb := c.label(h.Link)
 		r := Record{
 			Flow: flowID, Epoch: epoch, Seq: i, Tuple: tuple,
 			Link:    int(h.Link),
-			Name:    from.Name + ">" + to.Name,
-			Tier:    from.Kind.String() + "-" + to.Kind.String(),
+			Name:    lb.name,
+			Tier:    lb.tier,
 			EnterNS: enterNS, ExitNS: exitNS,
 			Hashed: h.Hashed, Seed: h.Seed,
 			Group: h.Group, Bucket: h.Bucket,
@@ -141,53 +147,138 @@ func (c *Collector) FlushFlow(flowID int64, epoch int, tuple uint64, enterNS, ex
 	}
 }
 
+// label returns the link's interned Name and Tier. A hashing node's name
+// needs no such table: the topology already holds it as one string.
+func (c *Collector) label(id topo.LinkID) linkLabel {
+	if c.labels == nil {
+		c.labels = make([]linkLabel, len(c.top.Links))
+	}
+	lb := &c.labels[id]
+	if lb.name == "" {
+		l := c.top.Link(id)
+		from, to := c.top.Node(l.From), c.top.Node(l.To)
+		lb.name = from.Name + ">" + to.Name
+		lb.tier = from.Kind.String() + "-" + to.Kind.String()
+	}
+	return *lb
+}
+
 // tsvHeader is the artifact schema, documented in README.md. Field order
 // is part of the determinism contract.
 const tsvHeader = "flow\tepoch\tseq\tlink\tname\ttier\tenter_ns\texit_ns\tbits\tqueue_bytesec\thashed\tnode\tseed\tgroup\tbucket\tperport\tfallback\tdown\ttuple\n"
 
-// WriteTSV dumps every retained record as the per-hop TSV artifact.
+// WriteTSV streams every retained record as the per-hop TSV artifact.
 func (c *Collector) WriteTSV(w io.Writer) error {
-	var b strings.Builder
-	b.WriteString(tsvHeader)
+	bw := artifact.NewWriter(w)
+	bw.WriteString(tsvHeader)
+	var row []byte
 	for i := range c.recs {
-		appendTSV(&b, &c.recs[i])
+		row = appendTSV(row[:0], &c.recs[i])
+		bw.Write(row)
 	}
-	_, err := io.WriteString(w, b.String())
-	return err
+	return bw.Flush()
 }
 
-func appendTSV(b *strings.Builder, r *Record) {
-	fmt.Fprintf(b, "%d\t%d\t%d\t%d\t%s\t%s\t%d\t%d\t%s\t%s\t%v\t%s\t%d\t%d\t%d\t%v\t%v\t%v\t%d\n",
-		r.Flow, r.Epoch, r.Seq, r.Link, r.Name, r.Tier, r.EnterNS, r.ExitNS,
-		strconv.FormatFloat(r.Bits, 'g', -1, 64),
-		strconv.FormatFloat(r.QueueByteS, 'g', -1, 64),
-		r.Hashed, r.Node, r.Seed, r.Group, r.Bucket, r.PerPort, r.Fallback, r.Down, r.Tuple)
+func appendTSV(b []byte, r *Record) []byte {
+	b = strconv.AppendInt(b, r.Flow, 10)
+	b = append(b, '\t')
+	b = strconv.AppendInt(b, int64(r.Epoch), 10)
+	b = append(b, '\t')
+	b = strconv.AppendInt(b, int64(r.Seq), 10)
+	b = append(b, '\t')
+	b = strconv.AppendInt(b, int64(r.Link), 10)
+	b = append(b, '\t')
+	b = append(b, r.Name...)
+	b = append(b, '\t')
+	b = append(b, r.Tier...)
+	b = append(b, '\t')
+	b = strconv.AppendInt(b, r.EnterNS, 10)
+	b = append(b, '\t')
+	b = strconv.AppendInt(b, r.ExitNS, 10)
+	b = append(b, '\t')
+	b = artifact.AppendFloat(b, r.Bits)
+	b = append(b, '\t')
+	b = artifact.AppendFloat(b, r.QueueByteS)
+	b = append(b, '\t')
+	b = strconv.AppendBool(b, r.Hashed)
+	b = append(b, '\t')
+	b = append(b, r.Node...)
+	b = append(b, '\t')
+	b = strconv.AppendUint(b, r.Seed, 10)
+	b = append(b, '\t')
+	b = strconv.AppendInt(b, int64(r.Group), 10)
+	b = append(b, '\t')
+	b = strconv.AppendInt(b, int64(r.Bucket), 10)
+	b = append(b, '\t')
+	b = strconv.AppendBool(b, r.PerPort)
+	b = append(b, '\t')
+	b = strconv.AppendBool(b, r.Fallback)
+	b = append(b, '\t')
+	b = strconv.AppendBool(b, r.Down)
+	b = append(b, '\t')
+	b = strconv.AppendUint(b, r.Tuple, 10)
+	return append(b, '\n')
 }
 
-// WriteJSON dumps the records as a JSON array, hand-rendered with a fixed
-// field order and 'g'-format floats so the bytes are deterministic and
-// diffable across same-seed runs.
+// WriteJSON streams the records as a JSON array, hand-rendered with a
+// fixed field order, Go-quoted strings and 'g'-format floats so the bytes
+// are deterministic and diffable across same-seed runs.
 func (c *Collector) WriteJSON(w io.Writer) error {
-	var b strings.Builder
-	b.WriteString("[\n")
+	bw := artifact.NewWriter(w)
+	bw.WriteString("[\n")
+	var row []byte
 	for i := range c.recs {
-		r := &c.recs[i]
-		fmt.Fprintf(&b, `{"flow":%d,"epoch":%d,"seq":%d,"link":%d,"name":%q,"tier":%q,`+
-			`"enter_ns":%d,"exit_ns":%d,"bits":%s,"queue_bytesec":%s,`+
-			`"hashed":%v,"node":%q,"seed":%d,"group":%d,"bucket":%d,"perport":%v,"fallback":%v,"down":%v,"tuple":%d}`,
-			r.Flow, r.Epoch, r.Seq, r.Link, r.Name, r.Tier,
-			r.EnterNS, r.ExitNS,
-			strconv.FormatFloat(r.Bits, 'g', -1, 64),
-			strconv.FormatFloat(r.QueueByteS, 'g', -1, 64),
-			r.Hashed, r.Node, r.Seed, r.Group, r.Bucket, r.PerPort, r.Fallback, r.Down, r.Tuple)
+		row = appendJSON(row[:0], &c.recs[i])
 		if i+1 < len(c.recs) {
-			b.WriteByte(',')
+			row = append(row, ',')
 		}
-		b.WriteByte('\n')
+		row = append(row, '\n')
+		bw.Write(row)
 	}
-	b.WriteString("]\n")
-	_, err := io.WriteString(w, b.String())
-	return err
+	bw.WriteString("]\n")
+	return bw.Flush()
+}
+
+func appendJSON(b []byte, r *Record) []byte {
+	b = append(b, `{"flow":`...)
+	b = strconv.AppendInt(b, r.Flow, 10)
+	b = append(b, `,"epoch":`...)
+	b = strconv.AppendInt(b, int64(r.Epoch), 10)
+	b = append(b, `,"seq":`...)
+	b = strconv.AppendInt(b, int64(r.Seq), 10)
+	b = append(b, `,"link":`...)
+	b = strconv.AppendInt(b, int64(r.Link), 10)
+	b = append(b, `,"name":`...)
+	b = artifact.AppendQuote(b, r.Name)
+	b = append(b, `,"tier":`...)
+	b = artifact.AppendQuote(b, r.Tier)
+	b = append(b, `,"enter_ns":`...)
+	b = strconv.AppendInt(b, r.EnterNS, 10)
+	b = append(b, `,"exit_ns":`...)
+	b = strconv.AppendInt(b, r.ExitNS, 10)
+	b = append(b, `,"bits":`...)
+	b = artifact.AppendFloat(b, r.Bits)
+	b = append(b, `,"queue_bytesec":`...)
+	b = artifact.AppendFloat(b, r.QueueByteS)
+	b = append(b, `,"hashed":`...)
+	b = strconv.AppendBool(b, r.Hashed)
+	b = append(b, `,"node":`...)
+	b = artifact.AppendQuote(b, r.Node)
+	b = append(b, `,"seed":`...)
+	b = strconv.AppendUint(b, r.Seed, 10)
+	b = append(b, `,"group":`...)
+	b = strconv.AppendInt(b, int64(r.Group), 10)
+	b = append(b, `,"bucket":`...)
+	b = strconv.AppendInt(b, int64(r.Bucket), 10)
+	b = append(b, `,"perport":`...)
+	b = strconv.AppendBool(b, r.PerPort)
+	b = append(b, `,"fallback":`...)
+	b = strconv.AppendBool(b, r.Fallback)
+	b = append(b, `,"down":`...)
+	b = strconv.AppendBool(b, r.Down)
+	b = append(b, `,"tuple":`...)
+	b = strconv.AppendUint(b, r.Tuple, 10)
+	return append(b, '}')
 }
 
 // ParseTSV reads records back from the TSV artifact — the ingestion side

@@ -1,10 +1,10 @@
 package netsim
 
 import (
-	"fmt"
 	"io"
-	"strings"
+	"strconv"
 
+	"hpn/internal/artifact"
 	"hpn/internal/sim"
 )
 
@@ -88,15 +88,44 @@ func (s *Sim) FlowLog() []FlowRecord {
 	return s.flowLog.recs
 }
 
-// WriteFlowLog dumps the log as a TSV for offline analysis.
+// WriteFlowLog streams the log as a TSV for offline analysis.
 func (s *Sim) WriteFlowLog(w io.Writer) error {
-	var b strings.Builder
-	b.WriteString("id\tsrc\tdst\tport\tbytes\tstart_s\tend_s\tgbps\thops\tagg\tcore\n")
-	for _, r := range s.FlowLog() {
-		fmt.Fprintf(&b, "%d\t%d:%d\t%d:%d\t%d\t%.0f\t%.6f\t%.6f\t%.2f\t%d\t%v\t%v\n",
-			r.ID, r.SrcHost, r.SrcNIC, r.DstHost, r.DstNIC, r.Port, r.Bytes,
-			r.Start.Seconds(), r.End.Seconds(), r.Gbps(), r.Hops, r.CrossedAgg, r.CrossedCor)
+	bw := artifact.NewWriter(w)
+	bw.WriteString("id\tsrc\tdst\tport\tbytes\tstart_s\tend_s\tgbps\thops\tagg\tcore\n")
+	var b []byte
+	recs := s.FlowLog()
+	for i := range recs {
+		b = appendFlowRecord(b[:0], &recs[i])
+		bw.Write(b)
 	}
-	_, err := io.WriteString(w, b.String())
-	return err
+	return bw.Flush()
+}
+
+func appendFlowRecord(b []byte, r *FlowRecord) []byte {
+	b = strconv.AppendInt(b, r.ID, 10)
+	b = append(b, '\t')
+	b = strconv.AppendInt(b, int64(r.SrcHost), 10)
+	b = append(b, ':')
+	b = strconv.AppendInt(b, int64(r.SrcNIC), 10)
+	b = append(b, '\t')
+	b = strconv.AppendInt(b, int64(r.DstHost), 10)
+	b = append(b, ':')
+	b = strconv.AppendInt(b, int64(r.DstNIC), 10)
+	b = append(b, '\t')
+	b = strconv.AppendInt(b, int64(r.Port), 10)
+	b = append(b, '\t')
+	b = strconv.AppendFloat(b, r.Bytes, 'f', 0, 64)
+	b = append(b, '\t')
+	b = strconv.AppendFloat(b, r.Start.Seconds(), 'f', 6, 64)
+	b = append(b, '\t')
+	b = strconv.AppendFloat(b, r.End.Seconds(), 'f', 6, 64)
+	b = append(b, '\t')
+	b = strconv.AppendFloat(b, r.Gbps(), 'f', 2, 64)
+	b = append(b, '\t')
+	b = strconv.AppendInt(b, int64(r.Hops), 10)
+	b = append(b, '\t')
+	b = strconv.AppendBool(b, r.CrossedAgg)
+	b = append(b, '\t')
+	b = strconv.AppendBool(b, r.CrossedCor)
+	return append(b, '\n')
 }

@@ -3,10 +3,12 @@ package telemetry
 import (
 	"fmt"
 	"io"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
+
+	"hpn/internal/artifact"
 )
 
 // Counter is a named monotonic counter registered in a Registry. All
@@ -140,70 +142,96 @@ func (r *Registry) Export(name string, w io.Writer) error {
 type metricRow struct {
 	name, help, typ string
 	v               float64
+	g               *gauge // set on gauge rows until their value is read
 }
+
+func byName(a, b metricRow) int { return strings.Compare(a.name, b.name) }
 
 // snapshot resolves every counter and gauge to a sorted row list.
 func (r *Registry) snapshot() []metricRow {
 	r.mu.Lock()
 	rows := make([]metricRow, 0, len(r.counters)+len(r.gauges))
-	gauges := make(map[string]*gauge, len(r.gauges))
-	for n, g := range r.gauges {
-		gauges[n] = g
-	}
 	for n, c := range r.counters {
 		rows = append(rows, metricRow{name: n, help: c.help, typ: "counter", v: c.Value()})
 	}
-	r.mu.Unlock()
-	// Gauge callbacks run outside the registry lock: they read simulator
-	// state and must not deadlock against registration.
-	for n, g := range gauges {
-		rows = append(rows, metricRow{name: n, help: g.help, typ: "gauge", v: g.fn()})
+	for n, g := range r.gauges {
+		rows = append(rows, metricRow{name: n, help: g.help, typ: "gauge", g: g})
 	}
-	sort.Slice(rows, func(i, j int) bool { return rows[i].name < rows[j].name })
+	r.mu.Unlock()
+	slices.SortFunc(rows, byName)
+	// Gauge callbacks run outside the registry lock, in name order: they
+	// read simulator state and must not deadlock against registration.
+	for i := range rows {
+		if g := rows[i].g; g != nil {
+			rows[i].v = g.fn()
+		}
+	}
 	return rows
 }
 
-// WritePrometheus renders every counter, gauge and histogram in the
+// WritePrometheus streams every counter, gauge and histogram in the
 // Prometheus text exposition format, sorted by name for deterministic
 // output.
 func (r *Registry) WritePrometheus(w io.Writer) error {
 	if r == nil {
 		return nil
 	}
-	var b strings.Builder
+	bw := artifact.NewWriter(w)
+	var b []byte
 	for _, row := range r.snapshot() {
-		name := SanitizeMetricName(row.name)
-		if row.help != "" {
-			fmt.Fprintf(&b, "# HELP %s %s\n", name, row.help)
-		}
-		fmt.Fprintf(&b, "# TYPE %s %s\n", name, row.typ)
-		b.WriteString(name)
-		b.WriteByte(' ')
-		b.WriteString(strconv.FormatFloat(row.v, 'g', -1, 64))
-		b.WriteByte('\n')
+		b = appendPromHeader(b[:0], row.name, row.help, row.typ)
+		b = appendSanitized(b, row.name)
+		b = append(b, ' ')
+		b = artifact.AppendFloat(b, row.v)
+		bw.Write(append(b, '\n'))
 	}
 	for _, h := range r.histSnapshot() {
 		bounds, counts, sum, n := h.snapshot()
-		name := SanitizeMetricName(h.name)
-		if h.help != "" {
-			fmt.Fprintf(&b, "# HELP %s %s\n", name, h.help)
-		}
-		fmt.Fprintf(&b, "# TYPE %s histogram\n", name)
+		b = appendPromHeader(b[:0], h.name, h.help, "histogram")
 		cum := uint64(0)
 		for i, bound := range bounds {
 			cum += counts[i]
-			fmt.Fprintf(&b, "%s_bucket{le=%q} %d\n", name,
-				strconv.FormatFloat(bound, 'g', -1, 64), cum)
+			b = appendSanitized(b, h.name)
+			b = append(b, `_bucket{le="`...)
+			b = artifact.AppendFloat(b, bound)
+			b = append(b, `"} `...)
+			b = strconv.AppendUint(b, cum, 10)
+			b = append(b, '\n')
 		}
-		fmt.Fprintf(&b, "%s_bucket{le=\"+Inf\"} %d\n", name, n)
-		fmt.Fprintf(&b, "%s_sum %s\n", name, strconv.FormatFloat(sum, 'g', -1, 64))
-		fmt.Fprintf(&b, "%s_count %d\n", name, n)
+		b = appendSanitized(b, h.name)
+		b = append(b, `_bucket{le="+Inf"} `...)
+		b = strconv.AppendUint(b, n, 10)
+		b = append(b, '\n')
+		b = appendSanitized(b, h.name)
+		b = append(b, "_sum "...)
+		b = artifact.AppendFloat(b, sum)
+		b = append(b, '\n')
+		b = appendSanitized(b, h.name)
+		b = append(b, "_count "...)
+		b = strconv.AppendUint(b, n, 10)
+		bw.Write(append(b, '\n'))
 	}
-	_, err := io.WriteString(w, b.String())
-	return err
+	return bw.Flush()
 }
 
-// WriteJSON renders every counter, gauge and (flattened) histogram as one
+// appendPromHeader appends a metric's "# HELP" line (when it has help text)
+// and its "# TYPE" line.
+func appendPromHeader(b []byte, name, help, typ string) []byte {
+	if help != "" {
+		b = append(b, "# HELP "...)
+		b = appendSanitized(b, name)
+		b = append(b, ' ')
+		b = append(b, help...)
+		b = append(b, '\n')
+	}
+	b = append(b, "# TYPE "...)
+	b = appendSanitized(b, name)
+	b = append(b, ' ')
+	b = append(b, typ...)
+	return append(b, '\n')
+}
+
+// WriteJSON streams every counter, gauge and (flattened) histogram as one
 // sorted JSON object keyed by metric name. Histograms flatten to
 // `name_bucket_le_<bound>` cumulative counts plus `name_sum`/`name_count`
 // so the object stays a flat name->number map (consumers like hpnbench's
@@ -212,38 +240,41 @@ func (r *Registry) WriteJSON(w io.Writer) error {
 	if r == nil {
 		return nil
 	}
-	var b strings.Builder
-	b.WriteString("{\n")
+	bw := artifact.NewWriter(w)
+	bw.WriteString("{\n")
 	rows := append(r.snapshot(), r.histRows()...)
-	sort.Slice(rows, func(i, j int) bool { return rows[i].name < rows[j].name })
+	slices.SortFunc(rows, byName)
+	var b []byte
 	for i, row := range rows {
-		b.Write(appendQuoted(nil, row.name))
-		b.WriteString(": ")
-		b.WriteString(strconv.FormatFloat(row.v, 'g', -1, 64))
+		b = artifact.AppendJSONString(b[:0], row.name)
+		b = append(b, ": "...)
+		b = artifact.AppendFloat(b, row.v)
 		if i+1 < len(rows) {
-			b.WriteByte(',')
+			b = append(b, ',')
 		}
-		b.WriteByte('\n')
+		bw.Write(append(b, '\n'))
 	}
-	b.WriteString("}\n")
-	_, err := io.WriteString(w, b.String())
-	return err
+	bw.WriteString("}\n")
+	return bw.Flush()
 }
 
 // SanitizeMetricName maps an internal metric name onto the Prometheus
 // charset [a-zA-Z0-9_:]; everything else becomes '_'.
 func SanitizeMetricName(name string) string {
-	var b strings.Builder
+	return string(appendSanitized(nil, name))
+}
+
+// appendSanitized appends SanitizeMetricName(name) to b.
+func appendSanitized(b []byte, name string) []byte {
 	for i := 0; i < len(name); i++ {
 		c := name[i]
 		ok := c == '_' || c == ':' ||
 			(c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') ||
 			(c >= '0' && c <= '9' && i > 0)
-		if ok {
-			b.WriteByte(c)
-		} else {
-			b.WriteByte('_')
+		if !ok {
+			c = '_'
 		}
+		b = append(b, c)
 	}
-	return b.String()
+	return b
 }

@@ -1,12 +1,10 @@
 package telemetry
 
 import (
-	"fmt"
 	"io"
-	"strconv"
-	"strings"
 	"sync"
 
+	"hpn/internal/artifact"
 	"hpn/internal/metrics"
 )
 
@@ -102,19 +100,22 @@ func (s *Sampler) Series() []*metrics.Series {
 	return out
 }
 
-// WriteCSV dumps every retained sample in long form (series,t,value), the
-// format the repo's CSV tooling already consumes.
+// WriteCSV streams every retained sample in long form (series,t,value),
+// the format the repo's CSV tooling already consumes.
 func (s *Sampler) WriteCSV(w io.Writer) error {
-	var b strings.Builder
-	b.WriteString("series,t_seconds,value\n")
+	bw := artifact.NewWriter(w)
+	bw.WriteString("series,t_seconds,value\n")
+	var b []byte
 	for _, p := range s.Probes() {
 		for i := 0; i < p.Ring.Len(); i++ {
 			pt := p.Ring.At(i)
-			fmt.Fprintf(&b, "%s,%s,%s\n", p.Name,
-				strconv.FormatFloat(pt.T, 'g', -1, 64),
-				strconv.FormatFloat(pt.V, 'g', -1, 64))
+			b = append(b[:0], p.Name...)
+			b = append(b, ',')
+			b = artifact.AppendFloat(b, pt.T)
+			b = append(b, ',')
+			b = artifact.AppendFloat(b, pt.V)
+			bw.Write(append(b, '\n'))
 		}
 	}
-	_, err := io.WriteString(w, b.String())
-	return err
+	return bw.Flush()
 }

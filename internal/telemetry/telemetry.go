@@ -212,12 +212,11 @@ func (h *Hub) WriteArtifacts(dir string) ([]string, error) {
 		tk := ph.Begin()
 		err = h.Registry.Export(name, f)
 		ph.End(tk)
-		if err != nil {
-			f.Close()
-			return paths, fmt.Errorf("telemetry: exporting %s: %w", name, err)
+		if cerr := f.Close(); err == nil {
+			err = cerr
 		}
-		if err := f.Close(); err != nil {
-			return paths, err
+		if err != nil {
+			return paths, fmt.Errorf("telemetry: exporting %s: %w", name, err)
 		}
 		paths = append(paths, path)
 	}

@@ -18,6 +18,8 @@ import (
 	"io"
 	"strconv"
 	"sync"
+
+	"hpn/internal/artifact"
 )
 
 // Thread IDs partition trace events by emitting layer. Collective groups
@@ -40,14 +42,71 @@ type Arg struct {
 	V any
 }
 
-// traceCore is the buffer shared by every per-process Tracer view.
+// Trace storage is a list of chunks. The first holds firstChunk bytes and
+// each next one twice its predecessor, up to chunkSize: a short trace holds
+// little memory, a long one grows without ever moving a written byte.
+const (
+	firstChunk = 4 << 10
+	chunkSize  = 1 << 20
+)
+
+// traceCore is the storage shared by every per-process Tracer view.
 type traceCore struct {
-	mu      sync.Mutex
-	buf     []byte
+	mu sync.Mutex
+	// chunks hold the rendered records, separated by ",\n", in emission
+	// order; every chunk but the last is full. A record may span two.
+	chunks  [][]byte
+	rec     []byte // the record being rendered, reused
 	events  int
 	max     int // 0 = unbounded
 	dropped int
 	nextPid int
+}
+
+// put appends p to the chunks. Callers hold the lock.
+func (c *traceCore) put(p []byte) {
+	for len(p) > 0 {
+		n := len(c.chunks)
+		if n == 0 || len(c.chunks[n-1]) == cap(c.chunks[n-1]) {
+			size := firstChunk
+			if n > 0 {
+				size = min(2*cap(c.chunks[n-1]), chunkSize)
+			}
+			c.chunks = append(c.chunks, make([]byte, 0, size))
+			n++
+		}
+		cur := c.chunks[n-1]
+		k := min(len(p), cap(cur)-len(cur))
+		c.chunks[n-1] = append(cur, p[:k]...)
+		p = p[k:]
+	}
+}
+
+// start returns the reused record buffer, holding the record separator
+// unless this is the first record. Callers hold the lock.
+func (c *traceCore) start() []byte {
+	b := c.rec[:0]
+	if len(c.chunks) > 0 {
+		b = append(b, ',', '\n')
+	}
+	return b
+}
+
+// commit stores the record rendered into b. Callers hold the lock.
+func (c *traceCore) commit(b []byte) {
+	c.rec = b
+	c.put(b)
+	c.events++
+}
+
+// full reports whether the event cap is reached, counting the event that
+// hit it as dropped. Callers hold the lock.
+func (c *traceCore) full() bool {
+	if c.max > 0 && c.events >= c.max {
+		c.dropped++
+		return true
+	}
+	return false
 }
 
 // Tracer records trace events for one process (pid) of the trace. Views
@@ -112,12 +171,26 @@ func (t *Tracer) Instant(tsNS int64, cat, name string, tid int, args ...Arg) {
 }
 
 // Counter records a counter ("C") sample, rendered as a value track.
-// Nil-safe.
+// Without a capture hook the value is rendered directly, with no Arg list
+// built for it. Nil-safe.
 func (t *Tracer) Counter(tsNS int64, name string, v float64) {
 	if t == nil {
 		return
 	}
-	t.emit('C', tsNS, -1, "", name, 0, []Arg{{K: "value", V: v}})
+	if t.hook != nil {
+		t.emit('C', tsNS, -1, "", name, 0, []Arg{{K: "value", V: v}})
+		return
+	}
+	c := t.core
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.full() {
+		return
+	}
+	b := t.head('C', tsNS, -1, "", name, 0)
+	b = append(b, `,"args":{"value":`...)
+	b = strconv.AppendFloat(b, v, 'g', -1, 64)
+	c.commit(append(b, "}}"...))
 }
 
 // NameProcess emits the process_name metadata record for this view's pid.
@@ -157,22 +230,28 @@ func (t *Tracer) Dropped() int {
 	return t.core.dropped
 }
 
-// WriteTo serializes the whole trace as a Chrome trace-event JSON object.
-// On a nil tracer it writes an empty (still valid) trace.
+// The Chrome trace-event JSON object around the stored records.
+var (
+	traceHead = []byte(`{"displayTimeUnit":"ns","traceEvents":[` + "\n")
+	traceTail = []byte("\n]}\n")
+)
+
+// WriteTo serializes the whole trace as a Chrome trace-event JSON object,
+// writing the stored chunks in place. On a nil tracer it writes an empty
+// (still valid) trace.
 func (t *Tracer) WriteTo(w io.Writer) (int64, error) {
-	var body []byte
+	parts := [][]byte{traceHead}
 	if t != nil {
+		// Only the chunk headers are copied: written bytes never move, and
+		// later records land past the lengths copied here.
 		t.core.mu.Lock()
-		body = append([]byte(nil), t.core.buf...)
+		parts = append(parts, t.core.chunks...)
 		t.core.mu.Unlock()
 	}
+	parts = append(parts, traceTail)
 	var total int64
-	for _, chunk := range [][]byte{
-		[]byte(`{"displayTimeUnit":"ns","traceEvents":[` + "\n"),
-		body,
-		[]byte("\n]}\n"),
-	} {
-		n, err := w.Write(chunk)
+	for _, p := range parts {
+		n, err := w.Write(p)
 		total += int64(n)
 		if err != nil {
 			return total, err
@@ -203,20 +282,21 @@ func (t *Tracer) Emit(ph byte, tsNS, durNS int64, cat, name string, tid int, arg
 
 // meta emits a metadata ("M") record; tid < 0 omits the tid field.
 func (t *Tracer) meta(kind string, tid int, name string) {
-	t.core.mu.Lock()
-	defer t.core.mu.Unlock()
-	b := t.sep()
-	b = append(b, `{"name":"`+kind+`","ph":"M","pid":`...)
+	c := t.core
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	b := c.start()
+	b = append(b, `{"name":"`...)
+	b = append(b, kind...)
+	b = append(b, `","ph":"M","pid":`...)
 	b = strconv.AppendInt(b, int64(t.pid), 10)
 	if tid >= 0 {
 		b = append(b, `,"tid":`...)
 		b = strconv.AppendInt(b, int64(tid), 10)
 	}
 	b = append(b, `,"args":{"name":`...)
-	b = appendQuoted(b, name)
-	b = append(b, "}}"...)
-	t.core.buf = b
-	t.core.events++
+	b = artifact.AppendJSONString(b, name)
+	c.commit(append(b, "}}"...))
 }
 
 // emit routes one live event through the capture hook (if any) and into
@@ -228,22 +308,40 @@ func (t *Tracer) emit(ph byte, tsNS, durNS int64, cat, name string, tid int, arg
 	t.record(ph, tsNS, durNS, cat, name, tid, args)
 }
 
-// record appends one event record under the core lock. durNS < 0 omits the
-// "dur" field (instants, counters).
+// record appends one event record under the core lock.
 func (t *Tracer) record(ph byte, tsNS, durNS int64, cat, name string, tid int, args []Arg) {
 	c := t.core
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.max > 0 && c.events >= c.max {
-		c.dropped++
+	if c.full() {
 		return
 	}
-	b := t.sep()
+	b := t.head(ph, tsNS, durNS, cat, name, tid)
+	if len(args) > 0 {
+		b = append(b, `,"args":{`...)
+		for i, a := range args {
+			if i > 0 {
+				b = append(b, ',')
+			}
+			b = artifact.AppendJSONString(b, a.K)
+			b = append(b, ':')
+			b = appendValue(b, a.V)
+		}
+		b = append(b, '}')
+	}
+	c.commit(append(b, '}'))
+}
+
+// head renders an event record up to, not including, its args and closing
+// brace, into the core's record buffer. durNS < 0 omits the "dur" field
+// (instants, counters). Callers hold the core lock.
+func (t *Tracer) head(ph byte, tsNS, durNS int64, cat, name string, tid int) []byte {
+	b := t.core.start()
 	b = append(b, `{"name":`...)
-	b = appendQuoted(b, name)
+	b = artifact.AppendJSONString(b, name)
 	if cat != "" {
 		b = append(b, `,"cat":`...)
-		b = appendQuoted(b, cat)
+		b = artifact.AppendJSONString(b, cat)
 	}
 	b = append(b, `,"ph":"`...)
 	b = append(b, ph, '"')
@@ -259,30 +357,6 @@ func (t *Tracer) record(ph byte, tsNS, durNS int64, cat, name string, tid int, a
 	b = strconv.AppendInt(b, int64(tid), 10)
 	if ph == 'i' {
 		b = append(b, `,"s":"t"`...) // thread-scoped instant
-	}
-	if len(args) > 0 {
-		b = append(b, `,"args":{`...)
-		for i, a := range args {
-			if i > 0 {
-				b = append(b, ',')
-			}
-			b = appendQuoted(b, a.K)
-			b = append(b, ':')
-			b = appendValue(b, a.V)
-		}
-		b = append(b, '}')
-	}
-	b = append(b, '}')
-	c.buf = b
-	c.events++
-}
-
-// sep returns the buffer with a record separator appended if needed.
-// Callers must hold the core lock.
-func (t *Tracer) sep() []byte {
-	b := t.core.buf
-	if len(b) > 0 {
-		b = append(b, ',', '\n')
 	}
 	return b
 }
@@ -304,7 +378,7 @@ func appendMicros(b []byte, ns int64) []byte {
 func appendValue(b []byte, v any) []byte {
 	switch x := v.(type) {
 	case string:
-		return appendQuoted(b, x)
+		return artifact.AppendJSONString(b, x)
 	case bool:
 		return strconv.AppendBool(b, x)
 	case int:
@@ -316,24 +390,6 @@ func appendValue(b []byte, v any) []byte {
 	case float64:
 		return strconv.AppendFloat(b, x, 'g', -1, 64)
 	default:
-		return appendQuoted(b, fmt.Sprintf("%v", x))
+		return artifact.AppendJSONString(b, fmt.Sprintf("%v", x))
 	}
-}
-
-// appendQuoted writes s as a JSON string. Event names and args in this
-// codebase are ASCII; anything below 0x20 or quoting-sensitive is escaped.
-func appendQuoted(b []byte, s string) []byte {
-	b = append(b, '"')
-	for i := 0; i < len(s); i++ {
-		c := s[i]
-		switch {
-		case c == '"' || c == '\\':
-			b = append(b, '\\', c)
-		case c < 0x20:
-			b = append(b, []byte(fmt.Sprintf(`\u%04x`, c))...)
-		default:
-			b = append(b, c)
-		}
-	}
-	return append(b, '"')
 }
