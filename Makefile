@@ -1,13 +1,6 @@
 GO ?= go
 
-# bench-compare regression budget: flows/sec on this machine may fall this
-# fraction below the committed snapshot before the target fails. Generous by
-# default because committed baselines come from other hardware; tighten via
-# `make bench-compare BENCH_COMPARE_TOLERANCE=0.1` when comparing like for
-# like.
-BENCH_COMPARE_TOLERANCE ?= 0.5
-
-.PHONY: ci fmt vet lint lint-fix build test test-parallel fuzz-smoke perfbench-check bench bench-smoke bench-shards bench-compare prof-smoke
+.PHONY: ci fmt vet lint lint-fix build test test-parallel fuzz-smoke perfbench-check forensics-smoke prof-smoke
 
 # lint runtime budget: the interprocedural analysis (module load, summary
 # fixpoint, rules) must finish inside this wall-clock bound or the target
@@ -17,9 +10,10 @@ LINT_BUDGET ?= 10s
 # Full gate: formatting, go vet, build, hpnlint determinism/invariant rules,
 # tests under the race detector (a default pass and a GOMAXPROCS=4 pass), a
 # short fuzz of the artifact parsers, the perfbench module's vet and tests,
-# the bench/forensics smoke run, the self-profiler smoke run, and the perf
-# comparison against the last committed snapshot.
-ci: fmt vet build lint test test-parallel fuzz-smoke perfbench-check bench-smoke prof-smoke bench-shards bench-compare
+# the in-band forensics smoke run and the self-profiler smoke run. Perf
+# regressions are perfbench's job (perfbench/README.md); ci runs no
+# comparator of its own.
+ci: fmt vet build lint test test-parallel fuzz-smoke perfbench-check forensics-smoke prof-smoke
 
 fmt:
 	@out="$$(gofmt -l .)"; \
@@ -61,14 +55,15 @@ test-parallel:
 	GOMAXPROCS=4 $(GO) test -race -count=1 ./internal/netsim/...
 	GOMAXPROCS=4 $(GO) test -race -count=1 -run TestGoldenDeterminism .
 
-# Fuzz smoke: ~10s of native fuzzing for each artifact parser whose writer
-# streams rows (inband and health ParseTSV), seeded from the run artifacts
-# in their testdata/. A failing input is saved under testdata/fuzz/ to be
+# Fuzz smoke: ~10s of native fuzzing for each artifact parser (inband and
+# health ParseTSV, prof ParseProfile), seeded from the run artifacts in
+# their testdata/. A failing input is saved under testdata/fuzz/ to be
 # committed as a regression seed. Minimization is capped so a new
 # interesting input does not eat the budget.
 fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz='^FuzzParseTSV$$' -fuzztime=10s -fuzzminimizetime=100x -parallel=2 ./internal/inband
 	$(GO) test -run='^$$' -fuzz='^FuzzParseTSV$$' -fuzztime=10s -fuzzminimizetime=100x -parallel=2 ./internal/health
+	$(GO) test -run='^$$' -fuzz='^FuzzParseProfile$$' -fuzztime=10s -fuzzminimizetime=100x -parallel=2 ./internal/prof
 
 # perfbench is its own Go module, so the root `go vet ./...` and
 # `go test ./...` never compile it: an internal API change it depends on
@@ -77,34 +72,28 @@ fuzz-smoke:
 perfbench-check:
 	cd perfbench && $(GO) vet ./... && $(GO) test ./...
 
-bench:
-	$(GO) test -run=^$$ -bench=Telemetry -benchmem .
-
-# Smoke the perf-snapshot and in-band forensics pipeline end to end: one
-# quick experiment with in-band telemetry on, a BENCH_<stamp>.json snapshot,
-# then hpnview over the exported per-hop stream. Everything lands in a
-# throwaway directory; the run fails if any stage errors. hpnview exits 3
-# on a polarization verdict — a legitimate analysis outcome, not a failure,
-# so that exit is folded to success.
-bench-smoke:
+# Smoke the in-band forensics pipeline end to end: one quick experiment
+# with in-band telemetry on, then hpnview over the exported per-hop stream.
+# Everything lands in a throwaway directory; the run fails if any stage
+# errors. hpnview exits 3 on a polarization verdict — a legitimate analysis
+# outcome, not a failure, so that exit is folded to success.
+forensics-smoke:
 	@tmp=$$(mktemp -d); \
 	set -e; \
-	$(GO) run ./cmd/hpnbench -exp fig13 -scale quick -inband $$tmp/artifacts -benchout $$tmp >/dev/null; \
-	ls $$tmp/BENCH_*.json >/dev/null; \
+	$(GO) run ./cmd/hpnbench -exp fig13 -scale quick -inband $$tmp/artifacts >/dev/null; \
 	$(GO) run ./cmd/hpnview -in $$tmp/artifacts/inband.tsv -out $$tmp/forensics >/dev/null || [ $$? -eq 3 ]; \
 	ls $$tmp/forensics/heatmap.csv $$tmp/forensics/contended.tsv \
 	   $$tmp/forensics/imbalance.tsv $$tmp/forensics/polarization.tsv >/dev/null; \
 	rm -rf $$tmp; \
-	echo "bench-smoke: OK"
+	echo "forensics-smoke: OK"
 
 # Self-profiler smoke: one quick experiment with -prof on, then assert the
 # profiler artifacts landed, the core engine phases actually accumulated
 # (every emitted prof.tsv row must carry a nonzero count — zero-count
 # phases are omitted by contract, so a zero here means the export path
-# broke), and the hpnprof report/compare pipeline round-trips: a profile
-# compared against itself must exit 0. The in-band artifacts go to a
-# directory of their own, written before the profile's, so prof.tsv
-# carries their per-exporter artifact/<name> phases.
+# broke), and hpnprof renders the prof.json report. The in-band artifacts
+# go to a directory of their own, written before the profile's, so
+# prof.tsv carries their per-exporter artifact/<name> phases.
 prof-smoke:
 	@tmp=$$(mktemp -d); \
 	set -e; \
@@ -115,43 +104,5 @@ prof-smoke:
 		for (i=1; i<=n; i++) if (!seen[req[i]]) { print "prof-smoke: phase " req[i] " missing from prof.tsv"; bad=1 } exit bad }' \
 		$$tmp/artifacts/prof.tsv; \
 	$(GO) run ./cmd/hpnprof $$tmp/artifacts/prof.json >/dev/null; \
-	$(GO) run ./cmd/hpnprof -compare $$tmp/artifacts/prof.json $$tmp/artifacts/prof.json >/dev/null; \
 	rm -rf $$tmp; \
 	echo "prof-smoke: OK"
-
-# Sharded-engine perf gate: fig13 (single-pod — the sharded machinery must
-# cost it nothing) and multipod (the sharded scenario itself), each run
-# serially (-shards 1) and with parallel shard windows (-shards 0 =
-# NumCPU), the pairs compared with hpnbench's own comparator (flags
-# precede the positional snapshot paths). The multipod experiment
-# hard-gates bit-identical simulated results internally; this target
-# gates that fanning windows out never costs flows/sec. Speedup is a
-# host property (needs >= 4 cores) and is claimed by the experiment, not
-# asserted here.
-bench-shards:
-	@set -e; \
-	tmp=$$(mktemp -d); \
-	for exp in fig13 multipod; do \
-		$(GO) run ./cmd/hpnbench -exp $$exp -scale quick -shards 1 -benchout $$tmp/$$exp-serial >/dev/null; \
-		$(GO) run ./cmd/hpnbench -exp $$exp -scale quick -shards 0 -benchout $$tmp/$$exp-par >/dev/null; \
-		echo "bench-shards: $$exp serial vs parallel"; \
-		$(GO) run ./cmd/hpnbench -compare -tolerance $(BENCH_COMPARE_TOLERANCE) \
-			$$tmp/$$exp-serial/BENCH_*.json $$tmp/$$exp-par/BENCH_*.json; \
-	done; \
-	rm -rf $$tmp; \
-	echo "bench-shards: OK"
-
-# Perf regression gate: take a fresh quick fig13 snapshot and compare it
-# against the newest committed bench/BENCH_*.json with hpnbench's own
-# comparator (flags must precede the positional snapshot paths). Exits
-# nonzero when flows/sec drops by more than BENCH_COMPARE_TOLERANCE.
-bench-compare:
-	@tmp=$$(mktemp -d); \
-	set -e; \
-	base=$$(ls bench/BENCH_*.json | sort | tail -1); \
-	echo "bench-compare: baseline $$base"; \
-	$(GO) run ./cmd/hpnbench -exp fig13 -scale quick -benchout $$tmp >/dev/null; \
-	fresh=$$(ls $$tmp/BENCH_*.json); \
-	$(GO) run ./cmd/hpnbench -compare -tolerance $(BENCH_COMPARE_TOLERANCE) $$base $$fresh; \
-	rm -rf $$tmp; \
-	echo "bench-compare: OK"

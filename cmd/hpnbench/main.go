@@ -10,16 +10,13 @@
 //
 // Each experiment prints the rows/series the paper reports plus a
 // paper-vs-measured claim table; the exit status is non-zero if any claim
-// fails to hold.
+// fails to hold. Performance is measured by the perfbench module, not here.
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
-	"path/filepath"
-	"runtime"
 	"runtime/pprof"
 	"time"
 
@@ -27,37 +24,48 @@ import (
 )
 
 func main() {
+	os.Exit(run(os.Args[1:]))
+}
+
+// run is the whole command, returning the exit status instead of exiting
+// so the deferred CPU-profile flush runs on every path: 0 when every claim
+// holds, 1 on a failing claim or a write error, 2 on a usage error.
+func run(args []string) (code int) {
+	fs := flag.NewFlagSet("hpnbench", flag.ContinueOnError)
 	var (
-		exp      = flag.String("exp", "all", "experiment ID (see -list) or 'all'")
-		scale    = flag.String("scale", "quick", "quick | full")
-		list     = flag.Bool("list", false, "list experiments and exit")
-		csvDir   = flag.String("csv", "", "also dump recorded time series as CSV into this directory")
-		traceOut = flag.String("trace", "", "write a Chrome trace-event JSON covering every cluster built (one trace process each)")
-		promOut  = flag.String("metrics", "", "write Prometheus-text metrics to this file")
-		inbandTo = flag.String("inband", "", "enable in-band path telemetry on every cluster; write the per-hop inband.tsv/json (and other registry artifacts) into this directory after the sweep")
-		healthTo = flag.String("health", "", "enable online fabric health monitoring on every cluster; write the incidents.tsv/json causal timelines (render with hpndoctor) into this directory after the sweep")
-		benchOut = flag.String("benchout", "", "write a BENCH_<stamp>.json perf snapshot (scenario, ns/op, allocs, flows/sec) into this directory")
-		compare  = flag.Bool("compare", false, "compare two BENCH snapshots: hpnbench -compare old.json new.json")
-		tol      = flag.Float64("tolerance", 0.10, "with -compare: flows/sec may drop by this fraction before a scenario counts as regressed")
-		useMemo  = flag.String("memo", "off", "iteration memoization on every cluster: on | off (fast-forward repeated steady-state iterations; disables periodic sampling; composes with -shards)")
-		shards   = flag.Int("shards", 1, "worker goroutines for sharded experiments' parallel windows (0 = NumCPU); results are identical for every value, only wall-clock changes")
-		profTo   = flag.String("prof", "", "enable engine self-profiling on every cluster; write prof.tsv/json (render with hpnprof) and flight.tsv into this directory after the sweep")
-		cpuOut   = flag.String("cpuprofile", "", "write a pprof CPU profile of the whole sweep to this file")
-		memOut   = flag.String("memprofile", "", "write a pprof heap profile at exit to this file")
+		exp      = fs.String("exp", "all", "experiment ID (see -list) or 'all'")
+		scale    = fs.String("scale", "quick", "quick | full")
+		list     = fs.Bool("list", false, "list experiments and exit")
+		csvDir   = fs.String("csv", "", "also dump recorded time series as CSV into this directory")
+		traceOut = fs.String("trace", "", "write a Chrome trace-event JSON covering every cluster built (one trace process each)")
+		promOut  = fs.String("metrics", "", "write Prometheus-text metrics to this file")
+		inbandTo = fs.String("inband", "", "enable in-band path telemetry on every cluster; write the per-hop inband.tsv/json (and other registry artifacts) into this directory after the sweep")
+		healthTo = fs.String("health", "", "enable online fabric health monitoring on every cluster; write the incidents.tsv/json causal timelines (render with hpndoctor) into this directory after the sweep")
+		useMemo  = fs.String("memo", "off", "iteration memoization on every cluster: on | off (fast-forward repeated steady-state iterations; disables periodic sampling; composes with -shards)")
+		shards   = fs.Int("shards", 1, "worker goroutines for sharded experiments' parallel windows (0 = NumCPU); results are identical for every value, only wall-clock changes")
+		profTo   = fs.String("prof", "", "enable engine self-profiling on every cluster; write prof.tsv/json (render with hpnprof) and flight.tsv into this directory after the sweep")
+		cpuOut   = fs.String("cpuprofile", "", "write a pprof CPU profile of the whole sweep to this file")
+		memOut   = fs.String("memprofile", "", "write a pprof heap profile at exit to this file")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		if err == flag.ErrHelp {
+			return 0
+		}
+		return 2
+	}
 
 	if *cpuOut != "" {
-		f, err := os.Create(*cpuOut)
+		stop, err := startCPUProfile(*cpuOut)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "hpnbench: cpuprofile: %v\n", err)
-			os.Exit(2)
+			return 2
 		}
-		if err := pprof.StartCPUProfile(f); err != nil {
-			fmt.Fprintf(os.Stderr, "hpnbench: cpuprofile: %v\n", err)
-			os.Exit(2)
-		}
-		defer pprof.StopCPUProfile()
+		defer func() {
+			if err := stop(); err != nil {
+				fmt.Fprintf(os.Stderr, "hpnbench: cpuprofile: %v\n", err)
+				code = max(code, 1)
+			}
+		}()
 	}
 
 	memoOn := false
@@ -67,43 +75,27 @@ func main() {
 	case "off":
 	default:
 		fmt.Fprintf(os.Stderr, "hpnbench: -memo must be on or off, got %q\n", *useMemo)
-		os.Exit(2)
+		return 2
 	}
 
 	if *shards < 0 {
 		fmt.Fprintf(os.Stderr, "hpnbench: -shards must be >= 0, got %d\n", *shards)
-		os.Exit(2)
+		return 2
 	}
 	// -memo and -shards compose: sharded trainers close memoization windows
 	// at the cross-pod gate (pod-local record/replay), so both can be on at
 	// once — the sharded determinism gates cover exactly this combination.
 	hpn.SetShardWorkers(*shards)
 
-	if *compare {
-		if flag.NArg() != 2 {
-			fmt.Fprintln(os.Stderr, "hpnbench: -compare needs exactly two snapshot paths: old.json new.json")
-			os.Exit(2)
-		}
-		regressed, err := runCompare(flag.Arg(0), flag.Arg(1), *tol, os.Stdout)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "hpnbench: compare: %v\n", err)
-			os.Exit(2)
-		}
-		if regressed > 0 {
-			os.Exit(1)
-		}
-		return
-	}
-
 	if *list {
 		for _, e := range hpn.Experiments() {
 			fmt.Printf("%-8s %s\n", e.ID, e.Title)
 		}
-		return
+		return 0
 	}
 
 	var hub *hpn.TelemetryHub
-	if *traceOut != "" || *promOut != "" || *inbandTo != "" || *healthTo != "" || *benchOut != "" || *profTo != "" || memoOn {
+	if *traceOut != "" || *promOut != "" || *inbandTo != "" || *healthTo != "" || *profTo != "" || memoOn {
 		opt := hpn.DefaultTelemetryOptions()
 		opt.Trace = *traceOut != ""
 		opt.Inband = *inbandTo != ""
@@ -115,11 +107,9 @@ func main() {
 		opt.MaxTraceEvents = 2_000_000
 		opt.InbandMax = 2_000_000
 		if *traceOut == "" && *promOut == "" && *inbandTo == "" && *healthTo == "" {
-			// -benchout and/or -prof alone: counters only, no sampler
-			// daemons perturbing the measured runs — the self-profiler
-			// accumulates at instrumentation points and needs no periodic
-			// ticks, and a perf measurement should not pay for sampling
-			// nobody asked for.
+			// -prof alone: counters only, no sampler daemons perturbing the
+			// profiled runs — the self-profiler accumulates at
+			// instrumentation points and needs no periodic ticks.
 			opt.SampleInterval = 0
 		}
 		if memoOn && opt.SampleInterval != 0 {
@@ -139,7 +129,7 @@ func main() {
 		s = hpn.ScaleFull
 	default:
 		fmt.Fprintf(os.Stderr, "hpnbench: unknown scale %q (quick|full)\n", *scale)
-		os.Exit(2)
+		return 2
 	}
 
 	var ids []string
@@ -152,10 +142,7 @@ func main() {
 	}
 
 	failed := 0
-	var bench []benchEntry
 	for _, id := range ids {
-		flows0 := flowsCompleted(hub)
-		allocs0 := mallocs()
 		// Wall-clock timing of the whole experiment run for the operator's
 		// benefit; it never feeds simulator state or run artifacts.
 		start := time.Now() //hpnlint:allow wallclock -- CLI run timing, printed only
@@ -168,21 +155,6 @@ func main() {
 		}
 		fmt.Print(r.String())
 		fmt.Printf("(%s scale, %.2fs)\n\n", *scale, wall.Seconds())
-		if *benchOut != "" {
-			flows := flowsCompleted(hub) - flows0
-			e := benchEntry{
-				Scenario: id,
-				Scale:    *scale,
-				WallNS:   wall.Nanoseconds(),
-				Allocs:   mallocs() - allocs0,
-				Flows:    int64(flows),
-				Holds:    r.Holds(),
-			}
-			if wall > 0 {
-				e.FlowsPerSec = flows / wall.Seconds()
-			}
-			bench = append(bench, e)
-		}
 		if *csvDir != "" {
 			files, err := r.WriteSeriesCSV(*csvDir)
 			if err != nil {
@@ -195,15 +167,6 @@ func main() {
 		}
 		if !r.Holds() {
 			failed++
-		}
-	}
-	if *benchOut != "" {
-		path, err := writeBenchSnapshot(*benchOut, *scale, bench)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "hpnbench: benchout: %v\n", err)
-			failed++
-		} else {
-			fmt.Printf("wrote %s\n", path)
 		}
 	}
 	if hub != nil {
@@ -256,36 +219,9 @@ func main() {
 	}
 	if failed > 0 {
 		fmt.Fprintf(os.Stderr, "hpnbench: %d experiment(s) with failing claims\n", failed)
-		os.Exit(1)
+		return 1
 	}
-}
-
-// benchEntry is one experiment's row in the BENCH_<stamp>.json snapshot:
-// wall-clock ns/op (op = one experiment run at the chosen scale), heap
-// allocations, and simulated-flow throughput of the host process.
-type benchEntry struct {
-	Scenario    string  `json:"scenario"`
-	Scale       string  `json:"scale"`
-	WallNS      int64   `json:"wall_ns"`
-	Allocs      uint64  `json:"allocs"`
-	Flows       int64   `json:"flows"`
-	FlowsPerSec float64 `json:"flows_per_sec"`
-	Holds       bool    `json:"holds"`
-}
-
-// benchSnapshot is the top-level BENCH_<stamp>.json document.
-type benchSnapshot struct {
-	Stamp      string       `json:"stamp"`
-	Scale      string       `json:"scale"`
-	GoMaxProcs int          `json:"gomaxprocs"`
-	Entries    []benchEntry `json:"entries"`
-}
-
-// flowsCompleted sums every *netsim_flows_completed_total counter in the
-// hub registry (one per attached cluster, prefixed c2_, c3_, ... past the
-// first). Returns 0 without a hub.
-func flowsCompleted(hub *hpn.TelemetryHub) float64 {
-	return hpn.MetricSum(hub, "netsim_flows_completed_total")
+	return 0
 }
 
 // artifactDirs deduplicates the artifact output directories (both -inband
@@ -310,36 +246,21 @@ func artifactDirs(dirs ...string) []string {
 	return out
 }
 
-// mallocs reads the process-lifetime heap allocation count.
-func mallocs() uint64 {
-	var m runtime.MemStats
-	runtime.ReadMemStats(&m)
-	return m.Mallocs
-}
-
-// writeBenchSnapshot writes dir/BENCH_<stamp>.json and returns its path.
-func writeBenchSnapshot(dir, scale string, entries []benchEntry) (string, error) {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return "", err
-	}
-	// The stamp names the artifact after the real-world run instant; it is
-	// operator metadata, never simulator input.
-	stamp := time.Now().UTC().Format("20060102T150405Z") //hpnlint:allow wallclock -- artifact filename stamp
-	snap := benchSnapshot{
-		Stamp:      stamp,
-		Scale:      scale,
-		GoMaxProcs: runtime.GOMAXPROCS(0),
-		Entries:    entries,
-	}
-	buf, err := json.MarshalIndent(&snap, "", "  ")
+// startCPUProfile starts a pprof CPU profile into path. The returned stop
+// flushes the profile and closes the file, returning the close error.
+func startCPUProfile(path string) (stop func() error, err error) {
+	f, err := os.Create(path)
 	if err != nil {
-		return "", err
+		return nil, err
 	}
-	path := filepath.Join(dir, "BENCH_"+stamp+".json")
-	if err := os.WriteFile(path, append(buf, '\n'), 0o644); err != nil {
-		return "", err
+	if err := pprof.StartCPUProfile(f); err != nil {
+		f.Close()
+		return nil, err
 	}
-	return path, nil
+	return func() error {
+		pprof.StopCPUProfile()
+		return f.Close()
+	}, nil
 }
 
 func writeFile(path string, write func(*os.File) error) error {

@@ -1,14 +1,12 @@
-// Command hpnprof renders and compares engine self-profiles (the
-// prof.json artifact written under hpnsim/hpnbench -prof).
+// Command hpnprof renders an engine self-profile (the prof.json artifact
+// written under hpnsim/hpnbench -prof) as a phase-breakdown report.
 //
 // Usage:
 //
-//	hpnprof run/prof.json                    # phase-breakdown report
-//	hpnprof -compare old.json new.json       # diff two runs
+//	hpnprof run/prof.json
 //
-// -compare mirrors hpnbench -compare: exit status 1 when any phase's
-// ns-per-occurrence regressed beyond the tolerance, 2 on usage or I/O
-// errors, 0 otherwise.
+// Exit status 2 on usage or I/O errors, 0 otherwise. Comparing two runs
+// is the perfbench module's job.
 package main
 
 import (
@@ -20,36 +18,9 @@ import (
 )
 
 func main() {
-	var (
-		compare = flag.Bool("compare", false, "compare two profiles: hpnprof -compare old.json new.json")
-		tol     = flag.Float64("tolerance", prof.DefaultCompareTolerance, "with -compare: a phase's ns/op may grow by this fraction before it counts as regressed")
-		minWall = flag.Float64("minwall", float64(prof.DefaultCompareMinWallNS)/1e6, "with -compare: phases under this many milliseconds of old wall time never count as regressed (timer noise)")
-	)
 	flag.Parse()
-
-	if *compare {
-		if flag.NArg() != 2 {
-			fmt.Fprintln(os.Stderr, "hpnprof: -compare needs exactly two profile paths: old.json new.json")
-			os.Exit(2)
-		}
-		oldP, err := loadProfile(flag.Arg(0))
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "hpnprof: %v\n", err)
-			os.Exit(2)
-		}
-		newP, err := loadProfile(flag.Arg(1))
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "hpnprof: %v\n", err)
-			os.Exit(2)
-		}
-		if regressed := prof.Compare(oldP, newP, *tol, int64(*minWall*1e6), os.Stdout); regressed > 0 {
-			os.Exit(1)
-		}
-		return
-	}
-
 	if flag.NArg() != 1 {
-		fmt.Fprintln(os.Stderr, "hpnprof: need one profile path (or -compare old.json new.json)")
+		fmt.Fprintln(os.Stderr, "hpnprof: need one profile path")
 		os.Exit(2)
 	}
 	p, err := loadProfile(flag.Arg(0))

@@ -19,35 +19,49 @@ import (
 )
 
 func main() {
+	os.Exit(run(os.Args[1:]))
+}
+
+// run is the whole command, returning the exit status instead of exiting
+// so the deferred CPU-profile flush runs on every path: 0 on success, 1 on
+// a run or write error, 2 on a usage error.
+func run(args []string) (code int) {
+	fs := flag.NewFlagSet("hpnsim", flag.ContinueOnError)
 	var (
-		arch     = flag.String("arch", "hpn", "hpn | dcn")
-		model    = flag.String("model", "llama-13b", "llama-7b | llama-13b | gpt-175b")
-		hosts    = flag.Int("hosts", 16, "hosts (8 GPUs each)")
-		tp       = flag.Int("tp", 8, "tensor parallelism")
-		pp       = flag.Int("pp", 1, "pipeline parallelism")
-		iters    = flag.Int("iters", 5, "iterations to simulate")
-		traceOut = flag.String("trace", "", "write a Chrome trace-event JSON (chrome://tracing, Perfetto) to this file")
-		promOut  = flag.String("metrics", "", "write Prometheus-text metrics to this file")
-		inbandTo = flag.String("inband", "", "enable in-band path telemetry and write run artifacts (per-hop inband.tsv/json, flow log, samples) into this directory")
-		healthTo = flag.String("health", "", "enable online fabric health monitoring and write run artifacts (incidents.tsv/json causal timeline; render with hpndoctor) into this directory")
-		useMemo  = flag.String("memo", "off", "iteration memoization: on | off (fast-forward repeated steady-state iterations; disables periodic sampling; composes with -pods/-shards)")
-		pods     = flag.Int("pods", 1, "pods: >1 simulates each pod on its own engine shard under the conservative-window coordinator (-arch hpn only); every pod runs its own -hosts job plus a cross-pod gradient exchange")
-		shards   = flag.Int("shards", 1, "worker goroutines executing parallel shard windows (0 = NumCPU); needs -pods > 1; results are identical for every value")
-		profTo   = flag.String("prof", "", "enable engine self-profiling and write run artifacts (prof.tsv/json phase breakdown — render with hpnprof — and the flight.tsv incident event ring) into this directory")
-		cpuOut   = flag.String("cpuprofile", "", "write a pprof CPU profile of the whole run to this file")
-		memOut   = flag.String("memprofile", "", "write a pprof heap profile at exit to this file")
+		arch     = fs.String("arch", "hpn", "hpn | dcn")
+		model    = fs.String("model", "llama-13b", "llama-7b | llama-13b | gpt-175b")
+		hosts    = fs.Int("hosts", 16, "hosts (8 GPUs each)")
+		tp       = fs.Int("tp", 8, "tensor parallelism")
+		pp       = fs.Int("pp", 1, "pipeline parallelism")
+		iters    = fs.Int("iters", 5, "iterations to simulate")
+		traceOut = fs.String("trace", "", "write a Chrome trace-event JSON (chrome://tracing, Perfetto) to this file")
+		promOut  = fs.String("metrics", "", "write Prometheus-text metrics to this file")
+		inbandTo = fs.String("inband", "", "enable in-band path telemetry and write run artifacts (per-hop inband.tsv/json, flow log, samples) into this directory")
+		healthTo = fs.String("health", "", "enable online fabric health monitoring and write run artifacts (incidents.tsv/json causal timeline; render with hpndoctor) into this directory")
+		useMemo  = fs.String("memo", "off", "iteration memoization: on | off (fast-forward repeated steady-state iterations; disables periodic sampling; composes with -pods/-shards)")
+		pods     = fs.Int("pods", 1, "pods: >1 simulates each pod on its own engine shard under the conservative-window coordinator (-arch hpn only); every pod runs its own -hosts job plus a cross-pod gradient exchange")
+		shards   = fs.Int("shards", 1, "worker goroutines executing parallel shard windows (0 = NumCPU); needs -pods > 1; results are identical for every value")
+		profTo   = fs.String("prof", "", "enable engine self-profiling and write run artifacts (prof.tsv/json phase breakdown — render with hpnprof — and the flight.tsv incident event ring) into this directory")
+		cpuOut   = fs.String("cpuprofile", "", "write a pprof CPU profile of the whole run to this file")
+		memOut   = fs.String("memprofile", "", "write a pprof heap profile at exit to this file")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		if err == flag.ErrHelp {
+			return 0
+		}
+		return 2
+	}
 
 	if *cpuOut != "" {
-		f, err := os.Create(*cpuOut)
+		stop, err := startCPUProfile(*cpuOut)
 		if err != nil {
-			fail(err)
+			return fail(err)
 		}
-		if err := pprof.StartCPUProfile(f); err != nil {
-			fail(err)
-		}
-		defer pprof.StopCPUProfile()
+		defer func() {
+			if err := stop(); err != nil {
+				code = max(code, fail(err))
+			}
+		}()
 	}
 
 	memoOn := false
@@ -57,7 +71,7 @@ func main() {
 	case "off":
 	default:
 		fmt.Fprintf(os.Stderr, "hpnsim: -memo must be on or off, got %q\n", *useMemo)
-		os.Exit(2)
+		return 2
 	}
 
 	var hub *hpn.TelemetryHub
@@ -87,28 +101,30 @@ func main() {
 		m = hpn.GPT175B
 	default:
 		fmt.Fprintf(os.Stderr, "hpnsim: unknown model %q\n", *model)
-		os.Exit(2)
+		return 2
 	}
 
 	gpus := *hosts * 8
 	if gpus%(*tp**pp) != 0 {
 		fmt.Fprintf(os.Stderr, "hpnsim: %d GPUs not divisible by tp*pp=%d\n", gpus, *tp**pp)
-		os.Exit(2)
+		return 2
 	}
 	par := hpn.Parallelism{TP: *tp, PP: *pp, DP: gpus / (*tp * *pp)}
 
 	if *shards != 1 && *pods <= 1 {
 		fmt.Fprintln(os.Stderr, "hpnsim: -shards needs -pods > 1 (a single-pod fabric has nothing to shard)")
-		os.Exit(2)
+		return 2
 	}
 	if *pods > 1 {
 		if *arch != "hpn" {
 			fmt.Fprintf(os.Stderr, "hpnsim: sharded multi-pod runs support -arch hpn only, got %q\n", *arch)
-			os.Exit(2)
+			return 2
 		}
-		runSharded(hub, m, par, *pods, *shards, *hosts, *iters,
-			artifactDirs(*inbandTo, *healthTo, *profTo), *traceOut, *promOut, *memOut, *inbandTo != "")
-		return
+		if err := runSharded(hub, m, par, *pods, *shards, *hosts, *iters,
+			artifactDirs(*inbandTo, *healthTo, *profTo), *traceOut, *promOut, *memOut, *inbandTo != ""); err != nil {
+			return fail(err)
+		}
+		return 0
 	}
 
 	var (
@@ -127,10 +143,10 @@ func main() {
 		c, err = hpn.NewDCN(hpn.SmallDCN((*hosts + 63) / 64))
 	default:
 		fmt.Fprintf(os.Stderr, "hpnsim: unknown arch %q\n", *arch)
-		os.Exit(2)
+		return 2
 	}
 	if err != nil {
-		fail(err)
+		return fail(err)
 	}
 	if *inbandTo != "" {
 		// The per-hop stream is exported alongside the completed-flow log.
@@ -139,21 +155,21 @@ func main() {
 
 	placed, err := c.PlaceJob(*hosts)
 	if err != nil {
-		fail(err)
+		return fail(err)
 	}
 	job, err := hpn.NewJob(m, par, placed)
 	if err != nil {
-		fail(err)
+		return fail(err)
 	}
 	tr, err := hpn.NewTrainer(c, job)
 	if err != nil {
-		fail(err)
+		return fail(err)
 	}
 
 	fmt.Printf("%s on %s: %d GPUs (TP=%d PP=%d DP=%d), %d segments\n",
 		m.Name, c.Arch, par.GPUs(), par.TP, par.PP, par.DP, c.SegmentsSpanned(placed))
 	if err := tr.Start(*iters); err != nil {
-		fail(err)
+		return fail(err)
 	}
 	c.Eng.Run()
 
@@ -184,7 +200,7 @@ func main() {
 				_, err := hub.Tracer.WriteTo(f)
 				return err
 			}); err != nil {
-				fail(err)
+				return fail(err)
 			}
 			fmt.Printf("wrote %s (%d events)\n", *traceOut, hub.Tracer.Events())
 		}
@@ -192,14 +208,14 @@ func main() {
 			if err := writeFile(*promOut, func(f *os.File) error {
 				return hub.Registry.WritePrometheus(f)
 			}); err != nil {
-				fail(err)
+				return fail(err)
 			}
 			fmt.Printf("wrote %s\n", *promOut)
 		}
 		for _, dir := range artifactDirs(*inbandTo, *healthTo, *profTo) {
 			paths, err := hub.WriteArtifacts(dir)
 			if err != nil {
-				fail(err)
+				return fail(err)
 			}
 			for _, p := range paths {
 				fmt.Printf("wrote %s\n", p)
@@ -210,17 +226,18 @@ func main() {
 		if err := writeFile(*memOut, func(f *os.File) error {
 			return pprof.Lookup("allocs").WriteTo(f, 0)
 		}); err != nil {
-			fail(err)
+			return fail(err)
 		}
 		fmt.Printf("wrote %s\n", *memOut)
 	}
+	return 0
 }
 
 // runSharded is the -pods > 1 path: one engine shard per pod under the
 // conservative-window coordinator, one training job per pod, and the
 // cross-pod gradient exchange on the global domain.
 func runSharded(hub *hpn.TelemetryHub, m hpn.ModelSpec, par hpn.Parallelism,
-	pods, workers, hosts, iters int, dirs []string, traceOut, promOut, memOut string, flowLog bool) {
+	pods, workers, hosts, iters int, dirs []string, traceOut, promOut, memOut string, flowLog bool) error {
 	segHosts := hosts
 	if segHosts > 128 {
 		segHosts = 128
@@ -228,7 +245,7 @@ func runSharded(hub *hpn.TelemetryHub, m hpn.ModelSpec, par hpn.Parallelism,
 	segments := (hosts + segHosts - 1) / segHosts
 	sc, err := hpn.NewShardedHPN(hpn.MultiPodHPN(pods, segments, segHosts, 16), hub)
 	if err != nil {
-		fail(err)
+		return err
 	}
 	sc.SetWorkers(workers)
 	if flowLog {
@@ -239,12 +256,12 @@ func runSharded(hub *hpn.TelemetryHub, m hpn.ModelSpec, par hpn.Parallelism,
 	}
 	st, err := hpn.NewShardedTrainer(sc, m, par)
 	if err != nil {
-		fail(err)
+		return err
 	}
 	fmt.Printf("%s on %s: %d pods x %d GPUs (TP=%d PP=%d DP=%d), %d shard workers\n",
 		m.Name, sc.Arch, pods, par.GPUs(), par.TP, par.PP, par.DP, sc.Coord.Workers())
 	if err := st.Start(iters); err != nil {
-		fail(err)
+		return err
 	}
 	sc.Run()
 
@@ -282,7 +299,7 @@ func runSharded(hub *hpn.TelemetryHub, m hpn.ModelSpec, par hpn.Parallelism,
 				_, err := hub.Tracer.WriteTo(f)
 				return err
 			}); err != nil {
-				fail(err)
+				return err
 			}
 			fmt.Printf("wrote %s (%d events)\n", traceOut, hub.Tracer.Events())
 		}
@@ -290,14 +307,14 @@ func runSharded(hub *hpn.TelemetryHub, m hpn.ModelSpec, par hpn.Parallelism,
 			if err := writeFile(promOut, func(f *os.File) error {
 				return hub.Registry.WritePrometheus(f)
 			}); err != nil {
-				fail(err)
+				return err
 			}
 			fmt.Printf("wrote %s\n", promOut)
 		}
 		for _, dir := range dirs {
 			paths, err := sc.WriteArtifacts(dir)
 			if err != nil {
-				fail(err)
+				return err
 			}
 			for _, p := range paths {
 				fmt.Printf("wrote %s\n", p)
@@ -308,10 +325,11 @@ func runSharded(hub *hpn.TelemetryHub, m hpn.ModelSpec, par hpn.Parallelism,
 		if err := writeFile(memOut, func(f *os.File) error {
 			return pprof.Lookup("allocs").WriteTo(f, 0)
 		}); err != nil {
-			fail(err)
+			return err
 		}
 		fmt.Printf("wrote %s\n", memOut)
 	}
+	return nil
 }
 
 // artifactDirs deduplicates the artifact output directories (both -inband
@@ -348,7 +366,25 @@ func writeFile(path string, write func(*os.File) error) error {
 	return f.Close()
 }
 
-func fail(err error) {
+// startCPUProfile starts a pprof CPU profile into path. The returned stop
+// flushes the profile and closes the file, returning the close error.
+func startCPUProfile(path string) (stop func() error, err error) {
+	f, err := os.Create(path)
+	if err != nil {
+		return nil, err
+	}
+	if err := pprof.StartCPUProfile(f); err != nil {
+		f.Close()
+		return nil, err
+	}
+	return func() error {
+		pprof.StopCPUProfile()
+		return f.Close()
+	}, nil
+}
+
+// fail reports err and returns the run-error exit status.
+func fail(err error) int {
 	fmt.Fprintln(os.Stderr, "hpnsim:", err)
-	os.Exit(1)
+	return 1
 }

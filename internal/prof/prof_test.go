@@ -1,6 +1,7 @@
 package prof
 
 import (
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -164,8 +165,54 @@ func TestProfileRoundTrip(t *testing.T) {
 	if len(prof.Phases) != 1 || prof.Phases[0].Name != "sim/run" || prof.Phases[0].Count != 9 {
 		t.Fatalf("round trip = %+v", prof.Phases)
 	}
-	if _, err := ParseProfile(strings.NewReader(`{"phases":[]}`)); err == nil {
-		t.Fatalf("ParseProfile accepted an empty profile")
+}
+
+func TestParseProfileRejects(t *testing.T) {
+	for name, doc := range map[string]string{
+		"no phases":      `{"phases":[]}`,
+		"trailing data":  `{"phases":[{"name":"a","count":1}]} x`,
+		"second doc":     `{"phases":[{"name":"a","count":1}]} {}`,
+		"empty name":     `{"phases":[{"name":"","count":1}]}`,
+		"duplicate name": `{"phases":[{"name":"a","count":1},{"name":"a","count":2}]}`,
+		"negative count": `{"phases":[{"name":"a","count":-1}]}`,
+		"negative wall":  `{"phases":[{"name":"a","count":1,"wall_ns":-5}]}`,
+		"negative alloc": `{"phases":[{"name":"a","count":1,"allocs":-5}]}`,
+	} {
+		if _, err := ParseProfile(strings.NewReader(doc)); err == nil {
+			t.Errorf("%s: ParseProfile accepted %s", name, doc)
+		}
+	}
+	if _, err := ParseProfile(strings.NewReader(`{"phases":[{"name":"a","count":1}]}` + "\n\n")); err != nil {
+		t.Errorf("trailing whitespace rejected: %v", err)
+	}
+}
+
+func TestReport(t *testing.T) {
+	p := &Profile{GoMaxProcs: 4, Phases: []PhaseStat{
+		{Name: "memo/lookup", Count: 10, WallNS: 1e6},
+		{Name: "sim/dispatch", Count: 230},
+		{Name: "sim/run", Count: 1, WallNS: 9e6},
+	}}
+	var sb strings.Builder
+	Report(p, &sb)
+	out := sb.String()
+	runIdx := strings.Index(out, "sim/run")
+	lookupIdx := strings.Index(out, "memo/lookup")
+	if runIdx < 0 || lookupIdx < 0 || runIdx > lookupIdx {
+		t.Fatalf("report not wall-descending:\n%s", out)
+	}
+	if !strings.Contains(out, "90.0%") {
+		t.Fatalf("share column wrong:\n%s", out)
+	}
+	// A count-only phase shows its count and "-" for wall, ns/op and share.
+	var dispatch string
+	for _, line := range strings.Split(out, "\n") {
+		if strings.HasPrefix(line, "sim/dispatch") {
+			dispatch = line
+		}
+	}
+	if got, want := strings.Fields(dispatch), []string{"sim/dispatch", "230", "-", "-", "-", "0"}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("count-only row = %q, want fields %q\n%s", dispatch, want, out)
 	}
 }
 

@@ -234,8 +234,7 @@ func appendPromHeader(b []byte, name, help, typ string) []byte {
 // WriteJSON streams every counter, gauge and (flattened) histogram as one
 // sorted JSON object keyed by metric name. Histograms flatten to
 // `name_bucket_le_<bound>` cumulative counts plus `name_sum`/`name_count`
-// so the object stays a flat name->number map (consumers like hpnbench's
-// -compare rely on that shape).
+// so the object stays a flat name->number map.
 func (r *Registry) WriteJSON(w io.Writer) error {
 	if r == nil {
 		return nil
