@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: ci fmt vet lint lint-fix build test test-parallel fuzz-smoke perfbench-check forensics-smoke prof-smoke
+.PHONY: ci fmt vet lint lint-fix build test test-parallel test-checked fuzz-smoke perfbench-check forensics-smoke prof-smoke
 
 # lint runtime budget: the interprocedural analysis (module load, summary
 # fixpoint, rules) must finish inside this wall-clock bound or the target
@@ -8,12 +8,13 @@ GO ?= go
 LINT_BUDGET ?= 10s
 
 # Full gate: formatting, go vet, build, hpnlint determinism/invariant rules,
-# tests under the race detector (a default pass and a GOMAXPROCS=4 pass), a
-# short fuzz of the artifact parsers, the perfbench module's vet and tests,
+# tests under the race detector (a default pass and a GOMAXPROCS=4 pass), the
+# checked-handle pass over the pooled engine layers, a short fuzz of the
+# artifact parsers, the perfbench module's vet and tests,
 # the in-band forensics smoke run and the self-profiler smoke run. Perf
 # regressions are perfbench's job (perfbench/README.md); ci runs no
 # comparator of its own.
-ci: fmt vet build lint test test-parallel fuzz-smoke perfbench-check forensics-smoke prof-smoke
+ci: fmt vet build lint test test-parallel test-checked fuzz-smoke perfbench-check forensics-smoke prof-smoke
 
 fmt:
 	@out="$$(gofmt -l .)"; \
@@ -54,6 +55,16 @@ test:
 test-parallel:
 	GOMAXPROCS=4 $(GO) test -race -count=1 ./internal/netsim/...
 	GOMAXPROCS=4 $(GO) test -race -count=1 -run TestGoldenDeterminism .
+
+# Checked handles: the layers that hold pooled sim.Events and netsim.Flows,
+# plus the root package's end-to-end suites, built with the hpncheck tag.
+# Released events and flows are then never reused; any later Cancel,
+# Reschedule, Done, AbortFlow or reroute on one panics with its release
+# stamp, and a released flow's fields read as poison. A test that keeps a
+# handle past its release without Pin fails here even though the default
+# build silently aliases it.
+test-checked:
+	$(GO) test -tags hpncheck ./internal/sim/... ./internal/netsim/... ./internal/collective/... ./internal/rdma/... .
 
 # Fuzz smoke: ~10s of native fuzzing for each artifact parser (inband and
 # health ParseTSV, prof ParseProfile), seeded from the run artifacts in

@@ -24,7 +24,7 @@ func observedPath(t *testing.T, sport uint16) (*topo.Topology, []route.HopDecisi
 	src, dst := route.Endpoint{Host: 0, NIC: 0}, route.Endpoint{Host: 4, NIC: 0}
 	tu := hashing.FiveTuple{SrcAddr: src.Addr(), DstAddr: dst.Addr(), SrcPort: sport, DstPort: 4791, Proto: 17}
 	var hops []route.HopDecision
-	p, bh, err := r.PathObserved(src, dst, 0, tu, 0, func(d route.HopDecision) { hops = append(hops, d) })
+	p, bh, err := r.AppendPath(nil, src, dst, 0, tu, 0, func(d route.HopDecision) { hops = append(hops, d) })
 	if err != nil || bh {
 		t.Fatalf("path err=%v blackholed=%v", err, bh)
 	}

@@ -426,8 +426,9 @@ func (s *Sim) addComp() int {
 
 // scheduleCompletion (re)arms the completion event for the earliest
 // projected completion, tracked incrementally during the fill (best < 0
-// means no flow is moving). The persistent Event is moved in place when
-// still pending, so the hot path allocates nothing.
+// means no flow is moving). A still-pending Event is moved in place; after
+// one fires, completionEvent drops the handle and the engine recycles the
+// event into the next ScheduleAt, so the hot path allocates nothing.
 func (s *Sim) scheduleCompletion(best float64) {
 	if best < 0 {
 		if s.completionEv != nil {
@@ -440,7 +441,5 @@ func (s *Sim) scheduleCompletion(best float64) {
 	if s.Eng.Reschedule(s.completionEv, at) {
 		return
 	}
-	// Pinned: the handle is retained across firings for the Reschedule fast
-	// path above, so the engine must never recycle it into its free list.
-	s.completionEv = s.Eng.ScheduleAt(at, s.completionEvent).Pin()
+	s.completionEv = s.Eng.ScheduleAt(at, s.fireCompletion)
 }

@@ -297,6 +297,7 @@ func TestAllocZeroCapacityLink(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	moving.Pin() // checked for completion after Run
 	if blocked.Rate != 0 {
 		t.Fatalf("flow through zero-capacity link got rate %v, want 0", blocked.Rate)
 	}

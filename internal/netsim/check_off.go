@@ -1,0 +1,20 @@
+//go:build !hpncheck
+
+package netsim
+
+// checked reports whether pooled flows are checked (the hpncheck build tag;
+// see check_on.go). In this build completed flows are recycled and the
+// use-after-release check compiles to nothing.
+const checked = false
+
+// release returns a completed flow to the free list (completionEvent trims
+// it to flowPoolCap once the fabric drains). The callbacks are dropped so
+// their captures are collectable while the flow waits; its path and in-band
+// buffers stay for the next StartFlow.
+func (s *Sim) release(f *Flow) {
+	f.OnComplete, f.After = nil, nil
+	s.free = append(s.free, f)
+}
+
+// live is the use-after-release check; unchecked builds skip it.
+func (f *Flow) live(op string) {}

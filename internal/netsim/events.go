@@ -166,22 +166,13 @@ func (s *Sim) ReplayEvent(e Event, recorder Subscriber) {
 	}
 }
 
-// publishRouted emits EvFlowRouted after routeFlow settles a flow's path.
-// Under in-band telemetry the flow's own hop state is authoritative;
-// otherwise routeHops (filled by routeFlow's PathObserved callback) carries
-// the decisions.
+// publishRouted emits EvFlowRouted after routeFlow settles a flow's path,
+// with the hash decisions its last walk recorded in routeHops.
 func (s *Sim) publishRouted(f *Flow) {
 	if s.want&EvFlowRouted == 0 {
 		return
 	}
-	hops := s.routeHops
-	if s.inband != nil {
-		hops = nil
-		if f.ib != nil {
-			hops = f.ib.hops
-		}
-	}
-	s.publish(Event{Kind: EvFlowRouted, At: s.Eng.Now(), Flow: f.state(), Hops: hops})
+	s.publish(Event{Kind: EvFlowRouted, At: s.Eng.Now(), Flow: f.state(), Hops: s.routeHops})
 }
 
 // flightNotes adapts the stream to the incident flight recorder: one row

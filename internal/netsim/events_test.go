@@ -30,13 +30,14 @@ func (r *streamRecorder) FabricEvent(e Event) {
 // -> complete on a dual-ToR fabric: its access cable fails at 100ms, the
 // reroute pass a convergence delay later moves it to the other port, the
 // cable recovers at 2s (a second, empty reroute pass follows), and the flow
-// completes seconds later.
+// completes seconds later. The flow is pinned: it is read after completion.
 func failRerouteRecover(t *testing.T, s *Sim, eng *sim.Engine) *Flow {
 	t.Helper()
 	f, err := s.StartFlow(route.Endpoint{Host: 0, NIC: 0}, route.Endpoint{Host: 4, NIC: 0}, 1<<37, FlowOpts{SrcPort: 0})
 	if err != nil {
 		t.Fatal(err)
 	}
+	f.Pin()
 	access := f.Path[0]
 	eng.ScheduleAt(100*sim.Millisecond, func() { s.FailCable(access) })
 	eng.ScheduleAt(2*sim.Second, func() { s.RecoverCable(access) })

@@ -93,7 +93,7 @@ func (s *Sim) inbandFlush(f *Flow) {
 
 // inbandOpen starts a new path generation for a freshly (re)routed flow:
 // hop accumulators are sized to the new path and zeroed. ib.hops was
-// filled by the PathObserved callback during routing.
+// copied from the routing walk's decisions by routeFlow.
 func (s *Sim) inbandOpen(f *Flow) {
 	if s.inband == nil {
 		return

@@ -38,6 +38,14 @@ import (
 )
 
 // Flow is one fluid stream between two NIC endpoints.
+//
+// Lifetime contract, shared with sim.Event: once a flow's OnComplete and
+// After return, the simulator may recycle its storage — path buffer
+// included — for a later StartFlow. A caller that keeps the *Flow past its
+// completion must Pin it, or the handle may silently address an unrelated
+// flow. Aborted flows are never recycled (the aborting caller holds the
+// handle). Built with the hpncheck tag, a released flow is never reused and
+// Done, AbortFlow, Pin and rerouting panic on it.
 type Flow struct {
 	ID    int64
 	Src   route.Endpoint
@@ -77,6 +85,10 @@ type Flow struct {
 	DoneAt    sim.Time
 
 	index int // position in Sim.active; -1 once finished
+	// pinned excludes the flow from recycling after it completes.
+	pinned bool
+	// released is the release stamp, set only in hpncheck builds.
+	released *released
 
 	// ib holds the in-band telemetry state, allocated only under
 	// Sim.EnableInband so the disabled case costs Flow a single nil
@@ -95,8 +107,31 @@ type flowInband struct {
 	epoch int
 }
 
-// Done reports whether the flow has completed.
-func (f *Flow) Done() bool { return f.index < 0 && !f.Stalled }
+// released records which flow a released *Flow was and when it completed
+// (hpncheck builds only).
+type released struct {
+	id int64
+	at sim.Time
+}
+
+// Done reports whether the flow has completed (or was aborted). Asking a
+// completed flow is only valid while it is pinned or inside its callbacks.
+func (f *Flow) Done() bool {
+	f.live("Done")
+	return f.index < 0 && !f.Stalled
+}
+
+// Pin marks the flow as retained: the simulator will never recycle it, so
+// the handle stays valid after completion. Call it before the flow
+// completes; it returns the flow for chaining at the StartFlow call site.
+// Nil-safe.
+func (f *Flow) Pin() *Flow {
+	f.live("Pin")
+	if f != nil {
+		f.pinned = true
+	}
+	return f
+}
 
 // Sim couples an engine, a topology and a router into a running network.
 type Sim struct {
@@ -115,6 +150,9 @@ type Sim struct {
 	active []*Flow
 	nextID int64
 	sport  uint16
+	// free holds completed, unpinned flows for reuse by StartFlow, path
+	// buffers included (see Flow's lifetime contract and flowPoolCap).
+	free []*Flow
 
 	// sharding/shard, when set (RestrictShard), scope this simulator to one
 	// pod shard of a partitioned fabric: admission, state fingerprints and
@@ -122,9 +160,13 @@ type Sim struct {
 	sharding *topo.Sharding
 	shard    int
 
-	lastAdvance  sim.Time
-	completionEv *sim.Event
-	mutating     int
+	// completionEv is the pending completion event (nil once it fires);
+	// fireCompletion is completionEvent bound once, so arming it costs no
+	// closure.
+	lastAdvance    sim.Time
+	completionEv   *sim.Event
+	fireCompletion func()
+	mutating       int
 
 	// probeByLink indexes probes by link for hot-path lookup (nil = not
 	// probed); probeList holds the same probes in registration order. All
@@ -162,13 +204,15 @@ type Sim struct {
 
 	// The fabric event stream (see events.go): subscribers in delivery
 	// order, their interest masks, and the union the emission sites check.
-	// started freezes the list at the first StartFlow. routeHops is routing
-	// scratch for EvFlowRouted when in-band telemetry is off.
+	// started freezes the list at the first StartFlow. routeHops collects
+	// the hash decisions of the latest path walk through noteHop, bound
+	// once so observing a walk allocates nothing.
 	subs      []Subscriber
 	subKinds  []EventKind
 	want      EventKind
 	started   bool
 	routeHops []route.HopDecision
+	noteHop   func(route.HopDecision)
 
 	flowLog *flowLog
 
@@ -217,6 +261,18 @@ type Sim struct {
 	CoreBits float64
 }
 
+// flowPoolCap bounds the flow free list a drained Sim keeps. While flows
+// are in flight the list is unbounded: it can never hold more flows than
+// were once in flight together, so every flow after the first peak is
+// recycled, and how many are allocated does not depend on how the fabric
+// happens to stagger completions. When the last active flow completes,
+// the list is cut to flowPoolCap, so an idle simulator does not keep a
+// fabric-wide peak alive (2,160 concurrent flows on each fig15 cluster).
+// 256 is twice the concurrency of the ring collectives on one pod (128
+// flows at the peak of multi-pod training), which go idle between rounds
+// and must find their flows pooled.
+const flowPoolCap = 256
+
 // New returns a simulator over the given topology. The router is created
 // internally with default convergence delay; adjust via s.R.
 func New(eng *sim.Engine, top *topo.Topology) *Sim {
@@ -237,6 +293,8 @@ func New(eng *sim.Engine, top *topo.Topology) *Sim {
 		compOf:          make([]int32, len(top.Links)),
 		dirty:           make([]bool, len(top.Links)),
 	}
+	s.noteHop = func(d route.HopDecision) { s.routeHops = append(s.routeHops, d) }
+	s.fireCompletion = s.completionEvent
 	s.Subscribe(flightNotes{s})
 	return s
 }
@@ -287,7 +345,9 @@ type FlowOpts struct {
 }
 
 // StartFlow injects a new flow of the given size (bytes) and returns it.
-// The flow may start stalled if the fabric currently blackholes it.
+// The flow may start stalled if the fabric currently blackholes it. The
+// returned handle is valid while the flow is in flight and inside its
+// OnComplete and After; to use it after completion, Pin it (see Flow).
 func (s *Sim) StartFlow(src, dst route.Endpoint, bytes float64, opt FlowOpts) (*Flow, error) {
 	if bytes <= 0 {
 		return nil, fmt.Errorf("netsim: non-positive flow size %v", bytes)
@@ -320,11 +380,13 @@ func (s *Sim) StartFlow(src, dst route.Endpoint, bytes float64, opt FlowOpts) (*
 		SrcAddr: src.Addr(), DstAddr: dst.Addr(),
 		SrcPort: sport, DstPort: 4791, Proto: 17,
 	}
-	f := &Flow{
+	f := s.newFlow()
+	*f = Flow{
 		ID: s.nextID, Src: src, Dst: dst, Tuple: tuple,
 		Bits: bytes * 8, Remaining: bytes * 8,
 		PinnedPort: -1, OnComplete: opt.OnComplete, After: opt.After,
 		StartedAt: s.Eng.Now(), index: -1,
+		Path: f.Path[:0], ib: f.ib.reset(),
 	}
 	s.nextID++
 	if opt.SrcPort >= 0 {
@@ -361,32 +423,48 @@ func (s *Sim) StartFlow(src, dst route.Endpoint, bytes float64, opt FlowOpts) (*
 	return f, nil
 }
 
-// routeFlow (re)computes a flow's port and path from current fabric state.
-// On blackhole or no-port it marks the flow stalled with the best-known
-// path (possibly nil). Under in-band telemetry the previous path
-// generation is flushed first and the new walk records its hash decisions.
+// newFlow pops a recycled flow off the free list, or allocates one.
+func (s *Sim) newFlow() *Flow {
+	n := len(s.free)
+	if n == 0 {
+		return &Flow{}
+	}
+	f := s.free[n-1]
+	s.free[n-1] = nil
+	s.free = s.free[:n-1]
+	return f
+}
+
+// reset clears a recycled flow's in-band state for its next flow, keeping
+// the buffers. Nil-safe.
+func (ib *flowInband) reset() *flowInband {
+	if ib != nil {
+		*ib = flowInband{hops: ib.hops[:0], stats: ib.stats[:0]}
+	}
+	return ib
+}
+
+// routeFlow (re)computes a flow's port and path from current fabric state,
+// writing the path into the flow's own buffer. On blackhole or no-port it
+// marks the flow stalled with the best-known path (possibly empty). Under
+// in-band telemetry the previous path generation is flushed first; when
+// in-band telemetry or an EvFlowRouted subscriber wants them, the walk
+// records its hash decisions.
 func (s *Sim) routeFlow(f *Flow) error {
+	f.live("route")
 	now := s.Eng.Now()
 	s.inbandFlush(f)
 	s.markDirty(f.Path) // the old path loses the flow
+	var obs func(route.HopDecision)
+	if s.inband != nil || s.want&EvFlowRouted != 0 {
+		obs = s.noteHop
+	}
 	tryPort := func(port int) bool {
-		var path []topo.LinkID
-		var blackholed bool
-		var err error
-		switch {
-		case s.inband != nil:
+		s.routeHops = s.routeHops[:0]
+		path, blackholed, err := s.R.AppendPath(f.Path[:0], f.Src, f.Dst, port, f.Tuple, now, obs)
+		if s.inband != nil {
 			ib := f.inbandState()
-			ib.hops = ib.hops[:0]
-			path, blackholed, err = s.R.PathObserved(f.Src, f.Dst, port, f.Tuple, now,
-				func(d route.HopDecision) { ib.hops = append(ib.hops, d) })
-		case s.want&EvFlowRouted != 0:
-			// No in-band state to piggyback on: collect the hash decisions
-			// into Sim scratch for the EvFlowRouted event alone.
-			s.routeHops = s.routeHops[:0]
-			path, blackholed, err = s.R.PathObserved(f.Src, f.Dst, port, f.Tuple, now,
-				func(d route.HopDecision) { s.routeHops = append(s.routeHops, d) })
-		default:
-			path, blackholed, err = s.R.Path(f.Src, f.Dst, port, f.Tuple, now)
+			ib.hops = append(ib.hops[:0], s.routeHops...)
 		}
 		f.Port = port
 		f.Path = path
@@ -413,7 +491,7 @@ func (s *Sim) routeFlow(f *Flow) error {
 	p, err := s.R.PickAccessPort(f.Src, f.Dst, f.Tuple, now)
 	if err != nil {
 		f.Stalled = true
-		f.Path = nil
+		f.Path = f.Path[:0]
 		f.Rate = 0
 		if f.ib != nil {
 			f.ib.hops = f.ib.hops[:0]
@@ -486,6 +564,9 @@ func (s *Sim) advance() {
 // completionEvent fires at the earliest projected completion; it harvests
 // every flow within BatchWindow of completion.
 func (s *Sim) completionEvent() {
+	// The engine releases this event once it returns, so the handle must
+	// not outlive the firing (see sim.Event).
+	s.completionEv = nil
 	s.beginMutate()
 	now := s.Eng.Now()
 	window := s.BatchWindow.Seconds()
@@ -536,6 +617,9 @@ func (s *Sim) completionEvent() {
 		if f.After != nil {
 			f.After(now)
 		}
+		if !f.pinned {
+			s.release(f)
+		}
 	}
 	if s.want&EvFlowsDone != 0 && len(done) > 0 {
 		// One event per harvest batch, not per flow: completions arrive at
@@ -552,6 +636,10 @@ func (s *Sim) completionEvent() {
 		done[i] = nil
 	}
 	s.done = done[:0]
+	if len(s.active) == 0 && len(s.free) > flowPoolCap {
+		clear(s.free[flowPoolCap:])
+		s.free = s.free[:flowPoolCap]
+	}
 	s.endMutate()
 }
 
@@ -566,8 +654,12 @@ func (s *Sim) removeActive(f *Flow) {
 }
 
 // AbortFlow removes an in-flight flow without completing it (no callback
-// fires). Aborting a finished flow is a no-op.
+// fires). An aborted flow is never recycled, so aborting it again, or
+// aborting nil, is a no-op. Aborting a completed flow is misuse unless it
+// was pinned: its storage may already carry a newer flow, which this call
+// would abort instead (hpncheck builds panic).
 func (s *Sim) AbortFlow(f *Flow) {
+	f.live("AbortFlow")
 	if f == nil || f.index < 0 {
 		return
 	}

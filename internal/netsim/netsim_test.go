@@ -140,6 +140,7 @@ func TestAccessFailureFailover(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	f.Pin() // its port and completion time are checked after Run
 	// Fail the flow's first link shortly after start.
 	eng.Schedule(10*sim.Millisecond, func() {
 		s.FailCable(f.Path[0])

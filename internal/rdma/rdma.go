@@ -194,7 +194,9 @@ func (cs *ConnSet) pick() *Conn {
 // Send posts a message: Algorithm 2 picks the least-loaded connection, the
 // WQE counter grows, and the flow is injected with the connection's pinned
 // sport and plane. The counter shrinks when the CQE (flow completion)
-// returns.
+// returns. The returned flow follows netsim.StartFlow's lifetime: valid
+// while in flight and inside onComplete, recycled afterwards unless pinned
+// (netsim.Flow.Pin).
 func (cs *ConnSet) Send(bytes float64, onComplete func(now sim.Time)) (*netsim.Flow, error) {
 	c := cs.pick()
 	return cs.post(c, bytes, onComplete)
@@ -216,7 +218,8 @@ func (cs *ConnSet) post(c *Conn, bytes float64, onComplete func(now sim.Time)) (
 }
 
 // SendOn bypasses Algorithm 2 and posts on a specific connection — the
-// baseline ("blind") dispatch used by the sec61b ablation.
+// baseline ("blind") dispatch used by the sec61b ablation. The returned
+// flow has Send's lifetime.
 func (cs *ConnSet) SendOn(i int, bytes float64, onComplete func(now sim.Time)) (*netsim.Flow, error) {
 	c := cs.Conns[i%len(cs.Conns)]
 	return cs.post(c, bytes, onComplete)

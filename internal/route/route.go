@@ -19,6 +19,7 @@ package route
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"hpn/internal/hashing"
@@ -69,6 +70,12 @@ type Router struct {
 	// Tracer, when set, receives BGP-withdrawal/convergence spans and INT
 	// path-trace instants.
 	Tracer *telemetry.Tracer
+
+	// group is the scratch every ECMP group that is not the adjacency
+	// itself is built in. A path walk consumes each group before asking
+	// for the next, so one slice serves every hop; it is also why a Router
+	// must not be shared between goroutines (each netsim.Sim owns its own).
+	group []topo.LinkID
 }
 
 // peerLinks groups one node's downlinks toward a single peer.
@@ -185,7 +192,10 @@ func (r *Router) inGroup(l topo.LinkID, now sim.Time) bool {
 func (r *Router) PickAccessPort(src, dst Endpoint, tuple hashing.FiveTuple, now sim.Time) (int, error) {
 	srcNIC := r.T.Hosts[src.Host].NICs[src.NIC]
 	dstNIC := r.T.Hosts[dst.Host].NICs[dst.NIC]
-	var candidates []int
+	// A NIC has at most two ports (one per ToR under dual-ToR), so the
+	// candidates fit a stack array and picking a port allocates nothing.
+	var buf [2]int
+	candidates := buf[:0]
 	for p, lk := range srcNIC.Ports {
 		if !r.T.LinkUsable(lk) {
 			continue // local failure: bond excludes instantly
@@ -243,25 +253,27 @@ type HopDecision struct {
 // it and reports blackholed=true: the flow will stall there until routing
 // converges and the path is recomputed.
 func (r *Router) Path(src, dst Endpoint, srcPort int, tuple hashing.FiveTuple, now sim.Time) (path []topo.LinkID, blackholed bool, err error) {
-	return r.PathObserved(src, dst, srcPort, tuple, now, nil)
+	return r.AppendPath(nil, src, dst, srcPort, tuple, now, nil)
 }
 
-// PathObserved is Path with in-band visibility: when obs is non-nil it is
-// invoked once per appended path link, in order, with the hash decision (or
-// lack of one) behind that hop. A nil obs is exactly Path.
-func (r *Router) PathObserved(src, dst Endpoint, srcPort int, tuple hashing.FiveTuple, now sim.Time, obs func(HopDecision)) (path []topo.LinkID, blackholed bool, err error) {
+// AppendPath is Path appending the links to buf, so a caller that keeps
+// one buffer per flow routes without allocating; path shares buf's
+// backing array whenever it fits. When obs is non-nil it is invoked once
+// per appended path link, in order, with the hash decision (or lack of
+// one) behind that hop — the in-band view. On an error before the first
+// link, buf comes back unchanged.
+func (r *Router) AppendPath(buf []topo.LinkID, src, dst Endpoint, srcPort int, tuple hashing.FiveTuple, now sim.Time, obs func(HopDecision)) (path []topo.LinkID, blackholed bool, err error) {
 	t := r.T
 	if src.Host == dst.Host {
-		return nil, false, fmt.Errorf("route: intra-host traffic does not use the fabric")
+		return buf, false, fmt.Errorf("route: intra-host traffic does not use the fabric")
 	}
 	access := t.Hosts[src.Host].NICs[src.NIC].Ports[srcPort]
 	if !t.LinkUsable(access) {
-		return nil, false, fmt.Errorf("route: source access port %d down", srcPort)
+		return buf, false, fmt.Errorf("route: source access port %d down", srcPort)
 	}
-	// Host->ToR->Agg->Core->Agg->ToR->host is 6 hops; 8 covers every
-	// valley-free walk without regrowing mid-path.
-	path = make([]topo.LinkID, 0, 8)
-	path = append(path, access)
+	// Host->ToR->Agg->Core->Agg->ToR->host is 6 hops; room for 8 covers
+	// every valley-free walk without regrowing mid-path.
+	path = append(slices.Grow(buf, 8), access)
 	if obs != nil {
 		obs(HopDecision{Link: access, Node: topo.None})
 	}
@@ -341,6 +353,9 @@ func (r *Router) deliveryLink(tor topo.NodeID, dst Endpoint) (topo.LinkID, bool)
 // ecmpGroup returns the ECMP members at node toward dst, and whether the
 // group points downward (toward hosts). Members are links still advertised
 // (inGroup); physically-dead-but-advertised members are included on purpose.
+// The group aliases either the topology's adjacency or the router's group
+// scratch, so it is valid only until the next call; callers index it and
+// never mutate it.
 func (r *Router) ecmpGroup(node topo.NodeID, dst Endpoint, now sim.Time) ([]topo.LinkID, bool) {
 	t := r.T
 	n := t.Node(node)
@@ -354,7 +369,7 @@ func (r *Router) ecmpGroup(node topo.NodeID, dst Endpoint, now sim.Time) ([]topo
 	case topo.KindAgg:
 		if dstHost.Pod == n.Pod {
 			// Down to the ToR(s) that advertise dst's /32 in this plane.
-			var group []topo.LinkID
+			group := r.group[:0]
 			for _, up := range dstHost.NICs[dst.NIC].Ports {
 				al := t.Link(up)
 				tor := t.Node(al.To)
@@ -373,6 +388,7 @@ func (r *Router) ecmpGroup(node topo.NodeID, dst Endpoint, now sim.Time) ([]topo
 				}
 			}
 			sortLinks(group)
+			r.group = group
 			return group, true
 		}
 		// Up toward the Cores.
@@ -380,7 +396,7 @@ func (r *Router) ecmpGroup(node topo.NodeID, dst Endpoint, now sim.Time) ([]topo
 
 	case topo.KindCore:
 		// Down to the Aggs of dst's pod (this plane, by construction).
-		var group []topo.LinkID
+		group := r.group[:0]
 		for _, agg := range t.Aggs(dstHost.Pod, n.Plane) {
 			for _, dl := range r.downLinks(node, agg) {
 				if r.inGroup(dl, now) {
@@ -389,24 +405,26 @@ func (r *Router) ecmpGroup(node topo.NodeID, dst Endpoint, now sim.Time) ([]topo
 			}
 		}
 		sortLinks(group)
+		r.group = group
 		return group, true
 	}
 	return nil, false
 }
 
 // filterGroup drops withdrawn members. The common case — every member
-// still advertised — returns the input slice unallocated; callers only
-// index the group, never mutate it, so aliasing the adjacency is safe.
+// still advertised — returns the input slice itself; callers only index the
+// group, never mutate it, so aliasing the adjacency is safe. Otherwise the
+// survivors are copied into the group scratch.
 func (r *Router) filterGroup(links []topo.LinkID, now sim.Time) []topo.LinkID {
 	for i, l := range links {
 		if !r.inGroup(l, now) {
-			out := make([]topo.LinkID, i, len(links))
-			copy(out, links[:i])
+			out := append(r.group[:0], links[:i]...)
 			for _, l := range links[i+1:] {
 				if r.inGroup(l, now) {
 					out = append(out, l)
 				}
 			}
+			r.group = out
 			return out
 		}
 	}

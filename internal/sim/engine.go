@@ -48,7 +48,8 @@ func (t Time) String() string { return time.Duration(t).String() }
 // firing — to Cancel, Reschedule or inspect it later — must Pin it, or the
 // handle may silently address an unrelated, recycled event. Events that
 // are canceled before firing are never recycled (the canceling caller
-// still holds the handle).
+// still holds the handle). Built with the hpncheck tag, a released event
+// is never reused and Cancel, Reschedule, Canceled and Pin panic on it.
 type Event struct {
 	at     Time
 	seq    uint64 // tie-breaker: FIFO among events at the same instant
@@ -60,10 +61,23 @@ type Event struct {
 	daemon bool
 	// pinned excludes the event from free-list recycling after it fires.
 	pinned bool
+	// released is the release stamp, set only in hpncheck builds.
+	released *released
+}
+
+// released records how an event left the engine's hands: when it fired
+// and which callback it carried (hpncheck builds only).
+type released struct {
+	at  Time
+	seq uint64
+	fn  string
 }
 
 // Canceled reports whether the event was canceled before firing.
-func (e *Event) Canceled() bool { return e != nil && e.cancel }
+func (e *Event) Canceled() bool {
+	e.live("Canceled")
+	return e != nil && e.cancel
+}
 
 // At returns the virtual time the event is scheduled for.
 func (e *Event) At() Time { return e.at }
@@ -73,6 +87,7 @@ func (e *Event) At() Time { return e.at }
 // Canceled) after the event fires. Returns the event for chaining at the
 // Schedule call site. Nil-safe.
 func (e *Event) Pin() *Event {
+	e.live("Pin")
 	if e != nil {
 		e.pinned = true
 	}
@@ -220,6 +235,7 @@ func (e *Engine) schedule(at Time, fn func(), daemon bool) *Event {
 // allocation. Hot reschedulers (the flow-completion timer re-armed on every
 // rate recomputation) depend on this.
 func (e *Engine) Reschedule(ev *Event, at Time) bool {
+	ev.live("Reschedule")
 	if ev == nil || ev.cancel || ev.index < 0 {
 		return false
 	}
@@ -233,9 +249,10 @@ func (e *Engine) Reschedule(ev *Event, at Time) bool {
 	return true
 }
 
-// Cancel removes a scheduled event. Canceling a fired or already-canceled
-// event is a no-op.
+// Cancel removes a scheduled event. Canceling an already-canceled event,
+// or a fired one the caller pinned, is a no-op.
 func (e *Engine) Cancel(ev *Event) {
+	ev.live("Cancel")
 	if ev == nil || ev.cancel || ev.index < 0 {
 		if ev != nil {
 			ev.cancel = true
@@ -268,13 +285,11 @@ func (e *Engine) Step() bool {
 				telemetry.Arg{K: "seq", V: ev.seq})
 		}
 		ev.fn()
-		// Recycle the fired event unless a caller retained it (Pin) or
+		// Release the fired event unless a caller retained it (Pin) or
 		// canceled it during its own dispatch (the canceler holds the
-		// handle). fn is dropped so the closure's captures are collectable
-		// while the shell waits in the pool.
-		if !ev.pinned && !ev.cancel && len(e.free) < eventPoolCap {
-			ev.fn = nil
-			e.free = append(e.free, ev)
+		// handle).
+		if !ev.pinned && !ev.cancel {
+			e.release(ev)
 		}
 		return true
 	}
