@@ -64,7 +64,7 @@ test-parallel:
 # handle past its release without Pin fails here even though the default
 # build silently aliases it.
 test-checked:
-	$(GO) test -tags hpncheck ./internal/sim/... ./internal/netsim/... ./internal/collective/... ./internal/rdma/... .
+	$(GO) test -tags hpncheck ./internal/sim/... ./internal/netsim/... ./internal/collective/... ./internal/rdma/... ./internal/workload/... .
 
 # Fuzz smoke: ~10s of native fuzzing for each artifact parser (inband and
 # health ParseTSV, prof ParseProfile), seeded from the run artifacts in

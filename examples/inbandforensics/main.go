@@ -59,21 +59,24 @@ func main() {
 
 	// Every segment-0 host sends to its segment-1 peer on two rails, 32
 	// distinct source ports each: 512 flows, every one a fresh hash input,
-	// all crossing the ToR->Agg->ToR ECMP cascade.
+	// all crossing the ToR->Agg->ToR ECMP cascade. They start at one
+	// instant, so a single batch computes their rates once.
 	flows, sport := 0, uint16(20000)
-	for h := 0; h < 8; h++ {
-		for nic := 0; nic < 2; nic++ {
-			for k := 0; k < 32; k++ {
-				sport++
-				src := route.Endpoint{Host: h, NIC: nic}
-				dst := route.Endpoint{Host: h + 8, NIC: nic}
-				if _, err := cluster.Net.StartFlow(src, dst, 256<<10, netsim.FlowOpts{SrcPort: -1, Sport: sport}); err != nil {
-					log.Fatal(err)
+	cluster.Net.Batch(func() {
+		for h := 0; h < 8; h++ {
+			for nic := 0; nic < 2; nic++ {
+				for k := 0; k < 32; k++ {
+					sport++
+					src := route.Endpoint{Host: h, NIC: nic}
+					dst := route.Endpoint{Host: h + 8, NIC: nic}
+					if _, err := cluster.Net.StartFlow(src, dst, 256<<10, netsim.FlowOpts{SrcPort: -1, Sport: sport}); err != nil {
+						log.Fatal(err)
+					}
+					flows++
 				}
-				flows++
 			}
 		}
-	}
+	})
 	cluster.Eng.Run()
 
 	if err := os.MkdirAll(*out, 0o755); err != nil {

@@ -207,13 +207,10 @@ func runSec8(s Scale) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	for i := 0; i < trainHosts; i++ {
-		if _, err := fe.Net.StartFlow(
-			route.Endpoint{Host: i, NIC: 0},
-			route.Endpoint{Host: feCfg.StorageHostStart() + i, NIC: 0},
-			ckptGBPerHost*1e9, netsim.FlowOpts{SrcPort: -1}); err != nil {
-			return nil, err
-		}
+	if err := startBurst(fe.Net, trainHosts, func(i int) (route.Endpoint, route.Endpoint) {
+		return route.Endpoint{Host: i, NIC: 0}, route.Endpoint{Host: feCfg.StorageHostStart() + i, NIC: 0}
+	}, ckptGBPerHost*1e9, nil); err != nil {
+		return nil, err
 	}
 	var clients, servers []int
 	for i := 0; i < trainHosts; i++ {
@@ -239,6 +236,31 @@ func runSec8(s Scale) (*Report, error) {
 		"good performance for inference", fmt.Sprintf("P99 %.2fms", p99*1e3),
 		inf.Completed > 0 && p99 < 0.05)
 	return r, nil
+}
+
+// startBurst starts n flows of the given size at the current instant, in
+// one batch; ends(i) names flow i's endpoints. done, when non-nil, fires
+// as the last of them completes. It stops at the first launch error.
+func startBurst(net *netsim.Sim, n int, ends func(i int) (src, dst route.Endpoint), bytes float64, done func(sim.Time)) error {
+	pending := 0
+	var onComplete func(sim.Time, *netsim.Flow)
+	if done != nil {
+		onComplete = func(now sim.Time, _ *netsim.Flow) {
+			pending--
+			if pending == 0 {
+				done(now)
+			}
+		}
+	}
+	var err error
+	net.Batch(func() {
+		for i := 0; i < n && err == nil; i++ {
+			src, dst := ends(i)
+			pending++
+			_, err = net.StartFlow(src, dst, bytes, netsim.FlowOpts{SrcPort: -1, OnComplete: onComplete})
+		}
+	})
+	return err
 }
 
 type storageRun struct {
@@ -282,46 +304,20 @@ func trainWithStorage(trainHosts int, ckptGBPerHost float64, frontend bool) (*st
 		if err != nil {
 			return nil, err
 		}
-		pendingCkpt := 0
 		start := feCluster.Eng.Now()
-		for i := 0; i < trainHosts; i++ {
-			pendingCkpt++
-			_, err := feCluster.Net.StartFlow(
-				route.Endpoint{Host: i, NIC: 0},
-				route.Endpoint{Host: feCfg.StorageHostStart() + i%trainHosts, NIC: 0},
-				ckptBytes,
-				netsim.FlowOpts{SrcPort: -1, OnComplete: func(now sim.Time, _ *netsim.Flow) {
-					pendingCkpt--
-					if pendingCkpt == 0 {
-						out.ckptSeconds = (now - start).Seconds()
-					}
-				}},
-			)
-			if err != nil {
-				return nil, err
-			}
+		if err := startBurst(feCluster.Net, trainHosts, func(i int) (route.Endpoint, route.Endpoint) {
+			return route.Endpoint{Host: i, NIC: 0}, route.Endpoint{Host: feCfg.StorageHostStart() + i%trainHosts, NIC: 0}
+		}, ckptBytes, func(now sim.Time) { out.ckptSeconds = (now - start).Seconds() }); err != nil {
+			return nil, err
 		}
 		feCluster.Eng.Run()
 	}
 	if ckptGBPerHost > 0 && !frontend {
-		pendingCkpt := 0
 		start := c.Eng.Now()
-		for i, h := range training {
-			pendingCkpt++
-			_, err := c.Net.StartFlow(
-				route.Endpoint{Host: h, NIC: i % 8},
-				route.Endpoint{Host: storage[i%len(storage)], NIC: i % 8},
-				ckptBytes,
-				netsim.FlowOpts{SrcPort: -1, OnComplete: func(now sim.Time, _ *netsim.Flow) {
-					pendingCkpt--
-					if pendingCkpt == 0 {
-						out.ckptSeconds = (now - start).Seconds()
-					}
-				}},
-			)
-			if err != nil {
-				return nil, err
-			}
+		if err := startBurst(c.Net, len(training), func(i int) (route.Endpoint, route.Endpoint) {
+			return route.Endpoint{Host: training[i], NIC: i % 8}, route.Endpoint{Host: storage[i%len(storage)], NIC: i % 8}
+		}, ckptBytes, func(now sim.Time) { out.ckptSeconds = (now - start).Seconds() }); err != nil {
+			return nil, err
 		}
 	}
 

@@ -58,35 +58,38 @@ func (g *Group) StartAllToAll(bytes float64, onDone func(sim.Time, AllToAllResul
 			finish(now)
 		}
 	}
-	for si, srcHost := range g.Hosts {
-		for sr := 0; sr < g.Rails; sr++ {
-			for di, dstHost := range g.Hosts {
-				if si == di {
-					continue
-				}
-				// One aggregated flow per destination NIC; rotate the
-				// destination rail so cross-rail pairs are exercised.
-				dr := (sr + di) % g.Rails
-				src := route.Endpoint{Host: srcHost, NIC: sr}
-				dst := route.Endpoint{Host: dstHost, NIC: dr}
-				f, err := g.Net.StartFlow(src, dst, shard*float64(g.Rails), netsim.FlowOpts{
-					SrcPort:    -1,
-					OnComplete: flowDone,
-				})
-				if err != nil || f.Stalled {
-					res.FlowsUnreachable++
-					if f != nil && f.Stalled {
-						// A shard with no fabric path would never complete;
-						// drop it rather than deadlock the barrier.
-						g.Net.AbortFlow(f)
+	// Every shard starts at this instant: one rate recomputation for all.
+	g.Net.Batch(func() {
+		for si, srcHost := range g.Hosts {
+			for sr := 0; sr < g.Rails; sr++ {
+				for di, dstHost := range g.Hosts {
+					if si == di {
+						continue
 					}
-					continue
+					// One aggregated flow per destination NIC; rotate the
+					// destination rail so cross-rail pairs are exercised.
+					dr := (sr + di) % g.Rails
+					src := route.Endpoint{Host: srcHost, NIC: sr}
+					dst := route.Endpoint{Host: dstHost, NIC: dr}
+					f, err := g.Net.StartFlow(src, dst, shard*float64(g.Rails), netsim.FlowOpts{
+						SrcPort:    -1,
+						OnComplete: flowDone,
+					})
+					if err != nil || f.Stalled {
+						res.FlowsUnreachable++
+						if f != nil && f.Stalled {
+							// A shard with no fabric path would never complete;
+							// drop it rather than deadlock the barrier.
+							g.Net.AbortFlow(f)
+						}
+						continue
+					}
+					res.FlowsSent++
+					pending++
 				}
-				res.FlowsSent++
-				pending++
 			}
 		}
-	}
+	})
 	if pending == 0 {
 		finish(g.Net.Eng.Now())
 		return nil

@@ -512,9 +512,15 @@ func (s *Sim) routeFlow(f *Flow) error {
 // instead of recomputing per call. Since all the calls land at the same
 // virtual instant, the resulting allocation — and every completion that
 // follows — is identical to the unbatched sequence; only the O(flows x
-// hops) recomputation work per call is saved. Collective rounds, which
-// start hundreds of flows at one instant, are the intended callers. Flows
-// started inside a batch carry Rate 0 until the batch ends.
+// hops) recomputation work per call is saved. Flows started inside a
+// batch carry Rate 0 until the batch ends.
+//
+// The rule: every loop that starts more than one flow at one instant goes
+// through Batch. The callers are the collective ring rounds, AllToAll's
+// shard fan-out, the trainer's pipeline-parallel sends, the checkpoint
+// bursts of the §8 storage experiment and the inbandforensics example. A
+// batch that starts nothing still recomputes (and, traced, samples the
+// active_flows counter), so wrap only code that is sure to start flows.
 func (s *Sim) Batch(fn func()) {
 	s.beginMutate()
 	defer s.endMutate()

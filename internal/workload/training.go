@@ -273,30 +273,37 @@ func (t *Trainer) syncPhase() {
 	// keeps — so every iteration hashes onto the same paths; letting the
 	// fabric auto-assign would drift the sport cursor and make iterations
 	// aperiodic, defeating memoization.
-	if t.Job.Par.PP > 1 && t.MicrobatchesPerIteration > 0 {
+	//
+	// All PP sends start at this instant: one rate recomputation for the
+	// lot instead of one per flow. Only this loop is batched, and only when
+	// it has pairs: an empty batch still recomputes, and the collectives
+	// above may start no flow now (an NVLink pre-stage).
+	if pairs := t.Job.PPPairs(); len(pairs) > 0 && t.MicrobatchesPerIteration > 0 {
 		ppBytes := PPVolume(t.Job.Model) * float64(t.MicrobatchesPerIteration)
 		ppDone := func(now sim.Time, _ *netsim.Flow) { done(now, collective.Result{}) }
-		for pi, pair := range t.Job.PPPairs() {
-			for r := 0; r < 8; r++ {
-				for dir := 0; dir < 2; dir++ {
-					a, b := pair[0], pair[1]
-					if dir == 1 {
-						a, b = b, a
-					}
-					pending++
-					_, err := t.Net.StartFlow(
-						route.Endpoint{Host: a, NIC: r},
-						route.Endpoint{Host: b, NIC: r},
-						ppBytes,
-						netsim.FlowOpts{SrcPort: -1, Sport: ppSport(pi, r, dir), OnComplete: ppDone},
-					)
-					if err != nil {
-						pending--
-						t.noteSyncErr(err)
+		t.Net.Batch(func() {
+			for pi, pair := range pairs {
+				for r := 0; r < 8; r++ {
+					for dir := 0; dir < 2; dir++ {
+						a, b := pair[0], pair[1]
+						if dir == 1 {
+							a, b = b, a
+						}
+						pending++
+						_, err := t.Net.StartFlow(
+							route.Endpoint{Host: a, NIC: r},
+							route.Endpoint{Host: b, NIC: r},
+							ppBytes,
+							netsim.FlowOpts{SrcPort: -1, Sport: ppSport(pi, r, dir), OnComplete: ppDone},
+						)
+						if err != nil {
+							pending--
+							t.noteSyncErr(err)
+						}
 					}
 				}
 			}
-		}
+		})
 	}
 	if pending == 0 {
 		t.completeIteration(0)

@@ -7,6 +7,7 @@ import (
 	"hpn/internal/collective"
 	"hpn/internal/netsim"
 	"hpn/internal/sim"
+	"hpn/internal/telemetry"
 	"hpn/internal/topo"
 )
 
@@ -270,6 +271,45 @@ func TestTrainerPPTraffic(t *testing.T) {
 	net2.Eng.Run()
 	if net2.CompletedBits >= net.CompletedBits {
 		t.Fatal("PP traffic did not add bits")
+	}
+}
+
+// An iteration's PP sends all start at one instant, so they must share one
+// rate recomputation: the whole iteration, collectives and completions
+// included, recomputes fewer times than it starts PP flows. Launching them
+// one StartFlow at a time costs one recompute per flow on its own.
+func TestPPLaunchRecomputesOnce(t *testing.T) {
+	top, err := topo.BuildHPN(topo.SmallHPN(2, 8, 8))
+	if err != nil {
+		t.Fatal(err)
+	}
+	net := netsim.New(sim.New(), top)
+	reg := telemetry.NewRegistry()
+	net.AttachTelemetry(nil, reg, "")
+	hosts := make([]int, 16)
+	for i := range hosts {
+		hosts[i] = i
+	}
+	job, err := NewJob(GPT175B, Parallelism{TP: 8, PP: 4, DP: 4}, hosts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr, err := NewTrainer(net, job, collective.DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := tr.Start(1); err != nil {
+		t.Fatal(err)
+	}
+	net.Eng.Run()
+	if tr.Iterations != 1 || tr.FirstErr != nil {
+		t.Fatalf("iterations = %d, first error %v", tr.Iterations, tr.FirstErr)
+	}
+	ppFlows := len(job.PPPairs()) * 8 * 2
+	recomputes := reg.Counter("netsim_recomputes_total", "").Value()
+	if recomputes >= float64(ppFlows) {
+		t.Fatalf("%v recomputes for an iteration that starts %d PP flows; the PP launch is not batched",
+			recomputes, ppFlows)
 	}
 }
 
