@@ -112,13 +112,10 @@ func run(args []string) (code int) {
 			// instrumentation points and needs no periodic ticks.
 			opt.SampleInterval = 0
 		}
-		if memoOn && opt.SampleInterval != 0 {
-			// The sampler's periodic daemon tick would land inside every
-			// candidate window and block memoization entirely.
-			opt.SampleInterval = 0
+		hub = hpn.EnableDefaultTelemetry(opt)
+		if memoOn {
 			fmt.Println("memo: periodic sampling disabled (incompatible with fast-forward)")
 		}
-		hub = hpn.EnableDefaultTelemetry(opt)
 	}
 
 	var s hpn.Scale

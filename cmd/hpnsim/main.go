@@ -82,13 +82,10 @@ func run(args []string) (code int) {
 		opt.Health = *healthTo != ""
 		opt.Memo = memoOn
 		opt.Prof = *profTo != ""
-		if memoOn && opt.SampleInterval != 0 {
-			// The sampler's periodic daemon tick would land inside every
-			// candidate window and block memoization entirely.
-			opt.SampleInterval = 0
+		hub = hpn.EnableDefaultTelemetry(opt)
+		if memoOn {
 			fmt.Println("memo: periodic sampling disabled (incompatible with fast-forward)")
 		}
-		hub = hpn.EnableDefaultTelemetry(opt)
 	}
 
 	var m hpn.ModelSpec
@@ -110,6 +107,7 @@ func run(args []string) (code int) {
 		return 2
 	}
 	par := hpn.Parallelism{TP: *tp, PP: *pp, DP: gpus / (*tp * *pp)}
+	out := outputs{trace: *traceOut, prom: *promOut, mem: *memOut, dirs: artifactDirs(*inbandTo, *healthTo, *profTo)}
 
 	if *shards != 1 && *pods <= 1 {
 		fmt.Fprintln(os.Stderr, "hpnsim: -shards needs -pods > 1 (a single-pod fabric has nothing to shard)")
@@ -120,8 +118,7 @@ func run(args []string) (code int) {
 			fmt.Fprintf(os.Stderr, "hpnsim: sharded multi-pod runs support -arch hpn only, got %q\n", *arch)
 			return 2
 		}
-		if err := runSharded(hub, m, par, *pods, *shards, *hosts, *iters,
-			artifactDirs(*inbandTo, *healthTo, *profTo), *traceOut, *promOut, *memOut, *inbandTo != ""); err != nil {
+		if err := runSharded(hub, m, par, *pods, *shards, *hosts, *iters, out, *inbandTo != ""); err != nil {
 			return fail(err)
 		}
 		return 0
@@ -182,11 +179,7 @@ func run(args []string) (code int) {
 	if m := hpn.HealthMonitorOf(c); m != nil {
 		fmt.Printf("health: %s\n", m.Summary().Verdict())
 	}
-	if r := hpn.MemoRecorderOf(c); r != nil {
-		s := r.Stats()
-		fmt.Printf("memo: %d hits, %d misses, %d blocked, %d invalidations, %d/%d iterations replayed\n",
-			s.Hits, s.Misses, s.Blocked, s.Invalidations, s.Replayed, tr.Iterations)
-	}
+	printMemo("memo", c, tr.Iterations)
 	if tr.FirstErr != nil {
 		fmt.Fprintf(os.Stderr, "hpnsim: warning: sync-phase launch error (first recorded; count in workload_sync_errors_total): %v\n", tr.FirstErr)
 	}
@@ -194,41 +187,8 @@ func run(args []string) (code int) {
 		fmt.Fprintln(os.Stderr, "hpnsim:", w)
 	}
 
-	if hub != nil {
-		if *traceOut != "" {
-			if err := writeFile(*traceOut, func(f *os.File) error {
-				_, err := hub.Tracer.WriteTo(f)
-				return err
-			}); err != nil {
-				return fail(err)
-			}
-			fmt.Printf("wrote %s (%d events)\n", *traceOut, hub.Tracer.Events())
-		}
-		if *promOut != "" {
-			if err := writeFile(*promOut, func(f *os.File) error {
-				return hub.Registry.WritePrometheus(f)
-			}); err != nil {
-				return fail(err)
-			}
-			fmt.Printf("wrote %s\n", *promOut)
-		}
-		for _, dir := range artifactDirs(*inbandTo, *healthTo, *profTo) {
-			paths, err := hub.WriteArtifacts(dir)
-			if err != nil {
-				return fail(err)
-			}
-			for _, p := range paths {
-				fmt.Printf("wrote %s\n", p)
-			}
-		}
-	}
-	if *memOut != "" {
-		if err := writeFile(*memOut, func(f *os.File) error {
-			return pprof.Lookup("allocs").WriteTo(f, 0)
-		}); err != nil {
-			return fail(err)
-		}
-		fmt.Printf("wrote %s\n", *memOut)
+	if err := out.write(hub, hub.WriteArtifacts); err != nil {
+		return fail(err)
 	}
 	return 0
 }
@@ -237,7 +197,7 @@ func run(args []string) (code int) {
 // conservative-window coordinator, one training job per pod, and the
 // cross-pod gradient exchange on the global domain.
 func runSharded(hub *hpn.TelemetryHub, m hpn.ModelSpec, par hpn.Parallelism,
-	pods, workers, hosts, iters int, dirs []string, traceOut, promOut, memOut string, flowLog bool) error {
+	pods, workers, hosts, iters int, out outputs, flowLog bool) error {
 	segHosts := hosts
 	if segHosts > 128 {
 		segHosts = 128
@@ -275,11 +235,7 @@ func runSharded(hub *hpn.TelemetryHub, m hpn.ModelSpec, par hpn.Parallelism,
 		if hm := hpn.HealthMonitorOf(pc); hm != nil {
 			fmt.Printf("pod %d health: %s\n", p, hm.Summary().Verdict())
 		}
-		if r := hpn.MemoRecorderOf(pc); r != nil {
-			s := r.Stats()
-			fmt.Printf("pod %d memo: %d hits, %d misses, %d blocked, %d invalidations, %d/%d iterations replayed\n",
-				p, s.Hits, s.Misses, s.Blocked, s.Invalidations, s.Replayed, st.Trainers[p].Iterations)
-		}
+		printMemo(fmt.Sprintf("pod %d memo", p), pc, st.Trainers[p].Iterations)
 		if st.Trainers[p].FirstErr != nil {
 			fmt.Fprintf(os.Stderr, "hpnsim: warning: pod %d sync-phase launch error: %v\n", p, st.Trainers[p].FirstErr)
 		}
@@ -291,28 +247,54 @@ func runSharded(hub *hpn.TelemetryHub, m hpn.ModelSpec, par hpn.Parallelism,
 		fmt.Fprintln(os.Stderr, "hpnsim:", w)
 	}
 
+	// The flat trace file carries the global domain's process; the per-pod
+	// traces land as c2_trace.json, ... in the artifact dirs.
+	return out.write(hub, sc.WriteArtifacts)
+}
+
+// printMemo prints one cluster's memo recorder summary, if it has one.
+func printMemo(label string, c *hpn.Cluster, iters int) {
+	r := hpn.MemoRecorderOf(c)
+	if r == nil {
+		return
+	}
+	s := r.Stats()
+	fmt.Printf("%s: %d hits, %d misses, %d blocked, %d invalidations, %d/%d iterations replayed\n",
+		label, s.Hits, s.Misses, s.Blocked, s.Invalidations, s.Replayed, iters)
+}
+
+// outputs is where a run writes its results: the flat trace and metrics
+// files, the artifact directories and the heap profile (each empty or nil
+// when not requested).
+type outputs struct {
+	trace, prom, mem string
+	dirs             []string
+}
+
+// write writes every requested output. writeArtifacts fills one artifact
+// directory: the hub's for a single pod, the sharded cluster's for
+// several.
+func (o outputs) write(hub *hpn.TelemetryHub, writeArtifacts func(dir string) ([]string, error)) error {
 	if hub != nil {
-		if traceOut != "" {
-			// The flat trace file carries the global domain's process; the
-			// per-pod traces land as c2_trace.json, ... in the artifact dirs.
-			if err := writeFile(traceOut, func(f *os.File) error {
+		if o.trace != "" {
+			if err := writeFile(o.trace, func(f *os.File) error {
 				_, err := hub.Tracer.WriteTo(f)
 				return err
 			}); err != nil {
 				return err
 			}
-			fmt.Printf("wrote %s (%d events)\n", traceOut, hub.Tracer.Events())
+			fmt.Printf("wrote %s (%d events)\n", o.trace, hub.Tracer.Events())
 		}
-		if promOut != "" {
-			if err := writeFile(promOut, func(f *os.File) error {
+		if o.prom != "" {
+			if err := writeFile(o.prom, func(f *os.File) error {
 				return hub.Registry.WritePrometheus(f)
 			}); err != nil {
 				return err
 			}
-			fmt.Printf("wrote %s\n", promOut)
+			fmt.Printf("wrote %s\n", o.prom)
 		}
-		for _, dir := range dirs {
-			paths, err := sc.WriteArtifacts(dir)
+		for _, dir := range o.dirs {
+			paths, err := writeArtifacts(dir)
 			if err != nil {
 				return err
 			}
@@ -321,13 +303,13 @@ func runSharded(hub *hpn.TelemetryHub, m hpn.ModelSpec, par hpn.Parallelism,
 			}
 		}
 	}
-	if memOut != "" {
-		if err := writeFile(memOut, func(f *os.File) error {
+	if o.mem != "" {
+		if err := writeFile(o.mem, func(f *os.File) error {
 			return pprof.Lookup("allocs").WriteTo(f, 0)
 		}); err != nil {
 			return err
 		}
-		fmt.Printf("wrote %s\n", memOut)
+		fmt.Printf("wrote %s\n", o.mem)
 	}
 	return nil
 }

@@ -16,7 +16,6 @@ import (
 	"fmt"
 	"math"
 
-	"hpn/internal/memo"
 	"hpn/internal/netsim"
 	"hpn/internal/rdma"
 	"hpn/internal/route"
@@ -185,7 +184,7 @@ func (g *Group) GPUs() int { return len(g.Hosts) * g.Rails }
 // flow schedules. Dynamic per-connection counters (WQE bytes, sent-byte
 // totals) are excluded: WQEs are always drained at iteration boundaries,
 // and sent-byte totals don't influence dispatch.
-func (g *Group) ScheduleFingerprint(h *memo.Hasher) {
+func (g *Group) ScheduleFingerprint(h *netsim.Hasher) {
 	h.Mix(uint64(len(g.Hosts)))
 	for _, host := range g.Hosts {
 		h.Mix(uint64(host))

@@ -9,14 +9,14 @@
 // flow allocations, completions and telemetry, just shifted in time. The
 // recorder exploits that: it fingerprints the simulator state at each
 // iteration boundary, records the full effect of one window of simulation
-// (netsim's fabric event stream, the trace buffer, metric movement, engine
-// clock/sequence consumption), and on a fingerprint hit replays that
-// recorded window — re-stamped to the current time, flow-ID and sequence
-// cursors — instead of simulating it, then fast-forwards the engine clock
-// past it. Replayed events reach the other stream subscribers (flow log,
-// in-band collector, flight recorder, health monitor) exactly as live ones
-// do, so a replayed run's artifacts are byte-identical to a re-simulated
-// run's.
+// (netsim's fabric event stream, the trace buffer, metric movement, and
+// the engine and fluid-model exit state as one netsim.Exit), and on a
+// fingerprint hit replays that recorded window — re-stamped to the current
+// time, flow-ID and sequence cursors — instead of simulating it, then
+// lands its exit state with one netsim.Sim.ApplyExit. Replayed events
+// reach the other stream subscribers (flow log, in-band collector, flight
+// recorder, health monitor) exactly as live ones do, so a replayed run's
+// artifacts are byte-identical to a re-simulated run's.
 //
 // Safety comes from three layers:
 //
@@ -55,30 +55,6 @@ import (
 // repeat (each iteration would otherwise leak a full recording).
 const maxWindows = 512
 
-// Hasher is the FNV-1a style mixer every memo fingerprint is built with.
-// Callers fold their own state in with Mix and combine sub-fingerprints
-// (the workload's schedule hash, netsim's state hash) the same way.
-type Hasher struct{ h uint64 }
-
-// NewHasher returns a hasher at the FNV-1a offset basis.
-func NewHasher() *Hasher { return &Hasher{h: 14695981039346656037} }
-
-// Mix folds one word into the hash.
-func (h *Hasher) Mix(v uint64) {
-	h.h ^= v
-	h.h *= 1099511628211
-}
-
-// MixString folds a string in byte-wise.
-func (h *Hasher) MixString(s string) {
-	for i := 0; i < len(s); i++ {
-		h.Mix(uint64(s[i]))
-	}
-}
-
-// Sum returns the current hash value.
-func (h *Hasher) Sum() uint64 { return h.h }
-
 // LiveMetricsOwner is implemented by stream subscribers (health.Monitor)
 // that increment registry counters while handling fabric events. Replay
 // re-delivers those events, so the increments happen live; the recorder
@@ -89,8 +65,8 @@ type LiveMetricsOwner interface {
 }
 
 // traceEvent is one captured trace emission, stored with record-time
-// absolute values; replay shifts ts by the window's time delta and the
-// "seq"/"id"/"flow" args by the sequence and flow-ID deltas.
+// absolute values; replay shifts ts by the window's time shift and the
+// "seq"/"id"/"flow" args by the sequence and flow-ID shifts.
 type traceEvent struct {
 	ph        byte
 	ts, dur   int64
@@ -102,65 +78,36 @@ type traceEvent struct {
 // Window is one recorded iteration: everything needed to reproduce its
 // effects at a later, shifted position in the run.
 type Window struct {
-	fp      uint64
-	baseT   sim.Time
-	baseID  int64
-	baseSeq uint64
+	// exit is the simulator state the window leaves behind, and the origin
+	// its captures are re-stamped from.
+	exit *netsim.Exit
 
-	// dur is the window length; liveAt is the offset of the live section
-	// (the trainer's iteration-completion bookkeeping, re-executed on
-	// replay with the recorded comm payload).
-	dur    sim.Time
+	// liveAt is the record-time instant of the live section (the trainer's
+	// iteration-completion bookkeeping, re-executed on replay with the
+	// recorded comm payload).
 	liveAt sim.Time
 	comm   float64
-
-	seqDelta, procDelta uint64
-	idDelta             int64
 
 	// part1/ev1 cover [window start, live section); the *2 halves cover
 	// (live section, window end]. The live section itself is excluded —
 	// replay re-executes it and it re-emits its own output.
 	part1, part2 []traceEvent
 	ev1, ev2     []netsim.Event
-
-	statFlows                   int64
-	statBits, statAgg, statCore float64
-	metrics                     *telemetry.MetricsDelta
-	residual                    *netsim.InbandResidual
-	lastAdvOffset               sim.Time
 }
 
-// Dur returns the window's virtual-time length.
-func (w *Window) Dur() sim.Time { return w.dur }
-
-// recording is an in-progress window capture.
+// recording is an in-progress window capture: the Window being filled,
+// the simulator position it started at and the metric snapshots its
+// registry movement is computed from.
 type recording struct {
-	fp       uint64
-	baseT    sim.Time
-	baseID   int64
-	baseSeq  uint64
-	baseProc uint64
-	sport    uint16
-
-	// Validity guards: the engine's pending-event population must be
-	// untouched over the window (nothing armed, nothing external fired).
-	beginPending int
-	beginNextAt  sim.Time
-	beginNextOK  bool
-
-	statFlows                   int64
-	statBits, statAgg, statCore float64
+	Window
+	fp   uint64
+	mark netsim.Mark
 
 	snapA, snapB1, snapB2 *telemetry.MetricsSnapshot
 	d1                    *telemetry.MetricsDelta
 
 	liveSeen bool
-	liveAt   sim.Time
-	comm     float64
-
-	part1, part2 []traceEvent
-	ev1, ev2     []netsim.Event
-	hops         map[uint64][]route.HopDecision // see internHops
+	hops     map[uint64][]route.HopDecision // see internHops
 }
 
 // Recorder is the memoization engine: a fabric-stream subscriber plus a
@@ -169,7 +116,6 @@ type recording struct {
 // Lookup/Replay at iteration boundaries.
 type Recorder struct {
 	net *netsim.Sim
-	eng *sim.Engine
 
 	cache map[uint64]*Window
 
@@ -205,7 +151,6 @@ type Stats struct {
 func Attach(s *netsim.Sim) *Recorder {
 	r := &Recorder{
 		net:   s,
-		eng:   s.Eng,
 		cache: map[uint64]*Window{},
 	}
 	s.Subscribe(r)
@@ -221,15 +166,6 @@ func Attach(s *netsim.Sim) *Recorder {
 		r.ctrReplayed = s.Reg.Counter(p+"memo_replayed_iterations_total", "iterations fast-forwarded from the cache")
 		s.Reg.Gauge(p+"memo_cached_windows", "recorded iteration windows held in the cache",
 			func() float64 { return float64(len(r.cache)) })
-		// Stats as gauges alongside the counters: gauges stay out of the
-		// recorder's own metrics snapshots (counters/histograms only), so
-		// these views are replay-safe and cheap to read from dashboards.
-		s.Reg.Gauge(p+"memo_hits", "live view of Stats.Hits (cache hits)",
-			func() float64 { return float64(r.Stats().Hits) })
-		s.Reg.Gauge(p+"memo_misses", "live view of Stats.Misses (cache misses)",
-			func() float64 { return float64(r.Stats().Misses) })
-		s.Reg.Gauge(p+"memo_invalidations", "live view of Stats.Invalidations (cache drops)",
-			func() float64 { return float64(r.Stats().Invalidations) })
 	}
 	r.phLookup = s.Prof.Phase("memo/lookup", "fingerprint cache lookups (hit, miss or blocked)")
 	r.phReplay = s.Prof.PhaseAlloc("memo/replay", "window replays: event re-delivery, trace re-emit, fast-forward")
@@ -288,10 +224,21 @@ func (r *Recorder) FabricEvent(e netsim.Event) {
 	e.Hops = r.rec.internHops(e.Flow.Tuple, e.Hops)
 	e.HopStats = slices.Clone(e.HopStats)
 	if r.rec.liveSeen {
-		r.rec.ev2 = append(r.rec.ev2, e)
+		r.rec.ev2 = appendDoubling(r.rec.ev2, e)
 	} else {
-		r.rec.ev1 = append(r.rec.ev1, e)
+		r.rec.ev1 = appendDoubling(r.rec.ev1, e)
 	}
+}
+
+// appendDoubling appends e, doubling the capacity when full. A window's
+// halves grow to thousands of events and are copied to exact size when the
+// window is cached, so append's gentler growth for large slices would only
+// multiply the garbage a recording leaves.
+func appendDoubling(evs []netsim.Event, e netsim.Event) []netsim.Event {
+	if len(evs) == cap(evs) {
+		evs = slices.Grow(evs, len(evs)+1)
+	}
+	return append(evs, e)
 }
 
 // internHops returns a retained copy of hops, shared with the previous
@@ -356,26 +303,14 @@ func (r *Recorder) BeginRecord(fp uint64) {
 	}
 	r.rec = nil
 	r.suspended = false
-	if _, ok := r.cache[fp]; ok || len(r.cache) >= maxWindows || r.net.ActiveFlows() != 0 {
+	if _, ok := r.cache[fp]; ok || len(r.cache) >= maxWindows {
 		return
 	}
-	nextAt, nextOK := r.eng.NextAt()
-	r.rec = &recording{
-		fp:           fp,
-		baseT:        r.eng.Now(),
-		baseID:       r.net.NextFlowID(),
-		baseSeq:      r.eng.Seq(),
-		baseProc:     r.eng.Processed,
-		sport:        r.net.SportCursor(),
-		beginPending: r.eng.Pending(),
-		beginNextAt:  nextAt,
-		beginNextOK:  nextOK,
-		statFlows:    r.net.CompletedFlows,
-		statBits:     r.net.CompletedBits,
-		statAgg:      r.net.AggBits,
-		statCore:     r.net.CoreBits,
-		snapA:        r.net.Reg.SnapshotMetrics(),
+	m, ok := r.net.Mark()
+	if !ok {
+		return
 	}
+	r.rec = &recording{fp: fp, mark: m, snapA: r.net.Reg.SnapshotMetrics()}
 }
 
 // BeginLive marks the start of the live section: the trainer's iteration
@@ -387,7 +322,7 @@ func (r *Recorder) BeginLive(now sim.Time, comm float64) {
 		return
 	}
 	r.suspended = true
-	r.rec.liveAt = now - r.rec.baseT
+	r.rec.liveAt = now
 	r.rec.comm = comm
 	r.rec.snapB1 = r.net.Reg.SnapshotMetrics()
 }
@@ -405,11 +340,9 @@ func (r *Recorder) EndLive() {
 
 // FinalizeRecord closes the window begun by BeginRecord and caches it if
 // it is replayable. A window is discarded when no live section was seen
-// (the iteration never completed), the sport cursor moved (auto-assigned
-// ports are not periodic), flows are still active, or the engine's
-// pending-event population changed over the window — the signature of a
-// timer armed mid-window or an external (failure-injection) event firing
-// inside it, neither of which replay can reproduce.
+// (the iteration never completed) or when netsim refuses its exit state
+// (see netsim.Sim.ExitFrom): a moved sport cursor, flows still active, or
+// a pending-event population that changed over the window.
 func (r *Recorder) FinalizeRecord() {
 	if r == nil || r.rec == nil {
 		return
@@ -417,43 +350,19 @@ func (r *Recorder) FinalizeRecord() {
 	rec := r.rec
 	r.rec = nil
 	r.suspended = false
-	now := r.eng.Now()
-	if !rec.liveSeen ||
-		r.net.SportCursor() != rec.sport ||
-		r.net.ActiveFlows() != 0 ||
-		r.eng.Pending() != rec.beginPending ||
-		(rec.beginNextOK && rec.beginNextAt < now) {
+	if !rec.liveSeen {
 		return
 	}
-	snapC := r.net.Reg.SnapshotMetrics()
-	metrics := telemetry.MergeDeltas(rec.d1, snapC.DeltaSince(rec.snapB2))
+	metrics := telemetry.MergeDeltas(rec.d1, r.net.Reg.SnapshotMetrics().DeltaSince(rec.snapB2))
 	metrics.Exclude(r.liveMetricNames())
+	if rec.exit = r.net.ExitFrom(rec.mark, metrics); rec.exit == nil {
+		return
+	}
 	// The event halves are copied to exact size: a cached window outlives
 	// the recording, and append's spare capacity would stay live with it.
-	w := &Window{
-		fp:            rec.fp,
-		baseT:         rec.baseT,
-		baseID:        rec.baseID,
-		baseSeq:       rec.baseSeq,
-		dur:           now - rec.baseT,
-		liveAt:        rec.liveAt,
-		comm:          rec.comm,
-		seqDelta:      r.eng.Seq() - rec.baseSeq,
-		procDelta:     r.eng.Processed - rec.baseProc,
-		idDelta:       r.net.NextFlowID() - rec.baseID,
-		part1:         rec.part1,
-		part2:         rec.part2,
-		ev1:           slices.Clone(rec.ev1),
-		ev2:           slices.Clone(rec.ev2),
-		statFlows:     r.net.CompletedFlows - rec.statFlows,
-		statBits:      r.net.CompletedBits - rec.statBits,
-		statAgg:       r.net.AggBits - rec.statAgg,
-		statCore:      r.net.CoreBits - rec.statCore,
-		metrics:       metrics,
-		residual:      r.net.CaptureInbandResidual(),
-		lastAdvOffset: r.net.LastAdvance() - rec.baseT,
-	}
-	r.cache[rec.fp] = w
+	w := rec.Window
+	w.ev1, w.ev2 = slices.Clone(w.ev1), slices.Clone(w.ev2)
+	r.cache[rec.fp] = &w
 }
 
 // liveMetricNames collects the subscriber-owned counter names (see
@@ -470,10 +379,10 @@ func (r *Recorder) liveMetricNames() []string {
 
 // --- Replay ------------------------------------------------------------
 
-// Lookup returns the cached window for fp if it is replayable right now:
-// no flows may be active, and no pending engine event may land inside (or
-// exactly at the end of) the would-be window, since replay cannot
-// interleave it. Non-replayable hits count as blocked, not misses.
+// Lookup returns the cached window for fp if it fits right now (see
+// netsim.Sim.Fits): no active flows, and no pending engine event inside
+// or at the end of the would-be window. Non-replayable hits count as
+// blocked, not misses.
 func (r *Recorder) Lookup(fp uint64) *Window {
 	if r == nil {
 		return nil
@@ -485,12 +394,7 @@ func (r *Recorder) Lookup(fp uint64) *Window {
 		r.ctrMisses.Inc()
 		return nil
 	}
-	if r.net.ActiveFlows() != 0 {
-		r.blocked++
-		r.ctrBlocked.Inc()
-		return nil
-	}
-	if at, ok := r.eng.NextAt(); ok && at <= r.eng.Now()+w.dur {
+	if !r.net.Fits(w.exit) {
 		r.blocked++
 		r.ctrBlocked.Inc()
 		return nil
@@ -504,50 +408,41 @@ func (r *Recorder) Lookup(fp uint64) *Window {
 // re-delivers the captured fabric events to the other subscribers and
 // re-emits the captured trace events — all shifted to the current time,
 // flow-ID and sequence cursors — runs liveFn for the live section, then
-// fast-forwards the engine past the window and restores the simulator's
-// exit-state (stats, metrics, in-band residual, integration cursor). The
-// first half precedes liveFn so subscribers are current when the live
-// section reads them.
+// lands the window's exit state with one netsim.Sim.ApplyExit. The first
+// half precedes liveFn so subscribers are current when the live section
+// reads them.
 func (r *Recorder) Replay(w *Window, liveFn func(now sim.Time, comm float64)) {
 	defer r.phReplay.End(r.phReplay.Begin())
-	t0 := r.eng.Now()
-	dt := t0 - w.baseT
-	did := r.net.NextFlowID() - w.baseID
-	dseq := r.eng.Seq() - w.baseSeq
+	sh := r.net.ShiftFrom(w.exit)
 	r.replayed++
 	r.ctrReplayed.Inc()
-	r.replayEvents(w.ev1, dt, did)
-	r.emitTrace(w.part1, dt, did, dseq)
+	r.replayEvents(w.ev1, sh)
+	r.emitTrace(w.part1, sh)
 	if liveFn != nil {
-		liveFn(t0+w.liveAt, w.comm)
+		liveFn(w.liveAt+sh.T, w.comm)
 	}
-	r.replayEvents(w.ev2, dt, did)
-	r.emitTrace(w.part2, dt, did, dseq)
+	r.replayEvents(w.ev2, sh)
+	r.emitTrace(w.part2, sh)
 	r.phFF.Add(1)
-	r.eng.FastForward(t0+w.dur, w.seqDelta, w.procDelta)
-	r.net.AdvanceFlowIDs(w.idDelta)
-	r.net.AddReplayedStats(w.statFlows, w.statBits, w.statAgg, w.statCore)
-	r.net.Reg.ApplyMetricsDelta(w.metrics)
-	r.net.RestoreInbandResidual(w.residual)
-	r.net.RestoreLastAdvance(t0 + w.lastAdvOffset)
+	r.net.ApplyExit(w.exit)
 }
 
 // replayEvents re-delivers captured fabric events, re-stamped, to every
 // other subscriber in recorded order.
-func (r *Recorder) replayEvents(evs []netsim.Event, dt sim.Time, did int64) {
+func (r *Recorder) replayEvents(evs []netsim.Event, sh netsim.Shift) {
 	for i := range evs {
-		r.net.ReplayEvent(restamp(evs[i], dt, did), r)
+		r.net.ReplayEvent(restamp(evs[i], sh), r)
 	}
 }
 
 // restamp shifts a recorded event to a replay position: every timestamp by
-// dt and the flow ID by did. Durations (Slowest) and per-hop values carry
-// over verbatim.
-func restamp(e netsim.Event, dt sim.Time, did int64) netsim.Event {
-	e.At += dt
-	e.Since += dt
-	e.Flow.ID += did
-	e.Flow.StartedAt += dt
+// sh.T and the flow ID by sh.ID. Durations (Slowest) and per-hop values
+// carry over verbatim.
+func restamp(e netsim.Event, sh netsim.Shift) netsim.Event {
+	e.At += sh.T
+	e.Since += sh.T
+	e.Flow.ID += sh.ID
+	e.Flow.StartedAt += sh.T
 	return e
 }
 
@@ -555,7 +450,7 @@ func restamp(e netsim.Event, dt sim.Time, did int64) netsim.Event {
 // Emit path. Only three argument keys carry run-position state and are
 // shifted: "seq" (engine sequence numbers, uint64), and "id"/"flow"
 // (flow IDs, int64). Everything else replays verbatim.
-func (r *Recorder) emitTrace(evs []traceEvent, dt sim.Time, did int64, dseq uint64) {
+func (r *Recorder) emitTrace(evs []traceEvent, sh netsim.Shift) {
 	tr := r.net.Trace
 	if tr == nil {
 		return
@@ -569,15 +464,15 @@ func (r *Recorder) emitTrace(evs []traceEvent, dt sim.Time, did int64, dseq uint
 				switch v := args[j].V.(type) {
 				case uint64:
 					if args[j].K == "seq" {
-						args[j].V = v + dseq
+						args[j].V = v + sh.Seq
 					}
 				case int64:
 					if args[j].K == "id" || args[j].K == "flow" {
-						args[j].V = v + did
+						args[j].V = v + sh.ID
 					}
 				}
 			}
 		}
-		tr.Emit(e.ph, e.ts+int64(dt), e.dur, e.cat, e.name, e.tid, args)
+		tr.Emit(e.ph, e.ts+int64(sh.T), e.dur, e.cat, e.name, e.tid, args)
 	}
 }

@@ -19,30 +19,6 @@ func newNet(t *testing.T) (*sim.Engine, *topo.Topology, *netsim.Sim) {
 	return eng, top, netsim.New(eng, top)
 }
 
-func TestHasher(t *testing.T) {
-	a, b := NewHasher(), NewHasher()
-	for _, v := range []uint64{1, 2, 3} {
-		a.Mix(v)
-		b.Mix(v)
-	}
-	if a.Sum() != b.Sum() {
-		t.Fatal("identical mix sequences hash differently")
-	}
-	c := NewHasher()
-	for _, v := range []uint64{3, 2, 1} {
-		c.Mix(v)
-	}
-	if c.Sum() == a.Sum() {
-		t.Fatal("hash is order-insensitive; schedule permutations would collide")
-	}
-	d, e := NewHasher(), NewHasher()
-	d.MixString("ab")
-	e.MixString("ba")
-	if d.Sum() == e.Sum() {
-		t.Fatal("MixString is order-insensitive")
-	}
-}
-
 func TestStateHashReactsToFabric(t *testing.T) {
 	_, top, s := newNet(t)
 	h0 := s.StateHash64()

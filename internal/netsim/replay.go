@@ -4,161 +4,249 @@ import (
 	"math"
 
 	"hpn/internal/sim"
+	"hpn/internal/telemetry"
 	"hpn/internal/topo"
 )
 
 // This file is netsim's side of iteration memoization (internal/memo): the
-// state fingerprint a recorder keys cached windows on, and the mutators it
-// uses to apply a recorded window's effects without re-simulating it. The
-// recorder captures and re-stamps the fabric event stream itself (see
-// Sim.ReplayEvent); everything here either exposes private state read-only
-// or overwrites the fluid model's exit state.
+// mixer every memo fingerprint is built with, the state fingerprint a
+// recorder keys cached windows on, and a window's position and exit state.
+// A recorder takes a Mark when a window opens, turns it into an Exit when
+// the window closes, and on a later fingerprint hit re-stamps its captured
+// events by ShiftFrom and lands the whole exit with one ApplyExit. The
+// recorder captures and re-delivers the fabric event stream itself (see
+// Sim.ReplayEvent); an Exit holds the engine and fluid-model state the
+// stream does not carry.
+
+// Hasher is the FNV-1a style mixer every memo fingerprint is built with.
+// Callers fold their own state in with Mix and combine sub-fingerprints
+// (the workload's schedule hash, StateHash64) the same way.
+type Hasher struct{ h uint64 }
+
+// NewHasher returns a hasher at the FNV-1a offset basis.
+func NewHasher() *Hasher { return &Hasher{h: 14695981039346656037} }
+
+// Mix folds one word into the hash.
+func (h *Hasher) Mix(v uint64) {
+	h.h ^= v
+	h.h *= 1099511628211
+}
+
+// MixString folds a string in byte-wise.
+func (h *Hasher) MixString(s string) {
+	for i := 0; i < len(s); i++ {
+		h.Mix(uint64(s[i]))
+	}
+}
+
+// Sum returns the current hash value.
+func (h *Hasher) Sum() uint64 { return h.h }
 
 // StateHash64 folds the simulator state that must match for a recorded
-// window to replay correctly into an FNV-1a style 64-bit hash: per-link
-// usability, the transport-sport cursor, the active-flow multiset (in
-// deterministic insertion order), the in-band residual queue state, and
-// the gap back to the last fluid integration. Anything that drifts run to
-// run (flow IDs, completed counts) is deliberately excluded — drift there
-// is reproduced by the replay shift, not matched by the fingerprint.
+// window to replay correctly into one Hasher value: per-link usability,
+// the transport-sport cursor, the active-flow multiset (in deterministic
+// insertion order), the in-band residual queue state, and the gap back to
+// the last fluid integration. Anything that drifts run to run (flow IDs,
+// completed counts) is deliberately excluded — drift there is reproduced
+// by the replay shift, not matched by the fingerprint.
 func (s *Sim) StateHash64() uint64 {
-	h := uint64(14695981039346656037)
-	mix := func(v uint64) {
-		h ^= v
-		h *= 1099511628211
-	}
+	h := NewHasher()
 	if s.sharding != nil {
 		// Shard-scoped fingerprint: only this shard's links. Reading other
 		// shards' usability here would both race with their concurrent
 		// windows and invalidate this shard's cached windows on transitions
 		// that cannot affect its flows.
 		for _, l := range s.sharding.ShardLinks[s.shard-1] {
-			b := uint64(0)
-			if s.Top.LinkUsable(l) {
-				b = 1
-			}
-			mix(uint64(l)<<1 | b)
+			h.Mix(uint64(l)<<1 | b2u(s.Top.LinkUsable(l)))
 		}
 	} else {
 		for i := range s.Top.Links {
-			b := uint64(0)
-			if s.Top.LinkUsable(topo.LinkID(i)) {
-				b = 1
-			}
-			mix(uint64(i)<<1 | b)
+			h.Mix(uint64(i)<<1 | b2u(s.Top.LinkUsable(topo.LinkID(i))))
 		}
 	}
-	mix(uint64(s.sport))
-	mix(uint64(s.Eng.Now() - s.lastAdvance))
-	mix(uint64(len(s.active)))
+	h.Mix(uint64(s.sport))
+	h.Mix(uint64(s.Eng.Now() - s.lastAdvance))
+	h.Mix(uint64(len(s.active)))
 	for _, f := range s.active {
-		mix(f.Tuple.Word())
-		mix(math.Float64bits(f.Bits))
-		mix(math.Float64bits(f.Remaining))
-		b := uint64(0)
-		if f.Stalled {
-			b = 1
-		}
-		mix(uint64(f.Port)<<1 | b)
+		h.Mix(f.Tuple.Word())
+		h.Mix(math.Float64bits(f.Bits))
+		h.Mix(math.Float64bits(f.Remaining))
+		h.Mix(uint64(f.Port)<<1 | b2u(f.Stalled))
 	}
 	if s.inband != nil {
-		mix(uint64(len(s.ibLive)))
+		h.Mix(uint64(len(s.ibLive)))
 		for _, lk := range s.ibLive {
-			mix(uint64(lk))
-			mix(math.Float64bits(s.ibQueue[lk]))
-			mix(math.Float64bits(s.ibDemand[lk]))
-			mix(math.Float64bits(s.ibCap[lk]))
+			h.Mix(uint64(lk))
+			h.Mix(math.Float64bits(s.ibQueue[lk]))
+			h.Mix(math.Float64bits(s.ibDemand[lk]))
+			h.Mix(math.Float64bits(s.ibCap[lk]))
 		}
 	}
-	return h
+	return h.Sum()
 }
 
-// NextFlowID returns the ID the next started flow would get.
-func (s *Sim) NextFlowID() int64 { return s.nextID }
-
-// AdvanceFlowIDs skips n flow IDs, as if n flows had been started. The
-// memo replay path calls this after replaying a window's events so live
-// flows started after it get the same IDs a re-simulated run would assign.
-func (s *Sim) AdvanceFlowIDs(n int64) { s.nextID += n }
-
-// SportCursor returns the auto-assign transport source-port cursor. A
-// recorded window is only replayable if the cursor did not move while it
-// was recorded (auto-assigned sports are not periodic).
-func (s *Sim) SportCursor() uint16 { return s.sport }
-
-// LastAdvance returns the virtual time of the last fluid integration.
-func (s *Sim) LastAdvance() sim.Time { return s.lastAdvance }
-
-// RestoreLastAdvance rewinds the integration cursor to t (<= now). Only
-// the memo replay path calls this, to re-create the partial-interval state
-// a re-simulated window would have left behind.
-func (s *Sim) RestoreLastAdvance(t sim.Time) { s.lastAdvance = t }
-
-// AddReplayedStats credits a recorded window's completed-flow tallies.
-func (s *Sim) AddReplayedStats(flows int64, bits, aggBits, coreBits float64) {
-	s.CompletedFlows += flows
-	s.CompletedBits += bits
-	s.AggBits += aggBits
-	s.CoreBits += coreBits
+func b2u(b bool) uint64 {
+	if b {
+		return 1
+	}
+	return 0
 }
 
-// InbandResidual is the drain state of the in-band queue model at a window
-// boundary: the live-link worklist and its per-link queue, demand and
-// capacity snapshots. Links is sorted by worklist order (deterministic).
-type InbandResidual struct {
-	Links  []topo.LinkID
-	Queue  []float64
-	QStep  []float64
-	Demand []float64
-	Cap    []float64
+// position is the run state a window advances: the clock, the engine's
+// sequence and dispatch cursors, the flow-ID cursor and the completed-flow
+// tallies.
+type position struct {
+	at              sim.Time
+	seq, proc       uint64
+	id, flows       int64
+	bits, agg, core float64
 }
 
-// CaptureInbandResidual snapshots the current in-band drain state (nil
-// while in-band telemetry is off).
-func (s *Sim) CaptureInbandResidual() *InbandResidual {
-	if s.inband == nil {
+func (s *Sim) position() position {
+	return position{
+		at: s.Eng.Now(), seq: s.Eng.Seq(), proc: s.Eng.Processed, id: s.nextID,
+		flows: s.CompletedFlows, bits: s.CompletedBits, agg: s.AggBits, core: s.CoreBits,
+	}
+}
+
+// since returns how far p lies past base.
+func (p position) since(base position) position {
+	return position{
+		at: p.at - base.at, seq: p.seq - base.seq, proc: p.proc - base.proc,
+		id: p.id - base.id, flows: p.flows - base.flows,
+		bits: p.bits - base.bits, agg: p.agg - base.agg, core: p.core - base.core,
+	}
+}
+
+// Mark is a Sim's position at the start of a recorded window, plus what
+// ExitFrom checks the window's end against: the transport-sport cursor
+// and the engine's pending-event population.
+type Mark struct {
+	pos     position
+	sport   uint16
+	pending int
+	nextAt  sim.Time
+	nextOK  bool
+}
+
+// Mark returns the current position as a window start. It refuses
+// (ok=false) while flows are active: a window must start from a drained
+// fabric to be replayable.
+func (s *Sim) Mark() (m Mark, ok bool) {
+	if len(s.active) != 0 {
+		return Mark{}, false
+	}
+	nextAt, nextOK := s.Eng.NextAt()
+	return Mark{pos: s.position(), sport: s.sport, pending: s.Eng.Pending(),
+		nextAt: nextAt, nextOK: nextOK}, true
+}
+
+// Exit is a recorded window's effect on the Sim, held as deltas from the
+// window's start so ApplyExit can land it at any later drained instant:
+// replay happens at a later clock and flow-ID cursor, and each sharded
+// pod's Sim has its own flow-ID base.
+type Exit struct {
+	// base is the window's start at record time, the origin ShiftFrom
+	// measures replay re-stamps from; delta is how far the window moved it.
+	base, delta position
+	// lastAdv is the integration cursor's offset from the window start.
+	lastAdv  sim.Time
+	metrics  *telemetry.MetricsDelta
+	residual []ibResidual
+}
+
+// ibResidual is one live in-band link's drain state at a window's end.
+// Offered demand is left out: with no flow active, the last recompute set
+// it to zero on every link, at both ends of any window Fits accepts. So
+// is the per-step queue integral (ibQStep): inbandIntegrate rewrites it
+// for every live link before anything reads it.
+type ibResidual struct {
+	lk         topo.LinkID
+	queue, cap float64
+}
+
+// ExitFrom closes the window opened at m and returns its exit state, with
+// metrics as the registry movement a replay re-applies. It returns nil when
+// replay could not reproduce the window: the sport cursor moved
+// (auto-assigned ports are not periodic), flows are still active, or the
+// engine's pending-event population changed over the window — the
+// signature of a timer armed mid-window or an external (failure-injection)
+// event firing inside it.
+func (s *Sim) ExitFrom(m Mark, metrics *telemetry.MetricsDelta) *Exit {
+	now := s.Eng.Now()
+	if s.sport != m.sport || len(s.active) != 0 || s.Eng.Pending() != m.pending ||
+		(m.nextOK && m.nextAt < now) {
 		return nil
 	}
-	r := &InbandResidual{
-		Links:  append([]topo.LinkID(nil), s.ibLive...),
-		Queue:  make([]float64, len(s.ibLive)),
-		QStep:  make([]float64, len(s.ibLive)),
-		Demand: make([]float64, len(s.ibLive)),
-		Cap:    make([]float64, len(s.ibLive)),
+	x := &Exit{
+		base:    m.pos,
+		delta:   s.position().since(m.pos),
+		lastAdv: s.lastAdvance - m.pos.at,
+		metrics: metrics,
 	}
-	for i, lk := range s.ibLive {
-		r.Queue[i] = s.ibQueue[lk]
-		r.QStep[i] = s.ibQStep[lk]
-		r.Demand[i] = s.ibDemand[lk]
-		r.Cap[i] = s.ibCap[lk]
+	if s.inband != nil {
+		x.residual = make([]ibResidual, len(s.ibLive))
+		for i, lk := range s.ibLive {
+			x.residual[i] = ibResidual{lk: lk, queue: s.ibQueue[lk], cap: s.ibCap[lk]}
+		}
 	}
-	return r
+	return x
 }
 
-// RestoreInbandResidual overwrites the in-band drain state with a captured
-// snapshot: the replay path installs the recorded window's exit state so
-// the next live integration starts exactly where a re-simulated run would.
-func (s *Sim) RestoreInbandResidual(r *InbandResidual) {
-	if s.inband == nil {
-		return
+// Fits reports whether x can replay at the current instant: no flows are
+// active, and no pending event lands inside (or exactly at the end of)
+// the would-be window, since replay cannot interleave it.
+func (s *Sim) Fits(x *Exit) bool {
+	if len(s.active) != 0 {
+		return false
 	}
-	for _, lk := range s.ibLive {
-		s.ibLiveSet[lk] = false
-		s.ibQueue[lk] = 0
-		s.ibQStep[lk] = 0
-		s.ibDemand[lk] = 0
-		s.ibCap[lk] = 0
+	at, ok := s.Eng.NextAt()
+	return !ok || at > s.Eng.Now()+x.delta.at
+}
+
+// Shift is how far a replay instant lies past a recorded window's start:
+// the re-stamp every captured timestamp, flow ID and engine sequence
+// number of the window needs.
+type Shift struct {
+	T   sim.Time
+	ID  int64
+	Seq uint64
+}
+
+// ShiftFrom returns the re-stamp from x's recorded start to now.
+func (s *Sim) ShiftFrom(x *Exit) Shift {
+	return Shift{T: s.Eng.Now() - x.base.at, ID: s.nextID - x.base.id, Seq: s.Eng.Seq() - x.base.seq}
+}
+
+// ApplyExit lands a replayed window's exit state at the current instant,
+// once its events have been re-delivered: the engine fast-forwards past the
+// window crediting its sequence numbers and dispatches, and the flow-ID
+// cursor, completed-flow tallies, registry counters, in-band drain state
+// and integration cursor land where a re-simulated window would have left
+// them. It allocates nothing.
+func (s *Sim) ApplyExit(x *Exit) {
+	t0 := s.Eng.Now()
+	d := &x.delta
+	s.Eng.FastForward(t0+d.at, d.seq, d.proc)
+	s.nextID += d.id
+	s.CompletedFlows += d.flows
+	s.CompletedBits += d.bits
+	s.AggBits += d.agg
+	s.CoreBits += d.core
+	s.Reg.ApplyMetricsDelta(x.metrics)
+	if s.inband != nil {
+		for _, lk := range s.ibLive {
+			s.ibLiveSet[lk] = false
+			s.ibQueue[lk] = 0
+			s.ibCap[lk] = 0
+		}
+		s.ibLive = s.ibLive[:0]
+		for _, r := range x.residual {
+			s.ibLive = append(s.ibLive, r.lk)
+			s.ibLiveSet[r.lk] = true
+			s.ibQueue[r.lk] = r.queue
+			s.ibCap[r.lk] = r.cap
+		}
 	}
-	s.ibLive = s.ibLive[:0]
-	if r == nil {
-		return
-	}
-	for i, lk := range r.Links {
-		s.ibLive = append(s.ibLive, lk)
-		s.ibLiveSet[lk] = true
-		s.ibQueue[lk] = r.Queue[i]
-		s.ibQStep[lk] = r.QStep[i]
-		s.ibDemand[lk] = r.Demand[i]
-		s.ibCap[lk] = r.Cap[i]
-	}
+	s.lastAdvance = t0 + x.lastAdv
 }

@@ -397,8 +397,9 @@ func (e *Engine) Seq() uint64 { return e.seq }
 // crediting seqDelta sequence numbers and processedDelta dispatched events
 // as if the skipped window had actually run. It refuses to jump over
 // pending work — an event scheduled before at would be silently reordered
-// — and over the past. Iteration memoization calls this after applying a
-// recorded window's effects; nothing else should.
+// — and over the past. Iteration memoization's replay calls this from
+// netsim.Sim.ApplyExit, as part of landing a recorded window's exit state;
+// nothing else should.
 func (e *Engine) FastForward(at Time, seqDelta, processedDelta uint64) {
 	if at < e.now {
 		panic(fmt.Sprintf("sim: fast-forward to %v before now %v", at, e.now))

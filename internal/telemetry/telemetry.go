@@ -43,7 +43,7 @@ type Options struct {
 	// repeated training iterations are fingerprinted and fast-forwarded
 	// from a recorded window instead of re-simulated (see internal/memo).
 	// Incompatible with periodic sampling — the sampler's tick would land
-	// inside every window; runners force SampleInterval to 0 under -memo.
+	// inside every window — so NewHub turns SampleInterval off under Memo.
 	Memo bool
 	// Prof enables engine self-profiling (internal/prof): per-phase
 	// wall/alloc/count accumulators across sim, netsim, memo and the
@@ -91,8 +91,12 @@ type Hub struct {
 	parent *Hub
 }
 
-// NewHub builds a hub from opt.
+// NewHub builds a hub from opt. Memo turns periodic sampling off (see
+// Options.Memo).
 func NewHub(opt Options) *Hub {
+	if opt.Memo {
+		opt.SampleInterval = 0
+	}
 	h := &Hub{Opt: opt, Registry: NewRegistry()}
 	if opt.Trace {
 		h.Tracer = NewTracer(opt.MaxTraceEvents)

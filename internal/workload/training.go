@@ -332,7 +332,7 @@ func (t *Trainer) noteSyncErr(err error) {
 // volumes) mixed with the fabric's live state hash.
 func (t *Trainer) iterFingerprint() uint64 {
 	if !t.fpCached {
-		h := memo.NewHasher()
+		h := netsim.NewHasher()
 		h.Mix(uint64(len(t.groups)))
 		for _, g := range t.groups {
 			g.ScheduleFingerprint(h)
@@ -350,7 +350,7 @@ func (t *Trainer) iterFingerprint() uint64 {
 		t.scheduleFP = h.Sum()
 		t.fpCached = true
 	}
-	h := memo.NewHasher()
+	h := netsim.NewHasher()
 	h.Mix(t.scheduleFP)
 	h.Mix(t.Net.StateHash64())
 	return h.Sum()

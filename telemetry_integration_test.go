@@ -167,3 +167,45 @@ func TestTelemetrySamplerSeries(t *testing.T) {
 		t.Errorf("samples.csv exporter not registered (have %v)", hub.Registry.ExporterNames())
 	}
 }
+
+// Memo turns the periodic sampler off by itself. Built from the default
+// options, whose 10ms sampler tick would otherwise land inside every
+// iteration window and get each recording discarded, a memoized run still
+// replays its steady state.
+func TestMemoWithDefaultTelemetryOptionsReplays(t *testing.T) {
+	const iters = 20
+	opt := DefaultTelemetryOptions()
+	opt.Memo = true
+	hub := NewTelemetryHub(opt)
+	c, err := NewHPN(SmallHPN(1, 8, 8))
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.EnableTelemetry(hub)
+	hosts, err := c.PlaceJob(8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	job, err := NewJob(LLaMa13B, Parallelism{TP: 8, PP: 1, DP: 8}, hosts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr, err := NewTrainer(c, job)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := tr.Start(iters); err != nil {
+		t.Fatal(err)
+	}
+	c.Eng.Run()
+	if tr.Iterations != iters {
+		t.Fatalf("completed %d iterations, want %d", tr.Iterations, iters)
+	}
+	rec := MemoRecorderOf(c)
+	if rec == nil {
+		t.Fatal("memo recorder not attached despite Options.Memo")
+	}
+	if st := rec.Stats(); st.Replayed < iters-4 {
+		t.Fatalf("replayed %d of %d iterations (%+v): the sampler blocks memoization", st.Replayed, iters, st)
+	}
+}
