@@ -57,14 +57,17 @@ test-parallel:
 	GOMAXPROCS=4 $(GO) test -race -count=1 -run TestGoldenDeterminism .
 
 # Checked handles: the layers that hold pooled sim.Events and netsim.Flows,
-# plus the root package's end-to-end suites, built with the hpncheck tag.
-# Released events and flows are then never reused; any later Cancel,
-# Reschedule, Done, AbortFlow or reroute on one panics with its release
-# stamp, and a released flow's fields read as poison. A test that keeps a
-# handle past its release without Pin fails here even though the default
-# build silently aliases it.
+# the fabric event stream's replaying and detecting subscribers (memo,
+# health), plus the root package's end-to-end suites, built with the
+# hpncheck tag. Released events and flows are then never reused; any later
+# Cancel, Reschedule, Done, AbortFlow or reroute on one panics with its
+# release stamp, and a released flow's fields read as poison. A test that
+# keeps a handle past its release without Pin fails here even though the
+# default build silently aliases it. Every fabric event delivery also
+# panics if a subscriber modifies the event it is handed or publishes from
+# inside the delivery.
 test-checked:
-	$(GO) test -tags hpncheck ./internal/sim/... ./internal/netsim/... ./internal/collective/... ./internal/rdma/... ./internal/workload/... .
+	$(GO) test -tags hpncheck ./internal/sim/... ./internal/netsim/... ./internal/collective/... ./internal/rdma/... ./internal/workload/... ./internal/memo/... ./internal/health/... .
 
 # Fuzz smoke: ~10s of native fuzzing for each artifact parser (inband and
 # health ParseTSV, prof ParseProfile), seeded from the run artifacts in

@@ -131,7 +131,7 @@ type groupState struct {
 // floor. now is the caller-observed routing time: during memo replay the
 // engine clock is not yet advanced, so the passed time — not Eng.Now() —
 // must stamp any incident opened here.
-func (m *Monitor) notePath(now sim.Time, f netsim.FlowState, hops []route.HopDecision) {
+func (m *Monitor) notePath(now sim.Time, f *netsim.FlowState, hops []route.HopDecision) {
 	for i := range hops {
 		h := &hops[i]
 		// Per-port Core hashing is deliberately tuple-independent; its
@@ -213,6 +213,7 @@ func (m *Monitor) sweepPolarization(now sim.Time) {
 // victims) opens an incident on the class.
 
 type classState struct {
+	exp     int // math.Ilogb of the class's flow sizes in bits
 	subject string
 	sum     float64 // healthy-flow throughput sum
 	n       int
@@ -220,20 +221,13 @@ type classState struct {
 	last    sim.Time
 }
 
-func (m *Monitor) noteCompletion(now sim.Time, f netsim.FlowState) {
+func (m *Monitor) noteCompletion(now sim.Time, f *netsim.FlowState) {
 	d := (now - f.StartedAt).Seconds()
 	if d <= 0 || f.Bits <= 0 {
 		return
 	}
 	rate := f.Bits / d
-	k := math.Ilogb(f.Bits)
-	ci, ok := m.classIdx[k]
-	if !ok {
-		ci = len(m.classList)
-		m.classIdx[k] = ci
-		m.classList = append(m.classList, &classState{subject: "flows-" + classLabel(k)})
-	}
-	cs := m.classList[ci]
+	cs := m.class(math.Ilogb(f.Bits))
 	if cs.n < m.Cfg.BaselineFlows {
 		cs.sum += rate
 		cs.n++
@@ -262,6 +256,20 @@ func (m *Monitor) noteCompletion(now sim.Time, f netsim.FlowState) {
 	if slow := 1 / frac; slow > inc.Peak {
 		inc.Peak = slow
 	}
+}
+
+// class returns the size class of exponent exp, created on first sight.
+// A run sees a handful of classes, so a scan of classList (creation order)
+// is cheaper than hashing the exponent on every completion.
+func (m *Monitor) class(exp int) *classState {
+	for _, cs := range m.classList {
+		if cs.exp == exp {
+			return cs
+		}
+	}
+	cs := &classState{exp: exp, subject: "flows-" + classLabel(exp)}
+	m.classList = append(m.classList, cs)
+	return cs
 }
 
 func (cs *classState) pruneDegraded(now sim.Time, window sim.Time) {

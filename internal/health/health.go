@@ -179,7 +179,6 @@ type Monitor struct {
 	groupIdx  map[groupKey]int
 	groupList []*groupState
 
-	classIdx  map[int]int
 	classList []*classState
 
 	// reroutes counts reroute passes seen, for per-iteration attribution.
@@ -216,7 +215,6 @@ func Attach(net *netsim.Sim, cfg Config) *Monitor {
 		openIdx:  map[incKey]int{},
 		flapIdx:  map[string]int{},
 		groupIdx: map[groupKey]int{},
-		classIdx: map[int]int{},
 	}
 	net.Subscribe(m)
 	if net.Reg != nil {
@@ -360,7 +358,7 @@ func (m *Monitor) Kinds() netsim.EventKind {
 // routed into a blackhole arms the sweep so the stall detector starts its
 // clock even when no transition was observed; completions feed the
 // degraded-throughput detector.
-func (m *Monitor) FabricEvent(e netsim.Event) {
+func (m *Monitor) FabricEvent(e *netsim.Event) {
 	switch e.Kind {
 	case netsim.EvLinkDown, netsim.EvLinkUp:
 		m.noteTransition(e.At, m.linkSubject(e.Link), e.Kind == netsim.EvLinkUp)
@@ -372,12 +370,12 @@ func (m *Monitor) FabricEvent(e netsim.Event) {
 		m.reroutes++
 		m.armTick()
 	case netsim.EvFlowRouted:
-		m.notePath(e.At, e.Flow, e.Hops)
+		m.notePath(e.At, &e.Flow, e.Hops)
 		if e.Flow.Stalled {
 			m.armTick()
 		}
 	case netsim.EvFlowDone:
-		m.noteCompletion(e.At, e.Flow)
+		m.noteCompletion(e.At, &e.Flow)
 	}
 }
 

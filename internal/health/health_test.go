@@ -146,7 +146,7 @@ func TestPolarizationDetector(t *testing.T) {
 	feed := func(n, bucket int, base uint16) {
 		for i := 0; i < n; i++ {
 			f := netsim.FlowState{Tuple: hashing.FiveTuple{SrcPort: base + uint16(i), DstPort: uint16(bucket)}.Word()}
-			m.notePath(0, f, []route.HopDecision{
+			m.notePath(0, &f, []route.HopDecision{
 				{Link: up, Node: tor, Hashed: true, Group: 4, Bucket: bucket},
 			})
 		}
@@ -193,7 +193,7 @@ func TestPolarizationIgnoresNonSignalHops(t *testing.T) {
 	_, net, m := newMonitor(t, true)
 	tor, up := torUplink(t, net.Top)
 	f := netsim.FlowState{Tuple: hashing.FiveTuple{SrcPort: 7}.Word()}
-	m.notePath(0, f, []route.HopDecision{
+	m.notePath(0, &f, []route.HopDecision{
 		{Link: up, Node: tor, Hashed: false, Group: 4, Bucket: 0},
 		{Link: up, Node: tor, Hashed: true, PerPort: true, Group: 4, Bucket: 0},
 		{Link: up, Node: tor, Hashed: true, Fallback: true, Group: 4, Bucket: 0},
@@ -209,7 +209,7 @@ func TestPolarizationIgnoresNonSignalHops(t *testing.T) {
 func TestThroughputDetectorLifecycle(t *testing.T) {
 	_, _, m := newMonitor(t, true)
 	done := func(now sim.Time, bits float64, d sim.Time) {
-		m.noteCompletion(now, netsim.FlowState{Bits: bits, StartedAt: now - d})
+		m.noteCompletion(now, &netsim.FlowState{Bits: bits, StartedAt: now - d})
 	}
 	// Baseline: 32 flows of 1e6 bits at 1 Gbit/s.
 	for i := 0; i < 32; i++ {

@@ -93,6 +93,11 @@ type Window struct {
 	// replay re-executes it and it re-emits its own output.
 	part1, part2 []traceEvent
 	ev1, ev2     []netsim.Event
+
+	// stamped is the shift ev1 and ev2 carry: netsim.Sim.Redeliver
+	// re-stamps them in place, so after a replay they hold its positions.
+	// Trace events stay at their record-time values.
+	stamped netsim.Shift
 }
 
 // recording is an in-progress window capture: the Window being filled,
@@ -211,9 +216,9 @@ func (r *Recorder) Kinds() netsim.EventKind {
 }
 
 // FabricEvent drops the cache on a transition (fabric behavior changed)
-// and otherwise captures the event while recording, copying the slices
-// that alias simulator scratch.
-func (r *Recorder) FabricEvent(e netsim.Event) {
+// and otherwise captures the event while recording: a copy of *e whose
+// slices, which alias simulator scratch, are copied too.
+func (r *Recorder) FabricEvent(e *netsim.Event) {
 	if e.Kind&netsim.EvTopology != 0 {
 		r.invalidate()
 		return
@@ -221,12 +226,13 @@ func (r *Recorder) FabricEvent(e netsim.Event) {
 	if r.rec == nil || r.suspended {
 		return
 	}
-	e.Hops = r.rec.internHops(e.Flow.Tuple, e.Hops)
-	e.HopStats = slices.Clone(e.HopStats)
+	c := *e
+	c.Hops = r.rec.internHops(e.Flow.Tuple, e.Hops)
+	c.HopStats = slices.Clone(e.HopStats)
 	if r.rec.liveSeen {
-		r.rec.ev2 = appendDoubling(r.rec.ev2, e)
+		r.rec.ev2 = appendDoubling(r.rec.ev2, c)
 	} else {
-		r.rec.ev1 = appendDoubling(r.rec.ev1, e)
+		r.rec.ev1 = appendDoubling(r.rec.ev1, c)
 	}
 }
 
@@ -416,34 +422,16 @@ func (r *Recorder) Replay(w *Window, liveFn func(now sim.Time, comm float64)) {
 	sh := r.net.ShiftFrom(w.exit)
 	r.replayed++
 	r.ctrReplayed.Inc()
-	r.replayEvents(w.ev1, sh)
+	r.net.Redeliver(w.ev1, w.stamped, sh, r)
 	r.emitTrace(w.part1, sh)
 	if liveFn != nil {
 		liveFn(w.liveAt+sh.T, w.comm)
 	}
-	r.replayEvents(w.ev2, sh)
+	r.net.Redeliver(w.ev2, w.stamped, sh, r)
+	w.stamped = sh
 	r.emitTrace(w.part2, sh)
 	r.phFF.Add(1)
 	r.net.ApplyExit(w.exit)
-}
-
-// replayEvents re-delivers captured fabric events, re-stamped, to every
-// other subscriber in recorded order.
-func (r *Recorder) replayEvents(evs []netsim.Event, sh netsim.Shift) {
-	for i := range evs {
-		r.net.ReplayEvent(restamp(evs[i], sh), r)
-	}
-}
-
-// restamp shifts a recorded event to a replay position: every timestamp by
-// sh.T and the flow ID by sh.ID. Durations (Slowest) and per-hop values
-// carry over verbatim.
-func restamp(e netsim.Event, sh netsim.Shift) netsim.Event {
-	e.At += sh.T
-	e.Since += sh.T
-	e.Flow.ID += sh.ID
-	e.Flow.StartedAt += sh.T
-	return e
 }
 
 // emitTrace re-emits captured trace events through the hook-bypassing

@@ -18,3 +18,13 @@ func (s *Sim) release(f *Flow) {
 
 // live is the use-after-release check; unchecked builds skip it.
 func (f *Flow) live(op string) {}
+
+// eventGuard is the hpncheck build's watch over the events handed to
+// subscribers (see check_on.go); this build keeps nothing and checks
+// nothing.
+type eventGuard struct{}
+
+func (s *Sim) enterDelivery()                {}
+func (s *Sim) exitDelivery()                 {}
+func (s *Sim) snapEvent(*Event)              {}
+func (s *Sim) checkEvent(*Event, Subscriber) {}

@@ -3,8 +3,10 @@
 package netsim
 
 import (
+	"bytes"
 	"fmt"
 	"math"
+	"unsafe"
 
 	"hpn/internal/route"
 )
@@ -33,4 +35,60 @@ func (f *Flow) live(op string) {
 		panic(fmt.Sprintf("netsim: %s on a released flow (flow %d, completed at %v); Pin flows retained past their completion",
 			op, f.released.id, f.released.at))
 	}
+}
+
+// eventGuard watches the event subscribers are handed by pointer: busy
+// marks a delivery in progress, and kind and the byte snapshots hold the
+// event (scalars and slice headers) and its slices' contents as they were
+// before the first subscriber ran.
+type eventGuard struct {
+	busy            bool
+	kind            EventKind
+	ev, hops, stats []byte
+}
+
+// enterDelivery panics on a nested delivery: the scratch event is not
+// reentrant, so a publish from inside FabricEvent would overwrite the
+// event the outer subscribers are still being handed.
+func (s *Sim) enterDelivery() {
+	if s.evGuard.busy {
+		panic(fmt.Sprintf("netsim: event published during delivery of a %v event; FabricEvent must not drive the simulator",
+			s.evGuard.kind))
+	}
+	s.evGuard.busy = true
+}
+
+func (s *Sim) exitDelivery() { s.evGuard.busy = false }
+
+// snapEvent records e before it is handed out.
+func (s *Sim) snapEvent(e *Event) {
+	g := &s.evGuard
+	g.kind = e.Kind
+	g.ev = append(g.ev[:0], bytesOf(e)...)
+	g.hops = append(g.hops[:0], sliceBytes(e.Hops)...)
+	g.stats = append(g.stats[:0], sliceBytes(e.HopStats)...)
+}
+
+// checkEvent panics, naming sub's type, if sub modified e or the contents
+// of its slices.
+func (s *Sim) checkEvent(e *Event, sub Subscriber) {
+	g := &s.evGuard
+	if !bytes.Equal(g.ev, bytesOf(e)) || !bytes.Equal(g.hops, sliceBytes(e.Hops)) ||
+		!bytes.Equal(g.stats, sliceBytes(e.HopStats)) {
+		panic(fmt.Sprintf("netsim: subscriber %T modified the %v event it was handed; copy an event before changing it",
+			sub, g.kind))
+	}
+}
+
+// bytesOf views *p as raw bytes.
+func bytesOf[T any](p *T) []byte {
+	return unsafe.Slice((*byte)(unsafe.Pointer(p)), unsafe.Sizeof(*p))
+}
+
+// sliceBytes views a slice's elements as raw bytes.
+func sliceBytes[T any](v []T) []byte {
+	if len(v) == 0 {
+		return nil
+	}
+	return unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(v))), uintptr(len(v))*unsafe.Sizeof(v[0]))
 }

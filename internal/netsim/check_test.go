@@ -73,3 +73,65 @@ func TestPinnedAndAbortedFlowsStayLive(t *testing.T) {
 	s.AbortFlow(pinned)
 	s.AbortFlow(aborted)
 }
+
+// mutator breaks the Subscriber contract: it changes the event it is
+// handed with mutate.
+type mutator struct {
+	kinds  EventKind
+	mutate func(e *Event)
+}
+
+func (m *mutator) Kinds() EventKind     { return m.kinds }
+func (m *mutator) FabricEvent(e *Event) { m.mutate(e) }
+
+// TestSubscriberMutationPanics requires the checked build to catch a
+// subscriber that modifies the event it is handed — a scalar, a slice
+// header or a slice's contents — both on a live publish and on a memo
+// redelivery, naming the subscriber's type.
+func TestSubscriberMutationPanics(t *testing.T) {
+	const want = "subscriber *netsim.mutator modified the flow_routed event"
+	for _, c := range []struct {
+		name   string
+		mutate func(e *Event)
+	}{
+		{"scalar", func(e *Event) { e.Flow.Port++ }},
+		{"header", func(e *Event) { e.Hops = e.Hops[:0] }},
+		{"contents", func(e *Event) { e.Hops[0].Bucket++ }},
+	} {
+		mutate := c.mutate
+		t.Run(c.name, func(t *testing.T) {
+			_, _, s := newSim(t, 2, 4, 4)
+			s.Subscribe(&mutator{kinds: EvFlowRouted, mutate: mutate})
+			mustPanic(t, want, func() {
+				s.StartFlow(route.Endpoint{Host: 0, NIC: 0}, route.Endpoint{Host: 4, NIC: 0}, 1<<20, FlowOpts{SrcPort: 0})
+			})
+
+			_, _, s = newSim(t, 2, 4, 4)
+			s.Subscribe(&mutator{kinds: EvFlowRouted, mutate: mutate})
+			hops := []route.HopDecision{{Hashed: true, Group: 4, Bucket: 1}}
+			evs := []Event{{Kind: EvFlowRouted, At: 5, Flow: FlowState{ID: 3}, Hops: hops}}
+			mustPanic(t, want, func() { s.Redeliver(evs, Shift{}, Shift{T: 10, ID: 1}, nil) })
+		})
+	}
+}
+
+// republisher drives the simulator from inside FabricEvent.
+type republisher struct{ s *Sim }
+
+func (republisher) Kinds() EventKind { return EvFlowRouted | EvLinkDown }
+func (r republisher) FabricEvent(e *Event) {
+	if e.Kind == EvFlowRouted {
+		r.s.publish(Event{Kind: EvLinkDown})
+	}
+}
+
+// TestNestedPublishPanics requires the checked build to refuse a publish
+// from inside a delivery, which would overwrite the scratch event the
+// outer subscribers are still being handed.
+func TestNestedPublishPanics(t *testing.T) {
+	_, _, s := newSim(t, 2, 4, 4)
+	s.Subscribe(republisher{s})
+	mustPanic(t, "event published during delivery of a flow_routed event", func() {
+		s.StartFlow(route.Endpoint{Host: 0, NIC: 0}, route.Endpoint{Host: 4, NIC: 0}, 1<<20, FlowOpts{SrcPort: 0})
+	})
+}

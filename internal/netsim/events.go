@@ -75,9 +75,7 @@ func (f *Flow) state() FlowState {
 }
 
 // Event is one fabric event. Each kind fills the fields listed at its
-// constant; the rest stay zero. The slices alias simulator scratch and are
-// valid only for the duration of the FabricEvent call: a subscriber that
-// retains an event must copy them. The memo recorder retains thousands per
+// constant; the rest stay zero. The memo recorder retains thousands per
 // cached window, so the per-kind scalars are packed into 32 bits.
 type Event struct {
 	Kind EventKind
@@ -110,15 +108,23 @@ type Event struct {
 // FabricEvent runs inside event dispatch, so it must not mutate the
 // simulator and must be deterministic (no wall clock, no global
 // randomness), or same-seed runs lose byte-identical artifacts.
+//
+// Every interested subscriber is handed the same event in turn: simulator
+// scratch on a live publish, a memo window's recorded event on a replay.
+// It and its slices are valid only during the call. A subscriber must
+// neither keep the pointer nor modify the event; one that retains an event
+// copies *e and its slices. The hpncheck build verifies the event is
+// unchanged after each call.
 type Subscriber interface {
 	Kinds() EventKind
-	FabricEvent(e Event)
+	FabricEvent(e *Event)
 }
 
 // Subscribe appends sub to the subscriber list. Events reach subscribers in
 // list order. The list is fixed once the first flow starts: subscribing
 // later panics, since the subscriber would miss part of the stream.
 func (s *Sim) Subscribe(sub Subscriber) {
+	s.mustNotHaveStarted()
 	s.subs = append(s.subs, sub)
 	s.refreshKinds()
 }
@@ -126,13 +132,19 @@ func (s *Sim) Subscribe(sub Subscriber) {
 // Subscribers returns the subscriber list (shared; do not mutate).
 func (s *Sim) Subscribers() []Subscriber { return s.subs }
 
+// mustNotHaveStarted panics once the first flow has started. Callers that
+// change the subscriber list or masks check it before touching anything,
+// so a caller that recovers leaves the list and masks consistent.
+func (s *Sim) mustNotHaveStarted() {
+	if s.started {
+		panic("netsim: subscribers changed after the first flow started")
+	}
+}
+
 // refreshKinds re-reads every subscriber's interest mask. A subscriber's
 // mask may depend on the others (the memo recorder records what the rest
 // consume), so all are re-read on every change.
 func (s *Sim) refreshKinds() {
-	if s.started {
-		panic("netsim: subscribers changed after the first flow started")
-	}
 	s.subKinds = s.subKinds[:0]
 	s.want = 0
 	for _, sub := range s.subs {
@@ -142,26 +154,52 @@ func (s *Sim) refreshKinds() {
 	}
 }
 
-// publish delivers e to every subscriber interested in its kind. Hot
-// emission sites check s.want first so an unwanted event costs one branch,
-// not the construction of its FlowState.
+// publish delivers e to every subscriber interested in its kind, through
+// the Sim's scratch event: one copy per event, however many subscribers
+// take it. Hot emission sites check s.want first so an unwanted event
+// costs one branch, not the construction of its FlowState.
 func (s *Sim) publish(e Event) {
 	if s.want&e.Kind == 0 {
 		return
 	}
-	for i, sub := range s.subs {
-		if s.subKinds[i]&e.Kind != 0 {
-			sub.FabricEvent(e)
-		}
-	}
+	s.enterDelivery()
+	s.ev = e
+	s.deliver(&s.ev, -1)
+	s.exitDelivery()
 }
 
-// ReplayEvent delivers a recorded, re-stamped event to every interested
-// subscriber except the recorder that captured it — the memo replay path.
-func (s *Sim) ReplayEvent(e Event, recorder Subscriber) {
+// Redeliver re-delivers recorded events to every interested subscriber
+// except skip — the memo replay path, where skip is the recorder that
+// captured them. evs carry the stamps of shift from (the zero Shift for a
+// fresh recording). Each is re-stamped in place to shift to (see
+// Shift.restamp) and handed to subscribers as it lies in evs, so a replay
+// copies no event; the caller keeps to as the stamp evs now carry.
+func (s *Sim) Redeliver(evs []Event, from, to Shift, skip Subscriber) {
+	by := Shift{T: to.T - from.T, ID: to.ID - from.ID}
+	skipAt := -1
 	for i, sub := range s.subs {
-		if s.subKinds[i]&e.Kind != 0 && sub != recorder {
+		if sub == skip {
+			skipAt = i
+			break
+		}
+	}
+	s.enterDelivery()
+	for i := range evs {
+		e := &evs[i]
+		by.restamp(e)
+		s.deliver(e, skipAt)
+	}
+	s.exitDelivery()
+}
+
+// deliver hands e to every interested subscriber but the one at index skip
+// (-1 skips none).
+func (s *Sim) deliver(e *Event, skip int) {
+	s.snapEvent(e)
+	for i, sub := range s.subs {
+		if s.subKinds[i]&e.Kind != 0 && i != skip {
 			sub.FabricEvent(e)
+			s.checkEvent(e, sub)
 		}
 	}
 }
@@ -187,7 +225,7 @@ func (n flightNotes) Kinds() EventKind {
 	return EvTopology | EvFlowsDone
 }
 
-func (n flightNotes) FabricEvent(e Event) {
+func (n flightNotes) FabricEvent(e *Event) {
 	top := n.s.Top
 	subject := ""
 	v1, v2 := int64(e.Count), int64(e.StillStalled)

@@ -20,10 +20,11 @@ type streamRecorder struct {
 
 func (r *streamRecorder) Kinds() EventKind { return r.kinds }
 
-func (r *streamRecorder) FabricEvent(e Event) {
-	e.Hops = slices.Clone(e.Hops)
-	e.HopStats = slices.Clone(e.HopStats)
-	r.evs = append(r.evs, e)
+func (r *streamRecorder) FabricEvent(e *Event) {
+	c := *e
+	c.Hops = slices.Clone(e.Hops)
+	c.HopStats = slices.Clone(e.HopStats)
+	r.evs = append(r.evs, c)
 }
 
 // failRerouteRecover runs one long flow through fail -> reroute -> recover
@@ -97,6 +98,36 @@ func TestEventStreamContract(t *testing.T) {
 		}
 	}()
 	s.Subscribe(&streamRecorder{kinds: EvFlowDone})
+}
+
+// A Subscribe refused after the first flow must leave the list as it was:
+// a caller that recovers from the panic keeps a working stream, and every
+// subscriber still keeps its interest mask.
+func TestSubscribeAfterStartLeavesStreamIntact(t *testing.T) {
+	eng, _, s := newSim(t, 2, 4, 4)
+	rec := &streamRecorder{kinds: EvTopology}
+	s.Subscribe(rec)
+	f, err := s.StartFlow(route.Endpoint{Host: 0, NIC: 0}, route.Endpoint{Host: 4, NIC: 0}, 1<<30, FlowOpts{SrcPort: 0})
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := len(s.Subscribers())
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Fatal("Subscribe after the first StartFlow did not panic")
+			}
+		}()
+		s.Subscribe(&streamRecorder{kinds: ^EventKind(0)})
+	}()
+	if len(s.Subscribers()) != n || len(s.subKinds) != n {
+		t.Fatalf("refused Subscribe left %d subscribers and %d masks, want %d", len(s.Subscribers()), len(s.subKinds), n)
+	}
+	s.FailCable(f.Path[0])
+	if len(rec.evs) != 1 || rec.evs[0].Kind != EvLinkDown {
+		t.Fatalf("after a refused Subscribe the old subscriber got %v, want one link_down", rec.evs)
+	}
+	eng.Run()
 }
 
 // AttachProfiler points the one flight subscriber at the recorder; calling

@@ -45,7 +45,7 @@ type flowLog struct {
 
 func (*flowLog) Kinds() EventKind { return EvFlowDone }
 
-func (l *flowLog) FabricEvent(e Event) {
+func (l *flowLog) FabricEvent(e *Event) {
 	if l.cap > 0 && len(l.recs) >= l.cap {
 		return
 	}

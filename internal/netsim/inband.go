@@ -63,7 +63,7 @@ type inbandRecords struct{ c *inband.Collector }
 
 func (inbandRecords) Kinds() EventKind { return EvPathFlush }
 
-func (r inbandRecords) FabricEvent(e Event) {
+func (r inbandRecords) FabricEvent(e *Event) {
 	r.c.FlushFlow(e.Flow.ID, int(e.Epoch), e.Flow.Tuple, int64(e.Since), int64(e.At), e.Hops, e.HopStats)
 }
 

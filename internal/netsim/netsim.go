@@ -204,13 +204,17 @@ type Sim struct {
 
 	// The fabric event stream (see events.go): subscribers in delivery
 	// order, their interest masks, and the union the emission sites check.
-	// started freezes the list at the first StartFlow. routeHops collects
-	// the hash decisions of the latest path walk through noteHop, bound
-	// once so observing a walk allocates nothing.
+	// started freezes the list at the first StartFlow. ev is the scratch
+	// event publish hands subscribers by pointer, and evGuard the
+	// hpncheck build's watch over every delivery (empty otherwise).
+	// routeHops collects the hash decisions of the latest path walk
+	// through noteHop, bound once so observing a walk allocates nothing.
 	subs      []Subscriber
 	subKinds  []EventKind
 	want      EventKind
 	started   bool
+	ev        Event
+	evGuard   eventGuard
 	routeHops []route.HopDecision
 	noteHop   func(route.HopDecision)
 

@@ -14,9 +14,9 @@ import (
 // A recorder takes a Mark when a window opens, turns it into an Exit when
 // the window closes, and on a later fingerprint hit re-stamps its captured
 // events by ShiftFrom and lands the whole exit with one ApplyExit. The
-// recorder captures and re-delivers the fabric event stream itself (see
-// Sim.ReplayEvent); an Exit holds the engine and fluid-model state the
-// stream does not carry.
+// recorder captures the fabric event stream itself and hands each half of
+// a window back to Sim.Redeliver; an Exit holds the engine and fluid-model
+// state the stream does not carry.
 
 // Hasher is the FNV-1a style mixer every memo fingerprint is built with.
 // Callers fold their own state in with Mix and combine sub-fingerprints
@@ -211,6 +211,20 @@ type Shift struct {
 	T   sim.Time
 	ID  int64
 	Seq uint64
+}
+
+// restamp moves a recorded event by sh: every timestamp it carries by sh.T
+// and its flow's ID by sh.ID. Fields the event's kind leaves zero stay
+// zero; durations (Slowest) and per-hop values carry over verbatim.
+func (sh Shift) restamp(e *Event) {
+	e.At += sh.T
+	if e.Kind&(EvFlowRouted|EvFlowDone|EvPathFlush) != 0 {
+		e.Flow.ID += sh.ID
+		e.Flow.StartedAt += sh.T
+	}
+	if e.Kind == EvPathFlush {
+		e.Since += sh.T
+	}
 }
 
 // ShiftFrom returns the re-stamp from x's recorded start to now.

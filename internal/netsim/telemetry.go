@@ -48,6 +48,7 @@ func (s *Sim) AttachTelemetry(tr *telemetry.Tracer, reg *telemetry.Registry, pre
 // per-cluster profiles, which nothing yet consumes). Pass nils to disable
 // either half. Call before the first flow starts.
 func (s *Sim) AttachProfiler(p *prof.Profiler, fl *prof.Flight) {
+	s.mustNotHaveStarted()
 	s.Prof = p
 	s.Flight = fl
 	s.refreshKinds()
