@@ -40,24 +40,24 @@ func main() {
 	fmt.Printf("established %d connections after probing %d candidate paths (disjoint=%v)\n",
 		len(cs.Conns), cs.Probes, cs.Disjoint())
 	for i, c := range cs.Conns {
-		fmt.Printf("  conn %d: plane %d, sport %d, fabric path %v\n", i, c.Plane, c.Sport, c.FabricPath)
+		fmt.Printf("  conn %d: plane %d, sport %d, fabric path %v\n", i, c.Route.Port, c.Sport, c.Route.Path)
 	}
 
 	// Congest the first connection's ToR->Agg hop with background flows.
 	victim := cs.Conns[0]
-	hogLink := victim.FabricPath[1]
+	hogLink := victim.Route.Path[1]
 	placedHogs := 0
 	for h := 1; h < 8 && placedHogs < 5; h++ {
 		hogSrc := route.Endpoint{Host: h, NIC: 0}
 		hogDst := route.Endpoint{Host: 8 + h, NIC: 0}
 		for sport := uint16(30000); sport < 31000; sport++ {
 			tuple := tupleOf(hogSrc, hogDst, sport)
-			p, _, err := cluster.Net.R.Path(hogSrc, hogDst, victim.Plane, tuple, 0)
+			p, _, err := cluster.Net.R.Path(hogSrc, hogDst, int(victim.Route.Port), tuple, 0)
 			if err != nil || p[1] != hogLink {
 				continue
 			}
 			if _, err := cluster.Net.StartFlow(hogSrc, hogDst, 8<<30, netsim.FlowOpts{
-				SrcPort: victim.Plane, Sport: sport,
+				SrcPort: int(victim.Route.Port), Sport: sport,
 			}); err == nil {
 				placedHogs++
 			}

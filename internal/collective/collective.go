@@ -155,7 +155,7 @@ func establishBlind(net *netsim.Sim, src, dst route.Endpoint, opt rdma.Establish
 	for i := 0; i < opt.Conns; i++ {
 		sport++
 		cs.Conns = append(cs.Conns, &rdma.Conn{
-			Src: src, Dst: dst, Sport: sport, Plane: i % planes,
+			Src: src, Dst: dst, Sport: sport, Route: netsim.Route{Port: int32(i % planes)},
 		})
 	}
 	return cs, nil
@@ -207,7 +207,7 @@ func (g *Group) ScheduleFingerprint(h *netsim.Hasher) {
 			}
 			h.Mix(uint64(len(cs.Conns)))
 			for _, cn := range cs.Conns {
-				h.Mix(uint64(cn.Sport)<<8 | uint64(cn.Plane))
+				h.Mix(uint64(cn.Sport)<<8 | uint64(cn.Route.Port))
 			}
 		}
 	}

@@ -2,6 +2,8 @@
 
 package netsim
 
+import "hpn/internal/sim"
+
 // checked reports whether pooled flows are checked (the hpncheck build tag;
 // see check_on.go). In this build completed flows are recycled and the
 // use-after-release check compiles to nothing.
@@ -18,6 +20,9 @@ func (s *Sim) release(f *Flow) {
 
 // live is the use-after-release check; unchecked builds skip it.
 func (f *Flow) live(op string) {}
+
+// checkRouteHit is the route-cache check; unchecked builds trust the hit.
+func (s *Sim) checkRouteHit(*Flow, sim.Time) {}
 
 // eventGuard is the hpncheck build's watch over the events handed to
 // subscribers (see check_on.go); this build keeps nothing and checks

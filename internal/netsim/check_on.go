@@ -6,9 +6,11 @@ import (
 	"bytes"
 	"fmt"
 	"math"
+	"slices"
 	"unsafe"
 
 	"hpn/internal/route"
+	"hpn/internal/sim"
 )
 
 // checked reports whether pooled flows are checked. Under the hpncheck
@@ -34,6 +36,18 @@ func (f *Flow) live(op string) {
 	if f != nil && f.released != nil {
 		panic(fmt.Sprintf("netsim: %s on a released flow (flow %d, completed at %v); Pin flows retained past their completion",
 			op, f.released.id, f.released.at))
+	}
+}
+
+// checkRouteHit walks the fabric for a flow routed from its connection's
+// route cache and panics if the walk disagrees with the cached port or
+// path. The walk runs on a copy, so the flow keeps the cached result.
+func (s *Sim) checkRouteHit(f *Flow, now sim.Time) {
+	w := Flow{Src: f.Src, Dst: f.Dst, Tuple: f.Tuple, PinnedPort: f.PinnedPort}
+	s.walk(&w, now, nil)
+	if w.Stalled || w.Port != f.Port || !slices.Equal(w.Path, f.Path) {
+		panic(fmt.Sprintf("netsim: route cache hit for %v->%v sport %d gave port %d path %v; the walk gives port %d path %v (stalled %v)",
+			f.Src, f.Dst, f.Tuple.SrcPort, f.Port, f.Path, w.Port, w.Path, w.Stalled))
 	}
 }
 

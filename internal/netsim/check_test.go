@@ -47,8 +47,24 @@ func TestUseAfterRecyclePanics(t *testing.T) {
 	mustPanic(t, "AbortFlow on a released flow (flow 0, completed at", func() { s.AbortFlow(f) })
 	mustPanic(t, "Done on a released flow", func() { f.Done() })
 	mustPanic(t, "Pin on a released flow", func() { f.Pin() })
-	mustPanic(t, "route on a released flow", func() { s.routeFlow(f) })
+	mustPanic(t, "route on a released flow", func() { s.routeFlow(f, nil) })
 	eng.Run()
+}
+
+// TestRouteHitVerifiesWalk hands one connection's Route to a flow with a
+// different destination, which an unchecked build would route over the
+// cached path, and requires the checked build's walk to refuse the hit.
+func TestRouteHitVerifiesWalk(t *testing.T) {
+	_, _, s := newSim(t, 2, 4, 4)
+	src, dst := route.Endpoint{Host: 0, NIC: 0}, route.Endpoint{Host: 4, NIC: 0}
+	rt := establish(t, s, src, dst, 0, 50000)
+	opt := FlowOpts{SrcPort: 0, Sport: 50000, Route: rt}
+	if _, err := s.StartFlow(src, dst, 1<<20, opt); err != nil {
+		t.Fatal(err)
+	}
+	mustPanic(t, "route cache hit for {0 0}->{5 0} sport 50000", func() {
+		s.StartFlow(src, route.Endpoint{Host: 5, NIC: 0}, 1<<20, opt)
+	})
 }
 
 // TestPinnedAndAbortedFlowsStayLive checks the two ways a flow handle

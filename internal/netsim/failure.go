@@ -137,9 +137,7 @@ func (s *Sim) repathStalled() (moved, still int) {
 			continue
 		}
 		f.Stalled = false
-		if err := s.routeFlow(f); err != nil {
-			f.Stalled = true
-		}
+		s.routeFlow(f, nil)
 		if f.Stalled {
 			still++
 		} else {

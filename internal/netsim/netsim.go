@@ -27,6 +27,7 @@ package netsim
 
 import (
 	"fmt"
+	"slices"
 
 	"hpn/internal/hashing"
 	"hpn/internal/inband"
@@ -346,6 +347,36 @@ type FlowOpts struct {
 	OnComplete func(now sim.Time, f *Flow)
 	// After runs after OnComplete; see Flow.After.
 	After func(now sim.Time)
+	// Route, if set, is the route cache of the connection the flow is
+	// posted on (see Route). It needs a fixed Sport and SrcPort ==
+	// Route.Port; StartFlow rejects anything else.
+	Route *Route
+}
+
+// Route is one connection's established route and the cache of its
+// routing result. HPN pins a connection to a 5-tuple whose ECMP path
+// stays fixed until a link or switch changes state (Appendix B), so a
+// flow posted on the connection can reuse the last walk instead of
+// walking again.
+//
+// The owner sets Path and Port, the path the connection was established
+// on; netsim never writes them. To change them, assign a whole new Route,
+// which also clears the stamp. When a flow's walk ends unstalled on
+// exactly Port and Path, netsim stamps the route with the topology's
+// usability generation (topo.Topology.Gen), and later flows that carry
+// the route copy Path without walking while that generation holds and
+// the router is Settled. The walk stays the only source of routing
+// truth: a route whose Path the fabric no longer yields is never stamped,
+// so its flows keep walking. The cache is bypassed whenever hop decisions
+// are wanted (in-band telemetry, an EvFlowRouted subscriber), and
+// reroutes of stalled flows always walk.
+type Route struct {
+	Path []topo.LinkID
+	Port int32
+	// gen is the usability generation plus one the route was last
+	// confirmed at, truncated to 32 bits (a false match would take 2^32
+	// state changes without a walk); 0 never matches.
+	gen uint32
 }
 
 // StartFlow injects a new flow of the given size (bytes) and returns it.
@@ -355,6 +386,17 @@ type FlowOpts struct {
 func (s *Sim) StartFlow(src, dst route.Endpoint, bytes float64, opt FlowOpts) (*Flow, error) {
 	if bytes <= 0 {
 		return nil, fmt.Errorf("netsim: non-positive flow size %v", bytes)
+	}
+	if rt := opt.Route; rt != nil {
+		// A route caches the path of one fixed tuple entering on one port:
+		// an auto-assigned sport changes the tuple per flow, and another
+		// port another plane.
+		if opt.Sport == 0 {
+			return nil, fmt.Errorf("netsim: flow %v->%v carries a Route but no Sport; a route needs the connection's fixed tuple", src, dst)
+		}
+		if opt.SrcPort != int(rt.Port) {
+			return nil, fmt.Errorf("netsim: flow %v->%v pins port %d but its Route is on port %d", src, dst, opt.SrcPort, rt.Port)
+		}
 	}
 	if s.sharding != nil {
 		// Shard-scoped admission: a flow with an endpoint outside the shard
@@ -396,9 +438,7 @@ func (s *Sim) StartFlow(src, dst route.Endpoint, bytes float64, opt FlowOpts) (*
 	if opt.SrcPort >= 0 {
 		f.PinnedPort = opt.SrcPort
 	}
-	if err := s.routeFlow(f); err != nil {
-		return nil, err
-	}
+	s.routeFlow(f, opt.Route)
 	if s.sharding != nil {
 		// Invariant, not admission (that was the endpoint check above): an
 		// in-scope pair routed over an out-of-scope link means the routing
@@ -454,7 +494,11 @@ func (ib *flowInband) reset() *flowInband {
 // in-band telemetry the previous path generation is flushed first; when
 // in-band telemetry or an EvFlowRouted subscriber wants them, the walk
 // records its hash decisions.
-func (s *Sim) routeFlow(f *Flow) error {
+//
+// rt, when non-nil, is the flow's connection route (see Route). It is
+// consulted and filled only when no hop decisions are wanted and the
+// router is Settled: a hit copies its path and skips the walk.
+func (s *Sim) routeFlow(f *Flow, rt *Route) {
 	f.live("route")
 	now := s.Eng.Now()
 	s.inbandFlush(f)
@@ -462,7 +506,34 @@ func (s *Sim) routeFlow(f *Flow) error {
 	var obs func(route.HopDecision)
 	if s.inband != nil || s.want&EvFlowRouted != 0 {
 		obs = s.noteHop
+		rt = nil
 	}
+	var gen uint32
+	if rt != nil && s.R.Settled(now) {
+		// Read before the walk: a concurrent pod's bump during it can only
+		// make the stamp stale, never wrong.
+		gen = uint32(s.Top.Gen()) + 1
+		if rt.gen == gen {
+			f.Port = int(rt.Port)
+			f.Path = append(f.Path[:0], rt.Path...)
+			s.dirty[f.Path[0]] = true
+			s.checkRouteHit(f, now)
+			return
+		}
+	}
+	s.walk(f, now, obs)
+	if gen != 0 && !f.Stalled && f.Port == int(rt.Port) && slices.Equal(f.Path, rt.Path) {
+		rt.gen = gen
+	}
+	s.inbandOpen(f)
+	s.publishRouted(f)
+}
+
+// walk routes f over the fabric as it stands at now: the pinned port while
+// it works end-to-end, else the bond's choice. It sets Port, Path and
+// Stalled, and copies the recorded hop decisions into the flow's in-band
+// state.
+func (s *Sim) walk(f *Flow, now sim.Time, obs func(route.HopDecision)) {
 	tryPort := func(port int) bool {
 		s.routeHops = s.routeHops[:0]
 		path, blackholed, err := s.R.AppendPath(f.Path[:0], f.Src, f.Dst, port, f.Tuple, now, obs)
@@ -488,12 +559,11 @@ func (s *Sim) routeFlow(f *Flow) error {
 	// transparent to the application, §4).
 	if p := f.PinnedPort; p >= 0 &&
 		s.Top.LinkUsable(s.Top.AccessLink(f.Src.Host, f.Src.NIC, p)) && tryPort(p) {
-		s.inbandOpen(f)
-		s.publishRouted(f)
-		return nil
+		return
 	}
 	p, err := s.R.PickAccessPort(f.Src, f.Dst, f.Tuple, now)
 	if err != nil {
+		// The flow exists but cannot move; not a caller error.
 		f.Stalled = true
 		f.Path = f.Path[:0]
 		f.Rate = 0
@@ -501,14 +571,9 @@ func (s *Sim) routeFlow(f *Flow) error {
 			f.ib.hops = f.ib.hops[:0]
 		}
 		s.routeHops = s.routeHops[:0]
-		s.inbandOpen(f)
-		s.publishRouted(f)
-		return nil // flow exists but cannot move; not a caller error
+		return
 	}
 	tryPort(p)
-	s.inbandOpen(f)
-	s.publishRouted(f)
-	return nil
 }
 
 // Batch runs fn as a single mutation: every StartFlow/AbortFlow (and any

@@ -34,11 +34,13 @@ type Conn struct {
 	// Sport is the transport source port chosen by EstablishConns to pin
 	// the ECMP path.
 	Sport uint16
-	// Plane is the NIC port the connection was established on.
-	Plane int
-	// FabricPath is the predicted path at establishment time (for
-	// disjointness accounting; failures may move the live path).
-	FabricPath []topo.LinkID
+	// Route holds the NIC port the connection was established on
+	// (Route.Port, its plane) and the path predicted then (Route.Path, for
+	// disjointness accounting; failures may move the live path). Every
+	// message is posted with it, so it is also the connection's route
+	// cache: while the fabric still yields that path, a flow copies it
+	// instead of walking (netsim.Route).
+	Route netsim.Route
 
 	// wqeBytes counts the bytes of active (posted, incomplete) WQEs.
 	wqeBytes float64
@@ -130,7 +132,8 @@ func EstablishConns(net *netsim.Sim, src, dst route.Endpoint, opt EstablishOpts)
 				used[lk] = true
 			}
 			cs.Conns = append(cs.Conns, &Conn{
-				Src: src, Dst: dst, Sport: sport, Plane: plane, FabricPath: path,
+				Src: src, Dst: dst, Sport: sport,
+				Route: netsim.Route{Path: path, Port: int32(plane)},
 			})
 			got++
 		}
@@ -162,14 +165,14 @@ func overlaps(links []topo.LinkID, used map[topo.LinkID]bool) bool {
 // Disjoint reports whether the set's fabric paths are pairwise disjoint
 // within each plane (the Algorithm 1 postcondition).
 func (cs *ConnSet) Disjoint() bool {
-	perPlane := map[int]map[topo.LinkID]bool{}
+	perPlane := map[int32]map[topo.LinkID]bool{}
 	for _, c := range cs.Conns {
-		m := perPlane[c.Plane]
+		m := perPlane[c.Route.Port]
 		if m == nil {
 			m = map[topo.LinkID]bool{}
-			perPlane[c.Plane] = m
+			perPlane[c.Route.Port] = m
 		}
-		for _, lk := range fabricOf(c.FabricPath) {
+		for _, lk := range fabricOf(c.Route.Path) {
 			if m[lk] {
 				return false
 			}
@@ -210,10 +213,11 @@ func (cs *ConnSet) post(c *Conn, bytes float64, onComplete func(now sim.Time)) (
 		c.doneFn = c.flowDone
 	}
 	return cs.Net.StartFlow(c.Src, c.Dst, bytes, netsim.FlowOpts{
-		SrcPort:    c.Plane,
+		SrcPort:    int(c.Route.Port),
 		Sport:      c.Sport,
 		OnComplete: c.doneFn,
 		After:      onComplete,
+		Route:      &c.Route,
 	})
 }
 

@@ -34,9 +34,9 @@ func TestEstablishConnsDisjoint(t *testing.T) {
 		t.Fatal("Algorithm 1 postcondition violated: paths overlap")
 	}
 	// Two per plane under dual-plane.
-	perPlane := map[int]int{}
+	perPlane := map[int32]int{}
 	for _, c := range cs.Conns {
-		perPlane[c.Plane]++
+		perPlane[c.Route.Port]++
 	}
 	if perPlane[0] != 2 || perPlane[1] != 2 {
 		t.Fatalf("plane spread = %v, want 2+2", perPlane)
@@ -109,19 +109,19 @@ func TestWQECongestionAvoidance(t *testing.T) {
 	// the 400G fabric link's fair share drops below the victim's access
 	// share.
 	victim := cs.Conns[0]
-	aggLink := victim.FabricPath[1]
+	aggLink := victim.Route.Path[1]
 	hogs := 0
 	for h := 1; h < 8 && hogs < 5; h++ {
 		hog := route.Endpoint{Host: h, NIC: 0}
 		hogDst := route.Endpoint{Host: 8 + h, NIC: 0}
 		for sport := uint16(30000); sport < 31000; sport++ {
 			tu := tupleHelper(hog, hogDst, sport)
-			p, _, err := net.R.Path(hog, hogDst, victim.Plane, tu, 0)
+			p, _, err := net.R.Path(hog, hogDst, int(victim.Route.Port), tu, 0)
 			if err != nil {
 				continue
 			}
 			if p[1] == aggLink {
-				if _, err := net.StartFlow(hog, hogDst, 64<<30, netsim.FlowOpts{SrcPort: victim.Plane, Sport: sport}); err != nil {
+				if _, err := net.StartFlow(hog, hogDst, 64<<30, netsim.FlowOpts{SrcPort: int(victim.Route.Port), Sport: sport}); err != nil {
 					t.Fatal(err)
 				}
 				hogs++

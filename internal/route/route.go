@@ -66,6 +66,9 @@ type Router struct {
 	// nodeFailedAt is the same for whole nodes (ToR crash); the same
 	// lookup-only rule applies.
 	nodeFailedAt map[topo.NodeID]sim.Time
+	// lastFailAt is the latest failure instant ever noted; Settled
+	// compares it with the current ConvergenceDelay.
+	lastFailAt sim.Time
 
 	// Tracer, when set, receives BGP-withdrawal/convergence spans and INT
 	// path-trace instants.
@@ -127,6 +130,7 @@ func (r *Router) downLinks(node, peer topo.NodeID) []topo.LinkID {
 // NoteLinkFailed records the failure instant of a cable; the caller is
 // responsible for flipping the topo state.
 func (r *Router) NoteLinkFailed(l topo.LinkID, at sim.Time) {
+	r.noteFailure(at)
 	r.failedAt[l] = at
 	r.failedAt[r.T.Link(l).Reverse] = at
 	// Convergence in this router is lazy (queries consult failedAt), so the
@@ -149,6 +153,7 @@ func (r *Router) NoteLinkRecovered(l topo.LinkID) {
 
 // NoteNodeFailed / NoteNodeRecovered are the node-level equivalents.
 func (r *Router) NoteNodeFailed(n topo.NodeID, at sim.Time) {
+	r.noteFailure(at)
 	r.nodeFailedAt[n] = at
 	if r.Tracer != nil {
 		r.Tracer.Complete(int64(at), int64(r.ConvergenceDelay),
@@ -159,6 +164,23 @@ func (r *Router) NoteNodeFailed(n topo.NodeID, at sim.Time) {
 
 // NoteNodeRecovered clears a node failure.
 func (r *Router) NoteNodeRecovered(n topo.NodeID) { delete(r.nodeFailedAt, n) }
+
+// noteFailure advances lastFailAt to at.
+func (r *Router) noteFailure(at sim.Time) {
+	if at > r.lastFailAt {
+		r.lastFailAt = at
+	}
+}
+
+// Settled reports whether every failure this router has noted is either
+// recovered or past ConvergenceDelay at now. While it holds, path walks
+// depend only on link usability, not on now, so a walk's result stays
+// valid until the topology's usability generation (topo.Topology.Gen)
+// moves; while a convergence is pending, they do not.
+func (r *Router) Settled(now sim.Time) bool {
+	return len(r.failedAt) == 0 && len(r.nodeFailedAt) == 0 ||
+		now >= r.lastFailAt+r.ConvergenceDelay
+}
 
 // converged reports whether routing has reacted to the failure of l by now.
 func (r *Router) converged(l topo.LinkID, now sim.Time) bool {

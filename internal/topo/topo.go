@@ -18,6 +18,7 @@ package topo
 
 import (
 	"fmt"
+	"sync/atomic"
 )
 
 // NodeID indexes a node within a Topology.
@@ -144,6 +145,8 @@ type Topology struct {
 	// usable caches LinkUsable per link (link up AND both endpoint nodes
 	// up), maintained by connect and the Set*State mutators.
 	usable []bool
+	// gen is the usability generation (see Gen).
+	gen atomic.Uint64
 }
 
 // HostPort names one NIC port of one host.
@@ -263,6 +266,7 @@ func (t *Topology) TotalGPUs(activeOnly bool) int {
 func (t *Topology) SetLinkState(id LinkID, up bool) {
 	t.Links[id].Up = up
 	t.refreshUsable(id)
+	t.gen.Add(1)
 }
 
 // SetCableState sets both directions of a cable.
@@ -271,6 +275,7 @@ func (t *Topology) SetCableState(id LinkID, up bool) {
 	t.Links[t.Links[id].Reverse].Up = up
 	t.refreshUsable(id)
 	t.refreshUsable(t.Links[id].Reverse)
+	t.gen.Add(1)
 }
 
 // SetNodeState marks a node (and implicitly all its links) up or down.
@@ -283,7 +288,17 @@ func (t *Topology) SetNodeState(id NodeID, up bool) {
 	for _, l := range t.Links {
 		t.refreshUsable(l.ID)
 	}
+	t.gen.Add(1)
 }
+
+// Gen returns the usability generation: a counter every Set*State call
+// bumps, so two reads that return the same value bracket no state change.
+// Route caches key on it. It lives here rather than on a router because
+// one topology can back several simulators (the pod shards and the global
+// domain of a sharded fabric): a pod's failure changes the global
+// router's ECMP groups without that router ever seeing it. It is atomic
+// because pod shards run their windows, failures included, in parallel.
+func (t *Topology) Gen() uint64 { return t.gen.Load() }
 
 // LinkUsable reports whether a link can carry traffic: link up, both ends
 // up. It is the allocator's and router's innermost predicate, so the
