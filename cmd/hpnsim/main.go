@@ -259,8 +259,8 @@ func printMemo(label string, c *hpn.Cluster, iters int) {
 		return
 	}
 	s := r.Stats()
-	fmt.Printf("%s: %d hits, %d misses, %d blocked, %d invalidations, %d/%d iterations replayed\n",
-		label, s.Hits, s.Misses, s.Blocked, s.Invalidations, s.Replayed, iters)
+	fmt.Printf("%s: %d hits, %d misses, %d blocked, %d invalidations, %d/%d iterations replayed, %d halves folded, %d re-delivered\n",
+		label, s.Hits, s.Misses, s.Blocked, s.Invalidations, s.Replayed, iters, s.Folded, s.Redelivered)
 }
 
 // outputs is where a run writes its results: the flat trace and metrics

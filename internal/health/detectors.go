@@ -134,12 +134,10 @@ type groupState struct {
 func (m *Monitor) notePath(now sim.Time, f *netsim.FlowState, hops []route.HopDecision) {
 	for i := range hops {
 		h := &hops[i]
-		// Per-port Core hashing is deliberately tuple-independent; its
-		// fallback mode and non-hashed hops carry no polarization signal.
-		if !h.Hashed || h.PerPort || h.Fallback || h.Group < 2 {
+		if !judged(h) {
 			continue
 		}
-		k := groupKey{node: h.Node, size: h.Group, down: h.Down, plane: m.Net.Top.Link(h.Link).Plane}
+		k := m.groupOf(h)
 		gi, ok := m.groupIdx[k]
 		if !ok {
 			gi = len(m.groupList)
@@ -167,6 +165,18 @@ func (m *Monitor) notePath(now sim.Time, f *netsim.FlowState, hops []route.HopDe
 			m.judgePolarization(now, gs)
 		}
 	}
+}
+
+// judged reports whether a hop decision feeds the polarization detector.
+// Per-port Core hashing is deliberately tuple-independent; its fallback
+// mode and non-hashed hops carry no polarization signal.
+func judged(h *route.HopDecision) bool {
+	return h.Hashed && !h.PerPort && !h.Fallback && h.Group >= 2
+}
+
+// groupOf returns the ECMP group a judged hop decision was made in.
+func (m *Monitor) groupOf(h *route.HopDecision) groupKey {
+	return groupKey{node: h.Node, size: h.Group, down: h.Down, plane: m.Net.Top.Link(h.Link).Plane}
 }
 
 // judgePolarization judges one group if it has enough distinct-tuple mass.
@@ -222,11 +232,10 @@ type classState struct {
 }
 
 func (m *Monitor) noteCompletion(now sim.Time, f *netsim.FlowState) {
-	d := (now - f.StartedAt).Seconds()
-	if d <= 0 || f.Bits <= 0 {
+	rate, ok := completionRate(now, f)
+	if !ok {
 		return
 	}
-	rate := f.Bits / d
 	cs := m.class(math.Ilogb(f.Bits))
 	if cs.n < m.Cfg.BaselineFlows {
 		cs.sum += rate
@@ -258,18 +267,40 @@ func (m *Monitor) noteCompletion(now sim.Time, f *netsim.FlowState) {
 	}
 }
 
+// completionRate returns the effective throughput of a flow completed at
+// now, or ok=false for a flow the detector does not judge (no elapsed time
+// or no bits). It depends only on the time between the flow's start and
+// its completion, so a replayed completion has the rate of the recorded
+// one.
+func completionRate(now sim.Time, f *netsim.FlowState) (rate float64, ok bool) {
+	d := (now - f.StartedAt).Seconds()
+	if d <= 0 || f.Bits <= 0 {
+		return 0, false
+	}
+	return f.Bits / d, true
+}
+
 // class returns the size class of exponent exp, created on first sight.
-// A run sees a handful of classes, so a scan of classList (creation order)
-// is cheaper than hashing the exponent on every completion.
 func (m *Monitor) class(exp int) *classState {
+	if cs := m.findClass(exp); cs != nil {
+		return cs
+	}
+	cs := &classState{exp: exp, subject: "flows-" + classLabel(exp)}
+	m.classList = append(m.classList, cs)
+	return cs
+}
+
+// findClass returns the size class of exponent exp, or nil if none has
+// been seen. A run sees a handful of classes, so a scan of classList
+// (creation order) is cheaper than hashing the exponent on every
+// completion.
+func (m *Monitor) findClass(exp int) *classState {
 	for _, cs := range m.classList {
 		if cs.exp == exp {
 			return cs
 		}
 	}
-	cs := &classState{exp: exp, subject: "flows-" + classLabel(exp)}
-	m.classList = append(m.classList, cs)
-	return cs
+	return nil
 }
 
 func (cs *classState) pruneDegraded(now sim.Time, window sim.Time) {

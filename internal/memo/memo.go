@@ -13,10 +13,13 @@
 // the engine and fluid-model exit state as one netsim.Exit), and on a
 // fingerprint hit replays that recorded window — re-stamped to the current
 // time, flow-ID and sequence cursors — instead of simulating it, then
-// lands its exit state with one netsim.Sim.ApplyExit. Replayed events
-// reach the other stream subscribers (flow log, in-band collector, flight
-// recorder, health monitor) exactly as live ones do, so a replayed run's
-// artifacts are byte-identical to a re-simulated run's.
+// lands its exit state with one netsim.Sim.ApplyExit. A subscriber that
+// implements netsim.Summarizer (the health monitor) folds each recorded
+// half of the window in one call when its summary applies; every other
+// subscriber (flow log, in-band collector, flight recorder), and a
+// Summarizer whose summary does not apply, is handed the replayed events
+// exactly as live ones, so a replayed run's artifacts are byte-identical
+// to a re-simulated run's.
 //
 // Safety comes from three layers:
 //
@@ -42,6 +45,7 @@ package memo
 
 import (
 	"slices"
+	"unsafe"
 
 	"hpn/internal/netsim"
 	"hpn/internal/prof"
@@ -49,6 +53,12 @@ import (
 	"hpn/internal/sim"
 	"hpn/internal/telemetry"
 )
+
+// chunkLen is the event count of one chunk of a recorded window half: as
+// many events as fill 64 KiB, since a large allocation is rounded up to
+// whole pages. A half grows in fixed chunks, so recording leaves no
+// doubling garbage and caching a window copies at most its last chunk.
+const chunkLen = 64 << 10 / int(unsafe.Sizeof(netsim.Event{}))
 
 // maxWindows caps the fingerprint cache. Steady-state training needs one
 // or two windows; the cap only bounds pathological workloads that never
@@ -88,16 +98,30 @@ type Window struct {
 	liveAt sim.Time
 	comm   float64
 
-	// part1/ev1 cover [window start, live section); the *2 halves cover
-	// (live section, window end]. The live section itself is excluded —
-	// replay re-executes it and it re-emits its own output.
+	// part1 and ev[0] cover [window start, live section); part2 and ev[1]
+	// cover (live section, window end]. The live section itself is
+	// excluded — replay re-executes it and it re-emits its own output.
+	// Each event half is a list of chunks of up to chunkLen events.
 	part1, part2 []traceEvent
-	ev1, ev2     []netsim.Event
+	ev           [2][][]netsim.Event
 
-	// stamped is the shift ev1 and ev2 carry: netsim.Sim.Redeliver
-	// re-stamps them in place, so after a replay they hold its positions.
-	// Trace events stay at their record-time values.
-	stamped netsim.Shift
+	// stamped is the shift each event half carries: netsim.Sim.Redeliver
+	// re-stamps a half in place, so after a replay that re-delivered it the
+	// half holds that replay's positions. A half every subscriber folded is
+	// left as it was, so the halves may carry different shifts. Trace
+	// events stay at their record-time values.
+	stamped [2]netsim.Shift
+
+	// folds holds, per Summarizer subscriber, its summary of each half.
+	folds []fold
+}
+
+// fold is one Summarizer subscriber's summaries of a window's halves (nil
+// for a half it cannot fold) and its bit in Redeliver's skip set.
+type fold struct {
+	sub netsim.Summarizer
+	bit uint64
+	sum [2]any
 }
 
 // recording is an in-progress window capture: the Window being filled,
@@ -113,6 +137,7 @@ type recording struct {
 
 	liveSeen bool
 	hops     map[uint64][]route.HopDecision // see internHops
+	arena    []route.HopDecision
 }
 
 // Recorder is the memoization engine: a fabric-stream subscriber plus a
@@ -127,7 +152,11 @@ type Recorder struct {
 	rec       *recording
 	suspended bool
 
+	// bit is the recorder's own bit in Redeliver's skip set.
+	bit uint64
+
 	hits, misses, blocked, invalidations, replayed int64
+	folded, redelivered                            int64
 
 	ctrHits, ctrMisses, ctrBlocked, ctrInvalidations, ctrReplayed *telemetry.Counter
 
@@ -137,13 +166,18 @@ type Recorder struct {
 	phLookup, phReplay, phFF *prof.Phase
 }
 
-// Stats is a point-in-time summary of recorder activity.
+// Stats is a point-in-time summary of recorder activity. Folded and
+// Redelivered count replayed window halves per netsim.Summarizer
+// subscriber: a half the subscriber folded with its summary, and one it was
+// handed event by event because it had no summary for it or refused it.
 type Stats struct {
 	Hits          int64
 	Misses        int64
 	Blocked       int64
 	Invalidations int64
 	Replayed      int64
+	Folded        int64
+	Redelivered   int64
 	Cached        int
 }
 
@@ -159,6 +193,7 @@ func Attach(s *netsim.Sim) *Recorder {
 		cache: map[uint64]*Window{},
 	}
 	s.Subscribe(r)
+	r.bit = 1 << (len(s.Subscribers()) - 1)
 	if s.Trace != nil {
 		s.Trace.SetHook(r.capture)
 	}
@@ -196,7 +231,7 @@ func (r *Recorder) Stats() Stats {
 	return Stats{
 		Hits: r.hits, Misses: r.misses, Blocked: r.blocked,
 		Invalidations: r.invalidations, Replayed: r.replayed,
-		Cached: len(r.cache),
+		Folded: r.folded, Redelivered: r.redelivered, Cached: len(r.cache),
 	}
 }
 
@@ -216,8 +251,9 @@ func (r *Recorder) Kinds() netsim.EventKind {
 }
 
 // FabricEvent drops the cache on a transition (fabric behavior changed)
-// and otherwise captures the event while recording: a copy of *e whose
-// slices, which alias simulator scratch, are copied too.
+// and otherwise captures the event while recording: a copy of *e, whose
+// slices, which alias simulator scratch, are copied too, appended to the
+// current half's last chunk.
 func (r *Recorder) FabricEvent(e *netsim.Event) {
 	if e.Kind&netsim.EvTopology != 0 {
 		r.invalidate()
@@ -226,32 +262,29 @@ func (r *Recorder) FabricEvent(e *netsim.Event) {
 	if r.rec == nil || r.suspended {
 		return
 	}
+	h := 0
+	if r.rec.liveSeen {
+		h = 1
+	}
+	chunks := r.rec.ev[h]
+	if n := len(chunks); n == 0 || len(chunks[n-1]) == chunkLen {
+		chunks = append(chunks, make([]netsim.Event, 0, chunkLen))
+	}
 	c := *e
 	c.Hops = r.rec.internHops(e.Flow.Tuple, e.Hops)
 	c.HopStats = slices.Clone(e.HopStats)
-	if r.rec.liveSeen {
-		r.rec.ev2 = appendDoubling(r.rec.ev2, c)
-	} else {
-		r.rec.ev1 = appendDoubling(r.rec.ev1, c)
-	}
-}
-
-// appendDoubling appends e, doubling the capacity when full. A window's
-// halves grow to thousands of events and are copied to exact size when the
-// window is cached, so append's gentler growth for large slices would only
-// multiply the garbage a recording leaves.
-func appendDoubling(evs []netsim.Event, e netsim.Event) []netsim.Event {
-	if len(evs) == cap(evs) {
-		evs = slices.Grow(evs, len(evs)+1)
-	}
-	return append(evs, e)
+	last := len(chunks) - 1
+	chunks[last] = append(chunks[last], c)
+	r.rec.ev[h] = chunks
 }
 
 // internHops returns a retained copy of hops, shared with the previous
 // event of the same flow tuple when the decisions match. A connection's
 // flows repeat the same path many times per iteration, and replay only
 // reads the slices, so one copy per (tuple, path) keeps a cached window
-// from holding a hop slice per routed flow.
+// from holding a hop slice per routed flow. The copies are carved out of
+// one arena per recording; each is capped at its length, so no holder can
+// append into its neighbour.
 func (rec *recording) internHops(tuple uint64, hops []route.HopDecision) []route.HopDecision {
 	if len(hops) == 0 {
 		return nil
@@ -262,7 +295,9 @@ func (rec *recording) internHops(tuple uint64, hops []route.HopDecision) []route
 	if rec.hops == nil {
 		rec.hops = map[uint64][]route.HopDecision{}
 	}
-	c := slices.Clone(hops)
+	at := len(rec.arena)
+	rec.arena = append(rec.arena, hops...)
+	c := rec.arena[at:len(rec.arena):len(rec.arena)]
 	rec.hops[tuple] = c
 	return c
 }
@@ -348,7 +383,9 @@ func (r *Recorder) EndLive() {
 // it is replayable. A window is discarded when no live section was seen
 // (the iteration never completed) or when netsim refuses its exit state
 // (see netsim.Sim.ExitFrom): a moved sport cursor, flows still active, or
-// a pending-event population that changed over the window.
+// a pending-event population that changed over the window. A cached
+// window carries every netsim.Summarizer subscriber's summary of each
+// half, taken now that the halves have reached every subscriber live.
 func (r *Recorder) FinalizeRecord() {
 	if r == nil || r.rec == nil {
 		return
@@ -364,10 +401,21 @@ func (r *Recorder) FinalizeRecord() {
 	if rec.exit = r.net.ExitFrom(rec.mark, metrics); rec.exit == nil {
 		return
 	}
-	// The event halves are copied to exact size: a cached window outlives
-	// the recording, and append's spare capacity would stay live with it.
+	// Each half's last chunk is copied to exact size: a cached window
+	// outlives the recording, and the chunk's spare capacity would stay
+	// live with it.
 	w := rec.Window
-	w.ev1, w.ev2 = slices.Clone(w.ev1), slices.Clone(w.ev2)
+	for _, half := range w.ev {
+		if n := len(half); n > 0 {
+			half[n-1] = slices.Clone(half[n-1])
+		}
+	}
+	for i, sub := range r.net.Subscribers() {
+		if s, ok := sub.(netsim.Summarizer); ok {
+			w.folds = append(w.folds, fold{sub: s, bit: 1 << i,
+				sum: [2]any{s.Summarize(w.ev[0]), s.Summarize(w.ev[1])}})
+		}
+	}
 	r.cache[rec.fp] = &w
 }
 
@@ -410,8 +458,9 @@ func (r *Recorder) Lookup(fp uint64) *Window {
 	return w
 }
 
-// Replay applies the recorded window at the current instant: it
-// re-delivers the captured fabric events to the other subscribers and
+// Replay applies the recorded window at the current instant: it folds
+// each captured half of fabric events into the Summarizer subscribers
+// whose summaries apply, re-delivers it to the other subscribers and
 // re-emits the captured trace events — all shifted to the current time,
 // flow-ID and sequence cursors — runs liveFn for the live section, then
 // lands the window's exit state with one netsim.Sim.ApplyExit. The first
@@ -422,16 +471,36 @@ func (r *Recorder) Replay(w *Window, liveFn func(now sim.Time, comm float64)) {
 	sh := r.net.ShiftFrom(w.exit)
 	r.replayed++
 	r.ctrReplayed.Inc()
-	r.net.Redeliver(w.ev1, w.stamped, sh, r)
+	r.replayHalf(w, 0, sh)
 	r.emitTrace(w.part1, sh)
 	if liveFn != nil {
 		liveFn(w.liveAt+sh.T, w.comm)
 	}
-	r.net.Redeliver(w.ev2, w.stamped, sh, r)
-	w.stamped = sh
+	r.replayHalf(w, 1, sh)
 	r.emitTrace(w.part2, sh)
 	r.phFF.Add(1)
 	r.net.ApplyExit(w.exit)
+}
+
+// replayHalf folds half h of w into every Summarizer subscriber whose
+// summary applies and re-delivers its events, re-stamped to sh, to every
+// other interested subscriber but the recorder.
+func (r *Recorder) replayHalf(w *Window, h int, sh netsim.Shift) {
+	skip := r.bit
+	for i := range w.folds {
+		f := &w.folds[i]
+		if sum := f.sum[h]; sum != nil && f.sub.ApplySummary(sum) {
+			checkFold(f.sub, w.ev[h], sum)
+			skip |= f.bit
+			r.folded++
+		} else {
+			r.redelivered++
+		}
+	}
+	from := w.stamped[h]
+	for _, c := range w.ev[h] {
+		w.stamped[h] = r.net.Redeliver(c, from, sh, skip)
+	}
 }
 
 // emitTrace re-emits captured trace events through the hook-bypassing

@@ -36,16 +36,31 @@ func (l *eventLog) FabricEvent(e *netsim.Event) {
 // round-trip test. A logged run also turns in-band telemetry on and
 // subscribes an eventLog.
 type periodicRun struct {
-	t   *testing.T
-	eng *sim.Engine
-	net *netsim.Sim
-	rec *memo.Recorder
-	mon *health.Monitor
-	log *eventLog
-	it  int
+	t      *testing.T
+	eng    *sim.Engine
+	net    *netsim.Sim
+	rec    *memo.Recorder
+	mon    *health.Monitor
+	log    *eventLog
+	phases [2][][2]route.Endpoint
+	it     int
 }
 
 func newPeriodicRun(t *testing.T, memoOn, logged bool) *periodicRun {
+	t.Helper()
+	p := newRun(t, memoOn, periodicPhases)
+	p.mon = health.Attach(p.net, health.Config{})
+	if logged {
+		p.net.EnableInband(0)
+		p.log = &eventLog{}
+		p.net.Subscribe(p.log)
+	}
+	return p
+}
+
+// newRun is a periodicRun of the given phases with no subscriber but the
+// recorder, when memoOn, attached.
+func newRun(t *testing.T, memoOn bool, phases [2][][2]route.Endpoint) *periodicRun {
 	t.Helper()
 	cfg := topo.SmallHPN(1, 4, 4)
 	cfg.Pods = 2
@@ -56,15 +71,9 @@ func newPeriodicRun(t *testing.T, memoOn, logged bool) *periodicRun {
 	eng := sim.New()
 	s := netsim.New(eng, top)
 	s.AttachTelemetry(nil, telemetry.NewRegistry(), "")
-	p := &periodicRun{t: t, eng: eng, net: s}
+	p := &periodicRun{t: t, eng: eng, net: s, phases: phases}
 	if memoOn {
 		p.rec = memo.Attach(s)
-	}
-	p.mon = health.Attach(s, health.Config{})
-	if logged {
-		s.EnableInband(0)
-		p.log = &eventLog{}
-		s.Subscribe(p.log)
 	}
 	return p
 }
@@ -91,7 +100,7 @@ func (p *periodicRun) step() {
 	} else {
 		p.rec.BeginRecord(fp)
 		phase := p.it % 2
-		for j, f := range periodicPhases[phase] {
+		for j, f := range p.phases[phase] {
 			if _, err := p.net.StartFlow(f[0], f[1], 4<<20,
 				netsim.FlowOpts{SrcPort: 0, Sport: uint16(1000 + 10*phase + j)}); err != nil {
 				p.t.Fatal(err)

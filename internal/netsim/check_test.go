@@ -126,7 +126,7 @@ func TestSubscriberMutationPanics(t *testing.T) {
 			s.Subscribe(&mutator{kinds: EvFlowRouted, mutate: mutate})
 			hops := []route.HopDecision{{Hashed: true, Group: 4, Bucket: 1}}
 			evs := []Event{{Kind: EvFlowRouted, At: 5, Flow: FlowState{ID: 3}, Hops: hops}}
-			mustPanic(t, want, func() { s.Redeliver(evs, Shift{}, Shift{T: 10, ID: 1}, nil) })
+			mustPanic(t, want, func() { s.Redeliver(evs, Shift{}, Shift{T: 10, ID: 1}, 0) })
 		})
 	}
 }

@@ -120,11 +120,32 @@ type Subscriber interface {
 	FabricEvent(e *Event)
 }
 
+// Summarizer is a Subscriber that can fold a recorded memo window half in
+// one call instead of being handed its events again. Summarize runs once
+// per half, after the half has reached every subscriber live, and returns
+// nil when the half cannot be folded exactly. ApplySummary folds the half
+// into the subscriber's state exactly as re-delivering its events would —
+// at any later replay, whatever shift the events would carry — or returns
+// false, without touching any state, when it cannot prove that; the half
+// is then re-delivered.
+type Summarizer interface {
+	Summarize(evs [][]Event) any
+	ApplySummary(sum any) bool
+}
+
+// maxSubscribers bounds the subscriber list: Redeliver's skip set is one
+// bit per subscriber.
+const maxSubscribers = 64
+
 // Subscribe appends sub to the subscriber list. Events reach subscribers in
 // list order. The list is fixed once the first flow starts: subscribing
-// later panics, since the subscriber would miss part of the stream.
+// later panics, since the subscriber would miss part of the stream. It
+// also panics past 64 subscribers.
 func (s *Sim) Subscribe(sub Subscriber) {
 	s.mustNotHaveStarted()
+	if len(s.subs) == maxSubscribers {
+		panic(fmt.Sprintf("netsim: more than %d subscribers", maxSubscribers))
+	}
 	s.subs = append(s.subs, sub)
 	s.refreshKinds()
 }
@@ -164,40 +185,46 @@ func (s *Sim) publish(e Event) {
 	}
 	s.enterDelivery()
 	s.ev = e
-	s.deliver(&s.ev, -1)
+	s.deliver(&s.ev, 0)
 	s.exitDelivery()
 }
 
 // Redeliver re-delivers recorded events to every interested subscriber
-// except skip — the memo replay path, where skip is the recorder that
-// captured them. evs carry the stamps of shift from (the zero Shift for a
-// fresh recording). Each is re-stamped in place to shift to (see
-// Shift.restamp) and handed to subscribers as it lies in evs, so a replay
-// copies no event; the caller keeps to as the stamp evs now carry.
-func (s *Sim) Redeliver(evs []Event, from, to Shift, skip Subscriber) {
-	by := Shift{T: to.T - from.T, ID: to.ID - from.ID}
-	skipAt := -1
-	for i, sub := range s.subs {
-		if sub == skip {
-			skipAt = i
-			break
+// outside skip, a set with bit i standing for Subscribers()[i] — the memo
+// replay path, where skip holds the recorder that captured the events and
+// every subscriber that folded them through its Summarizer. evs carry the
+// stamps of shift from (the zero Shift for a fresh recording). Each is
+// re-stamped in place to shift to (see Shift.restamp) and handed to
+// subscribers as it lies in evs, so a replay copies no event. Redeliver
+// returns the shift evs now carry: to, or from when no subscriber outside
+// skip wants any event, in which case evs are left as they are.
+func (s *Sim) Redeliver(evs []Event, from, to Shift, skip uint64) Shift {
+	var want EventKind
+	for i, k := range s.subKinds {
+		if skip&(1<<i) == 0 {
+			want |= k
 		}
 	}
+	if want == 0 {
+		return from
+	}
+	by := Shift{T: to.T - from.T, ID: to.ID - from.ID}
 	s.enterDelivery()
 	for i := range evs {
 		e := &evs[i]
 		by.restamp(e)
-		s.deliver(e, skipAt)
+		s.deliver(e, skip)
 	}
 	s.exitDelivery()
+	return to
 }
 
-// deliver hands e to every interested subscriber but the one at index skip
-// (-1 skips none).
-func (s *Sim) deliver(e *Event, skip int) {
+// deliver hands e to every interested subscriber outside skip (bit i
+// standing for subscriber i).
+func (s *Sim) deliver(e *Event, skip uint64) {
 	s.snapEvent(e)
 	for i, sub := range s.subs {
-		if s.subKinds[i]&e.Kind != 0 && i != skip {
+		if s.subKinds[i]&e.Kind != 0 && skip&(1<<i) == 0 {
 			sub.FabricEvent(e)
 			s.checkEvent(e, sub)
 		}

@@ -166,3 +166,41 @@ func TestFlowLogOnlyCollectsNoHops(t *testing.T) {
 		t.Fatal("hop decisions collected with no EvFlowRouted subscriber")
 	}
 }
+
+// Redeliver hands a recorded event to every interested subscriber outside
+// the skip set, returns the shift the events then carry, and leaves the
+// events unstamped when every interested subscriber is skipped.
+func TestRedeliverSkipSet(t *testing.T) {
+	_, _, s := newSim(t, 2, 4, 4)
+	a, b := &streamRecorder{kinds: EvFlowDone}, &streamRecorder{kinds: EvFlowDone}
+	s.Subscribe(a)
+	s.Subscribe(b)
+	bitA, bitB := uint64(1)<<(len(s.Subscribers())-2), uint64(1)<<(len(s.Subscribers())-1)
+	evs := []Event{{Kind: EvFlowDone, At: 5, Flow: FlowState{ID: 3, StartedAt: 2}}}
+	from, to := Shift{T: 1, ID: 1}, Shift{T: 11, ID: 2}
+
+	if got := s.Redeliver(evs, from, to, bitA|bitB); got != from || evs[0].At != 5 || len(a.evs)+len(b.evs) != 0 {
+		t.Fatalf("all skipped: returned %+v, event at %v, %d+%d delivered; want %+v, 5, none",
+			got, evs[0].At, len(a.evs), len(b.evs), from)
+	}
+	if got := s.Redeliver(evs, from, to, bitA); got != to || len(a.evs) != 0 || len(b.evs) != 1 {
+		t.Fatalf("a skipped: returned %+v, %d+%d delivered; want %+v, 0+1", got, len(a.evs), len(b.evs), to)
+	}
+	if e := b.evs[0]; e.At != 15 || e.Flow.StartedAt != 12 || e.Flow.ID != 4 {
+		t.Fatalf("re-stamped event %+v, want At 15, StartedAt 12, ID 4", e)
+	}
+}
+
+// The skip set has one bit per subscriber, so a 65th subscriber is refused.
+func TestSubscribeCapsSubscribers(t *testing.T) {
+	_, _, s := newSim(t, 2, 4, 4)
+	for len(s.Subscribers()) < 64 {
+		s.Subscribe(&streamRecorder{})
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("a 65th subscriber was accepted")
+		}
+	}()
+	s.Subscribe(&streamRecorder{})
+}
