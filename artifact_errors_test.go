@@ -26,7 +26,7 @@ func TestArtifactWriteErrorsSurface(t *testing.T) {
 		t.Fatal(err)
 	}
 	c.EnableTelemetry(hub)
-	c.Net.EnableFlowLog(0)
+	c.Net.EnableFlowLog()
 	hosts, err := c.PlaceJob(8)
 	if err != nil {
 		t.Fatal(err)

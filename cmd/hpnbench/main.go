@@ -58,7 +58,7 @@ func run(args []string) (code int) {
 		stop, err := startCPUProfile(*cpuOut)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "hpnbench: cpuprofile: %v\n", err)
-			return 2
+			return 1
 		}
 		defer func() {
 			if err := stop(); err != nil {

@@ -32,6 +32,14 @@ func TestCPUProfileFlushedOnFailure(t *testing.T) {
 	}
 }
 
+// A CPU profile that cannot be created is a write error.
+func TestCPUProfileCreateFailureExitsOne(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "missing", "cpu.pprof")
+	if code := run([]string{"-list", "-cpuprofile", path}); code != 1 {
+		t.Fatalf("uncreatable CPU profile: exit %d, want 1", code)
+	}
+}
+
 func TestUsageErrorsExitTwo(t *testing.T) {
 	for _, args := range [][]string{
 		{"-memo", "maybe"},

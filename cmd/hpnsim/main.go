@@ -109,6 +109,10 @@ func run(args []string) (code int) {
 	par := hpn.Parallelism{TP: *tp, PP: *pp, DP: gpus / (*tp * *pp)}
 	out := outputs{trace: *traceOut, prom: *promOut, mem: *memOut, dirs: artifactDirs(*inbandTo, *healthTo, *profTo)}
 
+	if *shards < 0 {
+		fmt.Fprintf(os.Stderr, "hpnsim: -shards must be >= 0, got %d\n", *shards)
+		return 2
+	}
 	if *shards != 1 && *pods <= 1 {
 		fmt.Fprintln(os.Stderr, "hpnsim: -shards needs -pods > 1 (a single-pod fabric has nothing to shard)")
 		return 2
@@ -118,7 +122,9 @@ func run(args []string) (code int) {
 			fmt.Fprintf(os.Stderr, "hpnsim: sharded multi-pod runs support -arch hpn only, got %q\n", *arch)
 			return 2
 		}
-		if err := runSharded(hub, m, par, *pods, *shards, *hosts, *iters, out, *inbandTo != ""); err != nil {
+		// 0 selects NumCPU, the rule hpnbench applies to -shards.
+		hpn.SetShardWorkers(*shards)
+		if err := runSharded(hub, m, par, *pods, hpn.ShardWorkers(), *hosts, *iters, out, *inbandTo != ""); err != nil {
 			return fail(err)
 		}
 		return 0
@@ -147,7 +153,7 @@ func run(args []string) (code int) {
 	}
 	if *inbandTo != "" {
 		// The per-hop stream is exported alongside the completed-flow log.
-		c.Net.EnableFlowLog(0)
+		c.Net.EnableFlowLog()
 	}
 
 	placed, err := c.PlaceJob(*hosts)
@@ -209,9 +215,9 @@ func runSharded(hub *hpn.TelemetryHub, m hpn.ModelSpec, par hpn.Parallelism,
 	}
 	sc.SetWorkers(workers)
 	if flowLog {
-		sc.Global.Net.EnableFlowLog(0)
+		sc.Global.Net.EnableFlowLog()
 		for _, pc := range sc.Pods {
-			pc.Net.EnableFlowLog(0)
+			pc.Net.EnableFlowLog()
 		}
 	}
 	st, err := hpn.NewShardedTrainer(sc, m, par)

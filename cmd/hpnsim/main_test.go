@@ -2,8 +2,11 @@ package main
 
 import (
 	"bytes"
+	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
+	"strings"
 	"testing"
 )
 
@@ -45,4 +48,39 @@ func TestShardedRunWritesMetrics(t *testing.T) {
 	if code := run(args); code != 1 {
 		t.Fatalf("unwritable metrics file: exit %d, want 1", code)
 	}
+}
+
+// -shards 0 runs NumCPU shard workers, as in hpnbench; a negative count is
+// a usage error.
+func TestShardsZeroSelectsNumCPU(t *testing.T) {
+	out := captureStdout(t, func() {
+		if code := run([]string{"-hosts", "8", "-pods", "2", "-iters", "1", "-shards", "0"}); code != 0 {
+			t.Errorf("-shards 0: exit %d, want 0", code)
+		}
+	})
+	if want := fmt.Sprintf(", %d shard workers\n", runtime.NumCPU()); !strings.Contains(out, want) {
+		t.Errorf("-shards 0 output lacks %q:\n%s", want, out)
+	}
+	if code := run([]string{"-hosts", "8", "-pods", "2", "-iters", "1", "-shards", "-1"}); code != 2 {
+		t.Errorf("-shards -1: exit %d, want 2", code)
+	}
+}
+
+// captureStdout returns what fn prints to standard output.
+func captureStdout(t *testing.T, fn func()) string {
+	t.Helper()
+	f, err := os.Create(filepath.Join(t.TempDir(), "stdout"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	saved := os.Stdout
+	os.Stdout = f
+	defer func() { os.Stdout = saved }()
+	fn()
+	out, err := os.ReadFile(f.Name())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(out)
 }

@@ -50,9 +50,9 @@ func shardedArtifacts(t *testing.T, workers, iters int, memoOn, flap bool) (map[
 		t.Fatal(err)
 	}
 	sc.SetWorkers(workers)
-	sc.Global.Net.EnableFlowLog(0)
+	sc.Global.Net.EnableFlowLog()
 	for _, pc := range sc.Pods {
-		pc.Net.EnableFlowLog(0)
+		pc.Net.EnableFlowLog()
 	}
 	st, err := NewShardedTrainer(sc, LLaMa13B, Parallelism{TP: 8, PP: 1, DP: 4})
 	if err != nil {

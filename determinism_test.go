@@ -41,7 +41,7 @@ func goldenArtifacts(t *testing.T) map[string][]byte {
 		t.Fatal(err)
 	}
 	c.EnableTelemetry(hub)
-	c.Net.EnableFlowLog(0)
+	c.Net.EnableFlowLog()
 
 	hosts, err := c.PlaceJob(8)
 	if err != nil {
@@ -177,7 +177,7 @@ func memoArtifacts(t *testing.T, memoOn bool, iters int, tune ...func(c *Cluster
 		t.Fatal(err)
 	}
 	c.EnableTelemetry(hub)
-	c.Net.EnableFlowLog(0)
+	c.Net.EnableFlowLog()
 	for _, fn := range tune {
 		fn(c)
 	}
@@ -300,7 +300,7 @@ func TestGoldenDeterminismDistinctFailures(t *testing.T) {
 			t.Fatal(err)
 		}
 		c.EnableTelemetry(hub)
-		c.Net.EnableFlowLog(0)
+		c.Net.EnableFlowLog()
 		hosts, err := c.PlaceJob(8)
 		if err != nil {
 			t.Fatal(err)

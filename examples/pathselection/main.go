@@ -27,7 +27,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	cluster.Net.EnableFlowLog(0)
+	cluster.Net.EnableFlowLog()
 	src := route.Endpoint{Host: 0, NIC: 0}
 	dst := route.Endpoint{Host: 8, NIC: 0} // other segment, same rail
 

@@ -14,7 +14,6 @@ package collective
 
 import (
 	"fmt"
-	"math"
 
 	"hpn/internal/netsim"
 	"hpn/internal/rdma"
@@ -48,22 +47,21 @@ type Config struct {
 	ChunksPerMessage int
 	Policy           PathPolicy
 
-	// NVLS enables NVSwitch in-network reduction for AllReduce intra-host
-	// stages.
-	NVLS bool
-	// NVLinkReduceGBps is the effective per-GPU NVLink bandwidth for
-	// NVLS-accelerated reduce/allgather stages of AllReduce (GB/s).
-	NVLinkReduceGBps float64
-	// NVLinkGatherGBps is the effective per-GPU NVSwitch bandwidth for the
-	// AllGather intra-host stage (GB/s); this is the bound that makes
-	// Figure 17b insensitive to the fabric.
-	NVLinkGatherGBps float64
-
 	// SportBase, when non-zero, seeds the source-port sweep used during
 	// connection establishment; varying it re-rolls every ECMP placement
 	// (useful for multi-trial experiments).
 	SportBase uint16
 }
+
+// Intra-host (H800 NVLink/NVSwitch) effective per-GPU bandwidths, GB/s.
+// NVLS is modelled by the gap between the two: AllReduce's reduce-scatter
+// and allgather stages run at the NVSwitch in-network-reduction rate, the
+// plain AllGather's NVSwitch stage at the copy rate, which is the bound
+// that makes Figure 17b insensitive to the fabric.
+const (
+	nvlinkReduceGBps float64 = 400
+	nvlinkGatherGBps float64 = 100
+)
 
 // DefaultConfig returns production-shaped settings (H800-class hosts,
 // NCCL 2.18-like behaviour).
@@ -72,9 +70,6 @@ func DefaultConfig() Config {
 		ConnsPerPair:     2,
 		ChunksPerMessage: 2,
 		Policy:           PolicyDisjoint,
-		NVLS:             true,
-		NVLinkReduceGBps: 400,
-		NVLinkGatherGBps: 100,
 	}
 }
 
@@ -193,13 +188,6 @@ func (g *Group) ScheduleFingerprint(h *netsim.Hasher) {
 	h.Mix(uint64(g.Cfg.ConnsPerPair))
 	h.Mix(uint64(g.Cfg.ChunksPerMessage))
 	h.Mix(uint64(g.Cfg.Policy))
-	nvls := uint64(0)
-	if g.Cfg.NVLS {
-		nvls = 1
-	}
-	h.Mix(nvls)
-	h.Mix(math.Float64bits(g.Cfg.NVLinkReduceGBps))
-	h.Mix(math.Float64bits(g.Cfg.NVLinkGatherGBps))
 	for _, rail := range g.conns {
 		for _, cs := range rail {
 			if cs == nil {

@@ -59,8 +59,7 @@ func TestGroupRejectsTooFewHosts(t *testing.T) {
 // 2(H-1)/H * S/8 / 400Gbps plus the two NVLink stages.
 func TestAllReduceMatchesAnalyticBound(t *testing.T) {
 	net := newNet(t, 1, 8, 8)
-	cfg := DefaultConfig()
-	g, err := NewGroup(net, cfg, hostsRange(8), 8)
+	g, err := NewGroup(net, DefaultConfig(), hostsRange(8), 8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,7 +70,7 @@ func TestAllReduceMatchesAnalyticBound(t *testing.T) {
 	}
 	h := 8.0
 	inter := 2 * (h - 1) / h * (S / 8.0) / 50e9 // 400Gbps NIC = 50 GB/s
-	intra := 2 * S * (7.0 / 8) / (cfg.NVLinkReduceGBps * 1e9)
+	intra := 2 * S * (7.0 / 8) / (nvlinkReduceGBps * 1e9)
 	want := inter + intra
 	got := res.Elapsed.Seconds()
 	if math.Abs(got-want)/want > 0.05 {
@@ -91,8 +90,7 @@ func TestAllReduceMatchesAnalyticBound(t *testing.T) {
 // stage dominates (Figure 17b's story).
 func TestAllGatherNVSwitchBound(t *testing.T) {
 	net := newNet(t, 1, 8, 8)
-	cfg := DefaultConfig()
-	g, err := NewGroup(net, cfg, hostsRange(8), 8)
+	g, err := NewGroup(net, DefaultConfig(), hostsRange(8), 8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,7 +99,7 @@ func TestAllGatherNVSwitchBound(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	intra := S * (7.0 / 8) / (cfg.NVLinkGatherGBps * 1e9)
+	intra := S * (7.0 / 8) / (nvlinkGatherGBps * 1e9)
 	if res.Elapsed.Seconds() < intra*0.999 {
 		t.Fatalf("AllGather %v s faster than its NVSwitch stage %v s", res.Elapsed.Seconds(), intra)
 	}

@@ -18,7 +18,7 @@ func (g *Group) StartAllReduce(bytes float64, onDone func(sim.Time, Result)) (*O
 		return nil, fmt.Errorf("collective: non-positive size")
 	}
 	h := float64(len(g.Hosts))
-	intra := g.intraDelay(bytes, g.Cfg.NVLinkReduceGBps)
+	intra := g.intraDelay(bytes, nvlinkReduceGBps)
 	op := &Op{
 		g: g, name: "allreduce", bytes: bytes,
 		chunk: bytes / float64(g.Rails) / h,
@@ -43,7 +43,7 @@ func (g *Group) StartAllGather(bytes float64, onDone func(sim.Time, Result)) (*O
 		chunk: bytes / n,
 		steps: len(g.Hosts) - 1,
 		rails: allRails(g.Rails),
-		pre:   0, post: g.intraDelay(bytes, g.Cfg.NVLinkGatherGBps),
+		pre:   0, post: g.intraDelay(bytes, nvlinkGatherGBps),
 		postOverlapsInter: true, // NCCL pipelines NVSwitch with the rings
 		onDone:            onDone,
 	}
@@ -118,7 +118,7 @@ func (g *Group) connFor(srcHost, dstHost, rail int) *rdma.ConnSet {
 // intraDelay is the analytic NVLink stage duration: each GPU moves 7/8 of
 // the buffer across the NVSwitch at the given effective bandwidth.
 func (g *Group) intraDelay(bytes, gbps float64) sim.Time {
-	if g.Rails <= 1 || gbps <= 0 {
+	if g.Rails <= 1 {
 		return 0
 	}
 	frac := float64(g.Rails-1) / float64(g.Rails)

@@ -19,7 +19,7 @@ func (g *Group) StartReduceScatter(bytes float64, onDone func(sim.Time, Result))
 		chunk:  bytes / float64(g.Rails) / h,
 		steps:  len(g.Hosts) - 1,
 		rails:  allRails(g.Rails),
-		pre:    g.intraDelay(bytes, g.Cfg.NVLinkReduceGBps),
+		pre:    g.intraDelay(bytes, nvlinkReduceGBps),
 		onDone: onDone,
 	}
 	op.start()
@@ -39,7 +39,7 @@ func (g *Group) StartBroadcast(bytes float64, onDone func(sim.Time, Result)) (*O
 		chunk:             bytes / float64(g.Rails),
 		steps:             len(g.Hosts) - 1,
 		rails:             allRails(g.Rails),
-		post:              g.intraDelay(bytes, g.Cfg.NVLinkGatherGBps),
+		post:              g.intraDelay(bytes, nvlinkGatherGBps),
 		postOverlapsInter: true,
 		onDone:            onDone,
 	}

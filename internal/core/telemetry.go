@@ -23,7 +23,7 @@ func SetDefaultTelemetry(h *telemetry.Hub) { defaultHub = h }
 // network, and router start emitting trace events under a dedicated trace
 // process; netsim counters/gauges register under the cluster's metric
 // prefix; and a periodic sampler starts snapshotting fabric gauges and the
-// first Opt.SamplePorts ToR uplink ports. Safe to call with a nil hub
+// first samplePorts ToR uplink ports. Safe to call with a nil hub
 // (no-op); calling it twice attaches the cluster as two trace processes,
 // so don't.
 func (c *Cluster) EnableTelemetry(h *telemetry.Hub) {
@@ -54,7 +54,7 @@ func (c *Cluster) EnableTelemetry(h *telemetry.Hub) {
 		c.Net.EnableInband(h.Opt.InbandMax)
 	}
 	if h.Opt.Health {
-		health.Attach(c.Net, health.DefaultConfig())
+		health.Attach(c.Net)
 	}
 	if smp == nil {
 		return
@@ -65,15 +65,18 @@ func (c *Cluster) EnableTelemetry(h *telemetry.Hub) {
 	smp.Track(prefix+"stalled_flows", func() float64 { return float64(c.Net.StalledFlows()) })
 	smp.Track(prefix+"agg_gbits", func() float64 { return c.Net.AggBits / 1e9 })
 	smp.Track(prefix+"core_gbits", func() float64 { return c.Net.CoreBits / 1e9 })
-	c.trackPorts(smp, prefix, h.Opt.SamplePorts)
+	c.trackPorts(smp, prefix)
 	h.Registry.RegisterExporter(prefix+"samples.csv", smp.WriteCSV)
 	c.startSampler(smp)
 }
 
-// trackPorts probes the first n ToR uplink ports (in node order) for
-// utilization and queue pressure — the per-port series the paper's
-// Figures 14/15 plot. n <= 0 tracks nothing.
-func (c *Cluster) trackPorts(smp *telemetry.Sampler, prefix string, n int) {
+// samplePorts is how many ToR uplink ports a cluster's sampler tracks.
+const samplePorts int = 16
+
+// trackPorts probes the first samplePorts ToR uplink ports (in node order)
+// for utilization and queue pressure — the per-port series the paper's
+// Figures 14/15 plot.
+func (c *Cluster) trackPorts(smp *telemetry.Sampler, prefix string) {
 	tracked := 0
 	for _, nd := range c.Topo.Nodes {
 		if nd.Kind != topo.KindToR {
@@ -83,7 +86,7 @@ func (c *Cluster) trackPorts(smp *telemetry.Sampler, prefix string, n int) {
 			continue
 		}
 		for i, lk := range nd.Uplinks {
-			if tracked >= n {
+			if tracked >= samplePorts {
 				return
 			}
 			name := fmt.Sprintf("%s%s/up%d", prefix, nd.Name, i)

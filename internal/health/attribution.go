@@ -19,7 +19,7 @@ type IterationReport struct {
 	CommS float64 // this iteration's gradient-sync seconds
 
 	// BaselineS is the healthy-iteration mean comm time at judgment
-	// (0 until BaselineIters healthy iterations completed).
+	// (0 until baselineIters (2) healthy iterations completed).
 	BaselineS float64
 	// DeltaFrac is (CommS-BaselineS)/BaselineS, 0 without a baseline.
 	DeltaFrac float64
@@ -65,11 +65,11 @@ func (m *Monitor) noteIteration(tr *workload.Trainer, iter int, now sim.Time) {
 			rep.Causes = append(rep.Causes, inc.ID)
 		}
 	}
-	if m.healthyN >= m.Cfg.BaselineIters {
+	if m.healthyN >= baselineIters {
 		rep.BaselineS = m.healthySum / float64(m.healthyN)
 		if rep.BaselineS > 0 {
 			rep.DeltaFrac = (comm - rep.BaselineS) / rep.BaselineS
-			rep.Regressed = rep.DeltaFrac > m.Cfg.CommRegressFraction
+			rep.Regressed = rep.DeltaFrac > commRegressFraction
 		}
 	}
 	// Only incident-free, non-regressed iterations feed the baseline, so a

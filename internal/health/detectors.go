@@ -16,7 +16,7 @@ import (
 // A transition is one up/down edge of a cable or switch. The paper's
 // operational experience is 5K-60K flap events per day fleet-wide; a
 // single transition is routine, a train of them on one subject inside
-// FlapWindow is a flap storm that keeps re-triggering convergence.
+// flapWindow is a flap storm that keeps re-triggering convergence.
 
 type flapState struct {
 	subject string
@@ -33,13 +33,13 @@ func (m *Monitor) noteTransition(now sim.Time, subject string, up bool) {
 	}
 	fs := m.flapList[i]
 	fs.times = append(fs.times, now)
-	fs.prune(now, m.Cfg.FlapWindow)
+	fs.prune(now, flapWindow)
 	fs.total++
-	if len(fs.times) < m.Cfg.FlapThreshold {
+	if len(fs.times) < flapThreshold {
 		return
 	}
 	inc := m.openIncident(KindFlap, subject, fs.times[0],
-		fmt.Sprintf("%d transitions within %v", len(fs.times), m.Cfg.FlapWindow))
+		fmt.Sprintf("%d transitions within %v", len(fs.times), flapWindow))
 	inc.Events = fs.total
 	if r := float64(len(fs.times)); r > inc.Peak {
 		inc.Peak = r
@@ -60,7 +60,7 @@ func (fs *flapState) prune(now sim.Time, window sim.Time) {
 // full window.
 func (m *Monitor) sweepFlap(now sim.Time) {
 	for _, fs := range m.flapList {
-		fs.prune(now, m.Cfg.FlapWindow)
+		fs.prune(now, flapWindow)
 		if len(fs.times) == 0 {
 			if _, open := m.openIdx[incKey{KindFlap, fs.subject}]; open {
 				m.closeIncident(KindFlap, fs.subject, now)
@@ -92,7 +92,7 @@ func (m *Monitor) sweepStall(now sim.Time) {
 		m.stallSince = now
 	}
 	_, open := m.openIdx[incKey{KindStall, subject}]
-	if !open && now-m.stallSince < m.Cfg.StallAfter {
+	if !open && now-m.stallSince < stallAfter {
 		return
 	}
 	inc := m.openIncident(KindStall, subject, m.stallSince, "flows blackholed awaiting reconvergence")
@@ -184,15 +184,15 @@ func (m *Monitor) groupOf(h *route.HopDecision) groupKey {
 // needs ~k ln k tuples to touch every one of k buckets, so judging early
 // would read sampling noise as starvation).
 func (m *Monitor) judgePolarization(now sim.Time, gs *groupState) {
-	need := m.Cfg.PolarizationMinFlows
+	need := polarizationMinFlows
 	if scaled := 6 * gs.key.size; scaled > need {
 		need = scaled
 	}
 	if gs.mass < need {
 		return
 	}
-	ratio := hashing.RatioImbalance(gs.counts, m.Cfg.PolarizationCap)
-	if ratio >= m.Cfg.PolarizationRatio {
+	ratio := hashing.RatioImbalance(gs.counts, polarizationCap)
+	if ratio >= polarizationRatio {
 		inc := m.openIncident(KindPolarization, gs.subject, now,
 			fmt.Sprintf("ECMP bucket loads skewed over %d members", gs.key.size))
 		inc.Events = gs.mass
@@ -237,29 +237,29 @@ func (m *Monitor) noteCompletion(now sim.Time, f *netsim.FlowState) {
 		return
 	}
 	cs := m.class(math.Ilogb(f.Bits))
-	if cs.n < m.Cfg.BaselineFlows {
+	if cs.n < baselineFlows {
 		cs.sum += rate
 		cs.n++
 		return
 	}
 	mean := cs.sum / float64(cs.n)
 	frac := rate / mean
-	if frac >= m.Cfg.DegradedFraction {
+	if frac >= degradedFraction {
 		cs.sum += rate
 		cs.n++
 		return
 	}
 	cs.times = append(cs.times, now)
 	cs.last = now
-	cs.pruneDegraded(now, m.Cfg.DegradedWindow)
+	cs.pruneDegraded(now, degradedWindow)
 	// A degraded completion starts windowed state that must drain (and
 	// possibly an incident that must close): keep the sweep running.
 	m.armTick()
-	if len(cs.times) < m.Cfg.DegradedMinFlows {
+	if len(cs.times) < degradedMinFlows {
 		return
 	}
 	inc := m.openIncident(KindThroughput, cs.subject, cs.times[0],
-		fmt.Sprintf("flows completing below %.0f%% of class-mean throughput", m.Cfg.DegradedFraction*100))
+		fmt.Sprintf("flows completing below %.0f%% of class-mean throughput", degradedFraction*100))
 	inc.Events++
 	// Peak records the worst slowdown factor seen (mean/observed).
 	if slow := 1 / frac; slow > inc.Peak {
@@ -319,8 +319,8 @@ func (cs *classState) pruneDegraded(now sim.Time, window sim.Time) {
 // demand-armed tick disarm.
 func (m *Monitor) sweepThroughput(now sim.Time) {
 	for _, cs := range m.classList {
-		cs.pruneDegraded(now, m.Cfg.DegradedWindow)
-		if _, open := m.openIdx[incKey{KindThroughput, cs.subject}]; open && now-cs.last >= m.Cfg.DegradedWindow {
+		cs.pruneDegraded(now, degradedWindow)
+		if _, open := m.openIdx[incKey{KindThroughput, cs.subject}]; open && now-cs.last >= degradedWindow {
 			m.closeIncident(KindThroughput, cs.subject, now)
 			cs.times = cs.times[:0]
 		}

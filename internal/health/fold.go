@@ -62,7 +62,7 @@ func (m *Monitor) Summarize(evs [][]netsim.Event) any {
 // sums, or returns false, touching nothing, unless no completion in the
 // half could be judged degraded. Within a half a class mean stays at most
 // the larger of its current value and the half's fastest rate, so a class
-// passes when its slowest rate is at least DegradedFraction of that bound
+// passes when its slowest rate is at least degradedFraction of that bound
 // (widened by foldMargin).
 func (m *Monitor) ApplySummary(sum any) bool {
 	wf := sum.(*windowFold)
@@ -72,7 +72,7 @@ func (m *Monitor) ApplySummary(sum any) bool {
 		if cs := c.cs; cs.n > 0 {
 			top = max(top, cs.sum/float64(cs.n))
 		}
-		if !(c.min >= m.Cfg.DegradedFraction*top*(1+foldMargin)) {
+		if !(c.min >= degradedFraction*top*(1+foldMargin)) {
 			return false
 		}
 	}

@@ -51,14 +51,14 @@ type foldRig struct {
 	log *halfLog
 }
 
-func newFoldRig(t *testing.T, cfg Config, memoOn, logged bool) *foldRig {
+func newFoldRig(t *testing.T, memoOn, logged bool) *foldRig {
 	top, err := topo.BuildHPN(topo.SmallHPN(2, 4, 4))
 	if err != nil {
 		t.Fatal(err)
 	}
 	eng := sim.New()
 	net := netsim.New(eng, top)
-	r := &foldRig{t: t, eng: eng, net: net, m: Attach(net, cfg)}
+	r := &foldRig{t: t, eng: eng, net: net, m: Attach(net)}
 	if memoOn {
 		r.rec = memo.Attach(net)
 	}
@@ -139,7 +139,7 @@ func snapshot(m *Monitor) detectorState {
 // sets and incidents. The rounds run past the class baseline, so the
 // later completions are judged.
 func TestFoldMatchesRedelivery(t *testing.T) {
-	live, fold := newFoldRig(t, Config{}, false, true), newFoldRig(t, Config{}, false, true)
+	live, fold := newFoldRig(t, false, true), newFoldRig(t, false, true)
 	var half, twin [][]netsim.Event
 	for i := 0; i < 6; i++ {
 		half, twin = live.round(), fold.round()
@@ -166,15 +166,15 @@ func TestFoldMatchesRedelivery(t *testing.T) {
 			t.Fatalf("replay %d: re-delivered and folded monitors differ\nre-delivered: %+v\nfolded:       %+v", k, a.classes, b.classes)
 		}
 	}
-	if live.m.classList[0].n <= live.m.Cfg.BaselineFlows {
-		t.Fatalf("class count %d never passed the %d-flow baseline", live.m.classList[0].n, live.m.Cfg.BaselineFlows)
+	if live.m.classList[0].n <= baselineFlows {
+		t.Fatalf("class count %d never passed the %d-flow baseline", live.m.classList[0].n, baselineFlows)
 	}
 }
 
 // TestFoldRefusesUnseenOrStalled requires no summary for a half whose
 // routed tuple a group has not seen, or that routes a flow stalled.
 func TestFoldRefusesUnseenOrStalled(t *testing.T) {
-	r := newFoldRig(t, Config{}, false, true)
+	r := newFoldRig(t, false, true)
 	half := r.round()
 	if r.m.Summarize(half) == nil {
 		t.Fatal("a delivered steady half has no summary")
@@ -201,7 +201,7 @@ func TestFoldRefusesUnseenOrStalled(t *testing.T) {
 // back to re-delivery, must open the same degraded-throughput incident as
 // a memo-off run.
 func TestFoldGuardRefusesDegraded(t *testing.T) {
-	r := newFoldRig(t, Config{}, false, true)
+	r := newFoldRig(t, false, true)
 	half := r.round()
 	sum := r.m.Summarize(half)
 	for _, cs := range r.m.classList {
@@ -215,22 +215,28 @@ func TestFoldGuardRefusesDegraded(t *testing.T) {
 		t.Fatal("a refused summary changed the monitor")
 	}
 
-	cfg := Config{DegradedMinFlows: 2, BaselineFlows: 4}
-	on, off := newFoldRig(t, cfg, true, false), newFoldRig(t, cfg, false, false)
-	for i := 0; i < 4; i++ {
+	// Enough healthy rounds to pass the class baseline, then enough
+	// degraded rounds to open the incident.
+	on, off := newFoldRig(t, true, false), newFoldRig(t, false, false)
+	for i := 0; i < baselineFlows/len(foldFlows); i++ {
 		on.round()
 		off.round()
 	}
 	if st := on.rec.Stats(); st.Folded == 0 || st.Redelivered != 0 {
 		t.Fatalf("stats %+v: the healthy rounds were not all folded", st)
 	}
+	if n := off.m.classList[0].n; n < baselineFlows {
+		t.Fatalf("class count %d short of the %d-flow baseline", n, baselineFlows)
+	}
 	for _, m := range []*Monitor{on.m, off.m} {
 		for _, cs := range m.classList {
 			cs.sum *= 4
 		}
 	}
-	on.round()
-	off.round()
+	for i := 0; i < degradedMinFlows/len(foldFlows); i++ {
+		on.round()
+		off.round()
+	}
 	if st := on.rec.Stats(); st.Redelivered == 0 {
 		t.Fatalf("stats %+v: the degraded round was not re-delivered", st)
 	}

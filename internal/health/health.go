@@ -32,115 +32,52 @@ const (
 	KindThroughput   = "degraded-throughput"
 )
 
-// Config tunes the detectors. Zero fields take the DefaultConfig value.
-type Config struct {
-	// Tick is the detector sweep period (stall polling, quiet-window
-	// closing). Default 1s, matching the failure watchdog's poll.
-	Tick sim.Time
+// Detector operating points; every run uses this one set.
+const (
+	// tickPeriod is the detector sweep period (stall polling, quiet-window
+	// closing), matching the failure watchdog's 1s poll.
+	tickPeriod sim.Time = sim.Second
 
-	// FlapWindow / FlapThreshold open a flap-storm incident when a cable
-	// (or switch) sees >= FlapThreshold up/down transitions within
-	// FlapWindow. Defaults 10s / 4: one clean fail+recover pair stays an
-	// event, a Fig. 18 flap train becomes an incident.
-	FlapWindow    sim.Time
-	FlapThreshold int
+	// flapWindow / flapThreshold open a flap-storm incident when a cable
+	// (or switch) sees >= flapThreshold up/down transitions within
+	// flapWindow: one clean fail+recover pair stays an event, a Fig. 18
+	// flap train becomes an incident.
+	flapWindow    sim.Time = 10 * sim.Second
+	flapThreshold int      = 4
 
-	// StallAfter opens a stall incident once flows have been continuously
+	// stallAfter opens a stall incident once flows have been continuously
 	// blackholed for this long — far below the ~90s NCCL-timeout watchdog,
-	// which this detector complements rather than replaces. Default 2s.
-	StallAfter sim.Time
+	// which this detector complements rather than replaces.
+	stallAfter sim.Time = 2 * sim.Second
 
-	// PolarizationMinFlows is the minimum distinct-tuple mass before an
-	// ECMP group is judged (also scaled by group size internally, so small
-	// samples over wide groups never alias as polarization). Default 16.
-	PolarizationMinFlows int
-	// PolarizationRatio is the max/min bucket-load ratio at which a group
-	// counts as polarized (streaming hashing.RatioImbalance). Default 3.
-	PolarizationRatio float64
-	// PolarizationCap clamps the ratio when some bucket is starved
-	// entirely. Default 64.
-	PolarizationCap float64
+	// polarizationMinFlows is the minimum distinct-tuple mass before an
+	// ECMP group is judged (also scaled by group size, so small samples
+	// over wide groups never alias as polarization).
+	polarizationMinFlows int = 16
+	// polarizationRatio is the max/min bucket-load ratio at which a group
+	// counts as polarized (streaming hashing.RatioImbalance).
+	polarizationRatio float64 = 3
+	// polarizationCap clamps the ratio when some bucket is starved
+	// entirely.
+	polarizationCap float64 = 64
 
-	// DegradedFraction flags a completed flow whose effective throughput
+	// degradedFraction flags a completed flow whose effective throughput
 	// fell below this fraction of its size class's healthy mean; an
-	// incident opens when DegradedMinFlows such flows land within
-	// DegradedWindow. Defaults 0.5 / 8 / 5s.
-	DegradedFraction float64
-	DegradedMinFlows int
-	DegradedWindow   sim.Time
-	// BaselineFlows is the per-size-class observation count before
-	// degradation is judged. Default 32.
-	BaselineFlows int
+	// incident opens when degradedMinFlows such flows land within
+	// degradedWindow.
+	degradedFraction float64  = 0.5
+	degradedMinFlows int      = 8
+	degradedWindow   sim.Time = 5 * sim.Second
+	// baselineFlows is the per-size-class observation count before
+	// degradation is judged.
+	baselineFlows int = 32
 
-	// CommRegressFraction marks a training iteration regressed when its
+	// commRegressFraction marks a training iteration regressed when its
 	// gradient-sync time exceeds the healthy-iteration mean by this
-	// fraction; BaselineIters healthy iterations must complete first.
-	// Defaults 0.15 / 2.
-	CommRegressFraction float64
-	BaselineIters       int
-}
-
-// DefaultConfig returns the documented defaults.
-func DefaultConfig() Config {
-	return Config{
-		Tick:                 sim.Second,
-		FlapWindow:           10 * sim.Second,
-		FlapThreshold:        4,
-		StallAfter:           2 * sim.Second,
-		PolarizationMinFlows: 16,
-		PolarizationRatio:    3,
-		PolarizationCap:      64,
-		DegradedFraction:     0.5,
-		DegradedMinFlows:     8,
-		DegradedWindow:       5 * sim.Second,
-		BaselineFlows:        32,
-		CommRegressFraction:  0.15,
-		BaselineIters:        2,
-	}
-}
-
-func (c *Config) fillDefaults() {
-	d := DefaultConfig()
-	if c.Tick <= 0 {
-		c.Tick = d.Tick
-	}
-	if c.FlapWindow <= 0 {
-		c.FlapWindow = d.FlapWindow
-	}
-	if c.FlapThreshold <= 0 {
-		c.FlapThreshold = d.FlapThreshold
-	}
-	if c.StallAfter <= 0 {
-		c.StallAfter = d.StallAfter
-	}
-	if c.PolarizationMinFlows <= 0 {
-		c.PolarizationMinFlows = d.PolarizationMinFlows
-	}
-	if c.PolarizationRatio <= 0 {
-		c.PolarizationRatio = d.PolarizationRatio
-	}
-	if c.PolarizationCap <= 0 {
-		c.PolarizationCap = d.PolarizationCap
-	}
-	if c.DegradedFraction <= 0 {
-		c.DegradedFraction = d.DegradedFraction
-	}
-	if c.DegradedMinFlows <= 0 {
-		c.DegradedMinFlows = d.DegradedMinFlows
-	}
-	if c.DegradedWindow <= 0 {
-		c.DegradedWindow = d.DegradedWindow
-	}
-	if c.BaselineFlows <= 0 {
-		c.BaselineFlows = d.BaselineFlows
-	}
-	if c.CommRegressFraction <= 0 {
-		c.CommRegressFraction = d.CommRegressFraction
-	}
-	if c.BaselineIters <= 0 {
-		c.BaselineIters = d.BaselineIters
-	}
-}
+	// fraction; baselineIters healthy iterations must complete first.
+	commRegressFraction float64 = 0.15
+	baselineIters       int     = 2
+)
 
 // Incident is one detected fabric anomaly with a lifetime.
 type Incident struct {
@@ -162,7 +99,6 @@ type incKey struct{ kind, subject string }
 // per-detector state, and accumulates the incident + iteration timeline.
 type Monitor struct {
 	Net *netsim.Sim
-	Cfg Config
 
 	incidents []Incident
 	openIdx   map[incKey]int // index into incidents of the open one
@@ -207,11 +143,9 @@ type Monitor struct {
 // under the simulator's prefix. The periodic sweep is demand-armed: the
 // first fabric event (transition, reroute, stalled or degraded flow)
 // schedules it, and it disarms again once every detector is quiet.
-func Attach(net *netsim.Sim, cfg Config) *Monitor {
-	cfg.fillDefaults()
+func Attach(net *netsim.Sim) *Monitor {
 	m := &Monitor{
 		Net:      net,
-		Cfg:      cfg,
 		openIdx:  map[incKey]int{},
 		flapIdx:  map[string]int{},
 		groupIdx: map[groupKey]int{},
@@ -234,7 +168,7 @@ func (m *Monitor) armTick() {
 		return
 	}
 	m.tickArmed = true
-	m.Net.Eng.ScheduleDaemon(m.Cfg.Tick, m.tick)
+	m.Net.Eng.ScheduleDaemon(tickPeriod, m.tick)
 }
 
 // tick runs one sweep and re-arms while any detector still has state to

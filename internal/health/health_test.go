@@ -30,15 +30,7 @@ func newMonitor(t *testing.T, dualToR bool) (*sim.Engine, *netsim.Sim, *Monitor)
 	}
 	eng := sim.New()
 	net := netsim.New(eng, top)
-	return eng, net, Attach(net, Config{})
-}
-
-func TestConfigFillDefaults(t *testing.T) {
-	var c Config
-	c.fillDefaults()
-	if !reflect.DeepEqual(c, DefaultConfig()) {
-		t.Fatalf("zero config filled to %+v, want %+v", c, DefaultConfig())
-	}
+	return eng, net, Attach(net)
 }
 
 // Four transitions inside the window open a storm anchored at the first
@@ -91,7 +83,7 @@ func TestFlapDetectorSpreadStaysQuiet(t *testing.T) {
 }
 
 // An access failure on the single-ToR ablation blackholes the flow; the
-// stall incident opens after StallAfter (backdated to the stall's start)
+// stall incident opens after stallAfter (backdated to the stall's start)
 // and closes once the recovery reroute unsticks it.
 func TestStallDetectorLifecycle(t *testing.T) {
 	eng, net, m := newMonitor(t, false)

@@ -16,7 +16,7 @@ import (
 // naming the subscriber and the size class.
 func TestFoldVerifiedAgainstWindow(t *testing.T) {
 	p := newRun(t, true, steadyPhases)
-	p.mon = health.Attach(p.net, health.Config{})
+	p.mon = health.Attach(p.net)
 	for p.rec.Stats().Replayed < 4 {
 		if p.it > 8 {
 			t.Fatal("fewer than 4 replays after 8 iterations")

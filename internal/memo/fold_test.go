@@ -88,7 +88,7 @@ func TestRefusedFoldDeliversLiveStream(t *testing.T) {
 // TestReplayAllocatesNothing does for one it re-delivers.
 func TestFoldAllocatesNothing(t *testing.T) {
 	p := newRun(t, true, steadyPhases)
-	p.mon = health.Attach(p.net, health.Config{})
+	p.mon = health.Attach(p.net)
 	for p.rec.Stats().Replayed < 4 {
 		if p.it > 8 {
 			t.Fatal("fewer than 4 replays after 8 iterations")

@@ -49,7 +49,7 @@ type periodicRun struct {
 func newPeriodicRun(t *testing.T, memoOn, logged bool) *periodicRun {
 	t.Helper()
 	p := newRun(t, memoOn, periodicPhases)
-	p.mon = health.Attach(p.net, health.Config{})
+	p.mon = health.Attach(p.net)
 	if logged {
 		p.net.EnableInband(0)
 		p.log = &eventLog{}

@@ -87,7 +87,7 @@ func TestBatchMatchesUnbatched(t *testing.T) {
 		var sims [2]*Sim
 		for i := range sims {
 			s := New(sim.New(), top)
-			s.EnableFlowLog(0)
+			s.EnableFlowLog()
 			dead := []topo.LinkID{top.AccessLink(deadHost, deadNIC, 0), top.AccessLink(deadHost, deadNIC, 1)}
 			for _, l := range dead {
 				s.FailCable(l)

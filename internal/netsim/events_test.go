@@ -157,7 +157,7 @@ func TestAttachProfilerTwiceNotesOnce(t *testing.T) {
 // the plain path lookup without collecting hash decisions.
 func TestFlowLogOnlyCollectsNoHops(t *testing.T) {
 	eng, _, s := newSim(t, 2, 4, 4)
-	s.EnableFlowLog(0)
+	s.EnableFlowLog()
 	failRerouteRecover(t, s, eng)
 	if len(s.FlowLog()) != 1 {
 		t.Fatalf("flow log holds %d records, want 1", len(s.FlowLog()))

@@ -37,18 +37,12 @@ func (r FlowRecord) Gbps() float64 {
 }
 
 // flowLog is the completed-flow log: an EvFlowDone subscriber appending one
-// record per completion, bounded to cap entries (0 = unbounded).
-type flowLog struct {
-	recs []FlowRecord
-	cap  int
-}
+// record per completion.
+type flowLog struct{ recs []FlowRecord }
 
 func (*flowLog) Kinds() EventKind { return EvFlowDone }
 
 func (l *flowLog) FabricEvent(e *Event) {
-	if l.cap > 0 && len(l.recs) >= l.cap {
-		return
-	}
 	f := &e.Flow
 	l.recs = append(l.recs, FlowRecord{
 		ID:      f.ID,
@@ -62,21 +56,15 @@ func (l *flowLog) FabricEvent(e *Event) {
 	})
 }
 
-// EnableFlowLog starts recording completed flows, bounded to cap entries;
-// cap = 0 means unbounded. Call before the first flow starts. If telemetry
-// is attached, the log is also exposed as the "flowlog.tsv" artifact
-// exporter.
-func (s *Sim) EnableFlowLog(cap int) {
+// EnableFlowLog starts recording every completed flow. Call before the
+// first flow starts. If telemetry is attached, the log is also exposed as
+// the "flowlog.tsv" artifact exporter.
+func (s *Sim) EnableFlowLog() {
 	if s.flowLog == nil {
 		s.flowLog = &flowLog{}
 		s.Subscribe(s.flowLog)
 	}
-	pre := 1024
-	if cap > 0 && cap < pre {
-		pre = cap
-	}
-	s.flowLog.recs = make([]FlowRecord, 0, pre)
-	s.flowLog.cap = cap
+	s.flowLog.recs = make([]FlowRecord, 0, 1024)
 	s.registerFlowLogExporter()
 }
 

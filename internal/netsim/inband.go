@@ -149,8 +149,8 @@ func (s *Sim) inbandIntegrate(dt float64) {
 		if q1 < 0 {
 			q1 = 0
 		}
-		if q1 > s.PortBufferBytes {
-			q1 = s.PortBufferBytes
+		if q1 > portBufferBytes {
+			q1 = portBufferBytes
 		}
 		s.ibQueue[lk] = q1
 		s.ibQStep[lk] = (q0 + q1) / 2 * dt

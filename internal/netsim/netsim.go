@@ -140,14 +140,6 @@ type Sim struct {
 	Top *topo.Topology
 	R   *route.Router
 
-	// BatchWindow merges completions that fall within this span of the
-	// earliest one; it trades a bounded (sub-window) error in individual
-	// flow completion times for far fewer rate recomputations.
-	BatchWindow sim.Time
-
-	// PortBufferBytes caps the per-port queue proxy (switch buffer share).
-	PortBufferBytes float64
-
 	active []*Flow
 	nextID int64
 	sport  uint16
@@ -278,25 +270,31 @@ type Sim struct {
 // and must find their flows pooled.
 const flowPoolCap = 256
 
+// batchWindow merges completions that fall within this span of the
+// earliest one; it trades a bounded (sub-window) error in individual flow
+// completion times for far fewer rate recomputations.
+const batchWindow sim.Time = 10 * sim.Microsecond
+
+// portBufferBytes caps the per-port queue proxy (switch buffer share).
+const portBufferBytes float64 = 8 << 20
+
 // New returns a simulator over the given topology. The router is created
 // internally with default convergence delay; adjust via s.R.
 func New(eng *sim.Engine, top *topo.Topology) *Sim {
 	s := &Sim{
-		Eng:             eng,
-		Top:             top,
-		R:               route.New(top),
-		BatchWindow:     10 * sim.Microsecond,
-		PortBufferBytes: 8 << 20,
-		sport:           49152,
-		probeByLink:     make([]*LinkProbe, len(top.Links)),
-		capRem:          make([]float64, len(top.Links)),
-		nShare:          make([]int32, len(top.Links)),
-		demand:          make([]float64, len(top.Links)),
-		epoch:           make([]uint32, len(top.Links)),
-		inc:             make([][]int32, len(top.Links)),
-		ufParent:        make([]int32, len(top.Links)),
-		compOf:          make([]int32, len(top.Links)),
-		dirty:           make([]bool, len(top.Links)),
+		Eng:         eng,
+		Top:         top,
+		R:           route.New(top),
+		sport:       49152,
+		probeByLink: make([]*LinkProbe, len(top.Links)),
+		capRem:      make([]float64, len(top.Links)),
+		nShare:      make([]int32, len(top.Links)),
+		demand:      make([]float64, len(top.Links)),
+		epoch:       make([]uint32, len(top.Links)),
+		inc:         make([][]int32, len(top.Links)),
+		ufParent:    make([]int32, len(top.Links)),
+		compOf:      make([]int32, len(top.Links)),
+		dirty:       make([]bool, len(top.Links)),
 	}
 	s.noteHop = func(d route.HopDecision) { s.routeHops = append(s.routeHops, d) }
 	s.fireCompletion = s.completionEvent
@@ -627,7 +625,7 @@ func (s *Sim) advance() {
 			}
 		}
 		for _, p := range s.probeList {
-			p.integrate(s.lastAdvance.Seconds(), dt, s.PortBufferBytes)
+			p.integrate(s.lastAdvance.Seconds(), dt)
 		}
 		if s.inband != nil {
 			s.inbandIntegrate(dt)
@@ -637,14 +635,14 @@ func (s *Sim) advance() {
 }
 
 // completionEvent fires at the earliest projected completion; it harvests
-// every flow within BatchWindow of completion.
+// every flow within batchWindow of completion.
 func (s *Sim) completionEvent() {
 	// The engine releases this event once it returns, so the handle must
 	// not outlive the firing (see sim.Event).
 	s.completionEv = nil
 	s.beginMutate()
 	now := s.Eng.Now()
-	window := s.BatchWindow.Seconds()
+	window := batchWindow.Seconds()
 	// The harvest list is Sim scratch, reused across events: completion
 	// batches fire on every communication round, and the per-event
 	// allocation showed up in the bench snapshots.

@@ -338,7 +338,7 @@ func TestTierBitsAccounting(t *testing.T) {
 
 func TestFlowLog(t *testing.T) {
 	eng, _, s := newSim(t, 2, 4, 4)
-	s.EnableFlowLog(0)
+	s.EnableFlowLog()
 	for i := 0; i < 4; i++ {
 		if _, err := s.StartFlow(route.Endpoint{Host: i, NIC: 0}, route.Endpoint{Host: 4 + i, NIC: 0}, 1<<20, FlowOpts{SrcPort: -1}); err != nil {
 			t.Fatal(err)
@@ -363,19 +363,5 @@ func TestFlowLog(t *testing.T) {
 	}
 	if lines := strings.Count(buf.String(), "\n"); lines != 5 {
 		t.Fatalf("tsv lines = %d, want header+4", lines)
-	}
-}
-
-func TestFlowLogCap(t *testing.T) {
-	eng, _, s := newSim(t, 1, 4, 4)
-	s.EnableFlowLog(2)
-	for i := 0; i < 3; i++ {
-		if _, err := s.StartFlow(route.Endpoint{Host: 0, NIC: i}, route.Endpoint{Host: 1, NIC: i}, 1<<20, FlowOpts{SrcPort: -1}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	eng.Run()
-	if len(s.FlowLog()) != 2 {
-		t.Fatalf("cap not enforced: %d records", len(s.FlowLog()))
 	}
 }

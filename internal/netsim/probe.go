@@ -27,15 +27,15 @@ type LinkProbe struct {
 
 // integrate advances the probe across an interval of constant allocation.
 // The queue proxy grows while offered demand exceeds capacity and drains at
-// the spare capacity otherwise, clamped to [0, buffer].
-func (p *LinkProbe) integrate(t0, dt float64, buffer float64) {
+// the spare capacity otherwise, clamped to [0, portBufferBytes].
+func (p *LinkProbe) integrate(t0, dt float64) {
 	excess := p.demand - p.cap
 	p.queueBytes += excess / 8 * dt
 	if p.queueBytes < 0 {
 		p.queueBytes = 0
 	}
-	if p.queueBytes > buffer {
-		p.queueBytes = buffer
+	if p.queueBytes > portBufferBytes {
+		p.queueBytes = portBufferBytes
 	}
 	p.Util.Add(t0+dt/2, p.util)
 	p.Queue.Add(t0+dt, p.queueBytes)

@@ -231,6 +231,31 @@ func appendPromHeader(b []byte, name, help, typ string) []byte {
 	return append(b, '\n')
 }
 
+// flatRows resolves every counter, gauge and flattened histogram to one
+// row list sorted by name: the rows of the JSON export.
+func (r *Registry) flatRows() []metricRow {
+	rows := append(r.snapshot(), r.histRows()...)
+	slices.SortFunc(rows, byName)
+	return rows
+}
+
+// SumSuffix sums every counter, gauge and flattened histogram row (the
+// rows WriteJSON writes) whose name ends in suffix. The sum runs in name
+// order: float addition is not associative, so a map-order reduction
+// would drift bitwise between same-seed runs. Nil-safe (returns 0).
+func (r *Registry) SumSuffix(suffix string) float64 {
+	if r == nil {
+		return 0
+	}
+	var total float64
+	for _, row := range r.flatRows() {
+		if strings.HasSuffix(row.name, suffix) {
+			total += row.v
+		}
+	}
+	return total
+}
+
 // WriteJSON streams every counter, gauge and (flattened) histogram as one
 // sorted JSON object keyed by metric name. Histograms flatten to
 // `name_bucket_le_<bound>` cumulative counts plus `name_sum`/`name_count`
@@ -241,8 +266,7 @@ func (r *Registry) WriteJSON(w io.Writer) error {
 	}
 	bw := artifact.NewWriter(w)
 	bw.WriteString("{\n")
-	rows := append(r.snapshot(), r.histRows()...)
-	slices.SortFunc(rows, byName)
+	rows := r.flatRows()
 	var b []byte
 	for i, row := range rows {
 		b = artifact.AppendJSONString(b[:0], row.name)

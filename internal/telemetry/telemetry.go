@@ -19,14 +19,10 @@ type Options struct {
 	// the cap are counted as dropped.
 	MaxTraceEvents int
 	// SampleInterval is the sampler period in virtual nanoseconds
-	// (0 disables periodic sampling).
+	// (0 disables periodic sampling). Each sampled series keeps its most
+	// recent sampleRingCap (4096) samples, and each cluster samples its
+	// first 16 ToR uplink ports (see core.Cluster.EnableTelemetry).
 	SampleInterval int64
-	// RingCap bounds each sampled series to its most recent RingCap
-	// samples (0 = unbounded).
-	RingCap int
-	// SamplePorts caps how many ToR uplink ports a cluster auto-tracks
-	// for per-port utilization/queue sampling.
-	SamplePorts int
 	// Inband enables in-band path telemetry on attached clusters: per-flow
 	// per-hop records (bandwidth attribution, queue residency, ECMP hash
 	// decisions) exported as the "inband.tsv"/"inband.json" artifacts.
@@ -56,14 +52,15 @@ type Options struct {
 	Prof bool
 }
 
-// DefaultOptions enables tracing and a 10ms-virtual-time sampler keeping
-// the last 4096 samples of 16 auto-tracked ports.
+// sampleRingCap bounds each series a hub's sampler keeps to its most
+// recent samples.
+const sampleRingCap int = 4096
+
+// DefaultOptions enables tracing and a 10ms-virtual-time sampler.
 func DefaultOptions() Options {
 	return Options{
 		Trace:          true,
 		SampleInterval: 10_000_000, // 10ms of virtual time
-		RingCap:        4096,
-		SamplePorts:    16,
 	}
 }
 
@@ -137,7 +134,7 @@ func (h *Hub) JoinCluster() (prefix string, smp *Sampler) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	if h.Opt.SampleInterval > 0 {
-		smp = NewSampler(h.Opt.SampleInterval, h.Opt.RingCap)
+		smp = NewSampler(h.Opt.SampleInterval, sampleRingCap)
 		smp.AttachTracer(h.Tracer)
 		h.samplers = append(h.samplers, smp)
 	}

@@ -234,7 +234,7 @@ func runConnSchedule(t *testing.T, build func() (*core.Cluster, error), pairs []
 	if err != nil {
 		t.Fatal(err)
 	}
-	c.Net.EnableFlowLog(0)
+	c.Net.EnableFlowLog()
 	if walk {
 		c.Net.Subscribe(walkForcer{})
 	}
@@ -292,7 +292,7 @@ func runShardedSchedule(t *testing.T, seed int64, walk bool) []domainResult {
 	sc.SetWorkers(2)
 	domains := append([]*Cluster{sc.Global}, sc.Pods...)
 	for _, d := range domains {
-		d.Net.EnableFlowLog(0)
+		d.Net.EnableFlowLog()
 		if walk {
 			d.Net.Subscribe(walkForcer{})
 		}

@@ -1,41 +1,16 @@
 package hpn
 
-import (
-	"encoding/json"
-	"fmt"
-	"sort"
-	"strings"
-)
+import "fmt"
 
 // MetricSum sums every registry metric whose name ends in suffix across
 // all clusters attached to the hub (cluster prefixes are c2_, c3_, ...
-// past the first). Returns 0 without a hub. Summation runs in sorted name
-// order: float addition is not associative, so a map-order reduction would
-// drift bitwise between same-seed runs.
+// past the first), histograms flattened as in the JSON export, in sorted
+// name order. Returns 0 without a hub.
 func MetricSum(hub *TelemetryHub, suffix string) float64 {
 	if hub == nil {
 		return 0
 	}
-	var b strings.Builder
-	if err := hub.Registry.WriteJSON(&b); err != nil {
-		return 0
-	}
-	var metrics map[string]float64
-	if err := json.Unmarshal([]byte(b.String()), &metrics); err != nil {
-		return 0
-	}
-	names := make([]string, 0, len(metrics))
-	for name := range metrics {
-		if strings.HasSuffix(name, suffix) {
-			names = append(names, name)
-		}
-	}
-	sort.Strings(names)
-	var total float64
-	for _, name := range names {
-		total += metrics[name]
-	}
-	return total
+	return hub.Registry.SumSuffix(suffix)
 }
 
 // OverflowWarnings reports every bounded collector on the hub that hit its

@@ -1,0 +1,64 @@
+package hpn
+
+import (
+	"encoding/json"
+	"math"
+	"sort"
+	"strings"
+	"testing"
+)
+
+// jsonMetricSum is MetricSum by way of the JSON export: parse the flat
+// name->value object and sum the matching names in sorted order.
+func jsonMetricSum(t *testing.T, hub *TelemetryHub, suffix string) float64 {
+	t.Helper()
+	var b strings.Builder
+	if err := hub.Registry.WriteJSON(&b); err != nil {
+		t.Fatal(err)
+	}
+	var metrics map[string]float64
+	if err := json.Unmarshal([]byte(b.String()), &metrics); err != nil {
+		t.Fatal(err)
+	}
+	var names []string
+	for name := range metrics {
+		if strings.HasSuffix(name, suffix) {
+			names = append(names, name)
+		}
+	}
+	sort.Strings(names)
+	var total float64
+	for _, name := range names {
+		total += metrics[name]
+	}
+	return total
+}
+
+// MetricSum over counters, a gauge and a flattened histogram is bitwise the
+// sum of the matching rows of the JSON export, in the same order.
+func TestMetricSumMatchesJSONExport(t *testing.T) {
+	hub := NewTelemetryHub(TelemetryOptions{})
+	reg := hub.Registry
+	// Addends whose sum depends on the order they are added in.
+	for i, v := range []float64{0.1, 1e16, 0.2, -1e16, 0.3, 1.0 / 3} {
+		reg.Counter(string(rune('a'+i))+"_x_total", "").Add(v)
+		reg.Counter("c2_"+string(rune('a'+i))+"_x_total", "").Add(v * 7)
+	}
+	reg.Gauge("z_x_total", "", func() float64 { return 2.0 / 3 })
+	h := reg.Histogram("lat_x", "", []float64{0.5, 1, 2})
+	for _, v := range []float64{0.1, 0.7, 0.7, 1.3, 3.14159} {
+		h.Observe(v)
+	}
+	for _, suffix := range []string{"", "_total", "x_total", "_sum", "_count", "le_1", "_bucket_le_2", "nothing"} {
+		got, want := MetricSum(hub, suffix), jsonMetricSum(t, hub, suffix)
+		if math.Float64bits(got) != math.Float64bits(want) {
+			t.Errorf("MetricSum(%q) = %v, the JSON export sums to %v", suffix, got, want)
+		}
+	}
+	if got := MetricSum(hub, "lat_x_count"); got != 5 {
+		t.Errorf("histogram count row: got %v, want 5", got)
+	}
+	if got := MetricSum(nil, ""); got != 0 {
+		t.Errorf("MetricSum without a hub = %v, want 0", got)
+	}
+}
