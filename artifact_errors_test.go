@@ -20,30 +20,17 @@ func TestArtifactWriteErrorsSurface(t *testing.T) {
 	opt := DefaultTelemetryOptions()
 	opt.Inband, opt.Health = true, true
 	opt.SampleInterval = 100_000
-	hub := NewTelemetryHub(opt)
-	c, err := NewHPN(SmallHPN(1, 8, 8))
+	pod := SmallHPN(1, 8, 8)
+	r, err := Scenario{HPN: &pod, Model: LLaMa13B, TP: 8, PP: 1, Hosts: 8, Iterations: 1,
+		FlowLog: true, Telemetry: &opt}.Build()
 	if err != nil {
 		t.Fatal(err)
 	}
-	c.EnableTelemetry(hub)
-	c.Net.EnableFlowLog()
-	hosts, err := c.PlaceJob(8)
-	if err != nil {
+	if err := r.Run(); err != nil {
 		t.Fatal(err)
 	}
-	job, err := NewJob(LLaMa13B, Parallelism{TP: 8, PP: 1, DP: 8}, hosts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tr, err := NewTrainer(c, job)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := tr.Start(1); err != nil {
-		t.Fatal(err)
-	}
-	c.Eng.Run()
 
+	hub := r.Hub
 	names := hub.Registry.ExporterNames()
 	for _, want := range []string{"flowlog.tsv", "inband.tsv", "inband.json", "samples.csv", "incidents.tsv", "incidents.json"} {
 		if !slices.Contains(names, want) {
@@ -68,7 +55,7 @@ func TestArtifactWriteErrorsSurface(t *testing.T) {
 	if err := os.Symlink("/dev/full", filepath.Join(dir, "inband.json")); err != nil {
 		t.Fatal(err)
 	}
-	_, err = hub.WriteArtifacts(dir)
+	_, err = r.WriteArtifacts(dir)
 	if err == nil || !strings.Contains(err.Error(), "inband.json") || !errors.Is(err, syscall.ENOSPC) {
 		t.Fatalf("WriteArtifacts onto a full device: %v, want ENOSPC naming inband.json", err)
 	}

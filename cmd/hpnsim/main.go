@@ -9,10 +9,12 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"os"
 	"runtime/pprof"
+	"slices"
 	"strings"
 
 	"hpn"
@@ -74,7 +76,7 @@ func run(args []string) (code int) {
 		return 2
 	}
 
-	var hub *hpn.TelemetryHub
+	var tel *hpn.TelemetryOptions
 	if *traceOut != "" || *promOut != "" || *inbandTo != "" || *healthTo != "" || *profTo != "" || memoOn {
 		opt := hpn.DefaultTelemetryOptions()
 		opt.Trace = *traceOut != ""
@@ -82,7 +84,7 @@ func run(args []string) (code int) {
 		opt.Health = *healthTo != ""
 		opt.Memo = memoOn
 		opt.Prof = *profTo != ""
-		hub = hpn.EnableDefaultTelemetry(opt)
+		tel = &opt
 		if memoOn {
 			fmt.Println("memo: periodic sampling disabled (incompatible with fast-forward)")
 		}
@@ -101,136 +103,101 @@ func run(args []string) (code int) {
 		return 2
 	}
 
-	gpus := *hosts * 8
-	if gpus%(*tp**pp) != 0 {
-		fmt.Fprintf(os.Stderr, "hpnsim: %d GPUs not divisible by tp*pp=%d\n", gpus, *tp**pp)
+	// -shards 0 selects NumCPU workers (the Scenario's rule); the in-band
+	// stream is exported alongside the completed-flow log.
+	s := hpn.Scenario{Model: m, TP: *tp, PP: *pp, Hosts: *hosts, Iterations: *iters,
+		Workers: *shards, FlowLog: *inbandTo != "", Telemetry: tel}
+	switch {
+	case *pods < 1:
+		fmt.Fprintf(os.Stderr, "hpnsim: -pods must be >= 1, got %d\n", *pods)
 		return 2
-	}
-	par := hpn.Parallelism{TP: *tp, PP: *pp, DP: gpus / (*tp * *pp)}
-	out := outputs{trace: *traceOut, prom: *promOut, mem: *memOut, dirs: artifactDirs(*inbandTo, *healthTo, *profTo)}
-
-	if *shards < 0 {
+	case *shards < 0:
 		fmt.Fprintf(os.Stderr, "hpnsim: -shards must be >= 0, got %d\n", *shards)
 		return 2
-	}
-	if *shards != 1 && *pods <= 1 {
+	case *shards != 1 && *pods <= 1:
 		fmt.Fprintln(os.Stderr, "hpnsim: -shards needs -pods > 1 (a single-pod fabric has nothing to shard)")
 		return 2
-	}
-	if *pods > 1 {
-		if *arch != "hpn" {
-			fmt.Fprintf(os.Stderr, "hpnsim: sharded multi-pod runs support -arch hpn only, got %q\n", *arch)
-			return 2
-		}
-		// 0 selects NumCPU, the rule hpnbench applies to -shards.
-		hpn.SetShardWorkers(*shards)
-		if err := runSharded(hub, m, par, *pods, hpn.ShardWorkers(), *hosts, *iters, out, *inbandTo != ""); err != nil {
-			return fail(err)
-		}
-		return 0
-	}
-
-	var (
-		c   *hpn.Cluster
-		err error
-	)
-	switch *arch {
-	case "hpn":
-		segHosts := *hosts
-		if segHosts > 128 {
-			segHosts = 128
-		}
-		segments := (*hosts + segHosts - 1) / segHosts
-		c, err = hpn.NewHPN(hpn.SmallHPN(segments, segHosts, 16))
-	case "dcn":
-		c, err = hpn.NewDCN(hpn.SmallDCN((*hosts + 63) / 64))
+	case *arch == "hpn":
+		// Segments of at most 128 hosts; -pods > 1 runs one engine shard per
+		// pod under the conservative-window coordinator.
+		cfg := hpn.MultiPodHPN(*pods, (*hosts+127)/128, min(*hosts, 128), 16)
+		s.HPN = &cfg
+	case *pods > 1:
+		fmt.Fprintf(os.Stderr, "hpnsim: sharded multi-pod runs support -arch hpn only, got %q\n", *arch)
+		return 2
+	case *arch == "dcn":
+		cfg := hpn.SmallDCN((*hosts + 63) / 64)
+		s.DCN = &cfg
 	default:
 		fmt.Fprintf(os.Stderr, "hpnsim: unknown arch %q\n", *arch)
 		return 2
 	}
+	if err := s.Validate(); err != nil {
+		fmt.Fprintln(os.Stderr, "hpnsim:", err)
+		return 2
+	}
+	return execute(s, outputs{trace: *traceOut, prom: *promOut, mem: *memOut, dirs: artifactDirs(*inbandTo, *healthTo, *profTo)})
+}
+
+// execute builds and runs a validated scenario, prints its results and
+// writes out, returning the exit status. A run that stalls still prints
+// what it simulated and writes every output, since those are what explain
+// the stall, and then exits 1.
+func execute(s hpn.Scenario, out outputs) int {
+	r, err := s.Build()
 	if err != nil {
 		return fail(err)
 	}
-	if *inbandTo != "" {
-		// The per-hop stream is exported alongside the completed-flow log.
-		c.Net.EnableFlowLog()
+	par := s.Parallelism()
+	if sc := r.Sharded; sc != nil {
+		fmt.Printf("%s on %s: %d pods x %d GPUs (TP=%d PP=%d DP=%d), %d shard workers\n",
+			s.Model.Name, sc.Arch, len(sc.Pods), par.GPUs(), par.TP, par.PP, par.DP, sc.Coord.Workers())
+	} else {
+		fmt.Printf("%s on %s: %d GPUs (TP=%d PP=%d DP=%d), %d segments\n",
+			s.Model.Name, r.Cluster.Arch, par.GPUs(), par.TP, par.PP, par.DP, r.Cluster.SegmentsSpanned(r.Trainer.Job.Hosts))
 	}
-
-	placed, err := c.PlaceJob(*hosts)
-	if err != nil {
-		return fail(err)
+	runErr := r.Run()
+	if runErr != nil && !errors.Is(runErr, hpn.ErrStalled) {
+		return fail(runErr)
 	}
-	job, err := hpn.NewJob(m, par, placed)
-	if err != nil {
-		return fail(err)
+	if r.Sharded != nil {
+		printSharded(r)
+	} else {
+		printSingle(r)
 	}
-	tr, err := hpn.NewTrainer(c, job)
-	if err != nil {
-		return fail(err)
-	}
-
-	fmt.Printf("%s on %s: %d GPUs (TP=%d PP=%d DP=%d), %d segments\n",
-		m.Name, c.Arch, par.GPUs(), par.TP, par.PP, par.DP, c.SegmentsSpanned(placed))
-	if err := tr.Start(*iters); err != nil {
-		return fail(err)
-	}
-	c.Eng.Run()
-
-	fmt.Printf("%-5s  %-12s  %-12s\n", "iter", "samples/s", "sync (s)")
-	for i, p := range tr.Perf.Points {
-		fmt.Printf("%-5d  %-12.1f  %-12.4f\n", i+1, p.V, tr.CommSeconds.Points[i].V)
-	}
-	fmt.Printf("mean samples/s: %.1f\n", tr.MeanSamplesPerSecond())
-
-	if m := hpn.HealthMonitorOf(c); m != nil {
-		fmt.Printf("health: %s\n", m.Summary().Verdict())
-	}
-	printMemo("memo", c, tr.Iterations)
-	if tr.FirstErr != nil {
-		fmt.Fprintf(os.Stderr, "hpnsim: warning: sync-phase launch error (first recorded; count in workload_sync_errors_total): %v\n", tr.FirstErr)
-	}
-	for _, w := range hpn.OverflowWarnings(hub) {
+	for _, w := range hpn.OverflowWarnings(r.Hub) {
 		fmt.Fprintln(os.Stderr, "hpnsim:", w)
 	}
-
-	if err := out.write(hub, hub.WriteArtifacts); err != nil {
+	// On a sharded run the flat trace file carries the global domain's
+	// process; the per-pod traces land as c2_trace.json, ... in the
+	// artifact dirs.
+	if err := errors.Join(runErr, out.write(r)); err != nil {
 		return fail(err)
 	}
 	return 0
 }
 
-// runSharded is the -pods > 1 path: one engine shard per pod under the
-// conservative-window coordinator, one training job per pod, and the
-// cross-pod gradient exchange on the global domain.
-func runSharded(hub *hpn.TelemetryHub, m hpn.ModelSpec, par hpn.Parallelism,
-	pods, workers, hosts, iters int, out outputs, flowLog bool) error {
-	segHosts := hosts
-	if segHosts > 128 {
-		segHosts = 128
+// printSingle prints a single-engine run's per-iteration timeline.
+func printSingle(r *hpn.ScenarioRun) {
+	tr := r.Trainer
+	fmt.Printf("%-5s  %-12s  %-12s\n", "iter", "samples/s", "sync (s)")
+	for i, p := range tr.Perf.Points {
+		fmt.Printf("%-5d  %-12.1f  %-12.4f\n", i+1, p.V, tr.CommSeconds.Points[i].V)
 	}
-	segments := (hosts + segHosts - 1) / segHosts
-	sc, err := hpn.NewShardedHPN(hpn.MultiPodHPN(pods, segments, segHosts, 16), hub)
-	if err != nil {
-		return err
+	fmt.Printf("mean samples/s: %.1f\n", tr.MeanSamplesPerSecond())
+	if hm := hpn.HealthMonitorOf(r.Cluster); hm != nil {
+		fmt.Printf("health: %s\n", hm.Summary().Verdict())
 	}
-	sc.SetWorkers(workers)
-	if flowLog {
-		sc.Global.Net.EnableFlowLog()
-		for _, pc := range sc.Pods {
-			pc.Net.EnableFlowLog()
-		}
+	printMemo("memo", r.Cluster, tr.Iterations)
+	if tr.FirstErr != nil {
+		fmt.Fprintf(os.Stderr, "hpnsim: warning: sync-phase launch error (first recorded; count in workload_sync_errors_total): %v\n", tr.FirstErr)
 	}
-	st, err := hpn.NewShardedTrainer(sc, m, par)
-	if err != nil {
-		return err
-	}
-	fmt.Printf("%s on %s: %d pods x %d GPUs (TP=%d PP=%d DP=%d), %d shard workers\n",
-		m.Name, sc.Arch, pods, par.GPUs(), par.TP, par.PP, par.DP, sc.Coord.Workers())
-	if err := st.Start(iters); err != nil {
-		return err
-	}
-	sc.Run()
+}
 
+// printSharded prints a sharded run's per-pod results: one training job
+// per pod plus the cross-pod gradient exchange on the global domain.
+func printSharded(r *hpn.ScenarioRun) {
+	sc, st := r.Sharded, r.ShardedTrainer
 	fmt.Printf("%-5s  %-12s  %-12s\n", "pod", "samples/s", "iterations")
 	for p, tr := range st.Trainers {
 		fmt.Printf("%-5d  %-12.1f  %-12d\n", p, tr.MeanSamplesPerSecond(), tr.Iterations)
@@ -249,13 +216,6 @@ func runSharded(hub *hpn.TelemetryHub, m hpn.ModelSpec, par hpn.Parallelism,
 	if st.FirstErr != nil {
 		fmt.Fprintf(os.Stderr, "hpnsim: warning: cross-pod sync launch error: %v\n", st.FirstErr)
 	}
-	for _, w := range hpn.OverflowWarnings(hub) {
-		fmt.Fprintln(os.Stderr, "hpnsim:", w)
-	}
-
-	// The flat trace file carries the global domain's process; the per-pod
-	// traces land as c2_trace.json, ... in the artifact dirs.
-	return out.write(hub, sc.WriteArtifacts)
 }
 
 // printMemo prints one cluster's memo recorder summary, if it has one.
@@ -277,11 +237,9 @@ type outputs struct {
 	dirs             []string
 }
 
-// write writes every requested output. writeArtifacts fills one artifact
-// directory: the hub's for a single pod, the sharded cluster's for
-// several.
-func (o outputs) write(hub *hpn.TelemetryHub, writeArtifacts func(dir string) ([]string, error)) error {
-	if hub != nil {
+// write writes every requested output of the finished run.
+func (o outputs) write(r *hpn.ScenarioRun) error {
+	if hub := r.Hub; hub != nil {
 		if o.trace != "" {
 			if err := writeFile(o.trace, func(f *os.File) error {
 				_, err := hub.Tracer.WriteTo(f)
@@ -300,7 +258,7 @@ func (o outputs) write(hub *hpn.TelemetryHub, writeArtifacts func(dir string) ([
 			fmt.Printf("wrote %s\n", o.prom)
 		}
 		for _, dir := range o.dirs {
-			paths, err := writeArtifacts(dir)
+			paths, err := r.WriteArtifacts(dir)
 			if err != nil {
 				return err
 			}
@@ -325,17 +283,7 @@ func (o outputs) write(hub *hpn.TelemetryHub, writeArtifacts func(dir string) ([
 func artifactDirs(dirs ...string) []string {
 	var out []string
 	for _, d := range dirs {
-		if d == "" {
-			continue
-		}
-		dup := false
-		for _, seen := range out {
-			if seen == d {
-				dup = true
-				break
-			}
-		}
-		if !dup {
+		if d != "" && !slices.Contains(out, d) {
 			out = append(out, d)
 		}
 	}

@@ -10,7 +10,6 @@ import (
 	"log"
 
 	"hpn"
-	"hpn/internal/failure"
 	"hpn/internal/sim"
 )
 
@@ -22,33 +21,17 @@ func run(dualToR bool) {
 		cfg.DualPlane = false
 		label = "single-ToR"
 	}
-	cluster, err := hpn.NewHPN(cfg)
-	if err != nil {
-		log.Fatal(err)
-	}
-	hosts, err := cluster.PlaceJob(8)
-	if err != nil {
-		log.Fatal(err)
-	}
-	job, err := hpn.NewJob(hpn.LLaMa7B, hpn.Parallelism{TP: 1, PP: 1, DP: 64}, hosts)
-	if err != nil {
-		log.Fatal(err)
-	}
-	trainer, err := hpn.NewTrainer(cluster, job)
-	if err != nil {
-		log.Fatal(err)
-	}
-
 	// Fail one NIC-ToR link at t=10s; repair at t=30s.
-	inj := failure.Injector{Net: cluster.Net}
-	link := cluster.Topo.AccessLink(hosts[0], 0, 0)
-	inj.FailLinkAt(10*sim.Second, link)
-	inj.RecoverLinkAt(30*sim.Second, link)
-
-	if err := trainer.Start(100000); err != nil {
+	r, err := hpn.Scenario{HPN: &cfg, Model: hpn.LLaMa7B, TP: 1, PP: 1, Hosts: 8, Iterations: 100000,
+		Horizon: 45 * sim.Second,
+		Faults:  []hpn.LinkFault{{FailAt: 10 * sim.Second, RecoverAt: 30 * sim.Second}}}.Build()
+	if err != nil {
 		log.Fatal(err)
 	}
-	cluster.Eng.RunUntil(45 * sim.Second)
+	if err := r.Run(); err != nil {
+		log.Fatal(err)
+	}
+	trainer := r.Trainer
 
 	fmt.Printf("\n%s: %d iterations in 45s\n", label, trainer.Iterations)
 	fmt.Println("  t(s)   samples/s")

@@ -15,37 +15,24 @@ import (
 const hosts = 24 // 192 GPUs
 
 func run(arch string) (samplesPerSec float64, segments int) {
-	var (
-		cluster *hpn.Cluster
-		err     error
-	)
+	s := hpn.Scenario{Model: hpn.LLaMa13B, TP: 8, PP: 1, Hosts: hosts, Iterations: 5}
 	if arch == "hpn" {
 		// One HPN segment holds the whole job: pure tier1 networking.
-		cluster, err = hpn.NewHPN(hpn.SmallHPN(1, hosts, 8))
+		cfg := hpn.SmallHPN(1, hosts, 8)
+		s.HPN = &cfg
 	} else {
 		// DCN+ segments hold 16 hosts: the same job spans two of them.
-		cluster, err = hpn.NewDCN(hpn.SmallDCN(1))
+		cfg := hpn.SmallDCN(1)
+		s.DCN = &cfg
 	}
+	r, err := s.Build()
 	if err != nil {
 		log.Fatal(err)
 	}
-	placed, err := cluster.PlaceJob(hosts)
-	if err != nil {
+	if err := r.Run(); err != nil {
 		log.Fatal(err)
 	}
-	job, err := hpn.NewJob(hpn.LLaMa13B, hpn.Parallelism{TP: 8, PP: 1, DP: hosts}, placed)
-	if err != nil {
-		log.Fatal(err)
-	}
-	trainer, err := hpn.NewTrainer(cluster, job)
-	if err != nil {
-		log.Fatal(err)
-	}
-	if err := trainer.Start(5); err != nil {
-		log.Fatal(err)
-	}
-	cluster.Eng.Run()
-	return trainer.MeanSamplesPerSecond(), cluster.SegmentsSpanned(placed)
+	return r.Trainer.MeanSamplesPerSecond(), r.Cluster.SegmentsSpanned(r.Trainer.Job.Hosts)
 }
 
 func main() {

@@ -272,24 +272,18 @@ type storageRun struct {
 // "storage hosts" either in the backend's second segment or across a
 // dedicated frontend build.
 func trainWithStorage(trainHosts int, ckptGBPerHost float64, frontend bool) (*storageRun, error) {
-	c, err := NewHPN(SmallHPN(2, trainHosts, 8))
+	cfg := SmallHPN(2, trainHosts, 8)
+	run, err := Scenario{HPN: &cfg, Model: LLaMa13B, TP: 8, PP: 1, Hosts: trainHosts, Iterations: 4}.Build()
 	if err != nil {
 		return nil, err
 	}
+	c := run.Cluster
 	placed, err := c.PlaceJob(2 * trainHosts)
 	if err != nil {
 		return nil, err
 	}
 	training := placed[:trainHosts]
 	storage := placed[trainHosts:]
-	job, err := NewJob(LLaMa13B, Parallelism{TP: 8, PP: 1, DP: trainHosts}, training)
-	if err != nil {
-		return nil, err
-	}
-	tr, err := NewTrainer(c, job)
-	if err != nil {
-		return nil, err
-	}
 
 	out := &storageRun{}
 	ckptBytes := ckptGBPerHost * 1e9
@@ -321,13 +315,9 @@ func trainWithStorage(trainHosts int, ckptGBPerHost float64, frontend bool) (*st
 		}
 	}
 
-	if err := tr.Start(4); err != nil {
+	if err := run.Run(); err != nil {
 		return nil, err
 	}
-	c.Eng.Run()
-	if tr.Iterations != 4 {
-		return nil, fmt.Errorf("hpn: training stalled")
-	}
-	out.samples = tr.MeanSamplesPerSecond()
+	out.samples = run.Trainer.MeanSamplesPerSecond()
 	return out, nil
 }

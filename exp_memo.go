@@ -11,14 +11,45 @@ func init() {
 	register("memo", "Iteration memoization: long-horizon training fast-forward", runMemo)
 }
 
-// memoRun summarizes one long-horizon training run.
-type memoRun struct {
+// hostRun is one training run's simulated outcome next to the host time
+// it took: the memo and multipod experiments claim host-process speedups
+// at identical simulated results.
+type hostRun struct {
 	wallSec     float64
 	flows       int64
 	flowsPerSec float64
 	samplesSec  float64
 	simSeconds  float64
-	stats       memo.Stats
+}
+
+// timeRun runs r, timing only the run on the host clock, and sums the
+// flows every engine completed. Samples/s are the first trainer's.
+func timeRun(r *ScenarioRun) (hostRun, error) {
+	start := time.Now() //hpnlint:allow wallclock -- measured speedup is the experiment's subject
+	err := r.Run()
+	wall := time.Since(start) //hpnlint:allow wallclock -- measured speedup is the experiment's subject
+	if err != nil {
+		return hostRun{}, err
+	}
+	tr := r.Trainer
+	if r.ShardedTrainer != nil {
+		tr = r.ShardedTrainer.Trainers[0]
+	}
+	h := hostRun{wallSec: wall.Seconds(), samplesSec: tr.MeanSamplesPerSecond()}
+	for _, c := range r.clusters() {
+		h.flows += c.Net.CompletedFlows
+	}
+	h.simSeconds = r.clusters()[0].Eng.Now().Seconds()
+	if h.wallSec > 0 {
+		h.flowsPerSec = float64(h.flows) / h.wallSec
+	}
+	return h, nil
+}
+
+// memoRun summarizes one long-horizon training run.
+type memoRun struct {
+	hostRun
+	stats memo.Stats
 }
 
 // runMemoTraining drives iters steady-state iterations on a single-segment
@@ -26,47 +57,19 @@ type memoRun struct {
 // memoization recorder, and measures simulated-flow throughput of the host
 // process.
 func runMemoTraining(iters int, enable bool) (*memoRun, error) {
-	c, err := NewHPN(SmallHPN(1, 8, 8))
+	cfg := SmallHPN(1, 8, 8)
+	r, err := Scenario{HPN: &cfg, Model: LLaMa13B, TP: 8, PP: 1, Hosts: 8, Iterations: iters,
+		Telemetry: &TelemetryOptions{Memo: enable}}.Build()
 	if err != nil {
 		return nil, err
 	}
-	hosts, err := c.PlaceJob(8)
+	h, err := timeRun(r)
 	if err != nil {
 		return nil, err
 	}
-	if enable {
-		memo.Attach(c.Net)
-	}
-	job, err := NewJob(LLaMa13B, Parallelism{TP: 8, PP: 1, DP: 8}, hosts)
-	if err != nil {
-		return nil, err
-	}
-	tr, err := NewTrainer(c, job)
-	if err != nil {
-		return nil, err
-	}
-	if err := tr.Start(iters); err != nil {
-		return nil, err
-	}
-	// Wall-clock is the measured artifact here: the experiment's claim is
-	// host-process speedup at identical simulated results.
-	start := time.Now() //hpnlint:allow wallclock -- measured speedup is the experiment's subject
-	c.Eng.Run()
-	wall := time.Since(start) //hpnlint:allow wallclock -- measured speedup is the experiment's subject
-	if tr.Iterations != iters {
-		return nil, fmt.Errorf("hpn: memo training stalled at %d/%d", tr.Iterations, iters)
-	}
-	run := &memoRun{
-		wallSec:    wall.Seconds(),
-		flows:      c.Net.CompletedFlows,
-		samplesSec: tr.MeanSamplesPerSecond(),
-		simSeconds: c.Eng.Now().Seconds(),
-	}
-	if rec := memo.RecorderOf(c.Net); rec != nil {
+	run := &memoRun{hostRun: h}
+	if rec := MemoRecorderOf(r.Cluster); rec != nil {
 		run.stats = rec.Stats()
-	}
-	if run.wallSec > 0 {
-		run.flowsPerSec = float64(run.flows) / run.wallSec
 	}
 	return run, nil
 }

@@ -25,58 +25,31 @@ type fig18Run struct {
 	crashedAt  sim.Time
 }
 
-type fig18Fault struct {
-	failAt   sim.Time
-	repairAt sim.Time // 0 = never repaired
-	flap     bool
-}
-
-func runFig18Case(dualToR bool, hosts int, f fig18Fault, horizon sim.Time) (*fig18Run, error) {
+// runFig18Case trains on `hosts` hosts until the horizon through the link
+// fault f (fig18 always hits host 0's NIC 0, port 0).
+func runFig18Case(dualToR bool, hosts int, f LinkFault, horizon sim.Time) (*fig18Run, error) {
 	cfg := SmallHPN(2, hosts/2, 8)
 	if !dualToR {
 		cfg.DualToR = false
 		cfg.DualPlane = false
 	}
-	c, err := NewHPN(cfg)
+	r, err := Scenario{HPN: &cfg, Model: LLaMa7B, TP: 1, PP: 1, Hosts: hosts, Iterations: 100000,
+		Horizon: horizon, Faults: []LinkFault{f}}.Build()
 	if err != nil {
 		return nil, err
 	}
-	placed, err := c.PlaceJob(hosts)
-	if err != nil {
-		return nil, err
-	}
-	job, err := NewJob(LLaMa7B, Parallelism{TP: 1, PP: 1, DP: hosts * 8}, placed)
-	if err != nil {
-		return nil, err
-	}
-	tr, err := NewTrainer(c, job)
-	if err != nil {
-		return nil, err
-	}
-
-	in := &failure.Injector{Net: c.Net}
-	target := c.Topo.AccessLink(placed[0], 0, 0)
-	if f.flap {
-		in.FlapLinkAt(f.failAt, target, 1500*sim.Millisecond, 500*sim.Millisecond, 6)
-	} else {
-		in.FailLinkAt(f.failAt, target)
-		if f.repairAt > 0 {
-			in.RecoverLinkAt(f.repairAt, target)
-		}
-	}
-	w := failure.NewWatchdog(c.Net)
+	w := failure.NewWatchdog(r.Cluster.Net)
 	w.Watch(horizon)
-
-	if err := tr.Start(100000); err != nil {
+	if err := r.Run(); err != nil {
 		return nil, err
 	}
-	c.Eng.RunUntil(horizon)
 
+	tr := r.Trainer
 	run := &fig18Run{iterations: tr.Iterations}
 	run.crashed, run.crashedAt = w.Crashed()
-	repair := f.repairAt
-	if f.flap {
-		repair = f.failAt + 12*sim.Second
+	repair := f.RecoverAt
+	if f.Flaps > 0 {
+		repair = f.FailAt + sim.Time(f.Flaps)*(flapDown+flapUp)
 	}
 	var prev float64
 	for i, p := range tr.Perf.Points {
@@ -85,13 +58,13 @@ func runFig18Case(dualToR bool, hosts int, f fig18Fault, horizon sim.Time) (*fig
 		}
 		prev = p.T
 	}
-	pre := tr.Perf.Window(0, f.failAt.Seconds())
+	pre := tr.Perf.Window(0, f.FailAt.Seconds())
 	run.preMean = meanV(pre)
 	if repair > 0 {
-		run.faultMean = meanV(tr.Perf.Window(f.failAt.Seconds()+2, repair.Seconds()))
+		run.faultMean = meanV(tr.Perf.Window(f.FailAt.Seconds()+2, repair.Seconds()))
 		run.postMean = meanV(tr.Perf.Window(repair.Seconds()+5, horizon.Seconds()))
 	} else {
-		run.faultMean = meanV(tr.Perf.Window(f.failAt.Seconds()+2, horizon.Seconds()))
+		run.faultMean = meanV(tr.Perf.Window(f.FailAt.Seconds()+2, horizon.Seconds()))
 	}
 	return run, nil
 }
@@ -114,7 +87,7 @@ func runFig18(s Scale) (*Report, error) {
 		hosts = 32 // the paper's 256 GPUs
 	}
 	horizon := 70 * sim.Second
-	fault := fig18Fault{failAt: 10 * sim.Second, repairAt: 40 * sim.Second}
+	fault := LinkFault{FailAt: 10 * sim.Second, RecoverAt: 40 * sim.Second}
 
 	dual, err := runFig18Case(true, hosts, fault, horizon)
 	if err != nil {
@@ -125,7 +98,7 @@ func runFig18(s Scale) (*Report, error) {
 		return nil, err
 	}
 	// Single-ToR with a repair beyond the collective timeout: crash.
-	late, err := runFig18Case(false, hosts, fig18Fault{failAt: 10 * sim.Second, repairAt: 190 * sim.Second}, 200*sim.Second)
+	late, err := runFig18Case(false, hosts, LinkFault{FailAt: 10 * sim.Second, RecoverAt: 190 * sim.Second}, 200*sim.Second)
 	if err != nil {
 		return nil, err
 	}
@@ -151,7 +124,7 @@ func runFig18(s Scale) (*Report, error) {
 		fmt.Sprintf("crashed=%v at %v", late.crashed, late.crashedAt), late.crashed)
 
 	// Case 2: link flapping.
-	flap := fig18Fault{failAt: 10 * sim.Second, flap: true}
+	flap := LinkFault{FailAt: 10 * sim.Second, Flaps: 6}
 	dualFlap, err := runFig18Case(true, hosts, flap, 45*sim.Second)
 	if err != nil {
 		return nil, err

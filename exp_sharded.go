@@ -3,7 +3,6 @@ package hpn
 import (
 	"fmt"
 	"runtime"
-	"time"
 )
 
 func init() {
@@ -16,29 +15,19 @@ func init() {
 var shardWorkers = 1
 
 // SetShardWorkers sets how many goroutines sharded experiments use for
-// parallel shard windows; n <= 0 selects NumCPU. Artifacts and results are
-// identical for every value — only host wall-clock changes.
+// parallel shard windows; n <= 0 selects NumCPU (see Scenario.Workers).
+// Artifacts and results are identical for every value — only host
+// wall-clock changes.
 func SetShardWorkers(n int) {
-	if n <= 0 {
-		n = runtime.NumCPU()
-	}
 	shardWorkers = n
 }
 
-// ShardWorkers returns the configured sharded-experiment worker count.
-func ShardWorkers() int { return shardWorkers }
-
 // multiPodRun summarizes one sharded multi-pod training run.
 type multiPodRun struct {
-	wallSec     float64
-	flows       int64
-	flowsPerSec float64
-	samplesSec  float64
-	simSeconds  float64
-	iterations  int
-	rounds      int
-	windows     int
-	exchanged   int
+	hostRun
+	rounds    int
+	windows   int
+	exchanged int
 }
 
 // runMultiPodTraining drives a `pods`-pod HPN fabric — one training job per
@@ -46,46 +35,21 @@ type multiPodRun struct {
 // the windowed coordinator with the given worker count, and measures
 // simulated-flow throughput of the host process.
 func runMultiPodTraining(pods, hostsPerPod, iters, workers int) (*multiPodRun, error) {
-	sc, err := NewShardedHPN(MultiPodHPN(pods, 1, hostsPerPod, 4), nil)
+	cfg := MultiPodHPN(pods, 1, hostsPerPod, 4)
+	r, err := Scenario{HPN: &cfg, Model: LLaMa13B, TP: 8, PP: 1, Hosts: hostsPerPod, Iterations: iters,
+		Workers: workers}.Build()
 	if err != nil {
 		return nil, err
 	}
-	sc.SetWorkers(workers)
-	st, err := NewShardedTrainer(sc, LLaMa13B, Parallelism{TP: 8, PP: 1, DP: hostsPerPod})
+	h, err := timeRun(r)
 	if err != nil {
 		return nil, err
 	}
-	if err := st.Start(iters); err != nil {
-		return nil, err
-	}
-	// Wall-clock is the measured artifact: the claim is host-process
-	// speedup at identical simulated results.
-	start := time.Now() //hpnlint:allow wallclock -- measured speedup is the experiment's subject
-	sc.Run()
-	wall := time.Since(start) //hpnlint:allow wallclock -- measured speedup is the experiment's subject
-	if st.Iterations() != iters {
-		return nil, fmt.Errorf("hpn: multipod training stalled at %d/%d", st.Iterations(), iters)
-	}
+	sc, st := r.Sharded, r.ShardedTrainer
 	if st.FirstErr != nil {
 		return nil, st.FirstErr
 	}
-	run := &multiPodRun{
-		wallSec:    wall.Seconds(),
-		samplesSec: st.Trainers[0].MeanSamplesPerSecond(),
-		simSeconds: sc.Global.Eng.Now().Seconds(),
-		iterations: st.Iterations(),
-		rounds:     st.Rounds,
-		windows:    sc.Coord.Windows,
-		exchanged:  sc.Coord.Exchanged,
-	}
-	run.flows = sc.Global.Net.CompletedFlows
-	for _, pc := range sc.Pods {
-		run.flows += pc.Net.CompletedFlows
-	}
-	if run.wallSec > 0 {
-		run.flowsPerSec = float64(run.flows) / run.wallSec
-	}
-	return run, nil
+	return &multiPodRun{hostRun: h, rounds: st.Rounds, windows: sc.Coord.Windows, exchanged: sc.Coord.Exchanged}, nil
 }
 
 func runMultiPod(s Scale) (*Report, error) {

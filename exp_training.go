@@ -8,7 +8,6 @@ import (
 	"hpn/internal/metrics"
 	"hpn/internal/netsim"
 	"hpn/internal/sim"
-	"hpn/internal/workload"
 )
 
 func init() {
@@ -396,23 +395,20 @@ func runSec61b(s Scale) (*Report, error) {
 
 func runFig2(s Scale) (*Report, error) {
 	r := &Report{ID: "fig2", Title: "NIC egress traffic during training"}
-	c, err := NewHPN(SmallHPN(1, 8, 8))
+	cfg := SmallHPN(1, 8, 8)
+	run, err := Scenario{HPN: &cfg, Model: LLaMa13B, TP: 8, PP: 1, Hosts: 8, Iterations: 4}.Build()
 	if err != nil {
 		return nil, err
 	}
-	hosts, err := c.PlaceJob(8)
-	if err != nil {
-		return nil, err
-	}
+	c, host := run.Cluster, run.Trainer.Job.Hosts[0]
 	var probes []*netsim.LinkProbe
 	for nic := 0; nic < 8; nic++ {
 		for p := 0; p < 2; p++ {
-			probes = append(probes, c.Net.TrackLink(c.Topo.AccessLink(hosts[0], nic, p),
+			probes = append(probes, c.Net.TrackLink(c.Topo.AccessLink(host, nic, p),
 				fmt.Sprintf("nic%d-port%d", nic, p)))
 		}
 	}
-	par := Parallelism{TP: 8, PP: 1, DP: 8}
-	if _, err := runTrainingOn(c, LLaMa13B, par, hosts, 4); err != nil {
+	if err := run.Run(); err != nil {
 		return nil, err
 	}
 	// Peak per-NIC throughput: both ports of a NIC peak together during
@@ -444,24 +440,4 @@ func runFig2(s Scale) (*Report, error) {
 	r.AddClaim("traffic is periodic bursts, not continuous", "burst/idle alternation",
 		pct(idleFraction)+" idle", idleFraction > 0.05)
 	return r, nil
-}
-
-// runTrainingOn is runTraining without the agg probes and summary.
-func runTrainingOn(c *Cluster, m ModelSpec, par Parallelism, hosts []int, iters int) (*workload.Trainer, error) {
-	job, err := NewJob(m, par, hosts)
-	if err != nil {
-		return nil, err
-	}
-	tr, err := NewTrainer(c, job)
-	if err != nil {
-		return nil, err
-	}
-	if err := tr.Start(iters); err != nil {
-		return nil, err
-	}
-	c.Eng.Run()
-	if tr.Iterations != iters {
-		return nil, fmt.Errorf("hpn: training stalled at %d/%d", tr.Iterations, iters)
-	}
-	return tr, nil
 }

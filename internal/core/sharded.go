@@ -107,13 +107,6 @@ func shardTopology(arch Arch, t *topo.Topology, h *telemetry.Hub) (*ShardedClust
 // Results are identical for every worker count; only wall-clock changes.
 func (sc *ShardedCluster) SetWorkers(n int) { sc.Coord.SetWorkers(n) }
 
-// Pod returns the cluster view simulating the given pod.
-func (sc *ShardedCluster) Pod(pod int) *Cluster { return sc.Pods[pod] }
-
-// PodHubs returns the per-pod shard telemetry hubs, in pod order (empty
-// when the ensemble was built without a hub).
-func (sc *ShardedCluster) PodHubs() []*telemetry.Hub { return sc.podHubs }
-
 // DomainFor returns the cluster that owns a link: the pod shard for
 // intra-pod links, the global cluster for agg-core links. Failure
 // injection must target the owning cluster's Net/engine.

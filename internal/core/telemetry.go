@@ -19,6 +19,9 @@ var defaultHub *telemetry.Hub
 // built clusters auto-attach to.
 func SetDefaultTelemetry(h *telemetry.Hub) { defaultHub = h }
 
+// DefaultTelemetry returns the hub newly built clusters attach to, or nil.
+func DefaultTelemetry() *telemetry.Hub { return defaultHub }
+
 // EnableTelemetry attaches the cluster to a telemetry hub: the engine,
 // network, and router start emitting trace events under a dedicated trace
 // process; netsim counters/gauges register under the cluster's metric

@@ -89,22 +89,6 @@ func (in *Injector) RecoverLinkAt(at sim.Time, l topo.LinkID) {
 	})
 }
 
-// FailNodeAt / RecoverNodeAt are the switch-level equivalents.
-func (in *Injector) FailNodeAt(at sim.Time, n topo.NodeID) {
-	in.Net.Eng.ScheduleAt(at, func() {
-		in.mark("inject_node_fail", int(n))
-		in.Net.FailNode(n)
-	})
-}
-
-// RecoverNodeAt restores a switch at the given virtual time.
-func (in *Injector) RecoverNodeAt(at sim.Time, n topo.NodeID) {
-	in.Net.Eng.ScheduleAt(at, func() {
-		in.mark("inject_node_recover", int(n))
-		in.Net.RecoverNode(n)
-	})
-}
-
 // FlapLinkAt injects link flapping: `cycles` down/up transitions with the
 // given dwell times, starting at `at`.
 func (in *Injector) FlapLinkAt(at sim.Time, l topo.LinkID, downFor, upFor sim.Time, cycles int) {

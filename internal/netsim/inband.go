@@ -3,7 +3,6 @@ package netsim
 import (
 	"hpn/internal/inband"
 	"hpn/internal/telemetry"
-	"hpn/internal/topo"
 )
 
 // EnableInband starts in-band path telemetry: every flow's path is walked
@@ -168,13 +167,4 @@ func (s *Sim) inbandIntegrate(dt float64) {
 			}
 		}
 	}
-}
-
-// InbandQueueBytes exposes the in-band queue proxy of one link (0 when
-// in-band telemetry is off) — test and analysis hook.
-func (s *Sim) InbandQueueBytes(l topo.LinkID) float64 {
-	if s.inband == nil {
-		return 0
-	}
-	return s.ibQueue[l]
 }

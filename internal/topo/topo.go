@@ -261,14 +261,6 @@ func (t *Topology) TotalGPUs(activeOnly bool) int {
 	return n
 }
 
-// SetLinkState marks one direction of a link (and typically its reverse,
-// via SetCableState) up or down.
-func (t *Topology) SetLinkState(id LinkID, up bool) {
-	t.Links[id].Up = up
-	t.refreshUsable(id)
-	t.gen.Add(1)
-}
-
 // SetCableState sets both directions of a cable.
 func (t *Topology) SetCableState(id LinkID, up bool) {
 	t.Links[id].Up = up

@@ -356,12 +356,6 @@ func (t *Trainer) iterFingerprint() uint64 {
 	return h.Sum()
 }
 
-// AttachMemo installs (or, with nil, removes) the memo recorder driving
-// syncPhase's record/replay. NewTrainer picks up a recorder already
-// attached to the fabric automatically; this override exists for tests
-// and for recorders attached after the trainer was built.
-func (t *Trainer) AttachMemo(r *memo.Recorder) { t.memo = r }
-
 func (t *Trainer) completeIteration(comm sim.Time) {
 	now := t.Net.Eng.Now()
 	// The bookkeeping below is the window's "live section": its output

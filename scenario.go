@@ -1,0 +1,239 @@
+package hpn
+
+import (
+	"errors"
+	"fmt"
+	"runtime"
+
+	"hpn/internal/core"
+	"hpn/internal/failure"
+	"hpn/internal/memo"
+	"hpn/internal/sim"
+)
+
+// Scenario describes one training run as data: the fabric, the job, the
+// link-fault schedule and the observers. Build assembles it and the
+// returned ScenarioRun executes it; hpnsim, the golden determinism tests
+// and the single-job experiments all describe their runs this way.
+type Scenario struct {
+	// HPN or DCN is the fabric; set exactly one. An HPN fabric with
+	// Pods > 1 runs on the sharded engine, with the job replicated in
+	// every pod (see ShardedTrainer).
+	HPN *HPNConfig
+	DCN *DCNConfig
+	// Model trains on Hosts hosts (8 GPUs each) per pod with tensor and
+	// pipeline parallelism TP and PP; data parallelism spans the rest.
+	Model  ModelSpec
+	TP, PP int
+	Hosts  int
+	// Iterations is how many iterations every trainer runs. A Horizon > 0
+	// stops the run at that virtual time instead (single engine only).
+	Iterations int
+	Horizon    sim.Time
+	// Workers is the sharded engine's worker goroutine count; <= 0 selects
+	// NumCPU. Results are identical for every value.
+	Workers int
+	// FlowLog records every completed flow on every engine.
+	FlowLog bool
+	// Telemetry, when non-nil, gives the run a hub of its own with these
+	// options; options that enable nothing but Memo attach the memo
+	// recorder without a hub. While a process-default hub is set
+	// (EnableDefaultTelemetry) the run uses that hub instead, which every
+	// cluster built then already carries, and applies only Memo on top.
+	Telemetry *TelemetryOptions
+	// Faults is the link-fault schedule, injected on the engine that owns
+	// each link.
+	Faults []LinkFault
+}
+
+// LinkFault takes the access cable of host 0's first NIC port down at
+// FailAt and back up at RecoverAt (0: never). With Flaps > 0 the cable
+// flaps from FailAt instead: Flaps cycles of flapDown down and flapUp up,
+// the Fig. 18 pattern.
+type LinkFault struct {
+	FailAt, RecoverAt sim.Time
+	Flaps             int
+}
+
+// The dwell times of a flapping cable.
+const (
+	flapDown = 1500 * sim.Millisecond
+	flapUp   = 500 * sim.Millisecond
+)
+
+// ScenarioRun is a built Scenario, ready to Run. A single-engine run fills
+// Cluster and Trainer, a sharded run Sharded and ShardedTrainer. Hub is the
+// run's telemetry hub, nil without telemetry.
+type ScenarioRun struct {
+	Scenario       Scenario
+	Cluster        *Cluster
+	Trainer        *Trainer
+	Sharded        *ShardedCluster
+	ShardedTrainer *ShardedTrainer
+	Hub            *TelemetryHub
+}
+
+// Parallelism returns the job's decomposition: TP and PP as given, data
+// parallelism over the remaining GPUs.
+func (s Scenario) Parallelism() Parallelism {
+	return Parallelism{TP: s.TP, PP: s.PP, DP: s.Hosts * 8 / (s.TP * s.PP)}
+}
+
+// Validate reports why s cannot be built, or nil.
+func (s Scenario) Validate() error {
+	switch {
+	case (s.HPN == nil) == (s.DCN == nil):
+		return fmt.Errorf("hpn: a scenario needs exactly one of an HPN or a DCN+ fabric")
+	case s.Hosts <= 0 || s.TP <= 0 || s.PP <= 0 || s.Iterations <= 0:
+		return fmt.Errorf("hpn: hosts, tp, pp and iterations must be positive, got %d, %d, %d and %d",
+			s.Hosts, s.TP, s.PP, s.Iterations)
+	case s.Hosts*8%(s.TP*s.PP) != 0:
+		return fmt.Errorf("hpn: %d GPUs not divisible by tp*pp=%d", s.Hosts*8, s.TP*s.PP)
+	case s.Horizon > 0 && s.HPN != nil && s.HPN.Pods > 1:
+		return fmt.Errorf("hpn: a run horizon needs a single-engine fabric")
+	}
+	return nil
+}
+
+// Build validates s and assembles its hub, fabric, trainers and fault
+// schedule without starting anything, so probes and watchdogs can attach
+// before Run.
+func (s Scenario) Build() (*ScenarioRun, error) {
+	if err := s.Validate(); err != nil {
+		return nil, err
+	}
+	r := &ScenarioRun{Scenario: s, Hub: core.DefaultTelemetry()}
+	own := r.Hub == nil && s.Telemetry != nil && *s.Telemetry != (TelemetryOptions{Memo: s.Telemetry.Memo})
+	if own {
+		r.Hub = NewTelemetryHub(*s.Telemetry)
+	}
+	var err error
+	switch {
+	case s.HPN != nil && s.HPN.Pods > 1:
+		if r.Sharded, err = NewShardedHPN(*s.HPN, r.Hub); err != nil {
+			return nil, err
+		}
+		if s.Workers <= 0 {
+			s.Workers = runtime.NumCPU()
+		}
+		r.Sharded.SetWorkers(s.Workers)
+	case s.HPN != nil:
+		r.Cluster, err = NewHPN(*s.HPN)
+	default:
+		r.Cluster, err = NewDCN(*s.DCN)
+	}
+	if err != nil {
+		return nil, err
+	}
+	if own && r.Cluster != nil {
+		r.Cluster.EnableTelemetry(r.Hub)
+	}
+	for _, c := range r.clusters() {
+		if s.Telemetry != nil && s.Telemetry.Memo && MemoRecorderOf(c) == nil {
+			memo.Attach(c.Net)
+		}
+		if s.FlowLog {
+			c.Net.EnableFlowLog()
+		}
+	}
+	if r.Sharded != nil {
+		r.ShardedTrainer, err = NewShardedTrainer(r.Sharded, s.Model, s.Parallelism())
+	} else {
+		r.Trainer, err = placeTrainer(r.Cluster, s.Model, s.Parallelism())
+	}
+	if err != nil {
+		return nil, err
+	}
+	for _, f := range s.Faults {
+		r.inject(f)
+	}
+	return r, nil
+}
+
+// clusters lists the run's engines: its one cluster, or the sharded global
+// domain and then every pod.
+func (r *ScenarioRun) clusters() []*Cluster {
+	if r.Sharded == nil {
+		return []*Cluster{r.Cluster}
+	}
+	return append([]*Cluster{r.Sharded.Global}, r.Sharded.Pods...)
+}
+
+// placeTrainer places a par-shaped job of model m on c, segments first,
+// and builds its trainer.
+func placeTrainer(c *Cluster, m ModelSpec, par Parallelism) (*Trainer, error) {
+	placed, err := c.PlaceJob(par.GPUs() / 8)
+	if err != nil {
+		return nil, err
+	}
+	job, err := NewJob(m, par, placed)
+	if err != nil {
+		return nil, err
+	}
+	return NewTrainer(c, job)
+}
+
+// inject schedules one fault on the engine that owns its link.
+func (r *ScenarioRun) inject(f LinkFault) {
+	c := r.clusters()[0]
+	lk := c.Topo.AccessLink(0, 0, 0)
+	if r.Sharded != nil {
+		c = r.Sharded.DomainFor(lk)
+	}
+	in := &failure.Injector{Net: c.Net}
+	if f.Flaps > 0 {
+		in.FlapLinkAt(f.FailAt, lk, flapDown, flapUp, f.Flaps)
+		return
+	}
+	in.FailLinkAt(f.FailAt, lk)
+	if f.RecoverAt > 0 {
+		in.RecoverLinkAt(f.RecoverAt, lk)
+	}
+}
+
+// ErrStalled is the error Run wraps when a run without a horizon went
+// quiet short of its iterations. The run itself completed, so its results
+// and artifacts can still be read and written.
+var ErrStalled = errors.New("hpn: training stalled")
+
+// Run starts every trainer and drives the run to quiescence, or to the
+// horizon. Without a horizon, a run that stops short of its iterations
+// returns an error wrapping ErrStalled.
+func (r *ScenarioRun) Run() error {
+	s := r.Scenario
+	trainers := []*Trainer{r.Trainer}
+	if st := r.ShardedTrainer; st != nil {
+		if err := st.Start(s.Iterations); err != nil {
+			return err
+		}
+		r.Sharded.Run()
+		trainers = st.Trainers
+	} else {
+		if err := r.Trainer.Start(s.Iterations); err != nil {
+			return err
+		}
+		if s.Horizon > 0 {
+			r.Cluster.Eng.RunUntil(s.Horizon)
+			return nil
+		}
+		r.Cluster.Eng.Run()
+	}
+	for _, tr := range trainers {
+		if tr.Iterations != s.Iterations {
+			return fmt.Errorf("%w at %d/%d", ErrStalled, tr.Iterations, s.Iterations)
+		}
+	}
+	return nil
+}
+
+// WriteArtifacts writes every artifact the run's hub exports into dir
+// (and, on a sharded run, every pod hub's), returning the paths written.
+func (r *ScenarioRun) WriteArtifacts(dir string) ([]string, error) {
+	if r.Sharded != nil {
+		return r.Sharded.WriteArtifacts(dir)
+	}
+	if r.Hub == nil {
+		return nil, fmt.Errorf("hpn: run has no telemetry hub")
+	}
+	return r.Hub.WriteArtifacts(dir)
+}

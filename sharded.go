@@ -17,9 +17,6 @@ import (
 // global domain for cores and cross-pod flows.
 type ShardedCluster = core.ShardedCluster
 
-// ShardedEngine is the windowed coordinator driving a ShardedCluster.
-type ShardedEngine = sim.Sharded
-
 // MultiPodHPN returns an HPN configuration with the given pod count (the
 // tier3 Core layer is added automatically for Pods > 1).
 func MultiPodHPN(pods, segments, hostsPerSegment, aggsPerPlane int) HPNConfig {
@@ -73,26 +70,18 @@ func NewShardedTrainer(sc *ShardedCluster, m ModelSpec, par Parallelism) (*Shard
 	st := &ShardedTrainer{SC: sc, resumes: make([]func(), len(sc.Pods))}
 	var leaders []int
 	for pod, pc := range sc.Pods {
-		hosts, err := pc.PlaceJob(par.GPUs() / 8)
+		tr, err := placeTrainer(pc, m, par)
 		if err != nil {
 			return nil, fmt.Errorf("hpn: pod %d: %w", pod, err)
-		}
-		job, err := NewJob(m, par, hosts)
-		if err != nil {
-			return nil, err
-		}
-		tr, err := NewTrainer(pc, job)
-		if err != nil {
-			return nil, err
 		}
 		p := pod
 		tr.IterGate = func(_ int, resume func()) {
 			sc.Coord.Post(p+1, 0, sim.GlobalDomain, func() { st.podArrived(p, resume) })
 		}
 		st.Trainers = append(st.Trainers, tr)
-		leaders = append(leaders, hosts[0])
+		leaders = append(leaders, tr.Job.Hosts[0])
 		if pod == 0 {
-			st.CrossBytes = job.GradientSyncBytes()
+			st.CrossBytes = tr.Job.GradientSyncBytes()
 		}
 	}
 	g, err := collective.NewGroup(sc.Global.Net, sc.Global.CollectiveConfig(), leaders, 8)
@@ -149,18 +138,4 @@ func (st *ShardedTrainer) resumeAll() {
 		st.resumes[pod] = nil
 		st.SC.Coord.Post(sim.GlobalDomain, 0, pod+1, r)
 	}
-}
-
-// Iterations returns the minimum completed-iteration count across pods.
-func (st *ShardedTrainer) Iterations() int {
-	if len(st.Trainers) == 0 {
-		return 0
-	}
-	min := st.Trainers[0].Iterations
-	for _, tr := range st.Trainers[1:] {
-		if tr.Iterations < min {
-			min = tr.Iterations
-		}
-	}
-	return min
 }
