@@ -18,6 +18,7 @@ import (
 	"fmt"
 	"os"
 	"runtime/pprof"
+	"slices"
 	"time"
 
 	"hpn"
@@ -42,7 +43,7 @@ func run(args []string) (code int) {
 		inbandTo = fs.String("inband", "", "enable in-band path telemetry on every cluster; write the per-hop inband.tsv/json (and other registry artifacts) into this directory after the sweep")
 		healthTo = fs.String("health", "", "enable online fabric health monitoring on every cluster; write the incidents.tsv/json causal timelines (render with hpndoctor) into this directory after the sweep")
 		useMemo  = fs.String("memo", "off", "iteration memoization on every cluster: on | off (fast-forward repeated steady-state iterations; disables periodic sampling; composes with -shards)")
-		shards   = fs.Int("shards", 1, "worker goroutines for sharded experiments' parallel windows (0 = NumCPU); results are identical for every value, only wall-clock changes")
+		shards   = fs.Int("shards", 0, "worker goroutines for sharded experiments' parallel windows (0 = NumCPU); results are identical for every value, only wall-clock changes")
 		profTo   = fs.String("prof", "", "enable engine self-profiling on every cluster; write prof.tsv/json (render with hpnprof) and flight.tsv into this directory after the sweep")
 		cpuOut   = fs.String("cpuprofile", "", "write a pprof CPU profile of the whole sweep to this file")
 		memOut   = fs.String("memprofile", "", "write a pprof heap profile at exit to this file")
@@ -51,6 +52,10 @@ func run(args []string) (code int) {
 		if err == flag.ErrHelp {
 			return 0
 		}
+		return 2
+	}
+	if fs.NArg() > 0 {
+		fmt.Fprintf(os.Stderr, "hpnbench: unexpected argument %q (every option is a flag)\n", fs.Arg(0))
 		return 2
 	}
 
@@ -135,6 +140,10 @@ func run(args []string) (code int) {
 			ids = append(ids, e.ID)
 		}
 	} else {
+		if !slices.Contains(hpn.ExperimentIDs(), *exp) {
+			fmt.Fprintf(os.Stderr, "hpnbench: unknown experiment %q (have %v)\n", *exp, hpn.ExperimentIDs())
+			return 2
+		}
 		ids = []string{*exp}
 	}
 

@@ -6,6 +6,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -13,8 +14,8 @@ import (
 // status comes back from run, so the deferred stop is never skipped.
 func TestCPUProfileFlushedOnFailure(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "cpu.pprof")
-	if code := run([]string{"-exp", "nope", "-cpuprofile", path}); code != 1 {
-		t.Fatalf("unknown experiment: exit %d, want 1", code)
+	if code := run([]string{"-exp", "nope", "-cpuprofile", path}); code != 2 {
+		t.Fatalf("unknown experiment: exit %d, want 2", code)
 	}
 	data, err := os.ReadFile(path)
 	if err != nil {
@@ -46,9 +47,45 @@ func TestUsageErrorsExitTwo(t *testing.T) {
 		{"-shards", "-1"},
 		{"-scale", "huge"},
 		{"-nosuchflag"},
+		{"-exp", "bogus"},
+		{"stray", "-exp", "fig17"},
+		{"-list", "stray"},
 	} {
 		if code := run(args); code != 2 {
 			t.Errorf("run(%q): exit %d, want 2", args, code)
 		}
 	}
+}
+
+// -shards 1 means serial: the multipod comparison runs one worker on both
+// sides instead of silently widening to NumCPU.
+func TestShardsOneRunsOneWorker(t *testing.T) {
+	out := captureStdout(t, func() {
+		if code := run([]string{"-exp", "multipod", "-shards", "1"}); code != 0 {
+			t.Errorf("exit %d, want 0", code)
+		}
+	})
+	if !strings.Contains(out, "iterations, 1 workers --") {
+		t.Fatalf("multipod did not report one worker:\n%s", out)
+	}
+}
+
+// captureStdout returns what fn writes to os.Stdout.
+func captureStdout(t *testing.T, fn func()) string {
+	t.Helper()
+	r, w, err := os.Pipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	stdout := os.Stdout
+	os.Stdout = w
+	done := make(chan []byte)
+	go func() {
+		b, _ := io.ReadAll(r)
+		done <- b
+	}()
+	fn()
+	os.Stdout = stdout
+	w.Close()
+	return string(<-done)
 }

@@ -28,6 +28,10 @@ func main() {
 		all = flag.Bool("all", false, "list every iteration, not just regressed ones")
 	)
 	flag.Parse()
+	if flag.NArg() > 0 {
+		fmt.Fprintf(os.Stderr, "hpndoctor: unexpected argument %q (every option is a flag)\n", flag.Arg(0))
+		os.Exit(2)
+	}
 
 	f, err := os.Open(*in)
 	if err != nil {

@@ -53,6 +53,10 @@ func run(args []string) (code int) {
 		}
 		return 2
 	}
+	if fs.NArg() > 0 {
+		fmt.Fprintf(os.Stderr, "hpnsim: unexpected argument %q (every option is a flag)\n", fs.Arg(0))
+		return 2
+	}
 
 	if *cpuOut != "" {
 		stop, err := startCPUProfile(*cpuOut)

@@ -72,11 +72,13 @@ func TestShardsZeroSelectsNumCPU(t *testing.T) {
 }
 
 // Non-positive sizes are usage errors: they neither panic nor run an empty
-// simulation.
+// simulation. So is a stray positional argument, which would otherwise end
+// flag parsing and silently drop every later flag.
 func TestNonPositiveSizesExitTwo(t *testing.T) {
 	for _, args := range [][]string{
 		{"-tp", "0"}, {"-pp", "0"}, {"-hosts", "0"}, {"-pods", "2", "-hosts", "0"},
 		{"-iters", "0"}, {"-iters", "-2"}, {"-pods", "0"},
+		{"stray", "-iters", "1"}, {"-iters", "1", "stray"},
 	} {
 		if code := run(args); code != 2 {
 			t.Errorf("%v: exit %d, want 2", args, code)

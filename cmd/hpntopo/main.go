@@ -13,6 +13,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -32,6 +33,10 @@ func main() {
 		trace       = flag.String("trace", "", "INT-style path trace: 'srcHost:nic:port->dstHost:nic' (e.g. 0:0:1->200:0)")
 	)
 	flag.Parse()
+	if flag.NArg() > 0 {
+		fmt.Fprintf(os.Stderr, "hpntopo: unexpected argument %q (every option is a flag)\n", flag.Arg(0))
+		os.Exit(2)
+	}
 
 	var (
 		t   *topo.Topology
@@ -92,6 +97,9 @@ func main() {
 		hops, err := route.New(t).Trace(src, dst, sp, tuple, 0)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "hpntopo: trace: %v\n", err)
+			if errors.Is(err, route.ErrNoEndpoint) {
+				os.Exit(2)
+			}
 			os.Exit(1)
 		}
 		fmt.Print(route.FormatTrace(hops))

@@ -35,6 +35,10 @@ func main() {
 		topk = flag.Int("topk", 10, "how many contended links to report")
 	)
 	flag.Parse()
+	if flag.NArg() > 0 {
+		fmt.Fprintf(os.Stderr, "hpnview: unexpected argument %q (every option is a flag)\n", flag.Arg(0))
+		os.Exit(2)
+	}
 
 	f, err := os.Open(*in)
 	if err != nil {

@@ -10,9 +10,9 @@ func init() {
 }
 
 // shardWorkers is the worker count sharded experiments fan windows out
-// over; runners set it from their -shards flag. 1 (the default) runs shard
-// windows serially — the determinism baseline.
-var shardWorkers = 1
+// over; runners set it from their -shards flag. 0 (the default) selects
+// NumCPU and 1 runs shard windows serially.
+var shardWorkers = 0
 
 // SetShardWorkers sets how many goroutines sharded experiments use for
 // parallel shard windows; n <= 0 selects NumCPU (see Scenario.Workers).
@@ -25,6 +25,7 @@ func SetShardWorkers(n int) {
 // multiPodRun summarizes one sharded multi-pod training run.
 type multiPodRun struct {
 	hostRun
+	workers   int // resolved worker count
 	rounds    int
 	windows   int
 	exchanged int
@@ -49,7 +50,8 @@ func runMultiPodTraining(pods, hostsPerPod, iters, workers int) (*multiPodRun, e
 	if st.FirstErr != nil {
 		return nil, st.FirstErr
 	}
-	return &multiPodRun{hostRun: h, rounds: st.Rounds, windows: sc.Coord.Windows, exchanged: sc.Coord.Exchanged}, nil
+	return &multiPodRun{hostRun: h, workers: sc.Coord.Workers(), rounds: st.Rounds,
+		windows: sc.Coord.Windows, exchanged: sc.Coord.Exchanged}, nil
 }
 
 func runMultiPod(s Scale) (*Report, error) {
@@ -58,18 +60,15 @@ func runMultiPod(s Scale) (*Report, error) {
 	if s == ScaleFull {
 		pods, hostsPerPod, iters = 8, 16, 40
 	}
-	workers := shardWorkers
-	if workers <= 1 {
-		workers = runtime.NumCPU()
-	}
 	serial, err := runMultiPodTraining(pods, hostsPerPod, iters, 1)
 	if err != nil {
 		return nil, err
 	}
-	par, err := runMultiPodTraining(pods, hostsPerPod, iters, workers)
+	par, err := runMultiPodTraining(pods, hostsPerPod, iters, shardWorkers)
 	if err != nil {
 		return nil, err
 	}
+	workers := par.workers
 	speedup := 0.0
 	if par.wallSec > 0 {
 		speedup = serial.wallSec / par.wallSec

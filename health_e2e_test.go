@@ -68,8 +68,8 @@ func healthTrainingRun(t *testing.T, cfg HPNConfig, iters int, afterIter2 func(c
 // A Fig. 18 flap storm on a single-ToR access cable mid-training: the
 // monitor must open a flap-storm incident, attribute the comm-time
 // regression of the overlapping iterations to it, and map the timeline to
-// hpndoctor's incident exit code. The artifact must survive a TSV
-// round-trip bit-exactly — that is the hpndoctor input path.
+// hpndoctor's incident exit code. The artifact's TSV round-trip — the
+// hpndoctor input path — must give back the exact incidents and summary.
 func TestHealthE2EFlapStorm(t *testing.T) {
 	cfg := SmallHPN(1, 8, 8)
 	cfg.DualToR = false
@@ -83,6 +83,17 @@ func TestHealthE2EFlapStorm(t *testing.T) {
 			400*sim.Millisecond, 200*sim.Millisecond, 3)
 	})
 
+	// The TSV artifact is hpndoctor's input: parsing what the monitor wrote
+	// must reconstruct the exact incident list and the live summary.
+	var buf bytes.Buffer
+	if err := m.WriteTSV(&buf); err != nil {
+		t.Fatal(err)
+	}
+	incs, iters, err := health.ParseTSV(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+
 	s := m.Summary()
 	if s.Flap == 0 {
 		t.Fatalf("flap storm produced no flap-storm incident; summary %+v, incidents %+v",
@@ -93,30 +104,15 @@ func TestHealthE2EFlapStorm(t *testing.T) {
 			s.ExitCode(), health.ExitIncidents, s.Verdict())
 	}
 	if s.Regressed == 0 {
-		t.Fatalf("no iteration marked regressed despite the storm; iterations %+v", m.Iterations())
+		t.Fatalf("no iteration marked regressed despite the storm; iterations %+v", iters)
 	}
 	if s.Attributed == 0 {
 		t.Fatalf("regressed iterations have no incident attributed; iterations %+v, incidents %+v",
-			m.Iterations(), m.Incidents())
-	}
-
-	// The TSV artifact is hpndoctor's input: parsing what the monitor wrote
-	// must reconstruct the exact incident and iteration lists.
-	var buf bytes.Buffer
-	if err := m.WriteTSV(&buf); err != nil {
-		t.Fatal(err)
-	}
-	incs, iters, err := health.ParseTSV(&buf)
-	if err != nil {
-		t.Fatal(err)
+			iters, m.Incidents())
 	}
 	if !reflect.DeepEqual(incs, m.Incidents()) {
 		t.Fatalf("incidents did not survive the TSV round-trip:\nwrote:  %+v\nparsed: %+v",
 			m.Incidents(), incs)
-	}
-	if !reflect.DeepEqual(iters, m.Iterations()) {
-		t.Fatalf("iterations did not survive the TSV round-trip:\nwrote:  %+v\nparsed: %+v",
-			m.Iterations(), iters)
 	}
 	if got := health.Summarize(incs, iters); got != s {
 		t.Fatalf("summary from parsed timeline %+v != live summary %+v", got, s)
@@ -134,7 +130,7 @@ func TestHealthE2EQuietRun(t *testing.T) {
 		t.Fatalf("quiet run produced %d incidents: %+v", s.Incidents, m.Incidents())
 	}
 	if s.Regressed != 0 {
-		t.Fatalf("quiet run marked %d iterations regressed: %+v", s.Regressed, m.Iterations())
+		t.Fatalf("quiet run marked %d iterations regressed: %+v", s.Regressed, s)
 	}
 	if s.ExitCode() != health.ExitHealthy {
 		t.Fatalf("exit code %d, want 0; verdict %q", s.ExitCode(), s.Verdict())

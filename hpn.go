@@ -62,9 +62,6 @@ type CollectiveConfig = collective.Config
 // CollectiveGroup performs collectives among a host set.
 type CollectiveGroup = collective.Group
 
-// CollectiveResult reports one operation's timing and bandwidths.
-type CollectiveResult = collective.Result
-
 // NewCollectiveGroup establishes ring connections among hosts (all rails).
 func NewCollectiveGroup(c *Cluster, cfg CollectiveConfig, hosts []int) (*CollectiveGroup, error) {
 	return collective.NewGroup(c.Net, cfg, hosts, 8)
@@ -117,9 +114,6 @@ func NewTrainer(c *Cluster, job *Job) (*Trainer, error) {
 // TelemetryOptions.Health: streaming flap/stall/polarization/throughput
 // detectors plus per-iteration root-cause attribution.
 type HealthMonitor = health.Monitor
-
-// HealthSummary aggregates a monitor's timeline into the hpndoctor verdict.
-type HealthSummary = health.Summary
 
 // HealthMonitorOf returns the cluster's attached health monitor, or nil.
 func HealthMonitorOf(c *Cluster) *HealthMonitor { return health.MonitorOf(c.Net) }

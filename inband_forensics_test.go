@@ -80,7 +80,10 @@ func TestPolarizationDetectorEndToEnd(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			recs := collectInband(t, tc.dualPlane, tc.sharedSeed)
 			pairs := inband.DetectPolarization(recs)
-			got := inband.AnyPolarized(pairs)
+			got := false
+			for _, p := range pairs {
+				got = got || p.Polarized()
+			}
 			if got != tc.wantPolarized {
 				for _, p := range pairs {
 					t.Logf("  %s(%d) -> %s(%d): n=%d score=%.2f polarized=%v",

@@ -16,7 +16,9 @@ func railOnlyNet(t *testing.T) *netsim.Sim {
 	if err != nil {
 		t.Fatal(err)
 	}
-	top.MustValidate()
+	if errs := top.Validate(); len(errs) > 0 {
+		t.Fatalf("%d wiring violations, first: %v", len(errs), errs[0])
+	}
 	return netsim.New(sim.New(), top)
 }
 

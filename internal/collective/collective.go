@@ -156,18 +156,6 @@ func establishBlind(net *netsim.Sim, src, dst route.Endpoint, opt rdma.Establish
 	return cs, nil
 }
 
-// Probes reports the total candidate paths examined during establishment —
-// the measured counterpart of Table 1's search space.
-func (g *Group) Probes() int {
-	total := 0
-	for _, rail := range g.conns {
-		for _, cs := range rail {
-			total += cs.Probes
-		}
-	}
-	return total
-}
-
 // GPUs returns the number of GPUs in the group.
 func (g *Group) GPUs() int { return len(g.Hosts) * g.Rails }
 

@@ -3,9 +3,6 @@ package collective
 import (
 	"fmt"
 
-	"hpn/internal/netsim"
-	"hpn/internal/rdma"
-	"hpn/internal/route"
 	"hpn/internal/sim"
 	"hpn/internal/telemetry"
 )
@@ -68,51 +65,6 @@ func (g *Group) StartMultiAllReduce(bytes float64, onDone func(sim.Time, Result)
 	}
 	op.start()
 	return op, nil
-}
-
-// StartSend begins a PP-style point-to-point transfer between two hosts on
-// one rail, using that pair's ring connection set if present or a fresh
-// flow otherwise.
-func (g *Group) StartSend(srcHost, dstHost, rail int, bytes float64, onDone func(sim.Time, Result)) error {
-	start := g.Net.Eng.Now()
-	done := func(now sim.Time) {
-		g.ctrOps.Inc()
-		if g.Net.Trace != nil {
-			g.Net.Trace.Complete(int64(start), int64(now-start),
-				"collective", "send", g.tid,
-				telemetry.Arg{K: "bytes", V: bytes},
-				telemetry.Arg{K: "rail", V: rail})
-		}
-		if onDone != nil {
-			el := now - start
-			r := Result{Op: "send", Bytes: bytes, Elapsed: el}
-			if el > 0 {
-				r.AlgBW = bytes / el.Seconds()
-				r.BusBW = r.AlgBW
-			}
-			onDone(now, r)
-		}
-	}
-	if cs := g.connFor(srcHost, dstHost, rail); cs != nil {
-		_, err := cs.Send(bytes, done)
-		return err
-	}
-	src := route.Endpoint{Host: srcHost, NIC: rail}
-	dst := route.Endpoint{Host: dstHost, NIC: rail}
-	_, err := g.Net.StartFlow(src, dst, bytes, netsim.FlowOpts{
-		SrcPort:    -1,
-		OnComplete: func(now sim.Time, _ *netsim.Flow) { done(now) },
-	})
-	return err
-}
-
-func (g *Group) connFor(srcHost, dstHost, rail int) *rdma.ConnSet {
-	for i, h := range g.Hosts {
-		if h == srcHost && g.Hosts[(i+1)%len(g.Hosts)] == dstHost {
-			return g.conns[rail][i]
-		}
-	}
-	return nil
 }
 
 // intraDelay is the analytic NVLink stage duration: each GPU moves 7/8 of

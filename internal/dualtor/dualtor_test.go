@@ -75,12 +75,6 @@ func TestRespondRejectsBadPort(t *testing.T) {
 	}
 }
 
-func TestARPFanout(t *testing.T) {
-	if got := ARPFanout(2); len(got) != 2 || got[0] != 0 || got[1] != 1 {
-		t.Fatalf("ARPFanout = %v", got)
-	}
-}
-
 func TestStackedHealthy(t *testing.T) {
 	p := NewStackedPair(1)
 	if got := p.Evaluate(); got != RackHealthy {

@@ -110,14 +110,3 @@ func NegotiateNonStacked(cfgs [2]LACPConfig, port int) (Bond, error) {
 	}
 	return FormBond(duys)
 }
-
-// ARPFanout models the host duplicating every ARP message to both NIC
-// ports (the ARP Broadcast module of Figure 8b), so both independent ToRs
-// learn the binding and convert it to a /32 host route.
-func ARPFanout(ports int) []int {
-	out := make([]int, ports)
-	for i := range out {
-		out[i] = i
-	}
-	return out
-}

@@ -14,7 +14,9 @@ package hashing
 // what makes HPN's disjoint-path search (Algorithm 1) cheap in practice.
 
 // CRC16 computes a bitwise CRC-16 with the given polynomial over data,
-// with zero initial value and no final XOR, so it is strictly linear.
+// with zero initial value and no final XOR, so it is strictly linear. No
+// simulated switch hashes with it and no program calls this file: the
+// RePaC solver stands alone, and crc_test checks it against brute force.
 type CRC16 struct {
 	// Poly is the truncated polynomial (e.g. 0x1021 for CCITT).
 	Poly uint16

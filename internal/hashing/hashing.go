@@ -93,17 +93,6 @@ func (p PortHasher) FallbackSelect(t FiveTuple, n int) int {
 	return Hasher{Seed: p.Seed}.Select(t, n)
 }
 
-// Predictor gives hosts RePaC-style visibility into switch hashing: with
-// the switch hash parameters known, a host can compute the exact ECMP member
-// each (tuple, switch) pair selects, and therefore search source ports that
-// yield disjoint paths.
-type Predictor struct{}
-
-// Member returns the ECMP member a switch with the given hasher selects.
-// It is exact, not probabilistic — that is RePaC's "reprint the exact hash
-// results in each switch".
-func (Predictor) Member(h Hasher, t FiveTuple, n int) int { return h.Select(t, n) }
-
 // Imbalance quantifies load imbalance of a bucket-count vector as
 // max/mean. A perfectly balanced split gives 1.0; the paper's Figure 13a
 // shows ~3x between two ToR ports.
@@ -158,22 +147,4 @@ func RatioImbalance(loads []float64, cap float64) float64 {
 		return cap
 	}
 	return r
-}
-
-// PolarizationExperiment sends the given flows through two cascaded hashing
-// stages of fanout n1 then n2 and returns, for each first-stage bucket, the
-// distribution across second-stage buckets. With identical hashers the
-// second stage degenerates (polarizes): flows that agreed at stage one agree
-// again at stage two.
-func PolarizationExperiment(flows []FiveTuple, stage1, stage2 Hasher, n1, n2 int) [][]int {
-	out := make([][]int, n1)
-	for i := range out {
-		out[i] = make([]int, n2)
-	}
-	for _, f := range flows {
-		b1 := stage1.Select(f, n1)
-		b2 := stage2.Select(f, n2)
-		out[b1][b2]++
-	}
-	return out
 }

@@ -216,9 +216,6 @@ func MonitorOf(net *netsim.Sim) *Monitor {
 // callers must not mutate).
 func (m *Monitor) Incidents() []Incident { return m.incidents }
 
-// Iterations returns the per-iteration attribution reports (shared slice).
-func (m *Monitor) Iterations() []IterationReport { return m.iters }
-
 // OpenIncidents counts currently open incidents.
 func (m *Monitor) OpenIncidents() int {
 	n := 0

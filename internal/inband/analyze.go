@@ -362,14 +362,3 @@ func DetectPolarization(recs []Record) []StagePair {
 	}
 	return out
 }
-
-// AnyPolarized reports whether any stage pair trips the detector —
-// the run-level verdict hpnview prints.
-func AnyPolarized(pairs []StagePair) bool {
-	for i := range pairs {
-		if pairs[i].Polarized() {
-			return true
-		}
-	}
-	return false
-}

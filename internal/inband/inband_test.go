@@ -269,7 +269,7 @@ func TestDetectPolarization(t *testing.T) {
 	if p.NodeA != "tor" || p.NodeB != "agg" || p.Total != 64 {
 		t.Fatalf("pair misassembled: %+v", p)
 	}
-	if !p.Polarized() || !AnyPolarized(pairs) {
+	if !p.Polarized() {
 		t.Fatalf("degenerate cascade not flagged: score=%.2f conditioned=%d", p.Score, p.Conditioned)
 	}
 
@@ -277,7 +277,7 @@ func TestDetectPolarization(t *testing.T) {
 	// bucket's row.
 	ind := cascade(64, 4, 2, func(f, _ int) int { return (f / 4) % 2 })
 	pairs = DetectPolarization(ind)
-	if len(pairs) != 1 || pairs[0].Polarized() || AnyPolarized(pairs) {
+	if len(pairs) != 1 || pairs[0].Polarized() {
 		t.Fatalf("independent cascade falsely flagged: %+v", pairs)
 	}
 
@@ -325,7 +325,7 @@ func TestDetectPolarizationDedupesTuples(t *testing.T) {
 	if pairs[0].Total != 1 {
 		t.Fatalf("repeated tuple counted %d times, want 1", pairs[0].Total)
 	}
-	if pairs[0].Polarized() || AnyPolarized(pairs) {
+	if pairs[0].Polarized() {
 		t.Fatal("single connection flagged as polarization")
 	}
 }

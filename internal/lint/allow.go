@@ -2,7 +2,6 @@ package lint
 
 import (
 	"go/token"
-	"sort"
 	"strings"
 )
 
@@ -37,27 +36,6 @@ func (a *allowSet) allowed(file string, line int, rule string) bool {
 	}
 	d.used = true
 	return true
-}
-
-// stale returns the directives that never suppressed anything, in file/line
-// order.
-func (a *allowSet) stale(rule string) []*allowDirective {
-	var out []*allowDirective
-	for _, d := range a.directives {
-		if !d.used && d.rule == rule {
-			out = append(out, d)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].pos.Filename != out[j].pos.Filename {
-			return out[i].pos.Filename < out[j].pos.Filename
-		}
-		if out[i].pos.Line != out[j].pos.Line {
-			return out[i].pos.Line < out[j].pos.Line
-		}
-		return out[i].rule < out[j].rule
-	})
-	return out
 }
 
 // collectAllows scans every comment in the package for allow directives.

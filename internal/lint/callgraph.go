@@ -178,17 +178,6 @@ func (prog *Program) allowedAt(pkg *Package, pos token.Pos, rule string) bool {
 	return prog.allows[pkg].allowed(position.Filename, position.Line, rule)
 }
 
-// enclosingDecl returns the FuncInfo whose declaration encloses a node
-// position within pkg, or nil.
-func (prog *Program) enclosingDecl(pkg *Package, pos token.Pos) *FuncInfo {
-	for _, fi := range prog.order {
-		if fi.Pkg == pkg && fi.Decl.Pos() <= pos && pos <= fi.Decl.End() {
-			return fi
-		}
-	}
-	return nil
-}
-
 // paramObjs returns the parameter (and named receiver) objects of a
 // declaration, with the parameter tuple index for each plain parameter.
 func paramObjs(info *types.Info, fd *ast.FuncDecl) (params map[types.Object]int, recvAndParams map[types.Object]bool) {

@@ -116,16 +116,6 @@ func AllRules() []Rule {
 	}
 }
 
-// RuleByName resolves a rule name, or nil.
-func RuleByName(name string) Rule {
-	for _, r := range AllRules() {
-		if r.Name() == name {
-			return r
-		}
-	}
-	return nil
-}
-
 // knownRuleNames is the universe of valid rule names for allow directives.
 func knownRuleNames() map[string]bool {
 	known := map[string]bool{}
@@ -162,13 +152,6 @@ func (p *Pass) ReportChain(pos token.Pos, rule, msg string, chain []ChainFrame) 
 type Analysis struct {
 	Prog  *Program
 	Diags []Diagnostic
-}
-
-// Run applies rules to pkgs and returns the surviving diagnostics sorted
-// by position. Summaries are computed over pkgs only; use Analyze to lint
-// a subset against a wider context.
-func Run(fset *token.FileSet, info *types.Info, pkgs []*Package, rules []Rule) []Diagnostic {
-	return Analyze(fset, info, pkgs, pkgs, rules).Diags
 }
 
 // Analyze builds the module-wide program over context (a superset of

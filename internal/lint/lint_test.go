@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"go/token"
+	"go/types"
 	"os"
 	"path/filepath"
 	"regexp"
@@ -14,6 +15,12 @@ import (
 	"sync"
 	"testing"
 )
+
+// Run applies rules to pkgs and returns the surviving diagnostics sorted
+// by position, with summaries computed over pkgs only.
+func Run(fset *token.FileSet, info *types.Info, pkgs []*Package, rules []Rule) []Diagnostic {
+	return Analyze(fset, info, pkgs, pkgs, rules).Diags
+}
 
 // The source importer behind a Loader costs a few seconds of stdlib
 // parsing, so all tests share one Loader rooted at the repo's module.

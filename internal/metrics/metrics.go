@@ -1,6 +1,6 @@
 // Package metrics provides the measurement primitives shared by every
-// experiment harness: time series, distributions (CDF/percentiles), and
-// simple counters. All types are plain in-memory values; formatting for the
+// experiment harness: time series and distributions (CDF/percentiles).
+// All types are plain in-memory values; formatting for the
 // benchmark tables lives with the harness, not here.
 package metrics
 
@@ -145,16 +145,6 @@ func (d *Dist) Add(v float64) {
 	d.sorted = false
 }
 
-// AddN appends v n times (for weighted observations).
-func (d *Dist) AddN(v float64, n int) {
-	for i := 0; i < n; i++ {
-		d.Add(v)
-	}
-}
-
-// Len returns the sample count.
-func (d *Dist) Len() int { return len(d.samples) }
-
 func (d *Dist) sortSamples() {
 	if !d.sorted {
 		sort.Float64s(d.samples)
@@ -184,18 +174,6 @@ func (d *Dist) Percentile(p float64) float64 {
 	return d.samples[lo]*(1-frac) + d.samples[lo+1]*frac
 }
 
-// Mean returns the sample mean, or 0 if empty.
-func (d *Dist) Mean() float64 {
-	if len(d.samples) == 0 {
-		return 0
-	}
-	sum := 0.0
-	for _, v := range d.samples {
-		sum += v
-	}
-	return sum / float64(len(d.samples))
-}
-
 // CDFAt returns the empirical CDF evaluated at x: P(sample <= x).
 func (d *Dist) CDFAt(x float64) float64 {
 	if len(d.samples) == 0 {
@@ -204,42 +182,6 @@ func (d *Dist) CDFAt(x float64) float64 {
 	d.sortSamples()
 	n := sort.SearchFloat64s(d.samples, math.Nextafter(x, math.Inf(1)))
 	return float64(n) / float64(len(d.samples))
-}
-
-// CDF returns (x, F(x)) pairs at each distinct sample value, suitable for
-// plotting the empirical CDF.
-func (d *Dist) CDF() []Point {
-	if len(d.samples) == 0 {
-		return nil
-	}
-	d.sortSamples()
-	var out []Point
-	n := float64(len(d.samples))
-	for i, v := range d.samples {
-		//hpnlint:allow floateq -- collapsing bit-identical duplicates in sorted samples is exact by intent
-		if i+1 < len(d.samples) && d.samples[i+1] == v {
-			continue // emit only the last occurrence of each value
-		}
-		out = append(out, Point{T: v, V: float64(i+1) / n})
-	}
-	return out
-}
-
-// Counter is a named monotonic counter.
-type Counter struct {
-	Name  string
-	Value float64
-}
-
-// Add increments the counter.
-func (c *Counter) Add(v float64) { c.Value += v }
-
-// Gbps converts bits to Gbps over the given number of seconds.
-func Gbps(bits, seconds float64) float64 {
-	if seconds <= 0 {
-		return 0
-	}
-	return bits / seconds / 1e9
 }
 
 // HumanBytes formats a byte count the way the paper labels message sizes

@@ -83,13 +83,6 @@ func TestCDF(t *testing.T) {
 	if got := d.CDFAt(0); got != 0 {
 		t.Fatalf("CDFAt(0) = %v, want 0", got)
 	}
-	pts := d.CDF()
-	if len(pts) != 3 {
-		t.Fatalf("CDF points = %d, want 3 distinct", len(pts))
-	}
-	if pts[len(pts)-1].V != 1 {
-		t.Fatal("CDF must end at 1")
-	}
 }
 
 // Property: percentiles are monotone in p and bounded by the sample range.
@@ -102,7 +95,7 @@ func TestPercentileMonotoneProperty(t *testing.T) {
 			}
 			d.Add(v)
 		}
-		if d.Len() == 0 {
+		if len(d.samples) == 0 {
 			return true
 		}
 		prev := math.Inf(-1)
@@ -120,15 +113,6 @@ func TestPercentileMonotoneProperty(t *testing.T) {
 	}
 }
 
-func TestGbps(t *testing.T) {
-	if got := Gbps(4e11, 1); got != 400 {
-		t.Fatalf("Gbps = %v, want 400", got)
-	}
-	if Gbps(100, 0) != 0 {
-		t.Fatal("Gbps with zero time must be 0")
-	}
-}
-
 func TestHumanBytes(t *testing.T) {
 	cases := map[float64]string{
 		1 << 20:       "1M",
@@ -143,13 +127,5 @@ func TestHumanBytes(t *testing.T) {
 		if got := HumanBytes(in); got != want {
 			t.Errorf("HumanBytes(%v) = %q, want %q", in, got, want)
 		}
-	}
-}
-
-func TestDistAddN(t *testing.T) {
-	var d Dist
-	d.AddN(5, 3)
-	if d.Len() != 3 || d.Mean() != 5 {
-		t.Fatalf("AddN: len=%d mean=%v", d.Len(), d.Mean())
 	}
 }

@@ -5,8 +5,6 @@ package metrics
 // where memory must stay bounded over arbitrarily long runs but the most
 // recent window must never be dropped.
 type Ring struct {
-	Name string
-
 	cap  int // 0 = unbounded
 	buf  []Point
 	head int // index of the oldest sample once full
@@ -25,9 +23,6 @@ func NewRing(cap int) *Ring {
 	}
 	return r
 }
-
-// Cap returns the bound (0 = unbounded).
-func (r *Ring) Cap() int { return r.cap }
 
 // Add appends a sample, evicting the oldest when full.
 func (r *Ring) Add(t, v float64) {
@@ -50,18 +45,4 @@ func (r *Ring) At(i int) Point {
 		return r.buf[(r.head+i)%r.n]
 	}
 	return r.buf[i]
-}
-
-// Points returns the retained samples oldest-first as a fresh slice.
-func (r *Ring) Points() []Point {
-	out := make([]Point, r.n)
-	for i := 0; i < r.n; i++ {
-		out[i] = r.At(i)
-	}
-	return out
-}
-
-// Series unrolls the ring into an ordinary Series named after the ring.
-func (r *Ring) Series() *Series {
-	return &Series{Name: r.Name, Points: r.Points()}
 }

@@ -49,7 +49,9 @@ func (s *Sim) RecoverCable(l topo.LinkID) {
 	s.scheduleReroute(200 * sim.Millisecond)
 }
 
-// FailNode crashes a switch: every flow transiting it stalls.
+// FailNode crashes a switch: every flow transiting it stalls. No program
+// calls it; it stays as the node-failure chain (the §4 ToR crash) that the
+// allocator-differential and route-cache tests drive.
 func (s *Sim) FailNode(n topo.NodeID) {
 	s.beginMutate()
 	defer s.endMutate()
@@ -74,7 +76,7 @@ func (s *Sim) FailNode(n topo.NodeID) {
 	s.scheduleReroute(s.R.ConvergenceDelay)
 }
 
-// RecoverNode restores a crashed switch.
+// RecoverNode restores a crashed switch; see FailNode for why it stays.
 func (s *Sim) RecoverNode(n topo.NodeID) {
 	s.beginMutate()
 	defer s.endMutate()

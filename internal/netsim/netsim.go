@@ -117,6 +117,7 @@ type released struct {
 
 // Done reports whether the flow has completed (or was aborted). Asking a
 // completed flow is only valid while it is pinned or inside its callbacks.
+// Like Pin, it stays for the checked-build misuse tests.
 func (f *Flow) Done() bool {
 	f.live("Done")
 	return f.index < 0 && !f.Stalled
@@ -125,7 +126,8 @@ func (f *Flow) Done() bool {
 // Pin marks the flow as retained: the simulator will never recycle it, so
 // the handle stays valid after completion. Call it before the flow
 // completes; it returns the flow for chaining at the StartFlow call site.
-// Nil-safe.
+// Nil-safe. No program calls it; the checked-build misuse tests depend on
+// it.
 func (f *Flow) Pin() *Flow {
 	f.live("Pin")
 	if f != nil {

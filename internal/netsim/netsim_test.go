@@ -209,7 +209,7 @@ func TestToRCrashFailover(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tor := top.ToR(0, 0, 3, 0)
+	tor := top.Link(top.AccessLink(0, 3, 0)).To
 	eng.Schedule(sim.Millisecond, func() { s.FailNode(tor) })
 	eng.Run()
 	if !done {

@@ -56,8 +56,3 @@ func (s *Sim) TrackLink(l topo.LinkID, name string) *LinkProbe {
 	s.probeList = append(s.probeList, p)
 	return p
 }
-
-// Probes returns all registered probes in registration order.
-func (s *Sim) Probes() []*LinkProbe {
-	return append([]*LinkProbe(nil), s.probeList...)
-}

@@ -32,13 +32,6 @@ func (h *Hasher) Mix(v uint64) {
 	h.h *= 1099511628211
 }
 
-// MixString folds a string in byte-wise.
-func (h *Hasher) MixString(s string) {
-	for i := 0; i < len(s); i++ {
-		h.Mix(uint64(s[i]))
-	}
-}
-
 // Sum returns the current hash value.
 func (h *Hasher) Sum() uint64 { return h.h }
 

@@ -113,16 +113,6 @@ func (f *Flight) ordered() []Event {
 	return out
 }
 
-// Windows returns the number of marked evidence windows. Nil-safe.
-func (f *Flight) Windows() int {
-	if f == nil {
-		return 0
-	}
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return len(f.windows)
-}
-
 // WriteTSV dumps every marked window followed by the live tail (the ring
 // at write time). One flat schema: the window column is w01..w16 or
 // "tail"; each window opens with a kind=mark row carrying the incident

@@ -96,14 +96,6 @@ func (ph *Phase) Add(n int64) {
 	ph.count.Add(n)
 }
 
-// Name returns the phase name ("" on nil).
-func (ph *Phase) Name() string {
-	if ph == nil {
-		return ""
-	}
-	return ph.name
-}
-
 // stat reads the accumulators.
 func (ph *Phase) stat() PhaseStat {
 	return PhaseStat{Name: ph.name, Help: ph.help,

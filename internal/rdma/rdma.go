@@ -61,9 +61,6 @@ func (c *Conn) flowDone(_ sim.Time, f *netsim.Flow) {
 	}
 }
 
-// Outstanding returns the connection's current WQE byte count.
-func (c *Conn) Outstanding() float64 { return c.wqeBytes }
-
 // ConnSet is the group of disjoint-path connections to one peer.
 type ConnSet struct {
 	Net   *netsim.Sim
@@ -227,13 +224,4 @@ func (cs *ConnSet) post(c *Conn, bytes float64, onComplete func(now sim.Time)) (
 func (cs *ConnSet) SendOn(i int, bytes float64, onComplete func(now sim.Time)) (*netsim.Flow, error) {
 	c := cs.Conns[i%len(cs.Conns)]
 	return cs.post(c, bytes, onComplete)
-}
-
-// Outstanding sums WQE bytes across the set.
-func (cs *ConnSet) Outstanding() float64 {
-	sum := 0.0
-	for _, c := range cs.Conns {
-		sum += c.wqeBytes
-	}
-	return sum
 }

@@ -38,9 +38,6 @@ type Endpoint struct {
 // FiveTuple.{Src,Dst}Addr.
 func (e Endpoint) Addr() uint32 { return uint32(e.Host)<<8 | uint32(e.NIC) }
 
-// EndpointOfAddr inverts Addr.
-func EndpointOfAddr(a uint32) Endpoint { return Endpoint{Host: int(a >> 8), NIC: int(a & 0xff)} }
-
 // Router answers path queries over one topology.
 type Router struct {
 	T *topo.Topology
@@ -151,7 +148,9 @@ func (r *Router) NoteLinkRecovered(l topo.LinkID) {
 	delete(r.failedAt, r.T.Link(l).Reverse)
 }
 
-// NoteNodeFailed / NoteNodeRecovered are the node-level equivalents.
+// NoteNodeFailed / NoteNodeRecovered are the node-level equivalents. No
+// program calls them; they stay as part of the node-failure chain (the §4
+// ToR crash) that the allocator-differential and route-cache tests drive.
 func (r *Router) NoteNodeFailed(n topo.NodeID, at sim.Time) {
 	r.noteFailure(at)
 	r.nodeFailedAt[n] = at
@@ -162,7 +161,8 @@ func (r *Router) NoteNodeFailed(n topo.NodeID, at sim.Time) {
 	}
 }
 
-// NoteNodeRecovered clears a node failure.
+// NoteNodeRecovered clears a node failure; see NoteNodeFailed for why it
+// stays.
 func (r *Router) NoteNodeRecovered(n topo.NodeID) { delete(r.nodeFailedAt, n) }
 
 // noteFailure advances lastFailAt to at.

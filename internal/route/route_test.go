@@ -25,10 +25,12 @@ func tupleFor(src, dst Endpoint, sport uint16) hashing.FiveTuple {
 	}
 }
 
+// Distinct endpoints hash on distinct addresses.
 func TestAddrRoundTrip(t *testing.T) {
-	f := func(h uint16, n uint8) bool {
-		e := Endpoint{Host: int(h), NIC: int(n)}
-		return EndpointOfAddr(e.Addr()) == e
+	f := func(h1, h2 uint16, n1, n2 uint8) bool {
+		a := Endpoint{Host: int(h1), NIC: int(n1)}
+		b := Endpoint{Host: int(h2), NIC: int(n2)}
+		return (a == b) == (a.Addr() == b.Addr())
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
@@ -285,7 +287,7 @@ func TestDCNIntraSegmentReroute(t *testing.T) {
 func TestToRCrash(t *testing.T) {
 	top, r := buildSmall(t, 2, 4, 4)
 	src, dst := Endpoint{0, 0}, Endpoint{4, 0}
-	tor := top.ToR(0, 0, 0, 0) // src's rail-0 plane-0 ToR
+	tor := top.Link(top.AccessLink(0, 0, 0)).To // src's rail-0 plane-0 ToR
 	top.SetNodeState(tor, false)
 	r.NoteNodeFailed(tor, 0)
 	now := r.ConvergenceDelay + sim.Millisecond

@@ -1,6 +1,7 @@
 package route
 
 import (
+	"errors"
 	"fmt"
 	"strings"
 
@@ -23,10 +24,25 @@ type Hop struct {
 	Egress      topo.LinkID
 }
 
+// ErrNoEndpoint is the error Trace wraps when an endpoint or the source
+// port does not exist in the topology.
+var ErrNoEndpoint = errors.New("route: no such endpoint")
+
 // Trace computes the path a flow takes and returns per-hop records
 // including the physical port numbers — the software analogue of sending
-// an INT probe.
+// an INT probe. Unlike Path, it checks that both endpoints and the source
+// port exist, so it is safe on endpoints read from user input.
 func (r *Router) Trace(src, dst Endpoint, srcPort int, tuple hashing.FiveTuple, now sim.Time) ([]Hop, error) {
+	ports, err := r.nicPorts(src)
+	if err != nil {
+		return nil, err
+	}
+	if srcPort < 0 || srcPort >= len(ports) {
+		return nil, fmt.Errorf("%w: NIC %d:%d has no port %d (it has %d)", ErrNoEndpoint, src.Host, src.NIC, srcPort, len(ports))
+	}
+	if _, err := r.nicPorts(dst); err != nil {
+		return nil, err
+	}
 	path, blackholed, err := r.Path(src, dst, srcPort, tuple, now)
 	if err != nil {
 		return nil, err
@@ -59,6 +75,19 @@ func (r *Router) Trace(src, dst Endpoint, srcPort int, tuple hashing.FiveTuple, 
 			telemetry.Arg{K: "hops", V: len(hops)})
 	}
 	return hops, nil
+}
+
+// nicPorts returns the access links of e's NIC, or an error when the
+// topology has no such host or NIC.
+func (r *Router) nicPorts(e Endpoint) ([]topo.LinkID, error) {
+	if e.Host < 0 || e.Host >= len(r.T.Hosts) {
+		return nil, fmt.Errorf("%w: no host %d (the topology has %d)", ErrNoEndpoint, e.Host, len(r.T.Hosts))
+	}
+	nics := r.T.Hosts[e.Host].NICs
+	if e.NIC < 0 || e.NIC >= len(nics) {
+		return nil, fmt.Errorf("%w: host %d has no NIC %d (it has %d)", ErrNoEndpoint, e.Host, e.NIC, len(nics))
+	}
+	return nics[e.NIC].Ports, nil
 }
 
 // FormatTrace renders hops as one line per hop, hpntopo-style.

@@ -1,6 +1,7 @@
 package route
 
 import (
+	"errors"
 	"strings"
 	"testing"
 
@@ -56,5 +57,32 @@ func TestTraceBlackholeReported(t *testing.T) {
 	// Pre-convergence, plane-0 traces blackhole.
 	if _, err := r.Trace(src, dst, 0, tupleFor(src, dst, 7), 1); err == nil {
 		t.Fatal("blackholed trace reported success")
+	}
+}
+
+// Trace takes its endpoints from user input (hpntopo -trace), so a host,
+// NIC or port outside the topology is an error, not an index panic.
+func TestTraceRejectsOutOfRangeEndpoints(t *testing.T) {
+	top, r := buildSmall(t, 2, 4, 4)
+	cases := []struct {
+		name     string
+		src, dst Endpoint
+		port     int
+	}{
+		{"src port", Endpoint{0, 0}, Endpoint{1, 0}, 9},
+		{"negative src port", Endpoint{0, 0}, Endpoint{1, 0}, -1},
+		{"src nic", Endpoint{0, 9}, Endpoint{1, 0}, 0},
+		{"dst nic", Endpoint{0, 0}, Endpoint{1, 99}, 0},
+		{"src host", Endpoint{len(top.Hosts), 0}, Endpoint{1, 0}, 0},
+		{"negative src host", Endpoint{-1, 0}, Endpoint{1, 0}, 0},
+		{"dst host", Endpoint{0, 0}, Endpoint{999999, 0}, 0},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			_, err := r.Trace(tc.src, tc.dst, tc.port, tupleFor(tc.src, tc.dst, 7), 0)
+			if !errors.Is(err, ErrNoEndpoint) {
+				t.Fatalf("Trace(%v -> %v port %d) = %v, want ErrNoEndpoint", tc.src, tc.dst, tc.port, err)
+			}
+		})
 	}
 }

@@ -31,9 +31,6 @@ const (
 // MaxTime is the largest representable virtual time.
 const MaxTime = Time(math.MaxInt64)
 
-// Duration converts a standard library duration to virtual time.
-func Duration(d time.Duration) Time { return Time(d.Nanoseconds()) }
-
 // Seconds returns t expressed in seconds as a float.
 func (t Time) Seconds() float64 { return float64(t) / float64(Second) }
 
@@ -73,19 +70,23 @@ type released struct {
 	fn  string
 }
 
-// Canceled reports whether the event was canceled before firing.
+// Canceled reports whether the event was canceled before firing. Like At
+// and Pin, no program calls it; the checked-build misuse tests depend on
+// it.
 func (e *Event) Canceled() bool {
 	e.live("Canceled")
 	return e != nil && e.cancel
 }
 
-// At returns the virtual time the event is scheduled for.
+// At returns the virtual time the event is scheduled for. The
+// checked-build misuse tests depend on it.
 func (e *Event) At() Time { return e.at }
 
 // Pin marks the event as retained: the engine will never recycle it into
 // the free list, so the handle stays valid (for Cancel / Reschedule /
 // Canceled) after the event fires. Returns the event for chaining at the
-// Schedule call site. Nil-safe.
+// Schedule call site. Nil-safe. The checked-build misuse tests depend on
+// it.
 func (e *Event) Pin() *Event {
 	e.live("Pin")
 	if e != nil {

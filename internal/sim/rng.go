@@ -20,7 +20,8 @@ func NewRNG(seed uint64) *RNG {
 }
 
 // Fork derives an independent stream labeled by id. Streams with distinct
-// labels from the same parent are statistically independent.
+// labels from the same parent are statistically independent. No program
+// calls it; it stays because hpnlint's globalrand rule tells users to.
 func (r *RNG) Fork(id uint64) *RNG {
 	return NewRNG(mix64(r.state ^ mix64(id+0x632be59bd9b4e019)))
 }
@@ -78,24 +79,3 @@ func (r *RNG) Normal(mean, stddev float64) float64 {
 
 // Bernoulli returns true with probability p.
 func (r *RNG) Bernoulli(p float64) bool { return r.Float64() < p }
-
-// Perm returns a random permutation of [0, n).
-func (r *RNG) Perm(n int) []int {
-	p := make([]int, n)
-	for i := range p {
-		p[i] = i
-	}
-	for i := n - 1; i > 0; i-- {
-		j := r.Intn(i + 1)
-		p[i], p[j] = p[j], p[i]
-	}
-	return p
-}
-
-// Shuffle randomizes the order of n elements using swap.
-func (r *RNG) Shuffle(n int, swap func(i, j int)) {
-	for i := n - 1; i > 0; i-- {
-		j := r.Intn(i + 1)
-		swap(i, j)
-	}
-}

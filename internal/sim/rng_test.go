@@ -3,7 +3,6 @@ package sim
 import (
 	"math"
 	"testing"
-	"testing/quick"
 )
 
 func TestRNGDeterminism(t *testing.T) {
@@ -97,24 +96,6 @@ func TestNormalMoments(t *testing.T) {
 	variance := sumsq/n - m*m
 	if math.Abs(m-mean) > 0.05 || math.Abs(math.Sqrt(variance)-sd) > 0.05 {
 		t.Fatalf("Normal moments: mean=%v sd=%v", m, math.Sqrt(variance))
-	}
-}
-
-func TestPermIsPermutation(t *testing.T) {
-	f := func(seed uint64, nRaw uint8) bool {
-		n := int(nRaw%64) + 1
-		p := NewRNG(seed).Perm(n)
-		seen := make([]bool, n)
-		for _, v := range p {
-			if v < 0 || v >= n || seen[v] {
-				return false
-			}
-			seen[v] = true
-		}
-		return true
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
 	}
 }
 

@@ -9,16 +9,9 @@
 // shard with its own Engine (heap + virtual clock); everything that spans
 // pods — core links, cross-pod flows, the cross-pod phase of a collective
 // — lives in one global domain whose engine only runs while every shard is
-// quiescent. Windows are then derived, not configured:
-//
-//	W = min( next global event, min shard next event + Lookahead )
-//
-// With Lookahead 0 (the fabric's true cross-shard latency) the second term
-// is disabled and shards simply run in parallel up to the next global
-// event; with a positive Lookahead (a future fabric that models
-// propagation delay) direct shard-to-shard posts are admitted as long as
-// each declares a delay >= Lookahead, which provably keeps every delivery
-// inside the receiver's future.
+// quiescent. Windows are then derived, not configured: with zero
+// cross-shard latency, shards simply run in parallel up to the next global
+// event, and a direct shard-to-shard post is forbidden.
 //
 // Cross-domain interaction goes through per-sender mailboxes drained at
 // window barriers in (sender domain ID, send sequence) order. This is the
@@ -54,9 +47,6 @@ type post struct {
 type Sharded struct {
 	engines []*Engine // index 0 = global domain, 1..K = shards
 	workers int
-	// lookahead is the minimum declared latency of direct shard-to-shard
-	// posts; 0 means such posts are forbidden (hub-and-spoke only).
-	lookahead Time
 
 	// outbox[d] collects domain d's outgoing posts during a window. Each
 	// slice has exactly one writer — the goroutine executing domain d — and
@@ -96,12 +86,6 @@ func NewSharded(global *Engine, shards []*Engine) *Sharded {
 	}
 }
 
-// Shards returns the number of shard domains (excluding the global one).
-func (s *Sharded) Shards() int { return len(s.engines) - 1 }
-
-// Engine returns the engine of domain id (GlobalDomain or 1..Shards()).
-func (s *Sharded) Engine(id int) *Engine { return s.engines[id] }
-
 // SetWorkers sets how many goroutines execute shard windows; n <= 1 runs
 // shards serially in domain order, which is the determinism baseline the
 // golden tests compare against. Artifacts are byte-identical for every n.
@@ -115,17 +99,6 @@ func (s *Sharded) SetWorkers(n int) {
 // Workers returns the configured worker count.
 func (s *Sharded) Workers() int { return s.workers }
 
-// SetLookahead declares the minimum cross-shard interaction latency,
-// admitting direct shard-to-shard posts whose delay is at least la. Zero
-// (the default, and the truth for latency-free fabrics) forbids them:
-// cross-shard interaction must be routed through the global domain.
-func (s *Sharded) SetLookahead(la Time) {
-	if la < 0 {
-		la = 0
-	}
-	s.lookahead = la
-}
-
 // SetProfiler registers the coordinator's phases. Nil-safe.
 func (s *Sharded) SetProfiler(p *prof.Profiler) {
 	s.phWindow = p.Phase("sim/window_sync", "parallel shard windows executed (wall covers run+join of each window)")
@@ -135,12 +108,12 @@ func (s *Sharded) SetProfiler(p *prof.Profiler) {
 // Post sends fn to domain `to`, to run at the sender's current time plus
 // delay. It must be called from code executing on domain `from` (the
 // sender's engine), which makes the append single-writer. Direct
-// shard-to-shard posts require delay >= Lookahead; posts to or from the
-// global domain carry no such bound because the global engine never runs
-// concurrently with a shard — but their delivery still waits for the next
-// barrier, so a delivery time inside the receiver's already-executed
-// window is clamped forward to the receiver's clock (deterministically:
-// window edges and shard progress do not depend on the worker count).
+// shard-to-shard posts are forbidden; posts to or from the global domain
+// are safe because the global engine never runs concurrently with a
+// shard — but their delivery still waits for the next barrier, so a
+// delivery time inside the receiver's already-executed window is clamped
+// forward to the receiver's clock (deterministically: window edges and
+// shard progress do not depend on the worker count).
 func (s *Sharded) Post(from int, delay Time, to int, fn func()) {
 	if to < 0 || to >= len(s.engines) || from < 0 || from >= len(s.engines) {
 		panic(fmt.Sprintf("sim: post from domain %d to domain %d out of range", from, to))
@@ -149,15 +122,8 @@ func (s *Sharded) Post(from int, delay Time, to int, fn func()) {
 		delay = 0
 	}
 	if from != GlobalDomain && to != GlobalDomain && from != to {
-		if s.lookahead <= 0 {
-			panic(fmt.Sprintf(
-				"sim: direct shard %d->%d post is forbidden at lookahead 0; route it through the global domain", from, to))
-		}
-		if delay < s.lookahead {
-			panic(fmt.Sprintf(
-				"sim: direct shard %d->%d post with delay %v below lookahead %v; route it through the global domain",
-				from, to, delay, s.lookahead))
-		}
+		panic(fmt.Sprintf(
+			"sim: direct shard %d->%d post is forbidden; route it through the global domain", from, to))
 	}
 	s.outbox[from] = append(s.outbox[from], post{to: to, at: s.engines[from].Now() + delay, fn: fn})
 }
@@ -209,11 +175,10 @@ func nextFire(e *Engine) (Time, bool) {
 // domain exclusively up to the earliest shard event — shards are quiescent,
 // so cross-shard state is owned by exactly one goroutine — or (b) runs
 // every shard with work in parallel through the window ending at the next
-// global event (extended by Lookahead bookkeeping when configured). Ties
-// go to the global domain. The artifact streams produced are identical
-// for every worker count: window edges depend only on event times, and
-// mailbox merges are ordered by (sender, send seq), never by goroutine
-// scheduling.
+// global event. Ties go to the global domain. The artifact streams
+// produced are identical for every worker count: window edges depend only
+// on event times, and mailbox merges are ordered by (sender, send seq),
+// never by goroutine scheduling.
 func (s *Sharded) Run() {
 	for {
 		s.exchange()
@@ -237,11 +202,6 @@ func (s *Sharded) Run() {
 			w := gNext
 			if !gHas {
 				w = MaxTime
-			}
-			if s.lookahead > 0 {
-				if la := minShard + s.lookahead; la < w {
-					w = la
-				}
 			}
 			s.window(w)
 		}

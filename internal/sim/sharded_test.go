@@ -116,37 +116,18 @@ func TestShardedDeterministicMerge(t *testing.T) {
 	}
 }
 
-// TestShardedDirectPostLookahead checks the lookahead contract: direct
-// shard-to-shard posts are forbidden at lookahead 0 and below the declared
-// lookahead, admitted at or above it.
+// TestShardedDirectPostLookahead checks the zero-lookahead contract: a
+// direct shard-to-shard post panics, whatever its delay.
 func TestShardedDirectPostLookahead(t *testing.T) {
-	mustPanic := func(name string, fn func()) {
-		t.Helper()
-		defer func() {
-			if recover() == nil {
-				t.Errorf("%s did not panic", name)
-			}
-		}()
-		fn()
-	}
-
 	g := New()
 	a, b := New(), New()
 	s := NewSharded(g, []*Engine{a, b})
-	mustPanic("zero-lookahead direct post", func() { s.Post(1, 10, 2, func() {}) })
-
-	s.SetLookahead(5)
-	mustPanic("below-lookahead direct post", func() { s.Post(1, 4, 2, func() {}) })
-
-	fired := false
-	a.ScheduleAt(10, func() { s.Post(1, 5, 2, func() { fired = true }) })
-	s.Run()
-	if !fired {
-		t.Error("at-lookahead direct post never delivered")
-	}
-	if b.Now() != 15 {
-		t.Errorf("delivery at %v, want 15ns", b.Now())
-	}
+	defer func() {
+		if recover() == nil {
+			t.Error("direct shard-to-shard post did not panic")
+		}
+	}()
+	s.Post(1, 10, 2, func() {})
 }
 
 // TestShardedClampedDelivery pins the barrier-delivery clamp: a global post

@@ -71,7 +71,7 @@ func TestRegistryConcurrentUse(t *testing.T) {
 	if got := ctr.Value(); got != writers*iters {
 		t.Fatalf("counter = %v, want %d", got, writers*iters)
 	}
-	if got := hist.Count(); got != writers*iters {
+	if _, _, _, got := hist.snapshot(); got != writers*iters {
 		t.Fatalf("histogram count = %d, want %d", got, writers*iters)
 	}
 	if got := gaugeVal.Load(); got != writers*iters {

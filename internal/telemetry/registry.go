@@ -259,7 +259,8 @@ func (r *Registry) SumSuffix(suffix string) float64 {
 // WriteJSON streams every counter, gauge and (flattened) histogram as one
 // sorted JSON object keyed by metric name. Histograms flatten to
 // `name_bucket_le_<bound>` cumulative counts plus `name_sum`/`name_count`
-// so the object stays a flat name->number map.
+// so the object stays a flat name->number map. No program calls it; it
+// produces the golden determinism suite's metrics.json.
 func (r *Registry) WriteJSON(w io.Writer) error {
 	if r == nil {
 		return nil
@@ -281,13 +282,8 @@ func (r *Registry) WriteJSON(w io.Writer) error {
 	return bw.Flush()
 }
 
-// SanitizeMetricName maps an internal metric name onto the Prometheus
-// charset [a-zA-Z0-9_:]; everything else becomes '_'.
-func SanitizeMetricName(name string) string {
-	return string(appendSanitized(nil, name))
-}
-
-// appendSanitized appends SanitizeMetricName(name) to b.
+// appendSanitized appends name to b mapped onto the Prometheus charset
+// [a-zA-Z0-9_:]; everything else becomes '_'.
 func appendSanitized(b []byte, name string) []byte {
 	for i := 0; i < len(name); i++ {
 		c := name[i]

@@ -52,9 +52,7 @@ func (s *Sampler) Track(name string, fn func() float64) *SamplerProbe {
 	if s == nil || fn == nil {
 		return nil
 	}
-	ring := metrics.NewRing(s.RingCap)
-	ring.Name = name
-	p := &SamplerProbe{Name: name, Fn: fn, Ring: ring}
+	p := &SamplerProbe{Name: name, Fn: fn, Ring: metrics.NewRing(s.RingCap)}
 	s.mu.Lock()
 	s.probes = append(s.probes, p)
 	s.mu.Unlock()
@@ -87,17 +85,6 @@ func (s *Sampler) Probes() []*SamplerProbe {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return append([]*SamplerProbe(nil), s.probes...)
-}
-
-// Series unrolls every probe ring into plain series, in registration
-// order.
-func (s *Sampler) Series() []*metrics.Series {
-	probes := s.Probes()
-	out := make([]*metrics.Series, 0, len(probes))
-	for _, p := range probes {
-		out = append(out, p.Ring.Series())
-	}
-	return out
 }
 
 // WriteCSV streams every retained sample in long form (series,t,value),

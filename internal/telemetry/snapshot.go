@@ -174,11 +174,6 @@ func (d *MetricsDelta) Exclude(names []string) {
 	d.counters = kept
 }
 
-// Empty reports whether the delta moves nothing.
-func (d *MetricsDelta) Empty() bool {
-	return d == nil || (len(d.counters) == 0 && len(d.hists) == 0)
-}
-
 // ApplyMetricsDelta adds the delta into the registry's counters and
 // histograms, in sorted name order. Metrics that no longer exist are
 // skipped (a recorded window only ever references metrics the same run

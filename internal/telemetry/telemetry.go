@@ -77,7 +77,6 @@ type Hub struct {
 	Flight *prof.Flight
 
 	mu       sync.Mutex
-	samplers []*Sampler
 	clusters int
 
 	// parent, on a hub derived with ShardHub, is the root hub that owns
@@ -136,7 +135,6 @@ func (h *Hub) JoinCluster() (prefix string, smp *Sampler) {
 	if h.Opt.SampleInterval > 0 {
 		smp = NewSampler(h.Opt.SampleInterval, sampleRingCap)
 		smp.AttachTracer(h.Tracer)
-		h.samplers = append(h.samplers, smp)
 	}
 	return prefix, smp
 }
@@ -174,13 +172,6 @@ func (h *Hub) ShardHub() *Hub {
 		sh.Flight = prof.NewFlight(0)
 	}
 	return sh
-}
-
-// Samplers returns every per-cluster sampler created so far.
-func (h *Hub) Samplers() []*Sampler {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return append([]*Sampler(nil), h.samplers...)
 }
 
 // WriteArtifacts runs every registered artifact exporter, writing each to

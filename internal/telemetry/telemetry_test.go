@@ -79,7 +79,7 @@ func TestTracerNilSafe(t *testing.T) {
 	if tr.Process("x") != nil {
 		t.Error("nil.Process should stay nil")
 	}
-	if tr.Events() != 0 || tr.Dropped() != 0 || tr.Pid() != 0 {
+	if tr.Events() != 0 || tr.Dropped() != 0 {
 		t.Error("nil tracer should report zeros")
 	}
 	var buf bytes.Buffer
@@ -133,8 +133,8 @@ func TestTracerProcessViewsShareBuffer(t *testing.T) {
 	b := tr.Process("beta")
 	a.Instant(1, "c", "ea", 1)
 	b.Instant(2, "c", "eb", 1)
-	if a.Pid() == b.Pid() {
-		t.Fatalf("views share pid %d", a.Pid())
+	if a.pid == b.pid {
+		t.Fatalf("views share pid %d", a.pid)
 	}
 	doc := parseTrace(t, tr)
 	pids := map[float64]bool{}
@@ -242,8 +242,8 @@ func TestSanitizeMetricName(t *testing.T) {
 		"ok_name:sub":        "ok_name:sub",
 	}
 	for in, want := range cases {
-		if got := SanitizeMetricName(in); got != want {
-			t.Errorf("SanitizeMetricName(%q) = %q, want %q", in, got, want)
+		if got := string(appendSanitized(nil, in)); got != want {
+			t.Errorf("appendSanitized(%q) = %q, want %q", in, got, want)
 		}
 	}
 }
@@ -317,8 +317,8 @@ func TestHubJoinClusterPrefixes(t *testing.T) {
 	if s1 == nil || s2 == nil || s1 == s2 {
 		t.Error("each cluster should get its own sampler")
 	}
-	if len(h.Samplers()) != 2 {
-		t.Errorf("hub tracks %d samplers, want 2", len(h.Samplers()))
+	if s1 != nil && s1.RingCap <= 0 {
+		t.Error("the hub's sampler keeps unbounded series")
 	}
 	if h.Tracer == nil {
 		t.Error("default options should enable tracing")

@@ -145,14 +145,6 @@ func (t *Tracer) Process(name string) *Tracer {
 	return v
 }
 
-// Pid returns the tracer view's process ID (0 on nil).
-func (t *Tracer) Pid() int {
-	if t == nil {
-		return 0
-	}
-	return t.pid
-}
-
 // Complete records a complete ("X") span: [tsNS, tsNS+durNS) on the given
 // thread track. Nil-safe.
 func (t *Tracer) Complete(tsNS, durNS int64, cat, name string, tid int, args ...Arg) {

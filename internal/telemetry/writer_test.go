@@ -58,7 +58,7 @@ func oracleHists(r *Registry) []*Histogram {
 func oraclePrometheus(r *Registry) []byte {
 	var b strings.Builder
 	for _, row := range oracleRows(r) {
-		name := SanitizeMetricName(row.name)
+		name := string(appendSanitized(nil, row.name))
 		if row.help != "" {
 			fmt.Fprintf(&b, "# HELP %s %s\n", name, row.help)
 		}
@@ -70,7 +70,7 @@ func oraclePrometheus(r *Registry) []byte {
 	}
 	for _, h := range oracleHists(r) {
 		bounds, counts, sum, n := h.snapshot()
-		name := SanitizeMetricName(h.name)
+		name := string(appendSanitized(nil, h.name))
 		if h.help != "" {
 			fmt.Fprintf(&b, "# HELP %s %s\n", name, h.help)
 		}
@@ -244,7 +244,7 @@ func randomArgs(rng *rand.Rand) []Arg {
 // and mirrors them into the oracle.
 func driveTrace(rng *rand.Rand, tr *Tracer, o *oracleTrace, n int) {
 	views := []*Tracer{tr, tr.Process("second")}
-	o.meta(views[1].Pid(), "process_name", -1, "second")
+	o.meta(views[1].pid, "process_name", -1, "second")
 	for i := 0; i < n; i++ {
 		v := views[rng.Intn(2)]
 		ts, dur := artifacttest.Int64(rng), artifacttest.Int64(rng)
@@ -253,22 +253,22 @@ func driveTrace(rng *rand.Rand, tr *Tracer, o *oracleTrace, n int) {
 		case 0:
 			args := randomArgs(rng)
 			v.Complete(ts, dur, cat, name, tid, args...)
-			o.record(v.Pid(), 'X', ts, dur, cat, name, tid, args)
+			o.record(v.pid, 'X', ts, dur, cat, name, tid, args)
 		case 1:
 			args := randomArgs(rng)
 			v.Instant(ts, cat, name, tid, args...)
-			o.record(v.Pid(), 'i', ts, -1, cat, name, tid, args)
+			o.record(v.pid, 'i', ts, -1, cat, name, tid, args)
 		case 2:
 			x := artifacttest.Float(rng)
 			v.Counter(ts, name, x)
-			o.record(v.Pid(), 'C', ts, -1, "", name, 0, []Arg{{K: "value", V: x}})
+			o.record(v.pid, 'C', ts, -1, "", name, 0, []Arg{{K: "value", V: x}})
 		case 3:
 			v.NameThread(tid, name)
-			o.meta(v.Pid(), "thread_name", tid, name)
+			o.meta(v.pid, "thread_name", tid, name)
 		default:
 			args := randomArgs(rng)
 			v.Emit('X', ts, dur, cat, name, tid, args)
-			o.record(v.Pid(), 'X', ts, dur, cat, name, tid, args)
+			o.record(v.pid, 'X', ts, dur, cat, name, tid, args)
 		}
 	}
 }

@@ -82,7 +82,6 @@ func BuildDCN(cfg DCNConfig) (*Topology, error) {
 			HashSeed: seed,
 		})
 		cores = append(cores, id)
-		t.coreIndex[0] = append(t.coreIndex[0], id)
 	}
 
 	for pod := 0; pod < cfg.Pods; pod++ {
@@ -114,8 +113,6 @@ func BuildDCN(cfg DCNConfig) (*Topology, error) {
 					HashSeed: seed,
 				})
 				pair[ti] = id
-				// Rail key is 0: DCN+ is not rail-optimized.
-				t.torIndex[[4]int{pod, seg, 0, ti}] = id
 				for _, a := range aggs {
 					for k := 0; k < cfg.TorAggParallel; k++ {
 						t.connect(ports, id, a, cfg.TorAggGbps*1e9, 0)

@@ -50,7 +50,6 @@ func BuildFrontend(cfg FrontendConfig) (*Topology, error) {
 			Pod: -1, Segment: -1, Plane: 0, Rail: -1, Index: i})
 		t.Nodes[id].HashSeed = seedOf(id)
 		cores = append(cores, id)
-		t.coreIndex[0] = append(t.coreIndex[0], id)
 	}
 	var aggs []NodeID
 	for i := 0; i < cfg.AggsPerPod; i++ {
@@ -74,7 +73,6 @@ func BuildFrontend(cfg FrontendConfig) (*Topology, error) {
 				Pod: 0, Segment: seg, Plane: 0, Rail: -1, Index: ti})
 			t.Nodes[id].HashSeed = seedOf(id)
 			pair[ti] = id
-			t.torIndex[[4]int{0, seg, 0, ti}] = id
 			for _, a := range aggs {
 				t.connect(ports, id, a, cfg.FabricGbps*1e9, 0)
 			}

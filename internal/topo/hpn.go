@@ -148,7 +148,6 @@ func BuildHPN(cfg HPNConfig) (*Topology, error) {
 				})
 				t.Nodes[id].HashSeed = seedOf(id)
 				cores[p] = append(cores[p], id)
-				t.coreIndex[p] = append(t.coreIndex[p], id)
 			}
 		}
 	}
@@ -198,7 +197,6 @@ func BuildHPN(cfg HPNConfig) (*Topology, error) {
 					})
 					t.Nodes[id].HashSeed = seedOf(id)
 					tors[r][ti] = id
-					t.torIndex[[4]int{pod, seg, r, ti}] = id
 
 					// ToR -> Agg: one link to every Agg of the ToR's plane.
 					// Under single-plane (typical Clos) every ToR connects

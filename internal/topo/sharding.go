@@ -64,9 +64,6 @@ func ShardByPod(t *Topology) (*Sharding, error) {
 	return sh, nil
 }
 
-// ShardOfNode returns the domain owning the node (0 = global).
-func (s *Sharding) ShardOfNode(n NodeID) int { return int(s.shardOfNode[n]) }
-
 // ShardOfLink returns the domain owning the link (0 = global/crossing).
 func (s *Sharding) ShardOfLink(l LinkID) int { return int(s.shardOfLink[l]) }
 
@@ -74,7 +71,3 @@ func (s *Sharding) ShardOfLink(l LinkID) int { return int(s.shardOfLink[l]) }
 func (s *Sharding) ShardOfHost(t *Topology, host int) int {
 	return int(s.shardOfNode[t.Hosts[host].Node])
 }
-
-// Crossing reports whether the link is a plane-crossing point: owned by
-// the global domain, so any flow traversing it must be simulated there.
-func (s *Sharding) Crossing(l LinkID) bool { return s.shardOfLink[l] == 0 }

@@ -21,7 +21,7 @@ func TestShardByPodPartition(t *testing.T) {
 		t.Fatalf("N = %d, want 3", sh.N)
 	}
 	for _, n := range top.Nodes {
-		d := sh.ShardOfNode(n.ID)
+		d := int(sh.shardOfNode[n.ID])
 		switch {
 		case n.Kind == KindCore && d != 0:
 			t.Fatalf("core %s in domain %d, want global", n.Name, d)
@@ -33,7 +33,7 @@ func TestShardByPodPartition(t *testing.T) {
 	for _, l := range top.Links {
 		from, to := top.Nodes[l.From], top.Nodes[l.To]
 		crossing := from.Kind == KindCore || to.Kind == KindCore
-		if got := sh.Crossing(l.ID); got != crossing {
+		if got := sh.shardOfLink[l.ID] == 0; got != crossing {
 			t.Fatalf("link %d (%s<->%s): Crossing=%v, want %v", l.ID, from.Name, to.Name, got, crossing)
 		}
 		if !crossing {

@@ -132,13 +132,8 @@ type Topology struct {
 	Links []*Link
 	Hosts []*Host // index = global host ID
 
-	// torIndex maps (pod, segment, rail, plane) -> ToR node, for rail-
-	// optimized fabrics; non-rail fabrics index with rail=0.
-	torIndex map[[4]int]NodeID
 	// aggIndex maps (pod, plane) -> agg nodes.
 	aggIndex map[[2]int][]NodeID
-	// coreIndex maps plane -> core nodes.
-	coreIndex map[int][]NodeID
 	// attachedHost maps ToR -> set of (host, nic) reachable by a downlink.
 	hostOfLink map[LinkID]HostPort
 
@@ -162,9 +157,7 @@ func New(arch string, planes, pods int) *Topology {
 		Arch:       arch,
 		Planes:     planes,
 		Pods:       pods,
-		torIndex:   map[[4]int]NodeID{},
 		aggIndex:   map[[2]int][]NodeID{},
-		coreIndex:  map[int][]NodeID{},
 		hostOfLink: map[LinkID]HostPort{},
 	}
 }
@@ -216,19 +209,8 @@ func (t *Topology) connect(portCounts map[NodeID]int, lo, hi NodeID, capBps floa
 	return up.ID
 }
 
-// ToR returns the ToR node for (pod, segment, rail, plane), or None.
-func (t *Topology) ToR(pod, segment, rail, plane int) NodeID {
-	if id, ok := t.torIndex[[4]int{pod, segment, rail, plane}]; ok {
-		return id
-	}
-	return None
-}
-
 // Aggs returns the aggregation switches of (pod, plane).
 func (t *Topology) Aggs(pod, plane int) []NodeID { return t.aggIndex[[2]int{pod, plane}] }
-
-// Cores returns the core switches of a plane.
-func (t *Topology) Cores(plane int) []NodeID { return t.coreIndex[plane] }
 
 // HostPortOf resolves a ToR downlink (or host uplink reverse) to the host
 // NIC port it serves; ok is false for fabric-internal links.
@@ -240,12 +222,6 @@ func (t *Topology) HostPortOf(l LinkID) (HostPort, bool) {
 // AccessLink returns the host->ToR link for a host's NIC port.
 func (t *Topology) AccessLink(host, nic, port int) LinkID {
 	return t.Hosts[host].NICs[nic].Ports[port]
-}
-
-// AccessUp reports whether the given access link and its ToR are healthy.
-func (t *Topology) AccessUp(host, nic, port int) bool {
-	l := t.Link(t.AccessLink(host, nic, port))
-	return l.Up && t.Node(l.To).Up
 }
 
 // TotalGPUs returns the number of GPUs across all hosts (backup included
@@ -272,7 +248,9 @@ func (t *Topology) SetCableState(id LinkID, up bool) {
 
 // SetNodeState marks a node (and implicitly all its links) up or down.
 // Links keep their own state; routing treats a link as usable only when the
-// link and both endpoints are up.
+// link and both endpoints are up. No program calls it; it stays as the
+// base of the node-failure chain (the §4 ToR crash) that the
+// allocator-differential and route-cache tests drive.
 func (t *Topology) SetNodeState(id NodeID, up bool) {
 	t.Nodes[id].Up = up
 	// A node flip changes the usability of every link touching it; node

@@ -5,6 +5,14 @@ import (
 	"testing/quick"
 )
 
+// mustValidate fails the test on the first wiring violation.
+func mustValidate(t *testing.T, top *Topology) {
+	t.Helper()
+	if errs := top.Validate(); len(errs) > 0 {
+		t.Fatalf("%d wiring violations, first: %v", len(errs), errs[0])
+	}
+}
+
 func TestBuildHPNProductionScale(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full 15K-GPU build")
@@ -13,7 +21,7 @@ func TestBuildHPNProductionScale(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	top.MustValidate()
+	mustValidate(t, top)
 
 	c := top.Count()
 	if got := top.TotalGPUs(true); got != 15360 {
@@ -73,7 +81,7 @@ func TestHPNPlaneDisjoint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	top.MustValidate()
+	mustValidate(t, top)
 	if top.Planes != 2 {
 		t.Fatalf("planes = %d", top.Planes)
 	}
@@ -98,7 +106,7 @@ func TestHPNSingleToR(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	top.MustValidate()
+	mustValidate(t, top)
 	for _, h := range top.Hosts {
 		for _, nic := range h.NICs {
 			if len(nic.Ports) != 1 {
@@ -127,13 +135,13 @@ func TestHPNSinglePlaneClos(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	top.MustValidate()
+	mustValidate(t, top)
 	if top.Planes != 1 {
 		t.Fatalf("planes = %d, want 1", top.Planes)
 	}
 	// Both ToRs of a dual-ToR set connect to the same aggs.
-	a := top.ToR(0, 0, 0, 0)
-	b := top.ToR(0, 0, 0, 1)
+	a := top.Link(top.AccessLink(0, 0, 0)).To
+	b := top.Link(top.AccessLink(0, 0, 1)).To
 	aggsOf := func(id NodeID) map[NodeID]bool {
 		m := map[NodeID]bool{}
 		for _, lk := range top.Node(id).Uplinks {
@@ -160,7 +168,7 @@ func TestHPNMultiPodHasCores(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	top.MustValidate()
+	mustValidate(t, top)
 	c := top.Count()
 	if c.Cores == 0 {
 		t.Fatal("multi-pod HPN must have cores")
@@ -183,7 +191,7 @@ func TestBuildDCN(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	top.MustValidate()
+	mustValidate(t, top)
 	c := top.Count()
 	// 2 pods x 4 segments x 16 hosts.
 	if c.Hosts != 128 {
@@ -258,7 +266,7 @@ func TestBuildFrontend(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	top.MustValidate()
+	mustValidate(t, top)
 	wantHosts := cfg.Segments*cfg.HostsPerSegment + cfg.StorageHosts
 	if len(top.Hosts) != wantHosts {
 		t.Fatalf("frontend hosts = %d, want %d", len(top.Hosts), wantHosts)
@@ -329,11 +337,12 @@ func TestLinkAndNodeState(t *testing.T) {
 		t.Fatal(err)
 	}
 	lk := top.AccessLink(0, 0, 0)
-	if !top.AccessUp(0, 0, 0) {
+	accessUp := func() bool { l := top.Link(lk); return l.Up && top.Node(l.To).Up }
+	if !accessUp() {
 		t.Fatal("fresh link should be up")
 	}
 	top.SetCableState(lk, false)
-	if top.AccessUp(0, 0, 0) {
+	if accessUp() {
 		t.Fatal("downed link should report down")
 	}
 	if top.Link(top.Link(lk).Reverse).Up {
@@ -342,7 +351,7 @@ func TestLinkAndNodeState(t *testing.T) {
 	top.SetCableState(lk, true)
 	tor := top.Link(lk).To
 	top.SetNodeState(tor, false)
-	if top.AccessUp(0, 0, 0) {
+	if accessUp() {
 		t.Fatal("link to crashed ToR should report down")
 	}
 	if top.LinkUsable(lk) {
@@ -394,7 +403,7 @@ func TestRailOnlyTier2(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	top.MustValidate()
+	mustValidate(t, top)
 	if top.Planes != 16 {
 		t.Fatalf("planes = %d, want 16 (one pair per rail)", top.Planes)
 	}

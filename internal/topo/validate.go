@@ -106,10 +106,3 @@ func (t *Topology) Validate() []error {
 	}
 	return errs
 }
-
-// MustValidate panics on the first wiring violation; builders' tests use it.
-func (t *Topology) MustValidate() {
-	if errs := t.Validate(); len(errs) > 0 {
-		panic(fmt.Sprintf("topo: %d wiring violations, first: %v", len(errs), errs[0]))
-	}
-}

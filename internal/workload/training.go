@@ -424,9 +424,6 @@ func (t *Trainer) finishIteration(now sim.Time, commS float64) {
 	}
 }
 
-// Running reports whether iterations remain scheduled.
-func (t *Trainer) Running() bool { return t.running }
-
 // MeanSamplesPerSecond summarizes completed iterations, skipping the first
 // (cold start).
 func (t *Trainer) MeanSamplesPerSecond() float64 {

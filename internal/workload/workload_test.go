@@ -192,7 +192,7 @@ func TestTrainerRunsIterations(t *testing.T) {
 	if tr.CommSeconds.Mean() <= 0 {
 		t.Fatal("no communication time measured")
 	}
-	if tr.Running() {
+	if tr.running {
 		t.Fatal("trainer still running after completion")
 	}
 }

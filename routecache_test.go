@@ -316,7 +316,12 @@ func runShardedSchedule(t *testing.T, seed int64, walk bool) []domainResult {
 		a, pod := a, sc.Pods[0]
 		pod.Eng.ScheduleAt(a.at, func() { a.apply(pod.Net) })
 	}
-	cores := append(sc.Topo.Cores(0), sc.Topo.Cores(1)...)
+	var cores []topo.NodeID
+	for _, n := range sc.Topo.Nodes {
+		if n.Kind == topo.KindCore {
+			cores = append(cores, n.ID)
+		}
+	}
 	for _, a := range faultSchedule(rng, horizon, coreLinks, cores, 3) {
 		a := a
 		sc.Global.Eng.ScheduleAt(a.at, func() { a.apply(sc.Global.Net) })

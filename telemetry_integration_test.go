@@ -131,44 +131,30 @@ func TestTelemetrySamplerSeries(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	samplers := hub.Samplers()
-	if len(samplers) != 1 {
-		t.Fatalf("hub has %d samplers, want 1", len(samplers))
+	// The sampler dump is the run's samples.csv artifact: one
+	// series,t_seconds,value row per retained sample.
+	var buf bytes.Buffer
+	if err := hub.Registry.Export("samples.csv", &buf); err != nil {
+		t.Fatalf("samples.csv exporter: %v (have %v)", err, hub.Registry.ExporterNames())
 	}
-	probes := samplers[0].Probes()
-	if len(probes) == 0 {
-		t.Fatal("sampler registered no probes")
+	rows := strings.Split(strings.TrimSuffix(buf.String(), "\n"), "\n")
+	if rows[0] != "series,t_seconds,value" {
+		t.Fatalf("samples.csv header = %q", rows[0])
 	}
-	ringCap := samplers[0].RingCap
-	if ringCap <= 0 {
-		t.Fatal("the hub's sampler keeps unbounded series")
-	}
-	var portSeries, samples int
-	for _, p := range probes {
-		samples += p.Ring.Len()
-		if strings.Contains(p.Name, "/up") {
+	series := map[string]bool{}
+	portSeries := 0
+	for _, row := range rows[1:] {
+		name, _, _ := strings.Cut(row, ",")
+		if !series[name] && strings.Contains(name, "/up") {
 			portSeries++
 		}
-		if p.Ring.Len() > ringCap {
-			t.Errorf("probe %s holds %d > ring cap %d", p.Name, p.Ring.Len(), ringCap)
-		}
+		series[name] = true
+	}
+	if len(rows) == 1 {
+		t.Error("sampler never fired during the run")
 	}
 	if portSeries == 0 {
 		t.Error("no per-port ToR uplink series tracked")
-	}
-	if samples == 0 {
-		t.Error("sampler never fired during the run")
-	}
-
-	// The sampler dump is registered as a run artifact.
-	found := false
-	for _, name := range hub.Registry.ExporterNames() {
-		if name == "samples.csv" {
-			found = true
-		}
-	}
-	if !found {
-		t.Errorf("samples.csv exporter not registered (have %v)", hub.Registry.ExporterNames())
 	}
 }
 
