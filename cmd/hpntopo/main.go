@@ -17,6 +17,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"slices"
 
 	"hpn/internal/hashing"
 	"hpn/internal/route"
@@ -24,18 +25,57 @@ import (
 )
 
 func main() {
+	os.Exit(run(os.Args[1:]))
+}
+
+// run is the whole command, returning the exit status: 0 when the wiring
+// validates, 1 on a build, trace or validation failure, 2 on a usage
+// error. A flag the chosen architecture has no use for is a usage error,
+// not silently ignored.
+func run(args []string) (code int) {
+	fs := flag.NewFlagSet("hpntopo", flag.ContinueOnError)
 	var (
-		arch        = flag.String("arch", "hpn", "hpn | dcn | frontend")
-		pods        = flag.Int("pods", 1, "number of pods")
-		segments    = flag.Int("segments", 0, "segments per pod (0 = architecture default)")
-		singleToR   = flag.Bool("single-tor", false, "HPN: single-ToR access (reliability baseline)")
-		singlePlane = flag.Bool("single-plane", false, "HPN: typical-Clos tier2 (Figure 12a)")
-		trace       = flag.String("trace", "", "INT-style path trace: 'srcHost:nic:port->dstHost:nic' (e.g. 0:0:1->200:0)")
+		arch        = fs.String("arch", "hpn", "hpn | dcn | frontend")
+		pods        = fs.Int("pods", 1, "hpn, dcn: number of pods")
+		segments    = fs.Int("segments", 0, "hpn: segments per pod (0 = the default 15)")
+		singleToR   = fs.Bool("single-tor", false, "hpn: single-ToR access (reliability baseline)")
+		singlePlane = fs.Bool("single-plane", false, "hpn: typical-Clos tier2 (Figure 12a)")
+		trace       = fs.String("trace", "", "INT-style path trace: 'srcHost:nic:port->dstHost:nic' (e.g. 0:0:1->200:0)")
 	)
-	flag.Parse()
-	if flag.NArg() > 0 {
-		fmt.Fprintf(os.Stderr, "hpntopo: unexpected argument %q (every option is a flag)\n", flag.Arg(0))
-		os.Exit(2)
+	if err := fs.Parse(args); err != nil {
+		if err == flag.ErrHelp {
+			return 0
+		}
+		return 2
+	}
+	usage := func(format string, a ...any) int {
+		fmt.Fprintf(os.Stderr, "hpntopo: "+format+"\n", a...)
+		return 2
+	}
+	if fs.NArg() > 0 {
+		return usage("unexpected argument %q (every option is a flag)", fs.Arg(0))
+	}
+	set := map[string]bool{}
+	fs.Visit(func(f *flag.Flag) { set[f.Name] = true })
+	archFlags := map[string][]string{
+		"hpn":      {"pods", "segments", "single-tor", "single-plane"},
+		"dcn":      {"pods"},
+		"frontend": nil,
+	}
+	own, ok := archFlags[*arch]
+	if !ok {
+		return usage("unknown arch %q (want hpn, dcn or frontend)", *arch)
+	}
+	for _, name := range archFlags["hpn"] { // hpn takes every arch-specific flag
+		if set[name] && !slices.Contains(own, name) {
+			return usage("-%s does not apply to -arch %s", name, *arch)
+		}
+	}
+	switch {
+	case *pods < 1:
+		return usage("-pods must be >= 1, got %d", *pods)
+	case *segments < 0:
+		return usage("-segments must be >= 0 (0 = the default), got %d", *segments)
 	}
 
 	var (
@@ -63,19 +103,14 @@ func main() {
 		}
 	case "dcn":
 		cfg := topo.DefaultDCN()
-		if *pods > 0 {
-			cfg.Pods = *pods
-		}
+		cfg.Pods = *pods
 		t, err = topo.BuildDCN(cfg)
 	case "frontend":
 		t, err = topo.BuildFrontend(topo.DefaultFrontend())
-	default:
-		fmt.Fprintf(os.Stderr, "hpntopo: unknown arch %q\n", *arch)
-		os.Exit(2)
 	}
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "hpntopo: %v\n", err)
-		os.Exit(1)
+		return 1
 	}
 
 	c := t.Count()
@@ -87,8 +122,7 @@ func main() {
 	if *trace != "" {
 		var sh, sn, sp, dh, dn int
 		if _, err := fmt.Sscanf(*trace, "%d:%d:%d->%d:%d", &sh, &sn, &sp, &dh, &dn); err != nil {
-			fmt.Fprintf(os.Stderr, "hpntopo: bad -trace %q: %v\n", *trace, err)
-			os.Exit(2)
+			return usage("bad -trace %q: %v", *trace, err)
 		}
 		src := route.Endpoint{Host: sh, NIC: sn}
 		dst := route.Endpoint{Host: dh, NIC: dn}
@@ -98,9 +132,9 @@ func main() {
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "hpntopo: trace: %v\n", err)
 			if errors.Is(err, route.ErrNoEndpoint) {
-				os.Exit(2)
+				return 2
 			}
-			os.Exit(1)
+			return 1
 		}
 		fmt.Print(route.FormatTrace(hops))
 	}
@@ -114,7 +148,8 @@ func main() {
 			}
 			fmt.Printf("  %v\n", e)
 		}
-		os.Exit(1)
+		return 1
 	}
 	fmt.Println("wiring validation: OK (all links match the blueprint)")
+	return 0
 }

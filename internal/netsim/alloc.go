@@ -5,54 +5,75 @@ import (
 	"hpn/internal/topo"
 )
 
-// This file is the max-min fair (progressive filling) allocator, rewritten
-// around link-centric accounting:
+// This file is the max-min fair (progressive filling) allocator, built
+// around link-centric accounting and contention components that persist
+// across recomputes:
 //
-//   - Gathering runnable flows builds, per touched link, a flow-incidence
-//     list alongside the remaining-capacity / share-count scratch. The
-//     incidence lists replace the original "rescan every flow x hop per
-//     filling round" inner loop: each filling round pops the most
-//     constrained link from a min-heap and freezes exactly the flows
-//     crossing it, so total fill work is O(F*P + L_touched*log L) instead
-//     of O(rounds * F * P).
-//   - The active flow set is decomposed into connected components of the
-//     flow-link contention graph (union-find over path links). Components
-//     share no links, so their fills are independent. A component none of
-//     whose links is dirty is clean: its fill is skipped and its flows keep
-//     the rates of the previous recompute (see below). The only
-//     cross-component result, the earliest projected completion, is an
-//     exact float min over components in creation order.
-//   - The next-completion scan is gone: the minimum Remaining/Rate is
-//     tracked incrementally while flows freeze, and the single completion
-//     Event is re-armed in place (Engine.Reschedule) instead of
-//     cancel+reallocate.
+//   - The runnable flows split into connected components of the flow-link
+//     contention graph (union-find over path links). Components share no
+//     links, so their fills are independent. A component persists from
+//     one recompute to the next: compOf maps each link its flows cross to
+//     it, and each of its flows names it in Flow.comp.
+//   - A mutation marks the components it may change dirty. A recompute
+//     dissolves the dirty components and regathers, in active order, only
+//     their flows and the flows started or rerouted since: per touched
+//     link, a flow-incidence list alongside the remaining-capacity /
+//     share-count scratch, and the union-find. It decomposes and refills
+//     just those. Each filling round pops the most constrained link from a
+//     min-heap and freezes exactly the flows crossing it, so fill work is
+//     O(F*P + L_touched*log L) over the regathered flows.
+//   - A clean component is carried: its links, its flows and their rates
+//     stay as they are, and only its earliest completion is re-derived
+//     (the exact min of Remaining/Rate, the fill's own division). The
+//     earliest projected completion overall is an exact float min, so it
+//     does not depend on the order components are visited in. The single
+//     completion Event is re-armed in place (Engine.Reschedule).
+//   - Offered demand, probe utilisation and the in-band refresh need every
+//     runnable flow, so while a probe or the in-band collector is attached
+//     the carried flows are gathered too, after decomposition (offerDemand).
+//     Their per-link sums still run in active order.
 //
-// Why a clean component keeps bit-identical rates. Within a component,
+// Why a carried component keeps bit-identical rates. Within a component,
 // every flow frozen at one bottleneck subtracts the same share (clamped at
 // 0) from each link on its path, so the link state after a pop does not
 // depend on the order the flows are visited in; and pops follow the total
 // order (share, link ID), which does not depend on heap layout. The fill is
 // therefore a function of the component's flows, paths and link capacities
-// alone, independent of the order of flows in s.active. A link turns dirty
-// whenever its flow set or capacity may have changed: routeFlow marks a
-// flow's old path and the first link of its new one, removeActive the
-// removed flow's path, and the four Fail*/Recover* entry points mark every
-// link. A component with no dirty link therefore holds exactly the flows,
-// paths and capacities it held at the previous recompute, and a fill would
-// reproduce the rates its flows already carry.
+// alone. A component is marked dirty whenever its flow set or a capacity
+// may have changed:
+//
+//   - a flow leaving it (removeActive, or routeFlow moving the flow), since
+//     the component may split;
+//   - a runnable flow routed over any of its links (routeFlow), since the
+//     flow merges every component its path crosses;
+//   - a topology transition (the four Fail*/Recover* entry points set
+//     allDirty, which dissolves every component).
+//
+// A component with no mark therefore holds exactly the flows, paths and
+// capacities it held when it was filled, and a refill would reproduce the
+// rates its flows already carry. Under the hpncheck build tag every
+// recompute re-derives the decomposition from scratch and refills the
+// carried components to check this (check_on.go).
 //
 // The original flows-x-hops implementation is preserved verbatim (with its
 // defensive branch fixed) in alloc_reference.go and pinned against this one
 // by the differential property tests.
 
 // allocComp is one connected component of the flow-link contention graph:
-// the indices (into the unfrozen scratch) of its flows, the touched links
-// they cross, and whether any of those links is dirty.
+// the links its flows cross (compOf maps each back to the component) and
+// how many flows the recompute that built it gathered. Sim.compDirty,
+// parallel to Sim.comps, holds whether a mutation has marked it for
+// rebuild.
 type allocComp struct {
-	flows []int32
-	links []topo.LinkID
-	dirty bool
+	links  []topo.LinkID
+	nflows int32
 }
+
+// noComp is Sim.comps[0], the component of no flow. It is permanently
+// dirty, so a flow that names it (a new, rerouted or stalled flow) is
+// regathered and marking it is a no-op. A dissolved component's slot stays
+// dirty too until addComp hands it out again.
+const noComp int32 = 0
 
 // heapEnt is one candidate bottleneck: a link and the fair share it offered
 // when keyed. Entries go stale as flows freeze (shares only grow); a stale
@@ -129,17 +150,57 @@ func (s *Sim) recompute() {
 		s.Trace.Counter(int64(s.Eng.Now()), "active_flows", float64(len(s.active)))
 	}
 
-	// Gather running flows; initialize link accounting and incidence lists.
+	// Dissolve the dirty components: their links return to no component.
+	// The slots stay dirty until reused, so the gather below still sees
+	// their flows as dirty.
+	if s.allDirty {
+		for ci := range s.comps {
+			s.markComp(int32(ci))
+		}
+		s.allDirty = false
+	}
+	for _, ci := range s.dirtyComps {
+		c := &s.comps[ci]
+		for _, lk := range c.links {
+			s.compOf[lk] = noComp
+		}
+		c.links = c.links[:0]
+	}
+	s.reuse = 0
+
+	// Gather: a flow of a carried component keeps its rate and only
+	// offers its projected completion to the earliest one. Every other
+	// runnable flow is regathered with its links' accounting, incidence
+	// lists and union-find. No regathered flow crosses a carried
+	// component's link: routing it there would have marked the component.
+	observe := len(s.probeList) > 0 || s.inband != nil
+	best := -1.0
 	unfrozen := s.unfrozen[:0]
+	carried := s.carried[:0]
 	for _, f := range s.active {
 		if f.Stalled || len(f.Path) == 0 {
 			f.Rate = 0
+			f.comp = noComp
+			continue
+		}
+		if !s.compDirty[f.comp] {
+			if f.Rate > 0 {
+				if t := f.Remaining / f.Rate; best < 0 || t < best {
+					best = t
+				}
+			}
+			if observe {
+				carried = append(carried, f)
+			}
 			continue
 		}
 		idx := int32(len(unfrozen))
 		unfrozen = append(unfrozen, f)
 		for i, lk := range f.Path {
-			s.touch(lk)
+			if s.touch(lk) {
+				s.ufParent[lk] = int32(lk)
+				s.compOf[lk] = noComp
+			}
 			s.nShare[lk]++
 			s.inc[lk] = append(s.inc[lk], idx)
 			if i > 0 {
@@ -149,21 +210,9 @@ func (s *Sim) recompute() {
 	}
 	s.unfrozen = unfrozen
 
-	// Offered-demand model for the queue proxy: a flow wishes for its fair
-	// share at its first (access) link.
-	for _, f := range unfrozen {
-		first := f.Path[0]
-		wish := s.capRem[first] / float64(s.nShare[first])
-		for _, lk := range f.Path {
-			s.demand[lk] += wish
-		}
-	}
-
-	// Component decomposition: components are created in active-flow order
-	// (the first — smallest-indexed — flow of each component names it), so
-	// the component list and everything derived from it is deterministic.
+	// Decompose the regathered flows. Components are created in gather
+	// order, and every link and flow is stamped with its component.
 	dtk := s.phDecompose.Begin()
-	s.comps = s.comps[:0]
 	if cap(s.frozen) < len(unfrozen) {
 		s.frozen = make([]bool, len(unfrozen))
 	}
@@ -171,59 +220,98 @@ func (s *Sim) recompute() {
 	for i := range s.frozen {
 		s.frozen[i] = false
 	}
-	for i, f := range unfrozen {
+	built := s.built[:0]
+	for _, f := range unfrozen {
 		root := s.find(int32(f.Path[0]))
 		ci := s.compOf[root]
-		if ci < 0 {
-			ci = int32(s.addComp())
+		if ci == noComp {
+			ci = s.addComp(f.comp)
 			s.compOf[root] = ci
+			built = append(built, ci)
 		}
-		c := &s.comps[ci]
-		c.flows = append(c.flows, int32(i))
+		s.comps[ci].nflows++
+		f.comp = ci
 	}
-	// The same pass consumes the dirty marks of touched links. A mark left
-	// on an untouched link is harmless: any flow that crosses that link
-	// later arrives through routeFlow, whose own mark already makes its
-	// component dirty.
 	for _, lk := range s.touched {
-		c := &s.comps[s.compOf[s.find(int32(lk))]]
+		ci := s.compOf[s.find(int32(lk))]
+		s.compOf[lk] = ci
+		c := &s.comps[ci]
 		c.links = append(c.links, lk)
-		if s.dirty[lk] {
-			c.dirty = true
-			s.dirty[lk] = false
+	}
+	s.built = built
+	// The dissolved slots no new component took are free.
+	for _, ci := range s.dirtyComps[s.reuse:] {
+		if s.compDirty[ci] {
+			s.compFree = append(s.compFree, ci)
 		}
 	}
+	s.dirtyComps = s.dirtyComps[:0]
 	s.phDecompose.End(dtk)
 
-	// Fill each dirty component; a clean one keeps its rates and only
-	// re-derives its earliest completion. The merge is an exact float min
-	// over components in creation order.
+	regathered := len(unfrozen)
+	if observe {
+		s.offerDemand(carried)
+	}
+	s.carried = carried
+
+	// Fill each rebuilt component. The merge with the carried components'
+	// completions is an exact float min.
 	ftk := s.phFill.Begin()
-	best := -1.0
-	reused := int64(0)
-	for i := range s.comps {
-		c := &s.comps[i]
-		var t float64
-		if c.dirty || s.allDirty {
-			t = s.fillComponent(c)
-		} else {
-			t = s.reusedMinT(c)
-			reused++
-		}
-		if t >= 0 && (best < 0 || t < best) {
+	for _, ci := range built {
+		if t := s.fillComponent(ci); t >= 0 && (best < 0 || t < best) {
 			best = t
 		}
 	}
 	s.phFill.End(ftk)
-	s.phFillReused.Add(reused)
-	s.allDirty = false
+	s.phFillReused.Add(int64(len(s.comps) - 1 - len(s.compFree) - len(built)))
+	s.phRegathered.Add(int64(regathered))
 
-	// Refresh probe accumulators from the new allocation. Iteration goes
-	// through the registration-ordered probeList, never a map, so
-	// accumulator refresh order (and anything it may ever feed) stays
-	// deterministic. Utilization comes from the link's incidence list —
-	// summed in gather (= active) order, exactly as the previous
-	// all-flows-x-hops scan accumulated it.
+	if observe {
+		s.refreshProbes()
+		if s.inband != nil {
+			s.inbandRefresh()
+		}
+	}
+
+	s.scheduleCompletion(best)
+	s.phRecompute.End(rtk)
+	s.checkComponents()
+}
+
+// offerDemand prepares what the probes and the in-band collector read.
+// It gathers the carried flows after the regathered ones, with their
+// links' accounting and incidence lists, and then adds each runnable
+// flow's offered demand, its fair share at its first (access) link, to
+// every link of its path. A link's flows are all regathered or all
+// carried, and each kind is gathered in active order, so every per-link
+// sum runs in active order and does not depend on which components were
+// carried. It runs between decomposition, which must see only the
+// regathered links, and the fill, which consumes the share accounting.
+func (s *Sim) offerDemand(carried []*Flow) {
+	for _, f := range carried {
+		idx := int32(len(s.unfrozen))
+		s.unfrozen = append(s.unfrozen, f)
+		for _, lk := range f.Path {
+			s.touch(lk)
+			s.nShare[lk]++
+			s.inc[lk] = append(s.inc[lk], idx)
+		}
+	}
+	for _, f := range s.unfrozen {
+		first := f.Path[0]
+		wish := s.capRem[first] / float64(s.nShare[first])
+		for _, lk := range f.Path {
+			s.demand[lk] += wish
+		}
+	}
+}
+
+// refreshProbes refreshes the probe accumulators from the new allocation.
+// Iteration goes through the registration-ordered probeList, never a map,
+// so accumulator refresh order (and anything it may ever feed) stays
+// deterministic. Utilization comes from the link's incidence list, summed
+// in active order.
+func (s *Sim) refreshProbes() {
 	for _, p := range s.probeList {
 		p.util, p.demand = 0, 0
 		lk := p.Link
@@ -234,46 +322,39 @@ func (s *Sim) recompute() {
 		if s.epoch[lk] == s.curEpoch {
 			p.demand = s.demand[lk]
 			for _, fi := range s.inc[lk] {
-				p.util += unfrozen[fi].Rate
+				p.util += s.unfrozen[fi].Rate
 			}
 		}
 	}
-	if s.inband != nil {
-		s.inbandRefresh()
-	}
-
-	s.scheduleCompletion(best)
-	s.phRecompute.End(rtk)
 }
 
-// markDirty records that a flow left path: every component still crossing
-// it is refilled at the next recompute. All links are marked because the
-// component the flow held together may split.
-func (s *Sim) markDirty(path []topo.LinkID) {
+// markComp marks component ci for rebuild at the next recompute. Marking a
+// dirty component, noComp included, is a no-op.
+func (s *Sim) markComp(ci int32) {
+	if !s.compDirty[ci] {
+		s.compDirty[ci] = true
+		s.dirtyComps = append(s.dirtyComps, ci)
+	}
+}
+
+// markMerges marks every component path crosses: a runnable flow routed
+// over it joins them all into one.
+func (s *Sim) markMerges(path []topo.LinkID) {
 	for _, lk := range path {
-		s.dirty[lk] = true
+		s.markComp(s.compOf[lk])
 	}
 }
 
-// reusedMinT returns a clean component's earliest projected completion in
-// seconds (-1 if none) from the rates its flows already hold: the same
-// Remaining/Rate division fillComponent performs, and an exact min.
-func (s *Sim) reusedMinT(c *allocComp) float64 {
-	minT := -1.0
-	for _, fi := range c.flows {
-		f := s.unfrozen[fi]
-		if f.Rate > 0 {
-			if t := f.Remaining / f.Rate; minT < 0 || t < minT {
-				minT = t
-			}
-		}
-	}
-	return minT
+// leaveComp takes f out of its component, which may split, and marks it.
+func (s *Sim) leaveComp(f *Flow) {
+	s.markComp(f.comp)
+	f.comp = noComp
 }
 
-// fillComponent runs progressive filling over one component and returns its
-// earliest projected completion in seconds (-1 if none). It reads and
-// writes only the component's own flows and links plus the heap scratch.
+// fillComponent runs progressive filling over component ci, built by this
+// recompute, and returns its earliest projected completion in seconds (-1
+// if none). It reads and writes only the component's own flows and links
+// plus the heap scratch.
 // Heap operations are tallied locally and flushed once into the profiler,
 // so the hot loop costs nothing extra.
 //
@@ -283,7 +364,8 @@ func (s *Sim) reusedMinT(c *allocComp) float64 {
 // is re-pushed at its current value; a fresh pop is the exact component-wide
 // minimum (every other link's current share is at least its heap key). The
 // tie tolerance matches the reference implementation's freeze threshold.
-func (s *Sim) fillComponent(c *allocComp) float64 {
+func (s *Sim) fillComponent(ci int32) float64 {
+	c := &s.comps[ci]
 	heapOps := int64(0)
 	hs := s.heap[:0]
 	for _, lk := range c.links {
@@ -299,7 +381,7 @@ func (s *Sim) fillComponent(c *allocComp) float64 {
 	// the remaining heap entries can only be drained or stale links, so the
 	// loop stops instead of sifting through them (the dominant waste on
 	// symmetric workloads where one plateau freezes everything).
-	live := len(c.flows)
+	live := c.nflows
 	for live > 0 && len(*h) > 0 {
 		e := (*h)[0]
 		n := s.nShare[e.link]
@@ -347,13 +429,15 @@ func (s *Sim) fillComponent(c *allocComp) float64 {
 	// links, and each such link holds a heap entry until processed), but if
 	// the invariant ever broke we must not leave stale rates or corrupt the
 	// share accounting — park the flow at zero rate and retire its path
-	// shares consistently.
-	for _, fi := range c.flows {
-		if s.frozen[fi] {
+	// shares consistently. The component keeps no flow list, so the sweep
+	// looks for its flows among every regathered one.
+	for fi := 0; live > 0 && fi < len(s.frozen); fi++ {
+		f := s.unfrozen[fi]
+		if s.frozen[fi] || f.comp != ci {
 			continue
 		}
 		s.frozen[fi] = true
-		f := s.unfrozen[fi]
+		live--
 		f.Rate = 0
 		for _, l2 := range f.Path {
 			s.nShare[l2]--
@@ -363,10 +447,11 @@ func (s *Sim) fillComponent(c *allocComp) float64 {
 	return minT
 }
 
-// touch initializes the scratch accounting for a link in this epoch.
-func (s *Sim) touch(lk topo.LinkID) {
+// touch initializes a link's scratch accounting the first time this epoch
+// sees it, and reports whether it did.
+func (s *Sim) touch(lk topo.LinkID) bool {
 	if s.epoch[lk] == s.curEpoch {
-		return
+		return false
 	}
 	s.epoch[lk] = s.curEpoch
 	cap := s.Top.Link(lk).CapBps
@@ -377,9 +462,8 @@ func (s *Sim) touch(lk topo.LinkID) {
 	s.nShare[lk] = 0
 	s.demand[lk] = 0
 	s.inc[lk] = s.inc[lk][:0]
-	s.ufParent[lk] = int32(lk)
-	s.compOf[lk] = -1
 	s.touched = append(s.touched, lk)
+	return true
 }
 
 // find returns the union-find root of a touched link, with path halving.
@@ -408,20 +492,39 @@ func (s *Sim) union(a, b topo.LinkID) {
 	}
 }
 
-// addComp appends a reset component to the scratch list and returns its
-// index, reusing the flow/link slices of earlier recomputes.
-func (s *Sim) addComp() int {
-	n := len(s.comps)
-	if n < cap(s.comps) {
-		s.comps = s.comps[:n+1]
-	} else {
-		s.comps = append(s.comps, allocComp{})
+// addComp returns the slot of a new, empty component whose first flow
+// was carried in prev. It takes prev if that component was dissolved in
+// this recompute and no other new component has taken it yet; else a slot
+// freed by an earlier recompute; else the next slot dissolved in this one
+// and not yet taken; else a new one at the end. A component rebuilt from
+// much the same flows thus keeps its slot and the capacity of its link
+// list, so the steady state allocates nothing. While a recompute builds
+// components, a slot other than noComp is free exactly when it is dirty.
+func (s *Sim) addComp(prev int32) int32 {
+	ci := prev
+	if prev == noComp || !s.compDirty[prev] {
+		ci = noComp
+		if n := len(s.compFree); n > 0 {
+			ci = s.compFree[n-1]
+			s.compFree = s.compFree[:n-1]
+		}
+		for ci == noComp && s.reuse < len(s.dirtyComps) {
+			if cand := s.dirtyComps[s.reuse]; s.compDirty[cand] {
+				ci = cand
+			}
+			s.reuse++
+		}
+		if ci == noComp {
+			ci = int32(len(s.comps))
+			s.comps = append(s.comps, allocComp{})
+			s.compDirty = append(s.compDirty, false)
+		}
 	}
-	c := &s.comps[n]
-	c.flows = c.flows[:0]
+	c := &s.comps[ci]
 	c.links = c.links[:0]
-	c.dirty = false
-	return n
+	c.nflows = 0
+	s.compDirty[ci] = false
+	return ci
 }
 
 // scheduleCompletion (re)arms the completion event for the earliest

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"hpn/internal/prof"
@@ -147,6 +148,7 @@ func TestAllocDifferential(t *testing.T) {
 			mutateIncremental(t, s, rng, nHosts, fmt.Sprintf("trial %d", trial))
 		}
 	}
+	t.Run("hazards", func(t *testing.T) { carriedHazards(t, p) })
 	// Guard against a vacuous pass: the mutation sequences must have kept
 	// some components' rates, or the comparison checked nothing.
 	reused := int64(0)
@@ -236,6 +238,147 @@ func mutateIncremental(t *testing.T, s *Sim, rng *rand.Rand, nHosts int, tag str
 		}
 		checkIncremental(t, s, fmt.Sprintf("%s step %d (%s)", tag, step, what))
 	}
+}
+
+// carriedHazards drives the mutations that must pull a carried component
+// into the rebuild, each on a fresh single-segment fabric where flows on
+// NIC 0 port 0 share that port's ToR, and checks the allocation against a
+// full refill after every step. Each sequence first asserts the component
+// shape it relies on, so a change of routing cannot turn it vacuous.
+func carriedHazards(t *testing.T, p *prof.Profiler) {
+	type fabric struct {
+		s     *Sim
+		start func(src, dst, port int, bytes float64) *Flow
+		built func(f *Flow) bool
+	}
+	setup := func(t *testing.T) fabric {
+		t.Helper()
+		_, _, s := newSim(t, 1, 8, 2)
+		s.AttachProfiler(p, nil)
+		start := func(src, dst, port int, bytes float64) *Flow {
+			t.Helper()
+			f, err := s.StartFlow(route.Endpoint{Host: src, NIC: 0}, route.Endpoint{Host: dst, NIC: 0},
+				bytes, FlowOpts{SrcPort: port})
+			if err != nil {
+				t.Fatal(err)
+			}
+			return f
+		}
+		built := func(f *Flow) bool { return slices.Contains(s.built, f.comp) }
+		return fabric{s, start, built}
+	}
+	const big, small = 1 << 30, 1 << 20
+
+	t.Run("bridge", func(t *testing.T) {
+		fb := setup(t)
+		s := fb.s
+		var a, b, z *Flow
+		s.Batch(func() {
+			a = fb.start(0, 1, 0, big)
+			b = fb.start(2, 3, 0, big)
+			z = fb.start(4, 5, 1, big)
+		})
+		if a.comp == b.comp {
+			t.Fatal("flows 0->1 and 2->3 already share a component")
+		}
+		checkIncremental(t, s, "before bridge")
+		// 0->3 shares its first link with 0->1 and its last with 2->3.
+		c := fb.start(0, 3, 0, big)
+		if a.comp != c.comp || b.comp != c.comp || fb.built(z) {
+			t.Fatalf("bridge: components %d %d %d, third built %v", a.comp, b.comp, c.comp, fb.built(z))
+		}
+		checkIncremental(t, s, "bridge")
+	})
+
+	t.Run("split", func(t *testing.T) {
+		fb := setup(t)
+		s := fb.s
+		var a, c, z *Flow
+		s.Batch(func() {
+			a = fb.start(0, 1, 0, big)
+			fb.start(2, 1, 0, small) // shares 0->1's last link and 2->3's first
+			c = fb.start(2, 3, 0, big)
+			z = fb.start(4, 5, 1, big)
+		})
+		if a.comp != c.comp || a.comp == z.comp {
+			t.Fatalf("split setup: components %d %d %d", a.comp, c.comp, z.comp)
+		}
+		checkIncremental(t, s, "before split")
+		at, _ := s.Eng.NextAt()
+		s.Eng.RunUntil(at)
+		if s.CompletedFlows != 1 || a.comp == c.comp || fb.built(z) {
+			t.Fatalf("split: %d completed, components %d %d, third built %v",
+				s.CompletedFlows, a.comp, c.comp, fb.built(z))
+		}
+		checkIncremental(t, s, "split")
+	})
+
+	t.Run("reroute onto interior link", func(t *testing.T) {
+		fb := setup(t)
+		s := fb.s
+		var b, d *Flow
+		s.Batch(func() {
+			b = fb.start(2, 3, 0, big)
+			d = fb.start(4, 3, 1, big)
+		})
+		if b.comp == d.comp {
+			t.Fatal("flows 2->3 on port 0 and 4->3 on port 1 already share a component")
+		}
+		checkIncremental(t, s, "before reroute")
+		// On port 0, 4->3 enters on a link of its own and leaves on 2->3's.
+		s.Batch(func() {
+			d.PinnedPort = 0
+			s.routeFlow(d, nil)
+		})
+		if d.Path[0] == b.Path[0] || d.Path[len(d.Path)-1] != b.Path[len(b.Path)-1] || d.comp != b.comp {
+			t.Fatalf("reroute: paths %v and %v, components %d %d", d.Path, b.Path, d.comp, b.comp)
+		}
+		checkIncremental(t, s, "reroute")
+	})
+
+	t.Run("abort stalled", func(t *testing.T) {
+		fb := setup(t)
+		s := fb.s
+		var a *Flow
+		s.Batch(func() {
+			a = fb.start(0, 1, 0, big)
+			fb.start(4, 5, 1, big)
+		})
+		s.FailCable(a.Path[0])
+		if !a.Stalled {
+			t.Fatal("flow over the failed cable is not stalled")
+		}
+		checkIncremental(t, s, "fail cable")
+		s.AbortFlow(a)
+		checkIncremental(t, s, "abort stalled")
+	})
+
+	t.Run("node", func(t *testing.T) {
+		fb := setup(t)
+		s := fb.s
+		var a *Flow
+		s.Batch(func() {
+			a = fb.start(0, 1, 0, big)
+			fb.start(2, 3, 0, big)
+			fb.start(4, 5, 1, big)
+		})
+		tor := s.Top.Link(a.Path[0]).To
+		for _, step := range []struct {
+			what string
+			do   func()
+		}{
+			{"fail node", func() { s.FailNode(tor) }},
+			{"reroute", s.reroutePass},
+			{"recover node", func() { s.RecoverNode(tor) }},
+			{"reroute", s.reroutePass},
+		} {
+			step.do()
+			checkIncremental(t, s, step.what)
+		}
+		if s.StalledFlows() != 0 {
+			t.Fatalf("%d flows still stalled after recovery", s.StalledFlows())
+		}
+	})
 }
 
 // checkIncremental asserts that the allocation the last recompute left —
@@ -345,8 +488,9 @@ func TestFillComponentDefensiveSweep(t *testing.T) {
 	s.unfrozen = []*Flow{f}
 	s.frozen = []bool{false}
 
-	c := allocComp{flows: []int32{0}, links: nil} // link list deliberately broken
-	minT := s.fillComponent(&c)
+	f.comp = s.addComp(noComp) // link list deliberately left empty
+	s.comps[f.comp].nflows = 1
+	minT := s.fillComponent(f.comp)
 
 	if f.Rate != 0 {
 		t.Fatalf("swept flow kept stale rate %v, want 0", f.Rate)

@@ -24,6 +24,10 @@ func (f *Flow) live(op string) {}
 // checkRouteHit is the route-cache check; unchecked builds trust the hit.
 func (s *Sim) checkRouteHit(*Flow, sim.Time) {}
 
+// checkComponents is the carried-component check; unchecked builds trust
+// the dirty marks.
+func (s *Sim) checkComponents() {}
+
 // eventGuard is the hpncheck build's watch over the events handed to
 // subscribers (see check_on.go); this build keeps nothing and checks
 // nothing.

@@ -51,6 +51,113 @@ func (s *Sim) checkRouteHit(f *Flow, now sim.Time) {
 	}
 }
 
+// checkComponents runs after every recompute. It re-derives the
+// decomposition of s.active from scratch and panics, naming the flows, if
+// a runnable flow is carried in no component or in two (a link of its path
+// belongs to another component), if two flows share a component without a
+// transitive link, or if refilling a carried component gives its flows
+// rate bits other than the ones they carry. It works on the allocator
+// scratch, which no one reads between recomputes, and on the flow counts
+// of the carried components, which only the recompute that built them
+// reads.
+func (s *Sim) checkComponents() {
+	built := make([]bool, len(s.comps))
+	for _, ci := range s.built {
+		built[ci] = true
+	}
+	carried := func(ci int32) bool { return !s.compDirty[ci] && !built[ci] }
+	for ci := range s.comps {
+		if carried(int32(ci)) {
+			s.comps[ci].nflows = 0
+		}
+	}
+	s.curEpoch++
+	s.touched = s.touched[:0]
+	unfrozen := s.unfrozen[:0]
+	for _, f := range s.active {
+		if f.Stalled || len(f.Path) == 0 {
+			if f.comp != noComp || math.Float64bits(f.Rate) != 0 {
+				panic(fmt.Sprintf("netsim: stalled flow %d is carried in component %d at rate %v", f.ID, f.comp, f.Rate))
+			}
+			continue
+		}
+		if f.comp == noComp || int(f.comp) >= len(s.comps) || s.compDirty[f.comp] {
+			panic(fmt.Sprintf("netsim: runnable flow %d is carried in no component", f.ID))
+		}
+		refill := carried(f.comp)
+		i := int32(len(unfrozen))
+		if refill {
+			unfrozen = append(unfrozen, f)
+			s.comps[f.comp].nflows++
+		}
+		for j, lk := range f.Path {
+			if s.touch(lk) {
+				s.ufParent[lk] = int32(lk)
+			}
+			if c := s.compOf[lk]; c != f.comp {
+				panic(fmt.Sprintf("netsim: flow %d is in two components: it is carried in %d, but its link %d is in %d with flows %v",
+					f.ID, f.comp, lk, c, s.flowsIn(c)))
+			}
+			if j > 0 {
+				s.union(f.Path[0], lk)
+			}
+			if refill {
+				s.nShare[lk]++
+				s.inc[lk] = append(s.inc[lk], i)
+			}
+		}
+	}
+	s.unfrozen = unfrozen
+
+	root := make([]int32, len(s.comps))
+	firstID := make([]int64, len(s.comps))
+	for _, f := range s.active {
+		if f.comp == noComp {
+			continue
+		}
+		r := s.find(int32(f.Path[0]))
+		switch {
+		case root[f.comp] == 0:
+			root[f.comp], firstID[f.comp] = r+1, f.ID
+		case root[f.comp] != r+1:
+			panic(fmt.Sprintf("netsim: flows %d and %d share component %d but no link, directly or through other flows",
+				firstID[f.comp], f.ID, f.comp))
+		}
+	}
+
+	// Refill every carried component and compare bits.
+	rates := make([]uint64, len(unfrozen))
+	for i, f := range unfrozen {
+		rates[i] = math.Float64bits(f.Rate)
+	}
+	s.frozen = append(s.frozen[:0], make([]bool, len(unfrozen))...)
+	heapOps := s.phHeapOps
+	s.phHeapOps = nil
+	for ci := range s.comps {
+		if carried(int32(ci)) {
+			s.fillComponent(int32(ci))
+		}
+	}
+	s.phHeapOps = heapOps
+	for i, f := range unfrozen {
+		if got := math.Float64bits(f.Rate); got != rates[i] {
+			panic(fmt.Sprintf("netsim: refilling carried component %d gives flow %d rate %v; it carries %v",
+				f.comp, f.ID, f.Rate, math.Float64frombits(rates[i])))
+		}
+	}
+}
+
+// flowsIn lists the IDs of the active flows carried in component ci.
+func (s *Sim) flowsIn(ci int32) []int64 {
+	var ids []int64
+	for _, f := range s.active {
+		if f.comp == ci {
+			ids = append(ids, f.ID)
+		}
+	}
+	return ids
+}
+
 // eventGuard watches the event subscribers are handed by pointer: busy
 // marks a delivery in progress, and kind and the byte snapshots hold the
 // event (scalars and slice headers) and its slices' contents as they were

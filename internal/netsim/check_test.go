@@ -151,3 +151,32 @@ func TestNestedPublishPanics(t *testing.T) {
 		s.StartFlow(route.Endpoint{Host: 0, NIC: 0}, route.Endpoint{Host: 4, NIC: 0}, 1<<20, FlowOpts{SrcPort: 0})
 	})
 }
+
+// TestMissedMergePanics routes a flow across two carried components and
+// drops the merge marks routing set, so the recompute regathers the flow
+// alone and its new component takes links the carried ones still hold.
+// The checked build must name the flow carried in two components.
+func TestMissedMergePanics(t *testing.T) {
+	_, _, s := newSim(t, 1, 8, 2)
+	start := func(src, dst int) *Flow {
+		f, err := s.StartFlow(route.Endpoint{Host: src, NIC: 0}, route.Endpoint{Host: dst, NIC: 0}, 1<<30, FlowOpts{SrcPort: 0})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return f
+	}
+	var a, b *Flow
+	s.Batch(func() {
+		a = start(0, 1)
+		b = start(2, 3)
+	})
+	if a.comp == b.comp {
+		t.Fatal("flows 0->1 and 2->3 already share a component")
+	}
+	mustPanic(t, "is in two components: it is carried in", func() {
+		s.Batch(func() {
+			// 0->3 shares its first link with 0->1 and its last with 2->3.
+			s.dropMergeMarks(start(0, 3))
+		})
+	})
+}

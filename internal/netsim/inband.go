@@ -104,8 +104,12 @@ func (s *Sim) inbandOpen(f *Flow) {
 
 // inbandRefresh snapshots the allocator's per-link offered demand and
 // capacity for queue integration, and maintains the live-link worklist
-// (links carrying active flows, plus links still draining queue). Called
-// from recompute after the allocation settles.
+// (links carrying runnable flows, plus links still draining queue). Called
+// from recompute after the allocation settles, when s.touched holds every
+// link a runnable flow crosses. A link joins the list in the order its
+// first runnable flow was gathered; the links of a carried contention
+// component joined when it was built and stay while it lives, so only
+// regathered flows bring new links, in active order.
 func (s *Sim) inbandRefresh() {
 	for _, lk := range s.touched {
 		if !s.ibLiveSet[lk] {

@@ -72,6 +72,10 @@ type Flow struct {
 
 	// Stalled marks a flow blackholed by a failure, awaiting reconvergence.
 	Stalled bool
+	// comp is the flow's contention component in Sim.comps (see alloc.go):
+	// noComp while it is new, rerouted or stalled. It sits next to the
+	// fields the allocator's gather reads with it.
+	comp int32
 
 	// OnComplete, if set, runs when the flow finishes. It may start new
 	// flows.
@@ -172,7 +176,7 @@ type Sim struct {
 
 	// scratch arrays for the allocator, epoch-stamped to avoid O(links)
 	// clearing on every recompute; see alloc.go for the roles of the
-	// per-link incidence, union-find and component scratch.
+	// per-link incidence and union-find scratch.
 	capRem   []float64
 	nShare   []int32
 	demand   []float64
@@ -181,18 +185,22 @@ type Sim struct {
 	touched  []topo.LinkID
 	inc      [][]int32
 	ufParent []int32
-	compOf   []int32
 	unfrozen []*Flow
+	carried  []*Flow
 	frozen   []bool
-	comps    []allocComp
 	heap     linkHeap
 	done     []*Flow // completionEvent harvest scratch
 
-	// dirty marks the links whose flow set changed since the last
-	// recompute; allDirty stands for every link after a topology
-	// transition. A component with no dirty link keeps its rates (see
-	// alloc.go).
-	dirty    []bool
+	// The contention components, which persist across recomputes (see
+	// alloc.go). comps[0] is the noComp sentinel.
+	compOf     []int32 // per link: the component its flows belong to, or noComp
+	comps      []allocComp
+	compDirty  []bool  // per component slot: marked for rebuild, or free
+	compFree   []int32 // free slots
+	dirtyComps []int32 // the components marked since the last recompute
+	reuse      int     // how far addComp has looked through dirtyComps
+	built      []int32 // the components the last recompute filled
+	// allDirty stands for every component after a topology transition.
 	allDirty bool
 
 	rerouteScheduled bool
@@ -248,6 +256,7 @@ type Sim struct {
 	phDecompose  *prof.Phase
 	phFill       *prof.Phase
 	phFillReused *prof.Phase
+	phRegathered *prof.Phase
 	phHeapOps    *prof.Phase
 
 	// Stats
@@ -296,7 +305,8 @@ func New(eng *sim.Engine, top *topo.Topology) *Sim {
 		inc:         make([][]int32, len(top.Links)),
 		ufParent:    make([]int32, len(top.Links)),
 		compOf:      make([]int32, len(top.Links)),
-		dirty:       make([]bool, len(top.Links)),
+		comps:       []allocComp{noComp: {}},
+		compDirty:   []bool{noComp: true},
 	}
 	s.noteHop = func(d route.HopDecision) { s.routeHops = append(s.routeHops, d) }
 	s.fireCompletion = s.completionEvent
@@ -502,7 +512,7 @@ func (s *Sim) routeFlow(f *Flow, rt *Route) {
 	f.live("route")
 	now := s.Eng.Now()
 	s.inbandFlush(f)
-	s.markDirty(f.Path) // the old path loses the flow
+	s.leaveComp(f)
 	var obs func(route.HopDecision)
 	if s.inband != nil || s.want&EvFlowRouted != 0 {
 		obs = s.noteHop
@@ -516,12 +526,15 @@ func (s *Sim) routeFlow(f *Flow, rt *Route) {
 		if rt.gen == gen {
 			f.Port = int(rt.Port)
 			f.Path = append(f.Path[:0], rt.Path...)
-			s.dirty[f.Path[0]] = true
+			s.markMerges(f.Path)
 			s.checkRouteHit(f, now)
 			return
 		}
 	}
 	s.walk(f, now, obs)
+	if !f.Stalled {
+		s.markMerges(f.Path)
+	}
 	if gen != 0 && !f.Stalled && f.Port == int(rt.Port) && slices.Equal(f.Path, rt.Path) {
 		rt.gen = gen
 	}
@@ -543,11 +556,6 @@ func (s *Sim) walk(f *Flow, now sim.Time, obs func(route.HopDecision)) {
 		}
 		f.Port = port
 		f.Path = path
-		if len(path) > 0 {
-			// The whole path joins one component (gather unions it with
-			// its first link), so marking that link flags the component.
-			s.dirty[path[0]] = true
-		}
 		f.Stalled = blackholed || err != nil
 		if f.Stalled {
 			f.Rate = 0
@@ -719,7 +727,7 @@ func (s *Sim) completionEvent() {
 }
 
 func (s *Sim) removeActive(f *Flow) {
-	s.markDirty(f.Path)
+	s.leaveComp(f)
 	i := f.index
 	last := len(s.active) - 1
 	s.active[i] = s.active[last]

@@ -54,8 +54,9 @@ func (s *Sim) AttachProfiler(p *prof.Profiler, fl *prof.Flight) {
 	s.refreshKinds()
 	s.phRecompute = p.Phase("netsim/recompute", "max-min allocation rounds, end to end")
 	s.phDecompose = p.Phase("netsim/decompose", "union-find component decomposition within recompute")
-	s.phFill = p.Phase("netsim/fill", "progressive-filling section: fills of dirty components, reuse of clean ones")
-	s.phFillReused = p.Phase("netsim/fill_reused", "components whose fill was skipped because none of their links changed (count-only)")
+	s.phFill = p.Phase("netsim/fill", "progressive filling of the components rebuilt this recompute")
+	s.phFillReused = p.Phase("netsim/fill_reused", "components carried with their rates because no mutation marked them (count-only)")
+	s.phRegathered = p.Phase("netsim/regathered", "flows gathered into a rebuilt component (count-only)")
 	s.phHeapOps = p.Phase("netsim/heap_ops", "link-heap pops and stale re-keys during fills (count-only)")
 }
 
