@@ -68,7 +68,9 @@ test-parallel:
 # panics if a subscriber modifies the event it is handed or publishes from
 # inside the delivery, and every allocator recompute panics if the
 # contention components it carried differ from a decomposition and refill
-# from scratch.
+# from scratch, if two flows on one path in a carried component carry
+# different rates (a flow that took a departed flow's place must carry its
+# rate), or if such a vacated place outlives the recompute.
 test-checked:
 	$(GO) test -tags hpncheck ./internal/sim/... ./internal/netsim/... ./internal/collective/... ./internal/rdma/... ./internal/workload/... ./internal/memo/... ./internal/health/... .
 
@@ -117,7 +119,7 @@ prof-smoke:
 	$(GO) run ./cmd/hpnbench -exp fig13 -scale quick -inband $$tmp/inband -prof $$tmp/artifacts >/dev/null; \
 	ls $$tmp/artifacts/prof.tsv $$tmp/artifacts/prof.json $$tmp/artifacts/flight.tsv >/dev/null; \
 	awk -F'\t' 'NR>1 { seen[$$1]=1; if ($$2+0 <= 0) { print "prof-smoke: zero-count phase " $$1; bad=1 } } \
-		END { n=split("sim/run sim/dispatch netsim/recompute netsim/decompose netsim/fill netsim/fill_reused netsim/regathered netsim/heap_ops artifact/inband.tsv artifact/inband.json", req, " "); \
+		END { n=split("sim/run sim/dispatch netsim/recompute netsim/decompose netsim/fill netsim/fill_reused netsim/regathered netsim/handoffs netsim/heap_ops artifact/inband.tsv artifact/inband.json", req, " "); \
 		for (i=1; i<=n; i++) if (!seen[req[i]]) { print "prof-smoke: phase " req[i] " missing from prof.tsv"; bad=1 } exit bad }' \
 		$$tmp/artifacts/prof.tsv; \
 	$(GO) run ./cmd/hpnprof $$tmp/artifacts/prof.json >/dev/null; \

@@ -1,6 +1,8 @@
 package netsim
 
 import (
+	"slices"
+
 	"hpn/internal/sim"
 	"hpn/internal/topo"
 )
@@ -38,18 +40,27 @@ import (
 // 0) from each link on its path, so the link state after a pop does not
 // depend on the order the flows are visited in; and pops follow the total
 // order (share, link ID), which does not depend on heap layout. The fill is
-// therefore a function of the component's flows, paths and link capacities
-// alone. A component is marked dirty whenever its flow set or a capacity
-// may have changed:
+// therefore a function of the component's path multiset and link
+// capacities alone, and flows with identical paths freeze at the same pop,
+// so at the same rate. A component is marked dirty whenever its path
+// multiset or a capacity may have changed:
 //
-//   - a flow leaving it (removeActive, or routeFlow moving the flow), since
-//     the component may split;
-//   - a runnable flow routed over any of its links (routeFlow), since the
-//     flow merges every component its path crosses;
+//   - a flow leaving it that no flow on the same path replaces: removeActive
+//     records a vacancy instead of a mark (vacate), and recompute marks the
+//     component if no flow took the vacancy, since the component may split;
+//   - a flow routed off it (routeFlow moving the flow), for the same reason;
+//   - a runnable flow routed over any of its links (routeFlow) that takes
+//     no vacancy, since the flow merges every component its path crosses;
 //   - a topology transition (the four Fail*/Recover* entry points set
 //     allDirty, which dissolves every component).
 //
-// A component with no mark therefore holds exactly the flows, paths and
+// A flow routed onto exactly the path of a vacancy in its mutation takes it
+// (join): it joins the departed flow's component at the departed flow's
+// rate. The component's path multiset is unchanged, so it stays carried.
+// This is the steady state of training traffic, where every collective
+// step re-sends on the same connections.
+//
+// A component with no mark therefore holds exactly the path multiset and
 // capacities it held when it was filled, and a refill would reproduce the
 // rates its flows already carry. Under the hpncheck build tag every
 // recompute re-derives the decomposition from scratch and refills the
@@ -67,6 +78,15 @@ import (
 type allocComp struct {
 	links  []topo.LinkID
 	nflows int32
+}
+
+// vacancy is the place a flow left in a clean component during the current
+// mutation: the component, the flow's path (Sim.vacPath[off:off+n]) and its
+// rate. next chains the vacancies whose paths start on the same link (see
+// Sim.vacHead). Once a flow takes it, comp is noComp.
+type vacancy struct {
+	comp, next, off, n int32
+	rate               float64
 }
 
 // noComp is Sim.comps[0], the component of no flow. It is permanently
@@ -148,6 +168,23 @@ func (s *Sim) recompute() {
 		// One counter sample per allocation round: the active-flow track
 		// lines up recomputation churn against spans in the trace viewer.
 		s.Trace.Counter(int64(s.Eng.Now()), "active_flows", float64(len(s.active)))
+	}
+
+	// A component left with a vacancy no flow took has lost a flow. The
+	// taken ones are counted here, not in join, so the hot path never
+	// touches the profiler.
+	if len(s.vacancies) > 0 {
+		taken := int64(0)
+		for _, v := range s.vacancies {
+			s.vacHead[s.vacPath[v.off]] = 0
+			if v.comp == noComp {
+				taken++
+			}
+			s.markComp(v.comp)
+		}
+		s.phHandoffs.Add(taken)
+		s.vacancies = s.vacancies[:0]
+		s.vacPath = s.vacPath[:0]
 	}
 
 	// Dissolve the dirty components: their links return to no component.
@@ -280,12 +317,12 @@ func (s *Sim) recompute() {
 
 // offerDemand prepares what the probes and the in-band collector read.
 // It gathers the carried flows after the regathered ones, with their
-// links' accounting and incidence lists, and then adds each runnable
-// flow's offered demand, its fair share at its first (access) link, to
-// every link of its path. A link's flows are all regathered or all
-// carried, and each kind is gathered in active order, so every per-link
-// sum runs in active order and does not depend on which components were
-// carried. It runs between decomposition, which must see only the
+// links' accounting and incidence lists, clears every gathered link's
+// demand, and then adds each runnable flow's offered demand, its fair
+// share at its first (access) link, to every link of its path. A link's
+// flows are all regathered or all carried, and each kind is gathered in
+// active order, so every per-link sum runs in active order and does not
+// depend on which components were carried. It runs between decomposition, which must see only the
 // regathered links, and the fill, which consumes the share accounting.
 func (s *Sim) offerDemand(carried []*Flow) {
 	for _, f := range carried {
@@ -297,12 +334,24 @@ func (s *Sim) offerDemand(carried []*Flow) {
 			s.inc[lk] = append(s.inc[lk], idx)
 		}
 	}
+	for _, lk := range s.touched {
+		s.demand[lk] = 0
+	}
 	for _, f := range s.unfrozen {
 		first := f.Path[0]
 		wish := s.capRem[first] / float64(s.nShare[first])
 		for _, lk := range f.Path {
 			s.demand[lk] += wish
 		}
+	}
+}
+
+// needDemand allocates the per-link offered-demand scratch offerDemand
+// fills. Only the probes and the in-band collector read it, so a Sim
+// without them never pays for it.
+func (s *Sim) needDemand() {
+	if s.demand == nil {
+		s.demand = make([]float64, len(s.Top.Links))
 	}
 }
 
@@ -349,6 +398,45 @@ func (s *Sim) markMerges(path []topo.LinkID) {
 func (s *Sim) leaveComp(f *Flow) {
 	s.markComp(f.comp)
 	f.comp = noComp
+}
+
+// vacate takes a departing flow out of its component. A clean component is
+// not marked: the flow's place is recorded as a vacancy for join, and
+// recompute marks the component if no flow takes it.
+func (s *Sim) vacate(f *Flow) {
+	ci := f.comp
+	f.comp = noComp
+	if s.compDirty[ci] {
+		return
+	}
+	first := f.Path[0]
+	s.vacancies = append(s.vacancies, vacancy{
+		comp: ci, next: s.vacHead[first],
+		off: int32(len(s.vacPath)), n: int32(len(f.Path)), rate: f.Rate,
+	})
+	s.vacPath = append(s.vacPath, f.Path...)
+	s.vacHead[first] = int32(len(s.vacancies))
+}
+
+// join places a runnable flow just routed (its path is never empty). If a
+// flow on exactly its path left a still clean component in this mutation,
+// it takes that vacancy: the component and the departed flow's rate, which
+// a refill would give it too. Otherwise it marks every component its path
+// crosses.
+func (s *Sim) join(f *Flow) {
+	if !s.allDirty {
+		if ci := s.compOf[f.Path[0]]; !s.compDirty[ci] {
+			for i := s.vacHead[f.Path[0]]; i != 0; i = s.vacancies[i-1].next {
+				v := &s.vacancies[i-1]
+				if v.comp == ci && slices.Equal(s.vacPath[v.off:v.off+v.n], f.Path) {
+					v.comp = noComp
+					f.comp, f.Rate = ci, v.rate
+					return
+				}
+			}
+		}
+	}
+	s.markMerges(f.Path)
 }
 
 // fillComponent runs progressive filling over component ci, built by this
@@ -460,7 +548,6 @@ func (s *Sim) touch(lk topo.LinkID) bool {
 	}
 	s.capRem[lk] = cap
 	s.nShare[lk] = 0
-	s.demand[lk] = 0
 	s.inc[lk] = s.inc[lk][:0]
 	s.touched = append(s.touched, lk)
 	return true

@@ -120,35 +120,13 @@ func TestAllocDifferential(t *testing.T) {
 			s.FailCable(top.AccessLink(rng.Intn(nHosts), rng.Intn(8), 0))
 		}
 
-		ref := referenceMaxMin(top, s.active)
-		live := make([]float64, len(s.active))
-		for i, f := range s.active {
-			live[i] = f.Rate
-			if f.Stalled || len(f.Path) == 0 {
-				live[i] = -1
-			}
-		}
-		for i := range s.active {
-			if (ref[i] < 0) != (live[i] < 0) {
-				t.Fatalf("trial %d flow %d: eligibility differs (ref %.3f, live %.3f)",
-					trial, i, ref[i], live[i])
-			}
-			if ref[i] < 0 {
-				continue
-			}
-			diff := math.Abs(ref[i] - live[i])
-			if diff > 1e-6*math.Max(1, math.Abs(ref[i])) {
-				t.Fatalf("trial %d flow %d: rate %.9g differs from reference %.9g",
-					trial, i, live[i], ref[i])
-			}
-		}
-		checkMaxMinCertificate(t, top, s.active, live, "live")
-		checkMaxMinCertificate(t, top, s.active, ref, "reference")
+		matchReference(t, s, fmt.Sprintf("trial %d", trial))
 		if trial%2 == 1 {
 			mutateIncremental(t, s, rng, nHosts, fmt.Sprintf("trial %d", trial))
 		}
 	}
 	t.Run("hazards", func(t *testing.T) { carriedHazards(t, p) })
+	t.Run("handoffs", func(t *testing.T) { handoffChurn(t, p) })
 	// Guard against a vacuous pass: the mutation sequences must have kept
 	// some components' rates, or the comparison checked nothing.
 	reused := int64(0)
@@ -160,6 +138,34 @@ func TestAllocDifferential(t *testing.T) {
 	if reused == 0 {
 		t.Fatal("no component was ever reused; the incremental path went unexercised")
 	}
+}
+
+// matchReference holds the live allocation against referenceMaxMin: every
+// live rate within 1e-6 relative, and a max-min certificate on both rate
+// vectors.
+func matchReference(t *testing.T, s *Sim, tag string) {
+	t.Helper()
+	ref := referenceMaxMin(s.Top, s.active)
+	live := make([]float64, len(s.active))
+	for i, f := range s.active {
+		live[i] = f.Rate
+		if f.Stalled || len(f.Path) == 0 {
+			live[i] = -1
+		}
+	}
+	for i := range s.active {
+		if (ref[i] < 0) != (live[i] < 0) {
+			t.Fatalf("%s flow %d: eligibility differs (ref %.3f, live %.3f)", tag, i, ref[i], live[i])
+		}
+		if ref[i] < 0 {
+			continue
+		}
+		if diff := math.Abs(ref[i] - live[i]); diff > 1e-6*math.Max(1, math.Abs(ref[i])) {
+			t.Fatalf("%s flow %d: rate %.9g differs from reference %.9g", tag, i, live[i], ref[i])
+		}
+	}
+	checkMaxMinCertificate(t, s.Top, s.active, live, tag+" live")
+	checkMaxMinCertificate(t, s.Top, s.active, ref, tag+" reference")
 }
 
 // mutateIncremental drives a randomized sequence of every mutation that can
@@ -246,31 +252,8 @@ func mutateIncremental(t *testing.T, s *Sim, rng *rand.Rand, nHosts int, tag str
 // full refill after every step. Each sequence first asserts the component
 // shape it relies on, so a change of routing cannot turn it vacuous.
 func carriedHazards(t *testing.T, p *prof.Profiler) {
-	type fabric struct {
-		s     *Sim
-		start func(src, dst, port int, bytes float64) *Flow
-		built func(f *Flow) bool
-	}
-	setup := func(t *testing.T) fabric {
-		t.Helper()
-		_, _, s := newSim(t, 1, 8, 2)
-		s.AttachProfiler(p, nil)
-		start := func(src, dst, port int, bytes float64) *Flow {
-			t.Helper()
-			f, err := s.StartFlow(route.Endpoint{Host: src, NIC: 0}, route.Endpoint{Host: dst, NIC: 0},
-				bytes, FlowOpts{SrcPort: port})
-			if err != nil {
-				t.Fatal(err)
-			}
-			return f
-		}
-		built := func(f *Flow) bool { return slices.Contains(s.built, f.comp) }
-		return fabric{s, start, built}
-	}
-	const big, small = 1 << 30, 1 << 20
-
 	t.Run("bridge", func(t *testing.T) {
-		fb := setup(t)
+		fb := newHazardFabric(t, p)
 		s := fb.s
 		var a, b, z *Flow
 		s.Batch(func() {
@@ -291,7 +274,7 @@ func carriedHazards(t *testing.T, p *prof.Profiler) {
 	})
 
 	t.Run("split", func(t *testing.T) {
-		fb := setup(t)
+		fb := newHazardFabric(t, p)
 		s := fb.s
 		var a, c, z *Flow
 		s.Batch(func() {
@@ -314,7 +297,7 @@ func carriedHazards(t *testing.T, p *prof.Profiler) {
 	})
 
 	t.Run("reroute onto interior link", func(t *testing.T) {
-		fb := setup(t)
+		fb := newHazardFabric(t, p)
 		s := fb.s
 		var b, d *Flow
 		s.Batch(func() {
@@ -337,7 +320,7 @@ func carriedHazards(t *testing.T, p *prof.Profiler) {
 	})
 
 	t.Run("abort stalled", func(t *testing.T) {
-		fb := setup(t)
+		fb := newHazardFabric(t, p)
 		s := fb.s
 		var a *Flow
 		s.Batch(func() {
@@ -354,7 +337,7 @@ func carriedHazards(t *testing.T, p *prof.Profiler) {
 	})
 
 	t.Run("node", func(t *testing.T) {
-		fb := setup(t)
+		fb := newHazardFabric(t, p)
 		s := fb.s
 		var a *Flow
 		s.Batch(func() {
@@ -379,6 +362,133 @@ func carriedHazards(t *testing.T, p *prof.Profiler) {
 			t.Fatalf("%d flows still stalled after recovery", s.StalledFlows())
 		}
 	})
+}
+
+// hazardFabric is a fresh single-segment fabric where flows on NIC 0 port
+// 0 share that port's ToR. start starts a flow from src to dst on that NIC
+// and the given port, and built reports whether the last recompute rebuilt
+// f's component.
+type hazardFabric struct {
+	s     *Sim
+	start func(src, dst, port int, bytes float64) *Flow
+	built func(f *Flow) bool
+}
+
+const big, small = 1 << 30, 1 << 20
+
+func newHazardFabric(t *testing.T, p *prof.Profiler) hazardFabric {
+	t.Helper()
+	_, _, s := newSim(t, 1, 8, 2)
+	s.AttachProfiler(p, nil)
+	start := func(src, dst, port int, bytes float64) *Flow {
+		t.Helper()
+		f, err := s.StartFlow(route.Endpoint{Host: src, NIC: 0}, route.Endpoint{Host: dst, NIC: 0},
+			bytes, FlowOpts{SrcPort: port})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return f
+	}
+	built := func(f *Flow) bool { return slices.Contains(s.built, f.comp) }
+	return hazardFabric{s, start, built}
+}
+
+// handoffChurn drives the mutations around a hand-off, the place a
+// departing flow leaves in a carried component taken by a flow on the same
+// path, each on a fresh fabric where 0->1 and 2->1 share 1's downlink and
+// 4->5 runs alone on port 1. After each it checks the allocation against
+// referenceMaxMin and a full refill, and that the component was carried or
+// rebuilt as the case requires.
+func handoffChurn(t *testing.T, p *prof.Profiler) {
+	for _, tc := range []struct {
+		name string
+		// mutate changes the fabric in one mutation and reports whether a
+		// flow took a vacancy; a is 0->1, c is 2->1.
+		mutate func(fb hazardFabric, a, c *Flow) (took bool)
+		// took: a flow takes a vacancy; carried: 2->1's component is
+		// carried; all: a topology transition rebuilds every component,
+		// 4->5's too.
+		took, carried, all bool
+	}{
+		{name: "replacement in completion callback", took: true, carried: true, mutate: func(fb hazardFabric, a, c *Flow) bool {
+			var next *Flow
+			a.OnComplete = func(sim.Time, *Flow) { next = fb.start(0, 1, 0, big) }
+			at, _ := fb.s.Eng.NextAt()
+			fb.s.Eng.RunUntil(at)
+			if fb.s.CompletedFlows != 1 || next == nil {
+				t.Fatalf("%d flows completed, want the small 0->1 alone", fb.s.CompletedFlows)
+			}
+			return next.comp == c.comp
+		}},
+		{name: "replacement aborted", took: true, mutate: func(fb hazardFabric, a, c *Flow) (took bool) {
+			fb.s.Batch(func() {
+				fb.s.AbortFlow(a)
+				next := fb.start(0, 1, 0, big)
+				took = next.comp == c.comp
+				fb.s.AbortFlow(next)
+			})
+			return took
+		}},
+		{name: "two departures one arrival", took: true, mutate: func(fb hazardFabric, a, c *Flow) (took bool) {
+			twin := fb.start(0, 1, 0, big)
+			if twin.comp != a.comp {
+				t.Fatal("two 0->1 flows on port 0 are in different components")
+			}
+			fb.s.Batch(func() {
+				fb.s.AbortFlow(a)
+				fb.s.AbortFlow(twin)
+				took = fb.start(0, 1, 0, big).comp == c.comp
+			})
+			return took
+		}},
+		{name: "non-matching arrival", mutate: func(fb hazardFabric, a, c *Flow) (took bool) {
+			var d *Flow
+			fb.s.Batch(func() {
+				fb.s.AbortFlow(a)
+				d = fb.start(2, 3, 0, big) // shares 2->1's first link
+				took = d.comp != noComp
+			})
+			if d.comp != c.comp {
+				t.Fatalf("2->3 landed in component %d, 2->1 in %d", d.comp, c.comp)
+			}
+			return took
+		}},
+		{name: "link failure", took: true, all: true, mutate: func(fb hazardFabric, a, c *Flow) (took bool) {
+			fb.s.Batch(func() {
+				fb.s.AbortFlow(a)
+				took = fb.start(0, 1, 0, big).comp == c.comp
+				fb.s.FailCable(c.Path[0])
+			})
+			if !c.Stalled {
+				t.Fatal("2->1 is not stalled by its failed uplink")
+			}
+			return took
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			fb := newHazardFabric(t, p)
+			s := fb.s
+			var a, c, z *Flow
+			s.Batch(func() {
+				a = fb.start(0, 1, 0, small)
+				c = fb.start(2, 1, 0, big)
+				z = fb.start(4, 5, 1, big)
+			})
+			if a.comp != c.comp || a.comp == z.comp {
+				t.Fatalf("setup: components %d %d %d", a.comp, c.comp, z.comp)
+			}
+			took := tc.mutate(fb, a, c)
+			if took != tc.took {
+				t.Fatalf("a flow took a vacancy: %v, want %v", took, tc.took)
+			}
+			if carried := !c.Stalled && !fb.built(c); carried != tc.carried || fb.built(z) != tc.all {
+				t.Fatalf("2->1's component carried %v, want %v; 4->5's rebuilt %v, want %v",
+					carried, tc.carried, fb.built(z), tc.all)
+			}
+			matchReference(t, s, tc.name)
+			checkIncremental(t, s, tc.name)
+		})
+	}
 }
 
 // checkIncremental asserts that the allocation the last recompute left —
@@ -542,4 +652,106 @@ func TestReferenceNoProgressAccounting(t *testing.T) {
 			t.Fatalf("flow %d crosses the zero-capacity link but got rate %v", f.ID, rates[i])
 		}
 	}
+}
+
+// TestHandoffKeepsComponentCarried runs a ring of connections whose
+// completion callbacks re-send on the same connection, as every collective
+// step does. Each hop carries two connections, one posted with its Route
+// and one walked, sharing their access links. After the first step every
+// re-send takes the place its predecessor left, so no flow is regathered,
+// and the rates stay bit-equal to referenceMaxMin. A re-send on another
+// sport, and so another path, is regathered.
+func TestHandoffKeepsComponentCarried(t *testing.T) {
+	eng, top, s := newSim(t, 2, 4, 4)
+	p := prof.New()
+	s.AttachProfiler(p, nil)
+	count := func(name string) int64 {
+		for _, st := range p.Snapshot() {
+			if st.Name == name {
+				return st.Count
+			}
+		}
+		return 0
+	}
+	const hosts, bytes = 8, 1 << 20
+	type conn struct {
+		src, dst route.Endpoint
+		opt      FlowOpts
+	}
+	var conns []*conn
+	var moved *Flow
+	resend := true
+	start := func(c *conn) *Flow {
+		f, err := s.StartFlow(c.src, c.dst, bytes, c.opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return f
+	}
+	for h := 0; h < hosts; h++ {
+		for k := 0; k < 2; k++ {
+			c := &conn{src: route.Endpoint{Host: h, NIC: 0}, dst: route.Endpoint{Host: (h + 1) % hosts, NIC: 0}}
+			c.opt = FlowOpts{SrcPort: 0, Sport: uint16(50000 + 2*h + k)}
+			if k == 0 {
+				c.opt.Route = establish(t, s, c.src, c.dst, 0, c.opt.Sport)
+			}
+			c.opt.OnComplete = func(sim.Time, *Flow) {
+				if resend {
+					if f := start(c); c.opt.Sport >= 60000 {
+						moved = f
+					}
+				}
+			}
+			conns = append(conns, c)
+		}
+	}
+	s.Batch(func() {
+		for _, c := range conns {
+			start(c)
+		}
+	})
+	if got := count("netsim/regathered"); got != 2*hosts {
+		t.Fatalf("first step regathered %d flows, want %d", got, 2*hosts)
+	}
+	step := func(tag string) {
+		t.Helper()
+		at, _ := eng.NextAt()
+		eng.RunUntil(at)
+		ref := referenceMaxMin(top, s.active)
+		for i, f := range s.active {
+			if math.Float64bits(f.Rate) != math.Float64bits(ref[i]) {
+				t.Fatalf("%s: flow %v->%v rate %v, reference %v", tag, f.Src, f.Dst, f.Rate, ref[i])
+			}
+		}
+	}
+	const steps = 4
+	for i := 1; i <= steps; i++ {
+		step(fmt.Sprintf("step %d", i))
+		if got := count("netsim/regathered"); got != 2*hosts {
+			t.Fatalf("step %d: %d flows regathered in all, want the first step's %d", i, got, 2*hosts)
+		}
+	}
+	if got := count("netsim/handoffs"); got != steps*2*hosts {
+		t.Fatalf("%d hand-offs, want %d", got, steps*2*hosts)
+	}
+
+	// Move the walked connection 3->4, which crosses the segments, to a
+	// sport whose path differs.
+	c := conns[2*3+1]
+	was := establish(t, s, c.src, c.dst, 0, c.opt.Sport).Path
+	for sp := uint16(60000); ; sp++ {
+		if sp == 60100 {
+			t.Fatal("no sport in 60000-60099 moves the cross-segment connection")
+		}
+		if !slices.Equal(establish(t, s, c.src, c.dst, 0, sp).Path, was) {
+			c.opt.Sport = sp
+			break
+		}
+	}
+	step("moved")
+	if moved == nil || !slices.Contains(s.built, moved.comp) || count("netsim/regathered") == 2*hosts {
+		t.Fatal("the re-send on another path was not regathered")
+	}
+	resend = false
+	eng.Run()
 }

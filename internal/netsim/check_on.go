@@ -55,12 +55,18 @@ func (s *Sim) checkRouteHit(f *Flow, now sim.Time) {
 // decomposition of s.active from scratch and panics, naming the flows, if
 // a runnable flow is carried in no component or in two (a link of its path
 // belongs to another component), if two flows share a component without a
-// transitive link, or if refilling a carried component gives its flows
-// rate bits other than the ones they carry. It works on the allocator
+// transitive link, if two flows on one path in a carried component carry
+// different rate bits, or if refilling a carried component gives its
+// flows rate bits other than the ones they carry. It also panics if a
+// vacancy (see vacate) outlived the recompute. It works on the allocator
 // scratch, which no one reads between recomputes, and on the flow counts
 // of the carried components, which only the recompute that built them
 // reads.
 func (s *Sim) checkComponents() {
+	if len(s.vacancies) != 0 || len(s.vacPath) != 0 ||
+		slices.ContainsFunc(s.vacHead, func(h int32) bool { return h != 0 }) {
+		panic(fmt.Sprintf("netsim: %d vacancies outlived the recompute that should have settled them", len(s.vacancies)))
+	}
 	built := make([]bool, len(s.comps))
 	for _, ci := range s.built {
 		built[ci] = true
@@ -125,10 +131,22 @@ func (s *Sim) checkComponents() {
 		}
 	}
 
-	// Refill every carried component and compare bits.
+	// Flows on one path freeze at the same pop, so a hand-off must give a
+	// flow its path's rate: compare each carried flow with the first
+	// earlier one on its path, found in its first link's incidence list.
+	// Then refill every carried component and compare bits.
 	rates := make([]uint64, len(unfrozen))
 	for i, f := range unfrozen {
 		rates[i] = math.Float64bits(f.Rate)
+		for _, j := range s.inc[f.Path[0]] {
+			if g := unfrozen[j]; int(j) < i && slices.Equal(g.Path, f.Path) {
+				if math.Float64bits(g.Rate) != rates[i] {
+					panic(fmt.Sprintf("netsim: flows %d and %d share path %v in carried component %d but carry rates %v and %v",
+						g.ID, f.ID, f.Path, f.comp, g.Rate, f.Rate))
+				}
+				break
+			}
+		}
 	}
 	s.frozen = append(s.frozen[:0], make([]bool, len(unfrozen))...)
 	heapOps := s.phHeapOps

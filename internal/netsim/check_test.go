@@ -180,3 +180,38 @@ func TestMissedMergePanics(t *testing.T) {
 		})
 	})
 }
+
+// TestHandoffChecks requires the checked build to refuse a hand-off that
+// gave a flow another rate than the flow on its path it joined, and a
+// vacancy that outlived its recompute.
+func TestHandoffChecks(t *testing.T) {
+	_, _, s := newSim(t, 1, 8, 2)
+	start := func(src, dst int) *Flow {
+		f, err := s.StartFlow(route.Endpoint{Host: src, NIC: 0}, route.Endpoint{Host: dst, NIC: 0}, 1<<30, FlowOpts{SrcPort: 0})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return f
+	}
+	var a *Flow
+	s.Batch(func() {
+		a = start(0, 1)
+		start(0, 1)
+		start(2, 1)
+	})
+	mustPanic(t, "share path", func() {
+		s.Batch(func() {
+			s.AbortFlow(a)
+			if b := start(0, 1); b.comp != noComp {
+				b.Rate *= 2
+			} else {
+				t.Error("the re-send on 0->1 took no vacancy")
+			}
+		})
+	})
+
+	_, _, s = newSim(t, 1, 8, 2)
+	start(0, 1)
+	s.vacancies = append(s.vacancies, vacancy{})
+	mustPanic(t, "outlived", s.checkComponents)
+}

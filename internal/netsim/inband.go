@@ -20,6 +20,7 @@ func (s *Sim) EnableInband(max int) *inband.Collector {
 	}
 	s.inband = inband.NewCollector(s.Top, max)
 	s.Subscribe(inbandRecords{s.inband})
+	s.needDemand()
 	s.ibDemand = make([]float64, len(s.Top.Links))
 	s.ibCap = make([]float64, len(s.Top.Links))
 	s.ibQueue = make([]float64, len(s.Top.Links))

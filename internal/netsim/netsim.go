@@ -176,7 +176,9 @@ type Sim struct {
 
 	// scratch arrays for the allocator, epoch-stamped to avoid O(links)
 	// clearing on every recompute; see alloc.go for the roles of the
-	// per-link incidence and union-find scratch.
+	// per-link incidence and union-find scratch. demand is allocated only
+	// once a probe or the in-band collector attaches (needDemand): nothing
+	// else reads it.
 	capRem   []float64
 	nShare   []int32
 	demand   []float64
@@ -202,6 +204,13 @@ type Sim struct {
 	built      []int32 // the components the last recompute filled
 	// allDirty stands for every component after a topology transition.
 	allDirty bool
+	// The places flows left in clean components during the current
+	// mutation (see vacate): vacPath holds their paths back to back, and
+	// vacHead is, per link, one plus the index of the latest vacancy whose
+	// path starts there (0 for none), chained through vacancy.next.
+	vacancies []vacancy
+	vacPath   []topo.LinkID
+	vacHead   []int32
 
 	rerouteScheduled bool
 
@@ -257,6 +266,7 @@ type Sim struct {
 	phFill       *prof.Phase
 	phFillReused *prof.Phase
 	phRegathered *prof.Phase
+	phHandoffs   *prof.Phase
 	phHeapOps    *prof.Phase
 
 	// Stats
@@ -300,13 +310,13 @@ func New(eng *sim.Engine, top *topo.Topology) *Sim {
 		probeByLink: make([]*LinkProbe, len(top.Links)),
 		capRem:      make([]float64, len(top.Links)),
 		nShare:      make([]int32, len(top.Links)),
-		demand:      make([]float64, len(top.Links)),
 		epoch:       make([]uint32, len(top.Links)),
 		inc:         make([][]int32, len(top.Links)),
 		ufParent:    make([]int32, len(top.Links)),
 		compOf:      make([]int32, len(top.Links)),
 		comps:       []allocComp{noComp: {}},
 		compDirty:   []bool{noComp: true},
+		vacHead:     make([]int32, len(top.Links)),
 	}
 	s.noteHop = func(d route.HopDecision) { s.routeHops = append(s.routeHops, d) }
 	s.fireCompletion = s.completionEvent
@@ -526,14 +536,14 @@ func (s *Sim) routeFlow(f *Flow, rt *Route) {
 		if rt.gen == gen {
 			f.Port = int(rt.Port)
 			f.Path = append(f.Path[:0], rt.Path...)
-			s.markMerges(f.Path)
+			s.join(f)
 			s.checkRouteHit(f, now)
 			return
 		}
 	}
 	s.walk(f, now, obs)
 	if !f.Stalled {
-		s.markMerges(f.Path)
+		s.join(f)
 	}
 	if gen != 0 && !f.Stalled && f.Port == int(rt.Port) && slices.Equal(f.Path, rt.Path) {
 		rt.gen = gen
@@ -589,8 +599,10 @@ func (s *Sim) walk(f *Flow, now sim.Time, obs func(route.HopDecision)) {
 // instead of recomputing per call. Since all the calls land at the same
 // virtual instant, the resulting allocation — and every completion that
 // follows — is identical to the unbatched sequence; only the O(flows x
-// hops) recomputation work per call is saved. Flows started inside a
-// batch carry Rate 0 until the batch ends.
+// hops) recomputation work per call is saved. A flow started inside a
+// batch carries Rate 0 until the batch ends, unless it took over the place
+// a flow on the same path left in the batch (a hand-off, see join): it then
+// carries that flow's rate at once, the rate the batch's recompute keeps.
 //
 // The rule: every loop that starts more than one flow at one instant goes
 // through Batch. The callers are the collective ring rounds, AllToAll's
@@ -727,7 +739,7 @@ func (s *Sim) completionEvent() {
 }
 
 func (s *Sim) removeActive(f *Flow) {
-	s.leaveComp(f)
+	s.vacate(f)
 	i := f.index
 	last := len(s.active) - 1
 	s.active[i] = s.active[last]

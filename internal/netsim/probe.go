@@ -49,6 +49,7 @@ func (s *Sim) TrackLink(l topo.LinkID, name string) *LinkProbe {
 	if p := s.probeByLink[l]; p != nil {
 		return p
 	}
+	s.needDemand()
 	p := &LinkProbe{Link: l, Name: name}
 	p.Util.Name = name + "/util"
 	p.Queue.Name = name + "/queue"
