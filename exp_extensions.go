@@ -23,58 +23,30 @@ func init() {
 // per-(ingress-port, dst-pod) Core hash that removes tier3 polarization.
 func runSec7(s Scale) (*Report, error) {
 	r := &Report{ID: "sec7", Title: "Supporting larger scale: PP across pods (§7)"}
-	hostsPerPod := 8
-	if s == ScaleFull {
-		hostsPerPod = 16
-	}
-
-	// Cross-pod placement: PP stage 0 in pod 0, stage 1 in pod 1 (the
-	// worker scheduler's job); DP rings never leave their pod.
-	crossCfg := SmallHPN(1, hostsPerPod, 8)
-	crossCfg.Pods = 2
-	crossCfg.AggCoreUplinks = 2
-	cross, err := NewHPN(crossCfg)
+	cross, ref := sec7Scenarios(s)
+	hostsPerPod := cross.Hosts / 2
+	crossFabric, err := cross.buildFabric()
 	if err != nil {
 		return nil, err
 	}
-	all, err := cross.PlaceJob(2 * hostsPerPod)
+	crossRun, err := train(crossFabric, false)
 	if err != nil {
 		return nil, err
 	}
-	ordered := make([]int, 0, len(all))
-	for i := 0; i < hostsPerPod; i++ {
-		ordered = append(ordered, all[i], all[hostsPerPod+i]) // stage0(pod0), stage1(pod1)
-	}
-	par := Parallelism{TP: 8, PP: 2, DP: hostsPerPod}
-	crossRun, err := runTraining(cross, GPT175B, par, ordered, 3, false)
+	coreGB := crossFabric.Cluster.Net.CoreBits / 8e9
+	totalGB := crossFabric.Cluster.Net.CompletedBits / 8e9
+	refFabric, err := ref.buildFabric()
 	if err != nil {
 		return nil, err
 	}
-	coreGB := cross.Net.CoreBits / 8e9
-	totalGB := cross.Net.CompletedBits / 8e9
-
-	// Single-pod reference: the same job shape entirely inside one pod.
-	refCfg := SmallHPN(2, hostsPerPod, 8)
-	ref, err := NewHPN(refCfg)
-	if err != nil {
-		return nil, err
-	}
-	refHosts, err := ref.PlaceJob(2 * hostsPerPod)
-	if err != nil {
-		return nil, err
-	}
-	refOrdered := make([]int, 0, len(refHosts))
-	for i := 0; i < hostsPerPod; i++ {
-		refOrdered = append(refOrdered, refHosts[i], refHosts[hostsPerPod+i])
-	}
-	refRun, err := runTraining(ref, GPT175B, par, refOrdered, 3, false)
+	refRun, err := train(refFabric, false)
 	if err != nil {
 		return nil, err
 	}
 
 	slowdown := 1 - crossRun.samplesPerSec/refRun.samplesPerSec
 	r.AddTable(Table{
-		Title:  fmt.Sprintf("GPT-175B-variant, TP=8 PP=2 DP=%d (%d GPUs)", hostsPerPod, par.GPUs()),
+		Title:  fmt.Sprintf("GPT-175B-variant, TP=8 PP=2 DP=%d (%d GPUs)", hostsPerPod, cross.Parallelism().GPUs()),
 		Header: []string{"placement", "samples/s", "Core-crossing traffic (GB)"},
 		Rows: [][]string{
 			{"PP across 2 pods (15:1 core)", fmtF(crossRun.samplesPerSec), fmtF(coreGB)},
@@ -93,7 +65,7 @@ func runSec7(s Scale) (*Report, error) {
 	// injective per pod and can never amplify. We therefore compare the
 	// egress-vs-ingress imbalance amplification of both schemes.
 	amp := func(perPort bool) (inImb, outImb float64) {
-		cfg := crossCfg
+		cfg := *cross.HPN
 		cfg.SharedHashSeed = true
 		c, err2 := NewHPN(cfg)
 		if err2 != nil {
@@ -144,6 +116,30 @@ func runSec7(s Scale) (*Report, error) {
 	r.AddClaim("cascaded 5-tuple hashing amplifies (polarization)", ">1x",
 		fmt.Sprintf("%.2fx", ftOut/ftIn), ftOut/ftIn > ppOut/ppIn)
 	return r, nil
+}
+
+// sec7Scenarios returns sec7's two runs of one TP=8 PP=2 job: PP across
+// the two pods of a 15:1 Core fabric, and a single-pod reference on two
+// segments. Both fabrics number PP stage 0's hosts (pod or segment 0)
+// before stage 1's, so one interleave places the stages on both: stage 0
+// in pod 0 and stage 1 in pod 1 (the worker scheduler's job), with DP
+// rings never leaving their pod.
+func sec7Scenarios(s Scale) (cross, ref Scenario) {
+	hostsPerPod := 8
+	if s == ScaleFull {
+		hostsPerPod = 16
+	}
+	var placement []int
+	for i := 0; i < hostsPerPod; i++ {
+		placement = append(placement, i, hostsPerPod+i)
+	}
+	crossCfg := MultiPodHPN(2, 1, hostsPerPod, 8)
+	crossCfg.AggCoreUplinks = 2
+	refCfg := SmallHPN(2, hostsPerPod, 8)
+	job := Scenario{Model: GPT175B, TP: 8, PP: 2, Hosts: 2 * hostsPerPod, Iterations: 3, Placement: placement}
+	cross, ref = job, job
+	cross.HPN, ref.HPN = &crossCfg, &refCfg
+	return cross, ref
 }
 
 // runSec8 reproduces the frontend-network arguments of §8 and §10: the
@@ -277,13 +273,9 @@ func trainWithStorage(trainHosts int, ckptGBPerHost float64, frontend bool) (*st
 	if err != nil {
 		return nil, err
 	}
-	c := run.Cluster
-	placed, err := c.PlaceJob(2 * trainHosts)
-	if err != nil {
-		return nil, err
-	}
-	training := placed[:trainHosts]
-	storage := placed[trainHosts:]
+	// The job fills segment 0; the storage hosts are segment 1's, numbered
+	// after it.
+	c, training := run.Cluster, run.Trainer.Job.Hosts
 
 	out := &storageRun{}
 	ckptBytes := ckptGBPerHost * 1e9
@@ -309,7 +301,7 @@ func trainWithStorage(trainHosts int, ckptGBPerHost float64, frontend bool) (*st
 	if ckptGBPerHost > 0 && !frontend {
 		start := c.Eng.Now()
 		if err := startBurst(c.Net, len(training), func(i int) (route.Endpoint, route.Endpoint) {
-			return route.Endpoint{Host: training[i], NIC: i % 8}, route.Endpoint{Host: storage[i%len(storage)], NIC: i % 8}
+			return route.Endpoint{Host: training[i], NIC: i % 8}, route.Endpoint{Host: trainHosts + i%trainHosts, NIC: i % 8}
 		}, ckptBytes, func(now sim.Time) { out.ckptSeconds = (now - start).Seconds() }); err != nil {
 			return nil, err
 		}

@@ -8,6 +8,7 @@ import (
 	"hpn/internal/metrics"
 	"hpn/internal/netsim"
 	"hpn/internal/sim"
+	"hpn/internal/topo"
 )
 
 func init() {
@@ -18,7 +19,7 @@ func init() {
 	register("sec61b", "Optimized path selection on concurrent AllReduces", runSec61b)
 }
 
-// trainingRun drives a job on a cluster and returns its summary.
+// trainingRun summarises one training run.
 type trainingRun struct {
 	samplesPerSec float64
 	commSeconds   float64
@@ -28,44 +29,34 @@ type trainingRun struct {
 	perf          *metrics.Series
 }
 
-func runTraining(c *Cluster, m ModelSpec, par Parallelism, hosts []int, iters int, probeAggs bool) (*trainingRun, error) {
-	job, err := NewJob(m, par, hosts)
-	if err != nil {
+// train places r's job on its fabric, runs it and summarises it. With
+// probeAggs it first samples the ToR-facing downlinks of a handful of Aggs
+// for fig15's queue-pressure row.
+func train(r *ScenarioRun, probeAggs bool) (*trainingRun, error) {
+	if err := r.addJob(); err != nil {
 		return nil, err
 	}
-	tr, err := NewTrainer(c, job)
-	if err != nil {
-		return nil, err
-	}
+	c, tr := r.Cluster, r.Trainer
 	var aggProbes []*netsim.LinkProbe
 	if probeAggs {
-		// Sample the ToR-facing downlinks of a handful of Aggs.
-		n := 0
+		aggs := 0
 		for _, nd := range c.Topo.Nodes {
-			if nd.Kind != 2 /* KindAgg */ {
-				continue
-			}
-			for _, dl := range nd.Downlinks[:minInt(4, len(nd.Downlinks))] {
-				aggProbes = append(aggProbes, c.Net.TrackLink(dl, nd.Name))
-			}
-			n++
-			if n >= 8 {
-				break
+			if nd.Kind == topo.KindAgg && aggs < 8 {
+				aggs++
+				for _, dl := range nd.Downlinks[:min(4, len(nd.Downlinks))] {
+					aggProbes = append(aggProbes, c.Net.TrackLink(dl, nd.Name))
+				}
 			}
 		}
 	}
-	if err := tr.Start(iters); err != nil {
+	if err := r.Run(); err != nil {
 		return nil, err
-	}
-	c.Eng.Run()
-	if tr.Iterations != iters {
-		return nil, fmt.Errorf("hpn: training stalled at iteration %d/%d", tr.Iterations, iters)
 	}
 	run := &trainingRun{
 		samplesPerSec: tr.MeanSamplesPerSecond(),
 		commSeconds:   tr.CommSeconds.MeanAfter(tr.CommSeconds.Points[0].T + 1e-12),
 		aggBits:       c.Net.AggBits,
-		segments:      c.SegmentsSpanned(hosts),
+		segments:      c.SegmentsSpanned(tr.Job.Hosts),
 		perf:          &tr.Perf,
 	}
 	if run.commSeconds <= 0 {
@@ -77,57 +68,39 @@ func runTraining(c *Cluster, m ModelSpec, par Parallelism, hosts []int, iters in
 	return run, nil
 }
 
-func minInt(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-// fig15Cluster builds the HPN and DCN+ clusters plus placements for the
-// production-scale job.
-func fig15Setup(s Scale) (hpnC, dcnC *Cluster, hpnHosts, dcnHosts []int, par Parallelism, err error) {
-	hosts := 72
-	par = Parallelism{TP: 8, PP: 8, DP: 9}
-	hpnCfg := SmallHPN(3, 32, 16)
-	dcnCfg := SmallDCN(2)
-	if s == ScaleFull {
-		hosts = 288 // 2304 GPUs, the paper's "2300+"
-		par = Parallelism{TP: 8, PP: 8, DP: 36}
-		hpnCfg = DefaultHPN()
-		hpnCfg.SegmentsPerPod = 3
-		hpnCfg.BackupHostsPerSegment = 0
-		dcnCfg = SmallDCN(5)
-	}
-	hpnC, err = NewHPN(hpnCfg)
+// trainPair trains job on an HPN and on a DCN+ fabric. The hub numbers
+// trace processes and metric prefixes in the order fabrics join it, and
+// a trainer names its trace threads when it is built, so both fabrics are
+// built, HPN first, before either job, and DCN+ then trains first.
+func trainPair(job Scenario, hpnCfg HPNConfig, dcnCfg DCNConfig, probeAggs bool) (dcnRun, hpnRun *trainingRun, err error) {
+	hpnJob, dcnJob := job, job
+	hpnJob.HPN, dcnJob.DCN = &hpnCfg, &dcnCfg
+	hpnFabric, err := hpnJob.buildFabric()
 	if err != nil {
-		return
+		return nil, nil, err
 	}
-	dcnC, err = NewDCN(dcnCfg)
+	dcnFabric, err := dcnJob.buildFabric()
 	if err != nil {
-		return
+		return nil, nil, err
 	}
-	hpnHosts, err = hpnC.PlaceJob(hosts)
-	if err != nil {
-		return
+	if dcnRun, err = train(dcnFabric, probeAggs); err != nil {
+		return nil, nil, err
 	}
-	dcnHosts, err = dcnC.PlaceJob(hosts)
-	return
+	hpnRun, err = train(hpnFabric, probeAggs)
+	return dcnRun, hpnRun, err
 }
 
 func runFig15(s Scale) (*Report, error) {
 	r := &Report{ID: "fig15", Title: "End-to-end training performance at production scale"}
-	hpnC, dcnC, hpnHosts, dcnHosts, par, err := fig15Setup(s)
-	if err != nil {
-		return nil, err
+	const iters = 3
+	job := Scenario{Model: GPT175B, TP: 8, PP: 8, Hosts: 72, Iterations: iters}
+	hpnCfg, dcnCfg := SmallHPN(3, 32, 16), SmallDCN(2)
+	if s == ScaleFull {
+		// 2304 GPUs, the paper's "2300+", on three production segments.
+		job.Hosts = 288
+		hpnCfg, dcnCfg = SmallHPN(3, 128, 60), SmallDCN(5)
 	}
-	iters := 3
-	m := GPT175B
-	dcnRun, err := runTraining(dcnC, m, par, dcnHosts, iters, true)
-	if err != nil {
-		return nil, err
-	}
-	hpnRun, err := runTraining(hpnC, m, par, hpnHosts, iters, true)
+	dcnRun, hpnRun, err := trainPair(job, hpnCfg, dcnCfg, true)
 	if err != nil {
 		return nil, err
 	}
@@ -137,7 +110,7 @@ func runFig15(s Scale) (*Report, error) {
 		aggRed = 1 - hpnRun.aggBits/dcnRun.aggBits
 	}
 	r.AddTable(Table{
-		Title:  fmt.Sprintf("GPT-175B-variant, %d GPUs, %d iterations", par.GPUs(), iters),
+		Title:  fmt.Sprintf("GPT-175B-variant, %d GPUs, %d iterations", job.Parallelism().GPUs(), iters),
 		Header: []string{"metric", "DCN+", "HPN"},
 		Rows: [][]string{
 			{"segments spanned", fmtF(float64(dcnRun.segments)), fmtF(float64(hpnRun.segments))},
@@ -158,60 +131,32 @@ func runFig15(s Scale) (*Report, error) {
 	return r, nil
 }
 
-// fig16Case describes one bar pair of Figure 16.
-type fig16Case struct {
-	model ModelSpec
-	par   Parallelism
-	paper string
-}
-
 func runFig16(s Scale) (*Report, error) {
 	r := &Report{ID: "fig16", Title: "Training representative LLMs (448 GPUs)"}
 	hosts := 24
-	cases := []fig16Case{
-		{LLaMa7B, Parallelism{TP: 1, PP: 1, DP: 192}, "+7.9%"},
-		{LLaMa13B, Parallelism{TP: 8, PP: 1, DP: 24}, "+14.4%"},
-		{GPT175B, Parallelism{TP: 8, PP: 8, DP: 3}, "+6.3%"},
-	}
 	if s == ScaleFull {
 		hosts = 56
-		cases = []fig16Case{
-			{LLaMa7B, Parallelism{TP: 1, PP: 1, DP: 448}, "+7.9%"},
-			{LLaMa13B, Parallelism{TP: 8, PP: 1, DP: 56}, "+14.4%"},
-			{GPT175B, Parallelism{TP: 8, PP: 8, DP: 7}, "+6.3%"},
-		}
+	}
+	cases := []struct {
+		job   Scenario
+		paper string
+	}{
+		{Scenario{Model: LLaMa7B, TP: 1, PP: 1}, "+7.9%"},
+		{Scenario{Model: LLaMa13B, TP: 8, PP: 1}, "+14.4%"},
+		{Scenario{Model: GPT175B, TP: 8, PP: 8}, "+6.3%"},
 	}
 	rows := [][]string{}
 	for _, cse := range cases {
 		// Fresh clusters per model so runs are independent.
-		hpnC, err := NewHPN(SmallHPN(1, hosts, bigAggs(s)))
-		if err != nil {
-			return nil, err
-		}
-		dcnC, err := NewDCN(SmallDCN(dcnPodsFor(hosts)))
-		if err != nil {
-			return nil, err
-		}
-		hpnHosts, err := hpnC.PlaceJob(hosts)
-		if err != nil {
-			return nil, err
-		}
-		dcnHosts, err := dcnC.PlaceJob(hosts)
-		if err != nil {
-			return nil, err
-		}
-		dcnRun, err := runTraining(dcnC, cse.model, cse.par, dcnHosts, 3, false)
-		if err != nil {
-			return nil, err
-		}
-		hpnRun, err := runTraining(hpnC, cse.model, cse.par, hpnHosts, 3, false)
+		cse.job.Hosts, cse.job.Iterations = hosts, 3
+		dcnRun, hpnRun, err := trainPair(cse.job, SmallHPN(1, hosts, bigAggs(s)), SmallDCN(dcnPodsFor(hosts)), false)
 		if err != nil {
 			return nil, err
 		}
 		gain := hpnRun.samplesPerSec/dcnRun.samplesPerSec - 1
-		rows = append(rows, []string{cse.model.Name,
+		rows = append(rows, []string{cse.job.Model.Name,
 			fmtF(dcnRun.samplesPerSec), fmtF(hpnRun.samplesPerSec), pct(gain), cse.paper})
-		r.AddClaim(cse.model.Name+" HPN gain", cse.paper, pct(gain), gain > 0.02 && gain < 0.45)
+		r.AddClaim(cse.job.Model.Name+" HPN gain", cse.paper, pct(gain), gain > 0.02 && gain < 0.45)
 	}
 	r.AddTable(Table{
 		Title:  fmt.Sprintf("samples/s on %d GPUs", hosts*8),
@@ -228,13 +173,7 @@ func bigAggs(s Scale) int {
 	return 8
 }
 
-func dcnPodsFor(hosts int) int {
-	pods := (hosts + 63) / 64
-	if pods < 1 {
-		pods = 1
-	}
-	return pods
-}
+func dcnPodsFor(hosts int) int { return (hosts + 63) / 64 }
 
 func runFig17(s Scale) (*Report, error) {
 	r := &Report{ID: "fig17", Title: "Collective communication performance (448 GPUs)"}

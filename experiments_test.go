@@ -2,6 +2,7 @@ package hpn
 
 import (
 	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -9,7 +10,10 @@ import (
 // Every registered experiment must run at quick scale with every
 // paper-vs-measured claim holding. This is the repository's headline
 // regression test: if a model change breaks a reproduced result, it fails
-// here with the full report attached.
+// here with the full report attached. A report captured as
+// testdata/<id>.txt (without the wall-time footer hpnbench prints after
+// it) must also print exactly that text, so rewiring how its runs are
+// built cannot move a number.
 func TestAllExperimentsHoldAtQuickScale(t *testing.T) {
 	for _, e := range Experiments() {
 		e := e
@@ -30,6 +34,9 @@ func TestAllExperimentsHoldAtQuickScale(t *testing.T) {
 					t.Errorf("claim %q: paper %q, measured %q — does not hold\n%s",
 						c.Metric, c.Paper, c.Measured, r.String())
 				}
+			}
+			if want, err := os.ReadFile(filepath.Join("testdata", e.ID+".txt")); err == nil && r.String() != string(want) {
+				t.Errorf("%s report differs from testdata:\n got:\n%s\nwant:\n%s", e.ID, r.String(), want)
 			}
 		})
 	}

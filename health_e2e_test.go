@@ -10,36 +10,22 @@ import (
 	"hpn/internal/sim"
 )
 
-// healthTrainingRun builds a cluster with the online health monitor
-// attached, trains `iters` iterations of LLaMa13B over 8 hosts, and lets
-// the caller inject faults once the healthy baseline exists (afterIter2
-// fires from the iteration-2 callback). Returns the monitor for verdicts.
-func healthTrainingRun(t *testing.T, cfg HPNConfig, iters int, afterIter2 func(c *Cluster, now sim.Time)) (*Cluster, *HealthMonitor) {
+// healthTrainingRun trains `iters` iterations of LLaMa13B over 8 hosts of
+// cfg with the online health monitor attached, and lets the caller inject
+// faults once the healthy baseline exists (afterIter2 fires from the
+// iteration-2 callback). Returns the monitor for verdicts.
+func healthTrainingRun(t *testing.T, cfg HPNConfig, iters int, afterIter2 func(c *Cluster, now sim.Time)) *HealthMonitor {
 	t.Helper()
 	opt := DefaultTelemetryOptions()
 	opt.Trace = false
 	opt.SampleInterval = 0
 	opt.Health = true
-	hub := NewTelemetryHub(opt)
-	c, err := NewHPN(cfg)
+	r, err := Scenario{HPN: &cfg, Model: LLaMa13B, TP: 8, PP: 1, Hosts: 8, Iterations: iters, Telemetry: &opt}.Build()
 	if err != nil {
 		t.Fatal(err)
 	}
-	c.EnableTelemetry(hub)
-
-	hosts, err := c.PlaceJob(8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	job, err := NewJob(LLaMa13B, Parallelism{TP: 8, PP: 1, DP: 8}, hosts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tr, err := NewTrainer(c, job)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// NewTrainer installed the monitor's attribution hook; chain after it.
+	c, tr := r.Cluster, r.Trainer
+	// Build installed the monitor's attribution hook; chain after it.
 	if afterIter2 != nil {
 		prev := tr.OnIteration
 		tr.OnIteration = func(iter int, now sim.Time) {
@@ -51,18 +37,14 @@ func healthTrainingRun(t *testing.T, cfg HPNConfig, iters int, afterIter2 func(c
 			}
 		}
 	}
-	if err := tr.Start(iters); err != nil {
+	if err := r.Run(); err != nil {
 		t.Fatal(err)
-	}
-	c.Eng.Run()
-	if tr.Iterations != iters {
-		t.Fatalf("completed %d iterations, want %d", tr.Iterations, iters)
 	}
 	m := HealthMonitorOf(c)
 	if m == nil {
 		t.Fatal("health monitor not attached despite Options.Health")
 	}
-	return c, m
+	return m
 }
 
 // A Fig. 18 flap storm on a single-ToR access cable mid-training: the
@@ -74,7 +56,7 @@ func TestHealthE2EFlapStorm(t *testing.T) {
 	cfg := SmallHPN(1, 8, 8)
 	cfg.DualToR = false
 	cfg.DualPlane = false
-	_, m := healthTrainingRun(t, cfg, 6, func(c *Cluster, now sim.Time) {
+	m := healthTrainingRun(t, cfg, 6, func(c *Cluster, now sim.Time) {
 		in := &failure.Injector{Net: c.Net}
 		// 3 down/up cycles = 6 transitions inside the 10s flap window;
 		// each ~600ms outage (400ms down + 200ms recovery reroute) stalls
@@ -124,7 +106,7 @@ func TestHealthE2EFlapStorm(t *testing.T) {
 // positive rate at zero on the healthy path — the contract that makes a
 // nonzero hpndoctor exit in CI meaningful.
 func TestHealthE2EQuietRun(t *testing.T) {
-	_, m := healthTrainingRun(t, SmallHPN(1, 8, 8), 4, nil)
+	m := healthTrainingRun(t, SmallHPN(1, 8, 8), 4, nil)
 	s := m.Summary()
 	if s.Incidents != 0 {
 		t.Fatalf("quiet run produced %d incidents: %+v", s.Incidents, m.Incidents())

@@ -1,8 +1,9 @@
 // Package core assembles the paper's primary contribution: the HPN
 // architecture as a deployable unit — topology (dual-ToR access,
 // rail-optimized tier1, dual-plane tier2, 15:1-oversubscribed tier3),
-// routing policy, collective-library path policy, and the job placement
-// rules (segment-first; PP across pods).
+// routing policy, collective-library path policy, and the segment-first
+// job placement rule. A job with PP across pods states its hosts as an
+// hpn.Scenario Placement instead.
 //
 // The same type also instantiates the baselines (DCN+ and the HPN
 // ablations), so every experiment compares like with like: only the

@@ -14,18 +14,23 @@ import (
 // Scenario describes one training run as data: the fabric, the job, the
 // link-fault schedule and the observers. Build assembles it and the
 // returned ScenarioRun executes it; hpnsim, the golden determinism tests
-// and the single-job experiments all describe their runs this way.
+// and the training experiments all describe their runs this way.
 type Scenario struct {
 	// HPN or DCN is the fabric; set exactly one. An HPN fabric with
-	// Pods > 1 runs on the sharded engine, with the job replicated in
-	// every pod (see ShardedTrainer).
+	// Pods > 1 and no Placement runs on the sharded engine, with the job
+	// replicated in every pod (see ShardedTrainer).
 	HPN *HPNConfig
 	DCN *DCNConfig
-	// Model trains on Hosts hosts (8 GPUs each) per pod with tensor and
-	// pipeline parallelism TP and PP; data parallelism spans the rest.
+	// Model trains on Hosts hosts (8 GPUs each), in every pod on the
+	// sharded engine, with tensor and pipeline parallelism TP and PP; data
+	// parallelism spans the rest.
 	Model  ModelSpec
 	TP, PP int
 	Hosts  int
+	// Placement lists the job's Hosts fabric host IDs in rank order, and
+	// a placed job runs on one engine whatever the pod count, so it can
+	// span pods. Nil places the job segment-first (Cluster.PlaceJob).
+	Placement []int
 	// Iterations is how many iterations every trainer runs. A Horizon > 0
 	// stops the run at that virtual time instead (single engine only).
 	Iterations int
@@ -46,11 +51,12 @@ type Scenario struct {
 	Faults []LinkFault
 }
 
-// LinkFault takes the access cable of host 0's first NIC port down at
-// FailAt and back up at RecoverAt (0: never). With Flaps > 0 the cable
-// flaps from FailAt instead: Flaps cycles of flapDown down and flapUp up,
-// the Fig. 18 pattern.
+// LinkFault takes the access cable of fabric host Host's NIC NIC, port
+// Port (Topology.AccessLink) down at FailAt and back up at RecoverAt (0:
+// never). With Flaps > 0 the cable flaps from FailAt instead: Flaps cycles
+// of flapDown down and flapUp up, the Fig. 18 pattern.
 type LinkFault struct {
+	Host, NIC, Port   int
 	FailAt, RecoverAt sim.Time
 	Flaps             int
 }
@@ -79,7 +85,8 @@ func (s Scenario) Parallelism() Parallelism {
 	return Parallelism{TP: s.TP, PP: s.PP, DP: s.Hosts * 8 / (s.TP * s.PP)}
 }
 
-// Validate reports why s cannot be built, or nil.
+// Validate reports why s cannot be built, or nil. Build also checks the
+// placement and the faults against the fabric.
 func (s Scenario) Validate() error {
 	switch {
 	case (s.HPN == nil) == (s.DCN == nil):
@@ -89,16 +96,34 @@ func (s Scenario) Validate() error {
 			s.Hosts, s.TP, s.PP, s.Iterations)
 	case s.Hosts*8%(s.TP*s.PP) != 0:
 		return fmt.Errorf("hpn: %d GPUs not divisible by tp*pp=%d", s.Hosts*8, s.TP*s.PP)
-	case s.Horizon > 0 && s.HPN != nil && s.HPN.Pods > 1:
-		return fmt.Errorf("hpn: a run horizon needs a single-engine fabric")
+	case s.Horizon > 0 && s.sharded():
+		return fmt.Errorf("hpn: a run horizon needs a single-engine run")
 	}
 	return nil
 }
+
+// sharded reports whether s runs on the sharded engine: a multi-pod HPN
+// fabric with the job placed by pod rather than by Placement.
+func (s Scenario) sharded() bool { return s.HPN != nil && s.HPN.Pods > 1 && s.Placement == nil }
 
 // Build validates s and assembles its hub, fabric, trainers and fault
 // schedule without starting anything, so probes and watchdogs can attach
 // before Run.
 func (s Scenario) Build() (*ScenarioRun, error) {
+	r, err := s.buildFabric()
+	if err == nil {
+		err = r.addJob()
+	}
+	if err != nil {
+		return nil, err
+	}
+	return r, nil
+}
+
+// buildFabric is the first half of Build: it validates s and assembles
+// the hub and the fabric. A caller that must build several fabrics before
+// their jobs, to keep the hub's join order, calls addJob itself.
+func (s Scenario) buildFabric() (*ScenarioRun, error) {
 	if err := s.Validate(); err != nil {
 		return nil, err
 	}
@@ -109,7 +134,7 @@ func (s Scenario) Build() (*ScenarioRun, error) {
 	}
 	var err error
 	switch {
-	case s.HPN != nil && s.HPN.Pods > 1:
+	case s.sharded():
 		if r.Sharded, err = NewShardedHPN(*s.HPN, r.Hub); err != nil {
 			return nil, err
 		}
@@ -136,18 +161,28 @@ func (s Scenario) Build() (*ScenarioRun, error) {
 			c.Net.EnableFlowLog()
 		}
 	}
+	return r, nil
+}
+
+// addJob is the second half of Build: it places the trainers on the
+// fabric and schedules the faults.
+func (r *ScenarioRun) addJob() error {
+	s := r.Scenario
+	var err error
 	if r.Sharded != nil {
 		r.ShardedTrainer, err = NewShardedTrainer(r.Sharded, s.Model, s.Parallelism())
 	} else {
-		r.Trainer, err = placeTrainer(r.Cluster, s.Model, s.Parallelism())
+		r.Trainer, err = placeTrainer(r.Cluster, s.Model, s.Parallelism(), s.Placement)
 	}
 	if err != nil {
-		return nil, err
+		return err
 	}
 	for _, f := range s.Faults {
-		r.inject(f)
+		if err := r.inject(f); err != nil {
+			return err
+		}
 	}
-	return r, nil
+	return nil
 }
 
 // clusters lists the run's engines: its one cluster, or the sharded global
@@ -159,12 +194,26 @@ func (r *ScenarioRun) clusters() []*Cluster {
 	return append([]*Cluster{r.Sharded.Global}, r.Sharded.Pods...)
 }
 
-// placeTrainer places a par-shaped job of model m on c, segments first,
-// and builds its trainer.
-func placeTrainer(c *Cluster, m ModelSpec, par Parallelism) (*Trainer, error) {
-	placed, err := c.PlaceJob(par.GPUs() / 8)
-	if err != nil {
-		return nil, err
+// placeTrainer builds the trainer of a par-shaped job of model m on c,
+// on the placed hosts or, when placed is nil, segments first. A placed
+// host must be an active host of the fabric, placed once.
+func placeTrainer(c *Cluster, m ModelSpec, par Parallelism, placed []int) (*Trainer, error) {
+	if placed == nil {
+		var err error
+		if placed, err = c.PlaceJob(par.GPUs() / 8); err != nil {
+			return nil, err
+		}
+	}
+	hosts := c.Topo.Hosts
+	seen := make([]bool, len(hosts))
+	for _, h := range placed {
+		switch {
+		case h < 0 || h >= len(hosts) || hosts[h].Backup:
+			return nil, fmt.Errorf("hpn: placement host %d is not an active host of the fabric", h)
+		case seen[h]:
+			return nil, fmt.Errorf("hpn: placement lists host %d twice", h)
+		}
+		seen[h] = true
 	}
 	job, err := NewJob(m, par, placed)
 	if err != nil {
@@ -173,22 +222,38 @@ func placeTrainer(c *Cluster, m ModelSpec, par Parallelism) (*Trainer, error) {
 	return NewTrainer(c, job)
 }
 
-// inject schedules one fault on the engine that owns its link.
-func (r *ScenarioRun) inject(f LinkFault) {
+// inject schedules one fault on the engine that owns its link. It refuses
+// a cable the fabric does not have and a schedule that would run wrong: a
+// negative time, a recovery before the failure, or a flapping cable with
+// a recovery time, which would be ignored.
+func (r *ScenarioRun) inject(f LinkFault) error {
 	c := r.clusters()[0]
-	lk := c.Topo.AccessLink(0, 0, 0)
+	hosts := c.Topo.Hosts
+	switch {
+	case f.Host < 0 || f.Host >= len(hosts) || f.NIC < 0 || f.NIC >= len(hosts[f.Host].NICs) ||
+		f.Port < 0 || f.Port >= len(hosts[f.Host].NICs[f.NIC].Ports):
+		return fmt.Errorf("hpn: fault %+v: the fabric has no such access cable", f)
+	case f.FailAt < 0 || f.RecoverAt < 0 || f.Flaps < 0:
+		return fmt.Errorf("hpn: fault %+v: negative time or flap count", f)
+	case f.Flaps > 0 && f.RecoverAt != 0:
+		return fmt.Errorf("hpn: fault %+v: a flapping cable takes no RecoverAt", f)
+	case f.RecoverAt != 0 && f.RecoverAt <= f.FailAt:
+		return fmt.Errorf("hpn: fault %+v: RecoverAt must follow FailAt", f)
+	}
+	lk := c.Topo.AccessLink(f.Host, f.NIC, f.Port)
 	if r.Sharded != nil {
 		c = r.Sharded.DomainFor(lk)
 	}
 	in := &failure.Injector{Net: c.Net}
 	if f.Flaps > 0 {
 		in.FlapLinkAt(f.FailAt, lk, flapDown, flapUp, f.Flaps)
-		return
+		return nil
 	}
 	in.FailLinkAt(f.FailAt, lk)
 	if f.RecoverAt > 0 {
 		in.RecoverLinkAt(f.RecoverAt, lk)
 	}
+	return nil
 }
 
 // ErrStalled is the error Run wraps when a run without a horizon went

@@ -70,7 +70,7 @@ func NewShardedTrainer(sc *ShardedCluster, m ModelSpec, par Parallelism) (*Shard
 	st := &ShardedTrainer{SC: sc, resumes: make([]func(), len(sc.Pods))}
 	var leaders []int
 	for pod, pc := range sc.Pods {
-		tr, err := placeTrainer(pc, m, par)
+		tr, err := placeTrainer(pc, m, par, nil)
 		if err != nil {
 			return nil, fmt.Errorf("hpn: pod %d: %w", pod, err)
 		}

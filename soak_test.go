@@ -1,6 +1,7 @@
 package hpn
 
 import (
+	"slices"
 	"testing"
 
 	"hpn/internal/failure"
@@ -30,40 +31,32 @@ func TestSoakFailuresUnderProductionRates(t *testing.T) {
 			cfg.DualToR = false
 			cfg.DualPlane = false
 		}
-		c, err := NewHPN(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		placed, err := c.PlaceJob(hosts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		job, err := NewJob(LLaMa7B, Parallelism{TP: 1, PP: 1, DP: hosts * 8}, placed)
-		if err != nil {
-			t.Fatal(err)
-		}
-		tr, err := NewTrainer(c, job)
-		if err != nil {
-			t.Fatal(err)
-		}
-		inj := failure.Injector{Net: c.Net}
+		s := Scenario{HPN: &cfg, Model: LLaMa7B, TP: 1, PP: 1, Hosts: hosts, Iterations: 1 << 30, Horizon: horizon}
 		rng := sim.NewRNG(1234)
 		at := 10 * sim.Minute
 		for i := 0; i < faults; i++ {
-			host := placed[rng.Intn(len(placed))]
-			link := c.Topo.AccessLink(host, rng.Intn(8), 0)
-			inj.FailLinkAt(at, link)
-			inj.RecoverLinkAt(at+repair, link)
+			// Host IDs 0..hosts-1 are the segment-first placement; the
+			// check below holds the draw to it.
+			s.Faults = append(s.Faults, LinkFault{Host: rng.Intn(hosts), NIC: rng.Intn(8),
+				FailAt: at, RecoverAt: at + repair})
 			at += interFail
 		}
-		w := failure.NewWatchdog(c.Net)
-		w.Watch(horizon)
-		if err := tr.Start(1 << 30); err != nil {
+		r, err := s.Build()
+		if err != nil {
 			t.Fatal(err)
 		}
-		c.Eng.RunUntil(horizon)
+		for _, f := range s.Faults {
+			if !slices.Contains(r.Trainer.Job.Hosts, f.Host) {
+				t.Fatalf("fault host %d is not in the placement %v", f.Host, r.Trainer.Job.Hosts)
+			}
+		}
+		w := failure.NewWatchdog(r.Cluster.Net)
+		w.Watch(horizon)
+		if err := r.Run(); err != nil {
+			t.Fatal(err)
+		}
 		crashed, _ = w.Crashed()
-		return tr.Iterations, crashed
+		return r.Trainer.Iterations, crashed
 	}
 
 	dualIters, dualCrashed := run(true)

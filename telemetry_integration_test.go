@@ -7,43 +7,26 @@ import (
 	"testing"
 )
 
-// telemetryRun builds a small HPN cluster with telemetry attached, trains a
-// couple of iterations through a mid-run cable failure, and returns the
-// serialized trace and Prometheus artifacts.
+// telemetryRun trains two iterations of LLaMa13B on a small healthy HPN
+// fabric with default telemetry attached, and returns the serialized trace
+// and Prometheus artifacts.
 func telemetryRun(t *testing.T) (trace, prom []byte) {
 	t.Helper()
-	hub := NewTelemetryHub(DefaultTelemetryOptions())
-	c, err := NewHPN(SmallHPN(1, 8, 8))
+	opt := DefaultTelemetryOptions()
+	cfg := SmallHPN(1, 8, 8)
+	r, err := Scenario{HPN: &cfg, Model: LLaMa13B, TP: 8, PP: 1, Hosts: 8, Iterations: 2, Telemetry: &opt}.Build()
 	if err != nil {
 		t.Fatal(err)
 	}
-	c.EnableTelemetry(hub)
-
-	hosts, err := c.PlaceJob(8)
-	if err != nil {
+	if err := r.Run(); err != nil {
 		t.Fatal(err)
-	}
-	job, err := NewJob(LLaMa13B, Parallelism{TP: 8, PP: 1, DP: 8}, hosts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tr, err := NewTrainer(c, job)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := tr.Start(2); err != nil {
-		t.Fatal(err)
-	}
-	c.Eng.Run()
-	if tr.Iterations != 2 {
-		t.Fatalf("completed %d iterations, want 2", tr.Iterations)
 	}
 
 	var tb, pb bytes.Buffer
-	if _, err := hub.Tracer.WriteTo(&tb); err != nil {
+	if _, err := r.Hub.Tracer.WriteTo(&tb); err != nil {
 		t.Fatal(err)
 	}
-	if err := hub.Registry.WritePrometheus(&pb); err != nil {
+	if err := r.Hub.Registry.WritePrometheus(&pb); err != nil {
 		t.Fatal(err)
 	}
 	return tb.Bytes(), pb.Bytes()
@@ -166,32 +149,15 @@ func TestMemoWithDefaultTelemetryOptionsReplays(t *testing.T) {
 	const iters = 20
 	opt := DefaultTelemetryOptions()
 	opt.Memo = true
-	hub := NewTelemetryHub(opt)
-	c, err := NewHPN(SmallHPN(1, 8, 8))
+	cfg := SmallHPN(1, 8, 8)
+	r, err := Scenario{HPN: &cfg, Model: LLaMa13B, TP: 8, PP: 1, Hosts: 8, Iterations: iters, Telemetry: &opt}.Build()
 	if err != nil {
 		t.Fatal(err)
 	}
-	c.EnableTelemetry(hub)
-	hosts, err := c.PlaceJob(8)
-	if err != nil {
+	if err := r.Run(); err != nil {
 		t.Fatal(err)
 	}
-	job, err := NewJob(LLaMa13B, Parallelism{TP: 8, PP: 1, DP: 8}, hosts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tr, err := NewTrainer(c, job)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := tr.Start(iters); err != nil {
-		t.Fatal(err)
-	}
-	c.Eng.Run()
-	if tr.Iterations != iters {
-		t.Fatalf("completed %d iterations, want %d", tr.Iterations, iters)
-	}
-	rec := MemoRecorderOf(c)
+	rec := MemoRecorderOf(r.Cluster)
 	if rec == nil {
 		t.Fatal("memo recorder not attached despite Options.Memo")
 	}
