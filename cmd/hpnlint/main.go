@@ -2,23 +2,22 @@
 // stdlib-only static-analysis suite (go/parser + go/types) that builds a
 // module-wide call graph, computes per-function dataflow summaries to a
 // fixpoint, and enforces the simulator's reproducibility contract — no
-// wall-clock reads, no global math/rand, no map-order leaks into ordered
-// output (directly or through any call chain), no exact float equality,
-// nil-guarded telemetry emission, order-stable goroutine merges,
-// order-stable float reduction, engine-cursor record stamping, and no
-// stale allow directives.
+// wall-clock reads, no map-order leaks into ordered output (directly or
+// through any call chain), no exact float equality, nil-guarded telemetry
+// emission, order-stable float reduction, and no stale allow directives.
 //
 // Usage:
 //
-//	hpnlint ./...               # lint every package in the module
-//	hpnlint ./internal/...      # lint a subtree (summaries still span imports)
-//	hpnlint -json ./...         # machine-readable findings with taint chains
-//	hpnlint -fix-allows ./...   # delete stale //hpnlint:allow directives
-//	hpnlint -budget 10s ./...   # fail if the analysis exceeds the budget
-//	hpnlint -rules              # list rules and what they catch
+//	hpnlint          # lint every package of the module containing the working directory
+//	hpnlint -rules   # list rules and what they catch
 //
-// Exit status: 0 clean, 1 findings, 2 usage or load failure, 3 budget
-// exceeded. Intentional exceptions are annotated in source:
+// Each finding prints as file:line:col with its interprocedural taint
+// chain indented below it. A lone "./..." argument names the same whole
+// module and is accepted for callers that spell it out.
+//
+// Exit status: 0 clean, 1 findings, 2 usage, load or type-check failure,
+// 3 the analysis ran past its 10s budget. Intentional exceptions are
+// annotated in source:
 //
 //	//hpnlint:allow <rule>[,<rule>] -- <justification>
 package main
@@ -34,16 +33,14 @@ import (
 	"hpn/internal/lint"
 )
 
+// budget bounds the wall time of load plus analysis: a creeping-cost
+// tripwire, not a perf benchmark.
+const budget = 10 * time.Second
+
 func main() {
-	var (
-		listRules = flag.Bool("rules", false, "list rules and exit")
-		strict    = flag.Bool("strict", false, "treat type-check warnings as failures")
-		jsonOut   = flag.Bool("json", false, "emit findings as a JSON array with taint chains")
-		fixAllows = flag.Bool("fix-allows", false, "delete stale //hpnlint:allow directives in place")
-		budget    = flag.Duration("budget", 0, "fail (exit 3) if load+analysis exceeds this duration")
-	)
+	listRules := flag.Bool("rules", false, "list rules and exit")
 	flag.Usage = func() {
-		fmt.Fprintf(os.Stderr, "usage: hpnlint [-rules] [-strict] [-json] [-fix-allows] [-budget 10s] ./... | dir ...\n")
+		fmt.Fprintf(os.Stderr, "usage: hpnlint [-rules]\n")
 		flag.PrintDefaults()
 	}
 	flag.Parse()
@@ -54,7 +51,7 @@ func main() {
 		}
 		return
 	}
-	if flag.NArg() == 0 {
+	if flag.NArg() > 1 || (flag.NArg() == 1 && flag.Arg(0) != "./...") {
 		flag.Usage()
 		os.Exit(2)
 	}
@@ -68,77 +65,35 @@ func main() {
 		fatal(err)
 	}
 	loader := lint.NewLoader(root, module)
-
-	var pkgs []*lint.Package
-	seen := map[string]bool{}
-	for _, arg := range flag.Args() {
-		loaded, err := loadArg(loader, root, arg)
-		if err != nil {
-			fatal(err)
-		}
-		for _, pkg := range loaded {
-			if !seen[pkg.ImportPath] {
-				seen[pkg.ImportPath] = true
-				pkgs = append(pkgs, pkg)
-			}
-		}
+	pkgs, err := loader.LoadAll()
+	if err != nil {
+		fatal(err)
 	}
-
-	warned := false
+	typeErrs := false
 	for _, pkg := range pkgs {
 		for _, terr := range pkg.TypeErrors {
 			fmt.Fprintf(os.Stderr, "hpnlint: typecheck %s: %v\n", pkg.ImportPath, terr)
-			warned = true
+			typeErrs = true
 		}
 	}
-	if warned && *strict {
+	if typeErrs {
 		os.Exit(2)
 	}
 
-	// Summaries are computed over everything the loader pulled in (the
-	// requested packages plus their module-internal imports), so linting a
-	// subtree still sees through calls into the rest of the module.
-	analysis := lint.Analyze(loader.Fset, loader.Info, pkgs, loader.Loaded(), lint.AllRules())
-	diags := analysis.Diags
-
-	if *fixAllows {
-		stale := analysis.Prog.StaleAllows()
-		fixed, err := lint.FixAllows(stale)
-		for _, f := range fixed {
-			if rel, rerr := filepath.Rel(root, f); rerr == nil {
-				f = rel
-			}
-			fmt.Printf("hpnlint: fixed %s\n", f)
-		}
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Fprintf(os.Stderr, "hpnlint: removed %d stale allow directive(s) in %d file(s)\n", len(stale), len(fixed))
-		return
-	}
-
+	diags := lint.Analyze(loader.Fset, loader.Info, pkgs, lint.AllRules())
 	// Positions relative to the module root keep output stable across
 	// checkouts.
-	for i := range diags {
-		diags[i].Pos.Filename = relTo(root, diags[i].Pos.Filename)
-		for j := range diags[i].Chain {
-			diags[i].Chain[j].Pos.Filename = relTo(root, diags[i].Chain[j].Pos.Filename)
+	for _, d := range diags {
+		d.Pos.Filename = relTo(root, d.Pos.Filename)
+		for j := range d.Chain {
+			d.Chain[j].Pos.Filename = relTo(root, d.Chain[j].Pos.Filename)
 		}
-	}
-
-	if *jsonOut {
-		if err := lint.WriteJSON(os.Stdout, diags); err != nil {
-			fatal(err)
-		}
-	} else {
-		for _, d := range diags {
-			fmt.Println(d.Render())
-		}
+		fmt.Println(d.Render())
 	}
 
 	elapsed := time.Since(start) //hpnlint:allow wallclock -- lint runtime budget, not sim state
-	if *budget > 0 && elapsed > *budget {
-		fmt.Fprintf(os.Stderr, "hpnlint: analysis took %v, over the %v budget\n", elapsed.Round(time.Millisecond), *budget)
+	if elapsed > budget {
+		fmt.Fprintf(os.Stderr, "hpnlint: analysis took %v, over the %v budget\n", elapsed.Round(time.Millisecond), budget)
 		os.Exit(3)
 	}
 	if len(diags) > 0 {
@@ -154,55 +109,6 @@ func relTo(root, path string) string {
 		return rel
 	}
 	return path
-}
-
-// loadArg resolves one command-line argument: "./..."-style patterns load
-// the whole subtree, plain paths load a single package directory.
-func loadArg(loader *lint.Loader, root, arg string) ([]*lint.Package, error) {
-	if arg == "all" || arg == "./..." || arg == "..." {
-		return loader.LoadAll()
-	}
-	if rest, ok := strings.CutSuffix(arg, "/..."); ok {
-		all, err := loader.LoadAll()
-		if err != nil {
-			return nil, err
-		}
-		prefix, err := filepath.Abs(rest)
-		if err != nil {
-			return nil, err
-		}
-		var out []*lint.Package
-		for _, pkg := range all {
-			if pkg.Dir == prefix || strings.HasPrefix(pkg.Dir, prefix+string(filepath.Separator)) {
-				out = append(out, pkg)
-			}
-		}
-		if len(out) == 0 {
-			return nil, fmt.Errorf("hpnlint: no packages under %s", arg)
-		}
-		return out, nil
-	}
-	dir, err := filepath.Abs(arg)
-	if err != nil {
-		return nil, err
-	}
-	rel, err := filepath.Rel(root, dir)
-	if err != nil || strings.HasPrefix(rel, "..") {
-		return nil, fmt.Errorf("hpnlint: %s is outside module root %s", arg, root)
-	}
-	importPath := module(loader, rel)
-	pkg, err := loader.LoadDir(dir, importPath)
-	if err != nil {
-		return nil, err
-	}
-	return []*lint.Package{pkg}, nil
-}
-
-func module(loader *lint.Loader, rel string) string {
-	if rel == "." {
-		return loader.Module
-	}
-	return loader.Module + "/" + filepath.ToSlash(rel)
 }
 
 func fatal(err error) {

@@ -66,8 +66,10 @@ func goldenOptions(sampling bool) *TelemetryOptions {
 // may edit them.
 func goldenCases() []goldenCase {
 	pod := SmallHPN(1, 8, 8)
+	twoSeg := SmallHPN(2, 4, 8)
 	multi := MultiPodHPN(2, 1, 4, 2)
 	single := Scenario{HPN: &pod, Model: LLaMa13B, TP: 8, PP: 1, Hosts: 8, FlowLog: true}
+	pipelined := Scenario{HPN: &twoSeg, Model: LLaMa13B, TP: 8, PP: 2, Hosts: 8, FlowLog: true}
 	sharded := Scenario{HPN: &multi, Model: LLaMa13B, TP: 8, PP: 1, Hosts: 4, Workers: 1, FlowLog: true}
 	// A cable flap on host 0, in pod 0 on the sharded fabric, where it is
 	// injected on the owning pod's engine.
@@ -86,6 +88,13 @@ func goldenCases() []goldenCase {
 		// Steady state: most iterations replay from the recorded window.
 		name: "steady",
 		s:    with(single, 8, goldenOptions(false), nil),
+		rows: []string{"flowlog.tsv"},
+		memo: true, minReplayed: 8 - 3,
+	}, {
+		// Pipeline-parallel sends ride pinned source ports in one batched
+		// launch per iteration, and replay must reproduce them as well.
+		name: "pp",
+		s:    with(pipelined, 8, goldenOptions(false), nil),
 		rows: []string{"flowlog.tsv"},
 		memo: true, minReplayed: 8 - 3,
 	}, {

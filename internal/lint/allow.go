@@ -1,6 +1,7 @@
 package lint
 
 import (
+	"go/ast"
 	"go/token"
 	"strings"
 )
@@ -45,9 +46,10 @@ func (a *allowSet) allowed(file string, line int, rule string) bool {
 //	//hpnlint:allow <rule>[,<rule>...] [-- <justification>]
 //
 // The directive is written with no space after "//" so gofmt treats it as a
-// machine directive and leaves it untouched. It suppresses diagnostics of
-// the named rule(s) on the line the comment appears on (trailing-comment
-// form) and on the immediately following line (standalone-comment form):
+// machine directive and leaves it untouched. A directive sharing its line
+// with code (trailing-comment form) suppresses diagnostics of the named
+// rule(s) on that line only; a directive on a line of its own
+// (standalone-comment form) suppresses them on the line that follows:
 //
 //	start := time.Now() //hpnlint:allow wallclock -- CLI timing, not sim state
 //
@@ -62,36 +64,56 @@ func (a *allowSet) allowed(file string, line int, rule string) bool {
 func collectAllows(fset *token.FileSet, pkg *Package) *allowSet {
 	allows := &allowSet{byLine: map[string]map[int]map[string]*allowDirective{}}
 	for _, f := range pkg.Files {
+		var code map[int]bool
 		for _, cg := range f.Comments {
 			for _, c := range cg.List {
 				rules, ok := parseAllowDirective(c.Text)
 				if !ok {
 					continue
 				}
+				if code == nil {
+					code = codeLines(fset, f)
+				}
 				pos := fset.Position(c.Slash)
+				line := pos.Line
+				if !code[line] {
+					line++
+				}
 				lines := allows.byLine[pos.Filename]
 				if lines == nil {
 					lines = map[int]map[string]*allowDirective{}
 					allows.byLine[pos.Filename] = lines
 				}
+				set := lines[line]
+				if set == nil {
+					set = map[string]*allowDirective{}
+					lines[line] = set
+				}
 				for _, r := range rules {
 					d := &allowDirective{pos: pos, rule: r}
 					allows.directives = append(allows.directives, d)
-					for _, line := range []int{pos.Line, pos.Line + 1} {
-						set := lines[line]
-						if set == nil {
-							set = map[string]*allowDirective{}
-							lines[line] = set
-						}
-						// Both lines share one directive so either hit
-						// marks it used.
-						set[r] = d
-					}
+					set[r] = d
 				}
 			}
 		}
 	}
 	return allows
+}
+
+// codeLines returns the lines of f on which some syntax node starts or
+// ends, comments excluded: the lines a trailing directive can share.
+func codeLines(fset *token.FileSet, f *ast.File) map[int]bool {
+	lines := map[int]bool{}
+	ast.Inspect(f, func(n ast.Node) bool {
+		switch n.(type) {
+		case nil, *ast.CommentGroup:
+			return false
+		}
+		lines[fset.Position(n.Pos()).Line] = true
+		lines[fset.Position(n.End()).Line] = true
+		return true
+	})
+	return lines
 }
 
 // parseAllowDirective extracts the rule list from one comment's text, or

@@ -84,7 +84,6 @@ type assignFromCall struct {
 // summary.go; the walk itself never looks outside the function.
 type fnFacts struct {
 	wall    []seed // reads the wall clock (allow-suppressed sites excluded)
-	rand    []seed // draws from the global math/rand source
 	ordered []seed // ordered side effects: schedules, emits, appends to
 	// surviving state, feeds a fingerprint hasher
 	floatAcc []seed // float accumulation into state the function does not own
@@ -104,33 +103,30 @@ type fnFacts struct {
 // Program is the module-wide analysis state: the function index, call
 // graph, per-package allow sets and converged summaries.
 type Program struct {
-	Fset    *token.FileSet
-	Info    *types.Info
-	Pkgs    []*Package // packages diagnostics are reported for
-	Context []*Package // superset of Pkgs contributing summaries
+	Fset *token.FileSet
+	Info *types.Info
+	Pkgs []*Package
 
 	funcs  map[*types.Func]*FuncInfo
 	order  []*FuncInfo
 	allows map[*Package]*allowSet
 }
 
-// BuildProgram indexes every function declared in context, extracts
-// per-function facts and runs the summary fixpoint. pkgs is the subset
-// diagnostics will be reported for.
-func BuildProgram(fset *token.FileSet, info *types.Info, pkgs, context []*Package) *Program {
+// BuildProgram indexes every function declared in pkgs, extracts
+// per-function facts and runs the summary fixpoint.
+func BuildProgram(fset *token.FileSet, info *types.Info, pkgs []*Package) *Program {
 	prog := &Program{
-		Fset:    fset,
-		Info:    info,
-		Pkgs:    pkgs,
-		Context: context,
-		funcs:   map[*types.Func]*FuncInfo{},
-		allows:  map[*Package]*allowSet{},
+		Fset:   fset,
+		Info:   info,
+		Pkgs:   pkgs,
+		funcs:  map[*types.Func]*FuncInfo{},
+		allows: map[*Package]*allowSet{},
 	}
-	for _, pkg := range context {
+	for _, pkg := range pkgs {
 		prog.allows[pkg] = collectAllows(fset, pkg)
 	}
 	// Pass 1: index declarations so call edges can resolve forward refs.
-	for _, pkg := range context {
+	for _, pkg := range pkgs {
 		for _, f := range pkg.Files {
 			for _, decl := range f.Decls {
 				fd, ok := decl.(*ast.FuncDecl)

@@ -3,9 +3,11 @@
 //
 // The simulator's core correctness contract is bit-for-bit reproducibility:
 // every artifact (flow logs, traces, metrics) must be byte-identical across
-// same-seed runs. That contract is easy to break silently — one stray
-// time.Now, a global math/rand draw, or Go map iteration order leaking into
-// an ordered output — so it is enforced by machine rather than by review
+// same-seed runs. The golden determinism suite checks that contract on
+// the runs it makes; hpnlint keeps the rules whose violations a seeded
+// test run does not catch every time — a wall-clock timer, a map range
+// no test gives two keys, an unguarded emission off the allocation-tested
+// path — so the contract is enforced by machine rather than by review
 // vigilance. hpnlint parses every package with go/parser + go/types
 // (standard library only, preserving the repo's no-dependency rule), builds
 // a module-wide call graph, computes per-function dataflow summaries
@@ -16,9 +18,6 @@
 //
 //   - wallclock:  no time.Now/time.Since etc. in simulator code, directly
 //     or through any call chain; virtual time comes from sim.Engine.Now.
-//   - globalrand: no math/rand package-level functions, directly or
-//     transitively; RNG streams must flow from hpn/internal/sim.NewRNG /
-//     RNG.Fork.
 //   - maporder:   no map iteration whose order reaches ordered output —
 //     scheduling events, emitting telemetry, building surviving slices, or
 //     calling functions that (transitively) do any of those; also no
@@ -28,13 +27,8 @@
 //   - tracenil:   telemetry emission sites must sit behind a nil-tracer
 //     guard — including call sites that pass a possibly-nil tracer to a
 //     helper that emits on it unguarded.
-//   - goorder:    goroutine results must be merged index-addressed or
-//     sorted, never by channel-receive order or shared-slice append.
 //   - floatacc:   no float accumulation whose reduction order depends on
 //     map iteration, goroutine scheduling, or channel-receive order.
-//   - seqsource:  artifact records are stamped from engine clock/sequence
-//     cursors, never from function-local counters (memo replay re-stamps
-//     by engine deltas; local counters silently diverge).
 //   - allowstale: every //hpnlint:allow directive must still suppress a
 //     finding; a stale allow is itself a finding.
 //
@@ -105,13 +99,10 @@ type Rule interface {
 func AllRules() []Rule {
 	return []Rule{
 		wallclockRule{},
-		globalrandRule{},
 		maporderRule{},
 		floateqRule{},
 		tracenilRule{},
-		goorderRule{},
 		floataccRule{},
-		seqsourceRule{},
 		allowstaleRule{},
 	}
 }
@@ -147,18 +138,11 @@ func (p *Pass) ReportChain(pos token.Pos, rule, msg string, chain []ChainFrame) 
 	p.report(pos, rule, msg, chain)
 }
 
-// Analysis is the result of one analyzer run: the diagnostics plus the
-// program state tools (the stale-allow fixer) inspect afterwards.
-type Analysis struct {
-	Prog  *Program
-	Diags []Diagnostic
-}
-
-// Analyze builds the module-wide program over context (a superset of
-// pkgs), runs every rule over pkgs, then reports stale allow directives if
-// the allowstale rule is enabled.
-func Analyze(fset *token.FileSet, info *types.Info, pkgs, context []*Package, rules []Rule) *Analysis {
-	prog := BuildProgram(fset, info, pkgs, context)
+// Analyze builds the program over pkgs, runs every rule over them, then
+// reports stale allow directives if the allowstale rule is enabled. The
+// diagnostics come back sorted by position, then rule, then message.
+func Analyze(fset *token.FileSet, info *types.Info, pkgs []*Package, rules []Rule) []Diagnostic {
+	prog := BuildProgram(fset, info, pkgs)
 	var diags []Diagnostic
 	for _, pkg := range pkgs {
 		allows := prog.allows[pkg]
@@ -197,9 +181,12 @@ func Analyze(fset *token.FileSet, info *types.Info, pkgs, context []*Package, ru
 		if a.Pos.Column != b.Pos.Column {
 			return a.Pos.Column < b.Pos.Column
 		}
-		return a.Rule < b.Rule
+		if a.Rule != b.Rule {
+			return a.Rule < b.Rule
+		}
+		return a.Msg < b.Msg
 	})
-	return &Analysis{Prog: prog, Diags: diags}
+	return diags
 }
 
 // inspectWithStack walks the tree rooted at root, calling fn for each node

@@ -128,24 +128,6 @@ func (l *Loader) LoadAll() ([]*Package, error) {
 	return out, nil
 }
 
-// Loaded returns every module-internal package the loader has parsed so
-// far — the packages requested explicitly plus everything pulled in
-// through imports — in deterministic (import path) order. It is the
-// natural summary context for Analyze when linting a subset of the
-// module: facts still propagate through callees the subset imports.
-func (l *Loader) Loaded() []*Package {
-	paths := make([]string, 0, len(l.pkgs))
-	for path := range l.pkgs {
-		paths = append(paths, path)
-	}
-	sort.Strings(paths)
-	out := make([]*Package, 0, len(paths))
-	for _, path := range paths {
-		out = append(out, l.pkgs[path])
-	}
-	return out
-}
-
 // importPathFor maps a directory inside the module to its import path.
 func (l *Loader) importPathFor(dir string) string {
 	rel, err := filepath.Rel(l.Root, dir)

@@ -6,13 +6,15 @@ package lint
 // fires is dead configuration — the hazard it excused was fixed or moved,
 // and the stale allow now silently licenses a future regression at that
 // line. Directives naming rules that do not exist are always stale.
+// No test catches a stale allow: a directive that suppresses nothing
+// changes no artifact, so seeding one on a netsim or workload line leaves
+// the whole suite green.
 //
 // The rule cannot run per-package like the others: staleness is only known
 // after every other enabled rule has had its chance to mark directives
 // used. Check is therefore a no-op and the findings are produced by
 // Analyze as a post-phase (see findings below), still gated on the rule
-// being in the enabled set. `make lint-fix` (hpnlint -fix-allows) deletes
-// the stale tokens mechanically.
+// being in the enabled set.
 type allowstaleRule struct{}
 
 func (allowstaleRule) Name() string { return "allowstale" }
@@ -24,15 +26,22 @@ func (allowstaleRule) Doc() string {
 // whole-program post-condition, not a per-package property.
 func (allowstaleRule) Check(p *Pass) {}
 
-// findings reports the stale directives after all other rules ran.
+// findings reports every directive that never fired after all other
+// rules ran.
 func (allowstaleRule) findings(prog *Program) []Diagnostic {
+	known := knownRuleNames()
 	var diags []Diagnostic
-	for _, sa := range prog.staleAllows(knownRuleNames()) {
-		msg := "//hpnlint:allow " + sa.Rule + " no longer suppresses any finding; delete it (make lint-fix) or re-justify it"
-		if sa.Unknown {
-			msg = "//hpnlint:allow names unknown rule " + sa.Rule + "; delete it (make lint-fix) or fix the rule name"
+	for _, pkg := range prog.Pkgs {
+		for _, d := range prog.allows[pkg].directives {
+			switch {
+			case !known[d.rule]:
+				diags = append(diags, Diagnostic{Pos: d.pos, Rule: "allowstale",
+					Msg: "//hpnlint:allow names unknown rule " + d.rule + "; delete it or fix the rule name"})
+			case !d.used:
+				diags = append(diags, Diagnostic{Pos: d.pos, Rule: "allowstale",
+					Msg: "//hpnlint:allow " + d.rule + " no longer suppresses any finding; delete it or re-justify it"})
+			}
 		}
-		diags = append(diags, Diagnostic{Pos: sa.Pos, Rule: "allowstale", Msg: msg})
 	}
 	return diags
 }

@@ -12,7 +12,9 @@ import (
 // portability hazard (FMA/ordering differences across architectures);
 // comparisons must use an epsilon. Intentional exact guards — e.g.
 // rejecting exactly 0 before math.Log — carry an allow directive with a
-// justification.
+// justification. No test catches one: on a single host the comparison is
+// as deterministic as the epsilon it replaces, so swapping the
+// allocator's stale-share tolerance for an exact != passes every test.
 type floateqRule struct{}
 
 func (floateqRule) Name() string { return "floateq" }

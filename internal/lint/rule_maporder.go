@@ -23,6 +23,11 @@ import (
 // The canonical fix — collect keys, sort, iterate the sorted slice — is
 // recognized and not flagged: an append whose target is later passed to a
 // sort.* / slices.Sort* call in the same function is considered ordered.
+//
+// The golden suite catches map order that reaches the metrics export, but
+// health's flap sweep ranging m.flapIdx instead of m.flapList passes every
+// test: no golden case has two flapping cables at once, so the map never
+// holds two keys.
 type maporderRule struct{}
 
 func (maporderRule) Name() string { return "maporder" }

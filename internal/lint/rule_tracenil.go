@@ -12,6 +12,10 @@ import (
 // construction of a telemetry.Arg slice and its values. The methods are
 // nil-safe, so nothing crashes without the guard; what the rule protects is
 // the "telemetry off means near-zero overhead" guarantee on hot paths.
+// TestRingStepAllocatesNothing catches an unguarded netsim flow span, but
+// dropping the guard on collective's round span (collective.Op.runStep)
+// passes every test: no allocation test covers the collective or
+// workload emission sites.
 //
 // Recognized guard shapes (receiver expression X rendered textually):
 //

@@ -9,6 +9,9 @@ import (
 // on virtual time (sim.Engine.Now) only: a single time.Now in a hot path
 // makes artifacts differ between same-seed runs. Legitimate uses — CLI
 // wall-time reporting around a whole run — carry an allow directive.
+// A wall-clock read that reaches an artifact fails the golden suite, but
+// a 10s time.After watchdog on sim.Sharded's window join passes every
+// test: it changes no artifact until a slow host trips it.
 //
 // The rule is interprocedural: calling a module function whose summary
 // says "derives wall-clock time" (directly or through any call chain whose

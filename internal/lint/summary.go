@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"go/token"
 	"go/types"
-	"sort"
 )
 
 // This file propagates the per-function facts from taint.go over the call
@@ -29,9 +28,6 @@ type Summary struct {
 	// Wall: the function (transitively) reads the wall clock outside an
 	// allow-suppressed site — it derives time outside sim.Engine.
 	Wall *prov
-	// Rand: the function (transitively) draws from the global math/rand
-	// source.
-	Rand *prov
 	// Ordered: the function has ordered side effects — it schedules
 	// simulator events, emits telemetry, feeds a fingerprint hasher, or
 	// appends to state that outlives it. Calling it from a map iteration
@@ -55,7 +51,7 @@ type Summary struct {
 // shape encodes which facts are present, for fixpoint change detection.
 func (s *Summary) shape() string {
 	b := make([]byte, 0, 16)
-	for _, p := range []*prov{s.Wall, s.Rand, s.Ordered, s.FloatAcc, s.RMO} {
+	for _, p := range []*prov{s.Wall, s.Ordered, s.FloatAcc, s.RMO} {
 		if p != nil {
 			b = append(b, '1')
 		} else {
@@ -117,8 +113,6 @@ func (prog *Program) transfer(fi *FuncInfo) {
 
 	sum.Wall = seedOr(sum.Wall, fc.wall, "wallclock", "derives wall-clock time",
 		func(s *Summary) *prov { return s.Wall })
-	sum.Rand = seedOr(sum.Rand, fc.rand, "globalrand", "draws from the global math/rand source",
-		func(s *Summary) *prov { return s.Rand })
 	sum.Ordered = seedOr(sum.Ordered, fc.ordered, "maporder", "has ordered side effects",
 		func(s *Summary) *prov { return s.Ordered })
 	sum.FloatAcc = seedOr(sum.FloatAcc, fc.floatAcc, "floatacc", "accumulates float state order-sensitively",
@@ -230,7 +224,6 @@ type factKind int
 
 const (
 	factWall factKind = iota
-	factRand
 	factOrdered
 	factFloatAcc
 	factRMO
@@ -253,8 +246,6 @@ func (prog *Program) chain(p *prov, kind factKind) []ChainFrame {
 		switch kind {
 		case factWall:
 			p = next.sum.Wall
-		case factRand:
-			p = next.sum.Rand
 		case factOrdered:
 			p = next.sum.Ordered
 		case factFloatAcc:
@@ -270,48 +261,4 @@ func (prog *Program) chain(p *prov, kind factKind) []ChainFrame {
 		}
 	}
 	return frames
-}
-
-// StaleAllow is one allow directive (one rule token) that suppressed
-// nothing during a full analysis.
-type StaleAllow struct {
-	Pos     token.Position
-	Rule    string
-	Unknown bool // the rule name does not exist
-}
-
-// StaleAllows returns the stale directives of the report packages after
-// an analysis has run every rule. It is the input to FixAllows.
-func (prog *Program) StaleAllows() []StaleAllow {
-	return prog.staleAllows(knownRuleNames())
-}
-
-// staleAllows returns, for the report packages, every directive that never
-// fired, in deterministic order. Directives naming unknown rules are
-// always stale.
-func (prog *Program) staleAllows(known map[string]bool) []StaleAllow {
-	var out []StaleAllow
-	for _, pkg := range prog.Pkgs {
-		allows := prog.allows[pkg]
-		if allows == nil {
-			continue
-		}
-		for _, d := range allows.directives {
-			if d.used && known[d.rule] {
-				continue
-			}
-			out = append(out, StaleAllow{Pos: d.pos, Rule: d.rule, Unknown: !known[d.rule]})
-		}
-	}
-	sort.Slice(out, func(i, j int) bool {
-		a, b := out[i], out[j]
-		if a.Pos.Filename != b.Pos.Filename {
-			return a.Pos.Filename < b.Pos.Filename
-		}
-		if a.Pos.Line != b.Pos.Line {
-			return a.Pos.Line < b.Pos.Line
-		}
-		return a.Rule < b.Rule
-	})
-	return out
 }

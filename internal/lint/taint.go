@@ -10,9 +10,8 @@ import (
 
 // This file extracts per-function dataflow facts (the seeds of the
 // interprocedural summaries) and provides the shared classification
-// helpers: what counts as an ordered sink, what counts as external state,
-// what a local counter looks like, and how a converged taint chain renders
-// into diagnostic ChainFrames.
+// helpers: what counts as an ordered sink, what counts as external state
+// and what a local counter looks like.
 
 // collectFacts walks one function body once and fills fi.facts. Allow
 // directives at seed sites stop the taint at the source: a justified
@@ -35,16 +34,8 @@ func (prog *Program) collectFacts(fi *FuncInfo) {
 			if !ok {
 				return true
 			}
-			switch funcPkgPath(fn) {
-			case "time":
-				if wallclockFuncs[fn.Name()] && !prog.allowedAt(fi.Pkg, n.Pos(), "wallclock") {
-					fc.wall = append(fc.wall, seed{n.Pos(), "time." + fn.Name() + " reads the wall clock here"})
-				}
-			case "math/rand", "math/rand/v2":
-				if sig, ok := fn.Type().(*types.Signature); ok && sig.Recv() == nil &&
-					!prog.allowedAt(fi.Pkg, n.Pos(), "globalrand") {
-					fc.rand = append(fc.rand, seed{n.Pos(), "rand." + fn.Name() + " draws from the global source here"})
-				}
+			if funcPkgPath(fn) == "time" && wallclockFuncs[fn.Name()] && !prog.allowedAt(fi.Pkg, n.Pos(), "wallclock") {
+				fc.wall = append(fc.wall, seed{n.Pos(), "time." + fn.Name() + " reads the wall clock here"})
 			}
 		case *ast.CallExpr:
 			prog.collectCallFacts(fi, n, stack, params)
@@ -421,9 +412,9 @@ func exprUsesObj(info *types.Info, e ast.Expr, obj types.Object) bool {
 }
 
 // localCounters finds function-local integer counters: variables declared
-// from a literal (or zero value) and stepped with ++ or += <literal>.
-// Counter-stamped artifact records are the seqsource rule's subject, and
-// counter-indexed map-range fills are map-ordered builders.
+// from a literal (or zero value) and stepped with ++ or += <literal>. A
+// slice filled through such a counter inside a map range is a map-ordered
+// builder.
 func localCounters(info *types.Info, fd *ast.FuncDecl) map[types.Object]token.Pos {
 	_, paramSet := paramObjs(info, fd)
 	literalInit := map[types.Object]bool{}

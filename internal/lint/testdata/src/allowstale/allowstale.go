@@ -15,7 +15,7 @@ var one = 1 //hpnlint:allow maporder -- stale by construction // want:allowstale
 
 // A stale standalone-form allow above an innocuous line.
 //
-//hpnlint:allow globalrand -- stale standalone // want:allowstale "no longer suppresses"
+//hpnlint:allow floatacc -- stale standalone // want:allowstale "no longer suppresses"
 var two = 2
 
 // An allow naming a rule that does not exist is always stale.

@@ -43,3 +43,11 @@ func intsAreClean(a, b int) bool {
 func allowed(u float64) bool {
 	return u == 0 //hpnlint:allow floateq -- fixture: exact zero sentinel
 }
+
+// A trailing allow covers its own line only: the comparison on the next
+// line is still reported.
+func trailingAllowOwnLine(a, b, p, q float64) (bool, bool) {
+	x := a == b //hpnlint:allow floateq -- fixture: this line only
+	y := p == q // want:floateq "exact floating-point =="
+	return x, y
+}

@@ -15,8 +15,8 @@
 //
 // Cross-domain interaction goes through per-sender mailboxes drained at
 // window barriers in (sender domain ID, send sequence) order. This is the
-// repo's exact-merge discipline for parallel work (hpnlint's goorder rule
-// checks for it): each goroutine writes only its own index-addressed slot,
+// repo's exact-merge discipline for parallel work
+// (TestShardedDeterministicMerge checks for it): each goroutine writes only its own index-addressed slot,
 // and the merge walks the slots in index order. Worker count changes the
 // goroutine schedule, never the merged order, so artifacts stay
 // byte-identical between workers=1 and workers=N.
