@@ -57,8 +57,9 @@ test-parallel:
 # inside the delivery, and every allocator recompute panics if the
 # contention components it carried differ from a decomposition and refill
 # from scratch, if two flows on one path in a carried component carry
-# different rates (a flow that took a departed flow's place must carry its
-# rate), or if such a vacated place outlives the recompute.
+# different rates (a flow that took a departed flow's place on the same
+# connection must carry its rate), if a flow leaving such a place is off
+# its connection's path, or if a vacated place outlives the recompute.
 test-checked:
 	$(GO) test -tags hpncheck ./internal/sim/... ./internal/netsim/... ./internal/collective/... ./internal/rdma/... ./internal/workload/... ./internal/memo/... ./internal/health/... .
 

@@ -40,7 +40,7 @@ func main() {
 	fmt.Printf("established %d connections after probing %d candidate paths (disjoint=%v)\n",
 		len(cs.Conns), cs.Probes, cs.Disjoint())
 	for i, c := range cs.Conns {
-		fmt.Printf("  conn %d: plane %d, sport %d, fabric path %v\n", i, c.Route.Port, c.Sport, c.Route.Path)
+		fmt.Printf("  conn %d: plane %d, sport %d, fabric path %v\n", i, c.Route.Port, c.Route.Sport, c.Route.Path)
 	}
 
 	// Congest the first connection's ToR->Agg hop with background flows.

@@ -150,7 +150,7 @@ func establishBlind(net *netsim.Sim, src, dst route.Endpoint, opt rdma.Establish
 	for i := 0; i < opt.Conns; i++ {
 		sport++
 		cs.Conns = append(cs.Conns, &rdma.Conn{
-			Src: src, Dst: dst, Sport: sport, Route: netsim.Route{Port: int32(i % planes)},
+			Src: src, Dst: dst, Route: netsim.Route{Port: int32(i % planes), Sport: sport},
 		})
 	}
 	return cs, nil
@@ -183,7 +183,7 @@ func (g *Group) ScheduleFingerprint(h *netsim.Hasher) {
 			}
 			h.Mix(uint64(len(cs.Conns)))
 			for _, cn := range cs.Conns {
-				h.Mix(uint64(cn.Sport)<<8 | uint64(cn.Route.Port))
+				h.Mix(uint64(cn.Route.Sport)<<8 | uint64(cn.Route.Port))
 			}
 		}
 	}

@@ -42,7 +42,6 @@ var keepUnreachable = map[string]string{
 	"sim.Event.At":                   keepPooled,
 	"netsim.Flow.Pin":                keepPooled,
 	"netsim.Flow.Done":               keepPooled,
-	"sim.RNG.Fork":                   "the globalrand lint rule tells users to call it",
 	"telemetry.Registry.WriteJSON":   "produces the golden suite's metrics.json",
 	"netsim.referenceMaxMin":         "the max-min allocator oracle the allocator tests compare against",
 	"main.inProcess":                 "perfbench's in-process Go benchmarks run their reps through it",

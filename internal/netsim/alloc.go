@@ -1,8 +1,6 @@
 package netsim
 
 import (
-	"slices"
-
 	"hpn/internal/sim"
 	"hpn/internal/topo"
 )
@@ -45,8 +43,8 @@ import (
 // so at the same rate. A component is marked dirty whenever its path
 // multiset or a capacity may have changed:
 //
-//   - a flow leaving it that no flow on the same path replaces: removeActive
-//     records a vacancy instead of a mark (vacate), and recompute marks the
+//   - a flow leaving it that no flow on its connection replaces: vacate
+//     records a vacancy instead of a mark, and recompute marks the
 //     component if no flow took the vacancy, since the component may split;
 //   - a flow routed off it (routeFlow moving the flow), for the same reason;
 //   - a runnable flow routed over any of its links (routeFlow) that takes
@@ -54,11 +52,11 @@ import (
 //   - a topology transition (the four Fail*/Recover* entry points set
 //     allDirty, which dissolves every component).
 //
-// A flow routed onto exactly the path of a vacancy in its mutation takes it
-// (join): it joins the departed flow's component at the departed flow's
-// rate. The component's path multiset is unchanged, so it stays carried.
-// This is the steady state of training traffic, where every collective
-// step re-sends on the same connections.
+// A flow riding the route of a vacancy in its mutation takes it (join): it
+// joins the departed flow's component at the departed flow's rate. Both
+// flows are on the route's Path, so the component's path multiset is
+// unchanged and it stays carried. This is the steady state of training
+// traffic, where every collective step re-sends on the same connections.
 //
 // A component with no mark therefore holds exactly the path multiset and
 // capacities it held when it was filled, and a refill would reproduce the
@@ -80,13 +78,14 @@ type allocComp struct {
 	nflows int32
 }
 
-// vacancy is the place a flow left in a clean component during the current
-// mutation: the component, the flow's path (Sim.vacPath[off:off+n]) and its
-// rate. next chains the vacancies whose paths start on the same link (see
-// Sim.vacHead). Once a flow takes it, comp is noComp.
+// vacancy is the place a flow riding route rt left in a clean component
+// during the current mutation: the component and the flow's rate. next
+// chains the vacancies of one route (see Route.vac). Once a flow takes it,
+// comp is noComp.
 type vacancy struct {
-	comp, next, off, n int32
-	rate               float64
+	comp, next int32
+	rate       float64
+	rt         *Route
 }
 
 // noComp is Sim.comps[0], the component of no flow. It is permanently
@@ -176,7 +175,7 @@ func (s *Sim) recompute() {
 	if len(s.vacancies) > 0 {
 		taken := int64(0)
 		for _, v := range s.vacancies {
-			s.vacHead[s.vacPath[v.off]] = 0
+			v.rt.vac = 0
 			if v.comp == noComp {
 				taken++
 			}
@@ -184,7 +183,6 @@ func (s *Sim) recompute() {
 		}
 		s.phHandoffs.Add(taken)
 		s.vacancies = s.vacancies[:0]
-		s.vacPath = s.vacPath[:0]
 	}
 
 	// Dissolve the dirty components: their links return to no component.
@@ -400,35 +398,35 @@ func (s *Sim) leaveComp(f *Flow) {
 	f.comp = noComp
 }
 
-// vacate takes a departing flow out of its component. A clean component is
-// not marked: the flow's place is recorded as a vacancy for join, and
-// recompute marks the component if no flow takes it.
+// vacate takes a departing flow out of its component. A clean component
+// left by a flow riding a route is not marked: the place is hung off the
+// route for join, and recompute marks the component if no flow takes it.
 func (s *Sim) vacate(f *Flow) {
 	ci := f.comp
 	f.comp = noComp
 	if s.compDirty[ci] {
 		return
 	}
-	first := f.Path[0]
-	s.vacancies = append(s.vacancies, vacancy{
-		comp: ci, next: s.vacHead[first],
-		off: int32(len(s.vacPath)), n: int32(len(f.Path)), rate: f.Rate,
-	})
-	s.vacPath = append(s.vacPath, f.Path...)
-	s.vacHead[first] = int32(len(s.vacancies))
+	rt := f.rt
+	if rt == nil {
+		s.markComp(ci)
+		return
+	}
+	s.checkHandoff(f)
+	s.vacancies = append(s.vacancies, vacancy{comp: ci, next: rt.vac, rate: f.Rate, rt: rt})
+	rt.vac = int32(len(s.vacancies))
 }
 
 // join places a runnable flow just routed (its path is never empty). If a
-// flow on exactly its path left a still clean component in this mutation,
-// it takes that vacancy: the component and the departed flow's rate, which
-// a refill would give it too. Otherwise it marks every component its path
-// crosses.
+// flow riding its route left a still clean component in this mutation,
+// it takes that vacancy: the component and the departed flow's rate,
+// which a refill would give it too. Otherwise it marks every component
+// its path crosses.
 func (s *Sim) join(f *Flow) {
-	if !s.allDirty {
+	if f.rt != nil && !s.allDirty {
 		if ci := s.compOf[f.Path[0]]; !s.compDirty[ci] {
-			for i := s.vacHead[f.Path[0]]; i != 0; i = s.vacancies[i-1].next {
-				v := &s.vacancies[i-1]
-				if v.comp == ci && slices.Equal(s.vacPath[v.off:v.off+v.n], f.Path) {
+			for i := f.rt.vac; i != 0; i = s.vacancies[i-1].next {
+				if v := &s.vacancies[i-1]; v.comp == ci {
 					v.comp = noComp
 					f.comp, f.Rate = ci, v.rate
 					return

@@ -366,12 +366,13 @@ func carriedHazards(t *testing.T, p *prof.Profiler) {
 
 // hazardFabric is a fresh single-segment fabric where flows on NIC 0 port
 // 0 share that port's ToR. start starts a flow from src to dst on that NIC
-// and the given port, and built reports whether the last recompute rebuilt
-// f's component.
+// and the given port, and send does the same on the connection between
+// them, posting the flow with the connection's Route. built reports
+// whether the last recompute rebuilt f's component.
 type hazardFabric struct {
-	s     *Sim
-	start func(src, dst, port int, bytes float64) *Flow
-	built func(f *Flow) bool
+	s           *Sim
+	start, send func(src, dst, port int, bytes float64) *Flow
+	built       func(f *Flow) bool
 }
 
 const big, small = 1 << 30, 1 << 20
@@ -380,25 +381,34 @@ func newHazardFabric(t *testing.T, p *prof.Profiler) hazardFabric {
 	t.Helper()
 	_, _, s := newSim(t, 1, 8, 2)
 	s.AttachProfiler(p, nil)
-	start := func(src, dst, port int, bytes float64) *Flow {
+	post := func(src, dst, port int, bytes float64, rt *Route) *Flow {
 		t.Helper()
 		f, err := s.StartFlow(route.Endpoint{Host: src, NIC: 0}, route.Endpoint{Host: dst, NIC: 0},
-			bytes, FlowOpts{SrcPort: port})
+			bytes, FlowOpts{SrcPort: port, Route: rt})
 		if err != nil {
 			t.Fatal(err)
 		}
 		return f
 	}
+	start := func(src, dst, port int, bytes float64) *Flow { return post(src, dst, port, bytes, nil) }
+	conns := map[[3]int]*Route{}
+	send := func(src, dst, port int, bytes float64) *Flow {
+		k := [3]int{src, dst, port}
+		if conns[k] == nil {
+			conns[k] = establish(t, s, route.Endpoint{Host: src, NIC: 0}, route.Endpoint{Host: dst, NIC: 0}, port, 50000)
+		}
+		return post(src, dst, port, bytes, conns[k])
+	}
 	built := func(f *Flow) bool { return slices.Contains(s.built, f.comp) }
-	return hazardFabric{s, start, built}
+	return hazardFabric{s, start, send, built}
 }
 
 // handoffChurn drives the mutations around a hand-off, the place a
-// departing flow leaves in a carried component taken by a flow on the same
-// path, each on a fresh fabric where 0->1 and 2->1 share 1's downlink and
-// 4->5 runs alone on port 1. After each it checks the allocation against
-// referenceMaxMin and a full refill, and that the component was carried or
-// rebuilt as the case requires.
+// departing flow leaves in a carried component taken by the next flow on
+// the same connection, each on a fresh fabric where the connections 0->1
+// and 2->1 share 1's downlink and 4->5 runs alone on port 1. After each it
+// checks the allocation against referenceMaxMin and a full refill, and
+// that the component was carried or rebuilt as the case requires.
 func handoffChurn(t *testing.T, p *prof.Profiler) {
 	for _, tc := range []struct {
 		name string
@@ -412,7 +422,7 @@ func handoffChurn(t *testing.T, p *prof.Profiler) {
 	}{
 		{name: "replacement in completion callback", took: true, carried: true, mutate: func(fb hazardFabric, a, c *Flow) bool {
 			var next *Flow
-			a.OnComplete = func(sim.Time, *Flow) { next = fb.start(0, 1, 0, big) }
+			a.OnComplete = func(sim.Time, *Flow) { next = fb.send(0, 1, 0, big) }
 			at, _ := fb.s.Eng.NextAt()
 			fb.s.Eng.RunUntil(at)
 			if fb.s.CompletedFlows != 1 || next == nil {
@@ -423,21 +433,32 @@ func handoffChurn(t *testing.T, p *prof.Profiler) {
 		{name: "replacement aborted", took: true, mutate: func(fb hazardFabric, a, c *Flow) (took bool) {
 			fb.s.Batch(func() {
 				fb.s.AbortFlow(a)
-				next := fb.start(0, 1, 0, big)
+				next := fb.send(0, 1, 0, big)
 				took = next.comp == c.comp
 				fb.s.AbortFlow(next)
 			})
 			return took
 		}},
 		{name: "two departures one arrival", took: true, mutate: func(fb hazardFabric, a, c *Flow) (took bool) {
-			twin := fb.start(0, 1, 0, big)
+			twin := fb.send(0, 1, 0, big)
 			if twin.comp != a.comp {
 				t.Fatal("two 0->1 flows on port 0 are in different components")
 			}
 			fb.s.Batch(func() {
 				fb.s.AbortFlow(a)
 				fb.s.AbortFlow(twin)
-				took = fb.start(0, 1, 0, big).comp == c.comp
+				took = fb.send(0, 1, 0, big).comp == c.comp
+			})
+			return took
+		}},
+		{name: "route-less re-send", mutate: func(fb hazardFabric, a, c *Flow) (took bool) {
+			fb.s.Batch(func() {
+				fb.s.AbortFlow(a)
+				next := fb.start(0, 1, 0, big)
+				if !slices.Equal(next.Path, a.Path) {
+					t.Fatalf("route-less 0->1 walked %v, the connection %v", next.Path, a.Path)
+				}
+				took = next.comp != noComp
 			})
 			return took
 		}},
@@ -445,7 +466,7 @@ func handoffChurn(t *testing.T, p *prof.Profiler) {
 			var d *Flow
 			fb.s.Batch(func() {
 				fb.s.AbortFlow(a)
-				d = fb.start(2, 3, 0, big) // shares 2->1's first link
+				d = fb.send(2, 3, 0, big) // shares 2->1's first link
 				took = d.comp != noComp
 			})
 			if d.comp != c.comp {
@@ -456,7 +477,7 @@ func handoffChurn(t *testing.T, p *prof.Profiler) {
 		{name: "link failure", took: true, all: true, mutate: func(fb hazardFabric, a, c *Flow) (took bool) {
 			fb.s.Batch(func() {
 				fb.s.AbortFlow(a)
-				took = fb.start(0, 1, 0, big).comp == c.comp
+				took = fb.send(0, 1, 0, big).comp == c.comp
 				fb.s.FailCable(c.Path[0])
 			})
 			if !c.Stalled {
@@ -470,9 +491,9 @@ func handoffChurn(t *testing.T, p *prof.Profiler) {
 			s := fb.s
 			var a, c, z *Flow
 			s.Batch(func() {
-				a = fb.start(0, 1, 0, small)
-				c = fb.start(2, 1, 0, big)
-				z = fb.start(4, 5, 1, big)
+				a = fb.send(0, 1, 0, small)
+				c = fb.send(2, 1, 0, big)
+				z = fb.send(4, 5, 1, big)
 			})
 			if a.comp != c.comp || a.comp == z.comp {
 				t.Fatalf("setup: components %d %d %d", a.comp, c.comp, z.comp)
@@ -656,15 +677,27 @@ func TestReferenceNoProgressAccounting(t *testing.T) {
 
 // TestHandoffKeepsComponentCarried runs a ring of connections whose
 // completion callbacks re-send on the same connection, as every collective
-// step does. Each hop carries two connections, one posted with its Route
-// and one walked, sharing their access links. After the first step every
-// re-send takes the place its predecessor left, so no flow is regathered,
-// and the rates stay bit-equal to referenceMaxMin. A re-send on another
-// sport, and so another path, is regathered.
+// step does. Each hop carries two connections sharing their access links,
+// each posting with its Route. After the first step every re-send takes
+// the place its predecessor left, so no flow is regathered, and the rates
+// stay bit-equal to referenceMaxMin. That holds both when the re-sends hit
+// the route cache and when an EvFlowRouted subscriber makes every flow
+// walk: a walk that lands on the route rides it. A re-send on a new
+// connection, and so another path, is regathered.
 func TestHandoffKeepsComponentCarried(t *testing.T) {
+	for _, walk := range []bool{false, true} {
+		t.Run(fmt.Sprintf("walk=%v", walk), func(t *testing.T) { handoffRing(t, walk) })
+	}
+}
+
+func handoffRing(t *testing.T, walk bool) {
 	eng, top, s := newSim(t, 2, 4, 4)
 	p := prof.New()
 	s.AttachProfiler(p, nil)
+	var routed int
+	if walk {
+		s.Subscribe(countRouted{&routed})
+	}
 	count := func(name string) int64 {
 		for _, st := range p.Snapshot() {
 			if st.Name == name {
@@ -691,13 +724,10 @@ func TestHandoffKeepsComponentCarried(t *testing.T) {
 	for h := 0; h < hosts; h++ {
 		for k := 0; k < 2; k++ {
 			c := &conn{src: route.Endpoint{Host: h, NIC: 0}, dst: route.Endpoint{Host: (h + 1) % hosts, NIC: 0}}
-			c.opt = FlowOpts{SrcPort: 0, Sport: uint16(50000 + 2*h + k)}
-			if k == 0 {
-				c.opt.Route = establish(t, s, c.src, c.dst, 0, c.opt.Sport)
-			}
+			c.opt = FlowOpts{SrcPort: 0, Route: establish(t, s, c.src, c.dst, 0, uint16(50000+2*h+k))}
 			c.opt.OnComplete = func(sim.Time, *Flow) {
 				if resend {
-					if f := start(c); c.opt.Sport >= 60000 {
+					if f := start(c); c.opt.Route.Sport >= 60000 {
 						moved = f
 					}
 				}
@@ -734,17 +764,19 @@ func TestHandoffKeepsComponentCarried(t *testing.T) {
 	if got := count("netsim/handoffs"); got != steps*2*hosts {
 		t.Fatalf("%d hand-offs, want %d", got, steps*2*hosts)
 	}
+	if walk && routed != (steps+1)*2*hosts {
+		t.Fatalf("%d flows walked, want all %d", routed, (steps+1)*2*hosts)
+	}
 
-	// Move the walked connection 3->4, which crosses the segments, to a
-	// sport whose path differs.
+	// Move a connection 3->4, which crosses the segments, to a new one on
+	// a sport whose path differs.
 	c := conns[2*3+1]
-	was := establish(t, s, c.src, c.dst, 0, c.opt.Sport).Path
 	for sp := uint16(60000); ; sp++ {
 		if sp == 60100 {
 			t.Fatal("no sport in 60000-60099 moves the cross-segment connection")
 		}
-		if !slices.Equal(establish(t, s, c.src, c.dst, 0, sp).Path, was) {
-			c.opt.Sport = sp
+		if rt := establish(t, s, c.src, c.dst, 0, sp); !slices.Equal(rt.Path, c.opt.Route.Path) {
+			c.opt.Route = rt
 			break
 		}
 	}

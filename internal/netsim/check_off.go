@@ -21,8 +21,10 @@ func (s *Sim) release(f *Flow) {
 // live is the use-after-release check; unchecked builds skip it.
 func (f *Flow) live(op string) {}
 
-// checkRouteHit is the route-cache check; unchecked builds trust the hit.
+// checkRouteHit and checkHandoff are the route checks; unchecked builds
+// trust the route.
 func (s *Sim) checkRouteHit(*Flow, sim.Time) {}
+func (s *Sim) checkHandoff(*Flow)            {}
 
 // checkComponents is the carried-component check; unchecked builds trust
 // the dirty marks.

@@ -51,6 +51,16 @@ func (s *Sim) checkRouteHit(f *Flow, now sim.Time) {
 	}
 }
 
+// checkHandoff panics if f, leaving a vacancy on the route it rides, is
+// not on that route's Path (a flow that takes the vacancy is, or routeFlow
+// would not have let it ride): a Path changed under an in-flight flow
+// would hand one path's rate to another.
+func (s *Sim) checkHandoff(f *Flow) {
+	if !slices.Equal(f.Path, f.rt.Path) {
+		panic(fmt.Sprintf("netsim: flow %d hands off on route %v but is on %v", f.ID, f.rt.Path, f.Path))
+	}
+}
+
 // checkComponents runs after every recompute. It re-derives the
 // decomposition of s.active from scratch and panics, naming the flows, if
 // a runnable flow is carried in no component or in two (a link of its path
@@ -63,8 +73,7 @@ func (s *Sim) checkRouteHit(f *Flow, now sim.Time) {
 // of the carried components, which only the recompute that built them
 // reads.
 func (s *Sim) checkComponents() {
-	if len(s.vacancies) != 0 || len(s.vacPath) != 0 ||
-		slices.ContainsFunc(s.vacHead, func(h int32) bool { return h != 0 }) {
+	if len(s.vacancies) != 0 {
 		panic(fmt.Sprintf("netsim: %d vacancies outlived the recompute that should have settled them", len(s.vacancies)))
 	}
 	built := make([]bool, len(s.comps))

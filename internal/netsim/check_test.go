@@ -3,7 +3,9 @@
 package netsim
 
 import (
+	"fmt"
 	"math"
+	"slices"
 	"strings"
 	"testing"
 
@@ -58,7 +60,7 @@ func TestRouteHitVerifiesWalk(t *testing.T) {
 	_, _, s := newSim(t, 2, 4, 4)
 	src, dst := route.Endpoint{Host: 0, NIC: 0}, route.Endpoint{Host: 4, NIC: 0}
 	rt := establish(t, s, src, dst, 0, 50000)
-	opt := FlowOpts{SrcPort: 0, Sport: 50000, Route: rt}
+	opt := FlowOpts{SrcPort: 0, Route: rt}
 	if _, err := s.StartFlow(src, dst, 1<<20, opt); err != nil {
 		t.Fatal(err)
 	}
@@ -182,27 +184,29 @@ func TestMissedMergePanics(t *testing.T) {
 }
 
 // TestHandoffChecks requires the checked build to refuse a hand-off that
-// gave a flow another rate than the flow on its path it joined, and a
-// vacancy that outlived its recompute.
+// gave a flow another rate than the flow on its connection it joined, and
+// a vacancy that outlived its recompute.
 func TestHandoffChecks(t *testing.T) {
 	_, _, s := newSim(t, 1, 8, 2)
-	start := func(src, dst int) *Flow {
-		f, err := s.StartFlow(route.Endpoint{Host: src, NIC: 0}, route.Endpoint{Host: dst, NIC: 0}, 1<<30, FlowOpts{SrcPort: 0})
+	var rt *Route
+	send := func(src, dst int) *Flow {
+		f, err := s.StartFlow(route.Endpoint{Host: src, NIC: 0}, route.Endpoint{Host: dst, NIC: 0}, 1<<30,
+			FlowOpts{SrcPort: 0, Route: rt})
 		if err != nil {
 			t.Fatal(err)
 		}
 		return f
 	}
+	rt = establish(t, s, route.Endpoint{Host: 0, NIC: 0}, route.Endpoint{Host: 1, NIC: 0}, 0, 50000)
 	var a *Flow
 	s.Batch(func() {
-		a = start(0, 1)
-		start(0, 1)
-		start(2, 1)
+		a = send(0, 1)
+		send(0, 1)
 	})
 	mustPanic(t, "share path", func() {
 		s.Batch(func() {
 			s.AbortFlow(a)
-			if b := start(0, 1); b.comp != noComp {
+			if b := send(0, 1); b.comp != noComp {
 				b.Rate *= 2
 			} else {
 				t.Error("the re-send on 0->1 took no vacancy")
@@ -211,7 +215,40 @@ func TestHandoffChecks(t *testing.T) {
 	})
 
 	_, _, s = newSim(t, 1, 8, 2)
-	start(0, 1)
-	s.vacancies = append(s.vacancies, vacancy{})
+	rt = establish(t, s, route.Endpoint{Host: 0, NIC: 0}, route.Endpoint{Host: 1, NIC: 0}, 0, 50000)
+	send(0, 1)
+	s.vacancies = append(s.vacancies, vacancy{rt: rt})
 	mustPanic(t, "outlived", s.checkComponents)
+}
+
+// TestHandoffOnChangedRoutePanics reassigns a connection's Route to
+// another sport and path while a flow posted with it is in flight, against
+// the rule Route states. The connection's next flow rides the new route
+// and enters on the same access link, so an unchecked build would hand it
+// the departed flow's place on the old path. The checked build must refuse
+// the hand-off, naming the route's path and the flow's.
+func TestHandoffOnChangedRoutePanics(t *testing.T) {
+	_, _, s := newSim(t, 2, 4, 4)
+	src, dst := route.Endpoint{Host: 0, NIC: 0}, route.Endpoint{Host: 4, NIC: 0}
+	rt := establish(t, s, src, dst, 0, 50000)
+	send := func() *Flow {
+		f, err := s.StartFlow(src, dst, 1<<30, FlowOpts{SrcPort: 0, Route: rt})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return f
+	}
+	a := send()
+	for sp := uint16(50001); slices.Equal(rt.Path, a.Path); sp++ {
+		if sp == 50100 {
+			t.Fatal("no sport in 50001-50099 moves the cross-segment connection")
+		}
+		*rt = *establish(t, s, src, dst, 0, sp)
+	}
+	mustPanic(t, fmt.Sprintf("flow %d hands off on route %v but is on %v", a.ID, rt.Path, a.Path), func() {
+		s.Batch(func() {
+			s.AbortFlow(a)
+			send()
+		})
+	})
 }

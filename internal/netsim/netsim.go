@@ -26,6 +26,7 @@
 package netsim
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
 
@@ -72,10 +73,15 @@ type Flow struct {
 
 	// Stalled marks a flow blackholed by a failure, awaiting reconvergence.
 	Stalled bool
+	// pinned excludes the flow from recycling after it completes.
+	pinned bool
 	// comp is the flow's contention component in Sim.comps (see alloc.go):
 	// noComp while it is new, rerouted or stalled. It sits next to the
 	// fields the allocator's gather reads with it.
 	comp int32
+	// rt is the Route the flow was posted with, if it rides it: routed
+	// exactly onto its port and path, and not rerouted since.
+	rt *Route
 
 	// OnComplete, if set, runs when the flow finishes. It may start new
 	// flows.
@@ -90,8 +96,6 @@ type Flow struct {
 	DoneAt    sim.Time
 
 	index int // position in Sim.active; -1 once finished
-	// pinned excludes the flow from recycling after it completes.
-	pinned bool
 	// released is the release stamp, set only in hpncheck builds.
 	released *released
 
@@ -204,13 +208,9 @@ type Sim struct {
 	built      []int32 // the components the last recompute filled
 	// allDirty stands for every component after a topology transition.
 	allDirty bool
-	// The places flows left in clean components during the current
-	// mutation (see vacate): vacPath holds their paths back to back, and
-	// vacHead is, per link, one plus the index of the latest vacancy whose
-	// path starts there (0 for none), chained through vacancy.next.
+	// The places flows riding a route left in clean components during the
+	// current mutation (see vacate), indexed from their Routes.
 	vacancies []vacancy
-	vacPath   []topo.LinkID
-	vacHead   []int32
 
 	rerouteScheduled bool
 
@@ -316,7 +316,6 @@ func New(eng *sim.Engine, top *topo.Topology) *Sim {
 		compOf:      make([]int32, len(top.Links)),
 		comps:       []allocComp{noComp: {}},
 		compDirty:   []bool{noComp: true},
-		vacHead:     make([]int32, len(top.Links)),
 	}
 	s.noteHop = func(d route.HopDecision) { s.routeHops = append(s.routeHops, d) }
 	s.fireCompletion = s.completionEvent
@@ -360,36 +359,35 @@ func (s *Sim) SetFlowIDBase(base int64) {
 type FlowOpts struct {
 	// SrcPort pins the source NIC port (plane); -1 lets the bond hash pick.
 	SrcPort int
-	// Sport sets the transport source port of the 5-tuple; 0 auto-assigns.
-	// Path selection (Appendix B) sweeps this to steer ECMP.
+	// Sport sets the transport source port of the 5-tuple; 0 auto-assigns,
+	// and a Route's Sport overrides it. Path selection (Appendix B) sweeps it.
 	Sport uint16
 	// OnComplete runs when the flow finishes.
 	OnComplete func(now sim.Time, f *Flow)
 	// After runs after OnComplete; see Flow.After.
 	After func(now sim.Time)
-	// Route, if set, is the route cache of the connection the flow is
-	// posted on (see Route). It needs a fixed Sport and SrcPort ==
-	// Route.Port; StartFlow rejects anything else.
+	// Route, if set, is the connection the flow is posted on (see Route).
+	// It needs SrcPort == Route.Port; StartFlow rejects anything else.
 	Route *Route
 }
 
-// Route is one connection's established route and the cache of its
-// routing result. HPN pins a connection to a 5-tuple whose ECMP path
-// stays fixed until a link or switch changes state (Appendix B), so a
-// flow posted on the connection can reuse the last walk instead of
-// walking again.
+// Route is one connection: its tuple's source port, the port and path it
+// was established on, and the cache of its routing result. HPN pins a
+// connection to a 5-tuple whose ECMP path stays fixed until a link or
+// switch changes state (Appendix B), so its flows reuse the last walk.
 //
-// The owner sets Path and Port, the path the connection was established
-// on; netsim never writes them. To change them, assign a whole new Route,
-// which also clears the stamp. When a flow's walk ends unstalled on
-// exactly Port and Path, netsim stamps the route with the topology's
-// usability generation (topo.Topology.Gen), and later flows that carry
-// the route copy Path without walking while that generation holds and
-// the router is Settled. The walk stays the only source of routing
-// truth: a route whose Path the fabric no longer yields is never stamped,
-// so its flows keep walking. The cache is bypassed whenever hop decisions
-// are wanted (in-band telemetry, an EvFlowRouted subscriber), and
-// reroutes of stalled flows always walk.
+// The owner sets Sport, Port and Path; netsim never writes them. The
+// allocator's hand-offs rely on a rule: the owner changes them only with
+// no flow posted on the route in flight, by assigning a whole new Route,
+// which clears what netsim keeps on it (hpncheck builds panic on a
+// hand-off that breaks it). A flow whose walk ends unstalled on exactly
+// Port and Path rides the route, and netsim stamps it with the
+// topology's usability generation (topo.Topology.Gen): later flows copy
+// Path without walking while that generation holds and the router is
+// Settled. The walk stays the only source of routing truth: a route whose
+// Path the fabric no longer yields is never stamped. The cache is
+// bypassed whenever hop decisions are wanted (in-band telemetry, an
+// EvFlowRouted subscriber); reroutes of stalled flows walk and ride none.
 type Route struct {
 	Path []topo.LinkID
 	Port int32
@@ -397,6 +395,12 @@ type Route struct {
 	// confirmed at, truncated to 32 bits (a false match would take 2^32
 	// state changes without a walk); 0 never matches.
 	gen uint32
+	// vac is one plus the index in Sim.vacancies of the latest place a
+	// flow riding the route left in the current mutation (0 for none).
+	vac   int32
+	Sport uint16
+	// tiers caches countTiers for Path: bit 0 known, bit 1 Agg, bit 2 Core.
+	tiers uint8
 }
 
 // StartFlow injects a new flow of the given size (bytes) and returns it.
@@ -407,16 +411,14 @@ func (s *Sim) StartFlow(src, dst route.Endpoint, bytes float64, opt FlowOpts) (*
 	if bytes <= 0 {
 		return nil, fmt.Errorf("netsim: non-positive flow size %v", bytes)
 	}
+	sport := opt.Sport
 	if rt := opt.Route; rt != nil {
-		// A route caches the path of one fixed tuple entering on one port:
-		// an auto-assigned sport changes the tuple per flow, and another
-		// port another plane.
-		if opt.Sport == 0 {
-			return nil, fmt.Errorf("netsim: flow %v->%v carries a Route but no Sport; a route needs the connection's fixed tuple", src, dst)
-		}
+		// A route caches the path of its tuple entering on one port:
+		// another port is another plane.
 		if opt.SrcPort != int(rt.Port) {
 			return nil, fmt.Errorf("netsim: flow %v->%v pins port %d but its Route is on port %d", src, dst, opt.SrcPort, rt.Port)
 		}
+		sport = rt.Sport
 	}
 	if s.sharding != nil {
 		// Shard-scoped admission: a flow with an endpoint outside the shard
@@ -434,8 +436,7 @@ func (s *Sim) StartFlow(src, dst route.Endpoint, bytes float64, opt FlowOpts) (*
 	s.beginMutate()
 	defer s.endMutate()
 
-	sport := opt.Sport
-	if sport == 0 {
+	if sport == 0 && opt.Route == nil {
 		s.sport++
 		if s.sport < 49152 {
 			s.sport = 49152
@@ -446,18 +447,15 @@ func (s *Sim) StartFlow(src, dst route.Endpoint, bytes float64, opt FlowOpts) (*
 		SrcAddr: src.Addr(), DstAddr: dst.Addr(),
 		SrcPort: sport, DstPort: 4791, Proto: 17,
 	}
+	// Field by field: a Flow literal assigned through f copies all 192 B.
 	f := s.newFlow()
-	*f = Flow{
-		ID: s.nextID, Src: src, Dst: dst, Tuple: tuple,
-		Bits: bytes * 8, Remaining: bytes * 8,
-		PinnedPort: -1, OnComplete: opt.OnComplete, After: opt.After,
-		StartedAt: s.Eng.Now(), index: -1,
-		Path: f.Path[:0], ib: f.ib.reset(),
-	}
+	f.ID, f.Src, f.Dst, f.Tuple = s.nextID, src, dst, tuple
+	f.Bits, f.Remaining, f.Rate = bytes*8, bytes*8, 0
+	f.Path, f.Port, f.PinnedPort = f.Path[:0], 0, max(opt.SrcPort, -1)
+	f.Stalled, f.pinned, f.comp, f.rt = false, false, noComp, nil
+	f.OnComplete, f.After = opt.OnComplete, opt.After
+	f.StartedAt, f.DoneAt, f.index, f.ib = s.Eng.Now(), 0, -1, f.ib.reset()
 	s.nextID++
-	if opt.SrcPort >= 0 {
-		f.PinnedPort = opt.SrcPort
-	}
 	s.routeFlow(f, opt.Route)
 	if s.sharding != nil {
 		// Invariant, not admission (that was the endpoint check above): an
@@ -515,38 +513,40 @@ func (ib *flowInband) reset() *flowInband {
 // in-band telemetry or an EvFlowRouted subscriber wants them, the walk
 // records its hash decisions.
 //
-// rt, when non-nil, is the flow's connection route (see Route). It is
-// consulted and filled only when no hop decisions are wanted and the
-// router is Settled: a hit copies its path and skips the walk.
+// rt, when non-nil, is the flow's connection (see Route), ridden if the
+// flow lands exactly on its port and path. Its cache is consulted and
+// filled only when no hop decisions are wanted and the router is
+// Settled: a hit copies its path and skips the walk.
 func (s *Sim) routeFlow(f *Flow, rt *Route) {
 	f.live("route")
 	now := s.Eng.Now()
 	s.inbandFlush(f)
 	s.leaveComp(f)
+	f.rt = nil
 	var obs func(route.HopDecision)
 	if s.inband != nil || s.want&EvFlowRouted != 0 {
 		obs = s.noteHop
-		rt = nil
 	}
 	var gen uint32
-	if rt != nil && s.R.Settled(now) {
+	if rt != nil && obs == nil && s.R.Settled(now) {
 		// Read before the walk: a concurrent pod's bump during it can only
 		// make the stamp stale, never wrong.
 		gen = uint32(s.Top.Gen()) + 1
 		if rt.gen == gen {
 			f.Port = int(rt.Port)
 			f.Path = append(f.Path[:0], rt.Path...)
+			f.rt = rt
 			s.join(f)
 			s.checkRouteHit(f, now)
 			return
 		}
 	}
 	s.walk(f, now, obs)
+	if rt != nil && !f.Stalled && f.Port == int(rt.Port) && slices.Equal(f.Path, rt.Path) {
+		f.rt, rt.gen = rt, cmp.Or(gen, rt.gen) // stamp only a settled walk
+	}
 	if !f.Stalled {
 		s.join(f)
-	}
-	if gen != 0 && !f.Stalled && f.Port == int(rt.Port) && slices.Equal(f.Path, rt.Path) {
-		rt.gen = gen
 	}
 	s.inbandOpen(f)
 	s.publishRouted(f)
@@ -600,8 +600,8 @@ func (s *Sim) walk(f *Flow, now sim.Time, obs func(route.HopDecision)) {
 // virtual instant, the resulting allocation — and every completion that
 // follows — is identical to the unbatched sequence; only the O(flows x
 // hops) recomputation work per call is saved. A flow started inside a
-// batch carries Rate 0 until the batch ends, unless it took over the place
-// a flow on the same path left in the batch (a hand-off, see join): it then
+// batch carries Rate 0 until the batch ends, unless it took the place a
+// flow on its connection left in the batch (a hand-off, see join): it then
 // carries that flow's rate at once, the rate the batch's recompute keeps.
 //
 // The rule: every loop that starts more than one flow at one instant goes
@@ -767,16 +767,27 @@ func (s *Sim) AbortFlow(f *Flow) {
 }
 
 // countTiers attributes a completed flow's bits to the tiers its path
-// visited and reports which.
+// visited and reports which. A route walks its path once (Route.tiers).
 func (s *Sim) countTiers(f *Flow) (agg, core bool) {
-	for _, lk := range f.Path {
-		switch s.Top.Node(s.Top.Link(lk).To).Kind {
-		case topo.KindAgg:
-			agg = true
-		case topo.KindCore:
-			core = true
+	t := uint8(0)
+	if f.rt != nil {
+		t = f.rt.tiers
+	}
+	if t == 0 {
+		t = 1
+		for _, lk := range f.Path {
+			switch s.Top.Node(s.Top.Link(lk).To).Kind {
+			case topo.KindAgg:
+				t |= 2
+			case topo.KindCore:
+				t |= 4
+			}
+		}
+		if f.rt != nil {
+			f.rt.tiers = t
 		}
 	}
+	agg, core = t&2 != 0, t&4 != 0
 	if agg {
 		s.AggBits += f.Bits
 	}

@@ -10,8 +10,8 @@ import (
 	"hpn/internal/sim"
 )
 
-// establish returns a Route on the path src->dst walks on port for sport,
-// as an RDMA connection holds it.
+// establish returns the Route of a connection on sport and the path
+// src->dst walks on port for it, as an RDMA connection holds it.
 func establish(t *testing.T, s *Sim, src, dst route.Endpoint, port int, sport uint16) *Route {
 	t.Helper()
 	tuple := hashing.FiveTuple{SrcAddr: src.Addr(), DstAddr: dst.Addr(), SrcPort: sport, DstPort: 4791, Proto: 17}
@@ -19,7 +19,7 @@ func establish(t *testing.T, s *Sim, src, dst route.Endpoint, port int, sport ui
 	if err != nil || blackholed {
 		t.Fatalf("establish %v->%v: blackholed %v, %v", src, dst, blackholed, err)
 	}
-	return &Route{Path: path, Port: int32(port)}
+	return &Route{Path: path, Port: int32(port), Sport: sport}
 }
 
 // TestRouteCacheStamps follows one connection route through the cache's
@@ -30,7 +30,7 @@ func TestRouteCacheStamps(t *testing.T) {
 	eng, top, s := newSim(t, 2, 4, 4)
 	src, dst := route.Endpoint{Host: 0, NIC: 0}, route.Endpoint{Host: 4, NIC: 0}
 	rt := establish(t, s, src, dst, 0, 50000)
-	opt := FlowOpts{SrcPort: 0, Sport: 50000, Route: rt}
+	opt := FlowOpts{SrcPort: 0, Route: rt}
 	start := func() *Flow {
 		t.Helper()
 		f, err := s.StartFlow(src, dst, 1<<20, opt)
@@ -104,7 +104,7 @@ func TestRouteCacheStamps(t *testing.T) {
 	s2.Subscribe(countRouted{&routed})
 	rt2 := establish(t, s2, src, dst, 0, 50000)
 	for i := 0; i < 2; i++ {
-		if _, err := s2.StartFlow(src, dst, 1<<20, FlowOpts{SrcPort: 0, Sport: 50000, Route: rt2}); err != nil {
+		if _, err := s2.StartFlow(src, dst, 1<<20, FlowOpts{SrcPort: 0, Route: rt2}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -119,7 +119,7 @@ func (countRouted) Kinds() EventKind       { return EvFlowRouted }
 func (c countRouted) FabricEvent(e *Event) { *c.n++ }
 
 // TestStartFlowRouteMisuse requires StartFlow to refuse a Route on a flow
-// whose tuple or port cannot match it, before a flow is taken.
+// whose port cannot match it, before a flow is taken.
 func TestStartFlowRouteMisuse(t *testing.T) {
 	_, _, s := newSim(t, 2, 4, 4)
 	src, dst := route.Endpoint{Host: 0, NIC: 0}, route.Endpoint{Host: 4, NIC: 0}
@@ -129,9 +129,8 @@ func TestStartFlowRouteMisuse(t *testing.T) {
 		opt  FlowOpts
 		want string
 	}{
-		{"auto sport", FlowOpts{SrcPort: 0, Route: rt}, "no Sport"},
-		{"other port", FlowOpts{SrcPort: 1, Sport: 50000, Route: rt}, "pins port 1 but its Route is on port 0"},
-		{"bond port", FlowOpts{SrcPort: -1, Sport: 50000, Route: rt}, "pins port -1"},
+		{"other port", FlowOpts{SrcPort: 1, Route: rt}, "pins port 1 but its Route is on port 0"},
+		{"bond port", FlowOpts{SrcPort: -1, Route: rt}, "pins port -1"},
 	} {
 		f, err := s.StartFlow(src, dst, 1<<20, c.opt)
 		if f != nil || err == nil || !strings.Contains(err.Error(), c.want) {

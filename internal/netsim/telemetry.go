@@ -57,7 +57,7 @@ func (s *Sim) AttachProfiler(p *prof.Profiler, fl *prof.Flight) {
 	s.phFill = p.Phase("netsim/fill", "progressive filling of the components rebuilt this recompute")
 	s.phFillReused = p.Phase("netsim/fill_reused", "components carried with their rates because no mutation marked them (count-only)")
 	s.phRegathered = p.Phase("netsim/regathered", "flows gathered into a rebuilt component (count-only)")
-	s.phHandoffs = p.Phase("netsim/handoffs", "flows that took the place a flow on the same path left in a carried component (count-only)")
+	s.phHandoffs = p.Phase("netsim/handoffs", "flows that took the place a flow on the same connection left in a carried component (count-only)")
 	s.phHeapOps = p.Phase("netsim/heap_ops", "link-heap pops and stale re-keys during fills (count-only)")
 }
 

@@ -31,15 +31,13 @@ import (
 // upper-layer applications").
 type Conn struct {
 	Src, Dst route.Endpoint
-	// Sport is the transport source port chosen by EstablishConns to pin
-	// the ECMP path.
-	Sport uint16
-	// Route holds the NIC port the connection was established on
-	// (Route.Port, its plane) and the path predicted then (Route.Path, for
-	// disjointness accounting; failures may move the live path). Every
-	// message is posted with it, so it is also the connection's route
-	// cache: while the fabric still yields that path, a flow copies it
-	// instead of walking (netsim.Route).
+	// Route holds the transport source port EstablishConns chose to pin
+	// the ECMP path (Route.Sport), the NIC port the connection was
+	// established on (Route.Port, its plane) and the path predicted then
+	// (Route.Path, for disjointness accounting; failures may move the live
+	// path). Every message is posted with it, so it is also the
+	// connection's route cache: while the fabric still yields that path, a
+	// flow copies it instead of walking (netsim.Route).
 	Route netsim.Route
 
 	// wqeBytes counts the bytes of active (posted, incomplete) WQEs.
@@ -129,8 +127,8 @@ func EstablishConns(net *netsim.Sim, src, dst route.Endpoint, opt EstablishOpts)
 				used[lk] = true
 			}
 			cs.Conns = append(cs.Conns, &Conn{
-				Src: src, Dst: dst, Sport: sport,
-				Route: netsim.Route{Path: path, Port: int32(plane)},
+				Src: src, Dst: dst,
+				Route: netsim.Route{Path: path, Port: int32(plane), Sport: sport},
 			})
 			got++
 		}
@@ -211,7 +209,6 @@ func (cs *ConnSet) post(c *Conn, bytes float64, onComplete func(now sim.Time)) (
 	}
 	return cs.Net.StartFlow(c.Src, c.Dst, bytes, netsim.FlowOpts{
 		SrcPort:    int(c.Route.Port),
-		Sport:      c.Sport,
 		OnComplete: c.doneFn,
 		After:      onComplete,
 		Route:      &c.Route,

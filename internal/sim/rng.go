@@ -19,20 +19,6 @@ func NewRNG(seed uint64) *RNG {
 	return &RNG{state: seed}
 }
 
-// Fork derives an independent stream labeled by id. Streams with distinct
-// labels from the same parent are statistically independent. No program
-// calls it; it stays because hpnlint's globalrand rule tells users to.
-func (r *RNG) Fork(id uint64) *RNG {
-	return NewRNG(mix64(r.state ^ mix64(id+0x632be59bd9b4e019)))
-}
-
-func mix64(z uint64) uint64 {
-	z += 0x9e3779b97f4a7c15
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	return z ^ (z >> 31)
-}
-
 // Uint64 returns the next 64 random bits.
 func (r *RNG) Uint64() uint64 {
 	r.state += 0x9e3779b97f4a7c15

@@ -21,21 +21,6 @@ func TestRNGZeroSeedUsable(t *testing.T) {
 	}
 }
 
-func TestRNGForkIndependence(t *testing.T) {
-	parent := NewRNG(7)
-	a := parent.Fork(1)
-	b := parent.Fork(2)
-	same := 0
-	for i := 0; i < 100; i++ {
-		if a.Uint64() == b.Uint64() {
-			same++
-		}
-	}
-	if same > 0 {
-		t.Fatalf("forked streams collided %d/100 times", same)
-	}
-}
-
 func TestFloat64Range(t *testing.T) {
 	r := NewRNG(3)
 	for i := 0; i < 10000; i++ {
