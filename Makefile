@@ -96,21 +96,22 @@ forensics-smoke:
 	echo "forensics-smoke: OK"
 
 # Self-profiler smoke: one quick experiment with -prof on, then assert the
-# profiler artifacts landed, the core engine phases actually accumulated
-# (every emitted prof.tsv row must carry a nonzero count — zero-count
-# phases are omitted by contract, so a zero here means the export path
-# broke), and hpnprof renders the prof.json report. The in-band artifacts
-# go to a directory of their own, written before the profile's, so
-# prof.tsv carries their per-exporter artifact/<name> phases.
+# profiler artifacts landed, hpnprof renders the prof.json report, and the
+# core engine phases actually accumulated: every row of hpnprof's table
+# (phase and count in its first two columns, after a summary line and a
+# header) must carry a nonzero count — zero-count phases are omitted by
+# contract, so a zero here means the export path broke. The in-band
+# artifacts go to a directory of their own, written before the profile's,
+# so prof.json carries their per-exporter artifact/<name> phases.
 prof-smoke:
 	@tmp=$$(mktemp -d); \
 	set -e; \
 	$(GO) run ./cmd/hpnbench -exp fig13 -scale quick -inband $$tmp/inband -prof $$tmp/artifacts >/dev/null; \
-	ls $$tmp/artifacts/prof.tsv $$tmp/artifacts/prof.json $$tmp/artifacts/flight.tsv >/dev/null; \
-	awk -F'\t' 'NR>1 { seen[$$1]=1; if ($$2+0 <= 0) { print "prof-smoke: zero-count phase " $$1; bad=1 } } \
+	ls $$tmp/artifacts/prof.json $$tmp/artifacts/flight.tsv >/dev/null; \
+	$(GO) run ./cmd/hpnprof $$tmp/artifacts/prof.json >$$tmp/report.txt; \
+	awk 'NR>2 { seen[$$1]=1; if ($$2+0 <= 0) { print "prof-smoke: zero-count phase " $$1; bad=1 } } \
 		END { n=split("sim/run sim/dispatch netsim/recompute netsim/decompose netsim/fill netsim/fill_reused netsim/regathered netsim/handoffs netsim/heap_ops artifact/inband.tsv artifact/inband.json", req, " "); \
-		for (i=1; i<=n; i++) if (!seen[req[i]]) { print "prof-smoke: phase " req[i] " missing from prof.tsv"; bad=1 } exit bad }' \
-		$$tmp/artifacts/prof.tsv; \
-	$(GO) run ./cmd/hpnprof $$tmp/artifacts/prof.json >/dev/null; \
+		for (i=1; i<=n; i++) if (!seen[req[i]]) { print "prof-smoke: phase " req[i] " missing from the hpnprof table"; bad=1 } exit bad }' \
+		$$tmp/report.txt; \
 	rm -rf $$tmp; \
 	echo "prof-smoke: OK"

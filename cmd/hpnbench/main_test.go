@@ -3,11 +3,14 @@ package main
 import (
 	"bytes"
 	"compress/gzip"
+	"fmt"
 	"io"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"hpn/internal/core"
 )
 
 // A failing run must still flush and close its CPU profile: the exit
@@ -58,15 +61,27 @@ func TestUsageErrorsExitTwo(t *testing.T) {
 }
 
 // -shards 1 means serial: the multipod comparison runs one worker on both
-// sides instead of silently widening to NumCPU.
+// sides instead of silently widening to NumCPU. Its two sharded fabrics
+// each write the artifacts of their four pods (c2_-c5_ and c7_-c10_)
+// beside those of their global domains.
 func TestShardsOneRunsOneWorker(t *testing.T) {
+	t.Cleanup(func() { core.SetDefaultTelemetry(nil) })
+	dir := t.TempDir()
 	out := captureStdout(t, func() {
-		if code := run([]string{"-exp", "multipod", "-shards", "1"}); code != 0 {
+		if code := run([]string{"-exp", "multipod", "-shards", "1", "-inband", dir}); code != 0 {
 			t.Errorf("exit %d, want 0", code)
 		}
 	})
 	if !strings.Contains(out, "iterations, 1 workers --") {
 		t.Fatalf("multipod did not report one worker:\n%s", out)
+	}
+	for _, pod := range []int{2, 3, 4, 5, 7, 8, 9, 10} {
+		for _, name := range []string{"inband.tsv", "samples.csv"} {
+			path := filepath.Join(dir, fmt.Sprintf("c%d_%s", pod, name))
+			if _, err := os.Stat(path); err != nil {
+				t.Errorf("pod artifact missing: %v", err)
+			}
+		}
 	}
 }
 

@@ -13,11 +13,10 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"runtime/pprof"
-	"slices"
 	"strings"
 
 	"hpn"
+	"hpn/cmd/internal/observe"
 )
 
 func main() {
@@ -30,22 +29,15 @@ func main() {
 func run(args []string) (code int) {
 	fs := flag.NewFlagSet("hpnsim", flag.ContinueOnError)
 	var (
-		arch     = fs.String("arch", "hpn", "hpn | dcn")
-		model    = fs.String("model", "llama-13b", "llama-7b | llama-13b | gpt-175b")
-		hosts    = fs.Int("hosts", 16, "hosts (8 GPUs each)")
-		tp       = fs.Int("tp", 8, "tensor parallelism")
-		pp       = fs.Int("pp", 1, "pipeline parallelism")
-		iters    = fs.Int("iters", 5, "iterations to simulate")
-		traceOut = fs.String("trace", "", "write a Chrome trace-event JSON (chrome://tracing, Perfetto) to this file")
-		promOut  = fs.String("metrics", "", "write Prometheus-text metrics to this file")
-		inbandTo = fs.String("inband", "", "enable in-band path telemetry and write run artifacts (per-hop inband.tsv/json, flow log, samples) into this directory")
-		healthTo = fs.String("health", "", "enable online fabric health monitoring and write run artifacts (incidents.tsv/json causal timeline; render with hpndoctor) into this directory")
-		useMemo  = fs.String("memo", "off", "iteration memoization: on | off (fast-forward repeated steady-state iterations; disables periodic sampling; composes with -pods/-shards)")
-		pods     = fs.Int("pods", 1, "pods: >1 simulates each pod on its own engine shard under the conservative-window coordinator (-arch hpn only); every pod runs its own -hosts job plus a cross-pod gradient exchange")
-		shards   = fs.Int("shards", 1, "worker goroutines executing parallel shard windows (0 = NumCPU); needs -pods > 1; results are identical for every value")
-		profTo   = fs.String("prof", "", "enable engine self-profiling and write run artifacts (prof.tsv/json phase breakdown — render with hpnprof — and the flight.tsv incident event ring) into this directory")
-		cpuOut   = fs.String("cpuprofile", "", "write a pprof CPU profile of the whole run to this file")
-		memOut   = fs.String("memprofile", "", "write a pprof heap profile at exit to this file")
+		arch   = fs.String("arch", "hpn", "hpn | dcn")
+		model  = fs.String("model", "llama-13b", "llama-7b | llama-13b | gpt-175b")
+		hosts  = fs.Int("hosts", 16, "hosts (8 GPUs each)")
+		tp     = fs.Int("tp", 8, "tensor parallelism")
+		pp     = fs.Int("pp", 1, "pipeline parallelism")
+		iters  = fs.Int("iters", 5, "iterations to simulate")
+		pods   = fs.Int("pods", 1, "pods: >1 simulates each pod on its own engine shard under the conservative-window coordinator (-arch hpn only); every pod runs its own -hosts job plus a cross-pod gradient exchange")
+		shards = fs.Int("shards", 1, "worker goroutines executing parallel shard windows (0 = NumCPU); needs -pods > 1; results are identical for every value")
+		obs    = observe.Register(fs)
 	)
 	if err := fs.Parse(args); err != nil {
 		if err == flag.ErrHelp {
@@ -58,40 +50,20 @@ func run(args []string) (code int) {
 		return 2
 	}
 
-	if *cpuOut != "" {
-		stop, err := startCPUProfile(*cpuOut)
-		if err != nil {
-			return fail(err)
-		}
-		defer func() {
-			if err := stop(); err != nil {
-				code = max(code, fail(err))
-			}
-		}()
+	stop, err := obs.Start()
+	if err != nil {
+		return fail(err)
 	}
+	defer func() {
+		if err := stop(); err != nil {
+			code = max(code, fail(err))
+		}
+	}()
 
-	memoOn := false
-	switch *useMemo {
-	case "on":
-		memoOn = true
-	case "off":
-	default:
-		fmt.Fprintf(os.Stderr, "hpnsim: -memo must be on or off, got %q\n", *useMemo)
+	tel, err := obs.Options()
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "hpnsim:", err)
 		return 2
-	}
-
-	var tel *hpn.TelemetryOptions
-	if *traceOut != "" || *promOut != "" || *inbandTo != "" || *healthTo != "" || *profTo != "" || memoOn {
-		opt := hpn.DefaultTelemetryOptions()
-		opt.Trace = *traceOut != ""
-		opt.Inband = *inbandTo != ""
-		opt.Health = *healthTo != ""
-		opt.Memo = memoOn
-		opt.Prof = *profTo != ""
-		tel = &opt
-		if memoOn {
-			fmt.Println("memo: periodic sampling disabled (incompatible with fast-forward)")
-		}
 	}
 
 	var m hpn.ModelSpec
@@ -110,7 +82,7 @@ func run(args []string) (code int) {
 	// -shards 0 selects NumCPU workers (the Scenario's rule); the in-band
 	// stream is exported alongside the completed-flow log.
 	s := hpn.Scenario{Model: m, TP: *tp, PP: *pp, Hosts: *hosts, Iterations: *iters,
-		Workers: *shards, FlowLog: *inbandTo != "", Telemetry: tel}
+		Workers: *shards, FlowLog: obs.Inband != "", Telemetry: tel}
 	switch {
 	case *pods < 1:
 		fmt.Fprintf(os.Stderr, "hpnsim: -pods must be >= 1, got %d\n", *pods)
@@ -140,14 +112,14 @@ func run(args []string) (code int) {
 		fmt.Fprintln(os.Stderr, "hpnsim:", err)
 		return 2
 	}
-	return execute(s, outputs{trace: *traceOut, prom: *promOut, mem: *memOut, dirs: artifactDirs(*inbandTo, *healthTo, *profTo)})
+	return execute(s, obs)
 }
 
 // execute builds and runs a validated scenario, prints its results and
-// writes out, returning the exit status. A run that stalls still prints
-// what it simulated and writes every output, since those are what explain
-// the stall, and then exits 1.
-func execute(s hpn.Scenario, out outputs) int {
+// writes the outputs obs asks for, returning the exit status. A run that
+// stalls still prints what it simulated and writes every output, since
+// those are what explain the stall, and then exits 1.
+func execute(s hpn.Scenario, obs *observe.Flags) int {
 	r, err := s.Build()
 	if err != nil {
 		return fail(err)
@@ -169,14 +141,15 @@ func execute(s hpn.Scenario, out outputs) int {
 	} else {
 		printSingle(r)
 	}
-	for _, w := range hpn.OverflowWarnings(r.Hub) {
-		fmt.Fprintln(os.Stderr, "hpnsim:", w)
-	}
 	// On a sharded run the flat trace file carries the global domain's
 	// process; the per-pod traces land as c2_trace.json, ... in the
 	// artifact dirs.
-	if err := errors.Join(runErr, out.write(r)); err != nil {
-		return fail(err)
+	ok := obs.Write(r.Hub)
+	if runErr != nil {
+		return fail(runErr)
+	}
+	if !ok {
+		return 1
 	}
 	return 0
 }
@@ -231,96 +204,6 @@ func printMemo(label string, c *hpn.Cluster, iters int) {
 	s := r.Stats()
 	fmt.Printf("%s: %d hits, %d misses, %d blocked, %d invalidations, %d/%d iterations replayed, %d halves folded, %d re-delivered\n",
 		label, s.Hits, s.Misses, s.Blocked, s.Invalidations, s.Replayed, iters, s.Folded, s.Redelivered)
-}
-
-// outputs is where a run writes its results: the flat trace and metrics
-// files, the artifact directories and the heap profile (each empty or nil
-// when not requested).
-type outputs struct {
-	trace, prom, mem string
-	dirs             []string
-}
-
-// write writes every requested output of the finished run.
-func (o outputs) write(r *hpn.ScenarioRun) error {
-	if hub := r.Hub; hub != nil {
-		if o.trace != "" {
-			if err := writeFile(o.trace, func(f *os.File) error {
-				_, err := hub.Tracer.WriteTo(f)
-				return err
-			}); err != nil {
-				return err
-			}
-			fmt.Printf("wrote %s (%d events)\n", o.trace, hub.Tracer.Events())
-		}
-		if o.prom != "" {
-			if err := writeFile(o.prom, func(f *os.File) error {
-				return hub.Registry.WritePrometheus(f)
-			}); err != nil {
-				return err
-			}
-			fmt.Printf("wrote %s\n", o.prom)
-		}
-		for _, dir := range o.dirs {
-			paths, err := r.WriteArtifacts(dir)
-			if err != nil {
-				return err
-			}
-			for _, p := range paths {
-				fmt.Printf("wrote %s\n", p)
-			}
-		}
-	}
-	if o.mem != "" {
-		if err := writeFile(o.mem, func(f *os.File) error {
-			return pprof.Lookup("allocs").WriteTo(f, 0)
-		}); err != nil {
-			return err
-		}
-		fmt.Printf("wrote %s\n", o.mem)
-	}
-	return nil
-}
-
-// artifactDirs deduplicates the artifact output directories (both -inband
-// and -health dump the full registry artifact set).
-func artifactDirs(dirs ...string) []string {
-	var out []string
-	for _, d := range dirs {
-		if d != "" && !slices.Contains(out, d) {
-			out = append(out, d)
-		}
-	}
-	return out
-}
-
-func writeFile(path string, write func(*os.File) error) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := write(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
-}
-
-// startCPUProfile starts a pprof CPU profile into path. The returned stop
-// flushes the profile and closes the file, returning the close error.
-func startCPUProfile(path string) (stop func() error, err error) {
-	f, err := os.Create(path)
-	if err != nil {
-		return nil, err
-	}
-	if err := pprof.StartCPUProfile(f); err != nil {
-		f.Close()
-		return nil, err
-	}
-	return func() error {
-		pprof.StopCPUProfile()
-		return f.Close()
-	}, nil
 }
 
 // fail reports err and returns the run-error exit status.

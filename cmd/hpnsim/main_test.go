@@ -12,6 +12,7 @@ import (
 	"testing"
 
 	"hpn"
+	"hpn/cmd/internal/observe"
 	"hpn/internal/sim"
 )
 
@@ -90,7 +91,7 @@ func TestNonPositiveSizesExitTwo(t *testing.T) {
 // for. DIR stands for the run's output directory.
 func TestModesWriteArtifacts(t *testing.T) {
 	every := []string{"flight.tsv", "flowlog.tsv", "inband.json", "inband.tsv", "incidents.json",
-		"incidents.tsv", "prof.json", "prof.tsv", "samples.csv"}
+		"incidents.tsv", "prof.json", "samples.csv"}
 	var observed []string
 	for _, dir := range []string{"he", "in", "pr"} {
 		for _, name := range every {
@@ -152,9 +153,9 @@ func TestStalledRunWritesOutputs(t *testing.T) {
 	opt.Trace, opt.Health = true, true
 	s := hpn.Scenario{HPN: &cfg, Model: hpn.LLaMa13B, TP: 8, PP: 1, Hosts: 8, Iterations: 2, Telemetry: &opt,
 		Faults: []hpn.LinkFault{{FailAt: 50 * sim.Millisecond}}}
-	out := outputs{trace: filepath.Join(dir, "t.json"), dirs: []string{filepath.Join(dir, "he")}}
+	obs := &observe.Flags{Trace: filepath.Join(dir, "t.json"), Health: filepath.Join(dir, "he")}
 	printed := captureStdout(t, func() {
-		if code := execute(s, out); code != 1 {
+		if code := execute(s, obs); code != 1 {
 			t.Errorf("stalled run: exit %d, want 1", code)
 		}
 	})

@@ -1,8 +1,6 @@
 package core
 
 import (
-	"fmt"
-
 	"hpn/internal/netsim"
 	"hpn/internal/sim"
 	"hpn/internal/telemetry"
@@ -32,7 +30,8 @@ type ShardedCluster struct {
 	Global *Cluster
 	Pods   []*Cluster
 	// Hub is the root telemetry hub (nil when telemetry is disabled); the
-	// pod clusters write through private shard hubs derived from it.
+	// pod clusters write through private shard hubs derived from it, whose
+	// artifacts the root writes after its own.
 	Hub     *telemetry.Hub
 	podHubs []*telemetry.Hub
 
@@ -137,24 +136,4 @@ func (sc *ShardedCluster) foldMetrics() {
 	for _, ph := range sc.podHubs {
 		sc.Hub.Registry.Absorb(ph.Registry)
 	}
-}
-
-// WriteArtifacts writes the root hub's artifacts and then each pod hub's
-// (prefixed) artifacts into dir, returning all paths written.
-func (sc *ShardedCluster) WriteArtifacts(dir string) ([]string, error) {
-	if sc.Hub == nil {
-		return nil, fmt.Errorf("core: sharded cluster has no telemetry hub")
-	}
-	paths, err := sc.Hub.WriteArtifacts(dir)
-	if err != nil {
-		return paths, err
-	}
-	for _, ph := range sc.podHubs {
-		p, err := ph.WriteArtifacts(dir)
-		paths = append(paths, p...)
-		if err != nil {
-			return paths, err
-		}
-	}
-	return paths, nil
 }

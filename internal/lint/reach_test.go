@@ -43,6 +43,7 @@ var keepUnreachable = map[string]string{
 	"netsim.Flow.Pin":                keepPooled,
 	"netsim.Flow.Done":               keepPooled,
 	"telemetry.Registry.WriteJSON":   "produces the golden suite's metrics.json",
+	"hpn.ScenarioRun.WriteArtifacts": "writes the golden suite's per-run artifact set",
 	"netsim.referenceMaxMin":         "the max-min allocator oracle the allocator tests compare against",
 	"main.inProcess":                 "perfbench's in-process Go benchmarks run their reps through it",
 }

@@ -123,10 +123,11 @@ type Mark struct {
 }
 
 // Mark returns the current position as a window start. It refuses
-// (ok=false) while flows are active: a window must start from a drained
-// fabric to be replayable.
+// (ok=false) while flows are active, since a window must start from a
+// drained fabric to be replayable, and while a LinkProbe is attached,
+// since replay appends no probe samples.
 func (s *Sim) Mark() (m Mark, ok bool) {
-	if len(s.active) != 0 {
+	if len(s.active) != 0 || len(s.probeList) != 0 {
 		return Mark{}, false
 	}
 	nextAt, nextOK := s.Eng.NextAt()
@@ -187,10 +188,11 @@ func (s *Sim) ExitFrom(m Mark, metrics *telemetry.MetricsDelta) *Exit {
 }
 
 // Fits reports whether x can replay at the current instant: no flows are
-// active, and no pending event lands inside (or exactly at the end of)
-// the would-be window, since replay cannot interleave it.
+// active, no LinkProbe is attached (as for Mark), and no pending event
+// lands inside (or exactly at the end of) the would-be window, since
+// replay cannot interleave it.
 func (s *Sim) Fits(x *Exit) bool {
-	if len(s.active) != 0 {
+	if len(s.active) != 0 || len(s.probeList) != 0 {
 		return false
 	}
 	at, ok := s.Eng.NextAt()

@@ -1,7 +1,6 @@
 package prof
 
 import (
-	"bufio"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -9,10 +8,10 @@ import (
 )
 
 // PhaseStat is one phase's merged accumulators: the row format of the
-// prof.tsv/prof.json artifacts. Count is deterministic (a pure function of
-// the simulated run); WallNS and Allocs are host measurements and are
-// nondeterministic by nature — which is why these artifacts live outside
-// the golden byte-identical set.
+// prof.json artifact. Count is deterministic (a pure function of the
+// simulated run); WallNS and Allocs are host measurements and are
+// nondeterministic by nature — which is why this artifact lives outside the
+// golden byte-identical set.
 type PhaseStat struct {
 	Name   string `json:"name"`
 	Help   string `json:"help,omitempty"`
@@ -32,18 +31,6 @@ type Profile struct {
 // Profile snapshots the profiler into an exportable document. Nil-safe.
 func (p *Profiler) Profile() *Profile {
 	return &Profile{GoMaxProcs: runtime.GOMAXPROCS(0), Phases: p.Snapshot()}
-}
-
-// WriteTSV writes the phase table, sorted by name, zero-count phases
-// omitted. Columns: phase, count, wall_ns, wall_ms, allocs.
-func (p *Profiler) WriteTSV(w io.Writer) error {
-	bw := bufio.NewWriter(w)
-	fmt.Fprintln(bw, "phase\tcount\twall_ns\twall_ms\tallocs")
-	for _, st := range p.Snapshot() {
-		fmt.Fprintf(bw, "%s\t%d\t%d\t%.3f\t%d\n",
-			st.Name, st.Count, st.WallNS, float64(st.WallNS)/1e6, st.Allocs)
-	}
-	return bw.Flush()
 }
 
 // WriteJSON writes the Profile document (see ParseProfile).

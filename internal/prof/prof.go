@@ -12,8 +12,8 @@
 // Determinism contract: phase *counts* are pure functions of the simulated
 // run and stay byte-identical across same-seed runs. Wall-time and
 // allocation fields are host measurements and are inherently
-// nondeterministic; they are segregated into the prof.tsv/prof.json
-// artifacts (excluded from the golden determinism set) and into registry
+// nondeterministic; they are segregated into the prof.json artifact
+// (excluded from the golden determinism set) and into registry
 // *gauges* — never counters — so the memo recorder's metrics snapshots
 // (counters + histograms only, see telemetry.MetricsSnapshot) can never
 // absorb a wall-clock value into a replayed window. This is the

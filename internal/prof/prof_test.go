@@ -210,27 +210,6 @@ func TestReport(t *testing.T) {
 	}
 }
 
-func TestWriteTSVFormat(t *testing.T) {
-	p := New()
-	p.Phase("b", "").Add(2)
-	p.Phase("a", "").Add(1)
-	p.Phase("never", "")
-	var sb strings.Builder
-	if err := p.WriteTSV(&sb); err != nil {
-		t.Fatalf("WriteTSV: %v", err)
-	}
-	lines := strings.Split(strings.TrimRight(sb.String(), "\n"), "\n")
-	if len(lines) != 3 {
-		t.Fatalf("TSV lines = %d (%q), want header + 2 rows", len(lines), sb.String())
-	}
-	if lines[0] != "phase\tcount\twall_ns\twall_ms\tallocs" {
-		t.Fatalf("TSV header = %q", lines[0])
-	}
-	if !strings.HasPrefix(lines[1], "a\t1\t") || !strings.HasPrefix(lines[2], "b\t2\t") {
-		t.Fatalf("TSV rows not sorted by phase: %q", sb.String())
-	}
-}
-
 func TestFlightRingAndWindows(t *testing.T) {
 	f := NewFlight(4)
 	for i := 0; i < 6; i++ {

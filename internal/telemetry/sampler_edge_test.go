@@ -5,6 +5,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -71,31 +72,39 @@ func TestSamplerWriteCSVEmpty(t *testing.T) {
 }
 
 // TestHubWriteArtifacts checks the run-directory dump: every registered
-// exporter lands as one file, in registration order, with path separators
-// flattened out of artifact names.
+// exporter lands as one file, with path separators flattened out of
+// artifact names, the root hub's in registration order and then each
+// shard hub's, in the order the shard hubs were derived.
 func TestHubWriteArtifacts(t *testing.T) {
 	h := NewHub(Options{})
-	h.Registry.RegisterExporter("b.tsv", func(w io.Writer) error {
-		_, err := io.WriteString(w, "second")
-		return err
-	})
-	h.Registry.RegisterExporter("a/nested.csv", func(w io.Writer) error {
-		_, err := io.WriteString(w, "first")
-		return err
-	})
+	s1, s2 := h.ShardHub(), h.ShardHub()
+	for _, e := range []struct {
+		hub           *Hub
+		name, content string
+	}{
+		{h, "b.tsv", "first"},
+		{s2, "c3_b.tsv", "fourth"},
+		{h, "a/nested.csv", "second"},
+		{s1, "c2_b.tsv", "third"},
+	} {
+		e.hub.Registry.RegisterExporter(e.name, func(w io.Writer) error {
+			_, err := io.WriteString(w, e.content)
+			return err
+		})
+	}
 	dir := t.TempDir()
 	paths, err := h.WriteArtifacts(filepath.Join(dir, "run"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := []string{
-		filepath.Join(dir, "run", "b.tsv"),
-		filepath.Join(dir, "run", "a_nested.csv"),
+	var want []string
+	for _, name := range []string{"b.tsv", "a_nested.csv", "c2_b.tsv", "c3_b.tsv"} {
+		want = append(want, filepath.Join(dir, "run", name))
 	}
-	if len(paths) != 2 || paths[0] != want[0] || paths[1] != want[1] {
+	if !slices.Equal(paths, want) {
 		t.Fatalf("paths = %v, want %v", paths, want)
 	}
-	for i, content := range []string{"second", "first"} {
+	for i, content := range []string{"first", "second", "third", "fourth"} {
 		got, err := os.ReadFile(paths[i])
 		if err != nil {
 			t.Fatal(err)

@@ -44,7 +44,7 @@ type Options struct {
 	// Prof enables engine self-profiling (internal/prof): per-phase
 	// wall/alloc/count accumulators across sim, netsim, memo and the
 	// artifact writers, a bounded flight recorder of recent fabric events,
-	// and the "prof.tsv"/"prof.json"/"flight.tsv" artifacts. Phase counts
+	// and the "prof.json"/"flight.tsv" artifacts. Phase counts
 	// and flight contents are deterministic; wall/alloc fields are host
 	// measurements, published only through these artifacts and registry
 	// gauges (never counters), so golden artifacts and memo replay stay
@@ -85,6 +85,9 @@ type Hub struct {
 	// windows never interleave writes; the profiler is shared (its
 	// accumulators are atomic and its counts order-independent).
 	parent *Hub
+	// shards, on a root hub, lists the hubs ShardHub derived from it, in
+	// creation order; the root writes their artifacts after its own.
+	shards []*Hub
 }
 
 // NewHub builds a hub from opt. Memo turns periodic sampling off (see
@@ -101,7 +104,6 @@ func NewHub(opt Options) *Hub {
 		h.Prof = prof.New()
 		h.Flight = prof.NewFlight(0)
 		h.Prof.BindMetrics(h.Registry, "prof_")
-		h.Registry.RegisterExporter("prof.tsv", h.Prof.WriteTSV)
 		h.Registry.RegisterExporter("prof.json", h.Prof.WriteJSON)
 		h.Registry.RegisterExporter("flight.tsv", h.Flight.WriteTSV)
 	}
@@ -158,7 +160,8 @@ func (h *Hub) allocPrefix() string {
 // write their own. Cluster prefixes are still allocated by the root
 // (JoinCluster delegates), keeping metric names and artifact names unique
 // across the ensemble; fold shard counters back with Registry.Absorb once
-// the run is done and the engines are quiescent.
+// the run is done and the engines are quiescent. The root keeps the shard
+// hub: its WriteArtifacts writes the shard's artifacts too.
 func (h *Hub) ShardHub() *Hub {
 	root := h
 	if h.parent != nil {
@@ -171,46 +174,60 @@ func (h *Hub) ShardHub() *Hub {
 	if root.Prof != nil {
 		sh.Flight = prof.NewFlight(0)
 	}
+	root.mu.Lock()
+	root.shards = append(root.shards, sh)
+	root.mu.Unlock()
 	return sh
 }
 
-// WriteArtifacts runs every registered artifact exporter, writing each to
-// dir/<name> (path separators in names are flattened to '_'). It returns
-// the paths written, in exporter registration order.
+// Hubs returns h and then, on a root hub, every shard hub derived from it
+// in creation order: every hub whose artifacts WriteArtifacts writes.
+func (h *Hub) Hubs() []*Hub {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	return append([]*Hub{h}, h.shards...)
+}
+
+// WriteArtifacts runs every registered artifact exporter of h and then of
+// each of its shard hubs, writing each to dir/<name> (path separators in
+// names are flattened to '_'). It returns the paths written, hub by hub in
+// exporter registration order.
 func (h *Hub) WriteArtifacts(dir string) ([]string, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, err
 	}
 	var paths []string
-	for _, name := range h.Registry.ExporterNames() {
-		base := strings.Map(func(r rune) rune {
-			if r == '/' || r == os.PathSeparator {
-				return '_'
+	for _, hub := range h.Hubs() {
+		for _, name := range hub.Registry.ExporterNames() {
+			base := strings.Map(func(r rune) rune {
+				if r == '/' || r == os.PathSeparator {
+					return '_'
+				}
+				return r
+			}, name)
+			path := filepath.Join(dir, base)
+			f, err := os.Create(path)
+			if err != nil {
+				return paths, err
 			}
-			return r
-		}, name)
-		path := filepath.Join(dir, base)
-		f, err := os.Create(path)
-		if err != nil {
-			return paths, err
+			// Artifact writers get their own alloc-tracked phase each: flush
+			// cost per artifact is exactly what the prof report needs to
+			// weigh observability overhead against simulation time. The
+			// profiler's own artifacts participate too (their phases show up
+			// in the next run's report, or at zero count in their own —
+			// zero-count phases are omitted from output).
+			ph := h.Prof.PhaseAlloc("artifact/"+name, "exporting the "+name+" artifact")
+			tk := ph.Begin()
+			err = hub.Registry.Export(name, f)
+			ph.End(tk)
+			if cerr := f.Close(); err == nil {
+				err = cerr
+			}
+			if err != nil {
+				return paths, fmt.Errorf("telemetry: exporting %s: %w", name, err)
+			}
+			paths = append(paths, path)
 		}
-		// Artifact writers get their own alloc-tracked phase each: flush
-		// cost per artifact is exactly what the prof report needs to weigh
-		// observability overhead against simulation time. The profiler's
-		// own artifacts participate too (their phases show up in the next
-		// run's report, or at zero count in their own — zero-count phases
-		// are omitted from output).
-		ph := h.Prof.PhaseAlloc("artifact/"+name, "exporting the "+name+" artifact")
-		tk := ph.Begin()
-		err = h.Registry.Export(name, f)
-		ph.End(tk)
-		if cerr := f.Close(); err == nil {
-			err = cerr
-		}
-		if err != nil {
-			return paths, fmt.Errorf("telemetry: exporting %s: %w", name, err)
-		}
-		paths = append(paths, path)
 	}
 	return paths, nil
 }

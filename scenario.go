@@ -292,11 +292,8 @@ func (r *ScenarioRun) Run() error {
 }
 
 // WriteArtifacts writes every artifact the run's hub exports into dir
-// (and, on a sharded run, every pod hub's), returning the paths written.
+// (on a sharded run, every pod hub's too), returning the paths written.
 func (r *ScenarioRun) WriteArtifacts(dir string) ([]string, error) {
-	if r.Sharded != nil {
-		return r.Sharded.WriteArtifacts(dir)
-	}
 	if r.Hub == nil {
 		return nil, fmt.Errorf("hpn: run has no telemetry hub")
 	}

@@ -5,8 +5,38 @@ import (
 	"strings"
 	"testing"
 
+	"hpn/internal/metrics"
 	"hpn/internal/sim"
 )
+
+// A replayed memo window appends no link-probe samples, so memo must
+// neither record nor replay while a probe is attached: a probed NIC cable
+// records the same series with memo on as with memo off.
+func TestMemoKeepsProbeSeries(t *testing.T) {
+	series := func(memoOn bool) (util, queue []metrics.Point) {
+		cfg := SmallHPN(1, 8, 8)
+		r, err := Scenario{HPN: &cfg, Model: LLaMa13B, TP: 8, PP: 1, Hosts: 8, Iterations: 12,
+			Telemetry: &TelemetryOptions{Memo: memoOn}}.Build()
+		if err != nil {
+			t.Fatal(err)
+		}
+		c := r.Cluster
+		p := c.Net.TrackLink(c.Topo.AccessLink(r.Trainer.Job.Hosts[0], 0, 0), "nic0")
+		if err := r.Run(); err != nil {
+			t.Fatal(err)
+		}
+		return p.Util.Points, p.Queue.Points
+	}
+	offUtil, offQueue := series(false)
+	onUtil, onQueue := series(true)
+	if len(offUtil) == 0 {
+		t.Fatal("the probe recorded nothing: the case tests nothing")
+	}
+	if !slices.Equal(onUtil, offUtil) || !slices.Equal(onQueue, offQueue) {
+		t.Errorf("memo on recorded %d Util and %d Queue points, memo off %d and %d, or their values differ",
+			len(onUtil), len(onQueue), len(offUtil), len(offQueue))
+	}
+}
 
 // Build turns a placement or a fault schedule that would run wrong, or
 // would index past the fabric, into an error instead of a silent mis-run

@@ -2,7 +2,9 @@ package hpn
 
 import (
 	"encoding/json"
+	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -60,5 +62,43 @@ func TestMetricSumMatchesJSONExport(t *testing.T) {
 	}
 	if got := MetricSum(nil, ""); got != 0 {
 		t.Errorf("MetricSum without a hub = %v, want 0", got)
+	}
+}
+
+// On a sharded run every pod writes through a shard hub of its own, so
+// the warnings must count the drops of each pod's tracer and in-band
+// collector, not only the global domain's.
+func TestOverflowWarningsCountShardDrops(t *testing.T) {
+	cfg := MultiPodHPN(2, 1, 8, 16)
+	opt := TelemetryOptions{Trace: true, MaxTraceEvents: 100, Inband: true, InbandMax: 10}
+	r, err := Scenario{HPN: &cfg, Model: LLaMa13B, TP: 8, PP: 1, Hosts: 8, Iterations: 2,
+		Workers: 1, Telemetry: &opt}.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := r.Run(); err != nil {
+		t.Fatal(err)
+	}
+	records, podRecords := 0, 0
+	for i, c := range r.clusters() {
+		records += c.Net.Inband().Dropped()
+		if i > 0 {
+			podRecords += c.Net.Inband().Dropped()
+		}
+	}
+	events := 0
+	for _, h := range r.Hub.Hubs() {
+		events += h.Tracer.Dropped()
+	}
+	if podRecords == 0 || events == r.Hub.Tracer.Dropped() {
+		t.Fatalf("the pods dropped nothing (records %d, events %d of which %d global): the case tests nothing",
+			podRecords, events, r.Hub.Tracer.Dropped())
+	}
+	want := []string{
+		fmt.Sprintf("warning: trace buffer dropped %d events (cap reached); the trace under-reports — raise MaxTraceEvents", events),
+		fmt.Sprintf("warning: in-band collectors dropped %d per-hop records (cap reached); inband.tsv under-reports — raise InbandMax", records),
+	}
+	if got := OverflowWarnings(r.Hub); !slices.Equal(got, want) {
+		t.Errorf("OverflowWarnings = %q, want %q", got, want)
 	}
 }
