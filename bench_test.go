@@ -19,7 +19,7 @@ func benchExperiment(b *testing.B, id string) {
 	b.Helper()
 	var last *Report
 	for i := 0; i < b.N; i++ {
-		r, err := Run(id, ScaleQuick)
+		r, err := Run(id, Env{Scale: ScaleQuick})
 		if err != nil {
 			b.Fatal(err)
 		}

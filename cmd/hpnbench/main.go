@@ -74,10 +74,6 @@ func run(args []string) (code int) {
 		fmt.Fprintf(os.Stderr, "hpnbench: -shards must be >= 0, got %d\n", *shards)
 		return 2
 	}
-	// -memo and -shards compose: sharded trainers close memoization windows
-	// at the cross-pod gate (pod-local record/replay), so both can be on at
-	// once — the sharded determinism gates cover exactly this combination.
-	hpn.SetShardWorkers(*shards)
 
 	if *list {
 		for _, e := range hpn.Experiments() {
@@ -86,21 +82,23 @@ func run(args []string) (code int) {
 		return 0
 	}
 
-	var hub *hpn.TelemetryHub
+	// -memo and -shards compose: sharded trainers close memoization windows
+	// at the cross-pod gate (pod-local record/replay), so both can be on at
+	// once — the sharded determinism gates cover exactly this combination.
+	env := hpn.Env{Workers: *shards}
 	if opt != nil {
 		// Experiments build many clusters; bound the trace and the in-band
 		// stream so a full sweep cannot exhaust memory.
 		opt.MaxTraceEvents = 2_000_000
 		opt.InbandMax = 2_000_000
-		hub = hpn.EnableDefaultTelemetry(*opt)
+		env.Hub = hpn.NewTelemetryHub(*opt)
 	}
 
-	var s hpn.Scale
 	switch *scale {
 	case "quick":
-		s = hpn.ScaleQuick
+		env.Scale = hpn.ScaleQuick
 	case "full":
-		s = hpn.ScaleFull
+		env.Scale = hpn.ScaleFull
 	default:
 		fmt.Fprintf(os.Stderr, "hpnbench: unknown scale %q (quick|full)\n", *scale)
 		return 2
@@ -124,7 +122,7 @@ func run(args []string) (code int) {
 		// Wall-clock timing of the whole experiment run for the operator's
 		// benefit; it never feeds simulator state or run artifacts.
 		start := time.Now() //hpnlint:allow wallclock -- CLI run timing, printed only
-		r, err := hpn.Run(id, s)
+		r, err := hpn.Run(id, env)
 		wall := time.Since(start) //hpnlint:allow wallclock -- CLI run timing, printed only
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "hpnbench: %s: %v\n", id, err)
@@ -147,7 +145,7 @@ func run(args []string) (code int) {
 			failed++
 		}
 	}
-	if !obs.Write(hub) {
+	if !obs.Write(env.Hub) {
 		failed++
 	}
 	if failed > 0 {

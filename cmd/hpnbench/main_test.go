@@ -10,7 +10,7 @@ import (
 	"strings"
 	"testing"
 
-	"hpn/internal/core"
+	"hpn"
 )
 
 // A failing run must still flush and close its CPU profile: the exit
@@ -65,7 +65,6 @@ func TestUsageErrorsExitTwo(t *testing.T) {
 // each write the artifacts of their four pods (c2_-c5_ and c7_-c10_)
 // beside those of their global domains.
 func TestShardsOneRunsOneWorker(t *testing.T) {
-	t.Cleanup(func() { core.SetDefaultTelemetry(nil) })
 	dir := t.TempDir()
 	out := captureStdout(t, func() {
 		if code := run([]string{"-exp", "multipod", "-shards", "1", "-inband", dir}); code != 0 {
@@ -82,6 +81,38 @@ func TestShardsOneRunsOneWorker(t *testing.T) {
 				t.Errorf("pod artifact missing: %v", err)
 			}
 		}
+	}
+}
+
+// The memo experiment times its two runs on hubs of their own, so the run
+// hub the observability flags make neither memoizes the memo-off side nor
+// samples inside the memo-on side's windows: every claim still holds.
+func TestMemoHoldsUnderRunHub(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "trace.json")
+	out := captureStdout(t, func() {
+		if code := run([]string{"-exp", "memo", "-memo", "on", "-trace", path}); code != 0 {
+			t.Errorf("exit %d, want 0", code)
+		}
+	})
+	if t.Failed() {
+		t.Log(out)
+	}
+}
+
+// A run's hub ends with the run: a cluster built afterwards in the same
+// process joins no hub.
+func TestNoHubOutlivesARun(t *testing.T) {
+	captureStdout(t, func() {
+		if code := run([]string{"-exp", "fig13", "-inband", t.TempDir()}); code != 0 {
+			t.Errorf("exit %d, want 0", code)
+		}
+	})
+	c, err := hpn.NewHPN(hpn.SmallHPN(1, 4, 4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if c.Net.Trace != nil || c.Net.Reg != nil {
+		t.Errorf("a cluster built after the run carries a tracer (%v) or a registry (%v)", c.Net.Trace != nil, c.Net.Reg != nil)
 	}
 }
 

@@ -25,7 +25,7 @@ var goldenArtifactNames = []string{
 // goldenCase is one run described as data plus what the golden suite checks
 // of it. Every case runs fully instrumented: flow log, trace, in-band path
 // telemetry, the health monitor and the profiler, whose flight ring joins
-// the compared set (prof.tsv/json carry host wall times and stay out).
+// the compared set (prof.json carries host wall times and stays out).
 // Everything that could perturb the bytes is exercised on purpose:
 // placement, collective schedules, retransmits after a failure, telemetry
 // emission order, path-epoch flushes on reroute and detector sweeps.

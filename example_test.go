@@ -24,7 +24,7 @@ func Example() {
 
 // Every table and figure of the paper is a named experiment.
 func ExampleRun() {
-	report, err := hpn.Run("tab3", hpn.ScaleQuick)
+	report, err := hpn.Run("tab3", hpn.Env{Scale: hpn.ScaleQuick})
 	if err != nil {
 		panic(err)
 	}

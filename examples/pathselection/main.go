@@ -22,11 +22,12 @@ import (
 func main() {
 	// Record everything: the flow log below lands in the telemetry registry
 	// as the "flowlog.tsv" artifact.
-	hub := hpn.EnableDefaultTelemetry(hpn.DefaultTelemetryOptions())
+	hub := hpn.NewTelemetryHub(hpn.DefaultTelemetryOptions())
 	cluster, err := hpn.NewHPN(hpn.SmallHPN(2, 8, 8))
 	if err != nil {
 		log.Fatal(err)
 	}
+	cluster.EnableTelemetry(hub)
 	cluster.Net.EnableFlowLog()
 	src := route.Endpoint{Host: 0, NIC: 0}
 	dst := route.Endpoint{Host: 8, NIC: 0} // other segment, same rail

@@ -21,11 +21,11 @@ func init() {
 // runSec7 exercises the tier3 design of §7: a job spanning two pods with
 // only pipeline-parallel traffic crossing the Core layer, and the
 // per-(ingress-port, dst-pod) Core hash that removes tier3 polarization.
-func runSec7(s Scale) (*Report, error) {
+func runSec7(env Env) (*Report, error) {
 	r := &Report{ID: "sec7", Title: "Supporting larger scale: PP across pods (§7)"}
-	cross, ref := sec7Scenarios(s)
+	cross, ref := sec7Scenarios(env.Scale)
 	hostsPerPod := cross.Hosts / 2
-	crossFabric, err := cross.buildFabric()
+	crossFabric, err := cross.buildFabric(env.Hub)
 	if err != nil {
 		return nil, err
 	}
@@ -35,7 +35,7 @@ func runSec7(s Scale) (*Report, error) {
 	}
 	coreGB := crossFabric.Cluster.Net.CoreBits / 8e9
 	totalGB := crossFabric.Cluster.Net.CompletedBits / 8e9
-	refFabric, err := ref.buildFabric()
+	refFabric, err := ref.buildFabric(env.Hub)
 	if err != nil {
 		return nil, err
 	}
@@ -67,7 +67,7 @@ func runSec7(s Scale) (*Report, error) {
 	amp := func(perPort bool) (inImb, outImb float64) {
 		cfg := *cross.HPN
 		cfg.SharedHashSeed = true
-		c, err2 := NewHPN(cfg)
+		c, err2 := env.join(NewHPN(cfg))
 		if err2 != nil {
 			return -1, -1
 		}
@@ -145,28 +145,28 @@ func sec7Scenarios(s Scale) (cross, ref Scenario) {
 // runSec8 reproduces the frontend-network arguments of §8 and §10: the
 // storage cluster lives in the 1:1 frontend so checkpoint bursts never
 // perturb training; putting the same traffic in the backend does.
-func runSec8(s Scale) (*Report, error) {
+func runSec8(env Env) (*Report, error) {
 	r := &Report{ID: "sec8", Title: "Independent frontend network and storage placement"}
 	trainHosts := 8
 	ckptGBPerHost := 60.0
-	if s == ScaleFull {
+	if env.Scale == ScaleFull {
 		trainHosts = 16
 		ckptGBPerHost = 240 // the paper's 30GB per GPU
 	}
 
 	// Baseline: training alone on the backend.
-	base, err := trainWithStorage(trainHosts, 0, false)
+	base, err := trainWithStorage(env, trainHosts, 0, false)
 	if err != nil {
 		return nil, err
 	}
 	// Storage in the backend: checkpoint flows share the training fabric.
-	shared, err := trainWithStorage(trainHosts, ckptGBPerHost, false)
+	shared, err := trainWithStorage(env, trainHosts, ckptGBPerHost, false)
 	if err != nil {
 		return nil, err
 	}
 	// Storage in the frontend: checkpoint flows ride the separate 1:1
 	// frontend network.
-	isolated, err := trainWithStorage(trainHosts, ckptGBPerHost, true)
+	isolated, err := trainWithStorage(env, trainHosts, ckptGBPerHost, true)
 	if err != nil {
 		return nil, err
 	}
@@ -199,7 +199,7 @@ func runSec8(s Scale) (*Report, error) {
 	feCfg.Segments = 2
 	feCfg.HostsPerSegment = trainHosts
 	feCfg.StorageHosts = trainHosts
-	fe, err := core.NewFrontend(feCfg)
+	fe, err := env.join(core.NewFrontend(feCfg))
 	if err != nil {
 		return nil, err
 	}
@@ -267,9 +267,9 @@ type storageRun struct {
 // trainWithStorage trains on a 2-segment backend; checkpoint flows go to
 // "storage hosts" either in the backend's second segment or across a
 // dedicated frontend build.
-func trainWithStorage(trainHosts int, ckptGBPerHost float64, frontend bool) (*storageRun, error) {
+func trainWithStorage(env Env, trainHosts int, ckptGBPerHost float64, frontend bool) (*storageRun, error) {
 	cfg := SmallHPN(2, trainHosts, 8)
-	run, err := Scenario{HPN: &cfg, Model: LLaMa13B, TP: 8, PP: 1, Hosts: trainHosts, Iterations: 4}.Build()
+	run, err := Scenario{HPN: &cfg, Model: LLaMa13B, TP: 8, PP: 1, Hosts: trainHosts, Iterations: 4}.build(env.Hub)
 	if err != nil {
 		return nil, err
 	}
@@ -286,7 +286,7 @@ func trainWithStorage(trainHosts int, ckptGBPerHost float64, frontend bool) (*st
 		feCfg.Segments = 2
 		feCfg.HostsPerSegment = trainHosts
 		feCfg.StorageHosts = trainHosts
-		feCluster, err := core.NewFrontend(feCfg)
+		feCluster, err := env.join(core.NewFrontend(feCfg))
 		if err != nil {
 			return nil, err
 		}

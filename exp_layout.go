@@ -16,7 +16,7 @@ func init() {
 // frontend (plus storage) in its own building, only frontend access cables
 // and Agg-Core uplinks leave a building. Intra-building runs stay under
 // 100m and can use multi-mode transceivers at ~30% of single-mode cost.
-func runAppD(s Scale) (*Report, error) {
+func runAppD(Env) (*Report, error) {
 	r := &Report{ID: "appd", Title: "One pod per building: link locality and optics cost"}
 
 	// Count real cables on production-scale builds (the backend pod build

@@ -55,9 +55,9 @@ func (m *tier2Measurement) meanQueue() float64 {
 // runTier2Workload builds a 2-segment cluster of the given variant, runs a
 // continuous cross-segment AllReduce, and measures the two access ports of
 // every NIC on the ring's segment-boundary hosts.
-func runTier2Workload(dualPlane bool, s Scale) (*tier2Measurement, error) {
+func runTier2Workload(env Env, dualPlane bool) (*tier2Measurement, error) {
 	hostsPerSeg, aggs, iters, size := 8, 8, 12, float64(64<<20)
-	if s == ScaleFull {
+	if env.Scale == ScaleFull {
 		hostsPerSeg, aggs, iters, size = 16, 60, 20, 256<<20
 	}
 	cfg := SmallHPN(2, hostsPerSeg, aggs)
@@ -65,7 +65,7 @@ func runTier2Workload(dualPlane bool, s Scale) (*tier2Measurement, error) {
 		cfg.DualPlane = false
 		cfg.SharedHashSeed = true // the legacy tier2 deployment
 	}
-	c, err := NewHPN(cfg)
+	c, err := env.join(NewHPN(cfg))
 	if err != nil {
 		return nil, err
 	}
@@ -133,13 +133,13 @@ func runTier2Workload(dualPlane bool, s Scale) (*tier2Measurement, error) {
 
 const imbalanceCap = 10 // report a starved port as 10x rather than infinity
 
-func runFig13(s Scale) (*Report, error) {
+func runFig13(env Env) (*Report, error) {
 	r := &Report{ID: "fig13", Title: "Traffic on ToR ports towards the same NIC"}
-	clos, err := runTier2Workload(false, s)
+	clos, err := runTier2Workload(env, false)
 	if err != nil {
 		return nil, err
 	}
-	dual, err := runTier2Workload(true, s)
+	dual, err := runTier2Workload(env, true)
 	if err != nil {
 		return nil, err
 	}
@@ -157,13 +157,13 @@ func runFig13(s Scale) (*Report, error) {
 	return r, nil
 }
 
-func runFig14(s Scale) (*Report, error) {
+func runFig14(env Env) (*Report, error) {
 	r := &Report{ID: "fig14", Title: "Queue length at ToR downstream ports"}
-	clos, err := runTier2Workload(false, s)
+	clos, err := runTier2Workload(env, false)
 	if err != nil {
 		return nil, err
 	}
-	dual, err := runTier2Workload(true, s)
+	dual, err := runTier2Workload(env, true)
 	if err != nil {
 		return nil, err
 	}
@@ -185,8 +185,8 @@ func runFig14(s Scale) (*Report, error) {
 	return r, nil
 }
 
-func runSec61a(s Scale) (*Report, error) {
-	r, err := runFig14(s)
+func runSec61a(env Env) (*Report, error) {
+	r, err := runFig14(env)
 	if err != nil {
 		return nil, err
 	}
@@ -194,11 +194,11 @@ func runSec61a(s Scale) (*Report, error) {
 	return r, nil
 }
 
-func runFig19(s Scale) (*Report, error) {
+func runFig19(env Env) (*Report, error) {
 	r := &Report{ID: "fig19", Title: "AllReduce busbw, single-plane vs dual-plane (cross-segment)"}
 	sizes := []int{4, 8, 16} // hosts per run (n = 32..128 GPUs)
 	size := float64(512 << 20)
-	if s == ScaleFull {
+	if env.Scale == ScaleFull {
 		sizes = []int{4, 8, 16, 32}
 		size = 4 << 30
 	}
@@ -207,14 +207,14 @@ func runFig19(s Scale) (*Report, error) {
 	for _, h := range sizes {
 		run := func(dualPlane bool) (float64, error) {
 			cfg := SmallHPN(2, h/2, 8)
-			if s == ScaleFull {
+			if env.Scale == ScaleFull {
 				cfg.AggsPerPlane = 60
 			}
 			if !dualPlane {
 				cfg.DualPlane = false
 				cfg.SharedHashSeed = true
 			}
-			c, err := NewHPN(cfg)
+			c, err := env.join(NewHPN(cfg))
 			if err != nil {
 				return 0, err
 			}

@@ -74,10 +74,10 @@ func runMemoTraining(iters int, enable bool) (*memoRun, error) {
 	return run, nil
 }
 
-func runMemo(s Scale) (*Report, error) {
+func runMemo(env Env) (*Report, error) {
 	r := &Report{ID: "memo", Title: "Iteration memoization: long-horizon steady-state training"}
 	iters := 300
-	if s == ScaleFull {
+	if env.Scale == ScaleFull {
 		iters = 1000
 	}
 	off, err := runMemoTraining(iters, false)
@@ -111,9 +111,5 @@ func runMemo(s Scale) (*Report, error) {
 	r.AddClaim("identical simulated results", "bit-equal samples/s and flow count",
 		fmt.Sprintf("%.6g vs %.6g samples/s, %d vs %d flows", off.samplesSec, on.samplesSec, off.flows, on.flows),
 		off.samplesSec == on.samplesSec && off.flows == on.flows && off.simSeconds == on.simSeconds) //hpnlint:allow floateq -- replay must be bit-exact
-	if on.stats.Replayed == 0 && on.stats.Blocked > 0 {
-		r.AddNote("memoization was blocked %d times — a periodic sampler or daemon keeps landing inside every "+
-			"candidate window (run without -trace/-inband/-health, which enable the 10ms sampler)", on.stats.Blocked)
-	}
 	return r, nil
 }

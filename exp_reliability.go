@@ -27,14 +27,14 @@ type fig18Run struct {
 
 // runFig18Case trains on `hosts` hosts until the horizon through the link
 // fault f (fig18 always hits host 0's NIC 0, port 0).
-func runFig18Case(dualToR bool, hosts int, f LinkFault, horizon sim.Time) (*fig18Run, error) {
+func runFig18Case(env Env, dualToR bool, hosts int, f LinkFault, horizon sim.Time) (*fig18Run, error) {
 	cfg := SmallHPN(2, hosts/2, 8)
 	if !dualToR {
 		cfg.DualToR = false
 		cfg.DualPlane = false
 	}
 	r, err := Scenario{HPN: &cfg, Model: LLaMa7B, TP: 1, PP: 1, Hosts: hosts, Iterations: 100000,
-		Horizon: horizon, Faults: []LinkFault{f}}.Build()
+		Horizon: horizon, Faults: []LinkFault{f}}.build(env.Hub)
 	if err != nil {
 		return nil, err
 	}
@@ -80,25 +80,25 @@ func meanV(pts []metrics.Point) float64 {
 	return s / float64(len(pts))
 }
 
-func runFig18(s Scale) (*Report, error) {
+func runFig18(env Env) (*Report, error) {
 	r := &Report{ID: "fig18", Title: "Training under NIC-ToR link failure and flapping"}
 	hosts := 8
-	if s == ScaleFull {
+	if env.Scale == ScaleFull {
 		hosts = 32 // the paper's 256 GPUs
 	}
 	horizon := 70 * sim.Second
 	fault := LinkFault{FailAt: 10 * sim.Second, RecoverAt: 40 * sim.Second}
 
-	dual, err := runFig18Case(true, hosts, fault, horizon)
+	dual, err := runFig18Case(env, true, hosts, fault, horizon)
 	if err != nil {
 		return nil, err
 	}
-	single, err := runFig18Case(false, hosts, fault, horizon)
+	single, err := runFig18Case(env, false, hosts, fault, horizon)
 	if err != nil {
 		return nil, err
 	}
 	// Single-ToR with a repair beyond the collective timeout: crash.
-	late, err := runFig18Case(false, hosts, LinkFault{FailAt: 10 * sim.Second, RecoverAt: 190 * sim.Second}, 200*sim.Second)
+	late, err := runFig18Case(env, false, hosts, LinkFault{FailAt: 10 * sim.Second, RecoverAt: 190 * sim.Second}, 200*sim.Second)
 	if err != nil {
 		return nil, err
 	}
@@ -125,11 +125,11 @@ func runFig18(s Scale) (*Report, error) {
 
 	// Case 2: link flapping.
 	flap := LinkFault{FailAt: 10 * sim.Second, Flaps: 6}
-	dualFlap, err := runFig18Case(true, hosts, flap, 45*sim.Second)
+	dualFlap, err := runFig18Case(env, true, hosts, flap, 45*sim.Second)
 	if err != nil {
 		return nil, err
 	}
-	singleFlap, err := runFig18Case(false, hosts, flap, 45*sim.Second)
+	singleFlap, err := runFig18Case(env, false, hosts, flap, 45*sim.Second)
 	if err != nil {
 		return nil, err
 	}

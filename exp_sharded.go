@@ -9,19 +9,6 @@ func init() {
 	register("multipod", "Sharded event loop: multi-pod training on parallel per-pod engines", runMultiPod)
 }
 
-// shardWorkers is the worker count sharded experiments fan windows out
-// over; runners set it from their -shards flag. 0 (the default) selects
-// NumCPU and 1 runs shard windows serially.
-var shardWorkers = 0
-
-// SetShardWorkers sets how many goroutines sharded experiments use for
-// parallel shard windows; n <= 0 selects NumCPU (see Scenario.Workers).
-// Artifacts and results are identical for every value — only host
-// wall-clock changes.
-func SetShardWorkers(n int) {
-	shardWorkers = n
-}
-
 // multiPodRun summarizes one sharded multi-pod training run.
 type multiPodRun struct {
 	hostRun
@@ -33,12 +20,12 @@ type multiPodRun struct {
 
 // runMultiPodTraining drives a `pods`-pod HPN fabric — one training job per
 // pod plus the cross-pod gradient exchange on the global domain — through
-// the windowed coordinator with the given worker count, and measures
-// simulated-flow throughput of the host process.
-func runMultiPodTraining(pods, hostsPerPod, iters, workers int) (*multiPodRun, error) {
+// the windowed coordinator with the given worker count, joined to hub,
+// and measures simulated-flow throughput of the host process.
+func runMultiPodTraining(hub *TelemetryHub, pods, hostsPerPod, iters, workers int) (*multiPodRun, error) {
 	cfg := MultiPodHPN(pods, 1, hostsPerPod, 4)
 	r, err := Scenario{HPN: &cfg, Model: LLaMa13B, TP: 8, PP: 1, Hosts: hostsPerPod, Iterations: iters,
-		Workers: workers}.Build()
+		Workers: workers}.build(hub)
 	if err != nil {
 		return nil, err
 	}
@@ -54,17 +41,17 @@ func runMultiPodTraining(pods, hostsPerPod, iters, workers int) (*multiPodRun, e
 		windows: sc.Coord.Windows, exchanged: sc.Coord.Exchanged}, nil
 }
 
-func runMultiPod(s Scale) (*Report, error) {
+func runMultiPod(env Env) (*Report, error) {
 	r := &Report{ID: "multipod", Title: "Sharded event loop: conservative-window parallel multi-pod simulation"}
 	pods, hostsPerPod, iters := 4, 8, 12
-	if s == ScaleFull {
+	if env.Scale == ScaleFull {
 		pods, hostsPerPod, iters = 8, 16, 40
 	}
-	serial, err := runMultiPodTraining(pods, hostsPerPod, iters, 1)
+	serial, err := runMultiPodTraining(env.Hub, pods, hostsPerPod, iters, 1)
 	if err != nil {
 		return nil, err
 	}
-	par, err := runMultiPodTraining(pods, hostsPerPod, iters, shardWorkers)
+	par, err := runMultiPodTraining(env.Hub, pods, hostsPerPod, iters, env.Workers)
 	if err != nil {
 		return nil, err
 	}

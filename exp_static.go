@@ -28,7 +28,7 @@ func init() {
 	register("sec42", "Stacked vs non-stacked dual-ToR reliability", runSec42)
 }
 
-func runFig1(Scale) (*Report, error) {
+func runFig1(Env) (*Report, error) {
 	r := &Report{ID: "fig1", Title: "Traditional cloud computing traffic pattern"}
 	pts := workload.CloudTraffic(1)
 	in := &metrics.Series{Name: "traffic-in-gbps"}
@@ -59,7 +59,7 @@ func runFig1(Scale) (*Report, error) {
 	return r, nil
 }
 
-func runFig3(Scale) (*Report, error) {
+func runFig3(Env) (*Report, error) {
 	r := &Report{ID: "fig3", Title: "Connections per host (LLM training)"}
 	d := workload.ConnectionsPerHost(5000, 2)
 	rows := [][]string{}
@@ -73,7 +73,7 @@ func runFig3(Scale) (*Report, error) {
 	return r, nil
 }
 
-func runFig4(Scale) (*Report, error) {
+func runFig4(Env) (*Report, error) {
 	r := &Report{ID: "fig4", Title: "Checkpoint intervals of representative LLM jobs"}
 	hours := workload.Figure4Intervals()
 	rows := [][]string{}
@@ -94,7 +94,7 @@ func runFig4(Scale) (*Report, error) {
 	return r, nil
 }
 
-func runFig5(Scale) (*Report, error) {
+func runFig5(Env) (*Report, error) {
 	r := &Report{ID: "fig5", Title: "Monthly link failure ratio"}
 	s := failure.MonthlyLinkFailureRatios(12, 5)
 	rows := [][]string{}
@@ -111,7 +111,7 @@ func runFig5(Scale) (*Report, error) {
 	return r, nil
 }
 
-func runFig6(Scale) (*Report, error) {
+func runFig6(Env) (*Report, error) {
 	r := &Report{ID: "fig6", Title: "GPUs used in production training jobs"}
 	d := workload.JobSizeDist(20000, 11)
 	rows := [][]string{}
@@ -126,7 +126,7 @@ func runFig6(Scale) (*Report, error) {
 	return r, nil
 }
 
-func runFig9(Scale) (*Report, error) {
+func runFig9(Env) (*Report, error) {
 	r := &Report{ID: "fig9", Title: "51.2T single-chip power and cooling"}
 	rows := [][]string{}
 	for _, c := range []float64{3.2, 6.4, 12.8, 25.6, 51.2} {
@@ -157,7 +157,7 @@ func runFig9(Scale) (*Report, error) {
 	return r, nil
 }
 
-func runTab1(Scale) (*Report, error) {
+func runTab1(env Env) (*Report, error) {
 	r := &Report{ID: "tab1", Title: "Complexity of path selection"}
 	rows := [][]string{}
 	var hpnSpace int
@@ -177,11 +177,11 @@ func runTab1(Scale) (*Report, error) {
 		fmt.Sprintf("%.0fx-...", minRatio), minRatio >= 10)
 
 	// Measured counterpart on built fabrics.
-	hpnC, err := NewHPN(func() HPNConfig { c := DefaultHPN(); c.SegmentsPerPod = 2; return c }())
+	hpnC, err := env.join(NewHPN(func() HPNConfig { c := DefaultHPN(); c.SegmentsPerPod = 2; return c }()))
 	if err != nil {
 		return nil, err
 	}
-	dcnC, err := NewDCN(SmallDCN(1))
+	dcnC, err := env.join(NewDCN(SmallDCN(1)))
 	if err != nil {
 		return nil, err
 	}
@@ -192,7 +192,7 @@ func runTab1(Scale) (*Report, error) {
 	return r, nil
 }
 
-func runTab2(Scale) (*Report, error) {
+func runTab2(env Env) (*Report, error) {
 	r := &Report{ID: "tab2", Title: "Key mechanisms affecting maximal scale"}
 	rows := [][]string{}
 	var last topo.ScaleRow
@@ -210,7 +210,7 @@ func runTab2(Scale) (*Report, error) {
 		math.Abs(topo.OversubscriptionAggCore(cfg)-15) < 1e-9)
 
 	// Cross-check against an actually-built pod.
-	built, err := NewHPN(cfg)
+	built, err := env.join(NewHPN(cfg))
 	if err != nil {
 		return nil, err
 	}
@@ -219,7 +219,7 @@ func runTab2(Scale) (*Report, error) {
 	return r, nil
 }
 
-func runTab3(Scale) (*Report, error) {
+func runTab3(Env) (*Report, error) {
 	r := &Report{ID: "tab3", Title: "Traffic patterns of different parallelisms (GPT-3 175B, TP=8 PP=8 DP=512)"}
 	rows := [][]string{}
 	vols := map[string]float64{}
@@ -237,7 +237,7 @@ func runTab3(Scale) (*Report, error) {
 	return r, nil
 }
 
-func runTab4(Scale) (*Report, error) {
+func runTab4(env Env) (*Report, error) {
 	r := &Report{ID: "tab4", Title: "Any-to-any tier2 vs rail-only tier2"}
 	rows := [][]string{}
 	designs := topo.Table4()
@@ -257,7 +257,7 @@ func runTab4(Scale) (*Report, error) {
 	runA2A := func(railOnly bool) (unreachable, sent int, allReduceOK bool, err error) {
 		cfg := topo.SmallHPN(2, 4, 2)
 		cfg.RailOnlyTier2 = railOnly
-		c, err := NewHPN(cfg)
+		c, err := env.join(NewHPN(cfg))
 		if err != nil {
 			return 0, 0, false, err
 		}
@@ -309,7 +309,7 @@ func okStr(ok bool) string {
 	return "broken"
 }
 
-func runFig20(Scale) (*Report, error) {
+func runFig20(Env) (*Report, error) {
 	r := &Report{ID: "fig20", Title: "DCN+ topology (Appendix C)"}
 	t, err := topo.BuildDCN(DefaultDCN())
 	if err != nil {
@@ -333,7 +333,7 @@ func runFig20(Scale) (*Report, error) {
 	return r, nil
 }
 
-func runSec42(Scale) (*Report, error) {
+func runSec42(Env) (*Report, error) {
 	r := &Report{ID: "sec42", Title: "Stacked vs non-stacked dual-ToR reliability (Monte Carlo)"}
 	p := dualtor.DefaultReliabilityParams()
 	rows := [][]string{}

@@ -72,14 +72,14 @@ func train(r *ScenarioRun, probeAggs bool) (*trainingRun, error) {
 // trace processes and metric prefixes in the order fabrics join it, and
 // a trainer names its trace threads when it is built, so both fabrics are
 // built, HPN first, before either job, and DCN+ then trains first.
-func trainPair(job Scenario, hpnCfg HPNConfig, dcnCfg DCNConfig, probeAggs bool) (dcnRun, hpnRun *trainingRun, err error) {
+func trainPair(env Env, job Scenario, hpnCfg HPNConfig, dcnCfg DCNConfig, probeAggs bool) (dcnRun, hpnRun *trainingRun, err error) {
 	hpnJob, dcnJob := job, job
 	hpnJob.HPN, dcnJob.DCN = &hpnCfg, &dcnCfg
-	hpnFabric, err := hpnJob.buildFabric()
+	hpnFabric, err := hpnJob.buildFabric(env.Hub)
 	if err != nil {
 		return nil, nil, err
 	}
-	dcnFabric, err := dcnJob.buildFabric()
+	dcnFabric, err := dcnJob.buildFabric(env.Hub)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -90,17 +90,17 @@ func trainPair(job Scenario, hpnCfg HPNConfig, dcnCfg DCNConfig, probeAggs bool)
 	return dcnRun, hpnRun, err
 }
 
-func runFig15(s Scale) (*Report, error) {
+func runFig15(env Env) (*Report, error) {
 	r := &Report{ID: "fig15", Title: "End-to-end training performance at production scale"}
 	const iters = 3
 	job := Scenario{Model: GPT175B, TP: 8, PP: 8, Hosts: 72, Iterations: iters}
 	hpnCfg, dcnCfg := SmallHPN(3, 32, 16), SmallDCN(2)
-	if s == ScaleFull {
+	if env.Scale == ScaleFull {
 		// 2304 GPUs, the paper's "2300+", on three production segments.
 		job.Hosts = 288
 		hpnCfg, dcnCfg = SmallHPN(3, 128, 60), SmallDCN(5)
 	}
-	dcnRun, hpnRun, err := trainPair(job, hpnCfg, dcnCfg, true)
+	dcnRun, hpnRun, err := trainPair(env, job, hpnCfg, dcnCfg, true)
 	if err != nil {
 		return nil, err
 	}
@@ -131,10 +131,10 @@ func runFig15(s Scale) (*Report, error) {
 	return r, nil
 }
 
-func runFig16(s Scale) (*Report, error) {
+func runFig16(env Env) (*Report, error) {
 	r := &Report{ID: "fig16", Title: "Training representative LLMs (448 GPUs)"}
 	hosts := 24
-	if s == ScaleFull {
+	if env.Scale == ScaleFull {
 		hosts = 56
 	}
 	cases := []struct {
@@ -149,7 +149,7 @@ func runFig16(s Scale) (*Report, error) {
 	for _, cse := range cases {
 		// Fresh clusters per model so runs are independent.
 		cse.job.Hosts, cse.job.Iterations = hosts, 3
-		dcnRun, hpnRun, err := trainPair(cse.job, SmallHPN(1, hosts, bigAggs(s)), SmallDCN(dcnPodsFor(hosts)), false)
+		dcnRun, hpnRun, err := trainPair(env, cse.job, SmallHPN(1, hosts, bigAggs(env.Scale)), SmallDCN(dcnPodsFor(hosts)), false)
 		if err != nil {
 			return nil, err
 		}
@@ -175,11 +175,11 @@ func bigAggs(s Scale) int {
 
 func dcnPodsFor(hosts int) int { return (hosts + 63) / 64 }
 
-func runFig17(s Scale) (*Report, error) {
+func runFig17(env Env) (*Report, error) {
 	r := &Report{ID: "fig17", Title: "Collective communication performance (448 GPUs)"}
 	hosts := 24
 	sizes := []float64{16 << 20, 256 << 20, 1 << 30}
-	if s == ScaleFull {
+	if env.Scale == ScaleFull {
 		hosts = 56
 		sizes = []float64{1 << 20, 4 << 20, 16 << 20, 64 << 20, 256 << 20, 1 << 30, 4 << 30}
 	}
@@ -205,9 +205,9 @@ func runFig17(s Scale) (*Report, error) {
 					err error
 				)
 				if arch == "hpn" {
-					c, err = NewHPN(SmallHPN(1, hosts, bigAggs(s)))
+					c, err = env.join(NewHPN(SmallHPN(1, hosts, bigAggs(env.Scale))))
 				} else {
-					c, err = NewDCN(SmallDCN(dcnPodsFor(hosts)))
+					c, err = env.join(NewDCN(SmallDCN(dcnPodsFor(hosts))))
 				}
 				if err != nil {
 					return nil, err
@@ -247,14 +247,14 @@ func runFig17(s Scale) (*Report, error) {
 	return r, nil
 }
 
-func runSec61b(s Scale) (*Report, error) {
+func runSec61b(env Env) (*Report, error) {
 	r := &Report{ID: "sec61b", Title: "Optimized path selection, 4 concurrent AllReduces (512 GPUs)"}
 	hostsPerSeg, aggs, size := 16, 4, float64(256<<20)
-	if s == ScaleFull {
+	if env.Scale == ScaleFull {
 		hostsPerSeg, aggs, size = 32, 16, 1<<30
 	}
 	run := func(policy collective.PathPolicy, sportBase uint16) (float64, error) {
-		c, err := NewHPN(SmallHPN(2, hostsPerSeg, aggs))
+		c, err := env.join(NewHPN(SmallHPN(2, hostsPerSeg, aggs)))
 		if err != nil {
 			return 0, err
 		}
@@ -332,10 +332,10 @@ func runSec61b(s Scale) (*Report, error) {
 	return r, nil
 }
 
-func runFig2(s Scale) (*Report, error) {
+func runFig2(env Env) (*Report, error) {
 	r := &Report{ID: "fig2", Title: "NIC egress traffic during training"}
 	cfg := SmallHPN(1, 8, 8)
-	run, err := Scenario{HPN: &cfg, Model: LLaMa13B, TP: 8, PP: 1, Hosts: 8, Iterations: 4}.Build()
+	run, err := Scenario{HPN: &cfg, Model: LLaMa13B, TP: 8, PP: 1, Hosts: 8, Iterations: 4}.build(env.Hub)
 	if err != nil {
 		return nil, err
 	}

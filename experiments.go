@@ -18,17 +18,35 @@ const (
 	ScaleFull
 )
 
+// Env is what an experiment runs in: its scale, the hub every cluster it
+// builds joins in build order (nil: none), and its sharded runs' worker
+// count (<= 0: NumCPU). Results are identical for every worker count.
+type Env struct {
+	Scale   Scale
+	Hub     *TelemetryHub
+	Workers int
+}
+
+// join attaches a just-built cluster to the env's hub, passing a build
+// error through: env.join(NewHPN(cfg)).
+func (env Env) join(c *Cluster, err error) (*Cluster, error) {
+	if err == nil {
+		c.EnableTelemetry(env.Hub)
+	}
+	return c, err
+}
+
 // Experiment is one reproducible paper artifact.
 type Experiment struct {
 	ID    string
 	Title string
-	Run   func(Scale) (*Report, error)
+	Run   func(Env) (*Report, error)
 }
 
 var registry = map[string]Experiment{}
 var order []string
 
-func register(id, title string, run func(Scale) (*Report, error)) {
+func register(id, title string, run func(Env) (*Report, error)) {
 	if _, dup := registry[id]; dup {
 		panic("hpn: duplicate experiment " + id)
 	}
@@ -52,11 +70,11 @@ func ExperimentIDs() []string {
 	return ids
 }
 
-// Run executes one experiment by ID.
-func Run(id string, s Scale) (*Report, error) {
+// Run executes one experiment by ID in env.
+func Run(id string, env Env) (*Report, error) {
 	e, ok := registry[id]
 	if !ok {
 		return nil, fmt.Errorf("hpn: unknown experiment %q (have %v)", id, ExperimentIDs())
 	}
-	return e.Run(s)
+	return e.Run(env)
 }

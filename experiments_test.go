@@ -19,7 +19,7 @@ func TestAllExperimentsHoldAtQuickScale(t *testing.T) {
 		e := e
 		t.Run(e.ID, func(t *testing.T) {
 			t.Parallel()
-			r, err := e.Run(ScaleQuick)
+			r, err := e.Run(Env{Scale: ScaleQuick})
 			if err != nil {
 				t.Fatalf("%s failed: %v", e.ID, err)
 			}
@@ -68,7 +68,7 @@ func TestRegistryComplete(t *testing.T) {
 }
 
 func TestRunUnknownExperiment(t *testing.T) {
-	if _, err := Run("nope", ScaleQuick); err == nil {
+	if _, err := Run("nope", Env{Scale: ScaleQuick}); err == nil {
 		t.Fatal("unknown experiment accepted")
 	}
 }
@@ -152,7 +152,7 @@ func TestFacadeTraining(t *testing.T) {
 }
 
 func TestWriteSeriesCSV(t *testing.T) {
-	r, err := Run("fig5", ScaleQuick)
+	r, err := Run("fig5", Env{Scale: ScaleQuick})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -173,7 +173,7 @@ func TestWriteSeriesCSV(t *testing.T) {
 		t.Fatalf("csv malformed: %d lines, header %q", len(lines), lines[0])
 	}
 	// A report without series writes nothing.
-	r2, err := Run("tab3", ScaleQuick)
+	r2, err := Run("tab3", Env{Scale: ScaleQuick})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -144,15 +144,6 @@ type TelemetryOptions = telemetry.Options
 // DefaultTelemetryOptions enables tracing and a 10ms virtual-time sampler.
 func DefaultTelemetryOptions() TelemetryOptions { return telemetry.DefaultOptions() }
 
-// NewTelemetryHub builds a hub; attach clusters with Cluster.EnableTelemetry.
+// NewTelemetryHub builds a hub. A cluster joins it only through
+// Cluster.EnableTelemetry, a Scenario or an experiment's Env.
 func NewTelemetryHub(opt TelemetryOptions) *TelemetryHub { return telemetry.NewHub(opt) }
-
-// EnableDefaultTelemetry installs a hub that every cluster built afterwards
-// attaches to automatically, and returns it. Runners call this once from
-// their flag handling; pass the result's Tracer/Registry to write out
-// artifacts at exit.
-func EnableDefaultTelemetry(opt TelemetryOptions) *TelemetryHub {
-	h := telemetry.NewHub(opt)
-	core.SetDefaultTelemetry(h)
-	return h
-}

@@ -47,7 +47,7 @@ type Cluster struct {
 	Pod int
 }
 
-// NewHPN builds an HPN cluster.
+// NewHPN builds an HPN cluster without telemetry (see EnableTelemetry).
 func NewHPN(cfg topo.HPNConfig) (*Cluster, error) {
 	t, err := topo.BuildHPN(cfg)
 	if err != nil {
@@ -83,9 +83,7 @@ func NewFrontend(cfg topo.FrontendConfig) (*Cluster, error) {
 
 func wrap(arch Arch, t *topo.Topology) *Cluster {
 	eng := sim.New()
-	c := &Cluster{Arch: arch, Topo: t, Eng: eng, Net: netsim.New(eng, t), Pod: -1}
-	c.EnableTelemetry(defaultHub)
-	return c
+	return &Cluster{Arch: arch, Topo: t, Eng: eng, Net: netsim.New(eng, t), Pod: -1}
 }
 
 // CollectiveConfig returns the communication-library configuration the

@@ -39,9 +39,9 @@ type ShardedCluster struct {
 }
 
 // NewShardedHPN builds an HPN fabric and the per-pod engine ensemble over
-// it. The hub may be nil (falls back to the process default hub, which may
-// itself be nil). The fabric must have at least two pods — a single-pod
-// build has nothing to shard; build a plain Cluster instead.
+// it. Its global domain joins h and each pod a shard hub of h; a nil h
+// builds it without telemetry. The fabric must have at least two pods — a
+// single-pod build has nothing to shard; build a plain Cluster instead.
 func NewShardedHPN(cfg topo.HPNConfig, h *telemetry.Hub) (*ShardedCluster, error) {
 	t, err := topo.BuildHPN(cfg)
 	if err != nil {
@@ -60,9 +60,6 @@ func shardTopology(arch Arch, t *topo.Topology, h *telemetry.Hub) (*ShardedClust
 	sh, err := topo.ShardByPod(t)
 	if err != nil {
 		return nil, err
-	}
-	if h == nil {
-		h = defaultHub
 	}
 	geng := sim.New()
 	sc := &ShardedCluster{

@@ -10,19 +10,9 @@ import (
 	"hpn/internal/topo"
 )
 
-// defaultHub, when set, is attached to every cluster built afterwards.
-// Runners (hpnsim, hpnbench) set it once from their flags so experiment
-// code that constructs clusters internally needs no plumbing changes.
-var defaultHub *telemetry.Hub
-
-// SetDefaultTelemetry installs (or clears, with nil) the hub that newly
-// built clusters auto-attach to.
-func SetDefaultTelemetry(h *telemetry.Hub) { defaultHub = h }
-
-// DefaultTelemetry returns the hub newly built clusters attach to, or nil.
-func DefaultTelemetry() *telemetry.Hub { return defaultHub }
-
-// EnableTelemetry attaches the cluster to a telemetry hub: the engine,
+// EnableTelemetry attaches the cluster to a telemetry hub, the one way a
+// cluster joins a hub (NewHPN, NewDCN and NewFrontend build bare ones, and
+// each cluster joins only the hub its builder passes): the engine,
 // network, and router start emitting trace events under a dedicated trace
 // process; netsim counters/gauges register under the cluster's metric
 // prefix; and a periodic sampler starts snapshotting fabric gauges and the

@@ -41,6 +41,23 @@ func testLoader(t *testing.T) *Loader {
 	return sharedLoader.loader
 }
 
+// LoadAll lists each package once, although a directory's files and its
+// subdirectories interleave in the walk: a package listed twice is linted
+// twice, and each of its findings reported twice.
+func TestLoadAllListsEachPackageOnce(t *testing.T) {
+	pkgs, err := testLoader(t).LoadAll()
+	if err != nil {
+		t.Fatalf("loading module: %v", err)
+	}
+	seen := map[string]bool{}
+	for _, pkg := range pkgs {
+		if seen[pkg.ImportPath] {
+			t.Errorf("LoadAll lists %s more than once", pkg.ImportPath)
+		}
+		seen[pkg.ImportPath] = true
+	}
+}
+
 // want is one expected diagnostic, declared in a fixture as
 //
 //	// want:<rule> "substring of the message"

@@ -11,6 +11,7 @@ import (
 	"io/fs"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -106,17 +107,17 @@ func (l *Loader) LoadAll() ([]*Package, error) {
 			return nil
 		}
 		if strings.HasSuffix(path, ".go") && !strings.HasSuffix(path, "_test.go") {
-			dir := filepath.Dir(path)
-			if len(dirs) == 0 || dirs[len(dirs)-1] != dir {
-				dirs = append(dirs, dir)
-			}
+			dirs = append(dirs, filepath.Dir(path))
 		}
 		return nil
 	})
 	if err != nil {
 		return nil, err
 	}
+	// A directory's files and its subdirectories interleave in the walk,
+	// so one directory can be listed more than once.
 	sort.Strings(dirs)
+	dirs = slices.Compact(dirs)
 	var out []*Package
 	for _, dir := range dirs {
 		pkg, err := l.LoadDir(dir, l.importPathFor(dir))

@@ -118,6 +118,117 @@ func TestNoUnreachableCode(t *testing.T) {
 	}
 }
 
+// mutableGlobals names the functions besides init that may assign a
+// package-level variable, each with the reason it may. A name is
+// package.Func or package.Recv.Method.
+var mutableGlobals = map[string]string{
+	"hpn.register": "fills the experiment registry from each file's init",
+}
+
+// TestNoMutableGlobals keeps process-wide state from regrowing: outside
+// package main, no function declared outside _test.go files assigns a
+// package-level variable, or a field or an element of one, other than
+// init and the functions mutableGlobals lists. What a run needs (its hub,
+// its worker count) travels as arguments, so one run cannot leak into the
+// next.
+func TestNoMutableGlobals(t *testing.T) {
+	ld := testLoader(t)
+	pkgs, err := ld.LoadAll()
+	if err != nil {
+		t.Fatalf("loading module: %v", err)
+	}
+	var bad []string
+	seen := map[string]bool{}
+	for _, pkg := range pkgs {
+		if pkg.Name == "main" {
+			continue
+		}
+		for _, f := range pkg.Files {
+			for _, decl := range f.Decls {
+				fd, ok := decl.(*ast.FuncDecl)
+				if !ok || fd.Body == nil || fd.Recv == nil && fd.Name.Name == "init" {
+					continue
+				}
+				fn, ok := ld.Info.Defs[fd.Name].(*types.Func)
+				if !ok {
+					continue
+				}
+				name := reachName(fn)
+				ast.Inspect(fd.Body, func(n ast.Node) bool {
+					var lhs []ast.Expr
+					switch n := n.(type) {
+					case *ast.AssignStmt:
+						if n.Tok != token.DEFINE {
+							lhs = n.Lhs
+						}
+					case *ast.IncDecStmt:
+						lhs = []ast.Expr{n.X}
+					case *ast.RangeStmt:
+						if n.Tok == token.ASSIGN {
+							lhs = []ast.Expr{n.Key, n.Value}
+						}
+					}
+					for _, e := range lhs {
+						v := assignedGlobal(ld.Info, e)
+						if v == nil {
+							continue
+						}
+						seen[name] = true
+						if mutableGlobals[name] == "" {
+							pos := ld.Fset.Position(e.Pos())
+							rel, err := filepath.Rel(ld.Root, pos.Filename)
+							if err != nil {
+								rel = pos.Filename
+							}
+							bad = append(bad, fmt.Sprintf("%s:%d: %s assigns package-level variable %s.%s",
+								rel, pos.Line, name, v.Pkg().Name(), v.Name()))
+						}
+					}
+					return true
+				})
+			}
+		}
+	}
+	sort.Strings(bad)
+	for _, b := range bad {
+		t.Error(b)
+	}
+	for name := range mutableGlobals {
+		if !seen[name] {
+			t.Errorf("mutableGlobals lists %s, which assigns no package-level variable or no longer exists", name)
+		}
+	}
+}
+
+// assignedGlobal returns the package-level variable an assignment to e
+// writes, directly or through a field, an element or a dereference of it,
+// or nil.
+func assignedGlobal(info *types.Info, e ast.Expr) *types.Var {
+	for e != nil {
+		switch x := e.(type) {
+		case *ast.ParenExpr:
+			e = x.X
+		case *ast.IndexExpr:
+			e = x.X
+		case *ast.StarExpr:
+			e = x.X
+		case *ast.SelectorExpr:
+			if v, ok := info.Uses[x.Sel].(*types.Var); ok && !v.IsField() {
+				return v // a qualified identifier: pkg.Var
+			}
+			e = x.X
+		case *ast.Ident:
+			if v, ok := info.Uses[x].(*types.Var); ok && v.Pkg() != nil && v.Parent() == v.Pkg().Scope() {
+				return v
+			}
+			return nil
+		default:
+			return nil
+		}
+	}
+	return nil
+}
+
 type reachDecl struct {
 	pkg  *Package
 	decl *ast.FuncDecl

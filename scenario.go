@@ -5,9 +5,7 @@ import (
 	"fmt"
 	"runtime"
 
-	"hpn/internal/core"
 	"hpn/internal/failure"
-	"hpn/internal/memo"
 	"hpn/internal/sim"
 )
 
@@ -41,10 +39,8 @@ type Scenario struct {
 	// FlowLog records every completed flow on every engine.
 	FlowLog bool
 	// Telemetry, when non-nil, gives the run a hub of its own with these
-	// options; options that enable nothing but Memo attach the memo
-	// recorder without a hub. While a process-default hub is set
-	// (EnableDefaultTelemetry) the run uses that hub instead, which every
-	// cluster built then already carries, and applies only Memo on top.
+	// options, through which the memo recorder, the in-band collector and
+	// the health monitor attach; nil runs without telemetry.
 	Telemetry *TelemetryOptions
 	// Faults is the link-fault schedule, injected on the engine that owns
 	// each link.
@@ -109,8 +105,12 @@ func (s Scenario) sharded() bool { return s.HPN != nil && s.HPN.Pods > 1 && s.Pl
 // Build validates s and assembles its hub, fabric, trainers and fault
 // schedule without starting anything, so probes and watchdogs can attach
 // before Run.
-func (s Scenario) Build() (*ScenarioRun, error) {
-	r, err := s.buildFabric()
+func (s Scenario) Build() (*ScenarioRun, error) { return s.build(nil) }
+
+// build is Build on hub h, which an experiment passes from its Env; s then
+// sets no Telemetry.
+func (s Scenario) build(h *TelemetryHub) (*ScenarioRun, error) {
+	r, err := s.buildFabric(h)
 	if err == nil {
 		err = r.addJob()
 	}
@@ -120,22 +120,25 @@ func (s Scenario) Build() (*ScenarioRun, error) {
 	return r, nil
 }
 
-// buildFabric is the first half of Build: it validates s and assembles
-// the hub and the fabric. A caller that must build several fabrics before
-// their jobs, to keep the hub's join order, calls addJob itself.
-func (s Scenario) buildFabric() (*ScenarioRun, error) {
+// buildFabric is the first half of build: it validates s and assembles
+// the fabric, joined to h or to a hub made from s.Telemetry. A caller that
+// must build several fabrics before their jobs, to keep the hub's join
+// order, calls addJob itself.
+func (s Scenario) buildFabric(h *TelemetryHub) (*ScenarioRun, error) {
 	if err := s.Validate(); err != nil {
 		return nil, err
 	}
-	r := &ScenarioRun{Scenario: s, Hub: core.DefaultTelemetry()}
-	own := r.Hub == nil && s.Telemetry != nil && *s.Telemetry != (TelemetryOptions{Memo: s.Telemetry.Memo})
-	if own {
-		r.Hub = NewTelemetryHub(*s.Telemetry)
+	if s.Telemetry != nil {
+		if h != nil {
+			return nil, fmt.Errorf("hpn: a scenario built on a given hub takes no Telemetry options")
+		}
+		h = NewTelemetryHub(*s.Telemetry)
 	}
+	r := &ScenarioRun{Scenario: s, Hub: h}
 	var err error
 	switch {
 	case s.sharded():
-		if r.Sharded, err = NewShardedHPN(*s.HPN, r.Hub); err != nil {
+		if r.Sharded, err = NewShardedHPN(*s.HPN, h); err != nil {
 			return nil, err
 		}
 		if s.Workers <= 0 {
@@ -150,13 +153,10 @@ func (s Scenario) buildFabric() (*ScenarioRun, error) {
 	if err != nil {
 		return nil, err
 	}
-	if own && r.Cluster != nil {
-		r.Cluster.EnableTelemetry(r.Hub)
+	if r.Cluster != nil {
+		r.Cluster.EnableTelemetry(h)
 	}
 	for _, c := range r.clusters() {
-		if s.Telemetry != nil && s.Telemetry.Memo && MemoRecorderOf(c) == nil {
-			memo.Attach(c.Net)
-		}
 		if s.FlowLog {
 			c.Net.EnableFlowLog()
 		}

@@ -121,3 +121,23 @@ func TestSec7PlacementInterleavesSegmentFirstOrder(t *testing.T) {
 		t.Fatalf("placement %v does not span both pods", cross.Placement)
 	}
 }
+
+// A run joins exactly one hub: Telemetry options, Memo alone included,
+// give it a hub of its own with the recorder attached, and a scenario
+// built on a hub it is handed may not ask for one of its own as well.
+func TestScenarioJoinsOneHub(t *testing.T) {
+	cfg := SmallHPN(1, 8, 8)
+	s := Scenario{HPN: &cfg, Model: LLaMa13B, TP: 8, PP: 1, Hosts: 8, Iterations: 1,
+		Telemetry: &TelemetryOptions{Memo: true}}
+	r, err := s.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r.Hub == nil || MemoRecorderOf(r.Cluster) == nil {
+		t.Errorf("a Memo-only scenario built hub %v and recorder %v; want both", r.Hub, MemoRecorderOf(r.Cluster))
+	}
+	if _, err := s.build(NewTelemetryHub(DefaultTelemetryOptions())); err == nil ||
+		!strings.Contains(err.Error(), "takes no Telemetry options") {
+		t.Errorf("build on a hub with Telemetry set: error %v, want a rejection", err)
+	}
+}

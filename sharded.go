@@ -25,8 +25,8 @@ func MultiPodHPN(pods, segments, hostsPerSegment, aggsPerPlane int) HPNConfig {
 	return c
 }
 
-// NewShardedHPN builds an HPN fabric and its per-pod engine ensemble. The
-// hub may be nil (the process-default hub is used, which may itself be nil).
+// NewShardedHPN builds an HPN fabric and its per-pod engine ensemble, joined
+// to hub h (its pods to shard hubs of h); a nil h builds it without one.
 func NewShardedHPN(cfg HPNConfig, h *TelemetryHub) (*ShardedCluster, error) {
 	return core.NewShardedHPN(cfg, h)
 }
