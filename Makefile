@@ -82,13 +82,16 @@ perfbench-check:
 
 # Smoke the in-band forensics pipeline end to end: one quick experiment
 # with in-band telemetry on, then hpnview over the exported per-hop stream.
-# Everything lands in a throwaway directory; the run fails if any stage
+# fig13 also runs link probes and the sampler, whose samples.csv must hold
+# the sampled ToR uplink ports' util_bps and queue_bytes rows. Everything lands in a throwaway directory; the run fails if any stage
 # errors. hpnview exits 3 on a polarization verdict — a legitimate analysis
 # outcome, not a failure, so that exit is folded to success.
 forensics-smoke:
 	@tmp=$$(mktemp -d); \
 	set -e; \
 	$(GO) run ./cmd/hpnbench -exp fig13 -scale quick -inband $$tmp/artifacts >/dev/null; \
+	grep -q '^tor-[^,]*/up[0-9]*/util_bps,' $$tmp/artifacts/samples.csv; \
+	grep -q '^tor-[^,]*/up[0-9]*/queue_bytes,' $$tmp/artifacts/samples.csv; \
 	$(GO) run ./cmd/hpnview -in $$tmp/artifacts/inband.tsv -out $$tmp/forensics >/dev/null || [ $$? -eq 3 ]; \
 	ls $$tmp/forensics/heatmap.csv $$tmp/forensics/contended.tsv \
 	   $$tmp/forensics/imbalance.tsv $$tmp/forensics/polarization.tsv >/dev/null; \

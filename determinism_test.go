@@ -122,10 +122,8 @@ func goldenCases() []goldenCase {
 
 // goldenRun builds and runs s and returns every artifact it writes, keyed
 // by file name: each hub exporter's file through WriteArtifacts, plus the
-// root trace.json and the registry's metrics.json with the profiler's
-// prof_* gauges stripped (host wall/alloc measurements, published as
-// gauges precisely because they are not deterministic). It also returns
-// the memo recorders' summed stats.
+// root trace.json and the registry's metrics.json. It also returns the
+// memo recorders' summed stats.
 func goldenRun(t *testing.T, s Scenario) (map[string][]byte, MemoStats) {
 	t.Helper()
 	r, err := s.Build()
@@ -174,7 +172,7 @@ func goldenRun(t *testing.T, s Scenario) (map[string][]byte, MemoStats) {
 		t.Fatal(err)
 	}
 	out["trace.json"] = trace.Bytes()
-	out["metrics.json"] = stripProfGauges(metrics.Bytes())
+	out["metrics.json"] = metrics.Bytes()
 
 	prefixes := []string{""}
 	if r.Sharded != nil {
@@ -202,21 +200,6 @@ func goldenRun(t *testing.T, s Scenario) (map[string][]byte, MemoStats) {
 		}
 	}
 	return out, stats
-}
-
-// stripProfGauges drops the profiler's wall/alloc gauge lines from a
-// metrics JSON dump, keeping every deterministic counter and count gauge.
-// Trailing commas go too, so a dump whose last rows were profiler gauges
-// compares equal to one written with the profiler off.
-func stripProfGauges(b []byte) []byte {
-	var keep [][]byte
-	for _, line := range bytes.Split(b, []byte("\n")) {
-		if bytes.Contains(line, []byte(`"prof_`)) {
-			continue
-		}
-		keep = append(keep, bytes.TrimSuffix(line, []byte(",")))
-	}
-	return bytes.Join(keep, []byte("\n"))
 }
 
 // withTelemetry returns s with a copy of its telemetry options edited.

@@ -219,6 +219,9 @@ func runSec8(env Env) (*Report, error) {
 	}
 	inf.Run(2 * sim.Second)
 	fe.Eng.Run()
+	if inf.FirstErr != nil {
+		return nil, inf.FirstErr
+	}
 	p99 := inf.Latency.Percentile(99)
 	r.AddTable(Table{
 		Title:  "inference co-running with checkpoint bursts on the frontend",

@@ -66,9 +66,10 @@ func (c *Cluster) EnableTelemetry(h *telemetry.Hub) {
 // samplePorts is how many ToR uplink ports a cluster's sampler tracks.
 const samplePorts int = 16
 
-// trackPorts probes the first samplePorts ToR uplink ports (in node order)
-// for utilization and queue pressure — the per-port series the paper's
-// Figures 14/15 plot.
+// trackPorts samples the first samplePorts ToR uplink ports (in node
+// order) for utilization and queue pressure — the per-port series the
+// paper's Figures 14/15 plot. The gauges read the Sim's observed links and
+// record no series of their own.
 func (c *Cluster) trackPorts(smp *telemetry.Sampler, prefix string) {
 	tracked := 0
 	for _, nd := range c.Topo.Nodes {
@@ -83,9 +84,9 @@ func (c *Cluster) trackPorts(smp *telemetry.Sampler, prefix string) {
 				return
 			}
 			name := fmt.Sprintf("%s%s/up%d", prefix, nd.Name, i)
-			p := c.Net.TrackLink(lk, name)
-			smp.Track(name+"/util_bps", p.UtilBps)
-			smp.Track(name+"/queue_bytes", p.QueueBytes)
+			util, queue := c.Net.WatchLink(lk)
+			smp.Track(name+"/util_bps", util)
+			smp.Track(name+"/queue_bytes", queue)
 			tracked++
 		}
 	}
@@ -101,7 +102,7 @@ func (c *Cluster) startSampler(smp *telemetry.Sampler) {
 	}
 	var tick func()
 	tick = func() {
-		// Bring flow progress and probe accumulators up to the tick instant
+		// Bring flow progress and the observed links up to the tick instant
 		// so gauges read current, not allocation-time, values.
 		c.Net.SyncTime()
 		smp.Sample(int64(c.Eng.Now()))

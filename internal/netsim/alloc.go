@@ -28,10 +28,10 @@ import (
 //     earliest projected completion overall is an exact float min, so it
 //     does not depend on the order components are visited in. The single
 //     completion Event is re-armed in place (Engine.Reschedule).
-//   - Offered demand, probe utilisation and the in-band refresh need every
-//     runnable flow, so while a probe or the in-band collector is attached
-//     the carried flows are gathered too, after decomposition (offerDemand).
-//     Their per-link sums still run in active order.
+//   - The observed links' offered demand and utilisation (observe.go) need
+//     every runnable flow, so while a link observer is attached the carried
+//     flows are gathered too, after decomposition (offerDemand). Their
+//     per-link sums still run in active order.
 //
 // Why a carried component keeps bit-identical rates. Within a component,
 // every flow frozen at one bottleneck subtracts the same share (clamped at
@@ -156,7 +156,7 @@ func (h *linkHeap) popDiscard() {
 }
 
 // recompute performs the max-min fair bandwidth allocation over all running
-// flows, refreshes probe accumulators, and (re-)arms the next completion
+// flows, refreshes the observed links, and (re-)arms the next completion
 // event. See the file comment for the algorithm.
 func (s *Sim) recompute() {
 	rtk := s.phRecompute.Begin()
@@ -208,7 +208,7 @@ func (s *Sim) recompute() {
 	// runnable flow is regathered with its links' accounting, incidence
 	// lists and union-find. No regathered flow crosses a carried
 	// component's link: routing it there would have marked the component.
-	observe := len(s.probeList) > 0 || s.inband != nil
+	observe := s.obs != nil
 	best := -1.0
 	unfrozen := s.unfrozen[:0]
 	carried := s.carried[:0]
@@ -302,10 +302,7 @@ func (s *Sim) recompute() {
 	s.phRegathered.Add(int64(regathered))
 
 	if observe {
-		s.refreshProbes()
-		if s.inband != nil {
-			s.inbandRefresh()
-		}
+		s.refreshObserved()
 	}
 
 	s.scheduleCompletion(best)
@@ -313,15 +310,16 @@ func (s *Sim) recompute() {
 	s.checkComponents()
 }
 
-// offerDemand prepares what the probes and the in-band collector read.
-// It gathers the carried flows after the regathered ones, with their
-// links' accounting and incidence lists, clears every gathered link's
-// demand, and then adds each runnable flow's offered demand, its fair
-// share at its first (access) link, to every link of its path. A link's
-// flows are all regathered or all carried, and each kind is gathered in
-// active order, so every per-link sum runs in active order and does not
-// depend on which components were carried. It runs between decomposition, which must see only the
-// regathered links, and the fill, which consumes the share accounting.
+// offerDemand prepares the observed links' offered demand. It gathers the
+// carried flows after the regathered ones, with their links' accounting
+// and incidence lists, clears every gathered link's demand, and then adds
+// each runnable flow's offered demand, its fair share at its first
+// (access) link, to every link of its path. A link's flows are all
+// regathered or all carried, and each kind is gathered in active order,
+// so every per-link sum runs in active order and does not depend on which
+// components were carried. It runs between decomposition, which must see
+// only the regathered links, and the fill, which consumes the share
+// accounting.
 func (s *Sim) offerDemand(carried []*Flow) {
 	for _, f := range carried {
 		idx := int32(len(s.unfrozen))
@@ -333,44 +331,13 @@ func (s *Sim) offerDemand(carried []*Flow) {
 		}
 	}
 	for _, lk := range s.touched {
-		s.demand[lk] = 0
+		s.obs[lk].demand = 0
 	}
 	for _, f := range s.unfrozen {
 		first := f.Path[0]
 		wish := s.capRem[first] / float64(s.nShare[first])
 		for _, lk := range f.Path {
-			s.demand[lk] += wish
-		}
-	}
-}
-
-// needDemand allocates the per-link offered-demand scratch offerDemand
-// fills. Only the probes and the in-band collector read it, so a Sim
-// without them never pays for it.
-func (s *Sim) needDemand() {
-	if s.demand == nil {
-		s.demand = make([]float64, len(s.Top.Links))
-	}
-}
-
-// refreshProbes refreshes the probe accumulators from the new allocation.
-// Iteration goes through the registration-ordered probeList, never a map,
-// so accumulator refresh order (and anything it may ever feed) stays
-// deterministic. Utilization comes from the link's incidence list, summed
-// in active order.
-func (s *Sim) refreshProbes() {
-	for _, p := range s.probeList {
-		p.util, p.demand = 0, 0
-		lk := p.Link
-		p.cap = s.Top.Link(lk).CapBps
-		if !s.Top.LinkUsable(lk) {
-			p.cap = 0
-		}
-		if s.epoch[lk] == s.curEpoch {
-			p.demand = s.demand[lk]
-			for _, fi := range s.inc[lk] {
-				p.util += s.unfrozen[fi].Rate
-			}
+			s.obs[lk].demand += wish
 		}
 	}
 }

@@ -20,12 +20,7 @@ func (s *Sim) EnableInband(max int) *inband.Collector {
 	}
 	s.inband = inband.NewCollector(s.Top, max)
 	s.Subscribe(inbandRecords{s.inband})
-	s.needDemand()
-	s.ibDemand = make([]float64, len(s.Top.Links))
-	s.ibCap = make([]float64, len(s.Top.Links))
-	s.ibQueue = make([]float64, len(s.Top.Links))
-	s.ibQStep = make([]float64, len(s.Top.Links))
-	s.ibLiveSet = make([]bool, len(s.Top.Links))
+	s.observeLinks()
 	s.registerInbandExporters()
 	return s.inband
 }
@@ -103,62 +98,10 @@ func (s *Sim) inbandOpen(f *Flow) {
 	ib.stats = append(ib.stats[:0], make([]inband.HopStat, len(f.Path))...)
 }
 
-// inbandRefresh snapshots the allocator's per-link offered demand and
-// capacity for queue integration, and maintains the live-link worklist
-// (links carrying runnable flows, plus links still draining queue). Called
-// from recompute after the allocation settles, when s.touched holds every
-// link a runnable flow crosses. A link joins the list in the order its
-// first runnable flow was gathered; the links of a carried contention
-// component joined when it was built and stay while it lives, so only
-// regathered flows bring new links, in active order.
-func (s *Sim) inbandRefresh() {
-	for _, lk := range s.touched {
-		if !s.ibLiveSet[lk] {
-			s.ibLiveSet[lk] = true
-			s.ibLive = append(s.ibLive, lk)
-		}
-	}
-	kept := s.ibLive[:0]
-	for _, lk := range s.ibLive {
-		if s.epoch[lk] == s.curEpoch {
-			s.ibDemand[lk] = s.demand[lk]
-			s.ibCap[lk] = s.Top.Link(lk).CapBps
-			if !s.Top.LinkUsable(lk) {
-				s.ibCap[lk] = 0
-			}
-		} else {
-			// No active flow touches the link anymore: it only drains.
-			s.ibDemand[lk] = 0
-			s.ibCap[lk] = s.Top.Link(lk).CapBps
-			if s.ibQueue[lk] <= 0 {
-				s.ibLiveSet[lk] = false
-				s.ibQStep[lk] = 0
-				continue
-			}
-		}
-		kept = append(kept, lk)
-	}
-	s.ibLive = kept
-}
-
-// inbandIntegrate advances the per-link queue proxies and per-flow hop
-// accumulators across an interval of constant allocation. The queue model
-// matches LinkProbe.integrate (grow at excess offered demand, drain at
-// spare capacity, clamp to the port buffer); the per-hop residency uses
-// the trapezoid of the queue over the step.
+// inbandIntegrate advances the per-flow hop accumulators across an
+// interval of constant allocation: each hop gains the bits the flow sent
+// and its link's queue integral over the step (integrateObserved).
 func (s *Sim) inbandIntegrate(dt float64) {
-	for _, lk := range s.ibLive {
-		q0 := s.ibQueue[lk]
-		q1 := q0 + (s.ibDemand[lk]-s.ibCap[lk])/8*dt
-		if q1 < 0 {
-			q1 = 0
-		}
-		if q1 > portBufferBytes {
-			q1 = portBufferBytes
-		}
-		s.ibQueue[lk] = q1
-		s.ibQStep[lk] = (q0 + q1) / 2 * dt
-	}
 	for _, f := range s.active {
 		if f.Rate <= 0 || f.ib == nil || len(f.ib.stats) != len(f.Path) {
 			continue
@@ -167,8 +110,8 @@ func (s *Sim) inbandIntegrate(dt float64) {
 		for i, lk := range f.Path {
 			st := &ib.stats[i]
 			st.Bits += f.Rate * dt
-			if s.ibLiveSet[lk] {
-				st.QueueByteS += s.ibQStep[lk]
+			if o := &s.obs[lk]; o.live {
+				st.QueueByteS += o.qstep
 			}
 		}
 	}

@@ -171,21 +171,18 @@ type Sim struct {
 	fireCompletion func()
 	mutating       int
 
-	// probeByLink indexes probes by link for hot-path lookup (nil = not
-	// probed); probeList holds the same probes in registration order. All
-	// iteration goes through probeList so probe series and artifacts never
-	// depend on Go map iteration order (hpnlint:maporder).
-	probeByLink []*LinkProbe
-	probeList   []*LinkProbe
+	// The observed per-link state (see observe.go; nil until the first
+	// observer attaches), the live links it integrates, and the probes
+	// recording series from it, in registration order.
+	obs       []linkObs
+	obsLive   []topo.LinkID
+	probeList []*LinkProbe
 
 	// scratch arrays for the allocator, epoch-stamped to avoid O(links)
 	// clearing on every recompute; see alloc.go for the roles of the
-	// per-link incidence and union-find scratch. demand is allocated only
-	// once a probe or the in-band collector attaches (needDemand): nothing
-	// else reads it.
+	// per-link incidence and union-find scratch.
 	capRem   []float64
 	nShare   []int32
-	demand   []float64
 	epoch    []uint32
 	curEpoch uint32
 	touched  []topo.LinkID
@@ -232,17 +229,8 @@ type Sim struct {
 
 	flowLog *flowLog
 
-	// In-band path telemetry (nil = disabled; see EnableInband). The ib*
-	// arrays mirror the allocator scratch: per-link offered demand,
-	// capacity, queue proxy, per-step queue integral, and the live-link
-	// worklist with its membership mask.
-	inband    *inband.Collector
-	ibDemand  []float64
-	ibCap     []float64
-	ibQueue   []float64
-	ibQStep   []float64
-	ibLive    []topo.LinkID
-	ibLiveSet []bool
+	// In-band path telemetry (nil = disabled; see EnableInband).
+	inband *inband.Collector
 
 	// Telemetry surfaces; nil (the default) disables each with one nil
 	// check on the hot paths. See AttachTelemetry.
@@ -303,19 +291,18 @@ const portBufferBytes float64 = 8 << 20
 // internally with default convergence delay; adjust via s.R.
 func New(eng *sim.Engine, top *topo.Topology) *Sim {
 	s := &Sim{
-		Eng:         eng,
-		Top:         top,
-		R:           route.New(top),
-		sport:       49152,
-		probeByLink: make([]*LinkProbe, len(top.Links)),
-		capRem:      make([]float64, len(top.Links)),
-		nShare:      make([]int32, len(top.Links)),
-		epoch:       make([]uint32, len(top.Links)),
-		inc:         make([][]int32, len(top.Links)),
-		ufParent:    make([]int32, len(top.Links)),
-		compOf:      make([]int32, len(top.Links)),
-		comps:       []allocComp{noComp: {}},
-		compDirty:   []bool{noComp: true},
+		Eng:       eng,
+		Top:       top,
+		R:         route.New(top),
+		sport:     49152,
+		capRem:    make([]float64, len(top.Links)),
+		nShare:    make([]int32, len(top.Links)),
+		epoch:     make([]uint32, len(top.Links)),
+		inc:       make([][]int32, len(top.Links)),
+		ufParent:  make([]int32, len(top.Links)),
+		compOf:    make([]int32, len(top.Links)),
+		comps:     []allocComp{noComp: {}},
+		compDirty: []bool{noComp: true},
 	}
 	s.noteHop = func(d route.HopDecision) { s.routeHops = append(s.routeHops, d) }
 	s.fireCompletion = s.completionEvent
@@ -633,7 +620,7 @@ func (s *Sim) endMutate() {
 	}
 }
 
-// advance integrates flow progress and probe accumulators up to now.
+// advance integrates flow progress and the observed links up to now.
 func (s *Sim) advance() {
 	now := s.Eng.Now()
 	dt := (now - s.lastAdvance).Seconds()
@@ -646,8 +633,8 @@ func (s *Sim) advance() {
 				}
 			}
 		}
-		for _, p := range s.probeList {
-			p.integrate(s.lastAdvance.Seconds(), dt)
+		if s.obs != nil {
+			s.integrateObserved(s.lastAdvance.Seconds(), dt)
 		}
 		if s.inband != nil {
 			s.inbandIntegrate(dt)

@@ -247,6 +247,47 @@ func TestQueueProxyImbalance(t *testing.T) {
 	}
 }
 
+// A probed link that fails while it holds queue drains at its capacity:
+// no runnable flow crosses a down link, so it offers no demand, and its
+// queue empties as the in-band model's does.
+func TestFailedProbedLinkDrains(t *testing.T) {
+	eng, top, s := newSim(t, 2, 4, 4)
+	dst := route.Endpoint{Host: 0, NIC: 0}
+	down := top.Link(top.AccessLink(0, 0, 0)).Reverse
+	probe := s.TrackLink(down, "hot-port")
+	for i := 0; i < 2; i++ {
+		if _, err := s.StartFlow(route.Endpoint{Host: 4 + i, NIC: 0}, dst, 8<<30, FlowOpts{SrcPort: 0}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	const failAt, readAt = sim.Millisecond, sim.Millisecond + 100*sim.Microsecond
+	eng.Schedule(failAt, func() { s.FailCable(down) })
+	eng.Schedule(readAt, s.SyncTime)
+	eng.Run()
+
+	at := func(t0 sim.Time) float64 {
+		for _, p := range probe.Queue.Points {
+			if p.T == t0.Seconds() {
+				return p.V
+			}
+		}
+		t.Fatalf("no queue sample at %v", t0)
+		return 0
+	}
+	q0 := at(failAt)
+	if q0 < portBufferBytes/2 {
+		t.Fatalf("queue at the failure = %v B, want the oversubscribed port near its buffer", q0)
+	}
+	want := q0 - top.Link(down).CapBps/8*(readAt-failAt).Seconds()
+	if got := at(readAt); math.Abs(got-want) > 1 {
+		t.Fatalf("queue %v after the failure = %v B, want %v B (draining at capacity from %v B)",
+			readAt-failAt, got, want, q0)
+	}
+	if last := probe.Queue.Points[probe.Queue.Len()-1].V; last != 0 {
+		t.Fatalf("failed link's queue ends at %v B, want drained", last)
+	}
+}
+
 func TestProbeUtilSeries(t *testing.T) {
 	eng, top, s := newSim(t, 1, 2, 2)
 	up := top.AccessLink(0, 0, 0)

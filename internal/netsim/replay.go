@@ -38,10 +38,10 @@ func (h *Hasher) Sum() uint64 { return h.h }
 // StateHash64 folds the simulator state that must match for a recorded
 // window to replay correctly into one Hasher value: per-link usability,
 // the transport-sport cursor, the active-flow multiset (in deterministic
-// insertion order), the in-band residual queue state, and the gap back to
-// the last fluid integration. Anything that drifts run to run (flow IDs,
-// completed counts) is deliberately excluded — drift there is reproduced
-// by the replay shift, not matched by the fingerprint.
+// insertion order), the observed links' residual queue state, and the
+// gap back to the last fluid integration. Anything that drifts run to run
+// (flow IDs, completed counts) is deliberately excluded — drift there is
+// reproduced by the replay shift, not matched by the fingerprint.
 func (s *Sim) StateHash64() uint64 {
 	h := NewHasher()
 	if s.sharding != nil {
@@ -66,13 +66,14 @@ func (s *Sim) StateHash64() uint64 {
 		h.Mix(math.Float64bits(f.Remaining))
 		h.Mix(uint64(f.Port)<<1 | b2u(f.Stalled))
 	}
-	if s.inband != nil {
-		h.Mix(uint64(len(s.ibLive)))
-		for _, lk := range s.ibLive {
+	if s.obs != nil {
+		h.Mix(uint64(len(s.obsLive)))
+		for _, lk := range s.obsLive {
+			o := &s.obs[lk]
 			h.Mix(uint64(lk))
-			h.Mix(math.Float64bits(s.ibQueue[lk]))
-			h.Mix(math.Float64bits(s.ibDemand[lk]))
-			h.Mix(math.Float64bits(s.ibCap[lk]))
+			h.Mix(math.Float64bits(o.queue))
+			h.Mix(math.Float64bits(o.demand))
+			h.Mix(math.Float64bits(o.cap))
 		}
 	}
 	return h.Sum()
@@ -125,7 +126,8 @@ type Mark struct {
 // Mark returns the current position as a window start. It refuses
 // (ok=false) while flows are active, since a window must start from a
 // drained fabric to be replayable, and while a LinkProbe is attached,
-// since replay appends no probe samples.
+// since replay appends no probe samples. Every other observer reads the
+// observed links' state, which ApplyExit restores.
 func (s *Sim) Mark() (m Mark, ok bool) {
 	if len(s.active) != 0 || len(s.probeList) != 0 {
 		return Mark{}, false
@@ -146,15 +148,16 @@ type Exit struct {
 	// lastAdv is the integration cursor's offset from the window start.
 	lastAdv  sim.Time
 	metrics  *telemetry.MetricsDelta
-	residual []ibResidual
+	residual []linkResidual
 }
 
-// ibResidual is one live in-band link's drain state at a window's end.
-// Offered demand is left out: with no flow active, the last recompute set
-// it to zero on every link, at both ends of any window Fits accepts. So
-// is the per-step queue integral (ibQStep): inbandIntegrate rewrites it
-// for every live link before anything reads it.
-type ibResidual struct {
+// linkResidual is one live observed link's drain state at a window's end.
+// Offered demand and utilisation are left out: with no flow active, the
+// last recompute set them to zero on every link, at both ends of any
+// window Fits accepts. So is the per-step queue integral (qstep):
+// integrateObserved rewrites it for every live link before anything reads
+// it.
+type linkResidual struct {
 	lk         topo.LinkID
 	queue, cap float64
 }
@@ -178,10 +181,10 @@ func (s *Sim) ExitFrom(m Mark, metrics *telemetry.MetricsDelta) *Exit {
 		lastAdv: s.lastAdvance - m.pos.at,
 		metrics: metrics,
 	}
-	if s.inband != nil {
-		x.residual = make([]ibResidual, len(s.ibLive))
-		for i, lk := range s.ibLive {
-			x.residual[i] = ibResidual{lk: lk, queue: s.ibQueue[lk], cap: s.ibCap[lk]}
+	if s.obs != nil {
+		x.residual = make([]linkResidual, len(s.obsLive))
+		for i, lk := range s.obsLive {
+			x.residual[i] = linkResidual{lk: lk, queue: s.obs[lk].queue, cap: s.obs[lk].cap}
 		}
 	}
 	return x
@@ -230,9 +233,9 @@ func (s *Sim) ShiftFrom(x *Exit) Shift {
 // ApplyExit lands a replayed window's exit state at the current instant,
 // once its events have been re-delivered: the engine fast-forwards past the
 // window crediting its sequence numbers and dispatches, and the flow-ID
-// cursor, completed-flow tallies, registry counters, in-band drain state
-// and integration cursor land where a re-simulated window would have left
-// them. It allocates nothing.
+// cursor, completed-flow tallies, registry counters, the observed links'
+// drain state and the integration cursor land where a re-simulated window
+// would have left them. It allocates nothing.
 func (s *Sim) ApplyExit(x *Exit) {
 	t0 := s.Eng.Now()
 	d := &x.delta
@@ -243,18 +246,16 @@ func (s *Sim) ApplyExit(x *Exit) {
 	s.AggBits += d.agg
 	s.CoreBits += d.core
 	s.Reg.ApplyMetricsDelta(x.metrics)
-	if s.inband != nil {
-		for _, lk := range s.ibLive {
-			s.ibLiveSet[lk] = false
-			s.ibQueue[lk] = 0
-			s.ibCap[lk] = 0
+	if s.obs != nil {
+		for _, lk := range s.obsLive {
+			o := &s.obs[lk]
+			o.live, o.queue, o.cap = false, 0, 0
 		}
-		s.ibLive = s.ibLive[:0]
+		s.obsLive = s.obsLive[:0]
 		for _, r := range x.residual {
-			s.ibLive = append(s.ibLive, r.lk)
-			s.ibLiveSet[r.lk] = true
-			s.ibQueue[r.lk] = r.queue
-			s.ibCap[r.lk] = r.cap
+			s.obsLive = append(s.obsLive, r.lk)
+			o := &s.obs[r.lk]
+			o.live, o.queue, o.cap = true, r.queue, r.cap
 		}
 	}
 	s.lastAdvance = t0 + x.lastAdv

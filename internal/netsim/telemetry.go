@@ -70,7 +70,7 @@ func (s *Sim) registerFlowLogExporter() {
 	s.Reg.RegisterExporter(s.MetricsPrefix+"flowlog.tsv", s.WriteFlowLog)
 }
 
-// SyncTime integrates in-flight transfers and probe accumulators up to the
+// SyncTime integrates in-flight transfers and the observed links up to the
 // engine's current instant without changing rates. Samplers call it before
 // reading utilization/queue gauges so values are current as of the tick.
 // It is a no-op while a mutation is already in progress.
@@ -80,9 +80,6 @@ func (s *Sim) SyncTime() {
 	}
 	s.advance()
 }
-
-// UtilBps returns the probe's currently allocated throughput (bits/second).
-func (p *LinkProbe) UtilBps() float64 { return p.util }
 
 // instant emits a topology-transition instant event, if tracing is on.
 func (s *Sim) instant(name string, args ...telemetry.Arg) {

@@ -12,13 +12,10 @@
 // Determinism contract: phase *counts* are pure functions of the simulated
 // run and stay byte-identical across same-seed runs. Wall-time and
 // allocation fields are host measurements and are inherently
-// nondeterministic; they are segregated into the prof.json artifact
-// (excluded from the golden determinism set) and into registry
-// *gauges* — never counters — so the memo recorder's metrics snapshots
-// (counters + histograms only, see telemetry.MetricsSnapshot) can never
-// absorb a wall-clock value into a replayed window. This is the
-// LiveMetricsOwner-style exclusion for the registry view: gauges read live
-// profiler state and are excluded from recorded deltas by construction.
+// nondeterministic; they are published only through the prof.json
+// artifact (excluded from the golden determinism set), never through the
+// metrics registry, so no metrics dump or replayed window's metrics delta
+// can hold a wall-clock value.
 //
 // Cost contract: every method is safe on a nil receiver, so the disabled
 // path costs one nil check per instrumentation point — the same bargain
@@ -66,7 +63,7 @@ func (ph *Phase) Begin() Token {
 	if ph == nil {
 		return Token{}
 	}
-	tk := Token{t0: time.Now()} //hpnlint:allow wallclock -- host-cost profiling; wall values are segregated into prof artifacts and gauges, never simulator state
+	tk := Token{t0: time.Now()} //hpnlint:allow wallclock -- host-cost profiling; wall values are segregated into prof artifacts, never simulator state
 	if ph.trackAlloc {
 		tk.a0 = readAllocs()
 	}
@@ -79,7 +76,7 @@ func (ph *Phase) End(tk Token) {
 	if ph == nil || tk.t0.IsZero() {
 		return
 	}
-	wall := time.Since(tk.t0).Nanoseconds() //hpnlint:allow wallclock -- host-cost profiling; wall values are segregated into prof artifacts and gauges, never simulator state
+	wall := time.Since(tk.t0).Nanoseconds() //hpnlint:allow wallclock -- host-cost profiling; wall values are segregated into prof artifacts, never simulator state
 	ph.count.Add(1)
 	ph.wall.Add(wall)
 	if ph.trackAlloc {
@@ -113,13 +110,6 @@ func readAllocs() uint64 {
 	return s[0].Value.Uint64()
 }
 
-// GaugeRegistry is the slice of telemetry.Registry the profiler publishes
-// through, declared here so prof stays dependency-free (telemetry imports
-// prof, not the reverse).
-type GaugeRegistry interface {
-	Gauge(name, help string, fn func() float64)
-}
-
 // Profiler is a set of named phases. The zero value is not usable;
 // construct with New. All methods are nil-safe, so layers hold a nil
 // *Profiler while profiling is disabled and every Phase they register
@@ -127,8 +117,6 @@ type GaugeRegistry interface {
 type Profiler struct {
 	mu     sync.Mutex
 	phases map[string]*Phase
-	reg    GaugeRegistry
-	prefix string
 }
 
 // New returns an empty profiler.
@@ -162,53 +150,7 @@ func (p *Profiler) phase(name, help string, alloc bool) *Phase {
 	}
 	ph := &Phase{name: name, help: help, trackAlloc: alloc}
 	p.phases[name] = ph
-	if p.reg != nil {
-		p.registerGauges(ph)
-	}
 	return ph
-}
-
-// BindMetrics publishes every phase — current and future — as registry
-// gauges named <prefix><phase>_count, _wall_seconds and (alloc-tracked
-// phases) _allocs. Gauges, not counters, on purpose: the memo recorder's
-// snapshot/delta machinery covers counters and histograms only, so
-// wall-clock values can never leak into a replayed window's metrics
-// delta. Nil-safe.
-func (p *Profiler) BindMetrics(reg GaugeRegistry, prefix string) {
-	if p == nil || reg == nil {
-		return
-	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	p.reg = reg
-	p.prefix = prefix
-	for _, name := range p.sortedNamesLocked() {
-		p.registerGauges(p.phases[name])
-	}
-}
-
-// registerGauges installs the per-phase gauge views. Callers hold p.mu.
-func (p *Profiler) registerGauges(ph *Phase) {
-	base := p.prefix + sanitizePhase(ph.name)
-	p.reg.Gauge(base+"_count", "profiler: occurrences of phase "+ph.name,
-		func() float64 { return float64(ph.stat().Count) })
-	p.reg.Gauge(base+"_wall_seconds", "profiler: host wall time in phase "+ph.name+" (nondeterministic)",
-		func() float64 { return float64(ph.stat().WallNS) / 1e9 })
-	if ph.trackAlloc {
-		p.reg.Gauge(base+"_allocs", "profiler: heap objects allocated in phase "+ph.name+" (nondeterministic)",
-			func() float64 { return float64(ph.stat().Allocs) })
-	}
-}
-
-// sanitizePhase maps a phase name onto the metric-name charset.
-func sanitizePhase(name string) string {
-	b := []byte(name)
-	for i, c := range b {
-		if c == '/' || c == '-' || c == '.' {
-			b[i] = '_'
-		}
-	}
-	return string(b)
 }
 
 // Snapshot returns the stats of every phase with a nonzero count,

@@ -20,7 +20,6 @@ func TestNilSafety(t *testing.T) {
 	if p.Snapshot() != nil {
 		t.Fatalf("nil profiler Snapshot != nil")
 	}
-	p.BindMetrics(nil, "prof_")
 
 	var f *Flight
 	f.Note(1, "k", "s", 0, 0)
@@ -100,48 +99,6 @@ func TestShardedCountsDeterministic(t *testing.T) {
 	wg.Wait()
 	if got := p.Snapshot()[0].Count; got != 16000 {
 		t.Fatalf("concurrent count = %d, want 16000", got)
-	}
-}
-
-type fakeRegistry struct {
-	mu     sync.Mutex
-	gauges map[string]func() float64
-}
-
-func (r *fakeRegistry) Gauge(name, help string, fn func() float64) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.gauges == nil {
-		r.gauges = map[string]func() float64{}
-	}
-	r.gauges[name] = fn
-}
-
-func TestBindMetrics(t *testing.T) {
-	p := New()
-	p.PhaseAlloc("memo/replay", "").Add(7)
-	reg := &fakeRegistry{}
-	p.BindMetrics(reg, "prof_")
-	// Phases registered after binding get gauges too.
-	p.Phase("sim/run", "").Add(3)
-
-	for name, want := range map[string]float64{
-		"prof_memo_replay_count": 7,
-		"prof_sim_run_count":     3,
-	} {
-		fn, ok := reg.gauges[name]
-		if !ok {
-			t.Fatalf("gauge %s not registered (have %d gauges)", name, len(reg.gauges))
-		}
-		if got := fn(); got != want {
-			t.Fatalf("gauge %s = %v, want %v", name, got, want)
-		}
-	}
-	if _, ok := reg.gauges["prof_memo_replay_allocs"]; !ok {
-		t.Fatalf("alloc-tracked phase missing _allocs gauge")
-	}
-	if _, ok := reg.gauges["prof_sim_run_allocs"]; ok {
-		t.Fatalf("count-only phase should not register _allocs gauge")
 	}
 }
 

@@ -46,8 +46,8 @@ type Options struct {
 	// artifact writers, a bounded flight recorder of recent fabric events,
 	// and the "prof.json"/"flight.tsv" artifacts. Phase counts
 	// and flight contents are deterministic; wall/alloc fields are host
-	// measurements, published only through these artifacts and registry
-	// gauges (never counters), so golden artifacts and memo replay stay
+	// measurements, published only through prof.json (never the metrics
+	// registry), so golden artifacts, metrics and memo replay stay
 	// byte-identical with profiling on.
 	Prof bool
 }
@@ -103,7 +103,6 @@ func NewHub(opt Options) *Hub {
 	if opt.Prof {
 		h.Prof = prof.New()
 		h.Flight = prof.NewFlight(0)
-		h.Prof.BindMetrics(h.Registry, "prof_")
 		h.Registry.RegisterExporter("prof.json", h.Prof.WriteJSON)
 		h.Registry.RegisterExporter("flight.tsv", h.Flight.WriteTSV)
 	}

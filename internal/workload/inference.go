@@ -39,14 +39,23 @@ type InferenceLoad struct {
 	Latency metrics.Dist
 	// Completed counts finished request/response exchanges.
 	Completed int
+	// FirstErr records the first request or response launch error. A
+	// failed launch drops that exchange and arrivals continue; the caller
+	// surfaces the error after the run.
+	FirstErr error
 
 	rng *sim.RNG
 }
 
-// NewInferenceLoad returns a generator over the given host sets.
+// NewInferenceLoad returns a generator over the given host sets. The
+// spec's rate and message sizes must be positive.
 func NewInferenceLoad(net *netsim.Sim, spec InferenceSpec, clients, servers []int, seed uint64) (*InferenceLoad, error) {
 	if len(clients) == 0 || len(servers) == 0 {
 		return nil, fmt.Errorf("workload: inference needs clients and servers")
+	}
+	if !(spec.QPS > 0 && spec.RequestBytes > 0 && spec.ResponseBytes > 0) {
+		return nil, fmt.Errorf("workload: inference needs a positive QPS, RequestBytes and ResponseBytes (got %v, %v, %v)",
+			spec.QPS, spec.RequestBytes, spec.ResponseBytes)
 	}
 	return &InferenceLoad{Net: net, Spec: spec, Clients: clients, Servers: servers, rng: sim.NewRNG(seed)}, nil
 }
@@ -78,17 +87,19 @@ func (l *InferenceLoad) Run(until sim.Time) {
 						l.Latency.Add((end - reqStart).Seconds())
 					}},
 				)
-				if err != nil {
-					return
-				}
+				l.noteErr(err)
 			}},
 		)
-		if err == nil {
-			// Only count arrivals that could be injected.
-			_ = err
-		}
+		l.noteErr(err)
 		gap := l.rng.Exp(1 / l.Spec.QPS)
 		l.Net.Eng.Schedule(sim.Time(gap*float64(sim.Second)), arrive)
 	}
 	arrive()
+}
+
+// noteErr keeps the first launch error.
+func (l *InferenceLoad) noteErr(err error) {
+	if l.FirstErr == nil {
+		l.FirstErr = err
+	}
 }

@@ -352,3 +352,56 @@ func TestInferenceLoadRejectsEmpty(t *testing.T) {
 		t.Fatal("empty client set accepted")
 	}
 }
+
+func TestInferenceLoadRejectsBadSpec(t *testing.T) {
+	fe, err := topo.BuildFrontend(topo.DefaultFrontend())
+	if err != nil {
+		t.Fatal(err)
+	}
+	net := netsim.New(sim.New(), fe)
+	for _, tc := range []struct {
+		name string
+		edit func(*InferenceSpec)
+	}{
+		{"zero QPS", func(s *InferenceSpec) { s.QPS = 0 }},
+		{"negative QPS", func(s *InferenceSpec) { s.QPS = -1 }},
+		{"zero request", func(s *InferenceSpec) { s.RequestBytes = 0 }},
+		{"NaN request", func(s *InferenceSpec) { s.RequestBytes = math.NaN() }},
+		{"negative response", func(s *InferenceSpec) { s.ResponseBytes = -1 }},
+	} {
+		spec := DefaultInference()
+		tc.edit(&spec)
+		if _, err := NewInferenceLoad(net, spec, []int{0}, []int{1}, 1); err == nil {
+			t.Errorf("%s: spec %+v accepted", tc.name, spec)
+		}
+	}
+}
+
+// A request that cannot launch (its server lies outside the simulator's
+// pod shard) is recorded, not dropped.
+func TestInferenceLoadKeepsLaunchError(t *testing.T) {
+	cfg := topo.SmallHPN(1, 2, 2)
+	cfg.Pods = 2
+	top, err := topo.BuildHPN(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sh, err := topo.ShardByPod(top)
+	if err != nil {
+		t.Fatal(err)
+	}
+	net := netsim.New(sim.New(), top)
+	net.RestrictShard(sh, 1)
+	load, err := NewInferenceLoad(net, DefaultInference(), []int{0}, []int{len(top.Hosts) - 1}, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	load.Run(10 * sim.Millisecond)
+	net.Eng.Run()
+	if load.FirstErr == nil {
+		t.Fatal("cross-shard request launched without error")
+	}
+	if load.Completed != 0 {
+		t.Fatalf("completed %d cross-shard exchanges", load.Completed)
+	}
+}
