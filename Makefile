@@ -5,7 +5,7 @@ GO ?= go
 # Full gate: formatting, go vet, build, hpnlint determinism/invariant rules,
 # tests under the race detector (a default pass and a GOMAXPROCS=4 pass), the
 # checked-handle pass over the pooled engine layers, a short fuzz of the
-# artifact parsers, the perfbench module's vet and tests,
+# artifact parsers and the tracer, the perfbench module's vet and tests,
 # the in-band forensics smoke run and the self-profiler smoke run. Perf
 # regressions are perfbench's job (perfbench/README.md); ci runs no
 # comparator of its own.
@@ -65,13 +65,15 @@ test-checked:
 
 # Fuzz smoke: ~10s of native fuzzing for each artifact parser (inband and
 # health ParseTSV, prof ParseProfile), seeded from the run artifacts in
-# their testdata/. A failing input is saved under testdata/fuzz/ to be
-# committed as a regression seed. Minimization is capped so a new
+# their testdata/, and for the tracer against its emission-time renderer
+# (FuzzTracerMatchesOracle). A failing input is saved under testdata/fuzz/
+# to be committed as a regression seed. Minimization is capped so a new
 # interesting input does not eat the budget.
 fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz='^FuzzParseTSV$$' -fuzztime=10s -fuzzminimizetime=100x -parallel=2 ./internal/inband
 	$(GO) test -run='^$$' -fuzz='^FuzzParseTSV$$' -fuzztime=10s -fuzzminimizetime=100x -parallel=2 ./internal/health
 	$(GO) test -run='^$$' -fuzz='^FuzzParseProfile$$' -fuzztime=10s -fuzzminimizetime=100x -parallel=2 ./internal/prof
+	$(GO) test -run='^$$' -fuzz='^FuzzTracerMatchesOracle$$' -fuzztime=10s -fuzzminimizetime=100x -parallel=2 ./internal/telemetry
 
 # perfbench is its own Go module, so the root `go vet ./...` and
 # `go test ./...` never compile it: an internal API change it depends on

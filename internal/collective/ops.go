@@ -110,8 +110,8 @@ func (o *Op) runStep() {
 		if g.Net.Trace != nil {
 			g.Net.Trace.Complete(int64(o.roundStart), int64(now-o.roundStart),
 				"collective", "round", g.tid,
-				telemetry.Arg{K: "op", V: o.name},
-				telemetry.Arg{K: "step", V: o.step})
+				telemetry.Str("op", o.name),
+				telemetry.Int("step", int64(o.step)))
 		}
 	}
 	if o.step >= o.steps {
@@ -168,8 +168,8 @@ func (o *Op) finish() {
 		if g.Net.Trace != nil {
 			g.Net.Trace.Complete(int64(o.started), int64(el),
 				"collective", o.name, g.tid,
-				telemetry.Arg{K: "bytes", V: o.bytes},
-				telemetry.Arg{K: "steps", V: o.steps})
+				telemetry.Float("bytes", o.bytes),
+				telemetry.Int("steps", int64(o.steps)))
 		}
 		res := Result{Op: o.name, Bytes: o.bytes, Elapsed: el}
 		if el > 0 {

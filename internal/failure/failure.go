@@ -70,7 +70,7 @@ func (in *Injector) mark(name string, id int) {
 		return
 	}
 	in.Net.Trace.Instant(int64(in.Net.Eng.Now()), "failure", name,
-		telemetry.TidFailure, telemetry.Arg{K: "id", V: id})
+		telemetry.TidFailure, telemetry.Int("id", int64(id)))
 }
 
 // FailLinkAt takes the cable down at the given virtual time.
@@ -139,7 +139,7 @@ func (w *Watchdog) Watch(until sim.Time) {
 				if w.Net.Trace != nil {
 					w.Net.Trace.Instant(int64(now), "failure", "watchdog_crash",
 						telemetry.TidFailure,
-						telemetry.Arg{K: "stalled_for_s", V: (now - w.stallSince).Seconds()})
+						telemetry.Float("stalled_for_s", (now-w.stallSince).Seconds()))
 				}
 				return
 			}

@@ -42,7 +42,7 @@ func FuzzParseTSV(f *testing.F) {
 			return
 		}
 		var w1, w2 bytes.Buffer
-		if err := (&Collector{recs: recs}).WriteTSV(&w1); err != nil {
+		if err := collectorOf(recs).WriteTSV(&w1); err != nil {
 			t.Fatal(err)
 		}
 		again, err := ParseTSV(bytes.NewReader(w1.Bytes()))
@@ -52,7 +52,7 @@ func FuzzParseTSV(f *testing.F) {
 		if !sameRecords(recs, again) {
 			t.Fatalf("records changed across a write:\n%+v\n%+v", recs, again)
 		}
-		if err := (&Collector{recs: again}).WriteTSV(&w2); err != nil {
+		if err := collectorOf(again).WriteTSV(&w2); err != nil {
 			t.Fatal(err)
 		}
 		if !bytes.Equal(w1.Bytes(), w2.Bytes()) {

@@ -23,6 +23,7 @@ import (
 	"strings"
 
 	"hpn/internal/artifact"
+	"hpn/internal/chunk"
 	"hpn/internal/route"
 	"hpn/internal/topo"
 )
@@ -92,7 +93,7 @@ type Collector struct {
 	// max bounds the record buffer (0 = unbounded); records past the cap
 	// are counted as dropped rather than kept.
 	max     int
-	recs    []Record
+	recs    chunk.Store[Record]
 	dropped int
 
 	// labels holds each link's Name and Tier, built the first time the
@@ -105,11 +106,11 @@ type linkLabel struct{ name, tier string }
 // NewCollector returns a collector over top retaining at most max records
 // (0 = unbounded).
 func NewCollector(top *topo.Topology, max int) *Collector {
-	return &Collector{top: top, max: max, recs: make([]Record, 0, 1024)}
+	return &Collector{top: top, max: max}
 }
 
-// Records returns the retained records in emission order.
-func (c *Collector) Records() []Record { return c.recs }
+// Records returns a copy of the retained records in emission order.
+func (c *Collector) Records() []Record { return c.recs.Slice() }
 
 // Dropped returns how many records were discarded past the cap.
 func (c *Collector) Dropped() int { return c.dropped }
@@ -121,7 +122,7 @@ func (c *Collector) Dropped() int { return c.dropped }
 // zero.
 func (c *Collector) FlushFlow(flowID int64, epoch int, tuple uint64, enterNS, exitNS int64, hops []route.HopDecision, stats []HopStat) {
 	for i, h := range hops {
-		if c.max > 0 && len(c.recs) >= c.max {
+		if c.max > 0 && c.recs.Len() >= c.max {
 			c.dropped += len(hops) - i
 			break
 		}
@@ -143,7 +144,7 @@ func (c *Collector) FlushFlow(flowID int64, epoch int, tuple uint64, enterNS, ex
 			r.Bits = stats[i].Bits
 			r.QueueByteS = stats[i].QueueByteS
 		}
-		c.recs = append(c.recs, r)
+		c.recs.Append(r)
 	}
 }
 
@@ -172,9 +173,11 @@ func (c *Collector) WriteTSV(w io.Writer) error {
 	bw := artifact.NewWriter(w)
 	bw.WriteString(tsvHeader)
 	var row []byte
-	for i := range c.recs {
-		row = appendTSV(row[:0], &c.recs[i])
-		bw.Write(row)
+	for _, recs := range c.recs.Chunks() {
+		for i := range recs {
+			row = appendTSV(row[:0], &recs[i])
+			bw.Write(row)
+		}
 	}
 	return bw.Flush()
 }
@@ -227,13 +230,16 @@ func (c *Collector) WriteJSON(w io.Writer) error {
 	bw := artifact.NewWriter(w)
 	bw.WriteString("[\n")
 	var row []byte
-	for i := range c.recs {
-		row = appendJSON(row[:0], &c.recs[i])
-		if i+1 < len(c.recs) {
-			row = append(row, ',')
+	left := c.recs.Len()
+	for _, recs := range c.recs.Chunks() {
+		for i := range recs {
+			row = appendJSON(row[:0], &recs[i])
+			if left--; left > 0 {
+				row = append(row, ',')
+			}
+			row = append(row, '\n')
+			bw.Write(row)
 		}
-		row = append(row, '\n')
-		bw.Write(row)
 	}
 	bw.WriteString("]\n")
 	return bw.Flush()

@@ -9,13 +9,12 @@ import (
 // tracenilRule enforces the repo's telemetry cost contract: every
 // emission-method call on a *telemetry.Tracer sits behind an explicit
 // nil-tracer guard, so a disabled tracer costs exactly one branch — not the
-// construction of a telemetry.Arg slice and its values. The methods are
-// nil-safe, so nothing crashes without the guard; what the rule protects is
-// the "telemetry off means near-zero overhead" guarantee on hot paths.
-// TestRingStepAllocatesNothing catches an unguarded netsim flow span, but
-// dropping the guard on collective's round span (collective.Op.runStep)
-// passes every test: no allocation test covers the collective or
-// workload emission sites.
+// computation of the event's typed arguments and the call. The methods are
+// nil-safe and the arguments box nothing, so an unguarded call neither
+// crashes nor allocates; what the rule protects is the "telemetry off
+// means near-zero overhead" guarantee on hot paths. No test catches a
+// missing guard: dropping it on netsim's flow span or on collective's
+// round span (collective.Op.runStep) passes every test.
 //
 // Recognized guard shapes (receiver expression X rendered textually):
 //

@@ -74,15 +74,14 @@ type LiveMetricsOwner interface {
 	LiveMetricNames() []string
 }
 
-// traceEvent is one captured trace emission, stored with record-time
-// absolute values; replay shifts ts by the window's time shift and the
-// "seq"/"id"/"flow" args by the sequence and flow-ID shifts.
-type traceEvent struct {
-	ph        byte
-	ts, dur   int64
-	cat, name string
-	tid       int
-	args      []telemetry.Arg
+// traceHalf is one window half's captured trace emissions: the tracer's
+// entries, stored with record-time values, and their arguments in order.
+// Replay shifts each entry's time by the window's time shift and the
+// "seq" (uint) and "id"/"flow" (int) arguments by the sequence and flow-ID
+// shifts.
+type traceHalf struct {
+	evs  []telemetry.Entry
+	args []telemetry.Value
 }
 
 // Window is one recorded iteration: everything needed to reproduce its
@@ -98,12 +97,12 @@ type Window struct {
 	liveAt sim.Time
 	comm   float64
 
-	// part1 and ev[0] cover [window start, live section); part2 and ev[1]
-	// cover (live section, window end]. The live section itself is
+	// trace[0] and ev[0] cover [window start, live section); trace[1] and
+	// ev[1] cover (live section, window end]. The live section itself is
 	// excluded — replay re-executes it and it re-emits its own output.
 	// Each event half is a list of chunks of up to chunkLen events.
-	part1, part2 []traceEvent
-	ev           [2][][]netsim.Event
+	trace [2]traceHalf
+	ev    [2][][]netsim.Event
 
 	// stamped is the shift each event half carries: netsim.Sim.Redeliver
 	// re-stamps a half in place, so after a replay that re-delivered it the
@@ -155,6 +154,11 @@ type Recorder struct {
 	// bit is the recorder's own bit in Redeliver's skip set.
 	bit uint64
 
+	// keySeq, keyID and keyFlow are the trace's ids of the argument keys
+	// emitTrace shifts; args is its scratch copy of one event's arguments.
+	keySeq, keyID, keyFlow uint32
+	args                   []telemetry.Value
+
 	hits, misses, blocked, invalidations, replayed int64
 	folded, redelivered                            int64
 
@@ -196,6 +200,7 @@ func Attach(s *netsim.Sim) *Recorder {
 	r.bit = 1 << (len(s.Subscribers()) - 1)
 	if s.Trace != nil {
 		s.Trace.SetHook(r.capture)
+		r.keySeq, r.keyID, r.keyFlow = s.Trace.Key("seq"), s.Trace.Key("id"), s.Trace.Key("flow")
 	}
 	if s.Reg != nil {
 		p := s.MetricsPrefix
@@ -317,19 +322,16 @@ func (r *Recorder) invalidate() {
 // capture is the trace hook: every live emission lands in the current
 // recording (replayed emissions go through Tracer.Emit, which bypasses
 // the hook, so a replay never re-captures itself).
-func (r *Recorder) capture(ph byte, tsNS, durNS int64, cat, name string, tid int, args []telemetry.Arg) {
+func (r *Recorder) capture(e telemetry.Entry, args []telemetry.Value) {
 	if r.rec == nil || r.suspended {
 		return
 	}
-	ev := traceEvent{ph: ph, ts: tsNS, dur: durNS, cat: cat, name: name, tid: tid}
-	if len(args) > 0 {
-		ev.args = append([]telemetry.Arg(nil), args...)
-	}
+	h := &r.rec.trace[0]
 	if r.rec.liveSeen {
-		r.rec.part2 = append(r.rec.part2, ev)
-	} else {
-		r.rec.part1 = append(r.rec.part1, ev)
+		h = &r.rec.trace[1]
 	}
+	h.evs = append(h.evs, e)
+	h.args = append(h.args, args...)
 }
 
 // --- Recording ---------------------------------------------------------
@@ -472,12 +474,12 @@ func (r *Recorder) Replay(w *Window, liveFn func(now sim.Time, comm float64)) {
 	r.replayed++
 	r.ctrReplayed.Inc()
 	r.replayHalf(w, 0, sh)
-	r.emitTrace(w.part1, sh)
+	r.emitTrace(&w.trace[0], sh)
 	if liveFn != nil {
 		liveFn(w.liveAt+sh.T, w.comm)
 	}
 	r.replayHalf(w, 1, sh)
-	r.emitTrace(w.part2, sh)
+	r.emitTrace(&w.trace[1], sh)
 	r.phFF.Add(1)
 	r.net.ApplyExit(w.exit)
 }
@@ -505,31 +507,27 @@ func (r *Recorder) replayHalf(w *Window, h int, sh netsim.Shift) {
 
 // emitTrace re-emits captured trace events through the hook-bypassing
 // Emit path. Only three argument keys carry run-position state and are
-// shifted: "seq" (engine sequence numbers, uint64), and "id"/"flow"
-// (flow IDs, int64). Everything else replays verbatim.
-func (r *Recorder) emitTrace(evs []traceEvent, sh netsim.Shift) {
+// shifted: "seq" (engine sequence numbers, uint), and "id"/"flow" (flow
+// IDs, int). Everything else replays verbatim.
+func (r *Recorder) emitTrace(h *traceHalf, sh netsim.Shift) {
 	tr := r.net.Trace
 	if tr == nil {
 		return
 	}
-	for i := range evs {
-		e := &evs[i]
-		args := e.args
-		if len(args) > 0 {
-			args = append([]telemetry.Arg(nil), args...)
-			for j := range args {
-				switch v := args[j].V.(type) {
-				case uint64:
-					if args[j].K == "seq" {
-						args[j].V = v + sh.Seq
-					}
-				case int64:
-					if args[j].K == "id" || args[j].K == "flow" {
-						args[j].V = v + sh.ID
-					}
-				}
+	args := h.args
+	for _, e := range h.evs {
+		a := append(r.args[:0], args[:e.Args()]...)
+		args = args[e.Args():]
+		for j := range a {
+			switch {
+			case a[j].Kind == telemetry.KindUint && a[j].Key == r.keySeq:
+				a[j].Bits += sh.Seq
+			case a[j].Kind == telemetry.KindInt && (a[j].Key == r.keyID || a[j].Key == r.keyFlow):
+				a[j].Bits += uint64(sh.ID)
 			}
 		}
-		tr.Emit(e.ph, e.ts+int64(sh.T), e.dur, e.cat, e.name, e.tid, args)
+		r.args = a
+		e.TS += int64(sh.T)
+		tr.Emit(e, a)
 	}
 }

@@ -18,7 +18,7 @@ func (s *Sim) FailCable(l topo.LinkID) {
 	s.Top.SetCableState(l, false)
 	s.R.NoteLinkFailed(l, now)
 	s.ctrLinkEvents.Inc()
-	s.instant("link_down", telemetry.Arg{K: "link", V: int(l)})
+	s.instant("link_down", telemetry.Int("link", int64(l)))
 	s.publish(Event{Kind: EvLinkDown, At: now, Link: l})
 	rev := s.Top.Link(l).Reverse
 	for _, f := range s.active {
@@ -44,7 +44,7 @@ func (s *Sim) RecoverCable(l topo.LinkID) {
 	s.Top.SetCableState(l, true)
 	s.R.NoteLinkRecovered(l)
 	s.ctrLinkEvents.Inc()
-	s.instant("link_up", telemetry.Arg{K: "link", V: int(l)})
+	s.instant("link_up", telemetry.Int("link", int64(l)))
 	s.publish(Event{Kind: EvLinkUp, At: s.Eng.Now(), Link: l})
 	s.scheduleReroute(200 * sim.Millisecond)
 }
@@ -60,8 +60,8 @@ func (s *Sim) FailNode(n topo.NodeID) {
 	s.Top.SetNodeState(n, false)
 	s.R.NoteNodeFailed(n, now)
 	s.ctrLinkEvents.Inc()
-	s.instant("node_down", telemetry.Arg{K: "node", V: int(n)},
-		telemetry.Arg{K: "name", V: s.Top.Node(n).Name})
+	s.instant("node_down", telemetry.Int("node", int64(n)),
+		telemetry.Str("name", s.Top.Node(n).Name))
 	s.publish(Event{Kind: EvNodeDown, At: now, Node: n})
 	for _, f := range s.active {
 		for _, lk := range f.Path {
@@ -84,8 +84,8 @@ func (s *Sim) RecoverNode(n topo.NodeID) {
 	s.Top.SetNodeState(n, true)
 	s.R.NoteNodeRecovered(n)
 	s.ctrLinkEvents.Inc()
-	s.instant("node_up", telemetry.Arg{K: "node", V: int(n)},
-		telemetry.Arg{K: "name", V: s.Top.Node(n).Name})
+	s.instant("node_up", telemetry.Int("node", int64(n)),
+		telemetry.Str("name", s.Top.Node(n).Name))
 	s.publish(Event{Kind: EvNodeUp, At: s.Eng.Now(), Node: n})
 	s.scheduleReroute(200 * sim.Millisecond)
 }
@@ -121,8 +121,8 @@ func (s *Sim) reroutePass() {
 	moved, still := s.repathStalled()
 	s.ctrReroutes.Inc()
 	s.instant("reroute",
-		telemetry.Arg{K: "repathed", V: moved},
-		telemetry.Arg{K: "still_stalled", V: still > 0})
+		telemetry.Int("repathed", int64(moved)),
+		telemetry.Bool("still_stalled", still > 0))
 	s.publish(Event{Kind: EvReroute, At: s.Eng.Now(), Count: int32(moved), StillStalled: int32(still)})
 	// If flows are still stuck and the fabric is still reconverging (e.g. a
 	// second failure landed during the pass), try once more afterwards.

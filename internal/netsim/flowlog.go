@@ -5,6 +5,7 @@ import (
 	"strconv"
 
 	"hpn/internal/artifact"
+	"hpn/internal/chunk"
 	"hpn/internal/sim"
 )
 
@@ -38,13 +39,13 @@ func (r FlowRecord) Gbps() float64 {
 
 // flowLog is the completed-flow log: an EvFlowDone subscriber appending one
 // record per completion.
-type flowLog struct{ recs []FlowRecord }
+type flowLog struct{ recs chunk.Store[FlowRecord] }
 
 func (*flowLog) Kinds() EventKind { return EvFlowDone }
 
 func (l *flowLog) FabricEvent(e *Event) {
 	f := &e.Flow
-	l.recs = append(l.recs, FlowRecord{
+	l.recs.Append(FlowRecord{
 		ID:      f.ID,
 		SrcHost: f.Src.Host, SrcNIC: f.Src.NIC,
 		DstHost: f.Dst.Host, DstNIC: f.Dst.NIC,
@@ -64,16 +65,16 @@ func (s *Sim) EnableFlowLog() {
 		s.flowLog = &flowLog{}
 		s.Subscribe(s.flowLog)
 	}
-	s.flowLog.recs = make([]FlowRecord, 0, 1024)
+	s.flowLog.recs = chunk.Store[FlowRecord]{}
 	s.registerFlowLogExporter()
 }
 
-// FlowLog returns the recorded completions.
+// FlowLog returns a copy of the recorded completions.
 func (s *Sim) FlowLog() []FlowRecord {
 	if s.flowLog == nil {
 		return nil
 	}
-	return s.flowLog.recs
+	return s.flowLog.recs.Slice()
 }
 
 // WriteFlowLog streams the log as a TSV for offline analysis.
@@ -81,10 +82,13 @@ func (s *Sim) WriteFlowLog(w io.Writer) error {
 	bw := artifact.NewWriter(w)
 	bw.WriteString("id\tsrc\tdst\tport\tbytes\tstart_s\tend_s\tgbps\thops\tagg\tcore\n")
 	var b []byte
-	recs := s.FlowLog()
-	for i := range recs {
-		b = appendFlowRecord(b[:0], &recs[i])
-		bw.Write(b)
+	if s.flowLog != nil {
+		for _, recs := range s.flowLog.recs.Chunks() {
+			for i := range recs {
+				b = appendFlowRecord(b[:0], &recs[i])
+				bw.Write(b)
+			}
+		}
 	}
 	return bw.Flush()
 }

@@ -24,7 +24,13 @@ func oracleFlowLog(recs []FlowRecord) []byte {
 	return []byte(b.String())
 }
 
-func flowLogSim(recs []FlowRecord) *Sim { return &Sim{flowLog: &flowLog{recs: recs}} }
+func flowLogSim(recs []FlowRecord) *Sim {
+	l := &flowLog{}
+	for _, r := range recs {
+		l.recs.Append(r)
+	}
+	return &Sim{flowLog: l}
+}
 
 func randomFlowRecord(r *rand.Rand) FlowRecord {
 	return FlowRecord{

@@ -1,6 +1,8 @@
 package netsim
 
 import (
+	"slices"
+
 	"hpn/internal/inband"
 	"hpn/internal/telemetry"
 )
@@ -77,9 +79,9 @@ func (s *Sim) inbandFlush(f *Flow) {
 		Hops: ib.hops, HopStats: ib.stats})
 	if s.Trace != nil {
 		s.Trace.Instant(int64(now), "inband", "path_flush", telemetry.TidInband,
-			telemetry.Arg{K: "flow", V: f.ID},
-			telemetry.Arg{K: "epoch", V: ib.epoch},
-			telemetry.Arg{K: "hops", V: len(ib.hops)})
+			telemetry.Int("flow", f.ID),
+			telemetry.Int("epoch", int64(ib.epoch)),
+			telemetry.Int("hops", int64(len(ib.hops))))
 	}
 	ib.epoch++
 	ib.hops = ib.hops[:0]
@@ -95,7 +97,8 @@ func (s *Sim) inbandOpen(f *Flow) {
 	}
 	ib := f.inbandState()
 	ib.since = s.Eng.Now()
-	ib.stats = append(ib.stats[:0], make([]inband.HopStat, len(f.Path))...)
+	ib.stats = slices.Grow(ib.stats[:0], len(f.Path))[:len(f.Path)]
+	clear(ib.stats)
 }
 
 // inbandIntegrate advances the per-flow hop accumulators across an

@@ -458,13 +458,12 @@ func (s *Sim) StartFlow(src, dst route.Endpoint, bytes float64, opt FlowOpts) (*
 	f.index = len(s.active)
 	s.active = append(s.active, f)
 	if s.Trace != nil {
-		// Guarded here, not just inside instant: building the Arg list
-		// boxes three values per started flow, a measurable cost on the
-		// tracing-off hot path.
+		// Guarded here, not just inside instant, so the tracing-off hot
+		// path does not build the argument list.
 		s.instant("flow_start",
-			telemetry.Arg{K: "id", V: f.ID},
-			telemetry.Arg{K: "bytes", V: bytes},
-			telemetry.Arg{K: "stalled", V: f.Stalled})
+			telemetry.Int("id", f.ID),
+			telemetry.Float("bytes", bytes),
+			telemetry.Bool("stalled", f.Stalled))
 	}
 	if f.Stalled {
 		s.scheduleReroute(s.R.ConvergenceDelay)
@@ -678,12 +677,12 @@ func (s *Sim) completionEvent() {
 		if s.Trace != nil {
 			s.Trace.Complete(int64(f.StartedAt), int64(f.DoneAt-f.StartedAt),
 				"netsim", "flow", telemetry.TidNetsim,
-				telemetry.Arg{K: "id", V: f.ID},
-				telemetry.Arg{K: "src", V: fmt.Sprintf("%d:%d", f.Src.Host, f.Src.NIC)},
-				telemetry.Arg{K: "dst", V: fmt.Sprintf("%d:%d", f.Dst.Host, f.Dst.NIC)},
-				telemetry.Arg{K: "bytes", V: f.Bits / 8},
-				telemetry.Arg{K: "port", V: f.Port},
-				telemetry.Arg{K: "hops", V: len(f.Path)})
+				telemetry.Int("id", f.ID),
+				telemetry.Endpoint("src", f.Src.Host, f.Src.NIC),
+				telemetry.Endpoint("dst", f.Dst.Host, f.Dst.NIC),
+				telemetry.Float("bytes", f.Bits/8),
+				telemetry.Int("port", int64(f.Port)),
+				telemetry.Int("hops", int64(len(f.Path))))
 		}
 		if s.want&EvFlowDone != 0 {
 			st := f.state()

@@ -135,7 +135,7 @@ func (r *Router) NoteLinkFailed(l topo.LinkID, at sim.Time) {
 	if r.Tracer != nil {
 		r.Tracer.Complete(int64(at), int64(r.ConvergenceDelay),
 			"route", "bgp_withdrawal", telemetry.TidRoute,
-			telemetry.Arg{K: "link", V: int(l)})
+			telemetry.Int("link", int64(l)))
 	}
 }
 
@@ -157,7 +157,7 @@ func (r *Router) NoteNodeFailed(n topo.NodeID, at sim.Time) {
 	if r.Tracer != nil {
 		r.Tracer.Complete(int64(at), int64(r.ConvergenceDelay),
 			"route", "node_withdrawal", telemetry.TidRoute,
-			telemetry.Arg{K: "node", V: int(n)})
+			telemetry.Int("node", int64(n)))
 	}
 }
 

@@ -70,9 +70,9 @@ func (r *Router) Trace(src, dst Endpoint, srcPort int, tuple hashing.FiveTuple, 
 	})
 	if r.Tracer != nil {
 		r.Tracer.Instant(int64(now), "route", "int_probe", telemetry.TidRoute,
-			telemetry.Arg{K: "src", V: fmt.Sprintf("%d:%d", src.Host, src.NIC)},
-			telemetry.Arg{K: "dst", V: fmt.Sprintf("%d:%d", dst.Host, dst.NIC)},
-			telemetry.Arg{K: "hops", V: len(hops)})
+			telemetry.Endpoint("src", src.Host, src.NIC),
+			telemetry.Endpoint("dst", dst.Host, dst.NIC),
+			telemetry.Int("hops", int64(len(hops))))
 	}
 	return hops, nil
 }

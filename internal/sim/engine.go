@@ -283,7 +283,7 @@ func (e *Engine) Step() bool {
 		e.Processed++
 		if e.tracer != nil {
 			e.tracer.Complete(int64(ev.at), 0, "sim", "dispatch", telemetry.TidSim,
-				telemetry.Arg{K: "seq", V: ev.seq})
+				telemetry.Uint("seq", ev.seq))
 		}
 		ev.fn()
 		// Release the fired event unless a caller retained it (Pin) or

@@ -32,9 +32,9 @@ func TestTracerEmitsValidChromeTraceJSON(t *testing.T) {
 	tr.NameProcess("cluster")
 	tr.NameThread(TidNetsim, "netsim")
 	tr.Complete(1234, 5678, "netsim", "flow", TidNetsim,
-		Arg{K: "id", V: int64(7)}, Arg{K: "bytes", V: 1.5e9},
-		Arg{K: "src", V: `host "0"`}, Arg{K: "ok", V: true})
-	tr.Instant(2000, "netsim", "link_down", TidNetsim, Arg{K: "link", V: 3})
+		Int("id", 7), Float("bytes", 1.5e9),
+		Str("src", `host "0"`), Bool("ok", true))
+	tr.Instant(2000, "netsim", "link_down", TidNetsim, Int("link", 3))
 	tr.Counter(3000, "active_flows", 42)
 
 	doc := parseTrace(t, tr)
@@ -99,7 +99,7 @@ func TestTracerDeterministicOutput(t *testing.T) {
 	build := func() []byte {
 		tr := NewTracer(0)
 		p2 := tr.Process("c2")
-		tr.Complete(10, 20, "a", "one", 1, Arg{K: "v", V: 0.1})
+		tr.Complete(10, 20, "a", "one", 1, Float("v", 0.1))
 		p2.Instant(30, "b", "two", 2)
 		tr.Counter(40, "c", 3.14159)
 		var buf bytes.Buffer

@@ -156,7 +156,7 @@ func (o *oracleTrace) meta(pid int, kind string, tid int, name string) {
 	o.events++
 }
 
-func (o *oracleTrace) record(pid int, ph byte, tsNS, durNS int64, cat, name string, tid int, args []Arg) {
+func (o *oracleTrace) record(pid int, ph byte, tsNS, durNS int64, cat, name string, tid int, args []oracleArg) {
 	if o.max > 0 && o.events >= o.max {
 		o.dropped++
 		return
@@ -215,60 +215,58 @@ func (o *oracleTrace) bytes() []byte {
 	return []byte(`{"displayTimeUnit":"ns","traceEvents":[` + "\n" + string(o.buf) + "\n]}\n")
 }
 
-func randomArgs(rng *rand.Rand) []Arg {
-	args := make([]Arg, rng.Intn(4))
+// randomArgs returns up to three random arguments, typed for the tracer
+// and boxed for the oracles.
+func randomArgs(rng *rand.Rand) ([]Arg, []oracleArg) {
+	n := rng.Intn(4)
+	args, want := make([]Arg, n), make([]oracleArg, n)
 	for i := range args {
-		var v any
-		switch rng.Intn(7) {
+		k := artifacttest.String(rng)
+		switch rng.Intn(6) {
 		case 0:
-			v = artifacttest.String(rng)
+			v := artifacttest.String(rng)
+			args[i], want[i] = Str(k, v), oracleArg{k, v}
 		case 1:
-			v = rng.Intn(2) == 0
+			v := rng.Intn(2) == 0
+			args[i], want[i] = Bool(k, v), oracleArg{k, v}
 		case 2:
-			v = artifacttest.Int(rng)
+			v := artifacttest.Int64(rng)
+			args[i], want[i] = Int(k, v), oracleArg{k, v}
 		case 3:
-			v = artifacttest.Int64(rng)
+			v := artifacttest.Uint64(rng)
+			args[i], want[i] = Uint(k, v), oracleArg{k, v}
 		case 4:
-			v = artifacttest.Uint64(rng)
-		case 5:
-			v = artifacttest.Float(rng)
+			v := artifacttest.Float(rng)
+			args[i], want[i] = Float(k, v), oracleArg{k, v}
 		default:
-			v = []int{1, 2} // rendered through %v
+			h, nic := int(int32(artifacttest.Int64(rng))), rng.Intn(4)
+			args[i], want[i] = Endpoint(k, h, nic), oracleArg{k, fmt.Sprintf("%d:%d", h, nic)}
 		}
-		args[i] = Arg{K: artifacttest.String(rng), V: v}
 	}
-	return args
+	return args, want
 }
 
-// driveTrace emits n random events through tr (views of two processes)
-// and mirrors them into the oracle.
+// driveTrace emits n random events through tr (views of two processes,
+// the second hooked) and mirrors them into the oracle.
 func driveTrace(rng *rand.Rand, tr *Tracer, o *oracleTrace, n int) {
-	views := []*Tracer{tr, tr.Process("second")}
-	o.meta(views[1].pid, "process_name", -1, "second")
+	d := newTraceRig(tr, o)
 	for i := 0; i < n; i++ {
-		v := views[rng.Intn(2)]
+		v := d.views[rng.Intn(2)]
 		ts, dur := artifacttest.Int64(rng), artifacttest.Int64(rng)
 		cat, name, tid := artifacttest.String(rng), artifacttest.String(rng), rng.Intn(40)
 		switch rng.Intn(5) {
 		case 0:
-			args := randomArgs(rng)
-			v.Complete(ts, dur, cat, name, tid, args...)
-			o.record(v.pid, 'X', ts, dur, cat, name, tid, args)
+			args, want := randomArgs(rng)
+			d.complete(v, ts, dur, cat, name, tid, args, want)
 		case 1:
-			args := randomArgs(rng)
-			v.Instant(ts, cat, name, tid, args...)
-			o.record(v.pid, 'i', ts, -1, cat, name, tid, args)
+			args, want := randomArgs(rng)
+			d.instant(v, ts, cat, name, tid, args, want)
 		case 2:
-			x := artifacttest.Float(rng)
-			v.Counter(ts, name, x)
-			o.record(v.pid, 'C', ts, -1, "", name, 0, []Arg{{K: "value", V: x}})
+			d.counter(v, ts, name, artifacttest.Float(rng))
 		case 3:
-			v.NameThread(tid, name)
-			o.meta(v.pid, "thread_name", tid, name)
+			d.thread(v, tid, name)
 		default:
-			args := randomArgs(rng)
-			v.Emit('X', ts, dur, cat, name, tid, args)
-			o.record(v.pid, 'X', ts, dur, cat, name, tid, args)
+			d.replay(rng.Intn(1 << 30))
 		}
 	}
 }
@@ -297,67 +295,61 @@ func TestTracerMatchesSingleBufferOracle(t *testing.T) {
 		if tr.Events() != o.events || tr.Dropped() != o.dropped {
 			t.Errorf("cap %d: events/dropped %d/%d, oracle %d/%d", max, tr.Events(), tr.Dropped(), o.events, o.dropped)
 		}
-		if max == 0 && len(tr.core.chunks) < 3 {
-			t.Errorf("uncapped trace of %d bytes fills %d chunks, want >= 3", len(o.buf), len(tr.core.chunks))
+		if chunks := len(tr.core.entries.Chunks()); max == 0 && chunks < 3 {
+			t.Errorf("uncapped trace of %d bytes fills %d chunks, want >= 3", len(o.buf), chunks)
 		}
 	}
 }
 
-// A trace spanning full-size chunks is valid JSON, and a replay of its
-// events through Emit (memo's path) gives the same bytes as live emission
-// with or without a capture hook.
+// A trace spanning many chunks is valid JSON, and a replay of its events
+// through Emit (memo's path) gives the same bytes as live emission with or
+// without a capture hook.
 func TestTracerMultiChunkReplay(t *testing.T) {
 	type captured struct {
-		ph       byte
-		ts, dur  int64
-		cat, nam string
-		tid      int
-		args     []Arg
+		e    Entry
+		args []Value
 	}
 	var evs []captured
-	live, plain, replay := NewTracer(0), NewTracer(0), NewTracer(0)
-	live.SetHook(func(ph byte, ts, dur int64, cat, name string, tid int, args []Arg) {
-		evs = append(evs, captured{ph, ts, dur, cat, name, tid, append([]Arg(nil), args...)})
+	live, plain := NewTracer(0), NewTracer(0)
+	live.SetHook(func(e Entry, args []Value) {
+		evs = append(evs, captured{e, append([]Value(nil), args...)})
 	})
-	for i := 0; i < 40_000; i++ {
-		for _, tr := range []*Tracer{live, plain} {
+	emit := func(tr *Tracer) {
+		for i := 0; i < 40_000; i++ {
 			ts := int64(i) * 1_234
 			switch i % 3 {
 			case 0:
-				tr.Complete(ts, 999, "netsim", "flow", TidNetsim, Arg{K: "id", V: int64(i)}, Arg{K: "bytes", V: float64(i) / 3})
+				tr.Complete(ts, 999, "netsim", "flow", TidNetsim, Int("id", int64(i)), Float("bytes", float64(i)/3))
 			case 1:
-				tr.Instant(ts, "inband", "path_flush", TidInband, Arg{K: "flow", V: i})
+				tr.Instant(ts, "inband", "path_flush", TidInband, Int("flow", int64(i)))
 			default:
 				tr.Counter(ts, "tor0/up1/util_bps", float64(i)*1e9/7)
 			}
 		}
 	}
-	for _, e := range evs {
-		replay.Emit(e.ph, e.ts, e.dur, e.cat, e.nam, e.tid, e.args)
-	}
+	emit(live)
+	emit(plain)
 	want := traceBytes(t, live)
 	if !json.Valid(want) {
 		t.Fatal("multi-chunk trace is not valid JSON")
 	}
-	full := 0
-	for _, c := range live.core.chunks {
-		if cap(c) == chunkSize {
-			full++
-		}
-	}
-	if full < 2 {
-		t.Fatalf("trace of %d bytes holds %d full-size chunks, want >= 2", len(want), full)
+	if chunks := len(live.core.entries.Chunks()); chunks < 8 {
+		t.Fatalf("trace of %d events fills %d chunks, want >= 8", live.Events(), chunks)
 	}
 	if got := traceBytes(t, plain); !bytes.Equal(got, want) {
 		t.Error("trace emitted without a hook differs from the hooked one")
 	}
-	if got := traceBytes(t, replay); !bytes.Equal(got, want) {
+	for _, c := range evs {
+		live.Emit(c.e, c.args)
+	}
+	emit(plain)
+	if got, want := traceBytes(t, live), traceBytes(t, plain); !bytes.Equal(got, want) {
 		t.Error("trace replayed through Emit differs from live emission")
 	}
 }
 
-// WriteTo reads the chunks outside the lock: emitters running meanwhile
-// must not race with it, and every snapshot is a valid trace.
+// WriteTo renders a snapshot taken under the lock: emitters running
+// meanwhile must not race with it, and every snapshot is a valid trace.
 func TestTracerWriteToWhileEmitting(t *testing.T) {
 	tr := NewTracer(0)
 	var wg sync.WaitGroup
@@ -368,7 +360,7 @@ func TestTracerWriteToWhileEmitting(t *testing.T) {
 			v := tr.Process(fmt.Sprintf("p%d", g))
 			for i := 0; i < 5_000; i++ {
 				v.Counter(int64(i), "active_flows", float64(i))
-				v.Instant(int64(i), "netsim", "link_down", g)
+				v.Instant(int64(i), "netsim", "link_down", g, Int("link", int64(i)), Str("name", fmt.Sprint(i%7)))
 			}
 		}()
 	}
@@ -509,9 +501,15 @@ func TestWritersAllocateConstant(t *testing.T) {
 	}
 	artifacttest.CheckAllocs(t, "trace.json", trace(10), trace(100_000))
 
-	// A counter sample without a capture hook builds no Arg list.
+	// A counter sample or an event with arguments allocates nothing but
+	// its share of chunk growth.
 	tr := NewTracer(0)
-	if n := testing.AllocsPerRun(1000, func() { tr.Counter(5, "active_flows", 3.25) }); n != 0 {
-		t.Errorf("Counter allocated %.0f times per sample", n)
+	if n := testing.AllocsPerRun(1000, func() { tr.Counter(5, "active_flows", 3.25) }); n > 0.01 {
+		t.Errorf("Counter allocated %.3f times per sample", n)
+	}
+	if n := testing.AllocsPerRun(1000, func() {
+		tr.Complete(5, 7, "netsim", "flow", TidNetsim, Int("id", 3), Endpoint("src", 1, 0), Float("bytes", 1e6))
+	}); n > 0.01 {
+		t.Errorf("Complete allocated %.3f times per event", n)
 	}
 }

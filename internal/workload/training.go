@@ -217,7 +217,7 @@ func (t *Trainer) syncPhase() {
 		if t.Net.Trace != nil {
 			t.Net.Trace.Complete(int64(t.phaseStart), int64(start-t.phaseStart),
 				"workload", "compute", telemetry.TidWorkload,
-				telemetry.Arg{K: "iter", V: t.Iterations + 1})
+				telemetry.Int("iter", int64(t.Iterations+1)))
 		}
 		t.phaseStart = start
 		if t.memo == nil || t.stopAfter-t.Iterations < 2 {
@@ -413,11 +413,11 @@ func (t *Trainer) finishIteration(now sim.Time, commS float64) {
 	if t.Net.Trace != nil {
 		t.Net.Trace.Complete(int64(t.phaseStart), int64(now-t.phaseStart),
 			"workload", "grad_sync", telemetry.TidWorkload,
-			telemetry.Arg{K: "iter", V: t.Iterations},
-			telemetry.Arg{K: "comm_s", V: commS})
+			telemetry.Int("iter", int64(t.Iterations)),
+			telemetry.Float("comm_s", commS))
 		t.Net.Trace.Instant(int64(now), "workload", "iteration", telemetry.TidWorkload,
-			telemetry.Arg{K: "iter", V: t.Iterations},
-			telemetry.Arg{K: "samples_per_s", V: sps})
+			telemetry.Int("iter", int64(t.Iterations)),
+			telemetry.Float("samples_per_s", sps))
 	}
 	if t.OnIteration != nil {
 		t.OnIteration(t.Iterations, now)
