@@ -20,7 +20,6 @@ import (
 
 	"hpn/internal/netsim"
 	"hpn/internal/sim"
-	"hpn/internal/telemetry"
 	"hpn/internal/topo"
 )
 
@@ -133,8 +132,6 @@ type Monitor struct {
 	lastIterRR  int
 	healthySum  float64
 	healthyN    int
-
-	ctrIncidents *telemetry.Counter
 }
 
 // Attach builds a monitor over the simulator, subscribes it to the fabric
@@ -153,7 +150,8 @@ func Attach(net *netsim.Sim) *Monitor {
 	net.Subscribe(m)
 	if net.Reg != nil {
 		p := net.MetricsPrefix
-		m.ctrIncidents = net.Reg.Counter(p+"health_incidents_total", "fabric incidents opened by the health monitor")
+		net.Reg.CounterFunc(p+"health_incidents_total", "fabric incidents opened by the health monitor",
+			func() uint64 { return uint64(len(m.incidents)) })
 		net.Reg.Gauge(p+"health_open_incidents", "fabric incidents currently open",
 			func() float64 { return float64(m.OpenIncidents()) })
 		net.Reg.RegisterExporter(p+"incidents.tsv", m.WriteTSV)
@@ -239,7 +237,6 @@ func (m *Monitor) openIncident(kind, subject string, start sim.Time, detail stri
 		Start: start, Open: true, Detail: detail,
 	})
 	m.openIdx[k] = len(m.incidents) - 1
-	m.ctrIncidents.Inc()
 	// Freeze the flight recorder's evidence window at the instant the
 	// detector fired: flight.tsv then carries the raw event context behind
 	// each incident, not just this detector summary. Mark is nil-safe.
@@ -308,17 +305,6 @@ func (m *Monitor) FabricEvent(e *netsim.Event) {
 	case netsim.EvFlowDone:
 		m.noteCompletion(e.At, &e.Flow)
 	}
-}
-
-// LiveMetricNames names the registry counters this subscriber increments
-// while handling events. The memo recorder excludes them from a recorded
-// window's metrics delta: replay re-delivers the events, so the increments
-// happen live and would otherwise be double-counted.
-func (m *Monitor) LiveMetricNames() []string {
-	if m.Net.Reg == nil {
-		return nil
-	}
-	return []string{m.Net.MetricsPrefix + "health_incidents_total"}
 }
 
 // fmtPct renders a fraction as "+31%" / "-5%".

@@ -65,15 +65,6 @@ const chunkLen = 64 << 10 / int(unsafe.Sizeof(netsim.Event{}))
 // repeat (each iteration would otherwise leak a full recording).
 const maxWindows = 512
 
-// LiveMetricsOwner is implemented by stream subscribers (health.Monitor)
-// that increment registry counters while handling fabric events. Replay
-// re-delivers those events, so the increments happen live; the recorder
-// excludes the named counters from the recorded metrics delta to avoid
-// double-counting them.
-type LiveMetricsOwner interface {
-	LiveMetricNames() []string
-}
-
 // traceHalf is one window half's captured trace emissions: the tracer's
 // entries, stored with record-time values, and their arguments in order.
 // Replay shifts each entry's time by the window's time shift and the
@@ -95,7 +86,7 @@ type Window struct {
 	// iteration-completion bookkeeping, re-executed on replay with the
 	// recorded comm payload).
 	liveAt sim.Time
-	comm   float64
+	comm   sim.Time
 
 	// trace[0] and ev[0] cover [window start, live section); trace[1] and
 	// ev[1] cover (live section, window end]. The live section itself is
@@ -124,15 +115,15 @@ type fold struct {
 }
 
 // recording is an in-progress window capture: the Window being filled,
-// the simulator position it started at and the metric snapshots its
-// registry movement is computed from.
+// the simulator position it started at, the registry's Values there, and
+// the live section's metric movement (its Values at BeginLive until
+// EndLive turns them into the movement).
 type recording struct {
 	Window
 	fp   uint64
 	mark netsim.Mark
 
-	snapA, snapB1, snapB2 *telemetry.MetricsSnapshot
-	d1                    *telemetry.MetricsDelta
+	base, live []uint64
 
 	liveSeen bool
 	hops     map[uint64][]route.HopDecision // see internHops
@@ -353,21 +344,21 @@ func (r *Recorder) BeginRecord(fp uint64) {
 	if !ok {
 		return
 	}
-	r.rec = &recording{fp: fp, mark: m, snapA: r.net.Reg.SnapshotMetrics()}
+	r.rec = &recording{fp: fp, mark: m, base: r.net.Reg.Values(nil)}
 }
 
 // BeginLive marks the start of the live section: the trainer's iteration
 // bookkeeping, whose output varies per iteration and is therefore
 // re-executed on replay rather than replayed from the recording. comm is
 // the payload replay must hand back to the live function.
-func (r *Recorder) BeginLive(now sim.Time, comm float64) {
+func (r *Recorder) BeginLive(now, comm sim.Time) {
 	if r == nil || r.rec == nil {
 		return
 	}
 	r.suspended = true
 	r.rec.liveAt = now
 	r.rec.comm = comm
-	r.rec.snapB1 = r.net.Reg.SnapshotMetrics()
+	r.rec.live = r.net.Reg.Values(nil)
 }
 
 // EndLive closes the live section and resumes capture.
@@ -377,8 +368,7 @@ func (r *Recorder) EndLive() {
 	}
 	r.suspended = false
 	r.rec.liveSeen = true
-	r.rec.d1 = r.rec.snapB1.DeltaSince(r.rec.snapA)
-	r.rec.snapB2 = r.net.Reg.SnapshotMetrics()
+	r.rec.live = sub(r.net.Reg.Values(nil), r.rec.live)
 }
 
 // FinalizeRecord closes the window begun by BeginRecord and caches it if
@@ -398,8 +388,7 @@ func (r *Recorder) FinalizeRecord() {
 	if !rec.liveSeen {
 		return
 	}
-	metrics := telemetry.MergeDeltas(rec.d1, r.net.Reg.SnapshotMetrics().DeltaSince(rec.snapB2))
-	metrics.Exclude(r.liveMetricNames())
+	metrics := sub(sub(r.net.Reg.Values(nil), rec.base), rec.live)
 	if rec.exit = r.net.ExitFrom(rec.mark, metrics); rec.exit == nil {
 		return
 	}
@@ -421,16 +410,15 @@ func (r *Recorder) FinalizeRecord() {
 	r.cache[rec.fp] = &w
 }
 
-// liveMetricNames collects the subscriber-owned counter names (see
-// LiveMetricsOwner).
-func (r *Recorder) liveMetricNames() []string {
-	var names []string
-	for _, sub := range r.net.Subscribers() {
-		if lm, ok := sub.(LiveMetricsOwner); ok {
-			names = append(names, lm.LiveMetricNames()...)
-		}
+// sub subtracts b from a, two registry Values vectors with a taken no
+// earlier than b, in place and returns a. a may be longer: a metric
+// registered after b was taken counts from zero. The arithmetic wraps, so
+// a sum of such differences is exact whatever order it is taken in.
+func sub(a, b []uint64) []uint64 {
+	for i, v := range b {
+		a[i] -= v
 	}
-	return names
+	return a
 }
 
 // --- Replay ------------------------------------------------------------
@@ -468,7 +456,7 @@ func (r *Recorder) Lookup(fp uint64) *Window {
 // lands the window's exit state with one netsim.Sim.ApplyExit. The first
 // half precedes liveFn so subscribers are current when the live section
 // reads them.
-func (r *Recorder) Replay(w *Window, liveFn func(now sim.Time, comm float64)) {
+func (r *Recorder) Replay(w *Window, liveFn func(now, comm sim.Time)) {
 	defer r.phReplay.End(r.phReplay.Begin())
 	sh := r.net.ShiftFrom(w.exit)
 	r.replayed++

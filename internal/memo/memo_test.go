@@ -44,7 +44,7 @@ func record(t *testing.T, eng *sim.Engine, r *Recorder, fp uint64) {
 		t.Fatal("fingerprint already cached")
 	}
 	r.BeginRecord(fp)
-	r.BeginLive(eng.Now(), 0.01)
+	r.BeginLive(eng.Now(), 10*sim.Millisecond)
 	r.EndLive()
 	r.FinalizeRecord()
 }
@@ -110,7 +110,7 @@ func TestFinalizeDiscardsOnMidWindowSchedule(t *testing.T) {
 	// An event armed mid-window means replay would skip real work:
 	// the recording must be discarded, not cached.
 	eng.Schedule(sim.Millisecond, func() {})
-	r.BeginLive(eng.Now(), 0.01)
+	r.BeginLive(eng.Now(), 10*sim.Millisecond)
 	r.EndLive()
 	r.FinalizeRecord()
 	if len(r.cache) != 0 {

@@ -673,7 +673,7 @@ func (s *Sim) completionEvent() {
 		agg, core := s.countTiers(f)
 		s.inbandFlush(f)
 		s.ctrFlows.Inc()
-		s.histFCT.Observe((f.DoneAt - f.StartedAt).Seconds())
+		s.histFCT.Observe(int64(f.DoneAt - f.StartedAt))
 		if s.Trace != nil {
 			s.Trace.Complete(int64(f.StartedAt), int64(f.DoneAt-f.StartedAt),
 				"netsim", "flow", telemetry.TidNetsim,

@@ -4,7 +4,6 @@ import (
 	"math"
 
 	"hpn/internal/sim"
-	"hpn/internal/telemetry"
 	"hpn/internal/topo"
 )
 
@@ -146,8 +145,10 @@ type Exit struct {
 	// measures replay re-stamps from; delta is how far the window moved it.
 	base, delta position
 	// lastAdv is the integration cursor's offset from the window start.
-	lastAdv  sim.Time
-	metrics  *telemetry.MetricsDelta
+	lastAdv sim.Time
+	// metrics is the window's registry movement, a difference of two
+	// telemetry.Registry Values vectors.
+	metrics  []uint64
 	residual []linkResidual
 }
 
@@ -169,7 +170,7 @@ type linkResidual struct {
 // engine's pending-event population changed over the window — the
 // signature of a timer armed mid-window or an external (failure-injection)
 // event firing inside it.
-func (s *Sim) ExitFrom(m Mark, metrics *telemetry.MetricsDelta) *Exit {
+func (s *Sim) ExitFrom(m Mark, metrics []uint64) *Exit {
 	now := s.Eng.Now()
 	if s.sport != m.sport || len(s.active) != 0 || s.Eng.Pending() != m.pending ||
 		(m.nextOK && m.nextAt < now) {
@@ -245,7 +246,7 @@ func (s *Sim) ApplyExit(x *Exit) {
 	s.CompletedBits += d.bits
 	s.AggBits += d.agg
 	s.CoreBits += d.core
-	s.Reg.ApplyMetricsDelta(x.metrics)
+	s.Reg.AddValues(x.metrics)
 	if s.obs != nil {
 		for _, lk := range s.obsLive {
 			o := &s.obs[lk]

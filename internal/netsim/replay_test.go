@@ -36,7 +36,7 @@ func TestApplyExitAllocatesNothing(t *testing.T) {
 	if !ok {
 		t.Fatal("idle simulator refused a mark")
 	}
-	base := reg.SnapshotMetrics()
+	base := reg.Values(nil)
 	for src := 0; src < 2; src++ {
 		if _, err := s.StartFlow(route.Endpoint{Host: src, NIC: 0}, route.Endpoint{Host: 2, NIC: 0},
 			1<<20, FlowOpts{SrcPort: 0, Sport: uint16(1000 + src)}); err != nil {
@@ -44,7 +44,11 @@ func TestApplyExitAllocatesNothing(t *testing.T) {
 		}
 	}
 	eng.Run()
-	x := s.ExitFrom(m, reg.SnapshotMetrics().DeltaSince(base))
+	moved := reg.Values(nil)
+	for i, v := range base {
+		moved[i] -= v
+	}
+	x := s.ExitFrom(m, moved)
 	if x == nil {
 		t.Fatal("drained window refused its exit")
 	}

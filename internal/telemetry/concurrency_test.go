@@ -10,7 +10,7 @@ import (
 // TestRegistryConcurrentUse pins the registry's concurrency contract under
 // the race detector: counters, a gauge-backing value and a histogram are
 // hammered from writer goroutines while exporters snapshot concurrently
-// (Prometheus text, JSON, and the counter/histogram metrics snapshot).
+// (Prometheus text, JSON, and the Values vector).
 // The profiler publishes its phases as gauges through this same surface,
 // and a sharded run's pods update them from concurrent windows, so this
 // contract must hold before prof adds more writers.
@@ -37,7 +37,7 @@ func TestRegistryConcurrentUse(t *testing.T) {
 			<-start
 			for i := 0; i < iters; i++ {
 				ctr.Inc()
-				hist.Observe(float64(i%10) * 1e-5)
+				hist.Observe(int64(i%10) * 1e4)
 				gaugeVal.Add(1)
 			}
 		}(w)
@@ -60,7 +60,7 @@ func TestRegistryConcurrentUse(t *testing.T) {
 						return
 					}
 				default:
-					r.SnapshotMetrics()
+					r.Values(nil)
 				}
 			}
 		}(e)
@@ -71,7 +71,7 @@ func TestRegistryConcurrentUse(t *testing.T) {
 	if got := ctr.Value(); got != writers*iters {
 		t.Fatalf("counter = %v, want %d", got, writers*iters)
 	}
-	if _, _, _, got := hist.snapshot(); got != writers*iters {
+	if _, got, _ := histState(hist); got != writers*iters {
 		t.Fatalf("histogram count = %d, want %d", got, writers*iters)
 	}
 	if got := gaugeVal.Load(); got != writers*iters {

@@ -11,21 +11,19 @@ import (
 	"hpn/internal/artifact"
 )
 
-// Counter is a named monotonic counter registered in a Registry. All
+// Counter is a monotonic integer counter registered in a Registry. All
 // methods are safe on a nil receiver, so layers hold nil counters while
 // telemetry is disabled and pay one nil check per increment.
 type Counter struct {
-	name, help string
-
 	mu sync.Mutex
-	v  float64
+	v  uint64
 }
 
 // Inc adds 1. Nil-safe.
-func (c *Counter) Inc() { c.Add(1) }
+func (c *Counter) Inc() { c.add(1) }
 
-// Add adds d. Nil-safe.
-func (c *Counter) Add(d float64) {
+// add adds d. Nil-safe.
+func (c *Counter) add(d uint64) {
 	if c == nil {
 		return
 	}
@@ -35,7 +33,7 @@ func (c *Counter) Add(d float64) {
 }
 
 // Value returns the current count (0 on nil).
-func (c *Counter) Value() float64 {
+func (c *Counter) Value() uint64 {
 	if c == nil {
 		return 0
 	}
@@ -44,19 +42,56 @@ func (c *Counter) Value() float64 {
 	return c.v
 }
 
-// gauge is a read-on-export metric backed by a callback.
-type gauge struct {
-	help string
-	fn   func() float64
+// kind is what a registry row holds.
+type kind uint8
+
+const (
+	counterKind   kind = iota // a Counter
+	countKind                 // a counter read from its owner's state at export
+	gaugeKind                 // a callback read at export
+	histogramKind             // a Histogram
+)
+
+// promType is each kind's Prometheus "# TYPE".
+var promType = [...]string{"counter", "counter", "gauge", "histogram"}
+
+// metric is one row of the registry table. The field its kind names is
+// set; the others are nil.
+type metric struct {
+	name, help string
+	kind       kind
+	counter    *Counter
+	count      func() uint64
+	gauge      func() float64
+	hist       *Histogram
 }
 
-// Registry holds counters, gauges and named artifact exporters. The zero
-// value is not usable; construct with NewRegistry.
+// value reads a counter or gauge row. Count and gauge callbacks read
+// simulator state, so it runs at export only.
+func (m *metric) value() float64 {
+	if m.kind == gaugeKind {
+		return m.gauge()
+	}
+	return float64(m.total())
+}
+
+// total reads a counter row, stored or func-backed.
+func (m *metric) total() uint64 {
+	if m.kind == countKind {
+		return m.count()
+	}
+	return m.counter.Value()
+}
+
+// Registry holds one table of metrics in registration order — counters,
+// func-backed counters, gauges and histograms — plus named artifact
+// exporters. The exports and Absorb read the table sorted by name; Values
+// and AddValues walk it in order. The zero value is not usable; construct
+// with NewRegistry.
 type Registry struct {
 	mu            sync.Mutex
-	counters      map[string]*Counter
-	gauges        map[string]*gauge
-	histograms    map[string]*Histogram
+	metrics       []*metric
+	index         map[string]*metric
 	exporters     map[string]func(io.Writer) error
 	exporterOrder []string
 }
@@ -64,11 +99,26 @@ type Registry struct {
 // NewRegistry returns an empty registry.
 func NewRegistry() *Registry {
 	return &Registry{
-		counters:   map[string]*Counter{},
-		gauges:     map[string]*gauge{},
-		histograms: map[string]*Histogram{},
-		exporters:  map[string]func(io.Writer) error{},
+		index:     map[string]*metric{},
+		exporters: map[string]func(io.Writer) error{},
 	}
+}
+
+// find returns the row registered under name, or nil. A name registered
+// as another kind panics: one name is one metric. Callers hold r.mu.
+func (r *Registry) find(name string, k kind) *metric {
+	m := r.index[name]
+	if m == nil || m.kind == k {
+		return m
+	}
+	panic(fmt.Sprintf("telemetry: metric %q is already registered as another kind", name))
+}
+
+// add appends a row to the table. Callers hold r.mu.
+func (r *Registry) add(m metric) *metric {
+	r.index[m.name] = &m
+	r.metrics = append(r.metrics, &m)
+	return &m
 }
 
 // Counter returns the counter registered under name, creating it on first
@@ -80,12 +130,28 @@ func (r *Registry) Counter(name, help string) *Counter {
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if c, ok := r.counters[name]; ok {
-		return c
+	m := r.find(name, counterKind)
+	if m == nil {
+		m = r.add(metric{name: name, help: help, kind: counterKind, counter: &Counter{}})
 	}
-	c := &Counter{name: name, help: help}
-	r.counters[name] = c
-	return c
+	return m.counter
+}
+
+// CounterFunc registers a counter whose value fn reads from its owner's
+// state at export, for a count the owner already keeps; re-registering a
+// name replaces the callback. It holds no state of its own, so Values
+// leaves it out. Nil-safe.
+func (r *Registry) CounterFunc(name, help string, fn func() uint64) {
+	if r == nil || fn == nil {
+		return
+	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if m := r.find(name, countKind); m != nil {
+		m.count = fn
+		return
+	}
+	r.add(metric{name: name, help: help, kind: countKind, count: fn})
 }
 
 // Gauge registers a callback-backed gauge; re-registering a name replaces
@@ -95,8 +161,12 @@ func (r *Registry) Gauge(name, help string, fn func() float64) {
 		return
 	}
 	r.mu.Lock()
-	r.gauges[name] = &gauge{help: help, fn: fn}
-	r.mu.Unlock()
+	defer r.mu.Unlock()
+	if m := r.find(name, gaugeKind); m != nil {
+		m.gauge = fn
+		return
+	}
+	r.add(metric{name: name, help: help, kind: gaugeKind, gauge: fn})
 }
 
 // RegisterExporter registers a named artifact writer (a flow log, a
@@ -138,75 +208,71 @@ func (r *Registry) Export(name string, w io.Writer) error {
 	return fn(w)
 }
 
-// metricRow is one resolved metric at export time.
-type metricRow struct {
-	name, help, typ string
-	v               float64
-	g               *gauge // set on gauge rows until their value is read
-}
-
-func byName(a, b metricRow) int { return strings.Compare(a.name, b.name) }
-
-// snapshot resolves every counter and gauge to a sorted row list.
-func (r *Registry) snapshot() []metricRow {
+// sorted returns a copy of the rows sorted by name, the exports' order,
+// for reading outside the lock: re-registration may replace a row's
+// callback.
+func (r *Registry) sorted() []metric {
 	r.mu.Lock()
-	rows := make([]metricRow, 0, len(r.counters)+len(r.gauges))
-	for n, c := range r.counters {
-		rows = append(rows, metricRow{name: n, help: c.help, typ: "counter", v: c.Value()})
-	}
-	for n, g := range r.gauges {
-		rows = append(rows, metricRow{name: n, help: g.help, typ: "gauge", g: g})
+	ms := make([]metric, len(r.metrics))
+	for i, m := range r.metrics {
+		ms[i] = *m
 	}
 	r.mu.Unlock()
-	slices.SortFunc(rows, byName)
-	// Gauge callbacks run outside the registry lock, in name order: they
-	// read simulator state and must not deadlock against registration.
-	for i := range rows {
-		if g := rows[i].g; g != nil {
-			rows[i].v = g.fn()
-		}
-	}
-	return rows
+	slices.SortFunc(ms, func(a, b metric) int { return strings.Compare(a.name, b.name) })
+	return ms
 }
 
-// WritePrometheus streams every counter, gauge and histogram in the
-// Prometheus text exposition format, sorted by name for deterministic
-// output.
+// WritePrometheus streams every counter and gauge, then every histogram,
+// in the Prometheus text exposition format, each group sorted by name for
+// deterministic output. Callbacks run outside the registry lock, in name
+// order: they read simulator state and must not deadlock against
+// registration.
 func (r *Registry) WritePrometheus(w io.Writer) error {
 	if r == nil {
 		return nil
 	}
+	ms := r.sorted()
 	bw := artifact.NewWriter(w)
 	var b []byte
-	for _, row := range r.snapshot() {
-		b = appendPromHeader(b[:0], row.name, row.help, row.typ)
-		b = appendSanitized(b, row.name)
+	var vals []uint64
+	for i := range ms {
+		m := &ms[i]
+		if m.kind == histogramKind {
+			continue
+		}
+		b = appendPromHeader(b[:0], m.name, m.help, promType[m.kind])
+		b = appendSanitized(b, m.name)
 		b = append(b, ' ')
-		b = artifact.AppendFloat(b, row.v)
+		b = artifact.AppendFloat(b, m.value())
 		bw.Write(append(b, '\n'))
 	}
-	for _, h := range r.histSnapshot() {
-		bounds, counts, sum, n := h.snapshot()
-		b = appendPromHeader(b[:0], h.name, h.help, "histogram")
+	for i := range ms {
+		m := &ms[i]
+		if m.kind != histogramKind {
+			continue
+		}
+		vals = m.hist.appendValues(vals[:0])
+		n, sumNS := histTotals(vals)
+		b = appendPromHeader(b[:0], m.name, m.help, "histogram")
 		cum := uint64(0)
-		for i, bound := range bounds {
-			cum += counts[i]
-			b = appendSanitized(b, h.name)
+		for i, bound := range m.hist.bounds {
+			cum += vals[i]
+			b = appendSanitized(b, m.name)
 			b = append(b, `_bucket{le="`...)
 			b = artifact.AppendFloat(b, bound)
 			b = append(b, `"} `...)
 			b = strconv.AppendUint(b, cum, 10)
 			b = append(b, '\n')
 		}
-		b = appendSanitized(b, h.name)
+		b = appendSanitized(b, m.name)
 		b = append(b, `_bucket{le="+Inf"} `...)
 		b = strconv.AppendUint(b, n, 10)
 		b = append(b, '\n')
-		b = appendSanitized(b, h.name)
+		b = appendSanitized(b, m.name)
 		b = append(b, "_sum "...)
-		b = artifact.AppendFloat(b, sum)
+		b = artifact.AppendFloat(b, seconds(sumNS))
 		b = append(b, '\n')
-		b = appendSanitized(b, h.name)
+		b = appendSanitized(b, m.name)
 		b = append(b, "_count "...)
 		b = strconv.AppendUint(b, n, 10)
 		bw.Write(append(b, '\n'))
@@ -231,24 +297,54 @@ func appendPromHeader(b []byte, name, help, typ string) []byte {
 	return append(b, '\n')
 }
 
-// flatRows resolves every counter, gauge and flattened histogram to one
-// row list sorted by name: the rows of the JSON export.
-func (r *Registry) flatRows() []metricRow {
-	rows := append(r.snapshot(), r.histRows()...)
-	slices.SortFunc(rows, byName)
+// metricRow is one row of the JSON export.
+type metricRow struct {
+	name string
+	v    float64
+}
+
+// rows resolves the table to the JSON export's rows, sorted by name:
+// counters and gauges as they are, and each histogram flattened to
+// cumulative `name_bucket_le_<bound>` counts plus `name_sum` (seconds)
+// and `name_count`.
+func (r *Registry) rows() []metricRow {
+	ms := r.sorted()
+	rows := make([]metricRow, 0, len(ms))
+	var vals []uint64
+	for i := range ms {
+		m := &ms[i]
+		if m.kind != histogramKind {
+			rows = append(rows, metricRow{name: m.name, v: m.value()})
+			continue
+		}
+		vals = m.hist.appendValues(vals[:0])
+		n, sumNS := histTotals(vals)
+		cum := uint64(0)
+		for i, b := range m.hist.bounds {
+			cum += vals[i]
+			rows = append(rows, metricRow{
+				name: m.name + "_bucket_le_" + strconv.FormatFloat(b, 'g', -1, 64),
+				v:    float64(cum),
+			})
+		}
+		rows = append(rows,
+			metricRow{name: m.name + "_sum", v: seconds(sumNS)},
+			metricRow{name: m.name + "_count", v: float64(n)})
+	}
+	slices.SortFunc(rows, func(a, b metricRow) int { return strings.Compare(a.name, b.name) })
 	return rows
 }
 
-// SumSuffix sums every counter, gauge and flattened histogram row (the
-// rows WriteJSON writes) whose name ends in suffix. The sum runs in name
-// order: float addition is not associative, so a map-order reduction
-// would drift bitwise between same-seed runs. Nil-safe (returns 0).
+// SumSuffix sums every row WriteJSON writes whose name ends in suffix. The
+// sum runs in name order: float addition is not associative, so a
+// map-order reduction would drift bitwise between same-seed runs.
+// Nil-safe (returns 0).
 func (r *Registry) SumSuffix(suffix string) float64 {
 	if r == nil {
 		return 0
 	}
 	var total float64
-	for _, row := range r.flatRows() {
+	for _, row := range r.rows() {
 		if strings.HasSuffix(row.name, suffix) {
 			total += row.v
 		}
@@ -267,7 +363,7 @@ func (r *Registry) WriteJSON(w io.Writer) error {
 	}
 	bw := artifact.NewWriter(w)
 	bw.WriteString("{\n")
-	rows := r.flatRows()
+	rows := r.rows()
 	var b []byte
 	for i, row := range rows {
 		b = artifact.AppendJSONString(b[:0], row.name)

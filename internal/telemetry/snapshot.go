@@ -1,250 +1,117 @@
 package telemetry
 
-import "sort"
+// This file is the registry's integer state as one vector. Iteration
+// memoization (internal/memo) takes Values at the edges of a recorded
+// window and replays the window's metric movement as their difference, so
+// memoized runs keep the same metrics as re-simulated ones, exactly. The
+// sharded runner folds pod registries into the base one with Absorb.
 
-// This file is the metrics side of iteration memoization (internal/memo):
-// a recorder snapshots the registry at the edges of a recorded window and
-// replays the counter/histogram movement as a delta, so memoized runs keep
-// the same cumulative metrics as re-simulated ones. Gauges are excluded —
-// they read live simulator state, which the replay restores directly.
-
-// MetricsSnapshot is a point-in-time copy of every counter and histogram
-// in a registry.
-type MetricsSnapshot struct {
-	counters map[string]float64
-	hists    map[string]histState
-}
-
-type histState struct {
-	counts []uint64
-	sum    float64
-	n      uint64
-}
-
-// SnapshotMetrics copies the current value of every registered counter and
-// histogram. Nil-safe (returns an empty snapshot).
-func (r *Registry) SnapshotMetrics() *MetricsSnapshot {
-	s := &MetricsSnapshot{counters: map[string]float64{}, hists: map[string]histState{}}
+// Values appends the state of every counter and histogram to dst in
+// registration order — a counter's count; a histogram's bucket counts,
+// then its observation count and nanosecond sum — and returns the
+// extended slice. Registration only appends to the table, so a later
+// vector extends an earlier one index for index: the difference of two is
+// the movement between them, with a metric registered in between counting
+// from zero. Func-backed counters and gauges hold no state of their own
+// and are left out. Nil-safe.
+func (r *Registry) Values(dst []uint64) []uint64 {
 	if r == nil {
-		return s
+		return dst
 	}
 	r.mu.Lock()
-	cs := make(map[string]*Counter, len(r.counters))
-	for n, c := range r.counters {
-		cs[n] = c
-	}
-	hs := make(map[string]*Histogram, len(r.histograms))
-	for n, h := range r.histograms {
-		hs[n] = h
-	}
-	r.mu.Unlock()
-	// Values are read outside the registry lock: Counter/Histogram carry
-	// their own locks, and map fill order is irrelevant here.
-	for n, c := range cs {
-		s.counters[n] = c.Value()
-	}
-	for n, h := range hs {
-		_, counts, sum, cnt := h.snapshot()
-		s.hists[n] = histState{counts: counts, sum: sum, n: cnt}
-	}
-	return s
-}
-
-// MetricsDelta is the movement between two snapshots, held in sorted name
-// order so applying it is deterministic.
-type MetricsDelta struct {
-	counters []counterDelta
-	hists    []histDelta
-}
-
-type counterDelta struct {
-	name string
-	d    float64
-}
-
-type histDelta struct {
-	name   string
-	counts []uint64
-	sum    float64
-	n      uint64
-}
-
-// sortedKeys returns a map's keys in sorted order — deltas are built and
-// applied name-ordered so memoized metric replay is deterministic.
-func sortedKeys[V any](m map[string]V) []string {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
-}
-
-// DeltaSince returns the movement from base to s (s minus base). Metrics
-// absent from base count from zero; zero-movement metrics are elided.
-func (s *MetricsSnapshot) DeltaSince(base *MetricsSnapshot) *MetricsDelta {
-	d := &MetricsDelta{}
-	for _, name := range sortedKeys(s.counters) {
-		// Exact comparison on purpose: "moved at all" is the question, and
-		// a replayed window must re-apply the bit-exact recorded movement.
-		if dv := s.counters[name] - base.counters[name]; dv != 0 { //hpnlint:allow floateq -- zero-movement elision must be exact
-			d.counters = append(d.counters, counterDelta{name: name, d: dv})
+	defer r.mu.Unlock()
+	for _, m := range r.metrics {
+		switch m.kind {
+		case counterKind:
+			dst = append(dst, m.counter.Value())
+		case histogramKind:
+			dst = m.hist.appendValues(dst)
 		}
 	}
-	for _, name := range sortedKeys(s.hists) {
-		h := s.hists[name]
-		b := base.hists[name]
-		if h.n == b.n && h.sum == b.sum { //hpnlint:allow floateq -- zero-movement elision must be exact
-			continue
-		}
-		hd := histDelta{name: name, sum: h.sum - b.sum, n: h.n - b.n,
-			counts: make([]uint64, len(h.counts))}
-		for i := range h.counts {
-			var bv uint64
-			if i < len(b.counts) {
-				bv = b.counts[i]
-			}
-			hd.counts[i] = h.counts[i] - bv
-		}
-		d.hists = append(d.hists, hd)
-	}
-	return d
+	return dst
 }
 
-// MergeDeltas sums any number of deltas into one (union by name).
-func MergeDeltas(deltas ...*MetricsDelta) *MetricsDelta {
-	cs := map[string]float64{}
-	hs := map[string]histDelta{}
-	for _, d := range deltas {
-		if d == nil {
-			continue
-		}
-		for _, c := range d.counters {
-			cs[c.name] += c.d
-		}
-		for _, h := range d.hists {
-			cur, ok := hs[h.name]
-			if !ok {
-				cur = histDelta{name: h.name, counts: make([]uint64, len(h.counts))}
-			}
-			for i, v := range h.counts {
-				if i < len(cur.counts) {
-					cur.counts[i] += v
-				} else {
-					cur.counts = append(cur.counts, v)
-				}
-			}
-			cur.sum += h.sum
-			cur.n += h.n
-			hs[h.name] = cur
-		}
-	}
-	out := &MetricsDelta{}
-	for _, name := range sortedKeys(cs) {
-		out.counters = append(out.counters, counterDelta{name: name, d: cs[name]})
-	}
-	for _, name := range sortedKeys(hs) {
-		out.hists = append(out.hists, hs[name])
-	}
-	return out
-}
-
-// Exclude drops the named counters from the delta in place. The memo
-// recorder uses it for metrics a fabric-stream subscriber owns and
-// re-increments while replayed events are re-delivered (see memo's
-// LiveMetricsOwner): leaving them in the delta would double-count every
-// replayed window.
-func (d *MetricsDelta) Exclude(names []string) {
-	if d == nil || len(names) == 0 {
+// AddValues adds d, a difference of two Values vectors, into the counters
+// and histograms it covers, index by index, skipping the unmoved ones: a
+// memo replay adds one per window. Metrics registered after its later
+// vector was taken lie past its end and stay as they are. Nil-safe; it
+// allocates nothing.
+func (r *Registry) AddValues(d []uint64) {
+	if r == nil {
 		return
 	}
-	kept := d.counters[:0]
-	for _, c := range d.counters {
-		drop := false
-		for _, n := range names {
-			if c.name == n {
-				drop = true
-				break
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	for i := 0; i < len(r.metrics) && len(d) > 0; i++ {
+		switch m := r.metrics[i]; m.kind {
+		case counterKind:
+			if d[0] != 0 {
+				m.counter.add(d[0])
 			}
+			d = d[1:]
+		case histogramKind:
+			d = m.hist.addValues(d)
 		}
-		if !drop {
-			kept = append(kept, c)
-		}
-	}
-	d.counters = kept
-}
-
-// ApplyMetricsDelta adds the delta into the registry's counters and
-// histograms, in sorted name order. Metrics that no longer exist are
-// skipped (a recorded window only ever references metrics the same run
-// registered, so this is a belt-and-braces guard). Nil-safe.
-func (r *Registry) ApplyMetricsDelta(d *MetricsDelta) {
-	if r == nil || d == nil {
-		return
-	}
-	for _, c := range d.counters {
-		r.mu.Lock()
-		ctr := r.counters[c.name]
-		r.mu.Unlock()
-		ctr.Add(c.d)
-	}
-	for _, h := range d.hists {
-		r.mu.Lock()
-		hist := r.histograms[h.name]
-		r.mu.Unlock()
-		hist.addDelta(h.counts, h.sum, h.n)
 	}
 }
 
-// Absorb folds every counter and histogram of src into r, creating
-// metrics that don't exist yet (same name, help and bucket bounds). The
+// Absorb folds every counter (func-backed ones included) and histogram of
+// src into r, creating metrics that don't exist yet (same name, help and
+// bucket bounds) as plain counters and histograms, in name order. The
 // sharded runner calls it once per shard registry after the engines drain,
-// in shard order on one goroutine, so suffix-summing readers (MetricSum,
-// the Prometheus/JSON exports) see the whole ensemble through the base
+// in shard order on one goroutine, so suffix-summing readers (MetricSum, the
+// Prometheus/JSON exports) see the whole ensemble through the base
 // registry. Gauges are not absorbed: they are live views of per-shard
 // state and remain readable through each shard hub's own artifacts.
 func (r *Registry) Absorb(src *Registry) {
 	if r == nil || src == nil {
 		return
 	}
-	src.mu.Lock()
-	cs := make(map[string]*Counter, len(src.counters))
-	for n, c := range src.counters {
-		cs[n] = c
-	}
-	hs := make(map[string]*Histogram, len(src.histograms))
-	for n, h := range src.histograms {
-		hs[n] = h
-	}
-	src.mu.Unlock()
-	for _, name := range sortedKeys(cs) {
-		c := cs[name]
-		if v := c.Value(); v != 0 { //hpnlint:allow floateq -- zero-valued counters are elided exactly, like DeltaSince
-			r.Counter(name, c.help).Add(v)
+	ms := src.sorted()
+	var vals []uint64
+	for i := range ms {
+		m := &ms[i]
+		switch m.kind {
+		case counterKind, countKind:
+			if v := m.total(); v != 0 {
+				r.Counter(m.name, m.help).add(v)
+			}
+		case histogramKind:
+			vals = m.hist.appendValues(vals[:0])
+			if n, _ := histTotals(vals); n != 0 {
+				r.Histogram(m.name, m.help, m.hist.bounds).addValues(vals)
+			}
 		}
-	}
-	for _, name := range sortedKeys(hs) {
-		h := hs[name]
-		bounds, counts, sum, n := h.snapshot()
-		if n == 0 {
-			continue
-		}
-		r.Histogram(name, h.help, bounds).addDelta(counts, sum, n)
 	}
 }
 
-// addDelta folds a recorded movement into the histogram. Nil-safe.
-func (h *Histogram) addDelta(counts []uint64, sum float64, n uint64) {
-	if h == nil {
-		return
-	}
+// appendValues appends the histogram's slots of a Values vector: its
+// bucket counts, then its observation count and nanosecond sum.
+func (h *Histogram) appendValues(dst []uint64) []uint64 {
 	h.mu.Lock()
-	for i, v := range counts {
-		if i < len(h.counts) {
-			h.counts[i] += v
+	defer h.mu.Unlock()
+	dst = append(dst, h.counts...)
+	return append(dst, h.n, uint64(h.sumNS))
+}
+
+// histTotals returns the observation count and nanosecond sum that end a
+// histogram's slots.
+func histTotals(slots []uint64) (n uint64, sumNS int64) {
+	return slots[len(slots)-2], int64(slots[len(slots)-1])
+}
+
+// addValues adds the histogram's slots at the head of d and returns the
+// rest of d. Slots with no observation in them are all zero and skipped.
+func (h *Histogram) addValues(d []uint64) []uint64 {
+	n := len(h.counts)
+	if d[n] != 0 {
+		h.mu.Lock()
+		for i := range h.counts {
+			h.counts[i] += d[i]
 		}
+		h.n += d[n]
+		h.sumNS += int64(d[n+1])
+		h.mu.Unlock()
 	}
-	h.sum += sum
-	h.n += n
-	h.mu.Unlock()
+	return d[n+2:]
 }

@@ -38,8 +38,11 @@ type Options struct {
 	// Memo attaches the iteration-memoization recorder to each cluster:
 	// repeated training iterations are fingerprinted and fast-forwarded
 	// from a recorded window instead of re-simulated (see internal/memo).
-	// Incompatible with periodic sampling — the sampler's tick would land
-	// inside every window — so NewHub turns SampleInterval off under Memo.
+	// Artifacts and metrics equal the memo-off run's, bar the recorder's
+	// own memo_* metrics: a window's metric movement replays as an exact
+	// integer difference (Registry.Values). Incompatible with periodic
+	// sampling — the sampler's tick would land inside every window — so
+	// NewHub turns SampleInterval off under Memo.
 	Memo bool
 	// Prof enables engine self-profiling (internal/prof): per-phase
 	// wall/alloc/count accumulators across sim, netsim, memo and the

@@ -150,7 +150,8 @@ func TestRegistryCountersAndGauges(t *testing.T) {
 	r := NewRegistry()
 	c := r.Counter("flows_total", "completed flows")
 	c.Inc()
-	c.Add(2)
+	c.Inc()
+	c.Inc()
 	if c.Value() != 3 {
 		t.Errorf("counter = %v, want 3", c.Value())
 	}

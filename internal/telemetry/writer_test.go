@@ -34,22 +34,33 @@ func oracleCSV(s *Sampler) []byte {
 	return []byte(b.String())
 }
 
-func oracleRows(r *Registry) []metricRow {
-	var rows []metricRow
-	for n, c := range r.counters {
-		rows = append(rows, metricRow{name: n, help: c.help, typ: "counter", v: c.Value()})
-	}
-	for n, g := range r.gauges {
-		rows = append(rows, metricRow{name: n, help: g.help, typ: "gauge", v: g.fn()})
+type oracleRow struct {
+	name, help, typ string
+	v               float64
+}
+
+func oracleRows(r *Registry) []oracleRow {
+	var rows []oracleRow
+	for _, m := range r.metrics {
+		switch m.kind {
+		case counterKind:
+			rows = append(rows, oracleRow{m.name, m.help, "counter", float64(m.counter.Value())})
+		case countKind:
+			rows = append(rows, oracleRow{m.name, m.help, "counter", float64(m.count())})
+		case gaugeKind:
+			rows = append(rows, oracleRow{m.name, m.help, "gauge", m.gauge()})
+		}
 	}
 	sort.Slice(rows, func(i, j int) bool { return rows[i].name < rows[j].name })
 	return rows
 }
 
-func oracleHists(r *Registry) []*Histogram {
-	var hs []*Histogram
-	for _, h := range r.histograms {
-		hs = append(hs, h)
+func oracleHists(r *Registry) []metric {
+	var hs []metric
+	for _, m := range r.metrics {
+		if m.kind == histogramKind {
+			hs = append(hs, *m)
+		}
 	}
 	sort.Slice(hs, func(i, j int) bool { return hs[i].name < hs[j].name })
 	return hs
@@ -69,20 +80,20 @@ func oraclePrometheus(r *Registry) []byte {
 		b.WriteByte('\n')
 	}
 	for _, h := range oracleHists(r) {
-		bounds, counts, sum, n := h.snapshot()
+		counts, n, sumNS := histState(h.hist)
 		name := string(appendSanitized(nil, h.name))
 		if h.help != "" {
 			fmt.Fprintf(&b, "# HELP %s %s\n", name, h.help)
 		}
 		fmt.Fprintf(&b, "# TYPE %s histogram\n", name)
 		cum := uint64(0)
-		for i, bound := range bounds {
+		for i, bound := range h.hist.bounds {
 			cum += counts[i]
 			fmt.Fprintf(&b, "%s_bucket{le=%q} %d\n", name,
 				strconv.FormatFloat(bound, 'g', -1, 64), cum)
 		}
 		fmt.Fprintf(&b, "%s_bucket{le=\"+Inf\"} %d\n", name, n)
-		fmt.Fprintf(&b, "%s_sum %s\n", name, strconv.FormatFloat(sum, 'g', -1, 64))
+		fmt.Fprintf(&b, "%s_sum %s\n", name, strconv.FormatFloat(float64(sumNS)/1e9, 'g', -1, 64))
 		fmt.Fprintf(&b, "%s_count %d\n", name, n)
 	}
 	return []byte(b.String())
@@ -91,13 +102,13 @@ func oraclePrometheus(r *Registry) []byte {
 func oracleMetricsJSON(r *Registry) []byte {
 	rows := oracleRows(r)
 	for _, h := range oracleHists(r) {
-		bounds, counts, sum, n := h.snapshot()
+		counts, n, sumNS := histState(h.hist)
 		cum := uint64(0)
-		for i, b := range bounds {
+		for i, b := range h.hist.bounds {
 			cum += counts[i]
-			rows = append(rows, metricRow{name: h.name + "_bucket_le_" + strconv.FormatFloat(b, 'g', -1, 64), v: float64(cum)})
+			rows = append(rows, oracleRow{name: h.name + "_bucket_le_" + strconv.FormatFloat(b, 'g', -1, 64), v: float64(cum)})
 		}
-		rows = append(rows, metricRow{name: h.name + "_sum", v: sum}, metricRow{name: h.name + "_count", v: float64(n)})
+		rows = append(rows, oracleRow{name: h.name + "_sum", v: float64(sumNS) / 1e9}, oracleRow{name: h.name + "_count", v: float64(n)})
 	}
 	sort.Slice(rows, func(i, j int) bool { return rows[i].name < rows[j].name })
 	var b strings.Builder
@@ -381,10 +392,13 @@ func randomRegistry(rng *rand.Rand, n int) *Registry {
 	for i := 0; i < n; i++ {
 		name := fmt.Sprintf("%s_%d", artifacttest.String(rng), i)
 		help := artifacttest.String(rng)
-		switch rng.Intn(3) {
+		switch rng.Intn(4) {
 		case 0:
-			r.Counter(name, help).Add(artifacttest.Float(rng))
+			r.Counter(name, help).add(rng.Uint64())
 		case 1:
+			v := rng.Uint64()
+			r.CounterFunc(name, help, func() uint64 { return v })
+		case 2:
 			v := artifacttest.Float(rng)
 			r.Gauge(name, help, func() float64 { return v })
 		default:
@@ -399,7 +413,7 @@ func randomRegistry(rng *rand.Rand, n int) *Registry {
 			}
 			h := r.Histogram(name, help, bounds)
 			for k := rng.Intn(20); k > 0; k-- {
-				h.Observe(x * rng.Float64())
+				h.Observe(rng.Int63() >> (8 + rng.Intn(55)))
 			}
 		}
 	}
@@ -469,10 +483,10 @@ func TestWritersAllocateConstant(t *testing.T) {
 	registry := func(n int) *Registry {
 		r := NewRegistry()
 		for i := 0; i < n; i++ {
-			r.Counter(fmt.Sprintf("netsim_flows_%05d", i), "flows").Add(float64(i))
+			r.Counter(fmt.Sprintf("netsim_flows_%05d", i), "flows").Inc()
 			r.Gauge(fmt.Sprintf("netsim_gauge_%05d", i), "gauge", func() float64 { return 1.5 })
 		}
-		r.Histogram("fct_seconds", "fct", LogBuckets(1e-5, 10, 8)).Observe(0.01)
+		r.Histogram("fct_seconds", "fct", LogBuckets(1e-5, 10, 8)).Observe(1e7)
 		return r
 	}
 	small, large := registry(10), registry(10_000)

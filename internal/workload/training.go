@@ -93,8 +93,6 @@ type Trainer struct {
 
 	// groups are the per-DP-group collective groups.
 	groups []*collective.Group
-	// ppGroup serves pipeline sends (one group spanning all hosts is not
-	// needed; sends go host-to-host directly).
 
 	// Iterations is the completed-iteration count.
 	Iterations int
@@ -111,7 +109,7 @@ type Trainer struct {
 	// calls IterGate(completedIterations, resume) instead of scheduling the
 	// next compute phase, and the next iteration begins only when resume
 	// runs (on this trainer's engine). The sharded multi-pod driver uses
-	// this as the natural barrier of ISSUE cross-pod collectives: each pod
+	// this as the natural barrier of cross-pod collectives: each pod
 	// trainer posts "done" to the global domain through the gate, the
 	// cross-pod gradient sync runs there while every pod is quiescent, and
 	// resume is posted back. The gate is also a memoization window edge —
@@ -361,8 +359,8 @@ func (t *Trainer) completeIteration(comm sim.Time) {
 	// The bookkeeping below is the window's "live section": its output
 	// (iteration numbers, cumulative series) differs every iteration, so
 	// replay re-executes it rather than replaying it from the cache.
-	t.memo.BeginLive(now, comm.Seconds())
-	t.finishIteration(now, comm.Seconds())
+	t.memo.BeginLive(now, comm)
+	t.finishIteration(now, comm)
 	t.memo.EndLive()
 	if t.IterGate != nil {
 		// Gate mode moves the window edge from the next syncPhase entry to
@@ -392,16 +390,17 @@ func (t *Trainer) gateEvent() {
 // same per-iteration bookkeeping, at the recorded completion instant, but
 // no compute scheduling — the replay loop in syncPhase continues directly
 // at the window's end.
-func (t *Trainer) completeIterationReplay(now sim.Time, commS float64) {
-	t.finishIteration(now, commS)
+func (t *Trainer) completeIterationReplay(now, comm sim.Time) {
+	t.finishIteration(now, comm)
 	t.phaseStart = now
 }
 
 // finishIteration is one iteration's completion bookkeeping, shared by
 // live and replayed iterations. now is the gradient-sync completion
 // instant — during replay the engine clock still reads the window start,
-// so it must never consult Eng.Now().
-func (t *Trainer) finishIteration(now sim.Time, commS float64) {
+// so it must never consult Eng.Now(). comm is the gradient-sync time.
+func (t *Trainer) finishIteration(now, comm sim.Time) {
+	commS := comm.Seconds()
 	t.Iterations++
 	t.ctrIters.Inc()
 	m := t.Job.Model
@@ -409,7 +408,7 @@ func (t *Trainer) finishIteration(now sim.Time, commS float64) {
 	sps := SamplesPerSecond(m, t.Job.Par.GPUs(), iter)
 	t.Perf.Add(now.Seconds(), sps)
 	t.CommSeconds.Add(now.Seconds(), commS)
-	t.histComm.Observe(commS)
+	t.histComm.Observe(int64(comm))
 	if t.Net.Trace != nil {
 		t.Net.Trace.Complete(int64(t.phaseStart), int64(now-t.phaseStart),
 			"workload", "grad_sync", telemetry.TidWorkload,

@@ -307,7 +307,7 @@ func TestPPLaunchRecomputesOnce(t *testing.T) {
 	}
 	ppFlows := len(job.PPPairs()) * 8 * 2
 	recomputes := reg.Counter("netsim_recomputes_total", "").Value()
-	if recomputes >= float64(ppFlows) {
+	if recomputes >= uint64(ppFlows) {
 		t.Fatalf("%v recomputes for an iteration that starts %d PP flows; the PP launch is not batched",
 			recomputes, ppFlows)
 	}

@@ -43,13 +43,15 @@ func TestMetricSumMatchesJSONExport(t *testing.T) {
 	reg := hub.Registry
 	// Addends whose sum depends on the order they are added in.
 	for i, v := range []float64{0.1, 1e16, 0.2, -1e16, 0.3, 1.0 / 3} {
-		reg.Counter(string(rune('a'+i))+"_x_total", "").Add(v)
-		reg.Counter("c2_"+string(rune('a'+i))+"_x_total", "").Add(v * 7)
+		reg.Gauge(string(rune('a'+i))+"_x_total", "", func() float64 { return v })
+		reg.Gauge("c2_"+string(rune('a'+i))+"_x_total", "", func() float64 { return v * 7 })
 	}
-	reg.Gauge("z_x_total", "", func() float64 { return 2.0 / 3 })
+	c := reg.Counter("y_x_total", "")
+	c.Inc()
+	c.Inc()
 	h := reg.Histogram("lat_x", "", []float64{0.5, 1, 2})
-	for _, v := range []float64{0.1, 0.7, 0.7, 1.3, 3.14159} {
-		h.Observe(v)
+	for _, ns := range []int64{1e8, 7e8, 7e8, 13e8, 3_141_590_000} {
+		h.Observe(ns)
 	}
 	for _, suffix := range []string{"", "_total", "x_total", "_sum", "_count", "le_1", "_bucket_le_2", "nothing"} {
 		got, want := MetricSum(hub, suffix), jsonMetricSum(t, hub, suffix)
