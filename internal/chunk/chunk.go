@@ -1,5 +1,6 @@
 // Package chunk provides Store, the append-only record store the trace,
-// the in-band collector and the flow log keep their streams in.
+// the in-band collector, the flow log and the health monitor's iteration
+// reports keep their streams in.
 package chunk
 
 import "unsafe"

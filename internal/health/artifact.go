@@ -2,8 +2,10 @@ package health
 
 import (
 	"bufio"
+	"cmp"
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -17,56 +19,34 @@ import (
 // fields carry "-" (strings), -1 (ints) or 0 (floats).
 const tsvHeader = "row\tid\tkind\tsubject\tstart_ns\tend_ns\topen\tevents\tpeak\tdetail\titer\tcomm_s\tbaseline_s\tdelta_frac\tregressed\treroutes\tcauses"
 
-// timelineRows merges incidents and iterations into presentation order:
-// by start time, incidents before iterations at the same instant, then by
-// ID / iteration number.
-type timelineRow struct {
-	start sim.Time
-	inc   *Incident // exactly one of inc/iter is set
-	iter  *IterationReport
-}
-
-func (m *Monitor) timeline() []timelineRow {
-	return mergeTimeline(m.incidents, m.iters)
-}
-
-func mergeTimeline(incs []Incident, iters []IterationReport) []timelineRow {
-	rows := make([]timelineRow, 0, len(incs)+len(iters))
-	for i := range incs {
-		rows = append(rows, timelineRow{start: incs[i].Start, inc: &incs[i]})
-	}
-	for i := range iters {
-		rows = append(rows, timelineRow{start: iters[i].Start, iter: &iters[i]})
-	}
-	sort.SliceStable(rows, func(i, j int) bool {
-		if rows[i].start != rows[j].start {
-			return rows[i].start < rows[j].start
-		}
-		ri, rj := rows[i], rows[j]
-		if (ri.inc != nil) != (rj.inc != nil) {
-			return ri.inc != nil
-		}
-		if ri.inc != nil {
-			return ri.inc.ID < rj.inc.ID
-		}
-		return ri.iter.Iter < rj.iter.Iter
-	})
-	return rows
-}
-
-// WriteTSV streams the merged incident + iteration timeline.
-// Deterministic: same-seed runs produce byte-identical output.
+// WriteTSV streams the merged incident + iteration timeline, ordered by
+// start time, incidents before iterations at the same instant, then by
+// incident ID. Reports are stored in that order (each starts where the
+// previous one ended), so the writer merges them, as it renders them, with
+// the incidents sorted by start. Deterministic: same-seed runs produce
+// byte-identical output.
 func (m *Monitor) WriteTSV(w io.Writer) error {
 	bw := artifact.NewWriter(w)
 	bw.WriteString(tsvHeader)
 	bw.WriteByte('\n')
+	incs := make([]*Incident, len(m.incidents))
+	for i := range m.incidents {
+		incs[i] = &m.incidents[i]
+	}
+	slices.SortStableFunc(incs, func(a, b *Incident) int {
+		return cmp.Or(cmp.Compare(a.Start, b.Start), cmp.Compare(a.ID, b.ID))
+	})
 	var b []byte
-	for _, row := range m.timeline() {
-		if row.inc != nil {
-			b = appendIncidentTSV(b[:0], row.inc)
-		} else {
-			b = appendIterationTSV(b[:0], row.iter)
+	m.eachReport(func(it *IterationReport) {
+		for ; len(incs) > 0 && incs[0].Start <= it.Start; incs = incs[1:] {
+			b = appendIncidentTSV(b[:0], incs[0])
+			bw.Write(b)
 		}
+		b = appendIterationTSV(b[:0], it)
+		bw.Write(b)
+	})
+	for _, inc := range incs {
+		b = appendIncidentTSV(b[:0], inc)
 		bw.Write(b)
 	}
 	return bw.Flush()
@@ -219,31 +199,29 @@ func ParseTSV(r io.Reader) ([]Incident, []IterationReport, error) {
 // stdlib-marshal-free) JSON document with incidents, iterations and a
 // summary block.
 func (m *Monitor) WriteJSON(w io.Writer) error {
-	return writeJSON(w, m.incidents, m.iters)
-}
-
-func writeJSON(w io.Writer, incs []Incident, iters []IterationReport) error {
 	bw := artifact.NewWriter(w)
 	bw.WriteString("{\n\"incidents\": [")
 	var b []byte
-	for i := range incs {
+	for i := range m.incidents {
 		b = b[:0]
 		if i > 0 {
 			b = append(b, ',')
 		}
-		b = appendIncidentJSON(b, &incs[i])
+		b = appendIncidentJSON(b, &m.incidents[i])
 		bw.Write(b)
 	}
 	bw.WriteString("\n],\n\"iterations\": [")
-	for i := range iters {
+	sep := false
+	m.eachReport(func(it *IterationReport) {
 		b = b[:0]
-		if i > 0 {
+		if sep {
 			b = append(b, ',')
 		}
-		b = appendIterationJSON(b, &iters[i])
+		sep = true
+		b = appendIterationJSON(b, it)
 		bw.Write(b)
-	}
-	s := Summarize(incs, iters)
+	})
+	s := m.Summary()
 	b = append(b[:0], "\n],\n\"summary\": {"...)
 	for i, v := range [...]int{s.Incidents, s.Open, s.Flap, s.Stall, s.Polarization, s.Throughput, s.Iterations, s.Regressed, s.Attributed} {
 		if i > 0 {
@@ -327,6 +305,14 @@ type Summary struct {
 
 // Summarize folds incidents and iteration reports into a Summary.
 func Summarize(incs []Incident, iters []IterationReport) Summary {
+	s := summarizeIncidents(incs)
+	for i := range iters {
+		s.addIteration(&iters[i])
+	}
+	return s
+}
+
+func summarizeIncidents(incs []Incident) Summary {
 	var s Summary
 	s.Incidents = len(incs)
 	for i := range incs {
@@ -344,16 +330,17 @@ func Summarize(incs []Incident, iters []IterationReport) Summary {
 			s.Throughput++
 		}
 	}
-	s.Iterations = len(iters)
-	for i := range iters {
-		if iters[i].Regressed {
-			s.Regressed++
-			if len(iters[i].Causes) > 0 {
-				s.Attributed++
-			}
+	return s
+}
+
+func (s *Summary) addIteration(it *IterationReport) {
+	s.Iterations++
+	if it.Regressed {
+		s.Regressed++
+		if len(it.Causes) > 0 {
+			s.Attributed++
 		}
 	}
-	return s
 }
 
 // Summary exit codes, following the hpnview convention (0 ok, 1 I/O,
@@ -408,4 +395,8 @@ func (s Summary) Verdict() string {
 }
 
 // Summary returns the monitor's current summary.
-func (m *Monitor) Summary() Summary { return Summarize(m.incidents, m.iters) }
+func (m *Monitor) Summary() Summary {
+	s := summarizeIncidents(m.incidents)
+	m.eachReport(s.addIteration)
+	return s
+}

@@ -32,13 +32,28 @@ type IterationReport struct {
 	Causes []int
 }
 
+// iterRecord is the stored form of an IterationReport: 40 pointer-free
+// bytes, so the reports of a long run neither grow the heap the collector
+// scans nor copy as they accumulate. Start is the previous report's End
+// (the watch start for the first), DeltaFrac and Regressed follow from
+// CommS and BaselineS (see judge), and Causes is the range causes of the
+// monitor's shared cause list. Iteration numbers and reroute counts stay
+// below 2³¹.
+type iterRecord struct {
+	end              sim.Time
+	commS, baselineS float64
+	iter, reroutes   int32
+	causes           [2]uint32
+}
+
 // WatchTrainer hooks the trainer's per-iteration callback so every
 // completed iteration is judged against the healthy baseline and
 // correlated with overlapping incidents. An existing OnIteration callback
 // is chained after the monitor's. One trainer per monitor: the attribution
 // window assumes sequential iterations.
 func (m *Monitor) WatchTrainer(tr *workload.Trainer) {
-	m.lastIterEnd = m.Net.Eng.Now()
+	m.watchedAt = m.Net.Eng.Now()
+	m.lastIterEnd = m.watchedAt
 	m.lastIterRR = m.reroutes
 	prev := tr.OnIteration
 	tr.OnIteration = func(iter int, now sim.Time) {
@@ -50,35 +65,60 @@ func (m *Monitor) WatchTrainer(tr *workload.Trainer) {
 }
 
 func (m *Monitor) noteIteration(tr *workload.Trainer, iter int, now sim.Time) {
-	start := m.lastIterEnd
-	m.lastIterEnd = now
-	rr := m.reroutes - m.lastIterRR
-	m.lastIterRR = m.reroutes
 	comm := 0.0
 	if n := tr.CommSeconds.Len(); n > 0 {
 		comm = tr.CommSeconds.Points[n-1].V
 	}
-	rep := IterationReport{Iter: iter, Start: start, End: now, CommS: comm, Reroutes: rr}
+	rec := iterRecord{end: now, commS: comm, iter: int32(iter), reroutes: int32(m.reroutes - m.lastIterRR)}
+	rec.causes[0] = uint32(len(m.causes))
 	for i := range m.incidents {
 		inc := &m.incidents[i]
-		if inc.Start <= now && (inc.Open || inc.End >= start) {
-			rep.Causes = append(rep.Causes, inc.ID)
+		if inc.Start <= now && (inc.Open || inc.End >= m.lastIterEnd) {
+			m.causes = append(m.causes, inc.ID)
 		}
 	}
+	rec.causes[1] = uint32(len(m.causes))
 	if m.healthyN >= baselineIters {
-		rep.BaselineS = m.healthySum / float64(m.healthyN)
-		if rep.BaselineS > 0 {
-			rep.DeltaFrac = (comm - rep.BaselineS) / rep.BaselineS
-			rep.Regressed = rep.DeltaFrac > commRegressFraction
-		}
+		rec.baselineS = m.healthySum / float64(m.healthyN)
 	}
 	// Only incident-free, non-regressed iterations feed the baseline, so a
 	// long incident cannot drag the baseline up and mask itself.
-	if len(rep.Causes) == 0 && !rep.Regressed {
+	if _, regressed := judge(comm, rec.baselineS); rec.causes[0] == rec.causes[1] && !regressed {
 		m.healthySum += comm
 		m.healthyN++
 	}
-	m.iters = append(m.iters, rep)
+	m.iters.Append(rec)
+	m.lastIterEnd, m.lastIterRR = now, m.reroutes
+}
+
+// judge returns the DeltaFrac and Regressed of an iteration's comm time
+// against its baseline, which is 0 until there is one.
+func judge(commS, baselineS float64) (deltaFrac float64, regressed bool) {
+	if baselineS > 0 {
+		deltaFrac = (commS - baselineS) / baselineS
+		return deltaFrac, deltaFrac > commRegressFraction
+	}
+	return 0, false
+}
+
+// eachReport calls f with every iteration report in order, each rendered
+// from its record into one reused value.
+func (m *Monitor) eachReport(f func(*IterationReport)) {
+	var rep IterationReport
+	start := m.watchedAt
+	for _, c := range m.iters.Chunks() {
+		for i := range c {
+			r := &c[i]
+			rep = IterationReport{Iter: int(r.iter), Start: start, End: r.end, CommS: r.commS,
+				BaselineS: r.baselineS, Reroutes: int(r.reroutes)}
+			rep.DeltaFrac, rep.Regressed = judge(r.commS, r.baselineS)
+			if lo, hi := r.causes[0], r.causes[1]; lo < hi {
+				rep.Causes = m.causes[lo:hi:hi]
+			}
+			f(&rep)
+			start = r.end
+		}
+	}
 }
 
 // Verdict renders one iteration's causal line, e.g.

@@ -3,6 +3,7 @@ package health
 import (
 	"fmt"
 	"math"
+	"math/bits"
 
 	"hpn/internal/hashing"
 	"hpn/internal/netsim"
@@ -225,7 +226,7 @@ func (m *Monitor) sweepPolarization(now sim.Time) {
 type classState struct {
 	exp     int // math.Ilogb of the class's flow sizes in bits
 	subject string
-	sum     float64 // healthy-flow throughput sum
+	sum     rateSum // healthy-flow throughput sum
 	n       int
 	times   []sim.Time // recent degraded completions
 	last    sim.Time
@@ -237,15 +238,12 @@ func (m *Monitor) noteCompletion(now sim.Time, f *netsim.FlowState) {
 		return
 	}
 	cs := m.class(math.Ilogb(f.Bits))
-	if cs.n < baselineFlows {
-		cs.sum += rate
-		cs.n++
-		return
+	frac := math.Inf(1)
+	if cs.n >= baselineFlows {
+		frac = rate / cs.sum.mean(cs.n)
 	}
-	mean := cs.sum / float64(cs.n)
-	frac := rate / mean
 	if frac >= degradedFraction {
-		cs.sum += rate
+		cs.sum = cs.sum.plus(rateSumOf(rate))
 		cs.n++
 		return
 	}
@@ -278,6 +276,48 @@ func completionRate(now sim.Time, f *netsim.FlowState) (rate float64, ok bool) {
 		return 0, false
 	}
 	return f.Bits / d, true
+}
+
+// rateSum is an exact sum of throughputs: a 128-bit count of 2⁻¹² bit/s
+// units. Integer addition is associative, so a class sum does not depend
+// on the order its completions arrive in, and adding a window half's total
+// equals adding its rates one by one. rateSumOf truncates a rate to a
+// multiple of 2⁻¹² bit/s, which is exact from 2⁴⁰ bit/s up, and counts a
+// rate of 2⁶⁴ bit/s or more as 2⁶⁴ − 2⁻¹² bit/s; no simulated link comes
+// near either end. 2⁵² rates sum without overflow.
+type rateSum struct{ hi, lo uint64 }
+
+// rateSumOf returns rate as a one-term sum; a rate that is not positive
+// counts as zero. Each conversion below is exact: scaling by 2¹² only
+// moves the exponent, and a rate from 2⁵² bit/s up is an integer.
+func rateSumOf(rate float64) rateSum {
+	switch {
+	case !(rate > 0):
+		return rateSum{}
+	case rate < 0x1p52:
+		return rateSum{lo: uint64(rate * 0x1p12)}
+	case rate < 0x1p64:
+		u := uint64(rate)
+		return rateSum{hi: u >> 52, lo: u << 12}
+	}
+	return rateSum{hi: 1<<12 - 1, lo: math.MaxUint64}
+}
+
+func (a rateSum) plus(b rateSum) rateSum {
+	lo, carry := bits.Add64(a.lo, b.lo, 0)
+	hi, _ := bits.Add64(a.hi, b.hi, carry)
+	return rateSum{hi, lo}
+}
+
+// mean returns the sum divided by n > 0 in bit/s. It divides the integer
+// before converting it, so the mean of n equal rates is that rate as
+// rateSumOf truncated it, never above it: flows at exactly half their
+// class's rate are never judged below degradedFraction.
+func (a rateSum) mean(n int) float64 {
+	d := uint64(n)
+	qhi, r := bits.Div64(0, a.hi, d)
+	qlo, r := bits.Div64(r, a.lo, d)
+	return (float64(qhi)*0x1p64 + float64(qlo) + float64(r)/float64(d)) * 0x1p-12
 }
 
 // class returns the size class of exponent exp, created on first sight.

@@ -16,34 +16,44 @@ import (
 // half has been delivered live, every tuple in it is seen, and seen sets
 // only grow, so notePath is a no-op on every later replay. A completion
 // that no detector can judge degraded reduces noteCompletion to
-// "sum += rate; n++". The summary keeps the half's rates per class in
-// recorded order, so a fold adds them exactly as delivery would and the
-// class sums stay bit-identical.
+// "sum += rate; n++". Class sums are exact integers (rateSum), so the
+// summary keeps each class's count and total, and a fold adds the total
+// in one step and lands the very sum delivery would reach.
 
 // foldMargin widens the degraded-throughput guard past the rounding of the
 // class mean the detector would compute mid-half.
 const foldMargin = 1e-6
 
 // windowFold is the monitor's summary of one recorded window half: per
-// size class, the half's completion rates in recorded order and their
-// range.
+// size class, the count, total and range of the half's completion rates.
 type windowFold struct{ classes []classFold }
 
 type classFold struct {
 	cs       *classState
-	rates    []float64
+	n        int
+	total    rateSum
 	min, max float64
 }
 
 func (wf *windowFold) add(cs *classState, rate float64) {
-	for i := range wf.classes {
-		if c := &wf.classes[i]; c.cs == cs {
-			c.rates = append(c.rates, rate)
-			c.min, c.max = min(c.min, rate), max(c.max, rate)
-			return
-		}
+	i := 0
+	for i < len(wf.classes) && wf.classes[i].cs != cs {
+		i++
 	}
-	wf.classes = append(wf.classes, classFold{cs: cs, rates: []float64{rate}, min: rate, max: rate})
+	if i == len(wf.classes) {
+		wf.classes = append(wf.classes, emptyFold(cs))
+	}
+	wf.classes[i].add(rate)
+}
+
+func emptyFold(cs *classState) classFold {
+	return classFold{cs: cs, min: math.Inf(1), max: math.Inf(-1)}
+}
+
+func (c *classFold) add(rate float64) {
+	c.n++
+	c.total = c.total.plus(rateSumOf(rate))
+	c.min, c.max = min(c.min, rate), max(c.max, rate)
 }
 
 // Summarize returns the monitor's summary of a recorded window half, or nil
@@ -70,7 +80,7 @@ func (m *Monitor) ApplySummary(sum any) bool {
 		c := &wf.classes[i]
 		top := c.max
 		if cs := c.cs; cs.n > 0 {
-			top = max(top, cs.sum/float64(cs.n))
+			top = max(top, cs.sum.mean(cs.n))
 		}
 		if !(c.min >= degradedFraction*top*(1+foldMargin)) {
 			return false
@@ -78,10 +88,8 @@ func (m *Monitor) ApplySummary(sum any) bool {
 	}
 	for i := range wf.classes {
 		c := &wf.classes[i]
-		for _, rate := range c.rates {
-			c.cs.sum += rate
-		}
-		c.cs.n += len(c.rates)
+		c.cs.sum = c.cs.sum.plus(c.total)
+		c.cs.n += c.n
 	}
 	return true
 }
@@ -142,22 +150,18 @@ func (m *Monitor) VerifySummary(evs [][]netsim.Event, sum any) string {
 	}
 	for i := range wf.classes {
 		c := &wf.classes[i]
-		k, same := 0, true
-		lo, hi := math.Inf(1), math.Inf(-1)
+		again := emptyFold(c.cs)
 		m.foldable(evs, func(cs *classState, rate float64) {
-			if cs != c.cs {
-				return
+			if cs == c.cs {
+				again.add(rate)
 			}
-			same = same && k < len(c.rates) && math.Float64bits(rate) == math.Float64bits(c.rates[k])
-			lo, hi = min(lo, rate), max(hi, rate)
-			k++
 		})
-		if !same || k != len(c.rates) || math.Float64bits(lo) != math.Float64bits(c.min) ||
-			math.Float64bits(hi) != math.Float64bits(c.max) {
-			return fmt.Sprintf("class %s: re-derived %d rates in [%v, %v], summary has %d in [%v, %v]",
-				c.cs.subject, k, lo, hi, len(c.rates), c.min, c.max)
+		if again.n != c.n || again.total != c.total || math.Float64bits(again.min) != math.Float64bits(c.min) ||
+			math.Float64bits(again.max) != math.Float64bits(c.max) {
+			return fmt.Sprintf("class %s: re-derived %d rates summing to %v bit/s in [%v, %v], summary has %d summing to %v in [%v, %v]",
+				c.cs.subject, again.n, again.total.mean(1), again.min, again.max, c.n, c.total.mean(1), c.min, c.max)
 		}
-		total -= k
+		total -= again.n
 	}
 	if total != 0 {
 		return fmt.Sprintf("%d completions in classes the summary lacks", total)

@@ -1,7 +1,6 @@
 package health
 
 import (
-	"math"
 	"reflect"
 	"slices"
 	"testing"
@@ -102,7 +101,7 @@ func (r *foldRig) round() [][]netsim.Event {
 }
 
 // detectorState is what re-delivering a half of routed and completed flows
-// can change in a monitor, with float sums as bits.
+// can change in a monitor.
 type detectorState struct {
 	classes   []classSnap
 	groups    []groupState
@@ -112,14 +111,14 @@ type detectorState struct {
 
 type classSnap struct {
 	exp, n int
-	sum    uint64
+	sum    rateSum
 	times  []sim.Time
 }
 
 func snapshot(m *Monitor) detectorState {
 	st := detectorState{incidents: slices.Clone(m.incidents), tickArmed: m.tickArmed}
 	for _, cs := range m.classList {
-		st.classes = append(st.classes, classSnap{cs.exp, cs.n, math.Float64bits(cs.sum), slices.Clone(cs.times)})
+		st.classes = append(st.classes, classSnap{cs.exp, cs.n, cs.sum, slices.Clone(cs.times)})
 	}
 	for _, gs := range m.groupList {
 		g := *gs
@@ -133,9 +132,17 @@ func snapshot(m *Monitor) detectorState {
 	return st
 }
 
+// quadrupleMeans raises every class mean of m fourfold.
+func quadrupleMeans(m *Monitor) {
+	for _, cs := range m.classList {
+		cs.sum = cs.sum.plus(cs.sum)
+		cs.sum = cs.sum.plus(cs.sum)
+	}
+}
+
 // TestFoldMatchesRedelivery feeds the same recorded half, again and again,
 // to one monitor through Sim.Redeliver and to a twin through Summarize and
-// ApplySummary, and requires bit-identical class sums and counts, seen
+// ApplySummary, and requires identical class sums and counts, seen
 // sets and incidents. The rounds run past the class baseline, so the
 // later completions are judged.
 func TestFoldMatchesRedelivery(t *testing.T) {
@@ -204,9 +211,7 @@ func TestFoldGuardRefusesDegraded(t *testing.T) {
 	r := newFoldRig(t, false, true)
 	half := r.round()
 	sum := r.m.Summarize(half)
-	for _, cs := range r.m.classList {
-		cs.sum *= 4
-	}
+	quadrupleMeans(r.m)
 	before := snapshot(r.m)
 	if r.m.ApplySummary(sum) {
 		t.Fatal("the guard folded completions at a quarter of the class mean")
@@ -228,11 +233,8 @@ func TestFoldGuardRefusesDegraded(t *testing.T) {
 	if n := off.m.classList[0].n; n < baselineFlows {
 		t.Fatalf("class count %d short of the %d-flow baseline", n, baselineFlows)
 	}
-	for _, m := range []*Monitor{on.m, off.m} {
-		for _, cs := range m.classList {
-			cs.sum *= 4
-		}
-	}
+	quadrupleMeans(on.m)
+	quadrupleMeans(off.m)
 	for i := 0; i < degradedMinFlows/len(foldFlows); i++ {
 		on.round()
 		off.round()

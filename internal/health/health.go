@@ -18,6 +18,7 @@ package health
 import (
 	"fmt"
 
+	"hpn/internal/chunk"
 	"hpn/internal/netsim"
 	"hpn/internal/sim"
 	"hpn/internal/topo"
@@ -126,8 +127,11 @@ type Monitor struct {
 	// memoization fast-forward over it (see internal/memo).
 	tickArmed bool
 
-	// Attribution state (see attribution.go).
-	iters       []IterationReport
+	// Attribution state (see attribution.go). causes holds every
+	// report's Causes back to back.
+	iters       chunk.Store[iterRecord]
+	causes      []int
+	watchedAt   sim.Time // the first report's Start
 	lastIterEnd sim.Time
 	lastIterRR  int
 	healthySum  float64

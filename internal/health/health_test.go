@@ -3,8 +3,9 @@ package health
 import (
 	"bytes"
 	"encoding/json"
+	"math"
+	"math/rand"
 	"reflect"
-	"strconv"
 	"strings"
 	"testing"
 
@@ -232,6 +233,112 @@ func TestThroughputDetectorLifecycle(t *testing.T) {
 	}
 }
 
+// Flows completing at exactly half their class's rate, as two flows
+// sharing a link do, sit on the degraded-throughput threshold and are not
+// degraded. A float running sum of the 1e6-bit, 3-ms baseline rounds its
+// mean above the rate, which judged every half-rate flow degraded and
+// opened an incident.
+func TestHalfRateFlowsAreHealthy(t *testing.T) {
+	_, _, m := newMonitor(t, true)
+	done := func(now sim.Time, d sim.Time) {
+		m.noteCompletion(now, &netsim.FlowState{Bits: 1e6, StartedAt: now - d})
+	}
+	for i := 0; i < baselineFlows; i++ {
+		done(sim.Time(i)*sim.Millisecond, 3*sim.Millisecond)
+	}
+	for i := 0; i < 4*degradedMinFlows; i++ {
+		done(100*sim.Millisecond+sim.Time(i)*sim.Millisecond, 6*sim.Millisecond)
+	}
+	if incs := m.Incidents(); len(incs) != 0 {
+		t.Fatalf("half-rate flows opened %+v", incs)
+	}
+	if cs := m.classList[0]; cs.n != baselineFlows+4*degradedMinFlows || len(cs.times) != 0 {
+		t.Fatalf("class holds %d healthy flows and %d degraded, want every flow healthy", cs.n, len(cs.times))
+	}
+}
+
+// A class's state does not depend on the order its completions arrive in.
+func TestClassSumIsOrderIndependent(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	ds := make([]sim.Time, 300)
+	for i := range ds {
+		ds[i] = sim.Millisecond + sim.Time(rng.Int63n(int64(sim.Millisecond)/2))
+	}
+	var states []classState
+	for k := 0; k < 4; k++ {
+		_, _, m := newMonitor(t, true)
+		for i, d := range ds {
+			at := sim.Time(i) * sim.Millisecond
+			m.noteCompletion(at, &netsim.FlowState{Bits: 3e6, StartedAt: at - d})
+		}
+		states = append(states, *m.classList[0])
+		rng.Shuffle(len(ds), func(i, j int) { ds[i], ds[j] = ds[j], ds[i] })
+	}
+	for k, st := range states[1:] {
+		if st.n != len(ds) || st.sum != states[0].sum {
+			t.Fatalf("order %d: class holds %d flows summing to %v, first order %d summing to %v",
+				k+1, st.n, st.sum, states[0].n, states[0].sum)
+		}
+	}
+}
+
+// rateSumOf keeps every multiple of 2⁻¹² bit/s below 2⁶⁴ bit/s exactly,
+// truncates finer rates, saturates at the top of its range and counts
+// rates that are not positive as zero; sums of up to 2⁵² maximal rates do
+// not overflow, and the mean of equal rates is the rate.
+func TestRateSumRange(t *testing.T) {
+	top := rateSum{hi: 1<<12 - 1, lo: math.MaxUint64}
+	for _, tc := range []struct {
+		rate float64
+		want rateSum
+	}{
+		{0, rateSum{}},
+		{-1, rateSum{}},
+		{math.NaN(), rateSum{}},
+		{math.SmallestNonzeroFloat64, rateSum{}},
+		{0x1p-13, rateSum{}},
+		{0x1p-12, rateSum{lo: 1}},
+		{0x1.8p-12, rateSum{lo: 1}},
+		{1.5, rateSum{lo: 6144}},
+		{0x1p40 + 0x1p-12, rateSum{lo: 1<<52 + 1}},
+		{0x1p52, rateSum{hi: 1}},
+		{0x1p63 + 0x1p11, rateSum{hi: 1 << 11, lo: 1 << 23}},
+		{0x1.fffffffffffffp63, rateSum{hi: 1<<12 - 1, lo: math.MaxUint64 - (1<<23 - 1)}},
+		{0x1p64, top},
+		{math.MaxFloat64, top},
+		{math.Inf(1), top},
+	} {
+		if got := rateSumOf(tc.rate); got != tc.want {
+			t.Errorf("rateSumOf(%v) = %+v, want %+v", tc.rate, got, tc.want)
+		}
+	}
+
+	// 2⁵² maximal rates, summed by doubling, fill the 128 bits without
+	// overflow, and their mean is the saturated rate.
+	s := top
+	for i := 0; i < 52; i++ {
+		s = s.plus(s)
+	}
+	if want := (rateSum{hi: math.MaxUint64, lo: math.MaxUint64 &^ (1<<52 - 1)}); s != want {
+		t.Fatalf("2^52 maximal rates sum to %+v, want %+v", s, want)
+	}
+	if got, want := s.mean(1<<52), top.mean(1); got != want || want != 0x1p64 {
+		t.Fatalf("mean of 2^52 maximal rates %v, want %v = 2^64", got, want)
+	}
+
+	// A million equal link-speed rates have exactly the rate as mean.
+	for _, rate := range []float64{4e11, 1e9 / 3, 0x1p40 + 0x1p-12} {
+		var s rateSum
+		const n = 1_000_000
+		for i := 0; i < n; i++ {
+			s = s.plus(rateSumOf(rate))
+		}
+		if got := s.mean(n); got != rateSumOf(rate).mean(1) || got > rate || rate-got > 0x1p-12 {
+			t.Errorf("mean of %d rates %v is %v", n, rate, got)
+		}
+	}
+}
+
 func TestClassLabel(t *testing.T) {
 	cases := map[int]string{
 		2:  "<1B",  // 4 bits
@@ -265,7 +372,10 @@ func TestArtifactTSVRoundTrip(t *testing.T) {
 			BaselineS: 0.5, DeltaFrac: 0.8, Regressed: true, Reroutes: 2, Causes: []int{1, 2}},
 	}
 	var buf bytes.Buffer
-	m := &Monitor{incidents: incs, iters: iters}
+	m := timelineMonitor(incs, iters)
+	if !reflect.DeepEqual(reports(m), iters) {
+		t.Fatalf("stored reports %+v, want %+v", reports(m), iters)
+	}
 	if err := m.WriteTSV(&buf); err != nil {
 		t.Fatal(err)
 	}
@@ -291,11 +401,10 @@ func TestParseTSVRejectsBadHeader(t *testing.T) {
 // The JSON artifact must be well-formed JSON with the summary the Summary
 // type computes.
 func TestArtifactJSONWellFormed(t *testing.T) {
-	m := &Monitor{
-		incidents: []Incident{{ID: 1, Kind: KindFlap, Subject: `to"r<->agg`, Start: 1, Open: true,
+	m := timelineMonitor(
+		[]Incident{{ID: 1, Kind: KindFlap, Subject: `to"r<->agg`, Start: 1, Open: true,
 			Events: 4, Peak: 4, Detail: "detail with \"quotes\" and\ttab"}},
-		iters: []IterationReport{{Iter: 1, End: 2, CommS: 0.5, Regressed: true, Causes: []int{1}}},
-	}
+		[]IterationReport{{Iter: 1, End: 2, CommS: 0.5, BaselineS: 0.25, Causes: []int{1}}})
 	var buf bytes.Buffer
 	if err := m.WriteJSON(&buf); err != nil {
 		t.Fatal(err)
@@ -342,16 +451,20 @@ func TestTimelineMergeOrder(t *testing.T) {
 		{ID: 2, Start: 3},
 	}
 	iters := []IterationReport{
-		{Iter: 1, Start: 0},
-		{Iter: 2, Start: 3},
+		{Iter: 1, Start: 0, End: 3},
+		{Iter: 2, Start: 3, End: 12},
 	}
-	rows := mergeTimeline(incs, iters)
-	order := make([]string, len(rows))
-	for i, r := range rows {
-		if r.inc != nil {
-			order[i] = "inc" + strconv.Itoa(r.inc.ID)
+	var buf bytes.Buffer
+	if err := timelineMonitor(incs, iters).WriteTSV(&buf); err != nil {
+		t.Fatal(err)
+	}
+	var order []string
+	for _, line := range strings.Split(strings.TrimSpace(buf.String()), "\n")[1:] {
+		f := strings.Split(line, "\t")
+		if f[0] == "incident" {
+			order = append(order, "inc"+f[1])
 		} else {
-			order[i] = "iter" + strconv.Itoa(r.iter.Iter)
+			order = append(order, "iter"+f[10])
 		}
 	}
 	want := []string{"iter1", "inc2", "iter2", "inc1"}

@@ -3,7 +3,10 @@ package health
 import (
 	"bytes"
 	"fmt"
+	"math"
 	"math/rand"
+	"slices"
+	"sort"
 	"strconv"
 	"strings"
 	"testing"
@@ -12,6 +15,42 @@ import (
 	"hpn/internal/sim"
 )
 
+// timelineRow is one row of the merged timeline: exactly one of inc and
+// iter is set.
+type timelineRow struct {
+	start sim.Time
+	inc   *Incident
+	iter  *IterationReport
+}
+
+// oracleTimeline sorts the monitor's incidents and reports into one
+// timeline: by start time, incidents before iterations at the same instant,
+// then by ID / iteration number.
+func oracleTimeline(m *Monitor) []timelineRow {
+	var rows []timelineRow
+	for i := range m.incidents {
+		rows = append(rows, timelineRow{start: m.incidents[i].Start, inc: &m.incidents[i]})
+	}
+	iters := reports(m)
+	for i := range iters {
+		rows = append(rows, timelineRow{start: iters[i].Start, iter: &iters[i]})
+	}
+	sort.SliceStable(rows, func(i, j int) bool {
+		if rows[i].start != rows[j].start {
+			return rows[i].start < rows[j].start
+		}
+		ri, rj := rows[i], rows[j]
+		if (ri.inc != nil) != (rj.inc != nil) {
+			return ri.inc != nil
+		}
+		if ri.inc != nil {
+			return ri.inc.ID < rj.inc.ID
+		}
+		return ri.iter.Iter < rj.iter.Iter
+	})
+	return rows
+}
+
 // oracleTSV and oracleJSON are the fmt-based renderers the streaming
 // writers replaced, kept as the byte-for-byte reference.
 func oracleTSV(m *Monitor) []byte {
@@ -19,7 +58,7 @@ func oracleTSV(m *Monitor) []byte {
 	b.WriteString(tsvHeader)
 	b.WriteByte('\n')
 	g := func(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }
-	for _, row := range m.timeline() {
+	for _, row := range oracleTimeline(m) {
 		if inc := row.inc; inc != nil {
 			end := int64(inc.End)
 			if inc.Open {
@@ -108,46 +147,60 @@ func oracleJSON(incs []Incident, iters []IterationReport) []byte {
 
 var kinds = []string{KindFlap, KindStall, KindPolarization, KindThroughput}
 
+// randomTimeline returns a monitor holding random incidents and iteration
+// reports. The reports keep the monitor's invariant: iteration numbers
+// rise and each report ends no earlier than it starts.
 func randomTimeline(r *rand.Rand, nInc, nIter int) *Monitor {
-	m := &Monitor{}
+	var incs []Incident
 	for i := 0; i < nInc; i++ {
 		kind := kinds[r.Intn(len(kinds))]
 		if r.Intn(3) == 0 {
 			kind = artifacttest.String(r)
 		}
-		m.incidents = append(m.incidents, Incident{
+		incs = append(incs, Incident{
 			ID: artifacttest.Int(r), Kind: kind, Subject: artifacttest.String(r),
 			Start: sim.Time(artifacttest.Int64(r)), End: sim.Time(artifacttest.Int64(r)), Open: r.Intn(2) == 0,
 			Events: artifacttest.Int(r), Peak: artifacttest.Float(r), Detail: artifacttest.String(r),
 		})
 	}
+	var iters []IterationReport
+	iter, at := r.Intn(1<<20), sim.Time(r.Int63n(1<<40)-1<<39)
 	for i := 0; i < nIter; i++ {
 		causes := make([]int, r.Intn(4))
 		for j := range causes {
 			causes[j] = artifacttest.Int(r)
 		}
-		if len(causes) == 0 && r.Intn(2) == 0 {
-			causes = nil
+		start := at
+		if r.Intn(4) > 0 {
+			at += sim.Time(r.Int63n(1 << 32))
 		}
-		m.iters = append(m.iters, IterationReport{
-			Iter: artifacttest.Int(r), Start: sim.Time(artifacttest.Int64(r)), End: sim.Time(artifacttest.Int64(r)),
-			CommS: artifacttest.Float(r), BaselineS: artifacttest.Float(r), DeltaFrac: artifacttest.Float(r),
-			Regressed: r.Intn(2) == 0, Reroutes: artifacttest.Int(r), Causes: causes,
+		iter += 1 + r.Intn(3)
+		iters = append(iters, IterationReport{
+			Iter: iter, Start: start, End: at, CommS: artifacttest.Float(r), BaselineS: artifacttest.Float(r),
+			Reroutes: int(int32(artifacttest.Int(r))), Causes: causes,
 		})
 	}
-	return m
+	return timelineMonitor(incs, iters)
 }
 
 func TestWritersMatchOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
-	edge := &Monitor{}
+	var edgeIncs []Incident
 	for i, s := range artifacttest.Strings {
-		edge.incidents = append(edge.incidents, Incident{ID: i, Kind: s, Subject: s, Detail: s, Peak: artifacttest.Floats[i%len(artifacttest.Floats)]})
+		edgeIncs = append(edgeIncs, Incident{ID: i, Kind: s, Subject: s, Detail: s, Peak: artifacttest.Floats[i%len(artifacttest.Floats)]})
 	}
-	for i, v := range artifacttest.Floats {
-		edge.iters = append(edge.iters, IterationReport{Iter: i, CommS: v, BaselineS: v, DeltaFrac: v, Causes: []int{i, -i}})
+	edgeIters := []IterationReport{{Iter: math.MinInt32, Start: math.MinInt64, End: math.MinInt64}}
+	ends := slices.Clone(artifacttest.Int64s)
+	slices.Sort(ends)
+	for i, v := range ends {
+		edgeIters = append(edgeIters, IterationReport{Iter: math.MinInt32 + 1 + i, End: sim.Time(v), Reroutes: int(int32(v))})
 	}
-	sets := []*Monitor{{}, edge}
+	fs := artifacttest.Floats
+	for i, v := range fs {
+		edgeIters = append(edgeIters, IterationReport{Iter: math.MaxInt32 - len(fs) + 1 + i, End: math.MaxInt64,
+			CommS: v, BaselineS: fs[(i+3)%len(fs)], Causes: []int{i, -i}})
+	}
+	sets := []*Monitor{{}, timelineMonitor(edgeIncs, edgeIters)}
 	for k := 0; k < 20; k++ {
 		sets = append(sets, randomTimeline(rng, rng.Intn(40), rng.Intn(80)))
 	}
@@ -162,7 +215,7 @@ func TestWritersMatchOracle(t *testing.T) {
 		if want := oracleTSV(m); !bytes.Equal(tsv.Bytes(), want) {
 			t.Errorf("set %d: incidents.tsv differs from the oracle:\n got %q\nwant %q", k, tsv.Bytes(), want)
 		}
-		if want := oracleJSON(m.incidents, m.iters); !bytes.Equal(js.Bytes(), want) {
+		if want := oracleJSON(m.incidents, reports(m)); !bytes.Equal(js.Bytes(), want) {
 			t.Errorf("set %d: incidents.json differs from the oracle:\n got %q\nwant %q", k, js.Bytes(), want)
 		}
 	}
@@ -176,12 +229,13 @@ func TestWritersSurfaceErrors(t *testing.T) {
 
 func TestWritersAllocateConstant(t *testing.T) {
 	timeline := func(n int) *Monitor {
-		m := &Monitor{}
+		var incs []Incident
+		var iters []IterationReport
 		for i := 0; i < n; i++ {
-			m.incidents = append(m.incidents, Incident{ID: 7, Kind: KindFlap, Subject: "tor0<->agg2", Start: 5, End: 9, Events: 4, Peak: 6, Detail: "6 transitions in 10s"})
-			m.iters = append(m.iters, IterationReport{Iter: 12, Start: 3, End: 8, CommS: 1.25, BaselineS: 1, DeltaFrac: 0.25, Regressed: true, Reroutes: 2, Causes: []int{7}})
+			incs = append(incs, Incident{ID: 7, Kind: KindFlap, Subject: "tor0<->agg2", Start: 5, End: 9, Events: 4, Peak: 6, Detail: "6 transitions in 10s"})
+			iters = append(iters, IterationReport{Iter: 12 + i, End: 8 + sim.Time(i), CommS: 1.25, BaselineS: 1, Reroutes: 2, Causes: []int{7}})
 		}
-		return m
+		return timelineMonitor(incs, iters)
 	}
 	small, large := timeline(10), timeline(10_000)
 	artifacttest.CheckAllocs(t, "incidents.tsv", small.WriteTSV, large.WriteTSV)
