@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: ci fmt vet lint build test test-parallel test-checked fuzz-smoke perfbench-check forensics-smoke prof-smoke
+.PHONY: ci fmt vet lint build test test-parallel test-checked fuzz-smoke perfbench-check forensics-smoke prof-smoke mutate
 
 # Full gate: formatting, go vet, build, hpnlint determinism/invariant rules,
 # tests under the race detector (a default pass and a GOMAXPROCS=4 pass), the
@@ -8,7 +8,8 @@ GO ?= go
 # artifact parsers and the tracer, the perfbench module's vet and tests,
 # the in-band forensics smoke run and the self-profiler smoke run. Perf
 # regressions are perfbench's job (perfbench/README.md); ci runs no
-# comparator of its own.
+# comparator of its own. make mutate, the mutation pricing of the tests,
+# stays out of ci: ci only vets its harness.
 ci: fmt vet build lint test test-parallel test-checked fuzz-smoke perfbench-check forensics-smoke prof-smoke
 
 fmt:
@@ -19,6 +20,7 @@ fmt:
 
 vet:
 	$(GO) vet ./...
+	$(GO) vet -tags mutate ./internal/lint
 
 # hpnlint: the repo's own static-analysis suite (cmd/hpnlint) enforcing
 # simulator determinism invariants — see the lint-rules table in README.md.
@@ -120,3 +122,16 @@ prof-smoke:
 		$$tmp/report.txt; \
 	rm -rf $$tmp; \
 	echo "prof-smoke: OK"
+
+# Mutation pricing: internal/lint's mutate-tagged TestMutate flips
+# relational operators, negates if conditions, drops statements, turns +=
+# into = and returns zero values early, one mutant at a time, in the
+# simulator's hot files (its mutateScope). Each mutant runs its package's
+# tests through go test -overlay, the tree untouched, and a survivor then
+# test-checked's packages, the root package among them, in the default
+# build and under hpncheck. A survivor the harness does not list as
+# equivalent, with its reason, fails the run. The harness stops at its
+# own fixed budget (mutateBudget, three hours); a full run takes about
+# two hours on two cores.
+mutate:
+	$(GO) test -tags mutate -run '^TestMutate$$' -count=1 -timeout 4h -v ./internal/lint

@@ -69,6 +69,8 @@ func goldenCases() []goldenCase {
 	twoSeg := SmallHPN(2, 4, 8)
 	multi := MultiPodHPN(2, 1, 4, 2)
 	single := Scenario{HPN: &pod, Model: LLaMa13B, TP: 8, PP: 1, Hosts: 8, FlowLog: true}
+	six := single
+	six.Hosts = 6
 	pipelined := Scenario{HPN: &twoSeg, Model: LLaMa13B, TP: 8, PP: 2, Hosts: 8, FlowLog: true}
 	sharded := Scenario{HPN: &multi, Model: LLaMa13B, TP: 8, PP: 1, Hosts: 4, Workers: 1, FlowLog: true}
 	// A cable flap on host 0, in pod 0 on the sharded fabric, where it is
@@ -90,6 +92,14 @@ func goldenCases() []goldenCase {
 		s:    with(single, 8, goldenOptions(false), nil),
 		rows: []string{"flowlog.tsv"},
 		memo: true, minReplayed: 8 - 3,
+	}, {
+		// Six data-parallel ranks cut the gradient into chunks whose bit
+		// counts are not dyadic, so a replayed window's bit movement and a
+		// flow-by-flow sum agree only as exact tallies.
+		name: "steady-6host",
+		s:    with(six, 20, goldenOptions(false), nil),
+		rows: []string{"flowlog.tsv"},
+		memo: true, minReplayed: 20 - 3,
 	}, {
 		// Pipeline-parallel sends ride pinned source ports in one batched
 		// launch per iteration, and replay must reproduce them as well.

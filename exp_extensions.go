@@ -33,8 +33,8 @@ func runSec7(env Env) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	coreGB := crossFabric.Cluster.Net.CoreBits / 8e9
-	totalGB := crossFabric.Cluster.Net.CompletedBits / 8e9
+	coreGB := crossFabric.Cluster.Net.CoreBits.Float() / 8e9
+	totalGB := crossFabric.Cluster.Net.CompletedBits.Float() / 8e9
 	refFabric, err := ref.buildFabric(env.Hub)
 	if err != nil {
 		return nil, err

@@ -91,8 +91,8 @@ func runTier2Workload(env Env, dualPlane bool) (*tier2Measurement, error) {
 			d0 := c.Topo.Link(c.Topo.AccessLink(h, nic, 0)).Reverse
 			d1 := c.Topo.Link(c.Topo.AccessLink(h, nic, 1)).Reverse
 			probes = append(probes, probePair{
-				p0: c.Net.TrackLink(d0, fmt.Sprintf("h%d-nic%d-p0", h, nic)),
-				p1: c.Net.TrackLink(d1, fmt.Sprintf("h%d-nic%d-p1", h, nic)),
+				p0: c.Net.TrackLink(d0),
+				p1: c.Net.TrackLink(d1),
 			})
 		}
 	}

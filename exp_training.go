@@ -44,7 +44,7 @@ func train(r *ScenarioRun, probeAggs bool) (*trainingRun, error) {
 			if nd.Kind == topo.KindAgg && aggs < 8 {
 				aggs++
 				for _, dl := range nd.Downlinks[:min(4, len(nd.Downlinks))] {
-					aggProbes = append(aggProbes, c.Net.TrackLink(dl, nd.Name))
+					aggProbes = append(aggProbes, c.Net.TrackLink(dl))
 				}
 			}
 		}
@@ -55,7 +55,7 @@ func train(r *ScenarioRun, probeAggs bool) (*trainingRun, error) {
 	run := &trainingRun{
 		samplesPerSec: tr.MeanSamplesPerSecond(),
 		commSeconds:   tr.CommSeconds.MeanAfter(tr.CommSeconds.Points[0].T + 1e-12),
-		aggBits:       c.Net.AggBits,
+		aggBits:       c.Net.AggBits.Float(),
 		segments:      c.SegmentsSpanned(tr.Job.Hosts),
 		perf:          &tr.Perf,
 	}
@@ -343,8 +343,7 @@ func runFig2(env Env) (*Report, error) {
 	var probes []*netsim.LinkProbe
 	for nic := 0; nic < 8; nic++ {
 		for p := 0; p < 2; p++ {
-			probes = append(probes, c.Net.TrackLink(c.Topo.AccessLink(host, nic, p),
-				fmt.Sprintf("nic%d-port%d", nic, p)))
+			probes = append(probes, c.Net.TrackLink(c.Topo.AccessLink(host, nic, p)))
 		}
 	}
 	if err := run.Run(); err != nil {

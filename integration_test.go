@@ -42,8 +42,8 @@ func TestProductionPodSegmentLocality(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Everything is ToR-local: no Aggregation crossing at all.
-	if c.Net.AggBits != 0 {
-		t.Fatalf("segment-local job pushed %v bits through Aggs", c.Net.AggBits)
+	if c.Net.AggBits.Float() != 0 {
+		t.Fatalf("segment-local job pushed %v bits through Aggs", c.Net.AggBits.Float())
 	}
 	if res.BusBW < 150e9 {
 		t.Fatalf("uncontended segment AllReduce busbw = %v, want >150GB/s", res.BusBW)
@@ -100,7 +100,7 @@ func TestHundredKGoal(t *testing.T) {
 	if _, err := g.AllReduce(64 << 20); err != nil {
 		t.Fatal(err)
 	}
-	if c.Net.CoreBits == 0 {
+	if c.Net.CoreBits.Float() == 0 {
 		t.Fatal("cross-pod collective never crossed the Core tier")
 	}
 }

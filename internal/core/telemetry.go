@@ -56,8 +56,8 @@ func (c *Cluster) EnableTelemetry(h *telemetry.Hub) {
 	smp.AttachTracer(tr)
 	smp.Track(prefix+"active_flows", func() float64 { return float64(c.Net.ActiveFlows()) })
 	smp.Track(prefix+"stalled_flows", func() float64 { return float64(c.Net.StalledFlows()) })
-	smp.Track(prefix+"agg_gbits", func() float64 { return c.Net.AggBits / 1e9 })
-	smp.Track(prefix+"core_gbits", func() float64 { return c.Net.CoreBits / 1e9 })
+	smp.Track(prefix+"agg_gbits", func() float64 { return c.Net.AggBits.Float() / 1e9 })
+	smp.Track(prefix+"core_gbits", func() float64 { return c.Net.CoreBits.Float() / 1e9 })
 	c.trackPorts(smp, prefix)
 	h.Registry.RegisterExporter(prefix+"samples.csv", smp.WriteCSV)
 	c.startSampler(smp)

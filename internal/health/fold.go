@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 
+	"hpn/internal/metrics"
 	"hpn/internal/netsim"
 )
 
@@ -16,7 +17,7 @@ import (
 // half has been delivered live, every tuple in it is seen, and seen sets
 // only grow, so notePath is a no-op on every later replay. A completion
 // that no detector can judge degraded reduces noteCompletion to
-// "sum += rate; n++". Class sums are exact integers (rateSum), so the
+// "sum += rate; n++". Class sums are exact integers (metrics.ExactSum), so the
 // summary keeps each class's count and total, and a fold adds the total
 // in one step and lands the very sum delivery would reach.
 
@@ -31,7 +32,7 @@ type windowFold struct{ classes []classFold }
 type classFold struct {
 	cs       *classState
 	n        int
-	total    rateSum
+	total    metrics.ExactSum
 	min, max float64
 }
 
@@ -52,7 +53,7 @@ func emptyFold(cs *classState) classFold {
 
 func (c *classFold) add(rate float64) {
 	c.n++
-	c.total = c.total.plus(rateSumOf(rate))
+	c.total = c.total.Plus(metrics.ExactOf(rate))
 	c.min, c.max = min(c.min, rate), max(c.max, rate)
 }
 
@@ -80,7 +81,7 @@ func (m *Monitor) ApplySummary(sum any) bool {
 		c := &wf.classes[i]
 		top := c.max
 		if cs := c.cs; cs.n > 0 {
-			top = max(top, cs.sum.mean(cs.n))
+			top = max(top, cs.sum.Mean(cs.n))
 		}
 		if !(c.min >= degradedFraction*top*(1+foldMargin)) {
 			return false
@@ -88,7 +89,7 @@ func (m *Monitor) ApplySummary(sum any) bool {
 	}
 	for i := range wf.classes {
 		c := &wf.classes[i]
-		c.cs.sum = c.cs.sum.plus(c.total)
+		c.cs.sum = c.cs.sum.Plus(c.total)
 		c.cs.n += c.n
 	}
 	return true
@@ -159,7 +160,7 @@ func (m *Monitor) VerifySummary(evs [][]netsim.Event, sum any) string {
 		if again.n != c.n || again.total != c.total || math.Float64bits(again.min) != math.Float64bits(c.min) ||
 			math.Float64bits(again.max) != math.Float64bits(c.max) {
 			return fmt.Sprintf("class %s: re-derived %d rates summing to %v bit/s in [%v, %v], summary has %d summing to %v in [%v, %v]",
-				c.cs.subject, again.n, again.total.mean(1), again.min, again.max, c.n, c.total.mean(1), c.min, c.max)
+				c.cs.subject, again.n, again.total.Float(), again.min, again.max, c.n, c.total.Float(), c.min, c.max)
 		}
 		total -= again.n
 	}

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"hpn/internal/memo"
+	"hpn/internal/metrics"
 	"hpn/internal/netsim"
 	"hpn/internal/route"
 	"hpn/internal/sim"
@@ -111,7 +112,7 @@ type detectorState struct {
 
 type classSnap struct {
 	exp, n int
-	sum    rateSum
+	sum    metrics.ExactSum
 	times  []sim.Time
 }
 
@@ -135,8 +136,8 @@ func snapshot(m *Monitor) detectorState {
 // quadrupleMeans raises every class mean of m fourfold.
 func quadrupleMeans(m *Monitor) {
 	for _, cs := range m.classList {
-		cs.sum = cs.sum.plus(cs.sum)
-		cs.sum = cs.sum.plus(cs.sum)
+		cs.sum = cs.sum.Plus(cs.sum)
+		cs.sum = cs.sum.Plus(cs.sum)
 	}
 }
 
@@ -248,5 +249,18 @@ func TestFoldGuardRefusesDegraded(t *testing.T) {
 	}
 	if !reflect.DeepEqual(a, b) {
 		t.Fatalf("incidents differ\nmemo on:  %+v\nmemo off: %+v", a, b)
+	}
+}
+
+// A window half's summary keeps one entry per size class, however the
+// half's classes interleave.
+func TestWindowFoldKeepsEachClass(t *testing.T) {
+	a, b := &classState{exp: 20}, &classState{exp: 30}
+	var wf windowFold
+	for _, cs := range []*classState{a, b, b, a, b} {
+		wf.add(cs, 1e9)
+	}
+	if len(wf.classes) != 2 || wf.classes[0].n != 2 || wf.classes[1].n != 3 {
+		t.Fatalf("summary %+v, want classes of 2 and 3 completions", wf.classes)
 	}
 }

@@ -3,7 +3,6 @@ package health
 import (
 	"bytes"
 	"encoding/json"
-	"math"
 	"math/rand"
 	"reflect"
 	"strings"
@@ -278,63 +277,6 @@ func TestClassSumIsOrderIndependent(t *testing.T) {
 		if st.n != len(ds) || st.sum != states[0].sum {
 			t.Fatalf("order %d: class holds %d flows summing to %v, first order %d summing to %v",
 				k+1, st.n, st.sum, states[0].n, states[0].sum)
-		}
-	}
-}
-
-// rateSumOf keeps every multiple of 2⁻¹² bit/s below 2⁶⁴ bit/s exactly,
-// truncates finer rates, saturates at the top of its range and counts
-// rates that are not positive as zero; sums of up to 2⁵² maximal rates do
-// not overflow, and the mean of equal rates is the rate.
-func TestRateSumRange(t *testing.T) {
-	top := rateSum{hi: 1<<12 - 1, lo: math.MaxUint64}
-	for _, tc := range []struct {
-		rate float64
-		want rateSum
-	}{
-		{0, rateSum{}},
-		{-1, rateSum{}},
-		{math.NaN(), rateSum{}},
-		{math.SmallestNonzeroFloat64, rateSum{}},
-		{0x1p-13, rateSum{}},
-		{0x1p-12, rateSum{lo: 1}},
-		{0x1.8p-12, rateSum{lo: 1}},
-		{1.5, rateSum{lo: 6144}},
-		{0x1p40 + 0x1p-12, rateSum{lo: 1<<52 + 1}},
-		{0x1p52, rateSum{hi: 1}},
-		{0x1p63 + 0x1p11, rateSum{hi: 1 << 11, lo: 1 << 23}},
-		{0x1.fffffffffffffp63, rateSum{hi: 1<<12 - 1, lo: math.MaxUint64 - (1<<23 - 1)}},
-		{0x1p64, top},
-		{math.MaxFloat64, top},
-		{math.Inf(1), top},
-	} {
-		if got := rateSumOf(tc.rate); got != tc.want {
-			t.Errorf("rateSumOf(%v) = %+v, want %+v", tc.rate, got, tc.want)
-		}
-	}
-
-	// 2⁵² maximal rates, summed by doubling, fill the 128 bits without
-	// overflow, and their mean is the saturated rate.
-	s := top
-	for i := 0; i < 52; i++ {
-		s = s.plus(s)
-	}
-	if want := (rateSum{hi: math.MaxUint64, lo: math.MaxUint64 &^ (1<<52 - 1)}); s != want {
-		t.Fatalf("2^52 maximal rates sum to %+v, want %+v", s, want)
-	}
-	if got, want := s.mean(1<<52), top.mean(1); got != want || want != 0x1p64 {
-		t.Fatalf("mean of 2^52 maximal rates %v, want %v = 2^64", got, want)
-	}
-
-	// A million equal link-speed rates have exactly the rate as mean.
-	for _, rate := range []float64{4e11, 1e9 / 3, 0x1p40 + 0x1p-12} {
-		var s rateSum
-		const n = 1_000_000
-		for i := 0; i < n; i++ {
-			s = s.plus(rateSumOf(rate))
-		}
-		if got := s.mean(n); got != rateSumOf(rate).mean(1) || got > rate || rate-got > 0x1p-12 {
-			t.Errorf("mean of %d rates %v is %v", n, rate, got)
 		}
 	}
 }

@@ -100,10 +100,16 @@ func TestFoldAllocatesNothing(t *testing.T) {
 		t.Fatal("no window cached")
 	}
 	before := p.rec.Stats().Folded
+	at := w.Half(0)[0][0].At
 	if n := testing.AllocsPerRun(100, func() { p.rec.Replay(w, nil) }); n != 0 {
 		t.Fatalf("Replay allocates %v objects per call, want 0", n)
 	}
 	if st := p.rec.Stats(); st.Folded-before != 2*101 || st.Redelivered != 0 {
 		t.Fatalf("stats %+v: the health monitor did not fold every half", st)
+	}
+	// The folded halves went to no subscriber, the recorder included, so
+	// they were never re-stamped.
+	if got := w.Half(0)[0][0].At; got != at {
+		t.Fatalf("a half every subscriber folded was re-stamped from %v to %v", at, got)
 	}
 }

@@ -24,10 +24,12 @@
 // Safety comes from three layers:
 //
 //   - The fingerprint (netsim.Sim.StateHash64 mixed with the workload's
-//     schedule fingerprint) covers everything the window's outcome depends
-//     on: per-link usability, the sport cursor, the active-flow multiset,
-//     in-band queue residuals and the integration-gap back to the last
-//     fluid advance. Any drift means a different key, which means a miss.
+//     schedule fingerprint) covers per-link usability, the observed links'
+//     queue residuals and the integration gap back to the last fluid
+//     advance. Any drift means a different key, which means a miss. Its
+//     sport-cursor term is covered by ExitFrom's cursor check, and its
+//     active-flow and offered-demand terms by Mark and Fits, which refuse
+//     while a flow is active (layer 2; DESIGN.md, "Fingerprint").
 //   - Recording validity guards discard windows in which anything happened
 //     that replay could not reproduce: an engine event armed or fired
 //     mid-window, the sport cursor moving, flows still active at either
@@ -125,9 +127,11 @@ type recording struct {
 
 	base, live []uint64
 
-	liveSeen bool
-	hops     map[uint64][]route.HopDecision // see internHops
-	arena    []route.HopDecision
+	// suspended holds during the live section, liveSeen after it.
+	suspended, liveSeen bool
+
+	hops  map[uint64][]route.HopDecision // see internHops
+	arena []route.HopDecision
 }
 
 // Recorder is the memoization engine: a fabric-stream subscriber plus a
@@ -139,8 +143,7 @@ type Recorder struct {
 
 	cache map[uint64]*Window
 
-	rec       *recording
-	suspended bool
+	rec *recording
 
 	// bit is the recorder's own bit in Redeliver's skip set.
 	bit uint64
@@ -152,8 +155,6 @@ type Recorder struct {
 
 	hits, misses, blocked, invalidations, replayed int64
 	folded, redelivered                            int64
-
-	ctrHits, ctrMisses, ctrBlocked, ctrInvalidations, ctrReplayed *telemetry.Counter
 
 	// Profiler phases (nil when the simulator has no profiler attached).
 	// lookup/replay are timed; fast_forward is count-only — the jump itself
@@ -193,16 +194,17 @@ func Attach(s *netsim.Sim) *Recorder {
 		s.Trace.SetHook(r.capture)
 		r.keySeq, r.keyID, r.keyFlow = s.Trace.Key("seq"), s.Trace.Key("id"), s.Trace.Key("flow")
 	}
-	if s.Reg != nil {
-		p := s.MetricsPrefix
-		r.ctrHits = s.Reg.Counter(p+"memo_hits_total", "iteration fingerprint cache hits (windows replayed)")
-		r.ctrMisses = s.Reg.Counter(p+"memo_misses_total", "iteration fingerprint cache misses (windows simulated)")
-		r.ctrBlocked = s.Reg.Counter(p+"memo_blocked_total", "cache hits not replayable (pending events or active flows)")
-		r.ctrInvalidations = s.Reg.Counter(p+"memo_invalidations_total", "fabric events that dropped the memo cache")
-		r.ctrReplayed = s.Reg.Counter(p+"memo_replayed_iterations_total", "iterations fast-forwarded from the cache")
-		s.Reg.Gauge(p+"memo_cached_windows", "recorded iteration windows held in the cache",
-			func() float64 { return float64(len(r.cache)) })
+	p := s.MetricsPrefix
+	count := func(name, help string, n *int64) {
+		s.Reg.CounterFunc(p+name, help, func() uint64 { return uint64(*n) })
 	}
+	count("memo_hits_total", "iteration fingerprint cache hits (windows replayed)", &r.hits)
+	count("memo_misses_total", "iteration fingerprint cache misses (windows simulated)", &r.misses)
+	count("memo_blocked_total", "cache hits not replayable (pending events or active flows)", &r.blocked)
+	count("memo_invalidations_total", "fabric events that dropped the memo cache", &r.invalidations)
+	count("memo_replayed_iterations_total", "iterations fast-forwarded from the cache", &r.replayed)
+	s.Reg.Gauge(p+"memo_cached_windows", "recorded iteration windows held in the cache",
+		func() float64 { return float64(len(r.cache)) })
 	r.phLookup = s.Prof.Phase("memo/lookup", "fingerprint cache lookups (hit, miss or blocked)")
 	r.phReplay = s.Prof.PhaseAlloc("memo/replay", "window replays: event re-delivery, trace re-emit, fast-forward")
 	r.phFF = s.Prof.Phase("memo/fast_forward", "engine fast-forward jumps (count-only)")
@@ -255,7 +257,7 @@ func (r *Recorder) FabricEvent(e *netsim.Event) {
 		r.invalidate()
 		return
 	}
-	if r.rec == nil || r.suspended {
+	if r.rec == nil || r.rec.suspended {
 		return
 	}
 	h := 0
@@ -302,19 +304,15 @@ func (rec *recording) internHops(tuple uint64, hops []route.HopDecision) []route
 // fabric just changed in a way no recorded window accounts for.
 func (r *Recorder) invalidate() {
 	r.invalidations++
-	r.ctrInvalidations.Inc()
-	if len(r.cache) > 0 {
-		r.cache = map[uint64]*Window{}
-	}
+	clear(r.cache)
 	r.rec = nil
-	r.suspended = false
 }
 
 // capture is the trace hook: every live emission lands in the current
 // recording (replayed emissions go through Tracer.Emit, which bypasses
 // the hook, so a replay never re-captures itself).
 func (r *Recorder) capture(e telemetry.Entry, args []telemetry.Value) {
-	if r.rec == nil || r.suspended {
+	if r.rec == nil || r.rec.suspended {
 		return
 	}
 	h := &r.rec.trace[0]
@@ -336,7 +334,6 @@ func (r *Recorder) BeginRecord(fp uint64) {
 		return
 	}
 	r.rec = nil
-	r.suspended = false
 	if _, ok := r.cache[fp]; ok || len(r.cache) >= maxWindows {
 		return
 	}
@@ -355,7 +352,7 @@ func (r *Recorder) BeginLive(now, comm sim.Time) {
 	if r == nil || r.rec == nil {
 		return
 	}
-	r.suspended = true
+	r.rec.suspended = true
 	r.rec.liveAt = now
 	r.rec.comm = comm
 	r.rec.live = r.net.Reg.Values(nil)
@@ -363,10 +360,10 @@ func (r *Recorder) BeginLive(now, comm sim.Time) {
 
 // EndLive closes the live section and resumes capture.
 func (r *Recorder) EndLive() {
-	if r == nil || r.rec == nil || !r.suspended {
+	if r == nil || r.rec == nil || !r.rec.suspended {
 		return
 	}
-	r.suspended = false
+	r.rec.suspended = false
 	r.rec.liveSeen = true
 	r.rec.live = sub(r.net.Reg.Values(nil), r.rec.live)
 }
@@ -384,7 +381,6 @@ func (r *Recorder) FinalizeRecord() {
 	}
 	rec := r.rec
 	r.rec = nil
-	r.suspended = false
 	if !rec.liveSeen {
 		return
 	}
@@ -435,16 +431,13 @@ func (r *Recorder) Lookup(fp uint64) *Window {
 	w := r.cache[fp]
 	if w == nil {
 		r.misses++
-		r.ctrMisses.Inc()
 		return nil
 	}
 	if !r.net.Fits(w.exit) {
 		r.blocked++
-		r.ctrBlocked.Inc()
 		return nil
 	}
 	r.hits++
-	r.ctrHits.Inc()
 	return w
 }
 
@@ -460,7 +453,6 @@ func (r *Recorder) Replay(w *Window, liveFn func(now, comm sim.Time)) {
 	defer r.phReplay.End(r.phReplay.Begin())
 	sh := r.net.ShiftFrom(w.exit)
 	r.replayed++
-	r.ctrReplayed.Inc()
 	r.replayHalf(w, 0, sh)
 	r.emitTrace(&w.trace[0], sh)
 	if liveFn != nil {

@@ -1,6 +1,7 @@
 package memo
 
 import (
+	"slices"
 	"testing"
 
 	"hpn/internal/netsim"
@@ -135,5 +136,98 @@ func TestLookupBlockedByPendingEvent(t *testing.T) {
 	}
 	if r.Stats().Blocked == 0 {
 		t.Fatal("blocked lookup not counted")
+	}
+}
+
+// A fabric transition aborts the recording in progress even when the
+// window's other guards would pass it: the failure, the recovery and
+// their reroutes all land inside the window, so its pending-event
+// population ends as it began.
+func TestTransitionAbortsRecording(t *testing.T) {
+	eng, top, s := newNet(t)
+	r := Attach(s)
+	r.BeginRecord(5)
+	lk := top.AccessLink(0, 0, 0)
+	s.FailCable(lk)
+	s.RecoverCable(lk)
+	eng.Run()
+	r.BeginLive(eng.Now(), 0)
+	r.EndLive()
+	r.FinalizeRecord()
+	if len(r.cache) != 0 {
+		t.Fatal("a window with a link flap inside it was cached")
+	}
+}
+
+// The cache holds at most maxWindows windows; past that, BeginRecord
+// declines.
+func TestCacheHoldsAtMostMaxWindows(t *testing.T) {
+	eng, _, s := newNet(t)
+	r := Attach(s)
+	for fp := uint64(0); fp < maxWindows; fp++ {
+		record(t, eng, r, fp)
+	}
+	if len(r.cache) != maxWindows {
+		t.Fatalf("cache holds %d windows, want %d", len(r.cache), maxWindows)
+	}
+	if r.BeginRecord(maxWindows); r.rec != nil {
+		t.Fatal("a full cache began another recording")
+	}
+}
+
+// flowDone subscribes to completions, so the recorder captures them.
+type flowDone struct{}
+
+func (flowDone) Kinds() netsim.EventKind   { return netsim.EvFlowDone }
+func (flowDone) FabricEvent(*netsim.Event) {}
+
+// A cached window holds each half in full chunks, the last cut to its
+// length, and a connection's repeated hop decisions once.
+func TestRecordedWindowIsCompact(t *testing.T) {
+	eng, _, s := newNet(t)
+	s.Subscribe(flowDone{})
+	r := Attach(s)
+	r.BeginRecord(9)
+	for i := 0; i < 3; i++ {
+		if _, err := s.StartFlow(route.Endpoint{Host: i, NIC: 0}, route.Endpoint{Host: 3, NIC: i},
+			1<<20, netsim.FlowOpts{SrcPort: 0, Sport: 1000}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	eng.Run()
+	r.BeginLive(eng.Now(), 0)
+	r.EndLive()
+	r.FinalizeRecord()
+	w := r.cache[9]
+	if w == nil {
+		t.Fatal("window not cached")
+	}
+	if h := w.ev[0]; len(h) != 1 || len(h[0]) != 3 || cap(h[0]) != 3 {
+		t.Fatalf("3 events held in %d chunks, the last of length %d and capacity %d; want one of 3",
+			len(h), len(h[len(h)-1]), cap(h[len(h)-1]))
+	}
+
+	var rec recording
+	hops := []route.HopDecision{{Link: 1}, {Link: 2}}
+	a := rec.internHops(7, hops)
+	if b := rec.internHops(7, slices.Clone(hops)); &a[0] != &b[0] || cap(a) != len(a) {
+		t.Fatal("a tuple's repeated hop decisions are not shared, or the shared copy has room to grow")
+	}
+	if c := rec.internHops(7, hops[:1]); &c[0] == &a[0] {
+		t.Fatal("different hop decisions share a copy")
+	}
+}
+
+// BeginRecord abandons a recording left open: a window it declines
+// records nothing.
+func TestBeginRecordAbandonsOpenRecording(t *testing.T) {
+	eng, _, s := newNet(t)
+	r := Attach(s)
+	record(t, eng, r, 1)
+	if r.BeginRecord(2); r.rec == nil {
+		t.Fatal("setup: recording not begun")
+	}
+	if r.BeginRecord(1); r.rec != nil {
+		t.Fatal("a declined BeginRecord left the open recording capturing")
 	}
 }

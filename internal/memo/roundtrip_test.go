@@ -8,6 +8,7 @@ import (
 	"strings"
 	"testing"
 
+	"hpn/internal/metrics"
 	"hpn/internal/netsim"
 	"hpn/internal/route"
 	"hpn/internal/sim"
@@ -20,7 +21,7 @@ import (
 type boundary struct {
 	hash                    uint64
 	flows                   int64
-	bits, aggBits, coreBits float64
+	bits, aggBits, coreBits metrics.ExactSum
 	// mark carries the next flow ID (and the cursors below) as netsim
 	// holds them.
 	mark           netsim.Mark

@@ -8,6 +8,7 @@ import (
 	"hpn/internal/inband"
 	"hpn/internal/memo"
 	"hpn/internal/netsim"
+	"hpn/internal/prof"
 	"hpn/internal/route"
 	"hpn/internal/sim"
 	"hpn/internal/telemetry"
@@ -92,28 +93,41 @@ func (p *periodicRun) fingerprint() uint64 {
 }
 
 // step runs one iteration: a replay on a fitting cache hit, otherwise a
-// simulation that records the window.
+// simulation that records the window. The phase's last flow starts after
+// the live section, so a window has events on both sides of it.
 func (p *periodicRun) step() {
 	fp := p.fingerprint()
 	if w := p.rec.Lookup(fp); w != nil {
-		p.rec.Replay(w, nil)
+		p.rec.Replay(w, p.live)
 	} else {
 		p.rec.BeginRecord(fp)
 		phase := p.it % 2
-		for j, f := range p.phases[phase] {
+		flows := p.phases[phase]
+		for j, f := range flows {
+			if j == len(flows)-1 {
+				p.eng.Run()
+				p.rec.BeginLive(p.eng.Now(), 0)
+				p.live(p.eng.Now(), 0)
+				p.rec.EndLive()
+			}
 			if _, err := p.net.StartFlow(f[0], f[1], 4<<20,
 				netsim.FlowOpts{SrcPort: 0, Sport: uint16(1000 + 10*phase + j)}); err != nil {
 				p.t.Fatal(err)
 			}
 		}
-		p.eng.Run()
-		p.rec.BeginLive(p.eng.Now(), 0)
-		p.rec.EndLive()
 		p.eng.Schedule(sim.Millisecond, func() {})
 		p.eng.Run()
 		p.rec.FinalizeRecord()
 	}
 	p.it++
+}
+
+// live is the iteration's live section: it logs a zero-kind marker, so
+// the log shows which events a replay delivers before it and which after.
+func (p *periodicRun) live(now, _ sim.Time) {
+	if p.log != nil {
+		p.log.evs = append(p.log.evs, netsim.Event{At: now})
+	}
 }
 
 // TestReplayDeliversLiveStream requires a replayed run to hand every
@@ -147,18 +161,68 @@ func TestReplayDeliversLiveStream(t *testing.T) {
 // TestReplayAllocatesNothing replays a cached window, with the health
 // monitor subscribed, and requires the whole replay — re-delivery of both
 // halves and the exit — to allocate nothing: a long memoized run replays
-// thousands of windows.
+// thousands of windows. Traced, the re-emitted trace events may allocate
+// only the trace's own chunks, which a hundred replays do not fill.
 func TestReplayAllocatesNothing(t *testing.T) {
-	p := newPeriodicRun(t, true, false)
-	var w *memo.Window
-	for w == nil {
-		if p.it > 8 {
-			t.Fatal("no window cached after 8 iterations")
+	for _, traced := range []bool{false, true} {
+		p := newRun(t, false, periodicPhases)
+		if traced {
+			p.net.AttachTelemetry(telemetry.NewTracer(0), p.net.Reg, "")
 		}
-		p.step()
-		w = p.rec.Lookup(p.fingerprint())
+		p.rec = memo.Attach(p.net)
+		p.mon = health.Attach(p.net)
+		var w *memo.Window
+		for w == nil {
+			if p.it > 8 {
+				t.Fatal("no window cached after 8 iterations")
+			}
+			p.step()
+			w = p.rec.Lookup(p.fingerprint())
+		}
+		if n := testing.AllocsPerRun(100, func() { p.rec.Replay(w, nil) }); n != 0 {
+			t.Fatalf("Replay (traced %v) allocates %v objects per call, want 0", traced, n)
+		}
 	}
-	if n := testing.AllocsPerRun(100, func() { p.rec.Replay(w, nil) }); n != 0 {
-		t.Fatalf("Replay allocates %v objects per call, want 0", n)
+}
+
+// TestRecorderExports requires the registry's memo rows to read the
+// recorder's own tallies and cache, and the profiler's memo phases to
+// count its lookups, replays and fast-forwards.
+func TestRecorderExports(t *testing.T) {
+	p := newRun(t, false, periodicPhases)
+	pr := prof.New()
+	p.net.AttachProfiler(pr, nil)
+	p.rec = memo.Attach(p.net)
+	for i := 0; i < 6; i++ {
+		p.step()
+	}
+	p.eng.Schedule(0, func() {})
+	if p.rec.Lookup(p.fingerprint()) != nil {
+		t.Fatal("a lookup over a pending event hit")
+	}
+	p.eng.Run()
+	if n := p.rec.Stats().Cached; n == 0 || p.net.Reg.SumSuffix("memo_cached_windows") != float64(n) {
+		t.Errorf("memo_cached_windows = %v, want the %d cached windows", p.net.Reg.SumSuffix("memo_cached_windows"), n)
+	}
+	p.net.FailCable(p.net.Top.AccessLink(0, 0, 0))
+	st := p.rec.Stats()
+	for name, want := range map[string]int64{
+		"memo_hits_total": st.Hits, "memo_misses_total": st.Misses, "memo_blocked_total": st.Blocked,
+		"memo_invalidations_total": st.Invalidations, "memo_replayed_iterations_total": st.Replayed,
+	} {
+		if got := p.net.Reg.SumSuffix(name); want == 0 || got != float64(want) {
+			t.Errorf("%s = %v, want the recorder's %d (nonzero)", name, got, want)
+		}
+	}
+	counts := map[string]int64{}
+	for _, ph := range pr.Snapshot() {
+		counts[ph.Name] = ph.Count
+	}
+	if got, want := counts["memo/lookup"], st.Hits+st.Misses+st.Blocked; got != want {
+		t.Errorf("memo/lookup counted %d, want %d lookups", got, want)
+	}
+	if counts["memo/replay"] != st.Replayed || counts["memo/fast_forward"] != st.Replayed {
+		t.Errorf("memo/replay and memo/fast_forward counted %d and %d, want %d replays",
+			counts["memo/replay"], counts["memo/fast_forward"], st.Replayed)
 	}
 }

@@ -195,11 +195,9 @@ func (s *Sim) recompute() {
 		s.allDirty = false
 	}
 	for _, ci := range s.dirtyComps {
-		c := &s.comps[ci]
-		for _, lk := range c.links {
+		for _, lk := range s.comps[ci].links {
 			s.compOf[lk] = noComp
 		}
-		c.links = c.links[:0]
 	}
 	s.reuse = 0
 
@@ -234,7 +232,6 @@ func (s *Sim) recompute() {
 		for i, lk := range f.Path {
 			if s.touch(lk) {
 				s.ufParent[lk] = int32(lk)
-				s.compOf[lk] = noComp
 			}
 			s.nShare[lk]++
 			s.inc[lk] = append(s.inc[lk], idx)
@@ -435,11 +432,10 @@ func (s *Sim) fillComponent(ci int32) float64 {
 	// loop stops instead of sifting through them (the dominant waste on
 	// symmetric workloads where one plateau freezes everything).
 	live := c.nflows
-	for live > 0 && len(*h) > 0 {
+	for ; live > 0 && len(*h) > 0; heapOps++ {
 		e := (*h)[0]
 		n := s.nShare[e.link]
 		if n == 0 {
-			heapOps++
 			h.popDiscard() // fully drained by earlier freezes
 			continue
 		}
@@ -447,12 +443,10 @@ func (s *Sim) fillComponent(ci int32) float64 {
 		if cur > e.share*(1+1e-9)+1e-9 {
 			// Stale: the share grew since the entry was keyed. Re-key it in
 			// place and restore the invariant with a single sift.
-			heapOps++
 			(*h)[0].share = cur
 			(*h).siftDown(0)
 			continue
 		}
-		heapOps++
 		h.popDiscard()
 		for _, fi := range s.inc[e.link] {
 			if s.frozen[fi] {
@@ -507,11 +501,9 @@ func (s *Sim) touch(lk topo.LinkID) bool {
 		return false
 	}
 	s.epoch[lk] = s.curEpoch
-	cap := s.Top.Link(lk).CapBps
-	if !s.Top.LinkUsable(lk) {
-		cap = 0
-	}
-	s.capRem[lk] = cap
+	// No runnable flow crosses a down link (failures stall it), so every
+	// touched link is up.
+	s.capRem[lk] = s.Top.Link(lk).CapBps
 	s.nShare[lk] = 0
 	s.inc[lk] = s.inc[lk][:0]
 	s.touched = append(s.touched, lk)

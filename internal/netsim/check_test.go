@@ -144,14 +144,20 @@ func (r republisher) FabricEvent(e *Event) {
 }
 
 // TestNestedPublishPanics requires the checked build to refuse a publish
-// from inside a delivery, which would overwrite the scratch event the
-// outer subscribers are still being handed.
+// from inside a delivery, live or a memo redelivery, which would overwrite
+// the scratch event the outer subscribers are still being handed.
 func TestNestedPublishPanics(t *testing.T) {
+	const want = "event published during delivery of a flow_routed event"
 	_, _, s := newSim(t, 2, 4, 4)
 	s.Subscribe(republisher{s})
-	mustPanic(t, "event published during delivery of a flow_routed event", func() {
+	mustPanic(t, want, func() {
 		s.StartFlow(route.Endpoint{Host: 0, NIC: 0}, route.Endpoint{Host: 4, NIC: 0}, 1<<20, FlowOpts{SrcPort: 0})
 	})
+
+	_, _, s = newSim(t, 2, 4, 4)
+	s.Subscribe(republisher{s})
+	evs := []Event{{Kind: EvFlowRouted, At: 5}}
+	mustPanic(t, want, func() { s.Redeliver(evs, Shift{}, Shift{T: 10}, 0) })
 }
 
 // TestMissedMergePanics routes a flow across two carried components and

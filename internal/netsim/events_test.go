@@ -1,6 +1,9 @@
 package netsim
 
 import (
+	"bytes"
+	"encoding/json"
+	"fmt"
 	"reflect"
 	"slices"
 	"strings"
@@ -9,6 +12,7 @@ import (
 	"hpn/internal/prof"
 	"hpn/internal/route"
 	"hpn/internal/sim"
+	"hpn/internal/telemetry"
 )
 
 // streamRecorder keeps every event it is offered, copying the slices that
@@ -131,25 +135,40 @@ func TestSubscribeAfterStartLeavesStreamIntact(t *testing.T) {
 }
 
 // AttachProfiler points the one flight subscriber at the recorder; calling
-// it again (the shard profiler re-attach) must not add a second one.
+// it again (the shard profiler re-attach) must not add a second one. The
+// recorder gets one row per transition, naming the cable (by its ends) or
+// node and giving its ID, one per reroute pass with the flows it re-pathed
+// and left stalled, and one per completion harvest with its count and
+// slowest completion time.
 func TestAttachProfilerTwiceNotesOnce(t *testing.T) {
-	eng, _, s := newSim(t, 2, 4, 4)
+	eng, top, s := newSim(t, 2, 4, 4)
 	fl := prof.NewFlight(0)
 	s.AttachProfiler(prof.New(), fl)
 	s.AttachProfiler(prof.New(), fl)
-	failRerouteRecover(t, s, eng)
+	f := failRerouteRecover(t, s, eng)
+	tor := top.Link(f.Path[len(f.Path)-1]).From
+	s.FailNode(tor)
+	s.RecoverNode(tor)
+	eng.Run()
 
 	var b strings.Builder
 	if err := fl.WriteTSV(&b); err != nil {
 		t.Fatal(err)
 	}
-	var kinds []string
+	var rows []string
 	for _, line := range strings.Split(strings.TrimSpace(b.String()), "\n")[1:] {
-		kinds = append(kinds, strings.Split(line, "\t")[2])
+		rows = append(rows, strings.Join(strings.Split(line, "\t")[2:], " "))
 	}
-	want := []string{"link_down", "reroute", "link_up", "reroute", "flows_done"}
-	if !slices.Equal(kinds, want) {
-		t.Fatalf("flight rows %v, want one per event %v", kinds, want)
+	access := top.AccessLink(0, 0, 0)
+	cable := fmt.Sprintf("%s->%s %d 0", top.Node(top.Link(access).From).Name, top.Node(top.Link(access).To).Name, access)
+	node := fmt.Sprintf("%s %d 0", top.Node(tor).Name, tor)
+	want := []string{
+		"link_down " + cable, "reroute  1 0", "link_up " + cable, "reroute  0 0",
+		fmt.Sprintf("flows_done  1 %d", f.DoneAt-f.StartedAt),
+		"node_down " + node, "node_up " + node, "reroute  0 0",
+	}
+	if !slices.Equal(rows, want) {
+		t.Fatalf("flight rows\n%q\nwant one per event\n%q", rows, want)
 	}
 }
 
@@ -203,4 +222,66 @@ func TestSubscribeCapsSubscribers(t *testing.T) {
 		}
 	}()
 	s.Subscribe(&streamRecorder{})
+}
+
+// Every kind names itself. A value that is not one kind, several bits or
+// a bit past the last kind, prints as a number instead of indexing past
+// the names.
+func TestEventKindString(t *testing.T) {
+	for k, want := range map[EventKind]string{
+		EvLinkDown: "link_down", EvPathFlush: "path_flush",
+		EvLinkDown | EvLinkUp: "EventKind(0x3)", EvPathFlush << 1: "EventKind(0x400)",
+	} {
+		if got := k.String(); got != want {
+			t.Errorf("EventKind %#x prints %q, want %q", uint16(k), got, want)
+		}
+	}
+}
+
+// Every link and node transition counts in netsim_topology_events_total
+// and marks the trace with an instant naming the cable or node; the
+// recoveries' one reroute pass follows, leaving nothing stalled.
+func TestTransitionsCountAndTrace(t *testing.T) {
+	eng, top, s := newSim(t, 2, 4, 4)
+	tr, reg := telemetry.NewTracer(0), telemetry.NewRegistry()
+	s.AttachTelemetry(tr, reg, "")
+	lk, n := top.AccessLink(0, 0, 0), top.Link(top.AccessLink(4, 0, 0)).To
+	s.FailCable(lk)
+	s.RecoverCable(lk)
+	s.FailNode(n)
+	s.RecoverNode(n)
+	eng.Run()
+	if got := reg.SumSuffix("netsim_topology_events_total"); got != 4 {
+		t.Errorf("netsim_topology_events_total = %v, want 4", got)
+	}
+	if got := reg.SumSuffix("netsim_reroute_passes_total"); got != 1 {
+		t.Errorf("netsim_reroute_passes_total = %v, want the recoveries' one pass", got)
+	}
+	var b bytes.Buffer
+	if _, err := tr.WriteTo(&b); err != nil {
+		t.Fatal(err)
+	}
+	var trace struct {
+		TraceEvents []struct {
+			Name string
+			Ph   string
+			Args map[string]any
+		}
+	}
+	if err := json.Unmarshal(b.Bytes(), &trace); err != nil {
+		t.Fatal(err)
+	}
+	var got []string
+	for _, e := range trace.TraceEvents {
+		if e.Ph == "i" {
+			got = append(got, fmt.Sprintf("%s %v %v %v %v", e.Name, e.Args["link"], e.Args["node"], e.Args["name"], e.Args["still_stalled"]))
+		}
+	}
+	cable := fmt.Sprintf("%d <nil> <nil> <nil>", lk)
+	node := fmt.Sprintf("<nil> %d %s <nil>", n, top.Node(n).Name)
+	want := []string{"link_down " + cable, "link_up " + cable, "node_down " + node, "node_up " + node,
+		"reroute <nil> <nil> <nil> false"}
+	if !slices.Equal(got, want) {
+		t.Fatalf("trace instants\n%q\nwant\n%q", got, want)
+	}
 }

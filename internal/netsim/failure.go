@@ -7,9 +7,9 @@ import (
 )
 
 // FailCable takes both directions of a cable down. Flows traversing it
-// stall immediately (packets stop moving); routing re-converges around it
-// after the router's convergence delay, at which point stalled flows are
-// re-pathed.
+// stall immediately (packets stop moving; the recompute that ends the
+// mutation zeroes their rates); routing re-converges around it after the
+// router's convergence delay, at which point stalled flows are re-pathed.
 func (s *Sim) FailCable(l topo.LinkID) {
 	s.beginMutate()
 	defer s.endMutate()
@@ -24,7 +24,6 @@ func (s *Sim) FailCable(l topo.LinkID) {
 	for _, f := range s.active {
 		if pathHasLink(f.Path, l) || pathHasLink(f.Path, rev) {
 			f.Stalled = true
-			f.Rate = 0
 		}
 	}
 	s.scheduleReroute(s.R.ConvergenceDelay)
@@ -37,10 +36,8 @@ func (s *Sim) FailCable(l topo.LinkID) {
 func (s *Sim) RecoverCable(l topo.LinkID) {
 	s.beginMutate()
 	defer s.endMutate()
-	// No runnable flow crosses a down link (routing stalls it instead), so
-	// a recovery changes no filled component's capacity today; marking
-	// keeps clean-component reuse exact without relying on that.
-	s.allDirty = true
+	// A recovery marks no component: no runnable flow crosses a down
+	// link, since failures and routing stall it instead.
 	s.Top.SetCableState(l, true)
 	s.R.NoteLinkRecovered(l)
 	s.ctrLinkEvents.Inc()
@@ -68,7 +65,6 @@ func (s *Sim) FailNode(n topo.NodeID) {
 			link := s.Top.Link(lk)
 			if link.From == n || link.To == n {
 				f.Stalled = true
-				f.Rate = 0
 				break
 			}
 		}
@@ -80,8 +76,7 @@ func (s *Sim) FailNode(n topo.NodeID) {
 func (s *Sim) RecoverNode(n topo.NodeID) {
 	s.beginMutate()
 	defer s.endMutate()
-	s.allDirty = true // see RecoverCable
-	s.Top.SetNodeState(n, true)
+	s.Top.SetNodeState(n, true) // see RecoverCable
 	s.R.NoteNodeRecovered(n)
 	s.ctrLinkEvents.Inc()
 	s.instant("node_up", telemetry.Int("node", int64(n)),
@@ -138,7 +133,6 @@ func (s *Sim) repathStalled() (moved, still int) {
 		if !f.Stalled {
 			continue
 		}
-		f.Stalled = false
 		s.routeFlow(f, nil)
 		if f.Stalled {
 			still++

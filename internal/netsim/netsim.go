@@ -32,6 +32,7 @@ import (
 
 	"hpn/internal/hashing"
 	"hpn/internal/inband"
+	"hpn/internal/metrics"
 	"hpn/internal/prof"
 	"hpn/internal/route"
 	"hpn/internal/sim"
@@ -237,7 +238,6 @@ type Sim struct {
 	Trace         *telemetry.Tracer
 	Reg           *telemetry.Registry
 	MetricsPrefix string
-	ctrFlows      *telemetry.Counter
 	ctrRecomputes *telemetry.Counter
 	ctrReroutes   *telemetry.Counter
 	ctrLinkEvents *telemetry.Counter
@@ -259,12 +259,13 @@ type Sim struct {
 
 	// Stats
 	CompletedFlows int64
-	CompletedBits  float64
+	CompletedBits  metrics.ExactSum
 	// AggBits / CoreBits count completed-flow bits whose path transited an
 	// Aggregation / Core switch — the cross-segment and cross-pod traffic
-	// the paper measures on Aggregation switches (Figure 15b).
-	AggBits  float64
-	CoreBits float64
+	// the paper measures on Aggregation switches (Figure 15b). The bit
+	// tallies are exact sums, which a memo replay's one-step add keeps.
+	AggBits  metrics.ExactSum
+	CoreBits metrics.ExactSum
 }
 
 // flowPoolCap bounds the flow free list a drained Sim keeps. While flows
@@ -553,9 +554,6 @@ func (s *Sim) walk(f *Flow, now sim.Time, obs func(route.HopDecision)) {
 		f.Port = port
 		f.Path = path
 		f.Stalled = blackholed || err != nil
-		if f.Stalled {
-			f.Rate = 0
-		}
 		return !f.Stalled
 	}
 	// A pinned port is honored while it works end-to-end; failover falls
@@ -567,13 +565,10 @@ func (s *Sim) walk(f *Flow, now sim.Time, obs func(route.HopDecision)) {
 	}
 	p, err := s.R.PickAccessPort(f.Src, f.Dst, f.Tuple, now)
 	if err != nil {
-		// The flow exists but cannot move; not a caller error.
+		// The flow exists but cannot move; not a caller error. routeFlow
+		// flushed its hop decisions, and the recompute zeroes its rate.
 		f.Stalled = true
 		f.Path = f.Path[:0]
-		f.Rate = 0
-		if f.ib != nil {
-			f.ib.hops = f.ib.hops[:0]
-		}
 		s.routeHops = s.routeHops[:0]
 		return
 	}
@@ -669,10 +664,10 @@ func (s *Sim) completionEvent() {
 	var slowest sim.Time
 	for _, f := range done {
 		s.CompletedFlows++
-		s.CompletedBits += f.Bits
-		agg, core := s.countTiers(f)
+		bits := metrics.ExactOf(f.Bits)
+		s.CompletedBits = s.CompletedBits.Plus(bits)
+		agg, core := s.countTiers(f, bits)
 		s.inbandFlush(f)
-		s.ctrFlows.Inc()
 		s.histFCT.Observe(int64(f.DoneAt - f.StartedAt))
 		if s.Trace != nil {
 			s.Trace.Complete(int64(f.StartedAt), int64(f.DoneAt-f.StartedAt),
@@ -754,7 +749,7 @@ func (s *Sim) AbortFlow(f *Flow) {
 
 // countTiers attributes a completed flow's bits to the tiers its path
 // visited and reports which. A route walks its path once (Route.tiers).
-func (s *Sim) countTiers(f *Flow) (agg, core bool) {
+func (s *Sim) countTiers(f *Flow, bits metrics.ExactSum) (agg, core bool) {
 	t := uint8(0)
 	if f.rt != nil {
 		t = f.rt.tiers
@@ -775,10 +770,10 @@ func (s *Sim) countTiers(f *Flow) (agg, core bool) {
 	}
 	agg, core = t&2 != 0, t&4 != 0
 	if agg {
-		s.AggBits += f.Bits
+		s.AggBits = s.AggBits.Plus(bits)
 	}
 	if core {
-		s.CoreBits += f.Bits
+		s.CoreBits = s.CoreBits.Plus(bits)
 	}
 	return agg, core
 }

@@ -223,7 +223,7 @@ func TestQueueProxyImbalance(t *testing.T) {
 	// 400G of offered load into a single 200G ToR downlink.
 	dst := route.Endpoint{Host: 0, NIC: 0}
 	down := top.Link(top.AccessLink(0, 0, 0)).Reverse
-	probe := s.TrackLink(down, "hot-port")
+	probe := s.TrackLink(down)
 	for i := 0; i < 2; i++ {
 		src := route.Endpoint{Host: 4 + i, NIC: 0}
 		if _, err := s.StartFlow(src, dst, 8<<30, FlowOpts{SrcPort: 0}); err != nil {
@@ -237,7 +237,7 @@ func TestQueueProxyImbalance(t *testing.T) {
 	// A balanced single flow must not accumulate queue.
 	eng2 := sim.New()
 	s2 := New(eng2, top)
-	probe2 := s2.TrackLink(down, "cool-port")
+	probe2 := s2.TrackLink(down)
 	if _, err := s2.StartFlow(route.Endpoint{Host: 4, NIC: 0}, dst, 8<<30, FlowOpts{SrcPort: 0}); err != nil {
 		t.Fatal(err)
 	}
@@ -254,7 +254,7 @@ func TestFailedProbedLinkDrains(t *testing.T) {
 	eng, top, s := newSim(t, 2, 4, 4)
 	dst := route.Endpoint{Host: 0, NIC: 0}
 	down := top.Link(top.AccessLink(0, 0, 0)).Reverse
-	probe := s.TrackLink(down, "hot-port")
+	probe := s.TrackLink(down)
 	for i := 0; i < 2; i++ {
 		if _, err := s.StartFlow(route.Endpoint{Host: 4 + i, NIC: 0}, dst, 8<<30, FlowOpts{SrcPort: 0}); err != nil {
 			t.Fatal(err)
@@ -291,7 +291,7 @@ func TestFailedProbedLinkDrains(t *testing.T) {
 func TestProbeUtilSeries(t *testing.T) {
 	eng, top, s := newSim(t, 1, 2, 2)
 	up := top.AccessLink(0, 0, 0)
-	probe := s.TrackLink(up, "nic0")
+	probe := s.TrackLink(up)
 	if _, err := s.StartFlow(route.Endpoint{Host: 0, NIC: 0}, route.Endpoint{Host: 1, NIC: 0}, 1<<30, FlowOpts{SrcPort: 0}); err != nil {
 		t.Fatal(err)
 	}
@@ -361,18 +361,18 @@ func TestTierBitsAccounting(t *testing.T) {
 		t.Fatal(err)
 	}
 	eng.Run()
-	if s.AggBits != 0 {
-		t.Fatalf("ToR-local flow counted %v agg bits", s.AggBits)
+	if s.AggBits.Float() != 0 {
+		t.Fatalf("ToR-local flow counted %v agg bits", s.AggBits.Float())
 	}
 	// Cross-segment: must cross an agg.
 	if _, err := s.StartFlow(route.Endpoint{Host: 0, NIC: 0}, route.Endpoint{Host: 4, NIC: 0}, 1<<20, FlowOpts{SrcPort: -1}); err != nil {
 		t.Fatal(err)
 	}
 	eng.Run()
-	if s.AggBits != 8<<20 {
-		t.Fatalf("agg bits = %v, want %v", s.AggBits, 8<<20)
+	if s.AggBits.Float() != 8<<20 {
+		t.Fatalf("agg bits = %v, want %v", s.AggBits.Float(), 8<<20)
 	}
-	if s.CoreBits != 0 {
+	if s.CoreBits.Float() != 0 {
 		t.Fatal("single-pod flow counted core bits")
 	}
 }

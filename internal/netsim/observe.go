@@ -47,23 +47,19 @@ func (s *Sim) refreshObserved() {
 	kept := s.obsLive[:0]
 	for _, lk := range s.obsLive {
 		o := &s.obs[lk]
+		// Down links drain at capacity too: no runnable flow crosses one.
 		o.cap = s.Top.Link(lk).CapBps
 		if s.epoch[lk] == s.curEpoch {
-			if !s.Top.LinkUsable(lk) {
-				o.cap = 0
-			}
 			util := 0.0
 			for _, fi := range s.inc[lk] {
 				util += s.unfrozen[fi].Rate
 			}
 			o.util = util
 		} else {
-			// No runnable flow touches the link anymore: it only drains,
-			// at capacity even while it is down.
+			// No runnable flow touches the link anymore: it only drains.
 			o.demand, o.util = 0, 0
 			if o.queue <= 0 {
 				o.live = false
-				o.qstep = 0
 				continue
 			}
 		}
@@ -103,7 +99,6 @@ func (s *Sim) integrateObserved(t0, dt float64) {
 // so the series is exact under the fluid model.
 type LinkProbe struct {
 	Link topo.LinkID
-	Name string
 
 	// Util is the allocated throughput (bits/second) over time.
 	Util metrics.Series
@@ -114,16 +109,14 @@ type LinkProbe struct {
 // TrackLink attaches (or returns the existing) probe for a link. A probe
 // attached mid-run starts its series from the link's current observed
 // state.
-func (s *Sim) TrackLink(l topo.LinkID, name string) *LinkProbe {
+func (s *Sim) TrackLink(l topo.LinkID) *LinkProbe {
 	for _, p := range s.probeList {
 		if p.Link == l {
 			return p
 		}
 	}
 	s.observeLinks()
-	p := &LinkProbe{Link: l, Name: name}
-	p.Util.Name = name + "/util"
-	p.Queue.Name = name + "/queue"
+	p := &LinkProbe{Link: l}
 	s.probeList = append(s.probeList, p)
 	return p
 }

@@ -107,7 +107,7 @@ func TestConservationUnderFailure(t *testing.T) {
 		eng.Schedule(sim.Millisecond/4, func() { s.FailCable(victim) })
 		eng.Schedule(3*sim.Second, func() { s.RecoverCable(victim) })
 		eng.Run()
-		return s.CompletedBits == total && s.ActiveFlows() == 0
+		return s.CompletedBits.Float() == total && s.ActiveFlows() == 0
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 15}); err != nil {
 		t.Fatal(err)

@@ -3,6 +3,7 @@ package netsim
 import (
 	"math"
 
+	"hpn/internal/metrics"
 	"hpn/internal/sim"
 	"hpn/internal/topo"
 )
@@ -92,7 +93,7 @@ type position struct {
 	at              sim.Time
 	seq, proc       uint64
 	id, flows       int64
-	bits, agg, core float64
+	bits, agg, core metrics.ExactSum
 }
 
 func (s *Sim) position() position {
@@ -107,7 +108,7 @@ func (p position) since(base position) position {
 	return position{
 		at: p.at - base.at, seq: p.seq - base.seq, proc: p.proc - base.proc,
 		id: p.id - base.id, flows: p.flows - base.flows,
-		bits: p.bits - base.bits, agg: p.agg - base.agg, core: p.core - base.core,
+		bits: p.bits.Minus(base.bits), agg: p.agg.Minus(base.agg), core: p.core.Minus(base.core),
 	}
 }
 
@@ -243,9 +244,9 @@ func (s *Sim) ApplyExit(x *Exit) {
 	s.Eng.FastForward(t0+d.at, d.seq, d.proc)
 	s.nextID += d.id
 	s.CompletedFlows += d.flows
-	s.CompletedBits += d.bits
-	s.AggBits += d.agg
-	s.CoreBits += d.core
+	s.CompletedBits = s.CompletedBits.Plus(d.bits)
+	s.AggBits = s.AggBits.Plus(d.agg)
+	s.CoreBits = s.CoreBits.Plus(d.core)
 	s.Reg.AddValues(x.metrics)
 	if s.obs != nil {
 		for _, lk := range s.obsLive {

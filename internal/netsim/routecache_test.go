@@ -118,6 +118,30 @@ type countRouted struct{ n *int }
 func (countRouted) Kinds() EventKind       { return EvFlowRouted }
 func (c countRouted) FabricEvent(e *Event) { *c.n++ }
 
+// A cable or switch recovered inside its convergence delay clears its
+// failure at once: the router is settled again, so walks stamp routes
+// without waiting out a delay for a link that is back.
+func TestRecoveryInsideConvergenceSettles(t *testing.T) {
+	eng, top, s := newSim(t, 2, 4, 4)
+	l := top.AccessLink(7, 0, 1)
+	for _, c := range []struct {
+		name          string
+		fail, recover func()
+	}{
+		{"cable", func() { s.FailCable(l) }, func() { s.RecoverCable(l) }},
+		{"switch", func() { s.FailNode(top.Link(l).To) }, func() { s.RecoverNode(top.Link(l).To) }},
+	} {
+		c.fail()
+		if s.R.Settled(eng.Now()) {
+			t.Fatalf("router settled with a %s convergence pending", c.name)
+		}
+		c.recover()
+		if !s.R.Settled(eng.Now()) {
+			t.Fatalf("recovering the only failed %s left the router unsettled", c.name)
+		}
+	}
+}
+
 // TestStartFlowRouteMisuse requires StartFlow to refuse a Route on a flow
 // whose port cannot match it, before a flow is taken.
 func TestStartFlowRouteMisuse(t *testing.T) {

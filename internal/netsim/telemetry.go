@@ -16,7 +16,8 @@ func (s *Sim) AttachTelemetry(tr *telemetry.Tracer, reg *telemetry.Registry, pre
 	s.Trace = tr
 	s.Reg = reg
 	s.MetricsPrefix = prefix
-	s.ctrFlows = reg.Counter(prefix+"netsim_flows_completed_total", "completed fluid flows")
+	reg.CounterFunc(prefix+"netsim_flows_completed_total", "completed fluid flows",
+		func() uint64 { return uint64(s.CompletedFlows) })
 	s.ctrRecomputes = reg.Counter(prefix+"netsim_recomputes_total", "max-min rate recomputations (allocation rounds)")
 	s.ctrReroutes = reg.Counter(prefix+"netsim_reroute_passes_total", "post-convergence reroute passes")
 	s.ctrLinkEvents = reg.Counter(prefix+"netsim_topology_events_total", "link/node up+down transitions")
@@ -29,11 +30,11 @@ func (s *Sim) AttachTelemetry(tr *telemetry.Tracer, reg *telemetry.Registry, pre
 	reg.Gauge(prefix+"netsim_stalled_flows", "currently blackholed flows",
 		func() float64 { return float64(s.StalledFlows()) })
 	reg.Gauge(prefix+"netsim_completed_bits", "bits delivered by completed flows",
-		func() float64 { return s.CompletedBits })
+		func() float64 { return s.CompletedBits.Float() })
 	reg.Gauge(prefix+"netsim_agg_bits", "completed-flow bits that transited an Aggregation switch",
-		func() float64 { return s.AggBits })
+		func() float64 { return s.AggBits.Float() })
 	reg.Gauge(prefix+"netsim_core_bits", "completed-flow bits that transited a Core switch",
-		func() float64 { return s.CoreBits })
+		func() float64 { return s.CoreBits.Float() })
 	if s.flowLog != nil {
 		s.registerFlowLogExporter()
 	}

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"hpn/internal/core"
+	"hpn/internal/metrics"
 	"hpn/internal/netsim"
 	"hpn/internal/rdma"
 	"hpn/internal/route"
@@ -37,7 +38,7 @@ func (walkForcer) FabricEvent(e *netsim.Event) {}
 type domainResult struct {
 	flowLog         []byte
 	completed       int64
-	aggBits, coreBs float64
+	aggBits, coreBs metrics.ExactSum
 	stateHash       uint64
 	paths           uint64
 }

@@ -21,7 +21,7 @@ func TestMemoKeepsProbeSeries(t *testing.T) {
 			t.Fatal(err)
 		}
 		c := r.Cluster
-		p := c.Net.TrackLink(c.Topo.AccessLink(r.Trainer.Job.Hosts[0], 0, 0), "nic0")
+		p := c.Net.TrackLink(c.Topo.AccessLink(r.Trainer.Job.Hosts[0], 0, 0))
 		if err := r.Run(); err != nil {
 			t.Fatal(err)
 		}
