@@ -40,12 +40,13 @@ test:
 # Parallel gate: the netsim suite (differential + property tests) under the
 # race detector with real parallelism available, plus the golden
 # determinism tests — which include the sharded engine's serial-vs-parallel
-# window byte comparison — and the sharded route-cache differential test,
+# window byte comparison — the sharded route-cache differential test,
 # whose pods bump the shared topology's usability generation from parallel
-# windows, so a scheduling-dependent result can never land green.
+# windows, and the pinned experiment reports, whose multipod runs four pod
+# workers at once, so a scheduling-dependent result can never land green.
 test-parallel:
 	GOMAXPROCS=4 $(GO) test -race -count=1 ./internal/netsim/...
-	GOMAXPROCS=4 $(GO) test -race -count=1 -run 'TestGoldenDeterminism|TestRouteCacheMatchesWalkSharded' .
+	GOMAXPROCS=4 $(GO) test -race -count=1 -run 'TestGoldenDeterminism|TestRouteCacheMatchesWalkSharded|TestAllExperimentsHoldAtQuickScale' .
 
 # Checked handles: the layers that hold pooled sim.Events and netsim.Flows,
 # the fabric event stream's replaying and detecting subscribers (memo,

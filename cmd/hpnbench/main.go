@@ -38,7 +38,6 @@ func run(args []string) (code int) {
 		scale  = fs.String("scale", "quick", "quick | full")
 		list   = fs.Bool("list", false, "list experiments and exit")
 		csvDir = fs.String("csv", "", "also dump recorded time series as CSV into this directory")
-		shards = fs.Int("shards", 0, "worker goroutines for sharded experiments' parallel windows (0 = NumCPU); results are identical for every value, only wall-clock changes")
 		obs    = observe.Register(fs)
 	)
 	if err := fs.Parse(args); err != nil {
@@ -70,11 +69,6 @@ func run(args []string) (code int) {
 		return 2
 	}
 
-	if *shards < 0 {
-		fmt.Fprintf(os.Stderr, "hpnbench: -shards must be >= 0, got %d\n", *shards)
-		return 2
-	}
-
 	if *list {
 		for _, e := range hpn.Experiments() {
 			fmt.Printf("%-8s %s\n", e.ID, e.Title)
@@ -82,10 +76,11 @@ func run(args []string) (code int) {
 		return 0
 	}
 
-	// -memo and -shards compose: sharded trainers close memoization windows
-	// at the cross-pod gate (pod-local record/replay), so both can be on at
-	// once — the sharded determinism gates cover exactly this combination.
-	env := hpn.Env{Workers: *shards}
+	// -memo composes with every experiment, sharded ones included: sharded
+	// trainers close memoization windows at the cross-pod gate (pod-local
+	// record/replay). No observer moves a report; the experiment test pins
+	// every quick-scale report under an observing hub and a memo hub.
+	var env hpn.Env
 	if opt != nil {
 		// Experiments build many clusters; bound the trace and the in-band
 		// stream so a full sweep cannot exhaust memory.

@@ -56,7 +56,7 @@ func TestShardedRunWritesMetrics(t *testing.T) {
 	}
 }
 
-// -shards 0 runs NumCPU shard workers, as in hpnbench; a negative count is
+// -shards 0 runs NumCPU shard workers; a negative count is
 // a usage error.
 func TestShardsZeroSelectsNumCPU(t *testing.T) {
 	out := captureStdout(t, func() {

@@ -20,7 +20,7 @@ func init() {
 // tier2Measurement is what one cross-segment training run yields: per-NIC
 // port utilizations and queue pressures at the destination dual-ToR set.
 type tier2Measurement struct {
-	// utilization (bps) per probed NIC per port.
+	// mean utilization (bps) per probed NIC per port.
 	portUtil [][2]float64
 	// mean queue proxy (bytes) per probed NIC per port.
 	portQueue [][2]float64
@@ -117,18 +117,31 @@ func runTier2Workload(env Env, dualPlane bool) (*tier2Measurement, error) {
 	}
 
 	m := &tier2Measurement{}
+	util := func(u, _ float64) float64 { return u }
+	queue := func(_, q float64) float64 { return q }
 	for _, pp := range probes {
-		// Use bytes actually moved (mean util); skip the warm-up
-		// iteration.
-		warm := pp.p0.Util.Points[0].T
-		m.portUtil = append(m.portUtil, [2]float64{
-			pp.p0.Util.MeanAfter(warm), pp.p1.Util.MeanAfter(warm),
-		})
-		m.portQueue = append(m.portQueue, [2]float64{
-			pp.p0.Queue.MeanAfter(warm), pp.p1.Queue.MeanAfter(warm),
-		})
+		m.portUtil = append(m.portUtil, [2]float64{probeMean(pp.p0, util), probeMean(pp.p1, util)})
+		m.portQueue = append(m.portQueue, [2]float64{probeMean(pp.p0, queue), probeMean(pp.p1, queue)})
 	}
 	return m, nil
+}
+
+// probeMean is the time-weighted mean of v over a link probe's allocation
+// intervals. Interval i runs from the end of interval i-1 (0 for the
+// first) to p.Queue.Points[i].T at utilisation p.Util.Points[i].V, ending
+// with queue p.Queue.Points[i].V; v maps those two to the value averaged.
+// Weighting by time rather than by interval keeps an observer that splits
+// intervals (a sampler tick) from moving the mean.
+func probeMean(p *netsim.LinkProbe, v func(util, queue float64) float64) float64 {
+	sum, end := 0.0, 0.0
+	for i, q := range p.Queue.Points {
+		sum += v(p.Util.Points[i].V, q.V) * (q.T - end)
+		end = q.T
+	}
+	if end <= 0 {
+		return 0
+	}
+	return sum / end
 }
 
 const imbalanceCap = 10 // report a starved port as 10x rather than infinity

@@ -1,9 +1,6 @@
 package hpn
 
-import (
-	"fmt"
-	"runtime"
-)
+import "fmt"
 
 func init() {
 	register("multipod", "Sharded event loop: multi-pod training on parallel per-pod engines", runMultiPod)
@@ -11,8 +8,7 @@ func init() {
 
 // multiPodRun summarizes one sharded multi-pod training run.
 type multiPodRun struct {
-	hostRun
-	workers   int // resolved worker count
+	simRun
 	rounds    int
 	windows   int
 	exchanged int
@@ -20,8 +16,7 @@ type multiPodRun struct {
 
 // runMultiPodTraining drives a `pods`-pod HPN fabric — one training job per
 // pod plus the cross-pod gradient exchange on the global domain — through
-// the windowed coordinator with the given worker count, joined to hub,
-// and measures simulated-flow throughput of the host process.
+// the windowed coordinator with the given worker count, joined to hub.
 func runMultiPodTraining(hub *TelemetryHub, pods, hostsPerPod, iters, workers int) (*multiPodRun, error) {
 	cfg := MultiPodHPN(pods, 1, hostsPerPod, 4)
 	r, err := Scenario{HPN: &cfg, Model: LLaMa13B, TP: 8, PP: 1, Hosts: hostsPerPod, Iterations: iters,
@@ -29,7 +24,7 @@ func runMultiPodTraining(hub *TelemetryHub, pods, hostsPerPod, iters, workers in
 	if err != nil {
 		return nil, err
 	}
-	h, err := timeRun(r)
+	out, err := runOutcome(r)
 	if err != nil {
 		return nil, err
 	}
@@ -37,10 +32,11 @@ func runMultiPodTraining(hub *TelemetryHub, pods, hostsPerPod, iters, workers in
 	if st.FirstErr != nil {
 		return nil, st.FirstErr
 	}
-	return &multiPodRun{hostRun: h, workers: sc.Coord.Workers(), rounds: st.Rounds,
+	return &multiPodRun{simRun: out, rounds: st.Rounds,
 		windows: sc.Coord.Windows, exchanged: sc.Coord.Exchanged}, nil
 }
 
+// runMultiPod runs one fabric serially and with one worker per pod.
 func runMultiPod(env Env) (*Report, error) {
 	r := &Report{ID: "multipod", Title: "Sharded event loop: conservative-window parallel multi-pod simulation"}
 	pods, hostsPerPod, iters := 4, 8, 12
@@ -51,22 +47,15 @@ func runMultiPod(env Env) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	par, err := runMultiPodTraining(env.Hub, pods, hostsPerPod, iters, env.Workers)
+	par, err := runMultiPodTraining(env.Hub, pods, hostsPerPod, iters, pods)
 	if err != nil {
 		return nil, err
 	}
-	workers := par.workers
-	speedup := 0.0
-	if par.wallSec > 0 {
-		speedup = serial.wallSec / par.wallSec
-	}
 	r.AddTable(Table{
-		Title:  fmt.Sprintf("LLaMa-13B, %d pods x %d hosts, %d iterations, %d workers", pods, hostsPerPod, iters, workers),
-		Header: []string{"metric", "workers=1", fmt.Sprintf("workers=%d", workers)},
+		Title:  fmt.Sprintf("LLaMa-13B, %d pods x %d hosts, %d iterations, %d workers", pods, hostsPerPod, iters, pods),
+		Header: []string{"metric", "workers=1", fmt.Sprintf("workers=%d", pods)},
 		Rows: [][]string{
-			{"wall time (s)", fmtF(serial.wallSec), fmtF(par.wallSec)},
 			{"simulated flows", fmtF(float64(serial.flows)), fmtF(float64(par.flows))},
-			{"simulated flows/sec (host)", fmtF(serial.flowsPerSec), fmtF(par.flowsPerSec)},
 			{"samples/s (simulated)", fmtF(serial.samplesSec), fmtF(par.samplesSec)},
 			{"conservative windows", fmtF(float64(serial.windows)), fmtF(float64(par.windows))},
 			{"cross-domain posts", fmtF(float64(serial.exchanged)), fmtF(float64(par.exchanged))},
@@ -80,12 +69,5 @@ func runMultiPod(env Env) (*Report, error) {
 			serial.samplesSec == par.samplesSec) //hpnlint:allow floateq -- parallel windows must be bit-exact
 	r.AddClaim("every iteration crossed the global barrier",
 		fmt.Sprintf("%d cross-pod rounds", iters), fmt.Sprintf("%d", par.rounds), par.rounds == iters)
-	if runtime.NumCPU() >= 4 && workers >= 4 {
-		r.AddClaim("parallel shard windows speed up the host process", ">=1.5x wall",
-			fmt.Sprintf("%.2fx (%d-core host)", speedup, runtime.NumCPU()), speedup >= 1.5)
-	} else {
-		r.AddNote("speedup claim skipped: %d workers on a %d-core host (need >=4 of each); measured %.2fx",
-			workers, runtime.NumCPU(), speedup)
-	}
 	return r, nil
 }

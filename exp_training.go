@@ -353,17 +353,15 @@ func runFig2(env Env) (*Report, error) {
 	// the sync burst.
 	peakNIC := 0.0
 	idleFraction := 0.0
+	idle := func(u, _ float64) float64 {
+		if u < 1e9 {
+			return 1
+		}
+		return 0
+	}
 	for _, p := range probes {
 		peakNIC = math.Max(peakNIC, p.Util.Max())
-		idle, total := 0, p.Util.Len()
-		for _, pt := range p.Util.Points {
-			if pt.V < 1e9 {
-				idle++
-			}
-		}
-		if total > 0 {
-			idleFraction += float64(idle) / float64(total) / float64(len(probes))
-		}
+		idleFraction += probeMean(p, idle) / float64(len(probes))
 	}
 	peakNICGbps := peakNIC * 2 / 1e9 // two ports per NIC
 	r.AddTable(Table{
@@ -371,7 +369,7 @@ func runFig2(env Env) (*Report, error) {
 		Header: []string{"metric", "value"},
 		Rows: [][]string{
 			{"peak per-NIC egress (Gbps)", fmtF(peakNICGbps)},
-			{"idle fraction of samples", pct(idleFraction)},
+			{"idle fraction of time", pct(idleFraction)},
 		},
 	})
 	r.AddClaim("bursts reach NIC capacity", "~400Gbps", fmt.Sprintf("%.0fGbps", peakNICGbps), peakNICGbps > 350)

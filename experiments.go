@@ -18,13 +18,14 @@ const (
 	ScaleFull
 )
 
-// Env is what an experiment runs in: its scale, the hub every cluster it
-// builds joins in build order (nil: none), and its sharded runs' worker
-// count (<= 0: NumCPU). Results are identical for every worker count.
+// Env is what an experiment runs in: its scale and the hub every cluster
+// it builds joins in build order (nil: none). A report is a function of
+// the scale alone: the hub only observes, whatever its options, and no
+// report reads the host (testdata/ pins every quick-scale report bare,
+// under an observing hub and under a memo hub).
 type Env struct {
-	Scale   Scale
-	Hub     *TelemetryHub
-	Workers int
+	Scale Scale
+	Hub   *TelemetryHub
 }
 
 // join attaches a just-built cluster to the env's hub, passing a build

@@ -8,35 +8,62 @@ import (
 )
 
 // Every registered experiment must run at quick scale with every
-// paper-vs-measured claim holding. This is the repository's headline
-// regression test: if a model change breaks a reproduced result, it fails
-// here with the full report attached. A report captured as
-// testdata/<id>.txt (without the wall-time footer hpnbench prints after
-// it) must also print exactly that text, so rewiring how its runs are
-// built cannot move a number.
+// paper-vs-measured claim holding, and print exactly its capture in
+// testdata/<id>.txt. This is the repository's headline regression test: if
+// a model change breaks a reproduced result, it fails here with the full
+// report attached. A report is a function of the run alone, so it must
+// print the same bytes bare, under a hub running the observers that watch
+// the fabric (the sampler, health monitor, self-profiler and in-band
+// collector, whose hop records bypass the route cache; a small record cap
+// bounds memory) and under a memoizing health hub. A missing capture
+// fails; after a deliberate change, refresh one with
+//
+//	go run ./cmd/hpnbench -exp <id> | head -n -2 > testdata/<id>.txt
+//
+// (hpnbench's report minus its two-line wall-time footer).
 func TestAllExperimentsHoldAtQuickScale(t *testing.T) {
+	observing := TelemetryOptions{SampleInterval: DefaultTelemetryOptions().SampleInterval,
+		Health: true, Prof: true, Inband: true, InbandMax: 1 << 12}
+	hubs := []struct {
+		name string
+		opt  *TelemetryOptions
+	}{
+		{"bare", nil},
+		{"observing hub", &observing},
+		{"memo and health hub", &TelemetryOptions{Memo: true, Health: true}},
+	}
 	for _, e := range Experiments() {
 		e := e
 		t.Run(e.ID, func(t *testing.T) {
 			t.Parallel()
-			r, err := e.Run(Env{Scale: ScaleQuick})
+			want, err := os.ReadFile(filepath.Join("testdata", e.ID+".txt"))
 			if err != nil {
-				t.Fatalf("%s failed: %v", e.ID, err)
+				t.Fatalf("%s has no capture: %v", e.ID, err)
 			}
-			if r.ID != e.ID {
-				t.Errorf("report ID %q != experiment ID %q", r.ID, e.ID)
-			}
-			if len(r.Claims) == 0 {
-				t.Errorf("%s reports no paper-vs-measured claims", e.ID)
-			}
-			for _, c := range r.Claims {
-				if !c.Holds {
-					t.Errorf("claim %q: paper %q, measured %q — does not hold\n%s",
-						c.Metric, c.Paper, c.Measured, r.String())
+			for _, h := range hubs {
+				env := Env{Scale: ScaleQuick}
+				if h.opt != nil {
+					env.Hub = NewTelemetryHub(*h.opt)
 				}
-			}
-			if want, err := os.ReadFile(filepath.Join("testdata", e.ID+".txt")); err == nil && r.String() != string(want) {
-				t.Errorf("%s report differs from testdata:\n got:\n%s\nwant:\n%s", e.ID, r.String(), want)
+				r, err := e.Run(env)
+				if err != nil {
+					t.Fatalf("%s (%s) failed: %v", e.ID, h.name, err)
+				}
+				if r.ID != e.ID {
+					t.Errorf("report ID %q != experiment ID %q", r.ID, e.ID)
+				}
+				if len(r.Claims) == 0 {
+					t.Errorf("%s reports no paper-vs-measured claims", e.ID)
+				}
+				for _, c := range r.Claims {
+					if !c.Holds {
+						t.Errorf("%s: claim %q: paper %q, measured %q — does not hold\n%s",
+							h.name, c.Metric, c.Paper, c.Measured, r.String())
+					}
+				}
+				if got := r.String(); got != string(want) {
+					t.Errorf("%s report (%s) differs from testdata:\n got:\n%s\nwant:\n%s", e.ID, h.name, got, want)
+				}
 			}
 		})
 	}
